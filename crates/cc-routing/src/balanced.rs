@@ -26,113 +26,181 @@
 //! argument. Tests verify both delivery correctness on random patterns and
 //! the round advantage on the patterns that motivated this module.
 //!
+//! # Planning cost
+//!
+//! A *piece* is one non-empty overlap of a sender's megastream segment with
+//! one of its per-destination ranges. Planning costs `O(n² + pieces)` per
+//! call: slicing walks, for each (intermediate, sender) pair, only the
+//! destination ranges that meet the segment the intermediate holds, and
+//! reassembly at `w` walks, for each sender, only the segments that meet
+//! the range headed to `w`. No step scans the `n³` (intermediate, receiver,
+//! sender) triples.
+//!
+//! Reassembly depends on one invariant: the blob intermediate `p` forwards
+//! to `w` is the concatenation of its pieces in ascending live-sender
+//! order, with at most one piece per sender (`p` holds exactly one segment
+//! of each sender's megastream). A receiver that walks the senders in
+//! ascending order therefore meets every blob's pieces in the order they
+//! were written, and one read cursor per intermediate suffices.
+//!
 //! [`route_balanced_faulted`] is the crash-aware rendering: the same plan
 //! computed over the survivor list of a [`crate::CrashSet`], so megastream
 //! segments are remapped away from dead intermediates and phase 2 still
 //! reassembles. With an empty crash set the survivor list is all of
 //! `0..n`, making the faulted plan byte-identical to [`route_balanced`].
+//! The header-free [`crate::route_balanced_sized`] runs the same plan with
+//! raw per-destination streams.
 
-use cliquesim::{BitString, NodeId, Session};
+use cliquesim::{BitString, DecodeError, NodeId, Session};
 
 use crate::fault::{route_faulted, CrashSet, RoutedOutcome};
-use crate::frames::{frame_all, parse_frames};
+use crate::frames::{parse_frames, LEN_HEADER_BITS};
 use crate::router::{route, Delivered, RouteError};
 
 /// One demand list per node: the shape routed by both phases.
 type DemandMatrix = Vec<Vec<(NodeId, BitString)>>;
 
-/// Bit-range bookkeeping: layout of one sender's megastream. Shared with
-/// the header-free plan in [`crate::sized`].
+/// Bit-range bookkeeping: layout of one sender's megastream.
 #[derive(Clone, Debug)]
 pub(crate) struct MegaLayout {
     /// For each destination `w`, the megastream range `[start, end)` of the
-    /// framed stream headed to `w` (empty ranges allowed).
+    /// stream headed to `w` (empty ranges allowed).
     pub(crate) ranges: Vec<(usize, usize)>,
     /// Total megastream length.
     pub(crate) total: usize,
 }
 
-pub(crate) fn layout_for(stream_sizes: &[usize]) -> MegaLayout {
-    let mut ranges = Vec::with_capacity(stream_sizes.len());
-    let mut pos = 0;
-    for &s in stream_sizes {
-        ranges.push((pos, pos + s));
-        pos += s;
+impl MegaLayout {
+    pub(crate) fn new(stream_sizes: impl IntoIterator<Item = usize>) -> Self {
+        let mut pos = 0;
+        let ranges = stream_sizes
+            .into_iter()
+            .map(|s| {
+                pos += s;
+                (pos - s, pos)
+            })
+            .collect();
+        MegaLayout { ranges, total: pos }
     }
-    MegaLayout { ranges, total: pos }
+
+    /// The non-empty overlaps of segment `j` (of `m`) with the destination
+    /// ranges, as `(w, start, end)` megastream positions in ascending `w`.
+    pub(crate) fn segment_pieces(
+        &self,
+        m: usize,
+        j: usize,
+    ) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+        let (sa, sb) = segment_range(self.total, m, j);
+        // Range ends ascend, so the ranges ending at or before `sa` are a
+        // prefix.
+        let first = self.ranges.partition_point(|r| r.1 <= sa);
+        self.ranges[first..]
+            .iter()
+            .take_while(move |r| r.0 < sb)
+            .zip(first..)
+            .filter_map(move |(&(ra, rb), w)| {
+                let (ia, ib) = (sa.max(ra), sb.min(rb));
+                (ia < ib).then_some((w, ia, ib))
+            })
+    }
+
+    /// The non-empty overlaps of destination `w`'s range with the `m`
+    /// segments, as `(j, start, end)` megastream positions in ascending `j`.
+    pub(crate) fn range_pieces(
+        &self,
+        m: usize,
+        w: usize,
+    ) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
+        let (ra, rb) = self.ranges[w];
+        let seg = segment_len(self.total, m);
+        let segments = if ra < rb {
+            ra / seg..(rb - 1) / seg + 1
+        } else {
+            0..0
+        };
+        segments.map(move |j| {
+            let (sa, sb) = segment_range(self.total, m, j);
+            (j, sa.max(ra), sb.min(rb))
+        })
+    }
+}
+
+/// Length of all but the trailing segments when a megastream of length
+/// `total` is split into `m` near-equal contiguous parts.
+fn segment_len(total: usize, m: usize) -> usize {
+    total.div_ceil(m).max(1)
 }
 
 /// Segment `j` of a megastream of length `total` split into `m` near-equal
 /// contiguous parts: `[j*ceil(total/m), min((j+1)*ceil(total/m), total))`.
 pub(crate) fn segment_range(total: usize, m: usize, j: usize) -> (usize, usize) {
-    let seg = total.div_ceil(m).max(1);
-    let start = (j * seg).min(total);
-    let end = ((j + 1) * seg).min(total);
-    (start, end)
+    let seg = segment_len(total, m);
+    ((j * seg).min(total), ((j + 1) * seg).min(total))
+}
+
+/// How per-destination streams are encoded and split back into payloads.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Encoding {
+    /// Every payload carries a [`LEN_HEADER_BITS`] length header; receivers
+    /// parse the headers.
+    Framed,
+    /// Raw concatenated payloads; receivers split by the globally known
+    /// payload sizes (see [`crate::sized`]).
+    Sized,
 }
 
 /// The shared two-phase plan, parameterised by the live node list. With
 /// `live == 0..n` it is exactly the original balanced schedule; with a
 /// proper survivor list every megastream segment lands on a surviving
 /// intermediate and every layout range involves only surviving endpoints.
-struct BalancedPlan {
+pub(crate) struct BalancedPlan {
     n: usize,
-    /// Surviving node indices, ascending.
+    /// Surviving node indices, ascending; a node's *rank* is its index
+    /// here.
     live: Vec<usize>,
-    /// Inverse of `live`: `rank[v] = Some(i)` iff `live[i] == v`.
-    rank: Vec<Option<usize>>,
     layouts: Vec<MegaLayout>,
     megas: Vec<BitString>,
+    /// Sized encoding only: `payload_sizes[u][w]` are the bit lengths of
+    /// `u`'s payloads to `w`, in sending order.
+    payload_sizes: Option<Vec<Vec<Vec<usize>>>>,
 }
 
 impl BalancedPlan {
-    fn new(n: usize, live: Vec<usize>, demands: Vec<Vec<(NodeId, BitString)>>) -> Self {
-        let mut rank = vec![None; n];
-        for (i, &v) in live.iter().enumerate() {
-            rank[v] = Some(i);
-        }
-        // Framed per-destination streams and megastreams, one per node
-        // (dead nodes carry empty demand lists and get empty layouts).
-        let mut streams: Vec<Vec<BitString>> = Vec::with_capacity(n);
+    pub(crate) fn new(
+        n: usize,
+        live: Vec<usize>,
+        demands: DemandMatrix,
+        encoding: Encoding,
+    ) -> Self {
+        // Per-destination streams and megastreams, one per node (dead
+        // nodes carry empty demand lists and get empty layouts).
+        let mut payload_sizes = (encoding == Encoding::Sized).then(|| vec![vec![Vec::new(); n]; n]);
+        let mut layouts = Vec::with_capacity(n);
+        let mut megas = Vec::with_capacity(n);
         for (u, list) in demands.into_iter().enumerate() {
-            let mut per_dst: Vec<Vec<BitString>> = vec![Vec::new(); n];
+            let mut streams = vec![BitString::new(); n];
             for (dst, payload) in list {
-                assert_ne!(dst.index(), u, "demand from node {u} to itself");
-                per_dst[dst.index()].push(payload);
-            }
-            streams.push(
-                per_dst
-                    .into_iter()
-                    .map(|ps| {
-                        if ps.is_empty() {
-                            BitString::new()
-                        } else {
-                            frame_all(ps.iter())
-                        }
-                    })
-                    .collect(),
-            );
-        }
-        let layouts: Vec<MegaLayout> = streams
-            .iter()
-            .map(|row| layout_for(&row.iter().map(|s| s.len()).collect::<Vec<_>>()))
-            .collect();
-        let megas: Vec<BitString> = streams
-            .iter()
-            .map(|row| {
-                let mut m = BitString::new();
-                for s in row {
-                    m.extend_from(s);
+                let w = dst.index();
+                assert_ne!(w, u, "demand from node {u} to itself");
+                match &mut payload_sizes {
+                    Some(sizes) => sizes[u][w].push(payload.len()),
+                    None => streams[w].push_uint(payload.len() as u64, LEN_HEADER_BITS),
                 }
-                m
-            })
-            .collect();
+                streams[w].extend_from(&payload);
+            }
+            layouts.push(MegaLayout::new(streams.iter().map(BitString::len)));
+            let mut mega = BitString::new();
+            for s in &streams {
+                mega.extend_from(s);
+            }
+            megas.push(mega);
+        }
         Self {
             n,
             live,
-            rank,
             layouts,
             megas,
+            payload_sizes,
         }
     }
 
@@ -141,19 +209,13 @@ impl BalancedPlan {
         self.live.len()
     }
 
-    /// Which live node holds segment `j` of live sender `u`'s megastream.
-    fn intermediate_for(&self, u: usize, j: usize) -> usize {
-        let r = self.rank[u].expect("sender is live");
-        self.live[(j + r) % self.m()]
-    }
-
     /// Phase-1 demands (scatter megastream segments) plus the `held[p][u]`
     /// matrix pre-seeded with the segments each sender keeps locally.
     fn scatter(&self) -> (DemandMatrix, Vec<Vec<BitString>>) {
         let m = self.m();
         let mut phase1: DemandMatrix = vec![Vec::new(); self.n];
         let mut held: Vec<Vec<BitString>> = vec![vec![BitString::new(); self.n]; self.n];
-        for &u in &self.live {
+        for (ui, &u) in self.live.iter().enumerate() {
             for j in 0..m {
                 let (a, b) = segment_range(self.layouts[u].total, m, j);
                 if a >= b {
@@ -162,7 +224,7 @@ impl BalancedPlan {
                 let mut r = self.megas[u].reader();
                 r.skip(a).expect("in range");
                 let seg = r.read_bits(b - a).expect("in range");
-                let p = self.intermediate_for(u, j);
+                let p = self.live[(j + ui) % m];
                 if p == u {
                     held[p][u] = seg; // kept locally, free
                 } else {
@@ -180,32 +242,24 @@ impl BalancedPlan {
         let m = self.m();
         let mut phase2: DemandMatrix = vec![Vec::new(); self.n];
         let mut kept: Vec<Vec<(usize, BitString)>> = vec![Vec::new(); self.n];
-        for &p in &self.live {
-            let pi = self.rank[p].expect("intermediate is live");
-            for w in 0..self.n {
-                let mut blob = BitString::new();
-                for &u in &self.live {
-                    let ui = self.rank[u].expect("sender is live");
-                    // p holds segment j of u's megastream iff
-                    // intermediate_for(u, j) == p, i.e. j = pi - ui (mod m).
-                    let j = (pi + m - ui) % m;
-                    let (sa, sb) = segment_range(self.layouts[u].total, m, j);
-                    let (ra, rb) = self.layouts[u].ranges[w];
-                    let (ia, ib) = (sa.max(ra), sb.min(rb));
-                    if ia >= ib {
-                        continue;
-                    }
-                    // Bits [ia, ib) of u's megastream, offset within the
-                    // held segment.
-                    let seg = &held[p][u];
-                    let mut r = seg.reader();
+        let mut blobs = vec![BitString::new(); self.n];
+        for (pi, &p) in self.live.iter().enumerate() {
+            for (ui, &u) in self.live.iter().enumerate() {
+                // p holds segment j of u's megastream: the j with
+                // live[(j + ui) % m] == p.
+                let j = (pi + m - ui) % m;
+                let sa = segment_range(self.layouts[u].total, m, j).0;
+                for (w, ia, ib) in self.layouts[u].segment_pieces(m, j) {
+                    let mut r = held[p][u].reader();
                     r.skip(ia - sa).expect("in range");
-                    let piece = r.read_bits(ib - ia).expect("in range");
-                    blob.extend_from(&piece);
+                    blobs[w].extend_from(&r.read_bits(ib - ia).expect("in range"));
                 }
+            }
+            for (w, blob) in blobs.iter_mut().enumerate() {
                 if blob.is_empty() {
                     continue;
                 }
+                let blob = std::mem::take(blob);
                 if p == w {
                     kept[w].push((p, blob));
                 } else {
@@ -216,60 +270,78 @@ impl BalancedPlan {
         (phase2, kept)
     }
 
-    /// Reassemble receiver `w`'s delivered streams from the phase-2 blobs
-    /// (`blob_from[p]` = the blob `w` got from intermediate `p`). Each
-    /// blob is consumed in the same `(p, u)` order it was written; pieces
-    /// are collected as explicit `(megastream position, bits)` pairs and
-    /// stitched per sender in position order.
+    /// Reassemble receiver `w`'s delivered payloads from its phase-2
+    /// deliveries plus the blobs it kept for itself, reading each blob in
+    /// the ascending-sender order it was written in.
     fn reassemble(
         &self,
         w: usize,
-        blob_from: &[Option<BitString>],
+        got: Delivered,
+        kept: Vec<(usize, BitString)>,
     ) -> Result<Delivered, RouteError> {
+        let mut blob_from: Vec<Option<BitString>> = vec![None; self.n];
+        for (src, blob) in got {
+            blob_from[src.index()] = Some(blob);
+        }
+        for (p, blob) in kept {
+            blob_from[p] = Some(blob);
+        }
+        let malformed = |e| RouteError::Malformed(NodeId::from(w), e);
         let m = self.m();
-        let mut per_sender: Vec<Vec<(usize, BitString)>> = vec![Vec::new(); self.n];
-        let mut cursors: Vec<usize> = vec![0; self.n];
-        for &p in &self.live {
-            let pi = self.rank[p].expect("intermediate is live");
-            for &u in &self.live {
-                let ui = self.rank[u].expect("sender is live");
-                let j = (pi + m - ui) % m;
-                let (sa, sb) = segment_range(self.layouts[u].total, m, j);
-                let (ra, rb) = self.layouts[u].ranges[w];
-                let (ia, ib) = (sa.max(ra), sb.min(rb));
-                if ia >= ib {
-                    continue;
-                }
+        let mut cursors = vec![0usize; self.n];
+        let mut delivered = Vec::new();
+        for (ui, &u) in self.live.iter().enumerate() {
+            let (ra, rb) = self.layouts[u].ranges[w];
+            let mut stream = BitString::with_capacity(rb - ra);
+            for (j, ia, ib) in self.layouts[u].range_pieces(m, w) {
+                let p = self.live[(j + ui) % m];
                 let blob = blob_from[p]
                     .as_ref()
-                    .ok_or_else(|| RouteError::Malformed(NodeId::from(w), missing_blob(p)))?;
+                    .ok_or_else(|| malformed(missing_blob(p)))?;
                 let mut r = blob.reader();
-                r.skip(cursors[p])
-                    .map_err(|e| RouteError::Malformed(NodeId::from(w), e))?;
-                let piece = r
-                    .read_bits(ib - ia)
-                    .map_err(|e| RouteError::Malformed(NodeId::from(w), e))?;
+                r.skip(cursors[p]).map_err(malformed)?;
+                stream.extend_from(&r.read_bits(ib - ia).map_err(malformed)?);
                 cursors[p] += ib - ia;
-                per_sender[u].push((ia, piece));
             }
-        }
-        // Stitch each sender's pieces in megastream-position order and
-        // parse the framed stream back into payloads.
-        let mut delivered = Vec::new();
-        for u in 0..self.n {
-            let (ra, rb) = self.layouts[u].ranges[w];
-            if ra == rb {
-                continue;
-            }
-            let stream = stitch(std::mem::take(&mut per_sender[u]), rb - ra, ra)
-                .map_err(|e| RouteError::Malformed(NodeId::from(w), e))?;
-            let payloads =
-                parse_frames(&stream).map_err(|e| RouteError::Malformed(NodeId::from(w), e))?;
-            for payload in payloads {
-                delivered.push((NodeId::from(u), payload));
+            let src = NodeId::from(u);
+            match &self.payload_sizes {
+                None => {
+                    for payload in parse_frames(&stream).map_err(malformed)? {
+                        delivered.push((src, payload));
+                    }
+                }
+                Some(sizes) => {
+                    let mut r = stream.reader();
+                    for &len in &sizes[u][w] {
+                        delivered.push((src, r.read_bits(len).map_err(malformed)?));
+                    }
+                }
             }
         }
         Ok(delivered)
+    }
+
+    /// Ship both phases with `ship` (a direct schedule matching the plan's
+    /// encoding) and reassemble every receiver.
+    pub(crate) fn execute(
+        &self,
+        session: &mut Session,
+        ship: fn(&mut Session, DemandMatrix) -> Result<Vec<Delivered>, RouteError>,
+    ) -> Result<Vec<Delivered>, RouteError> {
+        let (phase1, mut held) = self.scatter();
+        for (p, list) in ship(session, phase1)?.into_iter().enumerate() {
+            for (src, seg) in list {
+                held[p][src.index()] = seg;
+            }
+        }
+        let (phase2, kept) = self.slice(&held);
+        drop(held);
+        ship(session, phase2)?
+            .into_iter()
+            .zip(kept)
+            .enumerate()
+            .map(|(w, (got, kept))| self.reassemble(w, got, kept))
+            .collect()
     }
 }
 
@@ -285,31 +357,7 @@ pub fn route_balanced(
 ) -> Result<Vec<Delivered>, RouteError> {
     let n = session.n();
     assert_eq!(demands.len(), n);
-    let plan = BalancedPlan::new(n, (0..n).collect(), demands);
-
-    let (phase1, mut held) = plan.scatter();
-    let delivered1 = route(session, phase1)?;
-    for (p, list) in delivered1.into_iter().enumerate() {
-        for (src, seg) in list {
-            held[p][src.index()] = seg;
-        }
-    }
-
-    let (phase2, kept) = plan.slice(&held);
-    let delivered2 = route(session, phase2)?;
-
-    let mut result: Vec<Delivered> = Vec::with_capacity(n);
-    for w in 0..n {
-        let mut blob_from: Vec<Option<BitString>> = vec![None; n];
-        for (src, blob) in &delivered2[w] {
-            blob_from[src.index()] = Some(blob.clone());
-        }
-        for (p, blob) in &kept[w] {
-            blob_from[*p] = Some(blob.clone());
-        }
-        result.push(plan.reassemble(w, &blob_from)?);
-    }
-    Ok(result)
+    BalancedPlan::new(n, (0..n).collect(), demands, Encoding::Framed).execute(session, route)
 }
 
 /// Crash-aware balanced routing: the two-phase plan computed over the
@@ -332,40 +380,30 @@ pub fn route_balanced_faulted(
     let live: Vec<usize> = (0..n)
         .filter(|&v| !crash.is_dead(NodeId::from(v)))
         .collect();
-    let plan = BalancedPlan::new(n, live, live_demands);
+    let plan = BalancedPlan::new(n, live, live_demands, Encoding::Framed);
 
     let (phase1, mut held) = plan.scatter();
     let out1 = route_faulted(session, phase1, crash)?;
-    for (p, slot) in out1.delivered.iter().enumerate() {
-        if let Some(list) = slot {
-            for (src, seg) in list {
-                held[p][src.index()] = seg.clone();
-            }
+    for (p, list) in out1.delivered.into_iter().enumerate() {
+        for (src, seg) in list.into_iter().flatten() {
+            held[p][src.index()] = seg;
         }
     }
 
     let (phase2, kept) = plan.slice(&held);
+    drop(held);
     let out2 = route_faulted(session, phase2, crash)?;
 
     let mut delivered: Vec<Option<Delivered>> = Vec::with_capacity(n);
-    for w in 0..n {
-        if crash.is_dead(NodeId::from(w)) {
-            delivered.push(None);
-            continue;
-        }
-        let mut blob_from: Vec<Option<BitString>> = vec![None; n];
-        if let Some(list) = &out2.delivered[w] {
-            for (src, blob) in list {
-                blob_from[src.index()] = Some(blob.clone());
-            }
-        }
-        for (p, blob) in &kept[w] {
-            blob_from[*p] = Some(blob.clone());
-        }
-        delivered.push(Some(plan.reassemble(w, &blob_from)?));
+    for (w, (got, kept)) in out2.delivered.into_iter().zip(kept).enumerate() {
+        delivered.push(if crash.is_dead(NodeId::from(w)) {
+            None
+        } else {
+            Some(plan.reassemble(w, got.unwrap_or_default(), kept)?)
+        });
     }
 
-    let mut stats = out1.stats.clone();
+    let mut stats = out1.stats;
     stats.absorb(&out2.stats);
     let mut report = out1.report;
     report.events.extend(out2.report.events);
@@ -377,39 +415,8 @@ pub fn route_balanced_faulted(
     })
 }
 
-/// Stitch explicit `(megastream position, bits)` pieces into one contiguous
-/// stream covering `[base, base + want)`.
-pub(crate) fn stitch(
-    mut pieces: Vec<(usize, BitString)>,
-    want: usize,
-    base: usize,
-) -> Result<BitString, cliquesim::DecodeError> {
-    pieces.sort_by_key(|(pos, _)| *pos);
-    let mut out = BitString::with_capacity(want);
-    let mut expect = base;
-    for (pos, bits) in pieces {
-        if pos != expect {
-            return Err(cliquesim::DecodeError {
-                at: pos,
-                wanted: want,
-                len: out.len(),
-            });
-        }
-        expect += bits.len();
-        out.extend_from(&bits);
-    }
-    if out.len() != want {
-        return Err(cliquesim::DecodeError {
-            at: expect,
-            wanted: want,
-            len: out.len(),
-        });
-    }
-    Ok(out)
-}
-
-pub(crate) fn missing_blob(p: usize) -> cliquesim::DecodeError {
-    cliquesim::DecodeError {
+fn missing_blob(p: usize) -> DecodeError {
+    DecodeError {
         at: p,
         wanted: 0,
         len: 0,
@@ -553,6 +560,232 @@ mod tests {
         assert_eq!(normalise(want), normalise(got));
     }
 
+    // -----------------------------------------------------------------
+    // Sweep oracle: the cubic (intermediate, receiver, sender) scans the
+    // overlap sweeps replaced, kept as reference implementations.
+    // -----------------------------------------------------------------
+
+    /// Reference `slice`: for every (p, w), scan every live sender u.
+    fn slice_reference(
+        plan: &BalancedPlan,
+        held: &[Vec<BitString>],
+    ) -> (DemandMatrix, Vec<Vec<(usize, BitString)>>) {
+        let m = plan.m();
+        let mut phase2: DemandMatrix = vec![Vec::new(); plan.n];
+        let mut kept: Vec<Vec<(usize, BitString)>> = vec![Vec::new(); plan.n];
+        for (pi, &p) in plan.live.iter().enumerate() {
+            for w in 0..plan.n {
+                let mut blob = BitString::new();
+                for (ui, &u) in plan.live.iter().enumerate() {
+                    let j = (pi + m - ui) % m;
+                    let (sa, sb) = segment_range(plan.layouts[u].total, m, j);
+                    let (ra, rb) = plan.layouts[u].ranges[w];
+                    let (ia, ib) = (sa.max(ra), sb.min(rb));
+                    if ia >= ib {
+                        continue;
+                    }
+                    let mut r = held[p][u].reader();
+                    r.skip(ia - sa).expect("in range");
+                    blob.extend_from(&r.read_bits(ib - ia).expect("in range"));
+                }
+                if blob.is_empty() {
+                    continue;
+                }
+                if p == w {
+                    kept[w].push((p, blob));
+                } else {
+                    phase2[p].push((NodeId::from(w), blob));
+                }
+            }
+        }
+        (phase2, kept)
+    }
+
+    /// Reference `reassemble`: scan every (p, u) pair, collect explicit
+    /// `(megastream position, bits)` pieces, and stitch them per sender in
+    /// position order before decoding.
+    fn reassemble_reference(
+        plan: &BalancedPlan,
+        w: usize,
+        blob_from: &[Option<BitString>],
+    ) -> Result<Delivered, RouteError> {
+        let m = plan.m();
+        let malformed = |e| RouteError::Malformed(NodeId::from(w), e);
+        let mut per_sender: Vec<Vec<(usize, BitString)>> = vec![Vec::new(); plan.n];
+        let mut cursors = vec![0usize; plan.n];
+        for (pi, &p) in plan.live.iter().enumerate() {
+            for (ui, &u) in plan.live.iter().enumerate() {
+                let j = (pi + m - ui) % m;
+                let (sa, sb) = segment_range(plan.layouts[u].total, m, j);
+                let (ra, rb) = plan.layouts[u].ranges[w];
+                let (ia, ib) = (sa.max(ra), sb.min(rb));
+                if ia >= ib {
+                    continue;
+                }
+                let blob = blob_from[p]
+                    .as_ref()
+                    .ok_or_else(|| malformed(missing_blob(p)))?;
+                let mut r = blob.reader();
+                r.skip(cursors[p]).map_err(malformed)?;
+                per_sender[u].push((ia, r.read_bits(ib - ia).map_err(malformed)?));
+                cursors[p] += ib - ia;
+            }
+        }
+        let mut delivered = Vec::new();
+        for u in 0..plan.n {
+            let (ra, rb) = plan.layouts[u].ranges[w];
+            let mut pieces = std::mem::take(&mut per_sender[u]);
+            pieces.sort_by_key(|(pos, _)| *pos);
+            let mut stream = BitString::new();
+            for (pos, bits) in pieces {
+                assert_eq!(pos, ra + stream.len(), "pieces must tile the range");
+                stream.extend_from(&bits);
+            }
+            assert_eq!(stream.len(), rb - ra, "pieces must cover the range");
+            match &plan.payload_sizes {
+                None if ra == rb => {}
+                None => {
+                    for payload in parse_frames(&stream).map_err(malformed)? {
+                        delivered.push((NodeId::from(u), payload));
+                    }
+                }
+                Some(sizes) => {
+                    let mut r = stream.reader();
+                    for &len in &sizes[u][w] {
+                        delivered.push((NodeId::from(u), r.read_bits(len).map_err(malformed)?));
+                    }
+                }
+            }
+        }
+        Ok(delivered)
+    }
+
+    /// Random bits of the given length.
+    fn bits(rng: &mut rand_chacha::ChaCha8Rng, len: usize) -> BitString {
+        (0..len).map(|_| rng.gen_bool(0.5)).collect()
+    }
+
+    /// A random live subset of `0..n` (never empty) and demands between
+    /// live endpoints, in one of four shapes: short payloads (megastreams
+    /// shorter than `m`, so many segments are empty), medium payloads,
+    /// zero-length payloads mixed in, or a single giant stream.
+    fn oracle_case(seed: u64) -> (usize, Vec<usize>, DemandMatrix) {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
+        let n = rng.gen_range(2..40);
+        let dead_frac = [0.0, 0.2, 0.5][rng.gen_range(0..3usize)];
+        let mut live: Vec<usize> = (0..n).filter(|_| !rng.gen_bool(dead_frac)).collect();
+        if live.is_empty() {
+            live.push(rng.gen_range(0..n));
+        }
+        let mut demands: DemandMatrix = vec![Vec::new(); n];
+        if live.len() < 2 {
+            return (n, live, demands);
+        }
+        let shape = rng.gen_range(0..4usize);
+        if shape == 3 {
+            let u = live[rng.gen_range(0..live.len())];
+            let w = *live.iter().find(|&&w| w != u).expect("two live nodes");
+            let len = rng.gen_range(1..4000);
+            demands[u].push((NodeId::from(w), bits(&mut rng, len)));
+            return (n, live, demands);
+        }
+        let max_len: usize = [3, 120, 40][shape];
+        for &u in &live {
+            for _ in 0..rng.gen_range(0..6) {
+                let w = live[rng.gen_range(0..live.len())];
+                if w == u {
+                    continue;
+                }
+                let len = if shape == 2 && rng.gen_bool(0.5) {
+                    0
+                } else {
+                    rng.gen_range(0..max_len)
+                };
+                demands[u].push((NodeId::from(w), bits(&mut rng, len)));
+            }
+        }
+        (n, live, demands)
+    }
+
+    /// Run one oracle case under one encoding: phase 1 is delivered
+    /// locally (no engine), then the sweep and the reference must agree on
+    /// phase-2 demands, kept blobs and every receiver's deliveries.
+    fn check_against_reference(
+        seed: u64,
+        encoding: Encoding,
+    ) -> Result<(), proptest::test_runner::TestCaseError> {
+        let (n, live, demands) = oracle_case(seed);
+        let plan = BalancedPlan::new(n, live.clone(), demands, encoding);
+        let (phase1, mut held) = plan.scatter();
+        for (u, list) in phase1.into_iter().enumerate() {
+            for (p, seg) in list {
+                held[p.index()][u] = seg;
+            }
+        }
+        let (phase2, kept) = plan.slice(&held);
+        let (phase2_ref, kept_ref) = slice_reference(&plan, &held);
+        prop_assert_eq!(
+            &phase2,
+            &phase2_ref,
+            "seed {}: phase-2 demands diverge",
+            seed
+        );
+        prop_assert_eq!(&kept, &kept_ref, "seed {}: kept blobs diverge", seed);
+        for &w in &live {
+            let mut got: Delivered = Vec::new();
+            let mut blob_from: Vec<Option<BitString>> = vec![None; n];
+            for (p, list) in phase2.iter().enumerate() {
+                for (dst, blob) in list {
+                    if dst.index() == w {
+                        got.push((NodeId::from(p), blob.clone()));
+                        blob_from[p] = Some(blob.clone());
+                    }
+                }
+            }
+            for (p, blob) in &kept[w] {
+                blob_from[*p] = Some(blob.clone());
+            }
+            let want = reassemble_reference(&plan, w, &blob_from).unwrap();
+            let got = plan.reassemble(w, got, kept[w].clone()).unwrap();
+            prop_assert_eq!(got, want, "seed {}: deliveries at {} diverge", seed, w);
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn sweeps_visit_exactly_the_nonempty_overlaps() {
+        // Megastream of 10 bits split over m = 4 segments of 3: the ranges
+        // [0,0) [0,4) [4,4) [4,10) meet the segments [0,3) [3,6) [6,9)
+        // [9,10) in five pieces.
+        let layout = MegaLayout::new([0, 4, 0, 6]);
+        let by_segment: Vec<_> = (0..4).flat_map(|j| layout.segment_pieces(4, j)).collect();
+        assert_eq!(
+            by_segment,
+            vec![(1, 0, 3), (1, 3, 4), (3, 4, 6), (3, 6, 9), (3, 9, 10)]
+        );
+        let by_range: Vec<_> = (0..4)
+            .flat_map(|w| layout.range_pieces(4, w).map(move |(j, a, b)| (w, j, a, b)))
+            .collect();
+        assert_eq!(
+            by_range,
+            vec![
+                (1, 0, 0, 3),
+                (1, 1, 3, 4),
+                (3, 1, 4, 6),
+                (3, 2, 6, 9),
+                (3, 3, 9, 10)
+            ]
+        );
+        // Fewer bits than segments: the trailing segments are empty.
+        let short = MegaLayout::new([2, 0]);
+        assert_eq!(short.segment_pieces(5, 3).count(), 0);
+        assert_eq!(short.range_pieces(5, 1).count(), 0);
+        assert_eq!(
+            short.range_pieces(5, 0).collect::<Vec<_>>(),
+            [(0, 0, 1), (1, 1, 2)]
+        );
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
         #[test]
@@ -589,6 +822,19 @@ mod tests {
                 .collect();
             prop_assert_eq!(&plain, &unwrapped, "deliveries diverge");
             prop_assert_eq!(s1.stats(), s2.stats(), "wire cost diverges");
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+        #[test]
+        fn prop_sweep_matches_cubic_reference_framed(seed in any::<u64>()) {
+            check_against_reference(seed, Encoding::Framed)?;
+        }
+
+        #[test]
+        fn prop_sweep_matches_cubic_reference_sized(seed in any::<u64>()) {
+            check_against_reference(seed, Encoding::Sized)?;
         }
     }
 }

@@ -31,7 +31,7 @@
 
 use cliquesim::{BitString, NodeId, RunStats, Session};
 
-use crate::balanced::{layout_for, missing_blob, segment_range, stitch, MegaLayout};
+use crate::balanced::{segment_range, BalancedPlan, Encoding, MegaLayout};
 use crate::frames::rounds_for;
 use crate::router::{check_schedule, make_programs, schedule_for, Delivered, RouteError};
 
@@ -156,171 +156,6 @@ pub fn all_to_all_sized(
     Ok(views)
 }
 
-/// The sized twin of `BalancedPlan`: identical megastream geometry, but
-/// per-destination streams are raw concatenations (no frame headers) and
-/// reassembly splits by the recorded payload sizes instead of parsing
-/// frames. Always runs over the full live set `0..n`.
-struct SizedPlan {
-    n: usize,
-    layouts: Vec<MegaLayout>,
-    megas: Vec<BitString>,
-    /// `payload_sizes[u][w]`: the bit lengths of `u`'s payloads to `w`, in
-    /// sending order.
-    payload_sizes: Vec<Vec<Vec<usize>>>,
-}
-
-impl SizedPlan {
-    fn new(n: usize, demands: DemandMatrix) -> Self {
-        let mut payload_sizes: Vec<Vec<Vec<usize>>> = vec![vec![Vec::new(); n]; n];
-        let mut streams: Vec<Vec<BitString>> = vec![vec![BitString::new(); n]; n];
-        for (u, list) in demands.into_iter().enumerate() {
-            for (dst, payload) in list {
-                assert_ne!(dst.index(), u, "demand from node {u} to itself");
-                payload_sizes[u][dst.index()].push(payload.len());
-                streams[u][dst.index()].extend_from(&payload);
-            }
-        }
-        let layouts: Vec<MegaLayout> = streams
-            .iter()
-            .map(|row| layout_for(&row.iter().map(|s| s.len()).collect::<Vec<_>>()))
-            .collect();
-        let megas: Vec<BitString> = streams
-            .iter()
-            .map(|row| {
-                let mut m = BitString::new();
-                for s in row {
-                    m.extend_from(s);
-                }
-                m
-            })
-            .collect();
-        Self {
-            n,
-            layouts,
-            megas,
-            payload_sizes,
-        }
-    }
-
-    /// Which node holds segment `j` of sender `u`'s megastream.
-    fn intermediate_for(&self, u: usize, j: usize) -> usize {
-        (j + u) % self.n
-    }
-
-    fn scatter(&self) -> (DemandMatrix, Vec<Vec<BitString>>) {
-        let n = self.n;
-        let mut phase1: DemandMatrix = vec![Vec::new(); n];
-        let mut held: Vec<Vec<BitString>> = vec![vec![BitString::new(); n]; n];
-        for u in 0..n {
-            for j in 0..n {
-                let (a, b) = segment_range(self.layouts[u].total, n, j);
-                if a >= b {
-                    continue;
-                }
-                let mut r = self.megas[u].reader();
-                r.skip(a).expect("in range");
-                let seg = r.read_bits(b - a).expect("in range");
-                let p = self.intermediate_for(u, j);
-                if p == u {
-                    held[p][u] = seg;
-                } else {
-                    phase1[u].push((NodeId::from(p), seg));
-                }
-            }
-        }
-        (phase1, held)
-    }
-
-    fn slice(&self, held: &[Vec<BitString>]) -> (DemandMatrix, Vec<Vec<(usize, BitString)>>) {
-        let n = self.n;
-        let mut phase2: DemandMatrix = vec![Vec::new(); n];
-        let mut kept: Vec<Vec<(usize, BitString)>> = vec![Vec::new(); n];
-        for p in 0..n {
-            for w in 0..n {
-                let mut blob = BitString::new();
-                for u in 0..n {
-                    // p holds segment j of u's megastream iff
-                    // intermediate_for(u, j) == p, i.e. j = p - u (mod n).
-                    let j = (p + n - u) % n;
-                    let (sa, sb) = segment_range(self.layouts[u].total, n, j);
-                    let (ra, rb) = self.layouts[u].ranges[w];
-                    let (ia, ib) = (sa.max(ra), sb.min(rb));
-                    if ia >= ib {
-                        continue;
-                    }
-                    let seg = &held[p][u];
-                    let mut r = seg.reader();
-                    r.skip(ia - sa).expect("in range");
-                    let piece = r.read_bits(ib - ia).expect("in range");
-                    blob.extend_from(&piece);
-                }
-                if blob.is_empty() {
-                    continue;
-                }
-                if p == w {
-                    kept[w].push((p, blob));
-                } else {
-                    phase2[p].push((NodeId::from(w), blob));
-                }
-            }
-        }
-        (phase2, kept)
-    }
-
-    fn reassemble(
-        &self,
-        w: usize,
-        blob_from: &[Option<BitString>],
-    ) -> Result<Delivered, RouteError> {
-        let n = self.n;
-        let mut per_sender: Vec<Vec<(usize, BitString)>> = vec![Vec::new(); n];
-        let mut cursors: Vec<usize> = vec![0; n];
-        for p in 0..n {
-            for u in 0..n {
-                let j = (p + n - u) % n;
-                let (sa, sb) = segment_range(self.layouts[u].total, n, j);
-                let (ra, rb) = self.layouts[u].ranges[w];
-                let (ia, ib) = (sa.max(ra), sb.min(rb));
-                if ia >= ib {
-                    continue;
-                }
-                let blob = blob_from[p]
-                    .as_ref()
-                    .ok_or_else(|| RouteError::Malformed(NodeId::from(w), missing_blob(p)))?;
-                let mut r = blob.reader();
-                r.skip(cursors[p])
-                    .map_err(|e| RouteError::Malformed(NodeId::from(w), e))?;
-                let piece = r
-                    .read_bits(ib - ia)
-                    .map_err(|e| RouteError::Malformed(NodeId::from(w), e))?;
-                cursors[p] += ib - ia;
-                per_sender[u].push((ia, piece));
-            }
-        }
-        // Stitch each sender's pieces and split the raw stream by the
-        // known payload sizes (this is where the sized plan differs from
-        // the framed one, which parses length headers instead).
-        let mut delivered = Vec::new();
-        for u in 0..n {
-            let lens = &self.payload_sizes[u][w];
-            if lens.is_empty() {
-                continue;
-            }
-            let (ra, rb) = self.layouts[u].ranges[w];
-            let stream = stitch(std::mem::take(&mut per_sender[u]), rb - ra, ra)
-                .map_err(|e| RouteError::Malformed(NodeId::from(w), e))?;
-            let mut r = stream.reader();
-            for &len in lens {
-                let payload = r
-                    .read_bits(len)
-                    .map_err(|e| RouteError::Malformed(NodeId::from(w), e))?;
-                delivered.push((NodeId::from(u), payload));
-            }
-        }
-        Ok(delivered)
-    }
-}
-
 /// The two-phase balanced megastream schedule, header-free.
 ///
 /// Delivery semantics are identical to [`crate::route_balanced`] except
@@ -333,31 +168,7 @@ pub fn route_balanced_sized(
 ) -> Result<Vec<Delivered>, RouteError> {
     let n = session.n();
     assert_eq!(demands.len(), n);
-    let plan = SizedPlan::new(n, demands);
-
-    let (phase1, mut held) = plan.scatter();
-    let delivered1 = route_sized(session, phase1)?;
-    for (p, list) in delivered1.into_iter().enumerate() {
-        for (src, seg) in list {
-            held[p][src.index()] = seg;
-        }
-    }
-
-    let (phase2, kept) = plan.slice(&held);
-    let delivered2 = route_sized(session, phase2)?;
-
-    let mut result: Vec<Delivered> = Vec::with_capacity(n);
-    for w in 0..n {
-        let mut blob_from: Vec<Option<BitString>> = vec![None; n];
-        for (src, blob) in &delivered2[w] {
-            blob_from[src.index()] = Some(blob.clone());
-        }
-        for (p, blob) in &kept[w] {
-            blob_from[*p] = Some(blob.clone());
-        }
-        result.push(plan.reassemble(w, &blob_from)?);
-    }
-    Ok(result)
+    BalancedPlan::new(n, (0..n).collect(), demands, Encoding::Sized).execute(session, route_sized)
 }
 
 // ---------------------------------------------------------------------------
@@ -445,45 +256,28 @@ pub fn all_to_all_sized_cost(n: usize, bandwidth: usize, payload_lens: &[usize])
 pub fn route_balanced_sized_cost(n: usize, bandwidth: usize, sizes: &DemandSizes) -> RunStats {
     assert_eq!(sizes.len(), n, "one size list per node");
     // Megastream layouts from raw per-destination stream sizes.
-    let mut layouts: Vec<MegaLayout> = Vec::with_capacity(n);
-    for (u, list) in sizes.iter().enumerate() {
-        let mut stream_sizes = vec![0usize; n];
-        for &(dst, len) in list {
-            assert_ne!(dst, u, "demand from node {u} to itself");
-            stream_sizes[dst] += len;
-        }
-        layouts.push(layout_for(&stream_sizes));
-    }
+    let layouts: Vec<MegaLayout> = link_loads(n, sizes)
+        .into_iter()
+        .map(MegaLayout::new)
+        .collect();
 
     // Phase 1: scatter megastream segments (segment j of u → (j + u) % n;
     // the j = 0 segment stays local and is free).
     let mut loads1 = vec![vec![0usize; n]; n];
     for u in 0..n {
-        for j in 0..n {
+        for j in 1..n {
             let (a, b) = segment_range(layouts[u].total, n, j);
-            if a >= b {
-                continue;
-            }
-            let p = (j + u) % n;
-            if p != u {
-                loads1[u][p] += b - a;
-            }
+            loads1[u][(j + u) % n] += b - a;
         }
     }
 
-    // Phase 2: slice held segments by destination range overlap.
+    // Phase 2: slice held segments by destination range overlap; p holds
+    // segment (p − u) mod n of u's megastream.
     let mut loads2 = vec![vec![0usize; n]; n];
     for p in 0..n {
-        for w in 0..n {
-            if p == w {
-                continue;
-            }
-            for u in 0..n {
-                let j = (p + n - u) % n;
-                let (sa, sb) = segment_range(layouts[u].total, n, j);
-                let (ra, rb) = layouts[u].ranges[w];
-                let (ia, ib) = (sa.max(ra), sb.min(rb));
-                if ia < ib {
+        for u in 0..n {
+            for (w, ia, ib) in layouts[u].segment_pieces(n, (p + n - u) % n) {
+                if w != p {
                     loads2[p][w] += ib - ia;
                 }
             }
@@ -645,6 +439,20 @@ mod tests {
                 let analytic = route_balanced_sized_cost(n, s.bandwidth(), &sizes);
                 assert_eq!(analytic, s.stats(), "n={n} seed={seed}");
             }
+        }
+    }
+
+    #[test]
+    fn cost_twin_matches_balanced_simulation_at_scale() {
+        // The twin walks only the non-empty overlaps, so it is cheap enough
+        // to pin at realistic clique sizes too.
+        for n in [27usize, 64] {
+            let demands = random_demands(n, n as u64, 400);
+            let sizes = demand_sizes(&demands);
+            let mut s = session(n);
+            route_balanced_sized(&mut s, demands).unwrap();
+            let analytic = route_balanced_sized_cost(n, s.bandwidth(), &sizes);
+            assert_eq!(analytic, s.stats(), "n={n}");
         }
     }
 

@@ -116,22 +116,26 @@ pub struct EngineTiming {
     /// (transcript recording, undelivered accounting, halt detection),
     /// summed over rounds.
     pub delivery_ns: u64,
-    /// Total wall-clock nanoseconds of each round (step + delivery), one
-    /// entry per step phase executed.
-    pub round_wall_ns: Vec<u64>,
+    /// Wall-clock nanoseconds of the step phases including their delivery
+    /// bookkeeping, summed over rounds.
+    pub wall_ns: u64,
+    /// Step phases timed: one per round, plus the step in which every node
+    /// halted.
+    pub step_phases: u64,
 }
 
 impl EngineTiming {
     /// Total wall-clock nanoseconds across all rounds.
     pub fn total_ns(&self) -> u64 {
-        self.round_wall_ns.iter().sum()
+        self.wall_ns
     }
 
     /// Fold another run's timing into this one (phases run back to back).
     pub fn absorb(&mut self, other: &EngineTiming) {
         self.step_ns += other.step_ns;
         self.delivery_ns += other.delivery_ns;
-        self.round_wall_ns.extend_from_slice(&other.round_wall_ns);
+        self.wall_ns += other.wall_ns;
+        self.step_phases += other.step_phases;
     }
 }
 
@@ -284,25 +288,27 @@ mod tests {
         };
         let b = a.clone();
         a.timing.step_ns = 123;
-        a.timing.round_wall_ns.push(456);
+        a.timing.wall_ns = 456;
         assert_eq!(a, b, "wall-clock must not break bit-identity checks");
     }
 
     #[test]
-    fn timing_absorb_concatenates_rounds() {
+    fn timing_absorb_adds_totals() {
         let mut t = EngineTiming {
             step_ns: 10,
             delivery_ns: 5,
-            round_wall_ns: vec![8, 7],
+            wall_ns: 15,
+            step_phases: 2,
         };
         t.absorb(&EngineTiming {
             step_ns: 1,
             delivery_ns: 2,
-            round_wall_ns: vec![3],
+            wall_ns: 3,
+            step_phases: 1,
         });
         assert_eq!(t.step_ns, 11);
         assert_eq!(t.delivery_ns, 7);
-        assert_eq!(t.round_wall_ns, vec![8, 7, 3]);
+        assert_eq!(t.step_phases, 3);
         assert_eq!(t.total_ns(), 18);
     }
 }

@@ -9,7 +9,7 @@
 //!
 //! * [`sim`] — the bandwidth-exact simulator (`cliquesim`);
 //! * [`graph`] — graph substrate, generators, reference solvers;
-//! * [`routing`] — oblivious static scheduling and dynamic routing;
+//! * [`routing`] — direct static and two-phase balanced routing schedules;
 //! * [`matmul`] — distributed semiring matrix multiplication;
 //! * [`paths`] — APSP / SSSP / BFS / transitive closure;
 //! * [`subgraph`] — Dolev et al. subgraph detection, colour-coding k-path;
