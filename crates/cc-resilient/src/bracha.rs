@@ -59,7 +59,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use cliquesim::{
-    BitString, ByzantineOutcome, Inbox, NodeCtx, NodeId, NodeProgram, Outbox, RunStats, Session,
+    BitString, FaultedOutcome, Inbox, NodeCtx, NodeId, NodeProgram, Outbox, RunStats, Session,
     SimError, Status,
 };
 
@@ -240,14 +240,14 @@ impl NodeProgram for BrachaBroadcast {
 /// `width`-bit `value` is reliably broadcast tolerating up to `f` Byzantine
 /// senders. The phase's rounds/bits and all adversary counters land in the
 /// session ledger; agreement should be asserted with
-/// [`ByzantineOutcome::honest_unanimous`].
+/// [`FaultedOutcome::honest_unanimous`].
 pub fn bracha_broadcast(
     session: &mut Session,
     source: NodeId,
     value: u64,
     width: usize,
     f: usize,
-) -> Result<ByzantineOutcome<Option<u64>>, SimError> {
+) -> Result<FaultedOutcome<Option<u64>>, SimError> {
     assert!(
         width + 2 <= session.bandwidth(),
         "a {width}-bit value plus 2 tag bits exceeds the engine bandwidth of {}",
@@ -261,7 +261,7 @@ pub fn bracha_broadcast(
     let programs = (0..n)
         .map(|_| BrachaBroadcast::new(source, value, width, f))
         .collect();
-    session.run_byzantine(programs)
+    session.run_faulted(programs)
 }
 
 /// Analytic cost of one fault-free [`BrachaBroadcast`] phase, for

@@ -68,8 +68,8 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use cliquesim::{
-    strip_tag, AuthKeyring, BitString, ByzantineOutcome, Inbox, NodeCtx, NodeId, NodeProgram,
-    Outbox, RunStats, Session, SimError, Status, TAG_BITS,
+    strip_tag, AuthKeyring, BitString, FaultedOutcome, Inbox, NodeCtx, NodeId, NodeProgram, Outbox,
+    RunStats, Session, SimError, Status, TAG_BITS,
 };
 
 /// Round context for chain signatures: a constant no engine round
@@ -303,7 +303,7 @@ fn max_frame_bits(n: usize, f: usize, width: usize) -> usize {
 /// seeded acceptance sweep pins (Bracha stops at `f < n/3`; see
 /// docs/THREAT-MODEL.md). Use [`dolev_strong_broadcast_classic`] for the
 /// full `f < n` range of the classic result. Agreement should be
-/// asserted with [`ByzantineOutcome::honest_unanimous`].
+/// asserted with [`FaultedOutcome::honest_unanimous`].
 ///
 /// Panics if the session's engine has no keyring, if `f ≥ n/2`, or if
 /// the engine bandwidth cannot carry a full `f + 1`-entry chain.
@@ -313,7 +313,7 @@ pub fn dolev_strong_broadcast(
     value: u64,
     width: usize,
     f: usize,
-) -> Result<ByzantineOutcome<Option<u64>>, SimError> {
+) -> Result<FaultedOutcome<Option<u64>>, SimError> {
     let n = session.n();
     assert!(
         2 * f < n,
@@ -337,7 +337,7 @@ pub fn dolev_strong_broadcast_classic(
     value: u64,
     width: usize,
     f: usize,
-) -> Result<ByzantineOutcome<Option<u64>>, SimError> {
+) -> Result<FaultedOutcome<Option<u64>>, SimError> {
     let n = session.n();
     assert!(f < n, "f={f} traitors need at least f+1={} nodes", f + 1);
     let keyring = session
@@ -355,7 +355,7 @@ pub fn dolev_strong_broadcast_classic(
     let programs = (0..n)
         .map(|_| DolevStrongBroadcast::new(source, value, width, f, keyring.clone()))
         .collect();
-    session.run_byzantine(programs)
+    session.run_faulted(programs)
 }
 
 /// Analytic cost of one fault-free [`DolevStrongBroadcast`] phase, for

@@ -2,8 +2,9 @@
 //! a pure function of `(seed, round, from, to)`, so a run with traitors is
 //! just as schedule-independent as an honest one. This module mirrors
 //! [`crate::faults`] for the stronger tier: the same plan, replayed under
-//! every pool shape in [`POOL_SHAPES`] and every delivery backend in
-//! [`BACKENDS`], must yield byte-identical outputs, [`RunStats`],
+//! every pool shape in [`POOL_SHAPES`](crate::differential::POOL_SHAPES)
+//! and every delivery backend in [`BACKENDS`](crate::differential::BACKENDS),
+//! must yield byte-identical outputs, [`RunStats`],
 //! transcripts, the same [`FaultReport`], *and* the same
 //! [`ByzantineReport`] event for event — and an empty plan must change
 //! nothing at all.
@@ -23,7 +24,7 @@ use cliquesim::{
 };
 use std::fmt::Debug;
 
-use crate::differential::{BACKENDS, POOL_SHAPES};
+use crate::faults::{assert_transparent, differential_adversary};
 
 /// Everything a Byzantine differential compares: per-node outputs (`None`
 /// for crashed nodes), accumulated stats, full transcripts, the link-fault
@@ -48,66 +49,28 @@ pub fn differential_byzantine<P, M>(
     label: &str,
     base: &Engine,
     plan: &ByzantinePlan,
-    mut make_programs: M,
+    make_programs: M,
 ) -> ByzantineRun<P::Output>
 where
     P: NodeProgram,
     P::Output: PartialEq + Debug,
     M: FnMut() -> Vec<P>,
 {
-    let mut reference: Option<ByzantineRun<P::Output>> = None;
-    for &mode in BACKENDS.iter() {
-        for &threads in POOL_SHAPES.iter() {
-            let tag = format!("{label}@{} under {plan}", mode.tag());
-            let engine = base
-                .clone()
-                .with_transcripts(true)
-                .with_threads_exact(threads)
-                .with_delivery(mode)
-                .with_byzantine_plan(plan.clone());
-            let out = engine
-                .run_byzantine(make_programs())
-                .unwrap_or_else(|e| panic!("{tag}: engine error at threads={threads}: {e}"));
-            let transcripts = out.transcripts.expect("transcripts were requested");
-            match &reference {
-                None => {
-                    reference = Some((
-                        out.outputs,
-                        out.stats,
-                        transcripts,
-                        out.faults,
-                        out.byzantine,
-                    ))
-                }
-                Some((out0, stats0, tr0, faults0, byz0)) => {
-                    assert!(
-                        *out0 == out.outputs,
-                        "{tag}: outputs diverge at threads={threads}"
-                    );
-                    assert!(
-                        *stats0 == out.stats,
-                        "{tag}: RunStats diverge at threads={threads}: {:?} vs {stats0:?}",
-                        out.stats
-                    );
-                    assert!(
-                        *byz0 == out.byzantine,
-                        "{tag}: Byzantine reports diverge at threads={threads}: {:?} vs {byz0:?}",
-                        out.byzantine
-                    );
-                    assert!(
-                        *faults0 == out.faults,
-                        "{tag}: fault reports diverge at threads={threads}: {:?} vs {faults0:?}",
-                        out.faults
-                    );
-                    assert!(
-                        *tr0 == transcripts,
-                        "{tag}: transcripts diverge at threads={threads}"
-                    );
-                }
-            }
-        }
-    }
-    reference.expect("BACKENDS and POOL_SHAPES are non-empty")
+    let out = differential_adversary(
+        label,
+        base,
+        plan,
+        |e| e.with_byzantine_plan(plan.clone()),
+        make_programs,
+    );
+    let transcripts = out.transcripts.expect("transcripts were requested");
+    (
+        out.outputs,
+        out.stats,
+        transcripts,
+        out.faults,
+        out.byzantine,
+    )
 }
 
 /// Assert the engine's transparency guarantee for the Byzantine tier:
@@ -116,7 +79,7 @@ where
 /// traitors, no lies) on every pool shape, and requires byte-identical
 /// outputs, stats, and transcripts — plus an empty rewrite log and zeroed
 /// Byzantine counters.
-pub fn assert_empty_byzantine_transparent<P, M>(label: &str, base: &Engine, mut make_programs: M)
+pub fn assert_empty_byzantine_transparent<P, M>(label: &str, base: &Engine, make_programs: M)
 where
     P: NodeProgram,
     P::Output: PartialEq + Debug,
@@ -124,44 +87,12 @@ where
 {
     let plan = ByzantinePlan::new(0);
     assert!(plan.is_empty(), "ByzantinePlan::new must start empty");
-    for &threads in POOL_SHAPES.iter() {
-        let bare = base
-            .clone()
-            .with_transcripts(true)
-            .with_threads_exact(threads)
-            .run(make_programs())
-            .unwrap_or_else(|e| panic!("{label}: bare engine error at threads={threads}: {e}"));
-        let planned = base
-            .clone()
-            .with_transcripts(true)
-            .with_threads_exact(threads)
-            .with_byzantine_plan(plan.clone())
-            .run_byzantine(make_programs())
-            .unwrap_or_else(|e| {
-                panic!("{label}: empty-plan engine error at threads={threads}: {e}")
-            });
-        assert!(
-            planned.byzantine.is_empty(),
-            "{label}: empty plan produced rewrite events at threads={threads}"
-        );
-        assert!(
-            bare.outputs
-                .iter()
-                .map(Some)
-                .eq(planned.outputs.iter().map(|o| o.as_ref())),
-            "{label}: empty plan changed outputs at threads={threads}"
-        );
-        assert!(
-            bare.stats == planned.stats,
-            "{label}: empty plan changed RunStats at threads={threads}: {:?} vs {:?}",
-            planned.stats,
-            bare.stats
-        );
-        assert!(
-            bare.transcripts == planned.transcripts,
-            "{label}: empty plan changed transcripts at threads={threads}"
-        );
-    }
+    assert_transparent(
+        label,
+        base,
+        |e| e.with_byzantine_plan(plan.clone()),
+        make_programs,
+    );
 }
 
 /// Search an all-to-all exchange's outputs for an **equivocation witness**:

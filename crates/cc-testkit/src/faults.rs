@@ -10,8 +10,10 @@
 //! `plan[seed=7, crashes=1, drop=0.25]`) next to the protocol label, so a
 //! failing conformance run names the exact adversary that reproduces it.
 
-use cliquesim::{Engine, FaultPlan, FaultReport, NodeProgram, RunStats, Transcript};
-use std::fmt::Debug;
+use cliquesim::{
+    Engine, FaultPlan, FaultReport, FaultedOutcome, NodeProgram, RunStats, Transcript,
+};
+use std::fmt::{Debug, Display};
 
 use crate::differential::{BACKENDS, POOL_SHAPES};
 
@@ -31,50 +33,85 @@ pub fn differential_faulted<P, M>(
     label: &str,
     base: &Engine,
     plan: &FaultPlan,
-    mut make_programs: M,
+    make_programs: M,
 ) -> FaultedRun<P::Output>
 where
     P: NodeProgram,
     P::Output: PartialEq + Debug,
     M: FnMut() -> Vec<P>,
 {
-    let mut reference: Option<FaultedRun<P::Output>> = None;
+    let out = differential_adversary(
+        label,
+        base,
+        plan,
+        |e| e.with_fault_plan(plan.clone()),
+        make_programs,
+    );
+    let transcripts = out.transcripts.expect("transcripts were requested");
+    (out.outputs, out.stats, transcripts, out.faults)
+}
+
+/// The backend × pool-shape loop behind [`differential_faulted`] and
+/// [`crate::differential_byzantine`]: run the programs on `attach(engine)`
+/// for every cell with transcripts forced on, and require byte-identical
+/// outputs, stats, transcripts, fault reports, and Byzantine reports.
+/// `plan` names the adversary in panic messages. Returns the first cell's
+/// run.
+pub(crate) fn differential_adversary<P, M>(
+    label: &str,
+    base: &Engine,
+    plan: &dyn Display,
+    attach: impl Fn(Engine) -> Engine,
+    mut make_programs: M,
+) -> FaultedOutcome<P::Output>
+where
+    P: NodeProgram,
+    P::Output: PartialEq + Debug,
+    M: FnMut() -> Vec<P>,
+{
+    let mut reference: Option<FaultedOutcome<P::Output>> = None;
     for &mode in BACKENDS.iter() {
         for &threads in POOL_SHAPES.iter() {
             let tag = format!("{label}@{} under {plan}", mode.tag());
-            let engine = base
-                .clone()
-                .with_transcripts(true)
-                .with_threads_exact(threads)
-                .with_delivery(mode)
-                .with_fault_plan(plan.clone());
+            let engine = attach(
+                base.clone()
+                    .with_transcripts(true)
+                    .with_threads_exact(threads)
+                    .with_delivery(mode),
+            );
             let out = engine
                 .run_faulted(make_programs())
                 .unwrap_or_else(|e| panic!("{tag}: engine error at threads={threads}: {e}"));
-            let transcripts = out.transcripts.expect("transcripts were requested");
-            match &reference {
-                None => reference = Some((out.outputs, out.stats, transcripts, out.faults)),
-                Some((out0, stats0, tr0, faults0)) => {
-                    assert!(
-                        *out0 == out.outputs,
-                        "{tag}: outputs diverge at threads={threads}"
-                    );
-                    assert!(
-                        *stats0 == out.stats,
-                        "{tag}: RunStats diverge at threads={threads}: {:?} vs {stats0:?}",
-                        out.stats
-                    );
-                    assert!(
-                        *faults0 == out.faults,
-                        "{tag}: fault reports diverge at threads={threads}: {:?} vs {faults0:?}",
-                        out.faults
-                    );
-                    assert!(
-                        *tr0 == transcripts,
-                        "{tag}: transcripts diverge at threads={threads}"
-                    );
-                }
-            }
+            let Some(r) = &reference else {
+                reference = Some(out);
+                continue;
+            };
+            assert!(
+                r.outputs == out.outputs,
+                "{tag}: outputs diverge at threads={threads}"
+            );
+            assert!(
+                r.stats == out.stats,
+                "{tag}: RunStats diverge at threads={threads}: {:?} vs {:?}",
+                out.stats,
+                r.stats
+            );
+            assert!(
+                r.byzantine == out.byzantine,
+                "{tag}: Byzantine reports diverge at threads={threads}: {:?} vs {:?}",
+                out.byzantine,
+                r.byzantine
+            );
+            assert!(
+                r.faults == out.faults,
+                "{tag}: fault reports diverge at threads={threads}: {:?} vs {:?}",
+                out.faults,
+                r.faults
+            );
+            assert!(
+                r.transcripts == out.transcripts,
+                "{tag}: transcripts diverge at threads={threads}"
+            );
         }
     }
     reference.expect("BACKENDS and POOL_SHAPES are non-empty")
@@ -85,7 +122,7 @@ where
 /// once with `FaultPlan::new(seed)` (every probability zero, no crashes,
 /// no forced faults) on every pool shape, and requires byte-identical
 /// outputs, stats, and transcripts — plus an empty fault report.
-pub fn assert_empty_plan_transparent<P, M>(label: &str, base: &Engine, mut make_programs: M)
+pub fn assert_empty_plan_transparent<P, M>(label: &str, base: &Engine, make_programs: M)
 where
     P: NodeProgram,
     P::Output: PartialEq + Debug,
@@ -93,19 +130,39 @@ where
 {
     let plan = FaultPlan::new(0);
     assert!(plan.is_empty(), "FaultPlan::new must start empty");
+    assert_transparent(
+        label,
+        base,
+        |e| e.with_fault_plan(plan.clone()),
+        make_programs,
+    );
+}
+
+/// The pool-shape loop behind [`assert_empty_plan_transparent`] and
+/// [`crate::assert_empty_byzantine_transparent`]: run the programs once on
+/// the bare engine and once on `attach(engine)`, which must attach an
+/// empty plan, and require byte-identical outputs, stats, and transcripts
+/// plus empty fault and Byzantine reports.
+pub(crate) fn assert_transparent<P, M>(
+    label: &str,
+    base: &Engine,
+    attach: impl Fn(Engine) -> Engine,
+    mut make_programs: M,
+) where
+    P: NodeProgram,
+    P::Output: PartialEq + Debug,
+    M: FnMut() -> Vec<P>,
+{
     for &threads in POOL_SHAPES.iter() {
-        let bare = base
+        let engine = base
             .clone()
             .with_transcripts(true)
-            .with_threads_exact(threads)
+            .with_threads_exact(threads);
+        let bare = engine
             .run(make_programs())
             .unwrap_or_else(|e| panic!("{label}: bare engine error at threads={threads}: {e}"));
-        let planned = base
-            .clone()
-            .with_transcripts(true)
-            .with_threads_exact(threads)
-            .with_fault_plan(plan.clone())
-            .run(make_programs())
+        let planned = attach(engine)
+            .run_faulted(make_programs())
             .unwrap_or_else(|e| {
                 panic!("{label}: empty-plan engine error at threads={threads}: {e}")
             });
@@ -114,7 +171,14 @@ where
             "{label}: empty plan produced fault events at threads={threads}"
         );
         assert!(
-            bare.outputs == planned.outputs,
+            planned.byzantine.is_empty(),
+            "{label}: empty plan produced rewrite events at threads={threads}"
+        );
+        assert!(
+            bare.outputs
+                .iter()
+                .map(Some)
+                .eq(planned.outputs.iter().map(Option::as_ref)),
             "{label}: empty plan changed outputs at threads={threads}"
         );
         assert!(

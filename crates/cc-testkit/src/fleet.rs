@@ -176,8 +176,8 @@ impl FleetJob {
                 heard: Vec::new(),
             })
             .collect();
-        // Use the most specific run mode the adversary requires, so the
-        // plan's report counters land in the session stats.
+        // An adversarial job tolerates crashed nodes; either way the plan's
+        // report counters land in the session stats.
         let outputs: Vec<Option<Vec<u64>>> = match self.adversary {
             Adversary::None => session
                 .run(programs)
@@ -186,15 +186,9 @@ impl FleetJob {
                 .into_iter()
                 .map(Some)
                 .collect(),
-            Adversary::Faults { .. } => {
+            Adversary::Faults { .. } | Adversary::Byzantine { .. } => {
                 session
                     .run_faulted(programs)
-                    .map_err(|e| e.to_string())?
-                    .outputs
-            }
-            Adversary::Byzantine { .. } => {
-                session
-                    .run_byzantine(programs)
                     .map_err(|e| e.to_string())?
                     .outputs
             }

@@ -68,12 +68,13 @@ impl DeliveryMode {
 /// Reusable backing storage for the engine's delivery buffers.
 ///
 /// A run checks its buffer pair out at the start and returns it at the end,
-/// so the arena holds at most one dense pair and one sparse pair. Entry
-/// points that take an arena ([`crate::Engine::run_in`] and friends, or a
-/// [`crate::Session`], which owns one) make every run after the first
-/// allocation-free in steady state; the plain entry points create a fresh
-/// arena per run. Statistics are unaffected by reuse: all accounting is in
-/// terms of logical messages, never retained capacity.
+/// so the arena holds at most one dense pair and one sparse pair. A
+/// [`crate::Session`] owns one (and [`crate::Session::with_arena`] threads
+/// one through successive sessions), making every phase after the first
+/// allocation-free in steady state; the plain [`crate::Engine`] entry
+/// points create a fresh arena per run. Statistics are unaffected by
+/// reuse: all accounting is in terms of logical messages, never retained
+/// capacity.
 #[derive(Debug, Default)]
 pub struct DeliveryArena {
     dense: Option<[DenseBuf; 2]>,
@@ -116,8 +117,9 @@ impl DeliveryArena {
 /// [`DeliveryBuf::slot_range`] and row addressing is relative to the carved
 /// slice.
 pub(crate) trait DeliveryBuf: Sized + Send {
-    /// Element type of the flat slot slice.
-    type Slot: Send;
+    /// Element type of the flat slot slice. Pool workers write their own
+    /// rows (`Send`) and all read the previous round's buffer (`Sync`).
+    type Slot: Send + Sync;
 
     /// Check a buffer pair out of the arena (reusing a retained pair of the
     /// right size) and reset it: round 0 reads the previous-round buffer

@@ -7,32 +7,45 @@
 //!
 //! # Execution strategy
 //!
-//! Node steps within a round are independent, so the engine can execute them
-//! on multiple OS threads. With `threads > 1` a **persistent worker pool** is
-//! created once per run: workers park on a round barrier, step a fixed chunk
-//! of nodes, publish a per-chunk accumulator, and park again — no per-round
-//! thread creation. Message delivery is **double-buffered** behind a
-//! pluggable backend (see [`DeliveryMode`]): the dense backend keeps a
-//! sender-major `n × n` matrix, the sparse backend a per-sender edge list
-//! with a shared broadcast payload. Either way nodes write sends into one
-//! buffer while reading the previous round's through a receiver-oriented
-//! inbox view, so delivery is a buffer swap (no O(n²) transpose, and
-//! steady-state rounds allocate nothing — slots are cleared in place,
-//! retaining capacity, and persist across runs via [`DeliveryArena`]).
+//! One round loop drives every run. Each round it applies the fault plan's
+//! crashes and rejoins, snapshots which nodes are active, runs the step
+//! phase, closes the round's books, and — unless the run is over — applies
+//! the wire passes (Byzantine rewrites → signing → forged tags → link faults
+//! → verification) and checks the deadline and the cancel flag.
 //!
-//! Parallel and sequential execution produce bit-identical outputs,
-//! transcripts, and [`RunStats`] (wall-clock timing excluded).
+//! Only the step phase depends on the width. At one thread it steps every
+//! node inline on the calling thread. With `threads > 1` a **persistent
+//! worker pool** is created once per run: workers park on a round barrier,
+//! step a fixed chunk of nodes, publish a per-chunk accumulator, and park
+//! again — no per-round thread creation. Everything outside the step phase
+//! runs on the calling thread while the workers are parked, which (with
+//! address-keyed adversary coins) makes runs pool-shape independent.
+//!
+//! Message delivery is **double-buffered** behind a pluggable backend (see
+//! [`DeliveryMode`]): the dense backend keeps a sender-major `n × n` matrix,
+//! the sparse backend a per-sender edge list with a shared broadcast
+//! payload. Either way nodes write sends into one buffer while reading the
+//! previous round's through a receiver-oriented inbox view, so delivery is
+//! a buffer swap (no O(n²) transpose, and steady-state rounds allocate
+//! nothing — slots are cleared in place, retaining capacity, and persist
+//! across runs via [`DeliveryArena`]).
+//!
+//! Inline and pooled execution produce bit-identical outputs, transcripts,
+//! and [`RunStats`] (wall-clock timing excluded).
 
 use std::fmt;
-use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Barrier};
+use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use crate::auth::{AuthKeyring, AuthLedger};
 use crate::bits::BitString;
 use crate::byzantine::{ByzantinePlan, ByzantineReport};
-use crate::delivery::{BufView, DeliveryArena, DeliveryBuf, DeliveryMode, DenseBuf, SparseBuf};
+use crate::delivery::{
+    BufView, BufViewMut, DeliveryArena, DeliveryBuf, DeliveryMode, DenseBuf, SparseBuf,
+};
 use crate::fault::{FaultEvent, FaultPlan, FaultReport};
 use crate::node::{Inbox, NodeCtx, NodeId, NodeProgram, Outbox, Status};
 use crate::stats::RunStats;
@@ -197,20 +210,70 @@ impl<T: PartialEq> RunOutcome<T> {
     }
 }
 
-/// Result of a run under a [`FaultPlan`]: crashed nodes have no output, so
-/// each slot is an `Option`.
+/// Result of a run that tolerates crashed nodes ([`Engine::run_faulted`]):
+/// crashed nodes have no output, so each slot is an `Option`, and the event
+/// logs of both adversaries ride along.
+///
+/// Traitor nodes under a [`ByzantinePlan`] still run their (honest)
+/// programs and still produce outputs — it is their *outbound messages*
+/// the adversary rewrote — so agreement claims about Byzantine-tolerant
+/// protocols should be stated over the honest nodes only: see
+/// [`FaultedOutcome::honest_unanimous`].
 #[derive(Debug)]
 pub struct FaultedOutcome<T> {
     /// Local output of each node, indexed by node; `None` for nodes the
-    /// plan crash-stopped before they halted.
+    /// fault plan crash-stopped before they halted.
     pub outputs: Vec<Option<T>>,
-    /// Accounting for the run, including the fault counters.
+    /// Accounting for the run, including the fault and Byzantine counters.
     pub stats: RunStats,
     /// Per-node communication transcripts, if recording was enabled. A
     /// crashed node's transcript simply ends at its crash round.
+    /// Transcripts record what each program *sent* — a traitor's lies are
+    /// visible only in its recipients' inboxes and in the event log.
     pub transcripts: Option<Vec<Transcript>>,
-    /// Every fault the adversary applied, in deterministic order.
+    /// Every fault the [`FaultPlan`] applied, in deterministic order.
     pub faults: FaultReport,
+    /// Every rewrite the [`ByzantinePlan`] applied, in deterministic order.
+    pub byzantine: ByzantineReport,
+}
+
+/// The outcome of a run under a [`ByzantinePlan`]: the same type as
+/// [`FaultedOutcome`]. The name is kept because the benchmark's adversary
+/// workload (`ccbench/adversary.rs`) spells it.
+pub type ByzantineOutcome<T> = FaultedOutcome<T>;
+
+impl<T> FaultedOutcome<T> {
+    /// The strict reading [`Engine::run`] returns: every node's output, or
+    /// [`SimError::NodeCrashed`] for the lowest-indexed node without one.
+    /// The Byzantine event log is dropped; its counters stay in `stats`.
+    ///
+    /// # Panics
+    /// If an output slot is `None` without a crash event in `faults` —
+    /// never the case for an outcome the engine produced.
+    pub fn into_complete(self) -> Result<RunOutcome<T>, SimError> {
+        let mut outputs = Vec::with_capacity(self.outputs.len());
+        for (v, o) in self.outputs.into_iter().enumerate() {
+            match o {
+                Some(o) => outputs.push(o),
+                None => {
+                    let node = NodeId::from(v);
+                    let round = match self.faults.crash_round(node) {
+                        Some(r) => r,
+                        // Every non-crashed node halts (with an output)
+                        // before a run completes.
+                        None => unreachable!("node without output must have crashed"),
+                    };
+                    return Err(SimError::NodeCrashed { node, round });
+                }
+            }
+        }
+        Ok(RunOutcome {
+            outputs,
+            stats: self.stats,
+            transcripts: self.transcripts,
+            faults: self.faults,
+        })
+    }
 }
 
 impl<T: PartialEq> FaultedOutcome<T> {
@@ -223,52 +286,8 @@ impl<T: PartialEq> FaultedOutcome<T> {
     }
 
     /// The common output if every *surviving* node agrees (and at least one
-    /// node survived), `None` otherwise.
-    pub fn unanimous(&self) -> Option<&T> {
-        let mut survivors = self.survivors().map(|(_, o)| o);
-        let first = survivors.next()?;
-        survivors.all(|o| o == first).then_some(first)
-    }
-}
-
-/// Result of a run under a [`ByzantinePlan`] (and, optionally, a concurrent
-/// [`FaultPlan`]): a [`FaultedOutcome`] plus the Byzantine event log.
-///
-/// Traitor nodes still run their (honest) programs and still produce
-/// outputs — it is their *outbound messages* the adversary rewrote — so
-/// agreement claims about Byzantine-tolerant protocols should be stated
-/// over the honest nodes only: see
-/// [`ByzantineOutcome::honest_unanimous`].
-#[derive(Debug)]
-pub struct ByzantineOutcome<T> {
-    /// Local output of each node, indexed by node; `None` for nodes a
-    /// concurrent fault plan crash-stopped before they halted.
-    pub outputs: Vec<Option<T>>,
-    /// Accounting for the run, including the fault and Byzantine counters.
-    pub stats: RunStats,
-    /// Per-node communication transcripts, if recording was enabled.
-    /// Transcripts record what each program *sent* — a traitor's lies are
-    /// visible only in its recipients' inboxes and in the event log.
-    pub transcripts: Option<Vec<Transcript>>,
-    /// Every link/crash fault a concurrent [`FaultPlan`] applied.
-    pub faults: FaultReport,
-    /// Every rewrite the Byzantine adversary applied, in deterministic
-    /// order.
-    pub byzantine: ByzantineReport,
-}
-
-impl<T: PartialEq> ByzantineOutcome<T> {
-    /// Outputs of the nodes that survived to halt, with their ids.
-    pub fn survivors(&self) -> impl Iterator<Item = (NodeId, &T)> + '_ {
-        self.outputs
-            .iter()
-            .enumerate()
-            .filter_map(|(v, o)| o.as_ref().map(|o| (NodeId::from(v), o)))
-    }
-
-    /// The common output if every *surviving* node agrees (and at least one
     /// node survived), `None` otherwise. Includes traitors — use
-    /// [`ByzantineOutcome::honest_unanimous`] for the guarantee
+    /// [`FaultedOutcome::honest_unanimous`] for the guarantee
     /// Byzantine-tolerant protocols actually make.
     pub fn unanimous(&self) -> Option<&T> {
         let mut survivors = self.survivors().map(|(_, o)| o);
@@ -431,10 +450,10 @@ impl Engine {
     }
 
     /// Attach a fault-injection adversary (see [`crate::fault`]). The plan
-    /// is applied identically on the sequential and pooled paths; an empty
-    /// plan is guaranteed byte-identical to no plan at all. Runs whose plan
-    /// crashes nodes should use [`Engine::run_faulted`] to observe partial
-    /// outputs — [`Engine::run`] turns a crash into [`SimError::NodeCrashed`].
+    /// is applied identically at every pool shape; an empty plan is
+    /// guaranteed byte-identical to no plan at all. Runs whose plan crashes
+    /// nodes should use [`Engine::run_faulted`] to observe partial outputs
+    /// — [`Engine::run`] turns a crash into [`SimError::NodeCrashed`].
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(Arc::new(plan));
         self
@@ -460,11 +479,12 @@ impl Engine {
 
     /// Attach a Byzantine sender adversary (see [`crate::byzantine`]): the
     /// plan's traitor nodes get their outbound messages rewritten per
-    /// recipient. Applied identically on the sequential and pooled paths;
-    /// an empty plan is guaranteed byte-identical to no plan at all.
-    /// Composes with [`Engine::with_fault_plan`]: each round, traitors lie
-    /// first, then link faults damage what was actually transmitted. Use
-    /// [`Engine::run_byzantine`] to observe the per-event rewrite log.
+    /// recipient. Applied identically at every pool shape; an empty plan
+    /// is guaranteed byte-identical to no plan at all. Composes with
+    /// [`Engine::with_fault_plan`]: each round, traitors lie first, then
+    /// link faults damage what was actually transmitted. Use
+    /// [`Engine::run_faulted`] to observe the per-event rewrite log
+    /// ([`FaultedOutcome::byzantine`]).
     pub fn with_byzantine_plan(mut self, plan: ByzantinePlan) -> Self {
         self.byzantine_plan = Some(Arc::new(plan));
         self
@@ -567,7 +587,7 @@ impl Engine {
     }
 
     /// Step nodes on up to `threads` OS threads via a per-run persistent
-    /// worker pool. Results are identical to the sequential engine; only
+    /// worker pool. Results are identical to the inline engine; only
     /// wall-clock changes.
     ///
     /// The pool is capped at the host's available parallelism: workers
@@ -609,52 +629,13 @@ impl Engine {
     /// every node. Protocols meant to tolerate crashes use
     /// [`Engine::run_faulted`] instead.
     pub fn run<P: NodeProgram>(&self, programs: Vec<P>) -> Result<RunOutcome<P::Output>, SimError> {
-        self.run_in(programs, &mut DeliveryArena::new())
-    }
-
-    /// Like [`Engine::run`], but checking the delivery buffers out of (and
-    /// back into) `arena`, so repeated runs reuse allocations instead of
-    /// re-allocating per run. [`crate::Session`] routes every phase through
-    /// its own arena; stats are unaffected by reuse (all accounting is in
-    /// logical messages, never retained capacity).
-    pub fn run_in<P: NodeProgram>(
-        &self,
-        programs: Vec<P>,
-        arena: &mut DeliveryArena,
-    ) -> Result<RunOutcome<P::Output>, SimError> {
-        let faulted = self.run_faulted_in(programs, arena)?;
-        let mut outputs = Vec::with_capacity(faulted.outputs.len());
-        for (v, o) in faulted.outputs.into_iter().enumerate() {
-            match o {
-                Some(o) => outputs.push(o),
-                None => {
-                    let node = NodeId::from(v);
-                    let round = match faulted.faults.crash_round(node) {
-                        Some(r) => r,
-                        // A missing output without a crash event would be an
-                        // engine bug: every non-crashed node halts (with an
-                        // output) before the run completes.
-                        None => unreachable!("node without output must have crashed"),
-                    };
-                    return Err(SimError::NodeCrashed { node, round });
-                }
-            }
-        }
-        Ok(RunOutcome {
-            outputs,
-            stats: faulted.stats,
-            transcripts: faulted.transcripts,
-            faults: faulted.faults,
-        })
+        self.run_faulted(programs)?.into_complete()
     }
 
     /// Run one program instance per node under the attached [`FaultPlan`]
-    /// (or none), reporting crashed nodes as `None` outputs instead of
-    /// failing the run.
-    ///
-    /// Delegates to [`Engine::run_byzantine`] and drops the per-event
-    /// Byzantine rewrite log; if a [`ByzantinePlan`] is attached, its
-    /// aggregate counters still appear in the returned stats.
+    /// and/or [`ByzantinePlan`] (or neither), reporting crashed nodes as
+    /// `None` outputs instead of failing the run, and returning both
+    /// adversaries' event logs. [`Engine::run`] is its strict reading.
     pub fn run_faulted<P: NodeProgram>(
         &self,
         programs: Vec<P>,
@@ -662,43 +643,16 @@ impl Engine {
         self.run_faulted_in(programs, &mut DeliveryArena::new())
     }
 
-    /// Like [`Engine::run_faulted`], but reusing `arena`'s delivery buffers
-    /// (see [`Engine::run_in`]).
-    pub fn run_faulted_in<P: NodeProgram>(
+    /// Like [`Engine::run_faulted`], but checking the delivery buffers out
+    /// of (and back into) `arena`, so repeated runs reuse allocations
+    /// instead of re-allocating per run. [`crate::Session`] routes every
+    /// phase through its own arena; stats are unaffected by reuse (all
+    /// accounting is in logical messages, never retained capacity).
+    pub(crate) fn run_faulted_in<P: NodeProgram>(
         &self,
         programs: Vec<P>,
         arena: &mut DeliveryArena,
     ) -> Result<FaultedOutcome<P::Output>, SimError> {
-        let out = self.run_byzantine_in(programs, arena)?;
-        Ok(FaultedOutcome {
-            outputs: out.outputs,
-            stats: out.stats,
-            transcripts: out.transcripts,
-            faults: out.faults,
-        })
-    }
-
-    /// Run one program instance per node under the attached
-    /// [`ByzantinePlan`] and/or [`FaultPlan`] (or neither), reporting
-    /// crashed nodes as `None` outputs and returning the full Byzantine
-    /// rewrite log alongside the fault report. This is the engine's most
-    /// general entry point; [`Engine::run_faulted`] and [`Engine::run`]
-    /// are restrictions of it.
-    pub fn run_byzantine<P: NodeProgram>(
-        &self,
-        programs: Vec<P>,
-    ) -> Result<ByzantineOutcome<P::Output>, SimError> {
-        self.run_byzantine_in(programs, &mut DeliveryArena::new())
-    }
-
-    /// Like [`Engine::run_byzantine`], but reusing `arena`'s delivery
-    /// buffers (see [`Engine::run_in`]). All three entry points funnel
-    /// here, so validation and setup exist exactly once.
-    pub fn run_byzantine_in<P: NodeProgram>(
-        &self,
-        programs: Vec<P>,
-        arena: &mut DeliveryArena,
-    ) -> Result<ByzantineOutcome<P::Output>, SimError> {
         // Validate before any buffer checkout: rejecting a wrong-sized
         // program vector must not cost 2·n² message slots.
         if programs.len() != self.n {
@@ -713,12 +667,13 @@ impl Engine {
         }
     }
 
-    /// The shared run loop, generic over the delivery backend.
+    /// Set up one run and drive it through [`Engine::round_loop`] with the
+    /// inline or the pooled step phase, generic over the delivery backend.
     fn run_core<P: NodeProgram, B: DeliveryBuf>(
         &self,
         mut programs: Vec<P>,
         arena: &mut DeliveryArena,
-    ) -> Result<ByzantineOutcome<P::Output>, SimError> {
+    ) -> Result<FaultedOutcome<P::Output>, SimError> {
         let n = self.n;
         let ctxs: Vec<NodeCtx> = (0..n)
             .map(|v| NodeCtx {
@@ -744,17 +699,30 @@ impl Engine {
             .record_transcripts
             .then(|| vec![Transcript::default(); n]);
         let mut stats = RunStats::default();
-        let mut report = FaultReport::default();
-        let mut byz_report = ByzantineReport::default();
-        // An empty plan must be transparent: skip every fault hook.
-        let plan = self.fault_plan.as_deref().filter(|p| !p.is_empty());
-        let byz = self.byzantine_plan.as_deref().filter(|p| !p.is_empty());
-        let auth = self.auth.as_deref();
-        // The round book borrows `stats` for the whole loop, so the
-        // envelope passes charge a local ledger folded in afterwards.
-        let mut auth_ledger = AuthLedger::default();
-        let watchdog = self.deadline.map(|limit| (Instant::now(), limit));
-
+        let mut wire = Wire {
+            offset: self.fault_offset,
+            // An empty plan must be transparent: skip every hook it drives.
+            faults: self.fault_plan.as_deref().filter(|p| !p.is_empty()),
+            byzantine: self.byzantine_plan.as_deref().filter(|p| !p.is_empty()),
+            auth: self.auth.as_deref(),
+            fault_report: FaultReport::default(),
+            byz_report: ByzantineReport::default(),
+            auth_ledger: AuthLedger::default(),
+        };
+        let mut book = RoundBook::new(
+            n,
+            self.max_rounds,
+            &mut stats,
+            transcripts.as_mut(),
+            wire.faults,
+            self.fault_offset,
+        );
+        let rules = StepRules {
+            ctxs: &ctxs,
+            bandwidth: self.bandwidth,
+            broadcast_only: self.broadcast_only,
+            topology: &self.topology,
+        };
         let threads = if self.cap_threads_to_host {
             let host = std::thread::available_parallelism().map_or(1, |p| p.get());
             self.threads.min(host)
@@ -762,217 +730,108 @@ impl Engine {
             self.threads
         };
         let result = if threads > 1 && n >= 2 * threads {
-            self.run_pooled(
-                threads,
-                &mut programs,
-                &ctxs,
-                &mut bufs,
-                &mut halted,
-                &mut outputs,
-                &mut transcripts,
-                &mut stats,
-                plan,
-                &mut report,
-                byz,
-                &mut byz_report,
-                auth,
-                &mut auth_ledger,
-                watchdog,
-            )
+            std::thread::scope(|s| {
+                let mut pool = pool::Pool::spawn(
+                    s,
+                    threads,
+                    rules,
+                    &mut programs,
+                    &mut halted,
+                    &mut outputs,
+                    &mut bufs,
+                );
+                self.round_loop(&mut pool, &ctxs, &mut book, &mut wire)
+            })
         } else {
-            self.run_sequential(
-                &mut programs,
-                &ctxs,
-                &mut bufs,
-                &mut halted,
-                &mut outputs,
-                &mut transcripts,
-                &mut stats,
-                plan,
-                &mut report,
-                byz,
-                &mut byz_report,
-                auth,
-                &mut auth_ledger,
-                watchdog,
-            )
+            let mut inline = Inline {
+                rules,
+                programs: &mut programs,
+                halted: &mut halted,
+                outputs: &mut outputs,
+                bufs: &mut bufs,
+            };
+            self.round_loop(&mut inline, &ctxs, &mut book, &mut wire)
         };
         // Return the buffers even on a failed run, so the next run through
         // the same arena still reuses the allocations.
         B::put(arena, bufs);
         result?;
 
-        report.tally_into(&mut stats);
-        byz_report.tally_into(&mut stats);
-        auth_ledger.tally_into(&mut stats);
-        Ok(ByzantineOutcome {
+        wire.fault_report.tally_into(&mut stats);
+        wire.byz_report.tally_into(&mut stats);
+        wire.auth_ledger.tally_into(&mut stats);
+        Ok(FaultedOutcome {
             outputs,
             stats,
             transcripts,
-            faults: report,
-            byzantine: byz_report,
+            faults: wire.fault_report,
+            byzantine: wire.byz_report,
         })
     }
 
-    /// Single-threaded round loop over the double-buffered delivery buffers.
-    #[allow(clippy::too_many_arguments)]
-    fn run_sequential<P: NodeProgram, B: DeliveryBuf>(
+    /// The round loop, written once for both step phases. Each round runs,
+    /// in order: the crash and churn pre-step, the activity snapshot, the
+    /// step phase, [`RoundBook::close_round`], and — unless that ended the
+    /// run — the wire passes and the deadline and cancel checks. Everything
+    /// but the step phase runs on the calling thread while no node steps.
+    fn round_loop<P: NodeProgram, B: DeliveryBuf>(
         &self,
-        programs: &mut [P],
+        phase: &mut impl StepPhase<P, B>,
         ctxs: &[NodeCtx],
-        bufs: &mut [B; 2],
-        halted: &mut [bool],
-        outputs: &mut [Option<P::Output>],
-        transcripts: &mut Option<Vec<Transcript>>,
-        stats: &mut RunStats,
-        plan: Option<&FaultPlan>,
-        report: &mut FaultReport,
-        byz: Option<&ByzantinePlan>,
-        byz_report: &mut ByzantineReport,
-        auth: Option<&AuthKeyring>,
-        auth_ledger: &mut AuthLedger,
-        watchdog: Option<(Instant, Duration)>,
+        book: &mut RoundBook<'_>,
+        wire: &mut Wire<'_>,
     ) -> Result<(), SimError> {
         let n = self.n;
-        let mut book = RoundBook::new(
-            n,
-            self.max_rounds,
-            stats,
-            transcripts.as_mut(),
-            plan,
-            self.fault_offset,
-        );
+        let watchdog = self.deadline.map(|limit| (Instant::now(), limit));
         let mut active = vec![true; n];
-        let [buf_a, buf_b] = bufs;
         let mut round = 0usize;
         loop {
-            if let Some(plan) = plan {
+            let state = phase.state();
+            if let Some(plan) = wire.faults {
                 // Crashes fire before the activity snapshot: a node crashing
                 // in round r never steps in it, and the messages it was due
                 // to read this round (written last round) are lost. Rejoins
                 // fire right after: a node due back this round is replayed
                 // over its missed window and steps again from this round on.
-                let inbound: &B = if round.is_multiple_of(2) {
-                    buf_b
-                } else {
-                    buf_a
-                };
-                let view = B::view(inbound.slots(), n);
-                plan.apply_crashes(self.fault_offset + round, halted, &view, report);
-                book.process_churn::<P>(
-                    round, plan, programs, ctxs, halted, outputs, &view, report,
+                let start = Instant::now();
+                let (_, read) = parity(state.bufs, round);
+                let inbound = B::view(read, n);
+                let report = &mut wire.fault_report;
+                plan.apply_crashes(wire.offset + round, state.halted, &inbound, report);
+                book.process_churn(
+                    round,
+                    plan,
+                    state.programs,
+                    ctxs,
+                    state.halted,
+                    state.outputs,
+                    &inbound,
+                    report,
                 )?;
+                book.stats.timing.churn_ns += nanos(start, Instant::now());
             }
-            for v in 0..n {
-                active[v] = !halted[v];
+            for (a, h) in active.iter_mut().zip(state.halted.iter()) {
+                *a = !*h;
             }
-            let (cur, prev): (&mut B, &B) = if round.is_multiple_of(2) {
-                (&mut *buf_a, &*buf_b)
-            } else {
-                (&mut *buf_b, &*buf_a)
-            };
+
             let step_start = Instant::now();
-            let mut acc = ChunkAcc::default();
-            {
-                let cur_slots = cur.slots_mut();
-                let prev_slots = prev.slots();
-                for v in 0..n {
-                    B::clear_row(cur_slots, n, v);
-                    if halted[v] {
-                        continue;
-                    }
-                    step_one::<P, B>(
-                        &mut programs[v],
-                        &ctxs[v],
-                        round,
-                        prev_slots,
-                        cur_slots,
-                        v,
-                        self.bandwidth,
-                        self.broadcast_only,
-                        &self.topology,
-                        &mut halted[v],
-                        &mut outputs[v],
-                        &mut acc,
-                    )?;
-                }
-            }
+            let acc = phase.step(round)?;
             let step_end = Instant::now();
-            match book.close_round(
+
+            let state = phase.state();
+            let (write, read) = parity(state.bufs, round);
+            let verdict = book.close_round(
                 round,
                 acc,
-                &B::view(cur.slots(), n),
-                &B::view(prev.slots(), n),
-                halted,
+                &B::view(write, n),
+                &B::view(read, n),
+                state.halted,
                 &active,
                 step_start,
                 step_end,
-            ) {
-                Verdict::Continue => {
-                    if let Some(byz) = byz {
-                        // Byzantine rewrites strike first, after the round
-                        // closes: stats and transcripts record what the
-                        // traitor's (honest) program *sent*; next round's
-                        // inboxes see the lies. `prev` is what the traitor
-                        // received this round — the adaptive-lying input.
-                        byz.apply_rewrites(
-                            round,
-                            &mut B::view_mut(cur.slots_mut(), n),
-                            &B::view(prev.slots(), n),
-                            byz_report,
-                        );
-                    }
-                    if let Some(keyring) = auth {
-                        // Signing runs after the payload rewrites: a
-                        // traitor's lies are validly signed with its own
-                        // key (it owns it), while everything downstream —
-                        // forged tags, wire damage — breaks the tag.
-                        keyring.sign_round(
-                            round,
-                            &mut B::view_mut(cur.slots_mut(), n),
-                            auth_ledger,
-                        );
-                        if let Some(byz) = byz {
-                            byz.apply_tag_forgeries(
-                                round,
-                                &mut B::view_mut(cur.slots_mut(), n),
-                                byz_report,
-                            );
-                        }
-                    }
-                    if let Some(plan) = plan {
-                        // Link faults strike after the round closes (and
-                        // after any Byzantine rewrite): stats and
-                        // transcripts record what was *sent*; next round's
-                        // inboxes see what *survived* the wire.
-                        plan.apply_link_faults(
-                            self.fault_offset + round,
-                            &mut B::view_mut(cur.slots_mut(), n),
-                            report,
-                        );
-                    }
-                    if let Some(keyring) = auth {
-                        // Verification is the last word on the wire: any
-                        // frame whose tag fails (forged or damaged after
-                        // signing) is cleared before delivery.
-                        keyring.verify_round(
-                            round,
-                            &mut B::view_mut(cur.slots_mut(), n),
-                            auth_ledger,
-                        );
-                    }
-                    if let Some((start, limit)) = watchdog {
-                        if start.elapsed() >= limit {
-                            return Err(SimError::DeadlineExceeded { limit });
-                        }
-                    }
-                    if let Some(flag) = &self.cancel {
-                        if flag.load(Ordering::Relaxed) {
-                            return Err(SimError::Cancelled { round });
-                        }
-                    }
-                    round += 1;
-                }
+            );
+            match verdict {
+                Verdict::Continue => {}
                 Verdict::Done => {
                     book.settle_churn();
                     return Ok(());
@@ -983,353 +842,537 @@ impl Engine {
                     })
                 }
             }
+            let start = Instant::now();
+            wire.apply(round, &mut B::view_mut(write, n), &B::view(read, n));
+            book.stats.timing.passes_ns += nanos(start, Instant::now());
+
+            if let Some((start, limit)) = watchdog {
+                if start.elapsed() >= limit {
+                    return Err(SimError::DeadlineExceeded { limit });
+                }
+            }
+            if let Some(flag) = &self.cancel {
+                if flag.load(Ordering::Relaxed) {
+                    return Err(SimError::Cancelled { round });
+                }
+            }
+            round += 1;
         }
     }
+}
 
-    /// Persistent-worker-pool round loop: the pool is spawned once, workers
-    /// park on `ctrl.barrier` between rounds, and the main thread does the
-    /// bookkeeping while they are parked.
+/// The adversary's wire passes over one run, with their event logs. Each
+/// plan is `None` when absent or empty, so an empty plan runs no pass.
+struct Wire<'a> {
+    /// Fault-clock offset: local round `r` is plan round `offset + r`.
+    offset: usize,
+    faults: Option<&'a FaultPlan>,
+    byzantine: Option<&'a ByzantinePlan>,
+    auth: Option<&'a AuthKeyring>,
+    fault_report: FaultReport,
+    byz_report: ByzantineReport,
+    /// The round book borrows `stats` for the whole loop, so the envelope
+    /// passes charge a local ledger folded in afterwards.
+    auth_ledger: AuthLedger,
+}
+
+impl Wire<'_> {
+    /// Apply the wire passes to the round's closed write buffer `sent`, in
+    /// their one order: Byzantine rewrites → sign → forged tags → link
+    /// faults → verify. Stats and transcripts already record what the
+    /// programs sent; next round's inboxes see what survives the wire.
+    /// `read` is the buffer the nodes read this round.
+    fn apply(&mut self, round: usize, sent: &mut BufViewMut<'_>, read: &BufView<'_>) {
+        if let Some(byz) = self.byzantine {
+            // Traitors lie first; what they received this round (`read`) is
+            // the adaptive-lying input.
+            byz.apply_rewrites(round, sent, read, &mut self.byz_report);
+        }
+        if let Some(keyring) = self.auth {
+            // Signing runs after the payload rewrites: a traitor's lies are
+            // validly signed with its own key (it owns it), while everything
+            // downstream — forged tags, wire damage — breaks the tag.
+            keyring.sign_round(round, sent, &mut self.auth_ledger);
+            if let Some(byz) = self.byzantine {
+                byz.apply_tag_forgeries(round, sent, &mut self.byz_report);
+            }
+        }
+        if let Some(plan) = self.faults {
+            plan.apply_link_faults(self.offset + round, sent, &mut self.fault_report);
+        }
+        if let Some(keyring) = self.auth {
+            // Verification is the last word on the wire: any frame whose
+            // tag fails (forged or damaged after signing) is cleared before
+            // delivery.
+            keyring.verify_round(round, sent, &mut self.auth_ledger);
+        }
+    }
+}
+
+/// Exclusive access to a run's state between step phases: every node's
+/// program, halt flag and output, and both delivery buffers (see
+/// [`parity`]).
+struct RunState<'a, P: NodeProgram, S> {
+    programs: &'a mut [P],
+    halted: &'a mut [bool],
+    outputs: &'a mut [Option<P::Output>],
+    bufs: [&'a mut [S]; 2],
+}
+
+/// Round `round`'s `(write, read)` halves of a double buffer: nodes write
+/// `pair[round % 2]` and read the other half, which the previous round
+/// wrote.
+fn parity<T>(pair: [T; 2], round: usize) -> (T, T) {
+    let [a, b] = pair;
+    if round.is_multiple_of(2) {
+        (a, b)
+    } else {
+        (b, a)
+    }
+}
+
+/// How a round's nodes get stepped: [`Inline`] on the calling thread, or
+/// [`Pool`] on barrier-parked workers. The round loop sees only this.
+trait StepPhase<P: NodeProgram, B: DeliveryBuf> {
+    /// Step every active node once in `round` and total what they sent. If
+    /// the model rejects several nodes, the lowest-indexed one's error wins.
+    fn step(&mut self, round: usize) -> Result<ChunkAcc, SimError>;
+
+    /// Exclusive access to the run's state until the next step phase.
+    fn state(&mut self) -> RunState<'_, P, B::Slot>;
+}
+
+/// What a node step is checked against; shared read-only by every step
+/// phase.
+#[derive(Clone, Copy)]
+struct StepRules<'a> {
+    ctxs: &'a [NodeCtx],
+    bandwidth: usize,
+    broadcast_only: bool,
+    /// CONGEST mode: `topology[v*n + u]` = v may send to u. Empty = clique.
+    topology: &'a [bool],
+}
+
+impl StepRules<'_> {
+    /// The per-node loop, written once for both step phases: step nodes
+    /// `nodes` in `round`. `programs`, `halted` and `outputs` hold exactly
+    /// those nodes, and `write` exactly their sender rows of this round's
+    /// buffer, all indexed relative to `nodes.start`; `read` is the whole
+    /// buffer the previous round wrote. Every row is cleared first, so a
+    /// halted node sends nothing.
     #[allow(clippy::too_many_arguments)]
-    fn run_pooled<P: NodeProgram, B: DeliveryBuf>(
+    fn step_range<P: NodeProgram, B: DeliveryBuf>(
         &self,
-        threads: usize,
+        round: usize,
+        nodes: Range<usize>,
         programs: &mut [P],
-        ctxs: &[NodeCtx],
-        bufs: &mut [B; 2],
         halted: &mut [bool],
         outputs: &mut [Option<P::Output>],
-        transcripts: &mut Option<Vec<Transcript>>,
-        stats: &mut RunStats,
-        plan: Option<&FaultPlan>,
-        report: &mut FaultReport,
-        byz: Option<&ByzantinePlan>,
-        byz_report: &mut ByzantineReport,
-        auth: Option<&AuthKeyring>,
-        auth_ledger: &mut AuthLedger,
-        watchdog: Option<(Instant, Duration)>,
+        read: &[B::Slot],
+        write: &mut [B::Slot],
+    ) -> Result<ChunkAcc, SimError> {
+        let n = self.ctxs.len();
+        let mut acc = ChunkAcc::default();
+        for (row, v) in nodes.enumerate() {
+            B::clear_row(write, n, row);
+            if halted[row] {
+                continue;
+            }
+            self.step_one::<P, B>(
+                &mut programs[row],
+                &self.ctxs[v],
+                round,
+                read,
+                write,
+                row,
+                &mut halted[row],
+                &mut outputs[row],
+                &mut acc,
+            )?;
+        }
+        Ok(acc)
+    }
+
+    /// Step a single node and validate its outbox against the model.
+    /// `read` is the full slot slice written last round (the node reads it
+    /// through a receiver-oriented inbox view); `write` is the caller's
+    /// slot slice, with `row` the node's row index *relative to* it.
+    #[allow(clippy::too_many_arguments)]
+    fn step_one<P: NodeProgram, B: DeliveryBuf>(
+        &self,
+        prog: &mut P,
+        ctx: &NodeCtx,
+        round: usize,
+        read: &[B::Slot],
+        write: &mut [B::Slot],
+        row: usize,
+        halted: &mut bool,
+        output: &mut Option<P::Output>,
+        acc: &mut ChunkAcc,
     ) -> Result<(), SimError> {
-        let n = self.n;
-        let chunk = n.div_ceil(threads);
-        let workers = n.div_ceil(chunk);
-        let bandwidth = self.bandwidth;
-        let broadcast_only = self.broadcast_only;
-        let topology: &[bool] = &self.topology;
-        let max_rounds = self.max_rounds;
-
-        let mut book = RoundBook::new(
-            n,
-            max_rounds,
-            stats,
-            transcripts.as_mut(),
-            plan,
-            self.fault_offset,
-        );
-        let mut active = vec![true; n];
-
-        let [buf_a, buf_b] = bufs;
-        let buf_cells: [&[SyncCell<B::Slot>]; 2] = [
-            SyncCell::share(buf_a.slots_mut()),
-            SyncCell::share(buf_b.slots_mut()),
-        ];
-        let prog_cells = SyncCell::share(programs);
-        let halted_cells = SyncCell::share(halted);
-        let out_cells = SyncCell::share(outputs);
-        let mut chunk_results: Vec<Result<ChunkAcc, StepAbort>> =
-            (0..workers).map(|_| Ok(ChunkAcc::default())).collect();
-        let result_cells = SyncCell::share(&mut chunk_results);
-        let ctrl = PoolCtrl {
-            barrier: Barrier::new(workers + 1),
-            round: AtomicUsize::new(0),
-            stop: AtomicBool::new(false),
+        let n = ctx.n;
+        let v = ctx.id.index();
+        let inbox = B::inbox(read, n, v);
+        let status = {
+            let mut outbox = B::outbox(write, n, row, v);
+            // A panicking program becomes a structured error, not a torn-down
+            // pool: the engine (and its caller) must stay usable after a buggy
+            // algorithm.
+            catch_unwind(AssertUnwindSafe(|| {
+                prog.step(ctx, round, &inbox, &mut outbox)
+            }))
+            .map_err(|payload| SimError::NodeProgramPanicked {
+                node: ctx.id,
+                round,
+                message: panic_message(payload),
+            })?
         };
-        let ctrl = &ctrl;
+        match status {
+            Status::Continue => {}
+            Status::Halt(out) => {
+                *halted = true;
+                *output = Some(out);
+            }
+        }
+        B::seal_row(write, n, row);
+        if !self.topology.is_empty() {
+            for (u, _m) in B::row_iter(write, n, row, v) {
+                if !self.topology[v * n + u] {
+                    return Err(SimError::TopologyViolated {
+                        from: ctx.id,
+                        to: NodeId::from(u),
+                        round,
+                    });
+                }
+            }
+        }
+        if self.broadcast_only {
+            // All non-empty outgoing messages must be identical, and a node
+            // either addresses everyone or no one.
+            let mut common: Option<&BitString> = None;
+            let mut nonempty = 0;
+            for (_u, m) in B::row_iter(write, n, row, v) {
+                nonempty += 1;
+                match common {
+                    None => common = Some(m),
+                    Some(c) if c == m => {}
+                    _ => {
+                        return Err(SimError::BroadcastViolated {
+                            from: ctx.id,
+                            round,
+                        })
+                    }
+                }
+            }
+            if nonempty != 0 && nonempty != n - 1 {
+                return Err(SimError::BroadcastViolated {
+                    from: ctx.id,
+                    round,
+                });
+            }
+        }
+        for (u, m) in B::row_iter(write, n, row, v) {
+            if m.len() > self.bandwidth {
+                return Err(SimError::BandwidthExceeded {
+                    from: ctx.id,
+                    to: NodeId::from(u),
+                    round,
+                    bits: m.len(),
+                    limit: self.bandwidth,
+                });
+            }
+            acc.messages += 1;
+            acc.bits += m.len() as u64;
+            acc.max_message_bits = acc.max_message_bits.max(m.len());
+        }
+        Ok(())
+    }
+}
 
-        std::thread::scope(|s| {
-            for (w, my_result) in result_cells.iter().enumerate().take(workers) {
-                let lo = w * chunk;
-                let hi = n.min(lo + chunk);
-                s.spawn(move || loop {
+/// The width-1 step phase: every node steps on the calling thread.
+struct Inline<'a, P: NodeProgram, B> {
+    rules: StepRules<'a>,
+    programs: &'a mut [P],
+    halted: &'a mut [bool],
+    outputs: &'a mut [Option<P::Output>],
+    bufs: &'a mut [B; 2],
+}
+
+impl<P: NodeProgram, B: DeliveryBuf> StepPhase<P, B> for Inline<'_, P, B> {
+    fn step(&mut self, round: usize) -> Result<ChunkAcc, SimError> {
+        let [a, b] = &mut *self.bufs;
+        let (write, read) = parity([a, b], round);
+        self.rules.step_range::<P, B>(
+            round,
+            0..self.programs.len(),
+            self.programs,
+            self.halted,
+            self.outputs,
+            read.slots(),
+            write.slots_mut(),
+        )
+    }
+
+    fn state(&mut self) -> RunState<'_, P, B::Slot> {
+        let [a, b] = &mut *self.bufs;
+        RunState {
+            programs: &mut *self.programs,
+            halted: &mut *self.halted,
+            outputs: &mut *self.outputs,
+            bufs: [a.slots_mut(), b.slots_mut()],
+        }
+    }
+}
+
+/// The pooled step phase, in a module of its own: nothing else in the
+/// engine can reach the run state it shares with its workers, and every
+/// `unsafe` block of the engine is in here.
+mod pool {
+    use std::panic::resume_unwind;
+    use std::sync::atomic::AtomicUsize;
+    use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
+    use std::thread::Scope;
+
+    use super::*;
+
+    /// The pooled step phase: workers spawned once per run inside a
+    /// `std::thread::scope`, each owning a fixed chunk of nodes.
+    ///
+    /// # Barrier protocol
+    ///
+    /// The run state — programs, halt flags, outputs and both delivery buffers
+    /// — is shared with the workers through [`SyncCell`]s, and one barrier of
+    /// `workers + 1` parties hands it back and forth:
+    ///
+    /// - Outside [`Pool::step`] every worker is parked at the round-start
+    ///   barrier and the calling thread owns all of the state. Its one way in
+    ///   is [`Pool::state`], which borrows the pool mutably, so the compiler
+    ///   rejects any view held across the next step phase.
+    /// - `step` publishes the round and passes the round-start barrier. Until
+    ///   the round-end barrier each worker touches only its own node range of
+    ///   programs, halt flags and outputs, plus the matching sender rows of the
+    ///   write buffer; the read buffer is written by no one. Each worker
+    ///   publishes its chunk's result in its own slot, then waits at the
+    ///   round-end barrier, after which `step` collects the results.
+    /// - `Drop` sets the stop flag and passes the round-start barrier once
+    ///   more, so the workers exit and the scope can join them — on every
+    ///   return path, and while unwinding.
+    pub(super) struct Pool<'a, P: NodeProgram, B: DeliveryBuf> {
+        ctrl: Arc<PoolCtrl>,
+        programs: &'a [SyncCell<P>],
+        halted: &'a [SyncCell<bool>],
+        outputs: &'a [SyncCell<Option<P::Output>>],
+        bufs: [&'a [SyncCell<B::Slot>]; 2],
+    }
+
+    /// Round-synchronisation state shared between the calling thread and the
+    /// workers. `Barrier::wait` is the only synchroniser (it orders all memory
+    /// accesses across the phase boundary); the atomics are plain mailboxes
+    /// written strictly between barriers, hence `Relaxed`.
+    struct PoolCtrl {
+        barrier: Barrier,
+        round: AtomicUsize,
+        stop: AtomicBool,
+        /// One slot per worker: its chunk's totals, or why it stopped.
+        results: Vec<Mutex<Result<ChunkAcc, StepAbort>>>,
+    }
+
+    /// Why a worker's step phase did not produce a [`ChunkAcc`].
+    enum StepAbort {
+        /// The model rejected a node's behaviour.
+        Sim(SimError),
+        /// The step panicked outside a node program (node-program panics are
+        /// already [`SimError::NodeProgramPanicked`]); the payload is re-thrown
+        /// on the calling thread.
+        Panic(Box<dyn std::any::Any + Send>),
+    }
+
+    impl<'a, P: NodeProgram, B: DeliveryBuf> Pool<'a, P, B> {
+        /// Spawn about `threads` workers in `scope`, each owning a contiguous
+        /// chunk of nodes, parked until the first step phase.
+        pub(super) fn spawn<'scope>(
+            scope: &'scope Scope<'scope, 'a>,
+            threads: usize,
+            rules: StepRules<'a>,
+            programs: &'a mut [P],
+            halted: &'a mut [bool],
+            outputs: &'a mut [Option<P::Output>],
+            bufs: &'a mut [B; 2],
+        ) -> Self {
+            let n = programs.len();
+            let chunk = n.div_ceil(threads);
+            let workers = n.div_ceil(chunk);
+            let ctrl = Arc::new(PoolCtrl {
+                barrier: Barrier::new(workers + 1),
+                round: AtomicUsize::new(0),
+                stop: AtomicBool::new(false),
+                results: (0..workers)
+                    .map(|_| Mutex::new(Ok(ChunkAcc::default())))
+                    .collect(),
+            });
+            let [a, b] = bufs;
+            let programs = SyncCell::share(programs);
+            let halted = SyncCell::share(halted);
+            let outputs = SyncCell::share(outputs);
+            let bufs = [
+                SyncCell::share(a.slots_mut()),
+                SyncCell::share(b.slots_mut()),
+            ];
+            for w in 0..workers {
+                let ctrl = Arc::clone(&ctrl);
+                let (lo, hi) = (w * chunk, n.min((w + 1) * chunk));
+                scope.spawn(move || loop {
                     ctrl.barrier.wait();
                     if ctrl.stop.load(Ordering::Relaxed) {
                         break;
                     }
                     let round = ctrl.round.load(Ordering::Relaxed);
-                    let write = round % 2;
-                    let caught =
-                        catch_unwind(AssertUnwindSafe(|| -> Result<ChunkAcc, SimError> {
-                            let mut acc = ChunkAcc::default();
-                            // SAFETY (barrier protocol): between the
-                            // round-start and round-end barriers this worker
-                            // exclusively owns node range lo..hi of
-                            // programs/halted/outputs and rows lo..hi of the
-                            // write buffer; the read buffer is written by no
-                            // one during the step phase.
-                            let write_rows = unsafe {
-                                SyncCell::exclusive(&buf_cells[write][B::slot_range(n, lo, hi)])
-                            };
-                            let prev = unsafe { SyncCell::shared(buf_cells[1 - write]) };
-                            let my_halted = unsafe { SyncCell::exclusive(&halted_cells[lo..hi]) };
-                            let my_progs = unsafe { SyncCell::exclusive(&prog_cells[lo..hi]) };
-                            let my_outs = unsafe { SyncCell::exclusive(&out_cells[lo..hi]) };
-                            for i in 0..hi - lo {
-                                let v = lo + i;
-                                B::clear_row(write_rows, n, i);
-                                if my_halted[i] {
-                                    continue;
-                                }
-                                step_one::<P, B>(
-                                    &mut my_progs[i],
-                                    &ctxs[v],
-                                    round,
-                                    prev,
-                                    write_rows,
-                                    i,
-                                    bandwidth,
-                                    broadcast_only,
-                                    topology,
-                                    &mut my_halted[i],
-                                    &mut my_outs[i],
-                                    &mut acc,
-                                )?;
-                            }
-                            Ok(acc)
-                        }));
-                    let published = match caught {
+                    let (write, read) = parity(bufs, round);
+                    let caught = catch_unwind(AssertUnwindSafe(|| {
+                        // SAFETY (barrier protocol, see `Pool`): between the
+                        // round-start and round-end barriers this worker alone
+                        // touches nodes lo..hi and their sender rows of the
+                        // write buffer, and no one writes the read buffer.
+                        let (programs, halted, outputs, write, read) = unsafe {
+                            (
+                                SyncCell::exclusive(&programs[lo..hi]),
+                                SyncCell::exclusive(&halted[lo..hi]),
+                                SyncCell::exclusive(&outputs[lo..hi]),
+                                SyncCell::exclusive(&write[B::slot_range(n, lo, hi)]),
+                                SyncCell::shared(read),
+                            )
+                        };
+                        rules.step_range::<P, B>(
+                            round,
+                            lo..hi,
+                            programs,
+                            halted,
+                            outputs,
+                            read,
+                            write,
+                        )
+                    }));
+                    *lock(&ctrl.results[w]) = match caught {
                         Ok(Ok(acc)) => Ok(acc),
-                        Ok(Err(err)) => Err(StepAbort::Sim(err)),
+                        Ok(Err(e)) => Err(StepAbort::Sim(e)),
                         Err(payload) => Err(StepAbort::Panic(payload)),
                     };
-                    // SAFETY (barrier protocol): this result slot belongs to
-                    // this worker alone during the step phase.
-                    unsafe {
-                        *my_result.raw() = published;
-                    }
                     ctrl.barrier.wait();
                 });
             }
+            Self {
+                ctrl,
+                programs,
+                halted,
+                outputs,
+                bufs,
+            }
+        }
+    }
 
-            let mut round = 0usize;
-            loop {
-                {
-                    // SAFETY: workers are parked at the round-start barrier,
-                    // so the main thread has exclusive access here. Faults
-                    // are applied only on the main thread between barriers —
-                    // that (plus address-keyed coins) is what makes the
-                    // adversary pool-shape independent.
-                    if let Some(plan) = plan {
-                        let halted_mut = unsafe { SyncCell::exclusive(halted_cells) };
-                        let progs_mut = unsafe { SyncCell::exclusive(prog_cells) };
-                        let outs_mut = unsafe { SyncCell::exclusive(out_cells) };
-                        let inbound = unsafe { SyncCell::shared(buf_cells[1 - round % 2]) };
-                        let view = B::view(inbound, n);
-                        plan.apply_crashes(self.fault_offset + round, halted_mut, &view, report);
-                        // Rejoin replay also runs only here, between
-                        // barriers on the main thread, which keeps the
-                        // churn tier pool-shape independent.
-                        if let Err(e) = book.process_churn::<P>(
-                            round, plan, progs_mut, ctxs, halted_mut, outs_mut, &view, report,
-                        ) {
-                            shutdown(ctrl);
-                            return Err(e);
-                        }
-                    }
-                    let halted_now = unsafe { SyncCell::shared(halted_cells) };
-                    for v in 0..n {
-                        active[v] = !halted_now[v];
-                    }
-                }
-                ctrl.round.store(round, Ordering::Relaxed);
-                let step_start = Instant::now();
-                ctrl.barrier.wait(); // release the step phase
-                ctrl.barrier.wait(); // wait for every chunk to finish
-                let step_end = Instant::now();
-
-                // SAFETY: workers are parked at the round-start barrier
-                // again; the main thread has exclusive access until it next
-                // calls `ctrl.barrier.wait()`.
-                let mut acc = ChunkAcc::default();
-                let mut abort: Option<StepAbort> = None;
-                for cell in result_cells.iter().take(workers) {
-                    let published =
-                        unsafe { std::mem::replace(&mut *cell.raw(), Ok(ChunkAcc::default())) };
-                    match published {
-                        Ok(a) => acc.fold(&a),
-                        // Lowest worker index wins, which is the lowest node
-                        // index: the same error a sequential run surfaces.
-                        Err(e) => {
-                            if abort.is_none() {
-                                abort = Some(e);
-                            }
-                        }
-                    }
-                }
-                if let Some(e) = abort {
-                    shutdown(ctrl);
-                    match e {
-                        StepAbort::Sim(err) => return Err(err),
-                        StepAbort::Panic(payload) => resume_unwind(payload),
-                    }
-                }
-
-                let write = round % 2;
-                let cur = unsafe { SyncCell::shared(buf_cells[write]) };
-                let prev = unsafe { SyncCell::shared(buf_cells[1 - write]) };
-                let halted_now = unsafe { SyncCell::shared(halted_cells) };
-                match book.close_round(
-                    round,
-                    acc,
-                    &B::view(cur, n),
-                    &B::view(prev, n),
-                    halted_now,
-                    &active,
-                    step_start,
-                    step_end,
-                ) {
-                    Verdict::Continue => {
-                        if let Some(byz) = byz {
-                            // SAFETY: workers are still parked; the shared
-                            // views taken for close_round are no longer used.
-                            // Rewrites happen only here on the main thread
-                            // between barriers, which (plus address-keyed
-                            // coins) makes them pool-shape independent.
-                            let cur_mut = unsafe { SyncCell::exclusive(buf_cells[write]) };
-                            byz.apply_rewrites(
-                                round,
-                                &mut B::view_mut(cur_mut, n),
-                                &B::view(prev, n),
-                                byz_report,
-                            );
-                        }
-                        if let Some(keyring) = auth {
-                            // SAFETY: workers are still parked; the shared
-                            // views taken for close_round are no longer
-                            // used. Same hook order as the sequential path:
-                            // rewrites → sign → forge → faults → verify.
-                            let cur_mut = unsafe { SyncCell::exclusive(buf_cells[write]) };
-                            keyring.sign_round(round, &mut B::view_mut(cur_mut, n), auth_ledger);
-                            if let Some(byz) = byz {
-                                let cur_mut = unsafe { SyncCell::exclusive(buf_cells[write]) };
-                                byz.apply_tag_forgeries(
-                                    round,
-                                    &mut B::view_mut(cur_mut, n),
-                                    byz_report,
-                                );
-                            }
-                        }
-                        if let Some(plan) = plan {
-                            // SAFETY: workers are still parked; the shared
-                            // views taken for close_round are no longer used.
-                            let cur_mut = unsafe { SyncCell::exclusive(buf_cells[write]) };
-                            plan.apply_link_faults(
-                                self.fault_offset + round,
-                                &mut B::view_mut(cur_mut, n),
-                                report,
-                            );
-                        }
-                        if let Some(keyring) = auth {
-                            // SAFETY: workers are still parked (as above).
-                            let cur_mut = unsafe { SyncCell::exclusive(buf_cells[write]) };
-                            keyring.verify_round(round, &mut B::view_mut(cur_mut, n), auth_ledger);
-                        }
-                        if let Some((start, limit)) = watchdog {
-                            if start.elapsed() >= limit {
-                                shutdown(ctrl);
-                                return Err(SimError::DeadlineExceeded { limit });
-                            }
-                        }
-                        if let Some(flag) = &self.cancel {
-                            if flag.load(Ordering::Relaxed) {
-                                shutdown(ctrl);
-                                return Err(SimError::Cancelled { round });
-                            }
-                        }
-                        round += 1;
-                    }
-                    Verdict::Done => {
-                        book.settle_churn();
-                        shutdown(ctrl);
-                        return Ok(());
-                    }
-                    Verdict::Limit => {
-                        shutdown(ctrl);
-                        return Err(SimError::RoundLimit { limit: max_rounds });
+    impl<P: NodeProgram, B: DeliveryBuf> StepPhase<P, B> for Pool<'_, P, B> {
+        fn step(&mut self, round: usize) -> Result<ChunkAcc, SimError> {
+            let ctrl = &*self.ctrl;
+            ctrl.round.store(round, Ordering::Relaxed);
+            ctrl.barrier.wait(); // release the step phase
+            ctrl.barrier.wait(); // wait for every chunk to finish
+            let mut acc = ChunkAcc::default();
+            let mut abort = None;
+            for slot in &ctrl.results {
+                match std::mem::replace(&mut *lock(slot), Ok(ChunkAcc::default())) {
+                    Ok(chunk) => acc.fold(&chunk),
+                    // Lowest worker index wins, which is the lowest node index:
+                    // the same error an inline run surfaces.
+                    Err(e) => {
+                        abort.get_or_insert(e);
                     }
                 }
             }
-        })
-    }
-}
+            match abort {
+                None => Ok(acc),
+                Some(StepAbort::Sim(err)) => Err(err),
+                Some(StepAbort::Panic(payload)) => resume_unwind(payload),
+            }
+        }
 
-/// Release workers parked at the round-start barrier and let them exit.
-fn shutdown(ctrl: &PoolCtrl) {
-    ctrl.stop.store(true, Ordering::Relaxed);
-    ctrl.barrier.wait();
-}
-
-/// Round-synchronisation state shared between the driver and the pool.
-/// `Barrier::wait` is the only synchroniser (it orders all memory accesses
-/// across the phase boundary); the atomics are plain mailboxes written
-/// strictly between barriers, hence `Relaxed`.
-struct PoolCtrl {
-    barrier: Barrier,
-    round: AtomicUsize,
-    stop: AtomicBool,
-}
-
-/// Why a worker's step phase did not produce a [`ChunkAcc`].
-enum StepAbort {
-    /// The model rejected a node's behaviour.
-    Sim(SimError),
-    /// A node program panicked; the payload is re-thrown on the main thread.
-    Panic(Box<dyn std::any::Any + Send>),
-}
-
-/// Interior-mutability wrapper that lets the persistent worker pool share
-/// the engine's per-run state. All access goes through the `unsafe` views
-/// below, whose soundness rests on the *barrier protocol*: during a step
-/// phase each worker touches only its own node range (plus read-only shared
-/// data), and between the round-end and round-start barriers only the main
-/// thread touches anything.
-#[repr(transparent)]
-struct SyncCell<T>(std::cell::UnsafeCell<T>);
-
-// SAFETY: references are only handed out through the views below, whose
-// callers promise disjoint access via the barrier protocol.
-unsafe impl<T: Send> Sync for SyncCell<T> {}
-
-impl<T> SyncCell<T> {
-    /// Wrap an exclusively-borrowed slice for sharing with the pool.
-    fn share(slice: &mut [T]) -> &[SyncCell<T>] {
-        // SAFETY: `repr(transparent)` gives identical layout, and the `&mut`
-        // guarantees no other live borrow for the returned lifetime.
-        unsafe { &*(slice as *mut [T] as *const [SyncCell<T>]) }
+        fn state(&mut self) -> RunState<'_, P, B::Slot> {
+            // SAFETY (barrier protocol, see `Pool`): outside `step` every worker
+            // is parked at the round-start barrier, and the views borrow `self`
+            // mutably, so they end before the next `step`.
+            unsafe {
+                RunState {
+                    programs: SyncCell::exclusive(self.programs),
+                    halted: SyncCell::exclusive(self.halted),
+                    outputs: SyncCell::exclusive(self.outputs),
+                    bufs: [
+                        SyncCell::exclusive(self.bufs[0]),
+                        SyncCell::exclusive(self.bufs[1]),
+                    ],
+                }
+            }
+        }
     }
 
-    /// Raw pointer to the contents; the caller upholds the barrier protocol.
-    fn raw(&self) -> *mut T {
-        self.0.get()
+    impl<P: NodeProgram, B: DeliveryBuf> Drop for Pool<'_, P, B> {
+        /// Release the workers parked at the round-start barrier and let them
+        /// exit, so the enclosing scope can join them.
+        fn drop(&mut self) {
+            self.ctrl.stop.store(true, Ordering::Relaxed);
+            self.ctrl.barrier.wait();
+        }
     }
 
-    /// View a cell slice as mutable data.
-    ///
-    /// # Safety
-    /// The caller must hold exclusive access to every element per the
-    /// barrier protocol.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn exclusive(cells: &[SyncCell<T>]) -> &mut [T] {
-        // `repr(transparent)` lets the cell pointer double as the element
-        // pointer; `raw_get` is the sanctioned `&UnsafeCell → *mut` route.
-        let base = std::cell::UnsafeCell::raw_get(cells.as_ptr().cast());
-        std::slice::from_raw_parts_mut(base, cells.len())
+    /// Lock a worker's result slot. No thread panics while holding one, so a
+    /// poisoned slot still holds a whole value.
+    fn lock<T>(slot: &Mutex<T>) -> MutexGuard<'_, T> {
+        slot.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
-    /// View a cell slice as shared data.
-    ///
-    /// # Safety
-    /// The caller must guarantee no concurrent writers per the barrier
-    /// protocol.
-    unsafe fn shared(cells: &[SyncCell<T>]) -> &[T] {
-        &*(cells as *const [SyncCell<T>] as *const [T])
+    /// Interior-mutability wrapper through which [`Pool`] shares the run state
+    /// with its workers. All access goes through the `unsafe` views below,
+    /// whose soundness rests on the pool's barrier protocol.
+    #[repr(transparent)]
+    struct SyncCell<T>(std::cell::UnsafeCell<T>);
+
+    // SAFETY: references are only handed out through the views below, whose
+    // callers promise disjoint access via the barrier protocol: a `&mut T`
+    // reaches one thread at a time (so `T: Send`), and `shared` demands
+    // `T: Sync` for the views several workers hold at once.
+    unsafe impl<T: Send> Sync for SyncCell<T> {}
+
+    impl<T> SyncCell<T> {
+        /// Wrap an exclusively-borrowed slice for sharing with the pool.
+        fn share(slice: &mut [T]) -> &[SyncCell<T>] {
+            // SAFETY: `repr(transparent)` gives identical layout, and the `&mut`
+            // guarantees no other live borrow for the returned lifetime.
+            unsafe { &*(slice as *mut [T] as *const [SyncCell<T>]) }
+        }
+
+        /// View a cell slice as mutable data.
+        ///
+        /// # Safety
+        /// The caller must hold exclusive access to every element per the
+        /// barrier protocol.
+        #[allow(clippy::mut_from_ref)]
+        unsafe fn exclusive(cells: &[SyncCell<T>]) -> &mut [T] {
+            // `repr(transparent)` lets the cell pointer double as the element
+            // pointer; `raw_get` is the sanctioned `&UnsafeCell → *mut` route.
+            let base = std::cell::UnsafeCell::raw_get(cells.as_ptr().cast());
+            std::slice::from_raw_parts_mut(base, cells.len())
+        }
+
+        /// View a cell slice as shared data, possibly from several threads at
+        /// once (hence `T: Sync`).
+        ///
+        /// # Safety
+        /// The caller must guarantee no concurrent writers per the barrier
+        /// protocol.
+        unsafe fn shared(cells: &[SyncCell<T>]) -> &[T]
+        where
+            T: Sync,
+        {
+            &*(cells as *const [SyncCell<T>] as *const [T])
+        }
     }
 }
 
@@ -1383,9 +1426,8 @@ struct ChurnState {
     pending: Vec<Option<PendingRejoin>>,
 }
 
-/// Per-round main-thread bookkeeping shared by the sequential and pooled
-/// drivers — one implementation keeps the two paths bit-identical by
-/// construction.
+/// Per-round bookkeeping of the round loop, on the calling thread while no
+/// node steps.
 struct RoundBook<'a> {
     n: usize,
     max_rounds: usize,
@@ -1425,10 +1467,10 @@ impl<'a> RoundBook<'a> {
         }
     }
 
-    /// Round-start churn pass, called right after `apply_crashes` on both
-    /// driver paths (main thread only): register fresh crash victims the
-    /// plan will rejoin, replay the missed window to nodes due back this
-    /// round, and record the inbound column for every node still down.
+    /// Round-start churn pass, called right after `apply_crashes` in the
+    /// round loop's pre-step: register fresh crash victims the plan will
+    /// rejoin, replay the missed window to nodes due back this round, and
+    /// record the inbound column for every node still down.
     #[allow(clippy::too_many_arguments)]
     fn process_churn<P: NodeProgram>(
         &mut self,
@@ -1603,7 +1645,6 @@ impl<'a> RoundBook<'a> {
         let now = Instant::now();
         self.stats.timing.step_ns += nanos(step_start, step_end);
         self.stats.timing.delivery_ns += nanos(step_end, now);
-        self.stats.timing.wall_ns += nanos(step_start, now);
         self.stats.timing.step_phases += 1;
 
         if all_halted {
@@ -1731,105 +1772,6 @@ fn replay_rejoin<P: NodeProgram>(
         sync_messages,
         sync_bits,
     });
-    Ok(())
-}
-
-/// Step a single node and validate its outbox against the bandwidth bound.
-/// `prev` is the full slot slice written last round (the node reads it
-/// through a receiver-oriented inbox view); `cur` is the slot slice the
-/// caller owns for writing, with `row` the node's row index *relative to*
-/// that slice (the sequential driver passes the full buffer and `row == v`;
-/// pooled workers pass their carved chunk and a chunk-relative row).
-#[allow(clippy::too_many_arguments)]
-fn step_one<P: NodeProgram, B: DeliveryBuf>(
-    prog: &mut P,
-    ctx: &NodeCtx,
-    round: usize,
-    prev: &[B::Slot],
-    cur: &mut [B::Slot],
-    row: usize,
-    bandwidth: usize,
-    broadcast_only: bool,
-    topology: &[bool],
-    halted: &mut bool,
-    output: &mut Option<P::Output>,
-    acc: &mut ChunkAcc,
-) -> Result<(), SimError> {
-    let n = ctx.n;
-    let v = ctx.id.index();
-    let inbox = B::inbox(prev, n, v);
-    let status = {
-        let mut outbox = B::outbox(cur, n, row, v);
-        // A panicking program becomes a structured error, not a torn-down
-        // pool: the engine (and its caller) must stay usable after a buggy
-        // algorithm.
-        catch_unwind(AssertUnwindSafe(|| {
-            prog.step(ctx, round, &inbox, &mut outbox)
-        }))
-        .map_err(|payload| SimError::NodeProgramPanicked {
-            node: ctx.id,
-            round,
-            message: panic_message(payload),
-        })?
-    };
-    match status {
-        Status::Continue => {}
-        Status::Halt(out) => {
-            *halted = true;
-            *output = Some(out);
-        }
-    }
-    B::seal_row(cur, n, row);
-    if !topology.is_empty() {
-        for (u, _m) in B::row_iter(cur, n, row, v) {
-            if !topology[v * n + u] {
-                return Err(SimError::TopologyViolated {
-                    from: ctx.id,
-                    to: NodeId::from(u),
-                    round,
-                });
-            }
-        }
-    }
-    if broadcast_only {
-        // All non-empty outgoing messages must be identical, and a node
-        // either addresses everyone or no one.
-        let mut common: Option<&BitString> = None;
-        let mut nonempty = 0;
-        for (_u, m) in B::row_iter(cur, n, row, v) {
-            nonempty += 1;
-            match common {
-                None => common = Some(m),
-                Some(c) if c == m => {}
-                _ => {
-                    return Err(SimError::BroadcastViolated {
-                        from: ctx.id,
-                        round,
-                    })
-                }
-            }
-        }
-        if nonempty != 0 && nonempty != n - 1 {
-            return Err(SimError::BroadcastViolated {
-                from: ctx.id,
-                round,
-            });
-        }
-    }
-    for (u, m) in B::row_iter(cur, n, row, v) {
-        if m.len() > bandwidth {
-            return Err(SimError::BandwidthExceeded {
-                from: ctx.id,
-                to: NodeId::from(u),
-                round,
-                bits: m.len(),
-                limit: bandwidth,
-            });
-        }
-        acc.messages += 1;
-        acc.bits += m.len() as u64;
-        acc.max_message_bits = acc.max_message_bits.max(m.len());
-    }
     Ok(())
 }
 
@@ -2630,6 +2572,114 @@ mod tests {
         assert_eq!(out.stats.undelivered_bits, 6 * peers * 8);
     }
 
+    /// A [`Chatter`] that panics when stepped in round `explode_at`.
+    struct Fragile {
+        chatter: Chatter,
+        explode_at: Option<usize>,
+    }
+    impl NodeProgram for Fragile {
+        type Output = u64;
+        fn step(
+            &mut self,
+            ctx: &NodeCtx,
+            round: usize,
+            inbox: &Inbox<'_>,
+            ob: &mut Outbox<'_>,
+        ) -> Status<u64> {
+            if self.explode_at == Some(round) {
+                panic!("replayed round exploded");
+            }
+            self.chatter.step(ctx, round, inbox, ob)
+        }
+    }
+
+    #[test]
+    fn panic_during_rejoin_replay_is_a_structured_error_at_every_pool_shape() {
+        use crate::fault::FaultPlan;
+        // Node 2 is down for rounds 2..5 and panics when stepped in round 3.
+        // Only the rejoin replay at round 5 steps it in round 3, so the
+        // panic leaves the run from the churn pre-step, not a step phase.
+        let n = 16; // ≥ 2·7 keeps the 7-worker pool engaged
+        let plan = FaultPlan::new(5)
+            .crash(NodeId(2), 2)
+            .rejoin(NodeId(2), 5)
+            .expect("crash precedes rejoin");
+        let mk = |explode: bool| {
+            (0..n)
+                .map(|v| Fragile {
+                    chatter: Chatter {
+                        received: 0,
+                        halt_round: 8,
+                    },
+                    explode_at: (explode && v == 2).then_some(3),
+                })
+                .collect::<Vec<_>>()
+        };
+        let mut first: Option<SimError> = None;
+        for threads in [1usize, 4, 7] {
+            let engine = Engine::new(n)
+                .with_bandwidth(8)
+                .with_threads_exact(threads)
+                .with_fault_plan(plan.clone());
+            let err = engine.run_faulted(mk(true)).unwrap_err();
+            match &err {
+                SimError::NodeProgramPanicked {
+                    node,
+                    round,
+                    message,
+                } => {
+                    assert_eq!(*node, NodeId(2), "threads={threads}");
+                    assert_eq!(*round, 3, "threads={threads}");
+                    assert!(
+                        message.contains("replayed round exploded"),
+                        "got {message:?}"
+                    );
+                }
+                other => panic!("unexpected error {other:?} (threads={threads})"),
+            }
+            assert_eq!(first.get_or_insert(err.clone()), &err, "threads={threads}");
+            // The workers were released: the same engine runs clean again.
+            let out = engine.run_faulted(mk(false)).unwrap();
+            assert_eq!(out.stats.rejoined_nodes, 1, "threads={threads}");
+            assert!(out.outputs.iter().all(Option::is_some), "threads={threads}");
+        }
+    }
+
+    #[test]
+    fn churn_and_wire_passes_are_timed_outside_the_engine_total() {
+        use crate::auth::AuthKeyring;
+        use crate::byzantine::ByzantinePlan;
+        use crate::fault::FaultPlan;
+        let n = 12;
+        let faults = FaultPlan::new(7)
+            .crash(NodeId(2), 2)
+            .rejoin(NodeId(2), 4)
+            .expect("crash precedes rejoin");
+        let byz = ByzantinePlan::new(3).traitor(NodeId(5)).garble(0.5);
+        for threads in [1usize, 4] {
+            let out = Engine::new(n)
+                .with_bandwidth(8)
+                .with_threads_exact(threads)
+                .with_fault_plan(faults.clone())
+                .with_byzantine_plan(byz.clone())
+                .with_auth(AuthKeyring::from_seed(n, 11))
+                .run_faulted(
+                    (0..n)
+                        .map(|_| Chatter {
+                            received: 0,
+                            halt_round: 6,
+                        })
+                        .collect::<Vec<_>>(),
+                )
+                .unwrap();
+            assert_eq!(out.stats.rejoined_nodes, 1, "threads={threads}");
+            let t = &out.stats.timing;
+            assert!(t.churn_ns > 0, "threads={threads}: churn pre-step untimed");
+            assert!(t.passes_ns > 0, "threads={threads}: wire passes untimed");
+            assert_eq!(t.total_ns(), t.step_ns + t.delivery_ns, "threads={threads}");
+        }
+    }
+
     #[test]
     fn faulted_unanimity_is_over_survivors() {
         use crate::fault::FaultPlan;
@@ -2854,7 +2904,7 @@ mod tests {
         let planned = Engine::new(n)
             .with_transcripts(true)
             .with_byzantine_plan(ByzantinePlan::new(99))
-            .run_byzantine(sum_ids(n))
+            .run_faulted(sum_ids(n))
             .unwrap();
         assert_eq!(
             planned
@@ -2883,7 +2933,7 @@ mod tests {
         let plan = ByzantinePlan::new(17).traitor(NodeId(2)).garble(1.0);
         let out = Engine::new(n)
             .with_byzantine_plan(plan.clone())
-            .run_byzantine(sum_ids(n))
+            .run_faulted(sum_ids(n))
             .unwrap();
         // Transcripts/stats still record the traitor's honest sends; the
         // rewrite log records the lies.
@@ -2912,7 +2962,7 @@ mod tests {
                 .with_transcripts(true)
                 .with_threads_exact(threads)
                 .with_byzantine_plan(plan.clone())
-                .run_byzantine(sum_ids(n))
+                .run_faulted(sum_ids(n))
                 .unwrap()
         };
         let base = run(1);
@@ -2935,7 +2985,7 @@ mod tests {
         let out = Engine::new(n)
             .with_byzantine_plan(byz)
             .with_fault_plan(faults)
-            .run_byzantine(sum_ids(n))
+            .run_faulted(sum_ids(n))
             .unwrap();
         assert_eq!(out.stats.forged_messages, (n - 1) as u64);
         assert!(out.stats.dropped_messages > 0, "both adversaries fired");
@@ -2972,7 +3022,7 @@ mod tests {
                 .with_fault_plan(faults.clone())
                 .with_byzantine_plan(byz.clone())
                 .with_delivery(mode)
-                .run_byzantine(mk())
+                .run_faulted(mk())
                 .unwrap()
         };
         let base = run(DeliveryMode::Dense, 1);
@@ -3064,9 +3114,15 @@ mod tests {
                 .with_delivery(mode);
             let cold = engine.run(mk()).unwrap();
             let mut arena = DeliveryArena::new();
-            let first = engine.run_in(mk(), &mut arena).unwrap();
+            let first = engine
+                .run_faulted_in(mk(), &mut arena)
+                .and_then(FaultedOutcome::into_complete)
+                .unwrap();
             assert!(arena.slot_footprint() > 0, "arena retained the buffers");
-            let warm = engine.run_in(mk(), &mut arena).unwrap();
+            let warm = engine
+                .run_faulted_in(mk(), &mut arena)
+                .and_then(FaultedOutcome::into_complete)
+                .unwrap();
             let tag = mode.tag();
             assert_eq!(cold.outputs, warm.outputs, "{tag}");
             assert_eq!(cold.stats, first.stats, "{tag}");
@@ -3128,7 +3184,8 @@ mod tests {
             let mut arena = DeliveryArena::new();
             Engine::new(n)
                 .with_delivery(mode)
-                .run_in(sum_ids(n), &mut arena)
+                .run_faulted_in(sum_ids(n), &mut arena)
+                .and_then(FaultedOutcome::into_complete)
                 .unwrap();
             arena.slot_footprint()
         };

@@ -15,7 +15,7 @@
 use crate::auth::{AuthKeyring, TAG_BITS};
 use crate::bits::BitString;
 use crate::delivery::DeliveryArena;
-use crate::engine::{ByzantineOutcome, Engine, FaultedOutcome, RunOutcome, SimError};
+use crate::engine::{Engine, FaultedOutcome, RunOutcome, SimError};
 use crate::node::{NodeId, NodeProgram};
 use crate::stats::RunStats;
 
@@ -96,41 +96,34 @@ impl Session {
     }
 
     /// Run one phase; its rounds/bits are added to the session totals.
+    /// Like [`Engine::run`], the phase fails with [`SimError::NodeCrashed`]
+    /// if the fault plan crash-stops a node, and then adds nothing.
     pub fn run<P: NodeProgram>(
         &mut self,
         programs: Vec<P>,
     ) -> Result<RunOutcome<P::Output>, SimError> {
-        let out = self.engine.run_in(programs, &mut self.arena)?;
+        let out = self
+            .engine
+            .run_faulted_in(programs, &mut self.arena)?
+            .into_complete()?;
         self.stats.absorb(&out.stats);
         self.phases += 1;
         Ok(out)
     }
 
-    /// Run one phase under the engine's fault plan, tolerating crashed
-    /// nodes (their output slots are `None`). Rounds, bits, and the fault
-    /// counters are added to the session totals, so a resilient protocol's
-    /// overhead is visible in the same ledger as its fault exposure.
+    /// Run one phase under the engine's fault and/or Byzantine plan,
+    /// tolerating crashed nodes (their output slots are `None`) and keeping
+    /// both event logs. Rounds, bits, and all adversary counters are added
+    /// to the session totals, so a resilient protocol's overhead is visible
+    /// in the same ledger as its fault exposure. Each phase restarts its
+    /// round count at 0, so the fault plan's round-addressed schedule
+    /// re-applies per phase unless the fault clock is advanced with
+    /// [`Session::align_fault_clock`].
     pub fn run_faulted<P: NodeProgram>(
         &mut self,
         programs: Vec<P>,
     ) -> Result<FaultedOutcome<P::Output>, SimError> {
         let out = self.engine.run_faulted_in(programs, &mut self.arena)?;
-        self.stats.absorb(&out.stats);
-        self.phases += 1;
-        Ok(out)
-    }
-
-    /// Run one phase under the engine's Byzantine plan (and fault plan, if
-    /// any), keeping the per-event rewrite log. Rounds, bits, and all
-    /// adversary counters are added to the session totals. Note that each
-    /// phase restarts its round count at 0, so a plan's round-addressed
-    /// schedule re-applies per phase unless the fault clock is advanced
-    /// with [`Session::align_fault_clock`].
-    pub fn run_byzantine<P: NodeProgram>(
-        &mut self,
-        programs: Vec<P>,
-    ) -> Result<ByzantineOutcome<P::Output>, SimError> {
-        let out = self.engine.run_byzantine_in(programs, &mut self.arena)?;
         self.stats.absorb(&out.stats);
         self.phases += 1;
         Ok(out)

@@ -116,25 +116,35 @@ pub struct EngineTiming {
     /// (transcript recording, undelivered accounting, halt detection),
     /// summed over rounds.
     pub delivery_ns: u64,
-    /// Wall-clock nanoseconds of the step phases including their delivery
-    /// bookkeeping, summed over rounds.
-    pub wall_ns: u64,
+    /// Nanoseconds spent in the round-start crash and churn pre-step
+    /// (crash-stops, rejoin replay, missed-window recording), summed over
+    /// rounds. Zero without a fault plan; not part of
+    /// [`EngineTiming::total_ns`].
+    pub churn_ns: u64,
+    /// Nanoseconds spent in the wire passes (Byzantine rewrites, signing,
+    /// forged tags, link faults, verification), summed over rounds. Not
+    /// part of [`EngineTiming::total_ns`].
+    pub passes_ns: u64,
     /// Step phases timed: one per round, plus the step in which every node
     /// halted.
     pub step_phases: u64,
 }
 
 impl EngineTiming {
-    /// Total wall-clock nanoseconds across all rounds.
+    /// Wall-clock nanoseconds of the step phases and their delivery
+    /// bookkeeping, summed over rounds. The churn pre-step and the wire
+    /// passes are timed separately ([`EngineTiming::churn_ns`],
+    /// [`EngineTiming::passes_ns`]).
     pub fn total_ns(&self) -> u64 {
-        self.wall_ns
+        self.step_ns + self.delivery_ns
     }
 
     /// Fold another run's timing into this one (phases run back to back).
     pub fn absorb(&mut self, other: &EngineTiming) {
         self.step_ns += other.step_ns;
         self.delivery_ns += other.delivery_ns;
-        self.wall_ns += other.wall_ns;
+        self.churn_ns += other.churn_ns;
+        self.passes_ns += other.passes_ns;
         self.step_phases += other.step_phases;
     }
 }
@@ -288,7 +298,7 @@ mod tests {
         };
         let b = a.clone();
         a.timing.step_ns = 123;
-        a.timing.wall_ns = 456;
+        a.timing.churn_ns = 456;
         assert_eq!(a, b, "wall-clock must not break bit-identity checks");
     }
 
@@ -297,17 +307,21 @@ mod tests {
         let mut t = EngineTiming {
             step_ns: 10,
             delivery_ns: 5,
-            wall_ns: 15,
+            churn_ns: 4,
+            passes_ns: 6,
             step_phases: 2,
         };
         t.absorb(&EngineTiming {
             step_ns: 1,
             delivery_ns: 2,
-            wall_ns: 3,
+            churn_ns: 1,
+            passes_ns: 3,
             step_phases: 1,
         });
         assert_eq!(t.step_ns, 11);
         assert_eq!(t.delivery_ns, 7);
+        assert_eq!(t.churn_ns, 5);
+        assert_eq!(t.passes_ns, 9);
         assert_eq!(t.step_phases, 3);
         assert_eq!(t.total_ns(), 18);
     }
