@@ -8,14 +8,17 @@
 //! 2. *Main phase (≤ k rounds).* Every node `v ∉ C` broadcasts its
 //!    incident edges not covered by `C` — at most `k` of them, since
 //!    `deg(v) ≤ k` — one `⌈log₂ n⌉`-bit neighbour id per round.
-//! 3. *Local phase.* Everyone now knows `G[V∖C]` entirely and computes a
-//!    minimum vertex cover of it locally; a size-`k` cover of `G` exists
-//!    iff a size-`(k−|C|)` cover of `G[V∖C]` does.
+//! 3. *Local phase.* Everyone now knows `G[V∖C]` entirely and locally
+//!    computes a cover of it of size at most `k−|C|`, or finds there is
+//!    none; a size-`k` cover of `G` exists iff a size-`(k−|C|)` cover of
+//!    `G[V∖C]` does. The cover is the first one within budget that the
+//!    deterministic search ([`cc_graph::exact::vertex_cover`]) meets, so
+//!    every node returns the same one, but it need not be minimum.
 //!
 //! The round count is `≤ k + 1`, *independent of n* — the fixed-parameter
 //! tractability phenomenon the paper contrasts against `k`-IS and `k`-DS.
 
-use cc_graph::{reference, Graph};
+use cc_graph::{exact, Graph};
 use cliquesim::{
     BitString, Engine, Inbox, NodeCtx, NodeId, NodeProgram, Outbox, RunStats, Session, SimError,
     Status,
@@ -65,7 +68,7 @@ impl VcNode {
             }
         }
         let budget = self.k - self.c_size;
-        let extra = reference::find_vertex_cover(&kernel, budget)?;
+        let extra = exact::vertex_cover(&kernel, budget)?;
         let mut cover: Vec<usize> = (0..n).filter(|&u| self.in_c[u]).chain(extra).collect();
         cover.sort_unstable();
         cover.dedup();
@@ -202,7 +205,7 @@ pub fn vertex_cover_rounds(g: &Graph, k: usize) -> Result<(CoverResult, RunStats
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cc_graph::gen;
+    use cc_graph::{gen, reference};
     use proptest::prelude::*;
 
     #[test]

@@ -6,7 +6,7 @@
 //! only if the original graph is k-colourable." The blow-up is the
 //! constant factor k, so δ(k-COL) ≤ δ(MaxIS) in the fine-grained map.
 
-use cc_graph::{reference, Graph};
+use cc_graph::{exact, reference, Graph};
 use cc_routing::{all_to_all_broadcast, RouteError};
 use cliquesim::Session;
 
@@ -47,9 +47,13 @@ pub fn extract_coloring(independent_set: &[usize], n: usize, k: usize) -> Option
 }
 
 /// The naive `O(n/log n · k)`-round distributed MaxIS: gather the whole
-/// graph at every node (each row broadcast once), solve locally, agree on
-/// the lexicographically-least optimum. The paper's Figure 1 places MaxIS
-/// at exponent 1 — this is that upper bound.
+/// graph at every node (each row broadcast once), then solve it locally.
+/// Every node runs the same deterministic search
+/// ([`cc_graph::exact::maximum_independent_set`]) on the same gathered
+/// graph, so all nodes agree on one maximum independent set: per component,
+/// the complement of the first minimum vertex cover the search tree meets
+/// (not, in general, the lexicographically least optimum). The paper's
+/// Figure 1 places MaxIS at exponent 1 — this is that upper bound.
 pub fn max_independent_set_naive(
     session: &mut Session,
     g: &Graph,
@@ -73,7 +77,7 @@ pub fn max_independent_set_naive(
             }
         }
     }
-    Ok(reference::find_maximum_independent_set(&whole))
+    Ok(exact::maximum_independent_set(&whole))
 }
 
 /// Decide k-colourability through the blow-up + MaxIS pipeline, returning
@@ -153,6 +157,25 @@ mod tests {
                 reference::max_independent_set_size(&g),
                 "seed {seed}"
             );
+        }
+    }
+
+    #[test]
+    fn distributed_max_is_keeps_the_atlas_outputs() {
+        // The atlas instances, pinned to the sets the reference search
+        // returns (n = 36 takes seconds through the reference, so it is
+        // pinned as a constant rather than recomputed).
+        let pinned: [(usize, &[usize]); 4] = [
+            (12, &[1, 3, 4, 5, 6, 8, 9, 10, 11]),
+            (18, &[2, 3, 4, 9, 10, 11, 15, 16, 17]),
+            (24, &[2, 4, 9, 10, 11, 15, 18, 20, 21, 23]),
+            (36, &[7, 8, 9, 14, 16, 18, 19, 20, 21, 28, 29, 30, 34]),
+        ];
+        for (n, expect) in pinned {
+            let g = gen::gnp(n, 0.18, n as u64);
+            let mut s = Session::new(Engine::new(n));
+            let is = max_independent_set_naive(&mut s, &g).unwrap();
+            assert_eq!(is, expect, "n={n}");
         }
     }
 
