@@ -10,8 +10,11 @@
 //! double-buffered delivery): 457.4 ms → 169.9 ms and 405.0 ms →
 //! 169.2 ms, i.e. a 2.4–2.7× improvement (threads1: ~292–331 ms →
 //! ~182–190 ms). The broadcast sweep below extends the envelope from
-//! n = 64 to n = 1024 and writes machine-readable results to
-//! `BENCH_engine.json` (see `Cargo.toml`'s bench notes).
+//! n = 64 to n = 1024, the idle probe times a round with nothing on the
+//! wire (n = 216 for 2192 rounds, APSP's shape at that size, with and
+//! without one inbox walk per step), and both write machine-readable
+//! results to `BENCH_engine.json` (see `Cargo.toml`'s bench notes). The
+//! file's `history` rows and its `service_throughput` section are kept.
 //!
 //! Environment knobs (all optional):
 //! - `BENCH_ENGINE_JSON`: output path for the JSON report
@@ -102,6 +105,84 @@ fn gossip_run(
     )
 }
 
+/// Sends nothing and halts after `rounds` rounds; with `scan`, also walks
+/// its inbox once per step. With no traffic, a round costs only the
+/// engine's own per-slot work: clearing rows, the row checks, the inbox
+/// walk.
+struct Idle {
+    rounds: usize,
+    scan: bool,
+    heard: usize,
+}
+
+impl NodeProgram for Idle {
+    type Output = usize;
+    fn step(
+        &mut self,
+        _ctx: &NodeCtx,
+        round: usize,
+        inbox: &Inbox<'_>,
+        _outbox: &mut Outbox<'_>,
+    ) -> Status<usize> {
+        if self.scan {
+            self.heard += inbox.iter().count();
+        }
+        if round >= self.rounds {
+            return Status::Halt(self.heard);
+        }
+        Status::Continue
+    }
+}
+
+/// One timed idle run on the default (dense, inline) engine: wall
+/// seconds and stats.
+fn idle_run(n: usize, rounds: usize, scan: bool) -> (f64, RunStats) {
+    let programs: Vec<Idle> = (0..n)
+        .map(|_| Idle {
+            rounds,
+            scan,
+            heard: 0,
+        })
+        .collect();
+    let start = Instant::now();
+    let out = Engine::new(n).run(programs).unwrap();
+    let secs = start.elapsed().as_secs_f64();
+    assert!(
+        out.outputs.iter().all(|h| *h == 0),
+        "an idle clique heard something"
+    );
+    (secs, out.stats)
+}
+
+struct IdleRow {
+    n: usize,
+    rounds: usize,
+    scan: bool,
+    median_ms: f64,
+}
+
+/// The idle probe, without and with the per-step inbox walk. Asserts the
+/// two runs' stats equal before timing: the walk must not change the run.
+fn idle_probe(n: usize, rounds: usize, reps: usize) -> Vec<IdleRow> {
+    assert_eq!(idle_run(n, rounds, false).1, idle_run(n, rounds, true).1);
+    [false, true]
+        .into_iter()
+        .map(|scan| {
+            let median_ms = median_secs(reps, || idle_run(n, rounds, scan).0) * 1e3;
+            println!(
+                "idle n={n} rounds={rounds} inbox_scan={scan}: {median_ms:8.2} ms ({:.0} ns/round)",
+                median_ms * 1e6 / rounds as f64,
+            );
+            IdleRow {
+                n,
+                rounds,
+                scan,
+                median_ms,
+            }
+        })
+        .collect()
+}
+
 /// Median wall seconds of `reps` repetitions of `f` (first call doubles
 /// as warm-up and is kept — the arena makes later phases the steady state
 /// we care about anyway).
@@ -158,16 +239,25 @@ fn broadcast_sweep(sizes: &[usize], rounds: usize, phases: usize, reps: usize) -
 
 /// Hand-rolled JSON (the vendored criterion stand-in has no machine
 /// output; this file is the recorded trajectory CI and EXPERIMENTS.md
-/// consume).
-fn write_json(path: &str, smoke: bool, rows: &[SweepRow]) {
+/// consume). Rewrites the `broadcast_sweep` and `idle` sections and keeps
+/// what the target file already holds: its `history` rows, recorded by
+/// hand from before/after runs, and the `service_throughput` section that
+/// bench splices in last.
+fn write_json(path: &str, smoke: bool, rows: &[SweepRow], idle: &[IdleRow]) {
+    let existing = std::fs::read_to_string(path).unwrap_or_default();
+    // The file is written in this fixed layout: rows are indented four
+    // spaces, so the first line-leading `  ]` closes the history.
+    let history = existing
+        .split_once("\"history\": [")
+        .and_then(|(_, rest)| rest.split_once("\n  ]"))
+        .map_or("", |(rows, _)| rows);
+    let service = existing
+        .find(",\n  \"service_throughput\"")
+        .map(|i| existing[i..].trim_end().trim_end_matches('}').trim_end());
     let mut out = String::from("{\n");
     out.push_str("  \"bench\": \"engine_parallel\",\n");
     out.push_str(&format!("  \"smoke\": {smoke},\n"));
-    out.push_str(
-        "  \"history\": [\n    {\"pr\": 1, \"id\": \"apsp_n64_threads4\", \
-         \"median_ms_before\": 457.4, \"median_ms_after\": 169.9,\n     \
-         \"note\": \"per-round thread spawn -> persistent pool + double-buffered delivery\"}\n  ],\n",
-    );
+    out.push_str(&format!("  \"history\": [{history}\n  ],\n"));
     out.push_str("  \"broadcast_sweep\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
@@ -182,7 +272,21 @@ fn write_json(path: &str, smoke: bool, rows: &[SweepRow]) {
             if i + 1 < rows.len() { "," } else { "" },
         ));
     }
-    out.push_str("  ]\n}\n");
+    out.push_str("  ],\n");
+    out.push_str("  \"idle\": [\n");
+    for (i, r) in idle.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"n\": {}, \"rounds\": {}, \"inbox_scan\": {}, \"median_ms\": {:.3}}}{}\n",
+            r.n,
+            r.rounds,
+            r.scan,
+            r.median_ms,
+            if i + 1 < idle.len() { "," } else { "" },
+        ));
+    }
+    out.push_str("  ]");
+    out.push_str(service.unwrap_or(""));
+    out.push_str("\n}\n");
     std::fs::write(path, out).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
     println!("wrote {path}");
 }
@@ -233,9 +337,13 @@ fn bench(c: &mut Criterion) {
     };
     let rows = broadcast_sweep(sizes, rounds, phases, reps);
 
+    // The idle probe at APSP's n = 216 shape (fewer rounds under
+    // BENCH_SMOKE).
+    let idle = idle_probe(216, if smoke { 200 } else { 2192 }, reps);
+
     let path =
         std::env::var("BENCH_ENGINE_JSON").unwrap_or_else(|_| "BENCH_engine.json".to_string());
-    write_json(&path, smoke, &rows);
+    write_json(&path, smoke, &rows, &idle);
 
     if std::env::var("BENCH_ENFORCE_SPARSE").is_ok_and(|v| v == "1") {
         for r in &rows {

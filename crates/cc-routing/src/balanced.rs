@@ -250,9 +250,9 @@ impl BalancedPlan {
                 let j = (pi + m - ui) % m;
                 let sa = segment_range(self.layouts[u].total, m, j).0;
                 for (w, ia, ib) in self.layouts[u].segment_pieces(m, j) {
-                    let mut r = held[p][u].reader();
-                    r.skip(ia - sa).expect("in range");
-                    blobs[w].extend_from(&r.read_bits(ib - ia).expect("in range"));
+                    blobs[w]
+                        .extend_from_range(&held[p][u], ia - sa, ib - ia)
+                        .expect("in range");
                 }
             }
             for (w, blob) in blobs.iter_mut().enumerate() {
@@ -298,9 +298,9 @@ impl BalancedPlan {
                 let blob = blob_from[p]
                     .as_ref()
                     .ok_or_else(|| malformed(missing_blob(p)))?;
-                let mut r = blob.reader();
-                r.skip(cursors[p]).map_err(malformed)?;
-                stream.extend_from(&r.read_bits(ib - ia).map_err(malformed)?);
+                stream
+                    .extend_from_range(blob, cursors[p], ib - ia)
+                    .map_err(malformed)?;
                 cursors[p] += ib - ia;
             }
             let src = NodeId::from(u);

@@ -399,8 +399,9 @@ impl NodeProgram for ResilientRouterNode {
             let take = ctx.bandwidth.min(stream.len() - start);
             let mut r = stream.reader();
             r.skip(start).expect("chunk start in range");
-            let piece = r.read_bits(take).expect("chunk in range");
-            outbox.send(NodeId::from(dst), piece);
+            outbox
+                .send_with(NodeId::from(dst), |slot| r.read_into(take, slot))
+                .expect("chunk in range");
         }
         Status::Continue
     }

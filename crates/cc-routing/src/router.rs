@@ -82,8 +82,9 @@ pub(crate) struct RouterNode {
     /// Framed outgoing stream per destination; round `r` ships bits
     /// `[r·B, (r+1)·B)`, cut on demand (cursor skips are O(1)).
     out_streams: Vec<BitString>,
-    /// Read cursor per destination.
-    cursors: Vec<usize>,
+    /// Destinations whose stream still has bits to ship, ascending: a step
+    /// visits only these.
+    live: Vec<usize>,
     /// Accumulated raw bits per source.
     collected: Vec<BitString>,
     /// Schedule length: number of communication rounds (globally known —
@@ -110,23 +111,22 @@ impl NodeProgram for RouterNode {
         if round == self.schedule {
             return Status::Halt(std::mem::take(&mut self.collected));
         }
-        // Ship this round's chunk of every stream.
-        for dst in 0..ctx.n {
-            if dst == ctx.id.index() {
-                continue;
-            }
-            let stream = &self.out_streams[dst];
-            let cur = self.cursors[dst];
-            if cur >= stream.len() {
-                continue;
-            }
-            let take = ctx.bandwidth.min(stream.len() - cur);
+        // Ship this round's chunk of every unfinished stream, in place.
+        // Every stream ships a full chunk each round until it runs out, so
+        // round `r`'s chunk of every live stream starts at bit `r·B`.
+        let start = round * ctx.bandwidth;
+        let streams = &self.out_streams;
+        self.live.retain(|&dst| {
+            let stream = &streams[dst];
+            let take = ctx.bandwidth.min(stream.len() - start);
             let mut r = stream.reader();
-            r.skip(cur).expect("cursor in range");
-            let chunk = r.read_bits(take).expect("chunk in range");
-            self.cursors[dst] = cur + take;
-            outbox.send(NodeId::from(dst), chunk);
-        }
+            r.skip(start)
+                .expect("live streams extend past the round's start");
+            outbox
+                .send_with(NodeId::from(dst), |slot| r.read_into(take, slot))
+                .expect("chunk in range");
+            start + take < stream.len()
+        });
         Status::Continue
     }
 }
@@ -209,9 +209,10 @@ pub(crate) fn make_programs(
 ) -> Vec<RouterNode> {
     streams
         .into_iter()
-        .map(|row| RouterNode {
+        .enumerate()
+        .map(|(v, row)| RouterNode {
             collected: vec![BitString::new(); n],
-            cursors: vec![0; n],
+            live: (0..n).filter(|&w| w != v && !row[w].is_empty()).collect(),
             out_streams: row,
             schedule,
         })

@@ -55,8 +55,9 @@ impl BitString {
     /// Reset to the empty string, retaining the allocated word capacity.
     ///
     /// The engine's double-buffered delivery clears and refills the same
-    /// message slots every round; keeping capacity makes steady-state rounds
-    /// allocation-free.
+    /// message slots every round; keeping capacity means a slot refilled in
+    /// place (a broadcast, [`crate::Outbox::send_with`]) allocates nothing
+    /// in steady state.
     pub fn clear(&mut self) {
         self.len = 0;
         self.words.clear();
@@ -135,8 +136,15 @@ impl BitString {
         if width == 0 {
             return;
         }
-        // Word-level append; the assert above guarantees `value` has no bits
-        // at or above `width`, which preserves the zero-tail invariant.
+        // The assert above guarantees `value` has no bits at or above
+        // `width`, which `append_word` needs.
+        self.append_word(value, width);
+    }
+
+    /// Word-level append of the low `width` bits of `value`, `1 ≤ width ≤
+    /// 64`. `value` must have no bits at or above `width`, which preserves
+    /// the zero-tail invariant.
+    fn append_word(&mut self, value: u64, width: usize) {
         let shift = self.len % 64;
         if shift == 0 {
             self.words.push(value);
@@ -150,6 +158,17 @@ impl BitString {
             }
         }
         self.len += width;
+    }
+
+    /// The 64 bits starting at bit `pos`; bits past the end read as zero.
+    fn word_at(&self, pos: usize) -> u64 {
+        let (base, off) = (pos / 64, pos % 64);
+        let lo = self.words.get(base).copied().unwrap_or(0) >> off;
+        if off == 0 {
+            lo
+        } else {
+            lo | self.words.get(base + 1).copied().unwrap_or(0) << (64 - off)
+        }
     }
 
     /// Append all bits of another string (word-level; hot path for the
@@ -179,6 +198,36 @@ impl BitString {
             }
             self.words.truncate(needed);
         }
+    }
+
+    /// Append bits `start..start + len` of `src`, a word at a time: the
+    /// same bits as `extend_from(&read_bits)` at `start`, without the
+    /// intermediate string. Fails, leaving `self` unchanged, if the range
+    /// runs past the end of `src`.
+    pub fn extend_from_range(
+        &mut self,
+        src: &BitString,
+        start: usize,
+        len: usize,
+    ) -> Result<(), DecodeError> {
+        if start > src.len || src.len - start < len {
+            return Err(DecodeError {
+                at: start,
+                wanted: len,
+                len: src.len,
+            });
+        }
+        self.words
+            .reserve((self.len + len).div_ceil(64) - self.words.len());
+        let end = start + len;
+        let mut pos = start;
+        while pos < end {
+            let width = (end - pos).min(64);
+            let mask = if width == 64 { !0 } else { (1u64 << width) - 1 };
+            self.append_word(src.word_at(pos) & mask, width);
+            pos += width;
+        }
+        Ok(())
     }
 
     /// Overwrite `self` with the contents of `other`, retaining `self`'s
@@ -404,8 +453,20 @@ impl<'a> BitReader<'a> {
         Ok(())
     }
 
-    /// Read `len` bits as a fresh [`BitString`] (word-level).
+    /// Read `len` bits as a fresh [`BitString`] (word-level), for callers
+    /// that keep the result; [`BitReader::read_into`] reuses a buffer.
     pub fn read_bits(&mut self, len: usize) -> Result<BitString, DecodeError> {
+        let mut out = BitString::new();
+        self.read_into(len, &mut out)?;
+        Ok(out)
+    }
+
+    /// Read `len` bits into `out`, replacing its contents but keeping its
+    /// allocation: the in-place form of [`BitReader::read_bits`], for
+    /// filling a reused message slot (see [`crate::Outbox::send_with`]).
+    /// An empty `out` gets exactly `⌈len/64⌉` words. On error neither the
+    /// cursor nor `out` changes.
+    pub fn read_into(&mut self, len: usize, out: &mut BitString) -> Result<(), DecodeError> {
         if self.remaining() < len {
             return Err(DecodeError {
                 at: self.pos,
@@ -413,28 +474,13 @@ impl<'a> BitReader<'a> {
                 len: self.bits.len(),
             });
         }
-        let out_words = len.div_ceil(64);
-        let mut words = Vec::with_capacity(out_words);
-        let off = self.pos % 64;
-        let base = self.pos / 64;
-        for j in 0..out_words {
-            let lo = self.bits.words.get(base + j).copied().unwrap_or(0) >> off;
-            let hi = if off == 0 {
-                0
-            } else {
-                self.bits.words.get(base + j + 1).copied().unwrap_or(0) << (64 - off)
-            };
-            words.push(lo | hi);
-        }
-        // Keep the zero-tail invariant.
-        let tail = len % 64;
-        if tail != 0 {
-            if let Some(last) = words.last_mut() {
-                *last &= (1u64 << tail) - 1;
-            }
-        }
+        out.clear();
+        // Exact, so a fresh slot holds one word for a one-word chunk, not
+        // the four a first `push` would reserve.
+        out.words.reserve_exact(len.div_ceil(64));
+        out.extend_from_range(self.bits, self.pos, len)?;
         self.pos += len;
-        Ok(BitString { len, words })
+        Ok(())
     }
 
     /// Succeeds only if every bit has been consumed; verifiers use this to
@@ -706,6 +752,61 @@ mod tests {
         BitString::zeros(65).as_uint();
     }
 
+    #[test]
+    fn read_into_a_fresh_string_allocates_exactly_the_words_it_needs() {
+        // A first `push` would reserve four words; message slots filled by
+        // `read_into` must hold only what the chunk needs.
+        let s = BitString::from_bits((0..300).map(|i| i % 5 < 2));
+        for (start, len) in [
+            (0, 0),
+            (0, 1),
+            (3, 64),
+            (63, 2),
+            (1, 65),
+            (70, 128),
+            (0, 300),
+            (299, 1),
+        ] {
+            let mut r = s.reader();
+            r.skip(start).unwrap();
+            let mut out = BitString::new();
+            r.read_into(len, &mut out).unwrap();
+            assert_eq!(
+                out.words.capacity(),
+                len.div_ceil(64),
+                "start {start}, len {len}"
+            );
+        }
+    }
+
+    #[test]
+    fn read_into_and_extend_from_range_reject_overruns_untouched() {
+        let s = BitString::from_bits((0..100).map(|i| i % 3 == 0));
+        let mut r = s.reader();
+        r.skip(40).unwrap();
+        let mut out = BitString::from_bits([true, false, true]);
+        let err = r.read_into(61, &mut out).unwrap_err();
+        assert_eq!(
+            err,
+            DecodeError {
+                at: 40,
+                wanted: 61,
+                len: 100
+            }
+        );
+        assert_eq!(r.position(), 40, "a failed read must not move the cursor");
+        assert_eq!(out, BitString::from_bits([true, false, true]));
+        let mut t = BitString::from_bits([false; 70]);
+        assert_eq!(t.extend_from_range(&s, 40, 61), Err(err));
+        assert!(
+            t.extend_from_range(&s, 101, 0).is_err(),
+            "start past the end"
+        );
+        assert_eq!(t, BitString::from_bits([false; 70]));
+        t.extend_from_range(&s, 100, 0).unwrap();
+        assert_eq!(t.len(), 70, "an empty range at the end is legal");
+    }
+
     proptest! {
         #[test]
         fn prop_bit_roundtrip(bits in proptest::collection::vec(any::<bool>(), 0..300)) {
@@ -836,6 +937,56 @@ mod tests {
             let flipped: Vec<bool> = expect.iter().map(|e| !e).collect();
             prop_assert_eq!(x.iter().collect::<Vec<_>>(), flipped.clone());
             prop_assert_eq!(&x, &BitString::from_bits(flipped));
+        }
+
+        #[test]
+        fn prop_read_into_matches_read_bits(
+            bits in proptest::collection::vec(any::<bool>(), 0..300),
+            start in 0usize..300,
+            len in 0usize..300,
+            junk in proptest::collection::vec(any::<bool>(), 0..200),
+        ) {
+            // Offsets and lengths cross word boundaries; the reused target
+            // starts non-empty, with more capacity than the read needs.
+            let start = start % (bits.len() + 1);
+            let len = len % (bits.len() - start + 1);
+            let s = BitString::from_bits(bits.iter().copied());
+            let mut a = s.reader();
+            a.skip(start).unwrap();
+            let mut b = a.clone();
+            let fresh = a.read_bits(len).unwrap();
+            let mut reused = BitString::from_bits(junk.iter().copied());
+            b.read_into(len, &mut reused).unwrap();
+            prop_assert_eq!(&reused, &fresh);
+            prop_assert_eq!(a.position(), b.position());
+            prop_assert_eq!(reused.iter().collect::<Vec<_>>(), bits[start..start + len].to_vec());
+            prop_assert_eq!(reused.words.len(), len.div_ceil(64));
+        }
+
+        #[test]
+        fn prop_extend_from_range_matches_extend_from_read_bits(
+            head in proptest::collection::vec(any::<bool>(), 0..200),
+            src in proptest::collection::vec(any::<bool>(), 0..300),
+            start in 0usize..300,
+            len in 0usize..300,
+        ) {
+            // `head` puts the append point at every alignment.
+            let start = start % (src.len() + 1);
+            let len = len % (src.len() - start + 1);
+            let s = BitString::from_bits(src.iter().copied());
+            let mut r = s.reader();
+            r.skip(start).unwrap();
+            let mut expect = BitString::from_bits(head.iter().copied());
+            expect.extend_from(&r.read_bits(len).unwrap());
+            let mut got = BitString::from_bits(head.iter().copied());
+            got.extend_from_range(&s, start, len).unwrap();
+            prop_assert_eq!(&got, &expect);
+            let model: Vec<bool> = head.iter().chain(&src[start..start + len]).copied().collect();
+            prop_assert_eq!(got.iter().collect::<Vec<_>>(), model);
+            prop_assert_eq!(got.words.len(), got.len().div_ceil(64));
+            let before = got.clone();
+            prop_assert!(got.extend_from_range(&s, start, src.len() - start + 1).is_err());
+            prop_assert_eq!(&got, &before);
         }
 
         #[test]

@@ -376,7 +376,6 @@ impl ByzantinePlan {
         prev: &BufView<'_>,
         report: &mut ByzantineReport,
     ) {
-        let n = prev.n();
         let forced = self.forced_for(round, from, to);
         // The coin stream is keyed per message: same (seed, round, link) →
         // same draws, regardless of how many other messages exist.
@@ -399,9 +398,7 @@ impl ByzantinePlan {
         // degrades to a garble (still a lie, still deterministic).
         let mut replay_source = None;
         if lie == Lie::Replay {
-            let inbound: Vec<usize> = (0..n)
-                .filter(|w| *w != from && !prev.get(*w, from).is_empty())
-                .collect();
+            let inbound: Vec<usize> = prev.column(from).map(|(w, _)| w).collect();
             match inbound.is_empty() {
                 true => lie = Lie::Garble,
                 false => replay_source = Some(inbound[rng.gen_range(0..inbound.len())]),
@@ -626,6 +623,7 @@ impl ByzantineReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delivery::MatrixBits;
 
     fn full_matrix(n: usize, bits: usize) -> Vec<BitString> {
         let mut m = vec![BitString::new(); n * n];
@@ -688,8 +686,8 @@ mod tests {
         let mut report = ByzantineReport::default();
         plan.apply_rewrites(
             0,
-            &mut BufViewMut::dense(&mut cur, n),
-            &BufView::dense(&prev, n),
+            &mut MatrixBits::of(&cur, n).view_mut(&mut cur),
+            &MatrixBits::of(&prev, n).view(&prev),
             &mut report,
         );
         for v in 0..n {
@@ -720,8 +718,8 @@ mod tests {
         let mut report = ByzantineReport::default();
         plan.apply_rewrites(
             0,
-            &mut BufViewMut::dense(&mut cur, n),
-            &BufView::dense(&prev, n),
+            &mut MatrixBits::of(&cur, n).view_mut(&mut cur),
+            &MatrixBits::of(&prev, n).view(&prev),
             &mut report,
         );
         let copies: Vec<&BitString> = (1..n).map(|u| &cur[u]).collect();
@@ -746,14 +744,14 @@ mod tests {
         let mut rb = ByzantineReport::default();
         plan.apply_rewrites(
             3,
-            &mut BufViewMut::dense(&mut a, n),
-            &BufView::dense(&prev, n),
+            &mut MatrixBits::of(&a, n).view_mut(&mut a),
+            &MatrixBits::of(&prev, n).view(&prev),
             &mut ra,
         );
         plan.apply_rewrites(
             3,
-            &mut BufViewMut::dense(&mut b, n),
-            &BufView::dense(&prev, n),
+            &mut MatrixBits::of(&b, n).view_mut(&mut b),
+            &MatrixBits::of(&prev, n).view(&prev),
             &mut rb,
         );
         assert_eq!(a, b);
@@ -778,8 +776,8 @@ mod tests {
         let mut report = ByzantineReport::default();
         plan.apply_rewrites(
             1,
-            &mut BufViewMut::dense(&mut cur, n),
-            &BufView::dense(&prev, n),
+            &mut MatrixBits::of(&cur, n).view_mut(&mut cur),
+            &MatrixBits::of(&prev, n).view(&prev),
             &mut report,
         );
         assert_eq!(
@@ -795,8 +793,8 @@ mod tests {
         let mut r2 = ByzantineReport::default();
         plan.apply_rewrites(
             0,
-            &mut BufViewMut::dense(&mut c2, n),
-            &BufView::dense(&prev, n),
+            &mut MatrixBits::of(&c2, n).view_mut(&mut c2),
+            &MatrixBits::of(&prev, n).view(&prev),
             &mut r2,
         );
         assert!(r2.is_empty());
@@ -818,8 +816,8 @@ mod tests {
         let mut report = ByzantineReport::default();
         plan.apply_rewrites(
             2,
-            &mut BufViewMut::dense(&mut cur, n),
-            &BufView::dense(&prev, n),
+            &mut MatrixBits::of(&cur, n).view_mut(&mut cur),
+            &MatrixBits::of(&prev, n).view(&prev),
             &mut report,
         );
         assert_eq!(
@@ -846,8 +844,8 @@ mod tests {
         let mut r2 = ByzantineReport::default();
         plan.apply_rewrites(
             2,
-            &mut BufViewMut::dense(&mut c2, n),
-            &BufView::dense(&empty, n),
+            &mut MatrixBits::of(&c2, n).view_mut(&mut c2),
+            &MatrixBits::of(&empty, n).view(&empty),
             &mut r2,
         );
         assert_eq!(c2[1].len(), 2, "garble fallback preserves length");

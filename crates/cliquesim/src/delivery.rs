@@ -11,13 +11,27 @@
 //! provides two implementations the engine picks between per run (see
 //! [`DeliveryMode`]):
 //!
-//! * `DenseBuf` — the original flat `n × n` matrix. Best when most ordered
-//!   pairs exchange a message most rounds (all-to-all routing).
+//! * `DenseBuf` — the original flat `n × n` matrix of slots, plus two
+//!   bitmaps of `n·⌈n/64⌉` words each: a sender-major one whose bit `(v, u)`
+//!   the outbox sets when `v` writes slot `v → u`, and a receiver-major
+//!   transpose rebuilt from it after every step phase. Every walk over a
+//!   row or a column — clearing a row, the per-row model checks, inboxes,
+//!   the wire passes, the bookkeeping scans — visits set bits only, so a
+//!   round costs O(messages), not O(n²). Best when most ordered pairs
+//!   exchange a message most rounds (all-to-all routing).
 //! * `SparseBuf` — one compacted edge list per sender (a `SparseRow`):
 //!   a shared broadcast payload plus sorted `(recipient, payload)` override
 //!   entries. A broadcast round stores **one** payload per sender instead of
 //!   `n - 1` clones, and a ring round stores two entries per sender, so the
 //!   footprint is `O(edges)` rather than `O(n²)`.
+//!
+//! A set bit promises only that the slot *may* hold a message: an empty
+//! send, an empty broadcast, or a wire pass that drops a message leaves
+//! the bit set, so every walk still skips empty slots. What the bitmaps
+//! must never miss is a non-empty slot. Slots become non-empty only through
+//! the outbox, which sets the sender bit; the wire passes only empty or
+//! rewrite slots that are already non-empty; and the receiver bitmap is
+//! rebuilt from the sender bits before the wire passes run.
 //!
 //! Both backends produce bit-identical outputs, transcripts, reports, and
 //! [`crate::RunStats`] — cc-testkit's differential runners check every
@@ -25,8 +39,7 @@
 //!
 //! Buffers are checked out of a [`DeliveryArena`] at the start of a run and
 //! returned at the end, so repeated runs (a [`crate::Session`]'s phases)
-//! reuse the same allocations: steady-state rounds allocate nothing in
-//! either backend.
+//! reuse the same allocations, bitmaps included.
 
 use std::ops::Range;
 
@@ -107,15 +120,72 @@ impl DeliveryArena {
     }
 }
 
+/// Words per bitmap row: one bit per node.
+pub(crate) fn row_words(n: usize) -> usize {
+    n.div_ceil(64)
+}
+
+/// One whole delivery buffer, exclusively borrowed: its slots and, for the
+/// dense backend, its sender and receiver bitmaps (both empty for the
+/// sparse backend).
+pub(crate) struct BufMut<'a, S> {
+    pub(crate) slots: &'a mut [S],
+    pub(crate) sent: &'a mut [u64],
+    pub(crate) recv: &'a mut [u64],
+}
+
+impl<S> BufMut<'_, S> {
+    /// Every sender row, writable: the inline step phase's write view.
+    pub(crate) fn rows(&mut self) -> RowsMut<'_, S> {
+        RowsMut {
+            slots: self.slots,
+            sent: self.sent,
+        }
+    }
+
+    /// The whole buffer, shared.
+    pub(crate) fn as_ref(&self) -> BufRef<'_, S> {
+        BufRef {
+            slots: self.slots,
+            sent: self.sent,
+            recv: self.recv,
+        }
+    }
+}
+
+/// One whole delivery buffer, shared: what a step phase reads.
+pub(crate) struct BufRef<'a, S> {
+    pub(crate) slots: &'a [S],
+    pub(crate) sent: &'a [u64],
+    pub(crate) recv: &'a [u64],
+}
+
+impl<S> Clone for BufRef<'_, S> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<S> Copy for BufRef<'_, S> {}
+
+/// Consecutive sender rows of one buffer, exclusively borrowed: the slots
+/// and sender-bitmap words a step phase writes, indexed relative to the
+/// first row. A row's bitmap words are whole words, so the rows of
+/// different pool workers never share one.
+pub(crate) struct RowsMut<'a, S> {
+    pub(crate) slots: &'a mut [S],
+    pub(crate) sent: &'a mut [u64],
+}
+
 /// A double-buffered delivery backend: everything the engine's round loop
-/// needs, expressed over a flat slice of `Slot`s so the worker pool can
-/// carve disjoint per-worker ranges.
+/// needs, expressed over a flat slice of `Slot`s (plus the dense backend's
+/// bitmap words) so the worker pool can carve disjoint per-worker ranges.
 ///
 /// `Slot` granularity differs per backend — a dense buffer has `n²`
 /// [`BitString`] slots (one per ordered pair), a sparse buffer has `n`
 /// [`SparseRow`] slots (one per sender) — which is why carving goes through
-/// [`DeliveryBuf::slot_range`] and row addressing is relative to the carved
-/// slice.
+/// [`DeliveryBuf::slot_range`] and [`DeliveryBuf::word_range`], and row
+/// addressing is relative to the carved slice.
 pub(crate) trait DeliveryBuf: Sized + Send {
     /// Element type of the flat slot slice. Pool workers write their own
     /// rows (`Send`) and all read the previous round's buffer (`Sync`).
@@ -130,48 +200,72 @@ pub(crate) trait DeliveryBuf: Sized + Send {
     /// Return the pair to the arena for the next run.
     fn put(arena: &mut DeliveryArena, bufs: [Self; 2]);
 
-    /// The full slot slice.
-    fn slots(&self) -> &[Self::Slot];
-
-    /// The full slot slice, mutably.
-    fn slots_mut(&mut self) -> &mut [Self::Slot];
+    /// The whole buffer, exclusively.
+    fn parts(&mut self) -> BufMut<'_, Self::Slot>;
 
     /// Slot range owned by a worker stepping nodes `lo..hi`.
     fn slot_range(n: usize, lo: usize, hi: usize) -> Range<usize>;
 
-    /// Clear sender row `row` (relative to `slots`) in place, retaining
+    /// Sender-bitmap word range owned by a worker stepping nodes `lo..hi`
+    /// (empty for a backend without bitmaps).
+    fn word_range(n: usize, lo: usize, hi: usize) -> Range<usize>;
+
+    /// Clear sender row `row` (relative to `rows`) in place, retaining
     /// capacity.
-    fn clear_row(slots: &mut [Self::Slot], n: usize, row: usize);
+    fn clear_row(rows: &mut RowsMut<'_, Self::Slot>, n: usize, row: usize);
 
     /// Finish sender row `row` after its node stepped (the sparse backend
     /// sorts override entries here so later reads can binary-search).
-    fn seal_row(slots: &mut [Self::Slot], n: usize, row: usize);
+    fn seal_row(rows: &mut RowsMut<'_, Self::Slot>, n: usize, row: usize);
 
     /// Outbox over sender row `row` (relative) for node `me` (absolute).
-    fn outbox<'a>(slots: &'a mut [Self::Slot], n: usize, row: usize, me: usize) -> Outbox<'a>;
+    fn outbox<'a>(
+        rows: &'a mut RowsMut<'_, Self::Slot>,
+        n: usize,
+        row: usize,
+        me: usize,
+    ) -> Outbox<'a>;
 
     /// Inbox for node `me` over a full previous-round buffer.
-    fn inbox<'a>(slots: &'a [Self::Slot], n: usize, me: usize) -> Inbox<'a>;
+    fn inbox<'a>(buf: BufRef<'a, Self::Slot>, n: usize, me: usize) -> Inbox<'a>;
 
     /// Iterate the non-empty messages of sealed sender row `row` (relative)
     /// for node `me` (absolute), as `(recipient, payload)` with recipients
     /// ascending — the order the validation passes and accounting rely on.
-    fn row_iter<'a>(slots: &'a [Self::Slot], n: usize, row: usize, me: usize) -> RowIter<'a>;
+    fn row_iter<'a>(
+        rows: &'a RowsMut<'_, Self::Slot>,
+        n: usize,
+        row: usize,
+        me: usize,
+    ) -> RowIter<'a>;
+
+    /// Index the receivers of a buffer whose senders just finished writing
+    /// it (the dense backend rebuilds its receiver bitmap from the sender
+    /// bits, in O(n + messages); the sparse backend keeps no index).
+    fn index_receivers(buf: &mut BufMut<'_, Self::Slot>, n: usize);
 
     /// Read-only whole-buffer view for bookkeeping (transcripts, crash
     /// charging, undelivered scans).
-    fn view<'a>(slots: &'a [Self::Slot], n: usize) -> BufView<'a>;
+    fn view<'a>(buf: BufRef<'a, Self::Slot>, n: usize) -> BufView<'a>;
 
     /// Mutable whole-buffer view for the adversary hooks.
-    fn view_mut<'a>(slots: &'a mut [Self::Slot], n: usize) -> BufViewMut<'a>;
+    fn view_mut<'a>(buf: BufMut<'a, Self::Slot>, n: usize) -> BufViewMut<'a>;
 }
 
 /// The dense backend: a flat sender-major `n × n` matrix of message slots,
-/// `slots[v*n + u]` = payload `v → u`.
+/// `slots[v*n + u]` = payload `v → u`, with its two bitmaps (see the
+/// module docs). Row `v` of either bitmap is words
+/// `v·⌈n/64⌉..(v+1)·⌈n/64⌉`.
 #[derive(Debug)]
 pub(crate) struct DenseBuf {
     n: usize,
     slots: Vec<BitString>,
+    /// Sender-major: bit `u` of row `v` is set once `v` wrote slot `v → u`
+    /// since its row was last cleared.
+    sent: Vec<u64>,
+    /// Receiver-major: bit `v` of row `u` is bit `u` of sender row `v`, as
+    /// of the last [`DeliveryBuf::index_receivers`].
+    recv: Vec<u64>,
 }
 
 impl DenseBuf {
@@ -179,6 +273,8 @@ impl DenseBuf {
         Self {
             n,
             slots: vec![BitString::new(); n * n],
+            sent: vec![0; n * row_words(n)],
+            recv: vec![0; n * row_words(n)],
         }
     }
 }
@@ -193,6 +289,8 @@ impl DeliveryBuf for DenseBuf {
                     for m in &mut b.slots {
                         m.clear();
                     }
+                    b.sent.fill(0);
+                    b.recv.fill(0);
                 }
                 bufs
             }
@@ -204,47 +302,92 @@ impl DeliveryBuf for DenseBuf {
         arena.dense = Some(bufs);
     }
 
-    fn slots(&self) -> &[BitString] {
-        &self.slots
-    }
-
-    fn slots_mut(&mut self) -> &mut [BitString] {
-        &mut self.slots
+    fn parts(&mut self) -> BufMut<'_, BitString> {
+        BufMut {
+            slots: &mut self.slots,
+            sent: &mut self.sent,
+            recv: &mut self.recv,
+        }
     }
 
     fn slot_range(n: usize, lo: usize, hi: usize) -> Range<usize> {
         lo * n..hi * n
     }
 
-    fn clear_row(slots: &mut [BitString], n: usize, row: usize) {
-        for m in &mut slots[row * n..(row + 1) * n] {
-            m.clear();
+    fn word_range(n: usize, lo: usize, hi: usize) -> Range<usize> {
+        lo * row_words(n)..hi * row_words(n)
+    }
+
+    fn clear_row(rows: &mut RowsMut<'_, BitString>, n: usize, row: usize) {
+        let w = row_words(n);
+        let bits = &mut rows.sent[row * w..(row + 1) * w];
+        let slots = &mut rows.slots[row * n..(row + 1) * n];
+        for u in Nodes::marked(bits) {
+            slots[u].clear();
         }
+        bits.fill(0);
     }
 
-    fn seal_row(_slots: &mut [BitString], _n: usize, _row: usize) {}
+    fn seal_row(_rows: &mut RowsMut<'_, BitString>, _n: usize, _row: usize) {}
 
-    fn outbox<'a>(slots: &'a mut [BitString], n: usize, row: usize, me: usize) -> Outbox<'a> {
-        Outbox::new(&mut slots[row * n..(row + 1) * n], me)
+    fn outbox<'a>(
+        rows: &'a mut RowsMut<'_, BitString>,
+        n: usize,
+        row: usize,
+        me: usize,
+    ) -> Outbox<'a> {
+        let w = row_words(n);
+        Outbox::dense(
+            &mut rows.slots[row * n..(row + 1) * n],
+            &mut rows.sent[row * w..(row + 1) * w],
+            me,
+        )
     }
 
-    fn inbox<'a>(slots: &'a [BitString], n: usize, me: usize) -> Inbox<'a> {
-        Inbox::transposed(slots, n, me)
+    fn inbox<'a>(buf: BufRef<'a, BitString>, n: usize, me: usize) -> Inbox<'a> {
+        let w = row_words(n);
+        Inbox::dense(buf.slots, &buf.recv[me * w..(me + 1) * w], n, me)
     }
 
-    fn row_iter<'a>(slots: &'a [BitString], n: usize, row: usize, _me: usize) -> RowIter<'a> {
+    fn row_iter<'a>(
+        rows: &'a RowsMut<'_, BitString>,
+        n: usize,
+        row: usize,
+        _me: usize,
+    ) -> RowIter<'a> {
+        let w = row_words(n);
         RowIter::Dense {
-            row: &slots[row * n..(row + 1) * n],
-            u: 0,
+            row: &rows.slots[row * n..(row + 1) * n],
+            bits: Nodes::marked(&rows.sent[row * w..(row + 1) * w]),
         }
     }
 
-    fn view<'a>(slots: &'a [BitString], n: usize) -> BufView<'a> {
-        BufView::Dense { slots, n }
+    fn index_receivers(buf: &mut BufMut<'_, BitString>, n: usize) {
+        let w = row_words(n);
+        buf.recv.fill(0);
+        for v in 0..n {
+            let bit = 1u64 << (v % 64);
+            for u in Nodes::marked(&buf.sent[v * w..(v + 1) * w]) {
+                buf.recv[u * w + v / 64] |= bit;
+            }
+        }
     }
 
-    fn view_mut<'a>(slots: &'a mut [BitString], n: usize) -> BufViewMut<'a> {
-        BufViewMut::Dense { slots, n }
+    fn view<'a>(buf: BufRef<'a, BitString>, n: usize) -> BufView<'a> {
+        BufView::Dense {
+            slots: buf.slots,
+            n,
+            sent: buf.sent,
+            recv: buf.recv,
+        }
+    }
+
+    fn view_mut<'a>(buf: BufMut<'a, BitString>, n: usize) -> BufViewMut<'a> {
+        BufViewMut::Dense {
+            slots: buf.slots,
+            n,
+            sent: buf.sent,
+        }
     }
 }
 
@@ -285,58 +428,60 @@ impl DeliveryBuf for SparseBuf {
         arena.sparse = Some(bufs);
     }
 
-    fn slots(&self) -> &[SparseRow] {
-        &self.rows
-    }
-
-    fn slots_mut(&mut self) -> &mut [SparseRow] {
-        &mut self.rows
+    fn parts(&mut self) -> BufMut<'_, SparseRow> {
+        BufMut {
+            slots: &mut self.rows,
+            sent: &mut [],
+            recv: &mut [],
+        }
     }
 
     fn slot_range(_n: usize, lo: usize, hi: usize) -> Range<usize> {
         lo..hi
     }
 
-    fn clear_row(slots: &mut [SparseRow], _n: usize, row: usize) {
-        slots[row].clear();
+    fn word_range(_n: usize, _lo: usize, _hi: usize) -> Range<usize> {
+        0..0
     }
 
-    fn seal_row(slots: &mut [SparseRow], _n: usize, row: usize) {
-        slots[row].seal();
+    fn clear_row(rows: &mut RowsMut<'_, SparseRow>, _n: usize, row: usize) {
+        rows.slots[row].clear();
     }
 
-    fn outbox<'a>(slots: &'a mut [SparseRow], n: usize, row: usize, me: usize) -> Outbox<'a> {
-        Outbox::sparse(&mut slots[row], n, me)
+    fn seal_row(rows: &mut RowsMut<'_, SparseRow>, _n: usize, row: usize) {
+        rows.slots[row].seal();
     }
 
-    fn inbox<'a>(slots: &'a [SparseRow], n: usize, me: usize) -> Inbox<'a> {
-        Inbox::sparse(slots, n, me)
+    fn outbox<'a>(
+        rows: &'a mut RowsMut<'_, SparseRow>,
+        n: usize,
+        row: usize,
+        me: usize,
+    ) -> Outbox<'a> {
+        Outbox::sparse(&mut rows.slots[row], n, me)
     }
 
-    fn row_iter<'a>(slots: &'a [SparseRow], n: usize, row: usize, me: usize) -> RowIter<'a> {
-        let r = &slots[row];
-        if r.bcast.is_empty() {
-            RowIter::SparseEntries {
-                entries: r.entries(),
-                i: 0,
-            }
-        } else {
-            RowIter::SparseBcast {
-                row: r,
-                n,
-                me,
-                u: 0,
-                e: 0,
-            }
-        }
+    fn inbox<'a>(buf: BufRef<'a, SparseRow>, n: usize, me: usize) -> Inbox<'a> {
+        Inbox::sparse(buf.slots, n, me)
     }
 
-    fn view<'a>(slots: &'a [SparseRow], _n: usize) -> BufView<'a> {
-        BufView::Sparse { rows: slots }
+    fn row_iter<'a>(
+        rows: &'a RowsMut<'_, SparseRow>,
+        n: usize,
+        row: usize,
+        me: usize,
+    ) -> RowIter<'a> {
+        rows.slots[row].messages(n, me)
     }
 
-    fn view_mut<'a>(slots: &'a mut [SparseRow], n: usize) -> BufViewMut<'a> {
-        BufViewMut::Sparse { rows: slots, n }
+    fn index_receivers(_buf: &mut BufMut<'_, SparseRow>, _n: usize) {}
+
+    fn view<'a>(buf: BufRef<'a, SparseRow>, _n: usize) -> BufView<'a> {
+        BufView::Sparse { rows: buf.slots }
+    }
+
+    fn view_mut<'a>(buf: BufMut<'a, SparseRow>, n: usize) -> BufViewMut<'a> {
+        BufViewMut::Sparse { rows: buf.slots, n }
     }
 }
 
@@ -364,20 +509,23 @@ impl SparseRow {
         self.live = 0;
     }
 
-    /// Record a unicast (last write to a recipient wins, like a dense slot).
-    pub(crate) fn send(&mut self, to: u32, msg: BitString) {
-        for e in &mut self.slots[..self.live] {
-            if e.0 == to {
-                e.1 = msg;
-                return;
+    /// The override payload for `to`, creating the entry if this round has
+    /// none yet (the last write to a recipient wins, like a dense slot). A
+    /// new entry reuses a spare entry's payload allocation, stale content
+    /// included: callers overwrite it.
+    pub(crate) fn entry(&mut self, to: u32) -> &mut BitString {
+        let i = match self.slots[..self.live].iter().position(|e| e.0 == to) {
+            Some(i) => i,
+            None => {
+                if self.live == self.slots.len() {
+                    self.slots.push((to, BitString::new()));
+                }
+                self.slots[self.live].0 = to;
+                self.live += 1;
+                self.live - 1
             }
-        }
-        if self.live < self.slots.len() {
-            self.slots[self.live] = (to, msg);
-        } else {
-            self.slots.push((to, msg));
-        }
-        self.live += 1;
+        };
+        &mut self.slots[i].1
     }
 
     /// Record a broadcast: one shared payload, all previous overrides
@@ -404,6 +552,25 @@ impl SparseRow {
     /// The live (sealed) override entries.
     fn entries(&self) -> &[(u32, BitString)] {
         &self.slots[..self.live]
+    }
+
+    /// This sealed row's non-empty messages for sender `me`, recipients
+    /// ascending.
+    fn messages(&self, n: usize, me: usize) -> RowIter<'_> {
+        if self.bcast.is_empty() {
+            RowIter::SparseEntries {
+                entries: self.entries(),
+                i: 0,
+            }
+        } else {
+            RowIter::SparseBcast {
+                row: self,
+                n,
+                me,
+                u: 0,
+                e: 0,
+            }
+        }
     }
 
     /// Visit every non-empty message of this sealed row in ascending
@@ -482,12 +649,13 @@ impl SparseRow {
 /// sealed sender row, recipients ascending. A concrete enum (rather than
 /// `impl Iterator` per backend) so [`DeliveryBuf`] stays object-simple.
 pub(crate) enum RowIter<'a> {
-    /// Dense row slice; empty slots (including the diagonal) are skipped.
+    /// Dense row slice, walked along its sender bits; empty slots are
+    /// skipped.
     Dense {
         /// The sender's `n` slots.
         row: &'a [BitString],
-        /// Next recipient to inspect.
-        u: usize,
+        /// The recipients still to inspect.
+        bits: Nodes<'a>,
     },
     /// Sparse row with no broadcast payload: walk the sorted entries.
     SparseEntries {
@@ -517,16 +685,9 @@ impl<'a> Iterator for RowIter<'a> {
 
     fn next(&mut self) -> Option<(usize, &'a BitString)> {
         match self {
-            RowIter::Dense { row, u } => {
+            RowIter::Dense { row, bits } => {
                 let row: &'a [BitString] = row;
-                while *u < row.len() {
-                    let i = *u;
-                    *u += 1;
-                    if !row[i].is_empty() {
-                        return Some((i, &row[i]));
-                    }
-                }
-                None
+                bits.map(|u| (u, &row[u])).find(|(_, m)| !m.is_empty())
             }
             RowIter::SparseEntries { entries, i } => {
                 let entries: &'a [(u32, BitString)] = entries;
@@ -566,9 +727,81 @@ impl<'a> Iterator for RowIter<'a> {
     }
 }
 
+/// Node indices, ascending: the set bits of a bitmap row (a dense walk,
+/// a 64-bit word at a time), or every node but one (a scan). One iterator
+/// for both, so a view picks its walk once and the compiler can hoist the
+/// choice out of the caller's loop.
+#[derive(Clone, Debug)]
+pub(crate) struct Nodes<'a> {
+    /// The bitmap row; `None` scans every node of `0..n` but `skip`.
+    bits: Option<&'a [u64]>,
+    n: usize,
+    skip: usize,
+    /// Scan: the next node. Walk: the bit index of bit 0 of `word`.
+    base: usize,
+    /// Walk: index of the next word to load.
+    next: usize,
+    /// Walk: the current word, minus the nodes already yielded.
+    word: u64,
+}
+
+impl<'a> Nodes<'a> {
+    /// The set bits of bitmap row `bits`.
+    pub(crate) fn marked(bits: &'a [u64]) -> Self {
+        Self {
+            bits: Some(bits),
+            n: 0,
+            skip: 0,
+            base: 0,
+            next: 0,
+            word: 0,
+        }
+    }
+
+    /// Every node of `0..n` but `skip`.
+    pub(crate) fn all_but(n: usize, skip: usize) -> Self {
+        Self {
+            bits: None,
+            n,
+            skip,
+            base: 0,
+            next: 0,
+            word: 0,
+        }
+    }
+}
+
+impl Iterator for Nodes<'_> {
+    type Item = usize;
+
+    #[inline]
+    fn next(&mut self) -> Option<usize> {
+        let Some(bits) = self.bits else {
+            let mut u = self.base;
+            if u == self.skip {
+                u += 1;
+            }
+            if u >= self.n {
+                return None;
+            }
+            self.base = u + 1;
+            return Some(u);
+        };
+        while self.word == 0 {
+            self.word = *bits.get(self.next)?;
+            self.base = 64 * self.next;
+            self.next += 1;
+        }
+        let bit = self.word.trailing_zeros() as usize;
+        self.word &= self.word - 1;
+        Some(self.base + bit)
+    }
+}
+
 /// Read-only view of one whole delivery buffer, backend-erased. Used by the
 /// bookkeeping paths (crash charging, undelivered scans, transcripts) so
 /// they stay a single implementation across backends.
+#[derive(Clone, Copy)]
 pub(crate) enum BufView<'a> {
     /// Dense sender-major matrix.
     Dense {
@@ -576,6 +809,10 @@ pub(crate) enum BufView<'a> {
         slots: &'a [BitString],
         /// Number of nodes.
         n: usize,
+        /// Sender-major bitmap.
+        sent: &'a [u64],
+        /// Receiver-major bitmap.
+        recv: &'a [u64],
     },
     /// Sparse per-sender rows.
     Sparse {
@@ -585,26 +822,10 @@ pub(crate) enum BufView<'a> {
 }
 
 impl<'a> BufView<'a> {
-    /// A view over a dense sender-major matrix, for in-crate tests that
-    /// drive the adversary hooks directly.
-    #[cfg(test)]
-    pub(crate) fn dense(slots: &'a [BitString], n: usize) -> Self {
-        debug_assert_eq!(slots.len(), n * n);
-        BufView::Dense { slots, n }
-    }
-
-    /// Number of nodes.
-    pub(crate) fn n(&self) -> usize {
-        match self {
-            BufView::Dense { n, .. } => *n,
-            BufView::Sparse { rows } => rows.len(),
-        }
-    }
-
     /// The message `v → u` (empty if none; the diagonal is always empty).
     pub(crate) fn get(&self, v: usize, u: usize) -> &'a BitString {
         match self {
-            BufView::Dense { slots, n } => {
+            BufView::Dense { slots, n, .. } => {
                 let slots: &'a [BitString] = slots;
                 &slots[v * *n + u]
             }
@@ -618,6 +839,57 @@ impl<'a> BufView<'a> {
             }
         }
     }
+
+    /// Sender `v`'s non-empty messages as `(recipient, payload)`,
+    /// recipients ascending.
+    pub(crate) fn row(&self, v: usize) -> RowIter<'a> {
+        match *self {
+            BufView::Dense { slots, n, sent, .. } => {
+                let w = row_words(n);
+                RowIter::Dense {
+                    row: &slots[v * n..(v + 1) * n],
+                    bits: Nodes::marked(&sent[v * w..(v + 1) * w]),
+                }
+            }
+            BufView::Sparse { rows } => rows[v].messages(rows.len(), v),
+        }
+    }
+
+    /// The non-empty messages to `u` as `(sender, payload)`, senders
+    /// ascending.
+    pub(crate) fn column(&self, u: usize) -> impl Iterator<Item = (usize, &'a BitString)> + 'a {
+        let senders = match *self {
+            BufView::Dense { n, recv, .. } => {
+                let w = row_words(n);
+                Nodes::marked(&recv[u * w..(u + 1) * w])
+            }
+            BufView::Sparse { rows } => Nodes::all_but(rows.len(), u),
+        };
+        let view = *self;
+        senders
+            .map(move |v| (v, view.get(v, u)))
+            .filter(|(_, m)| !m.is_empty())
+    }
+
+    /// Whether the dense bitmaps cover every message: each non-empty slot
+    /// has its sender bit and its receiver bit set. A full O(n²) scan, for
+    /// debug assertions; trivially true for the sparse backend.
+    pub(crate) fn bits_cover_messages(&self) -> bool {
+        let BufView::Dense {
+            slots,
+            n,
+            sent,
+            recv,
+        } = *self
+        else {
+            return true;
+        };
+        let w = row_words(n);
+        let bit = |map: &[u64], row: usize, i: usize| map[row * w + i / 64] >> (i % 64) & 1 == 1;
+        (0..n).all(|v| {
+            (0..n).all(|u| slots[v * n + u].is_empty() || (bit(sent, v, u) && bit(recv, u, v)))
+        })
+    }
 }
 
 /// Mutable view of one whole delivery buffer, backend-erased. The adversary
@@ -630,6 +902,9 @@ pub(crate) enum BufViewMut<'a> {
         slots: &'a mut [BitString],
         /// Number of nodes.
         n: usize,
+        /// Sender-major bitmap; the hooks only empty or rewrite non-empty
+        /// slots, so it stays a cover without being written.
+        sent: &'a [u64],
     },
     /// Sparse per-sender rows.
     Sparse {
@@ -640,15 +915,7 @@ pub(crate) enum BufViewMut<'a> {
     },
 }
 
-impl<'a> BufViewMut<'a> {
-    /// A mutable view over a dense sender-major matrix, for in-crate tests
-    /// that drive the adversary hooks directly.
-    #[cfg(test)]
-    pub(crate) fn dense(slots: &'a mut [BitString], n: usize) -> Self {
-        debug_assert_eq!(slots.len(), n * n);
-        BufViewMut::Dense { slots, n }
-    }
-
+impl BufViewMut<'_> {
     /// Number of nodes.
     pub(crate) fn n(&self) -> usize {
         match self {
@@ -660,19 +927,7 @@ impl<'a> BufViewMut<'a> {
     /// mutably — the adversary sweep order both backends share.
     pub(crate) fn for_each_msg_mut(&mut self, v: usize, f: impl FnMut(usize, &mut BitString)) {
         match self {
-            BufViewMut::Dense { slots, n } => {
-                let n = *n;
-                let mut f = f;
-                for u in 0..n {
-                    if u == v {
-                        continue;
-                    }
-                    let m = &mut slots[v * n + u];
-                    if !m.is_empty() {
-                        f(u, m);
-                    }
-                }
-            }
+            BufViewMut::Dense { slots, n, sent } => dense_row_mut(slots, *n, sent, v, f),
             BufViewMut::Sparse { rows, n } => rows[v].for_each_msg_mut(v, *n, f),
         }
     }
@@ -683,22 +938,80 @@ impl<'a> BufViewMut<'a> {
     /// per-payload rewrites that must treat every copy identically —
     /// equal payloads stay equal, so dense and sparse remain
     /// bit-identical while the sparse backend keeps its sharing.
-    pub(crate) fn for_each_payload_mut(&mut self, v: usize, f: impl FnMut(usize, &mut BitString)) {
+    pub(crate) fn for_each_payload_mut(
+        &mut self,
+        v: usize,
+        mut f: impl FnMut(usize, &mut BitString),
+    ) {
         match self {
-            BufViewMut::Dense { slots, n } => {
-                let n = *n;
-                let mut f = f;
-                for u in 0..n {
-                    if u == v {
-                        continue;
-                    }
-                    let m = &mut slots[v * n + u];
-                    if !m.is_empty() {
-                        f(1, m);
-                    }
-                }
+            BufViewMut::Dense { slots, n, sent } => {
+                dense_row_mut(slots, *n, sent, v, |_, m| f(1, m));
             }
             BufViewMut::Sparse { rows, n } => rows[v].for_each_payload_mut(*n, f),
+        }
+    }
+}
+
+/// Visit dense sender row `v`'s non-empty slots along its sender bits,
+/// recipients ascending.
+fn dense_row_mut(
+    slots: &mut [BitString],
+    n: usize,
+    sent: &[u64],
+    v: usize,
+    mut f: impl FnMut(usize, &mut BitString),
+) {
+    let w = row_words(n);
+    for u in Nodes::marked(&sent[v * w..(v + 1) * w]) {
+        let m = &mut slots[v * n + u];
+        if !m.is_empty() {
+            f(u, m);
+        }
+    }
+}
+
+/// The two bitmaps of a raw sender-major matrix, covering exactly its
+/// non-empty slots: dense views for in-crate tests that drive the
+/// adversary hooks directly.
+#[cfg(test)]
+pub(crate) struct MatrixBits {
+    n: usize,
+    sent: Vec<u64>,
+    recv: Vec<u64>,
+}
+
+#[cfg(test)]
+impl MatrixBits {
+    pub(crate) fn of(slots: &[BitString], n: usize) -> Self {
+        assert_eq!(slots.len(), n * n);
+        let w = row_words(n);
+        let mut sent = vec![0; n * w];
+        let mut recv = vec![0; n * w];
+        for v in 0..n {
+            for u in 0..n {
+                if !slots[v * n + u].is_empty() {
+                    sent[v * w + u / 64] |= 1 << (u % 64);
+                    recv[u * w + v / 64] |= 1 << (v % 64);
+                }
+            }
+        }
+        Self { n, sent, recv }
+    }
+
+    pub(crate) fn view<'a>(&'a self, slots: &'a [BitString]) -> BufView<'a> {
+        BufView::Dense {
+            slots,
+            n: self.n,
+            sent: &self.sent,
+            recv: &self.recv,
+        }
+    }
+
+    pub(crate) fn view_mut<'a>(&'a self, slots: &'a mut [BitString]) -> BufViewMut<'a> {
+        BufViewMut::Dense {
+            slots,
+            n: self.n,
+            sent: &self.sent,
         }
     }
 }
@@ -714,9 +1027,9 @@ mod tests {
     #[test]
     fn sparse_row_send_overrides_and_seals() {
         let mut r = SparseRow::default();
-        r.send(3, bits(&[true]));
-        r.send(1, bits(&[false, true]));
-        r.send(3, bits(&[true, true])); // last write wins
+        *r.entry(3) = bits(&[true]);
+        *r.entry(1) = bits(&[false, true]);
+        *r.entry(3) = bits(&[true, true]); // last write wins
         r.seal();
         assert_eq!(r.get(1), &bits(&[false, true]));
         assert_eq!(r.get(3), &bits(&[true, true]));
@@ -732,34 +1045,28 @@ mod tests {
     fn sparse_row_broadcast_then_override() {
         let n = 5;
         let mut r = SparseRow::default();
-        r.send(4, bits(&[true, true, true]));
+        *r.entry(4) = bits(&[true, true, true]);
         r.set_broadcast(&bits(&[true, false])); // discards the earlier send
-        r.send(2, bits(&[false])); // override one copy
-        r.send(3, BitString::new()); // empty override = no message to 3
+        *r.entry(2) = bits(&[false]); // override one copy
+        *r.entry(3) = BitString::new(); // empty override = no message to 3
         r.seal();
         assert_eq!(r.get(1), &bits(&[true, false]));
         assert_eq!(r.get(2), &bits(&[false]));
         assert!(r.get(3).is_empty());
         assert_eq!(r.get(4), &bits(&[true, false]), "broadcast override gone");
         // Row iteration merges broadcast and overrides, recipients ascending.
-        let rows = vec![r];
-        let got: Vec<(usize, usize)> = SparseBuf::row_iter(&rows, n, 0, 0)
-            .map(|(u, m)| (u, m.len()))
-            .collect();
+        let got: Vec<(usize, usize)> = r.messages(n, 0).map(|(u, m)| (u, m.len())).collect();
         assert_eq!(got, vec![(1, 2), (2, 1), (4, 2)]);
     }
 
     #[test]
     fn sparse_row_iter_without_broadcast_skips_empties() {
         let mut r = SparseRow::default();
-        r.send(2, bits(&[true]));
-        r.send(0, BitString::new());
-        r.send(4, bits(&[false, false]));
+        *r.entry(2) = bits(&[true]);
+        *r.entry(0) = BitString::new();
+        *r.entry(4) = bits(&[false, false]);
         r.seal();
-        let rows = vec![r];
-        let got: Vec<usize> = SparseBuf::row_iter(&rows, 6, 0, 1)
-            .map(|(u, _)| u)
-            .collect();
+        let got: Vec<usize> = r.messages(6, 1).map(|(u, _)| u).collect();
         assert_eq!(got, vec![2, 4]);
     }
 
@@ -794,19 +1101,25 @@ mod tests {
         dense[2 * n] = bits(&[false, true]);
         // Sparse mirror.
         let mut rows: Vec<SparseRow> = (0..n).map(|_| SparseRow::default()).collect();
-        rows[0].send(1, bits(&[true]));
-        rows[2].send(0, bits(&[false, true]));
+        *rows[0].entry(1) = bits(&[true]);
+        *rows[2].entry(0) = bits(&[false, true]);
         for r in &mut rows {
             r.seal();
         }
-        let dv = BufView::dense(&dense, n);
-        let sv = SparseBuf::view(&rows, n);
-        assert_eq!(dv.n(), sv.n());
+        let index = MatrixBits::of(&dense, n);
+        let dv = index.view(&dense);
+        let sv = BufView::Sparse { rows: &rows };
         for v in 0..n {
             for u in 0..n {
                 assert_eq!(dv.get(v, u), sv.get(v, u), "({v},{u})");
             }
+            assert_eq!(dv.row(v).collect::<Vec<_>>(), sv.row(v).collect::<Vec<_>>());
+            assert_eq!(
+                dv.column(v).collect::<Vec<_>>(),
+                sv.column(v).collect::<Vec<_>>()
+            );
         }
+        assert!(dv.bits_cover_messages());
     }
 
     #[test]

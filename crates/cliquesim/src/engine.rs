@@ -22,13 +22,15 @@
 //! address-keyed adversary coins) makes runs pool-shape independent.
 //!
 //! Message delivery is **double-buffered** behind a pluggable backend (see
-//! [`DeliveryMode`]): the dense backend keeps a sender-major `n × n` matrix,
-//! the sparse backend a per-sender edge list with a shared broadcast
-//! payload. Either way nodes write sends into one buffer while reading the
-//! previous round's through a receiver-oriented inbox view, so delivery is
-//! a buffer swap (no O(n²) transpose, and steady-state rounds allocate
-//! nothing — slots are cleared in place, retaining capacity, and persist
-//! across runs via [`DeliveryArena`]).
+//! [`DeliveryMode`]): the dense backend keeps a sender-major `n × n` matrix
+//! with a sender and a receiver bitmap, the sparse backend a per-sender
+//! edge list with a shared broadcast payload. Either way nodes write sends
+//! into one buffer while reading the previous round's through a
+//! receiver-oriented inbox view, so delivery is a buffer swap (no O(n²)
+//! transpose; slots are cleared in place, retaining capacity, and persist
+//! across runs via [`DeliveryArena`]). On the dense backend every row and
+//! column walk follows the bitmaps, so a round costs O(n + messages), not
+//! O(n²).
 //!
 //! Inline and pooled execution produce bit-identical outputs, transcripts,
 //! and [`RunStats`] (wall-clock timing excluded).
@@ -44,7 +46,8 @@ use crate::auth::{AuthKeyring, AuthLedger};
 use crate::bits::BitString;
 use crate::byzantine::{ByzantinePlan, ByzantineReport};
 use crate::delivery::{
-    BufView, BufViewMut, DeliveryArena, DeliveryBuf, DeliveryMode, DenseBuf, SparseBuf,
+    BufMut, BufRef, BufView, BufViewMut, DeliveryArena, DeliveryBuf, DeliveryMode, DenseBuf,
+    RowsMut, SparseBuf,
 };
 use crate::fault::{FaultEvent, FaultPlan, FaultReport};
 use crate::node::{Inbox, NodeCtx, NodeId, NodeProgram, Outbox, Status};
@@ -795,7 +798,7 @@ impl Engine {
                 // over its missed window and steps again from this round on.
                 let start = Instant::now();
                 let (_, read) = parity(state.bufs, round);
-                let inbound = B::view(read, n);
+                let inbound = B::view(read.as_ref(), n);
                 let report = &mut wire.fault_report;
                 plan.apply_crashes(wire.offset + round, state.halted, &inbound, report);
                 book.process_churn(
@@ -819,12 +822,12 @@ impl Engine {
             let step_end = Instant::now();
 
             let state = phase.state();
-            let (write, read) = parity(state.bufs, round);
-            let verdict = book.close_round(
+            let (mut write, read) = parity(state.bufs, round);
+            let verdict = book.close_round::<B>(
                 round,
                 acc,
-                &B::view(write, n),
-                &B::view(read, n),
+                &mut write,
+                read.as_ref(),
                 state.halted,
                 &active,
                 step_start,
@@ -843,7 +846,11 @@ impl Engine {
                 }
             }
             let start = Instant::now();
-            wire.apply(round, &mut B::view_mut(write, n), &B::view(read, n));
+            wire.apply(
+                round,
+                &mut B::view_mut(write, n),
+                &B::view(read.as_ref(), n),
+            );
             book.stats.timing.passes_ns += nanos(start, Instant::now());
 
             if let Some((start, limit)) = watchdog {
@@ -916,7 +923,7 @@ struct RunState<'a, P: NodeProgram, S> {
     programs: &'a mut [P],
     halted: &'a mut [bool],
     outputs: &'a mut [Option<P::Output>],
-    bufs: [&'a mut [S]; 2],
+    bufs: [BufMut<'a, S>; 2],
 }
 
 /// Round `round`'s `(write, read)` halves of a double buffer: nodes write
@@ -968,13 +975,13 @@ impl StepRules<'_> {
         programs: &mut [P],
         halted: &mut [bool],
         outputs: &mut [Option<P::Output>],
-        read: &[B::Slot],
-        write: &mut [B::Slot],
+        read: BufRef<'_, B::Slot>,
+        mut write: RowsMut<'_, B::Slot>,
     ) -> Result<ChunkAcc, SimError> {
         let n = self.ctxs.len();
         let mut acc = ChunkAcc::default();
         for (row, v) in nodes.enumerate() {
-            B::clear_row(write, n, row);
+            B::clear_row(&mut write, n, row);
             if halted[row] {
                 continue;
             }
@@ -983,7 +990,7 @@ impl StepRules<'_> {
                 &self.ctxs[v],
                 round,
                 read,
-                write,
+                &mut write,
                 row,
                 &mut halted[row],
                 &mut outputs[row],
@@ -994,17 +1001,17 @@ impl StepRules<'_> {
     }
 
     /// Step a single node and validate its outbox against the model.
-    /// `read` is the full slot slice written last round (the node reads it
+    /// `read` is the full buffer written last round (the node reads it
     /// through a receiver-oriented inbox view); `write` is the caller's
-    /// slot slice, with `row` the node's row index *relative to* it.
+    /// rows, with `row` the node's row index *relative to* them.
     #[allow(clippy::too_many_arguments)]
     fn step_one<P: NodeProgram, B: DeliveryBuf>(
         &self,
         prog: &mut P,
         ctx: &NodeCtx,
         round: usize,
-        read: &[B::Slot],
-        write: &mut [B::Slot],
+        read: BufRef<'_, B::Slot>,
+        write: &mut RowsMut<'_, B::Slot>,
         row: usize,
         halted: &mut bool,
         output: &mut Option<P::Output>,
@@ -1101,15 +1108,15 @@ struct Inline<'a, P: NodeProgram, B> {
 impl<P: NodeProgram, B: DeliveryBuf> StepPhase<P, B> for Inline<'_, P, B> {
     fn step(&mut self, round: usize) -> Result<ChunkAcc, SimError> {
         let [a, b] = &mut *self.bufs;
-        let (write, read) = parity([a, b], round);
+        let (mut write, read) = parity([a.parts(), b.parts()], round);
         self.rules.step_range::<P, B>(
             round,
             0..self.programs.len(),
             self.programs,
             self.halted,
             self.outputs,
-            read.slots(),
-            write.slots_mut(),
+            read.as_ref(),
+            write.rows(),
         )
     }
 
@@ -1119,7 +1126,7 @@ impl<P: NodeProgram, B: DeliveryBuf> StepPhase<P, B> for Inline<'_, P, B> {
             programs: &mut *self.programs,
             halted: &mut *self.halted,
             outputs: &mut *self.outputs,
-            bufs: [a.slots_mut(), b.slots_mut()],
+            bufs: [a.parts(), b.parts()],
         }
     }
 }
@@ -1151,9 +1158,11 @@ mod pool {
     /// - `step` publishes the round and passes the round-start barrier. Until
     ///   the round-end barrier each worker touches only its own node range of
     ///   programs, halt flags and outputs, plus the matching sender rows of the
-    ///   write buffer; the read buffer is written by no one. Each worker
-    ///   publishes its chunk's result in its own slot, then waits at the
-    ///   round-end barrier, after which `step` collects the results.
+    ///   write buffer: their slots and their sender-bitmap words, whole words
+    ///   per row, so no two workers share one. No one touches the write
+    ///   buffer's receiver bitmap, and no one writes the read buffer. Each
+    ///   worker publishes its chunk's result in its own slot, then waits at
+    ///   the round-end barrier, after which `step` collects the results.
     /// - `Drop` sets the stop flag and passes the round-start barrier once
     ///   more, so the workers exit and the scope can join them — on every
     ///   return path, and while unwinding.
@@ -1162,7 +1171,33 @@ mod pool {
         programs: &'a [SyncCell<P>],
         halted: &'a [SyncCell<bool>],
         outputs: &'a [SyncCell<Option<P::Output>>],
-        bufs: [&'a [SyncCell<B::Slot>]; 2],
+        bufs: [Shared<'a, B::Slot>; 2],
+    }
+
+    /// One delivery buffer shared with the workers: a [`BufMut`]'s three
+    /// slices, as cells.
+    struct Shared<'a, S> {
+        slots: &'a [SyncCell<S>],
+        sent: &'a [SyncCell<u64>],
+        recv: &'a [SyncCell<u64>],
+    }
+
+    impl<S> Clone for Shared<'_, S> {
+        fn clone(&self) -> Self {
+            *self
+        }
+    }
+
+    impl<S> Copy for Shared<'_, S> {}
+
+    impl<'a, S> Shared<'a, S> {
+        fn new(buf: BufMut<'a, S>) -> Self {
+            Self {
+                slots: SyncCell::share(buf.slots),
+                sent: SyncCell::share(buf.sent),
+                recv: SyncCell::share(buf.recv),
+            }
+        }
     }
 
     /// Round-synchronisation state shared between the calling thread and the
@@ -1214,10 +1249,7 @@ mod pool {
             let programs = SyncCell::share(programs);
             let halted = SyncCell::share(halted);
             let outputs = SyncCell::share(outputs);
-            let bufs = [
-                SyncCell::share(a.slots_mut()),
-                SyncCell::share(b.slots_mut()),
-            ];
+            let bufs = [Shared::new(a.parts()), Shared::new(b.parts())];
             for w in 0..workers {
                 let ctrl = Arc::clone(&ctrl);
                 let (lo, hi) = (w * chunk, n.min((w + 1) * chunk));
@@ -1231,15 +1263,27 @@ mod pool {
                     let caught = catch_unwind(AssertUnwindSafe(|| {
                         // SAFETY (barrier protocol, see `Pool`): between the
                         // round-start and round-end barriers this worker alone
-                        // touches nodes lo..hi and their sender rows of the
-                        // write buffer, and no one writes the read buffer.
+                        // touches nodes lo..hi and their sender rows (slots and
+                        // bitmap words) of the write buffer, and no one writes
+                        // the read buffer.
                         let (programs, halted, outputs, write, read) = unsafe {
                             (
                                 SyncCell::exclusive(&programs[lo..hi]),
                                 SyncCell::exclusive(&halted[lo..hi]),
                                 SyncCell::exclusive(&outputs[lo..hi]),
-                                SyncCell::exclusive(&write[B::slot_range(n, lo, hi)]),
-                                SyncCell::shared(read),
+                                RowsMut {
+                                    slots: SyncCell::exclusive(
+                                        &write.slots[B::slot_range(n, lo, hi)],
+                                    ),
+                                    sent: SyncCell::exclusive(
+                                        &write.sent[B::word_range(n, lo, hi)],
+                                    ),
+                                },
+                                BufRef {
+                                    slots: SyncCell::shared(read.slots),
+                                    sent: SyncCell::shared(read.sent),
+                                    recv: SyncCell::shared(read.recv),
+                                },
                             )
                         };
                         rules.step_range::<P, B>(
@@ -1304,10 +1348,11 @@ mod pool {
                     programs: SyncCell::exclusive(self.programs),
                     halted: SyncCell::exclusive(self.halted),
                     outputs: SyncCell::exclusive(self.outputs),
-                    bufs: [
-                        SyncCell::exclusive(self.bufs[0]),
-                        SyncCell::exclusive(self.bufs[1]),
-                    ],
+                    bufs: self.bufs.map(|b| BufMut {
+                        slots: SyncCell::exclusive(b.slots),
+                        sent: SyncCell::exclusive(b.sent),
+                        recv: SyncCell::exclusive(b.recv),
+                    }),
                 }
             }
         }
@@ -1542,13 +1587,9 @@ impl<'a> RoundBook<'a> {
         // round) for every node still awaiting its rejoin.
         for v in 0..n {
             if let Some(p) = churn.pending[v].as_mut() {
-                let mut column = Vec::with_capacity(n);
-                for u in 0..n {
-                    column.push(if u == v {
-                        BitString::new()
-                    } else {
-                        inbound.get(u, v).clone()
-                    });
+                let mut column = vec![BitString::new(); n];
+                for (u, m) in inbound.column(v) {
+                    column[u] = m.clone();
                 }
                 p.window.push(column);
             }
@@ -1573,22 +1614,30 @@ impl<'a> RoundBook<'a> {
         }
     }
 
-    /// Account for one completed step phase: `cur` is the matrix the nodes
-    /// just wrote, `prev` the one they read, `halted` the post-step halt
-    /// flags, `active` the pre-step activity mask.
+    /// Account for one completed step phase: `write` is the buffer the
+    /// nodes just wrote, whose receivers this indexes first, `read` the one
+    /// they read, `halted` the post-step halt flags, `active` the pre-step
+    /// activity mask.
     #[allow(clippy::too_many_arguments)]
-    fn close_round(
+    fn close_round<B: DeliveryBuf>(
         &mut self,
         round: usize,
         acc: ChunkAcc,
-        cur: &BufView<'_>,
-        prev: &BufView<'_>,
+        write: &mut BufMut<'_, B::Slot>,
+        read: BufRef<'_, B::Slot>,
         halted: &[bool],
         active: &[bool],
         step_start: Instant,
         step_end: Instant,
     ) -> Verdict {
         let n = self.n;
+        B::index_receivers(write, n);
+        let cur = B::view(write.as_ref(), n);
+        let prev = B::view(read, n);
+        debug_assert!(
+            cur.bits_cover_messages(),
+            "round {round}: a non-empty dense slot is missing its sender or receiver bit"
+        );
         self.stats.messages += acc.messages;
         self.stats.bits += acc.bits;
         self.stats.max_message_bits = self.stats.max_message_bits.max(acc.max_message_bits);
@@ -1600,7 +1649,7 @@ impl<'a> RoundBook<'a> {
         self.prev_round_bits = acc.bits;
 
         if let Some(ts) = self.transcripts.as_deref_mut() {
-            record_round(ts, active, prev, cur, n);
+            record_round(ts, active, &prev, &cur);
         }
 
         let mut all_halted = true;
@@ -1620,15 +1669,9 @@ impl<'a> RoundBook<'a> {
                 if !*h {
                     continue;
                 }
-                let mut msgs = 0u64;
-                let mut bits = 0u64;
-                for v in 0..n {
-                    let m = cur.get(v, u);
-                    if !m.is_empty() {
-                        msgs += 1;
-                        bits += m.len() as u64;
-                    }
-                }
+                let (msgs, bits) = cur
+                    .column(u)
+                    .fold((0u64, 0u64), |(c, b), (_, m)| (c + 1, b + m.len() as u64));
                 if msgs == 0 {
                     continue;
                 }
@@ -1777,31 +1820,23 @@ fn replay_rejoin<P: NodeProgram>(
 
 /// Append this round's sends and receives to the transcripts of the nodes
 /// that were active when the round started. Both views are sender-major:
-/// this round node `v` received `prev.get(u, v)` from `u` and sent
-/// `cur.get(v, u)` to `u`.
+/// this round node `v` received column `v` of `prev` and sent row `v` of
+/// `cur`.
 fn record_round(
     transcripts: &mut [Transcript],
     active: &[bool],
     prev: &BufView<'_>,
     cur: &BufView<'_>,
-    n: usize,
 ) {
-    for v in 0..n {
+    let entry = |(u, m): (usize, &BitString)| (NodeId::from(u), m.clone());
+    for (v, ts) in transcripts.iter_mut().enumerate() {
         if !active[v] {
             continue;
         }
-        let mut rt = RoundTranscript::default();
-        for u in 0..n {
-            let got = prev.get(u, v);
-            if !got.is_empty() {
-                rt.received.push((NodeId::from(u), got.clone()));
-            }
-            let put = cur.get(v, u);
-            if !put.is_empty() {
-                rt.sent.push((NodeId::from(u), put.clone()));
-            }
-        }
-        transcripts[v].rounds.push(rt);
+        ts.rounds.push(RoundTranscript {
+            received: prev.column(v).map(entry).collect(),
+            sent: cur.row(v).map(entry).collect(),
+        });
     }
 }
 
@@ -2137,6 +2172,171 @@ mod tests {
                     .sum()
             })
             .collect()
+    }
+
+    /// Seeded random sends, `send_with`s, broadcasts and empty overwrites
+    /// each round, halting at `halt_at`. Every step checks the inbox walk
+    /// against a full scan of the inbox, and the output is what the node
+    /// heard and what its row held after each step, by round.
+    struct Scribbler {
+        halt_at: usize,
+        heard: Vec<Vec<(usize, BitString)>>,
+        wrote: Vec<Vec<(usize, BitString)>>,
+    }
+
+    type Scribbled = (Vec<Vec<(usize, BitString)>>, Vec<Vec<(usize, BitString)>>);
+
+    impl NodeProgram for Scribbler {
+        type Output = Scribbled;
+        fn step(
+            &mut self,
+            ctx: &NodeCtx,
+            round: usize,
+            inbox: &Inbox<'_>,
+            ob: &mut Outbox<'_>,
+        ) -> Status<Scribbled> {
+            let (n, me) = (ctx.n, ctx.id.index());
+            let walked: Vec<(usize, BitString)> =
+                inbox.iter().map(|(u, m)| (u.index(), m.clone())).collect();
+            let scanned: Vec<(usize, BitString)> = (0..n)
+                .map(|u| (u, inbox.from(NodeId::from(u)).clone()))
+                .filter(|(_, m)| !m.is_empty())
+                .collect();
+            assert_eq!(walked, scanned, "node {me}, round {round}: inbox walk");
+            self.heard.push(walked);
+            if round == self.halt_at {
+                let out = (
+                    std::mem::take(&mut self.heard),
+                    std::mem::take(&mut self.wrote),
+                );
+                return Status::Halt(out);
+            }
+            let mut state = (me as u64) << 32 | round as u64;
+            let mut coin = |k: u64| {
+                // splitmix64
+                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+                (z ^ (z >> 31)) % k
+            };
+            let mut row = vec![BitString::new(); n];
+            for _ in 0..1 + coin(12) {
+                let to = (me + 1 + coin(n as u64 - 1) as usize) % n;
+                let len = 1 + coin(ctx.bandwidth as u64) as usize;
+                let payload: BitString = (0..len).map(|_| coin(2) == 1).collect();
+                match coin(10) {
+                    0 => {
+                        ob.broadcast(&payload);
+                        for (u, slot) in row.iter_mut().enumerate() {
+                            if u != me {
+                                *slot = payload.clone();
+                            }
+                        }
+                    }
+                    1 => {
+                        ob.send(NodeId::from(to), BitString::new());
+                        row[to] = BitString::new();
+                    }
+                    2 => {
+                        ob.send_with(NodeId::from(to), |_| ());
+                        row[to] = BitString::new();
+                    }
+                    3..=5 => {
+                        ob.send_with(NodeId::from(to), |slot| slot.extend_from(&payload));
+                        row[to] = payload;
+                    }
+                    _ => {
+                        ob.send(NodeId::from(to), payload.clone());
+                        row[to] = payload;
+                    }
+                }
+            }
+            self.wrote.push(
+                row.into_iter()
+                    .enumerate()
+                    .filter(|(_, m)| !m.is_empty())
+                    .collect(),
+            );
+            Status::Continue
+        }
+    }
+
+    #[test]
+    fn dense_walks_visit_exactly_the_nonempty_slots() {
+        // n = 70: two bitmap words per row, so rows straddle a word
+        // boundary and pool chunks at widths 4 and 7 split mid-word.
+        let n = 70;
+        let rounds = 12;
+        let mk = || {
+            (0..n)
+                .map(|v| Scribbler {
+                    // Node 5's row stays cleared from round 3 on, while
+                    // the others keep sending to it.
+                    halt_at: if v == 5 { 3 } else { rounds },
+                    heard: Vec::new(),
+                    wrote: Vec::new(),
+                })
+                .collect::<Vec<_>>()
+        };
+        // Link faults empty some slots (drops) and rewrite others in place.
+        let plan = FaultPlan::new(77).drop_messages(0.3).corrupt_messages(0.2);
+        let run = |mode: DeliveryMode, threads: usize| {
+            Engine::new(n)
+                .with_bandwidth(8)
+                .with_threads_exact(threads)
+                .with_transcripts(true)
+                .with_fault_plan(plan.clone())
+                .with_delivery(mode)
+                .run_faulted(mk())
+                .unwrap()
+        };
+        // The sparse backend keeps no bitmaps: its sweeps and scans are
+        // the full-scan reference.
+        let reference = run(DeliveryMode::Sparse, 1);
+        assert!(reference.stats.dropped_messages > 0, "drops fired");
+        assert!(reference.stats.undelivered_messages > 0, "halted row heard");
+        for threads in [1usize, 4, 7] {
+            let dense = run(DeliveryMode::Dense, threads);
+            assert_eq!(reference.outputs, dense.outputs, "threads={threads}");
+            assert_eq!(reference.stats, dense.stats, "threads={threads}");
+            assert_eq!(reference.faults, dense.faults, "threads={threads}");
+            assert_eq!(
+                reference.transcripts, dense.transcripts,
+                "threads={threads}"
+            );
+            // The row checks count exactly the non-empty slots each row
+            // held, and the transcripts record exactly those, and exactly
+            // what each inbox walk met.
+            let (mut messages, mut bits) = (0u64, 0u64);
+            let transcripts = dense.transcripts.as_ref().map_or(&[][..], |t| &t[..]);
+            for (v, out) in dense.outputs.iter().enumerate() {
+                let Some((heard, wrote)) = out else {
+                    panic!("node {v} did not halt");
+                };
+                assert_eq!(transcripts[v].rounds.len(), heard.len());
+                for (r, rt) in transcripts[v].rounds.iter().enumerate() {
+                    // The halting round writes nothing.
+                    let row = wrote.get(r).map_or(&[][..], |row| &row[..]);
+                    messages += row.len() as u64;
+                    bits += row.iter().map(|(_, m)| m.len() as u64).sum::<u64>();
+                    let sent: Vec<(usize, BitString)> = rt
+                        .sent
+                        .iter()
+                        .map(|(u, m)| (u.index(), m.clone()))
+                        .collect();
+                    assert_eq!(sent, row, "node {v}, round {r}: sent");
+                    let received: Vec<(usize, BitString)> = rt
+                        .received
+                        .iter()
+                        .map(|(u, m)| (u.index(), m.clone()))
+                        .collect();
+                    assert_eq!(received, heard[r], "node {v}, round {r}: received");
+                }
+            }
+            assert_eq!(dense.stats.messages, messages, "threads={threads}");
+            assert_eq!(dense.stats.bits, bits, "threads={threads}");
+        }
     }
 
     #[test]

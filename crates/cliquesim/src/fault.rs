@@ -476,7 +476,6 @@ impl FaultPlan {
         if self.crashes.is_empty() {
             return;
         }
-        let n = inbound.n();
         for (v, h) in halted.iter_mut().enumerate() {
             // Exact-round membership, not the earliest crash round: with
             // rejoins a node can crash, come back, and crash again. A node
@@ -486,18 +485,9 @@ impl FaultPlan {
                 continue;
             }
             *h = true;
-            let mut lost_messages = 0u64;
-            let mut lost_bits = 0u64;
-            for u in 0..n {
-                if u == v {
-                    continue;
-                }
-                let m = inbound.get(u, v);
-                if !m.is_empty() {
-                    lost_messages += 1;
-                    lost_bits += m.len() as u64;
-                }
-            }
+            let (lost_messages, lost_bits) = inbound
+                .column(v)
+                .fold((0u64, 0u64), |(c, b), (_, m)| (c + 1, b + m.len() as u64));
             report.events.push(FaultEvent::Crashed {
                 node: NodeId::from(v),
                 round,
@@ -818,6 +808,7 @@ pub fn sync_overhead(n: usize, plan: &FaultPlan, width: usize) -> SyncOverhead {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delivery::MatrixBits;
 
     #[test]
     fn empty_plan_is_empty_and_labelled() {
@@ -1080,8 +1071,8 @@ mod tests {
         let mut b = mk_matrix();
         let mut ra = FaultReport::default();
         let mut rb = FaultReport::default();
-        plan.apply_link_faults(3, &mut BufViewMut::dense(&mut a, n), &mut ra);
-        plan.apply_link_faults(3, &mut BufViewMut::dense(&mut b, n), &mut rb);
+        plan.apply_link_faults(3, &mut MatrixBits::of(&a, n).view_mut(&mut a), &mut ra);
+        plan.apply_link_faults(3, &mut MatrixBits::of(&b, n).view_mut(&mut b), &mut rb);
         assert_eq!(a, b);
         assert_eq!(ra, rb);
         // With p = 0.5 over 30 messages, both outcomes occur.
@@ -1101,7 +1092,7 @@ mod tests {
         m[2] = BitString::from_bits([true, true, true]); // 0 → 2
         m[n] = BitString::from_bits([true, true, true]); // 1 → 0
         let mut report = FaultReport::default();
-        plan.apply_link_faults(1, &mut BufViewMut::dense(&mut m, n), &mut report);
+        plan.apply_link_faults(1, &mut MatrixBits::of(&m, n).view_mut(&mut m), &mut report);
         assert_eq!(
             m[1],
             BitString::from_bits([false, true, true]),
@@ -1113,7 +1104,7 @@ mod tests {
         let mut m2 = vec![BitString::new(); n * n];
         m2[1] = BitString::from_bits([true]);
         let mut r2 = FaultReport::default();
-        plan.apply_link_faults(0, &mut BufViewMut::dense(&mut m2, n), &mut r2);
+        plan.apply_link_faults(0, &mut MatrixBits::of(&m2, n).view_mut(&mut m2), &mut r2);
         assert!(r2.is_empty());
         assert_eq!(m2[1].len(), 1);
     }
@@ -1126,7 +1117,12 @@ mod tests {
         let mut inbound = vec![BitString::new(); n * n];
         inbound[1] = BitString::from_bits([true, true]); // 0 → 1, never read
         let mut report = FaultReport::default();
-        plan.apply_crashes(4, &mut halted, &BufView::dense(&inbound, n), &mut report);
+        plan.apply_crashes(
+            4,
+            &mut halted,
+            &MatrixBits::of(&inbound, n).view(&inbound),
+            &mut report,
+        );
         assert!(halted[1]);
         assert_eq!(
             report.events,
@@ -1139,7 +1135,12 @@ mod tests {
         );
         // Already-halted nodes are not crashed again.
         let mut r2 = FaultReport::default();
-        plan.apply_crashes(4, &mut halted, &BufView::dense(&inbound, n), &mut r2);
+        plan.apply_crashes(
+            4,
+            &mut halted,
+            &MatrixBits::of(&inbound, n).view(&inbound),
+            &mut r2,
+        );
         assert!(r2.is_empty());
     }
 
@@ -1195,7 +1196,7 @@ mod tests {
         m[1] = BitString::from_bits([true, false, true, false]);
         let before = m[1].clone();
         let mut report = FaultReport::default();
-        plan.apply_link_faults(0, &mut BufViewMut::dense(&mut m, n), &mut report);
+        plan.apply_link_faults(0, &mut MatrixBits::of(&m, n).view_mut(&mut m), &mut report);
         assert_eq!(m[1].len(), before.len());
         assert_ne!(m[1], before, "exactly one bit differs");
         let differing = before
@@ -1209,7 +1210,7 @@ mod tests {
         let mut m = vec![BitString::new(); n * n];
         m[1] = BitString::from_bits([true, false, true, false]);
         let mut report = FaultReport::default();
-        plan.apply_link_faults(0, &mut BufViewMut::dense(&mut m, n), &mut report);
+        plan.apply_link_faults(0, &mut MatrixBits::of(&m, n).view_mut(&mut m), &mut report);
         assert!(m[1].len() < 4, "strict prefix");
     }
 }

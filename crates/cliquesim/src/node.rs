@@ -7,7 +7,7 @@
 //! bandwidth-bounded message per other node).
 
 use crate::bits::{BitString, EMPTY};
-use crate::delivery::SparseRow;
+use crate::delivery::{Nodes, SparseRow};
 
 /// Identity of a node. The paper numbers nodes `1..=n`; internally we use
 /// `0..n` and expose [`NodeId::display`] for one-based reporting.
@@ -113,12 +113,14 @@ impl<T: NodeProgram + ?Sized> NodeProgram for Box<T> {
 ///
 /// Logically, slot `u` holds the message from node `u`; an empty
 /// [`BitString`] means node `u` sent nothing. Physically the inbox is a view
-/// into whichever delivery backend the engine is running: a *strided view*
-/// into the dense sender-major matrix (the message from `u` lives at
-/// `slots[u * stride + offset]`), or a lookup into the sparse backend's
-/// compacted per-sender rows. Either way delivery is a buffer swap, never an
-/// O(n²) transpose. Standalone harnesses use the flat layout (`stride = 1`,
-/// `offset = 0`) via [`Inbox::from_slots`].
+/// into whichever delivery backend the engine is running: a
+/// *bitmap-indexed view* of one column of the dense sender-major matrix
+/// (the message from `u` lives at `matrix[u * n + me]`, and row `me` of the
+/// receiver bitmap marks the senders that wrote one), or a lookup into the
+/// sparse backend's compacted per-sender rows. Either way delivery is a
+/// buffer swap, never an O(n²) transpose, and on the dense backend
+/// [`Inbox::iter`] visits only the marked senders. Standalone harnesses
+/// use one flat slot per sender via [`Inbox::from_slots`].
 pub struct Inbox<'a> {
     inner: InboxInner<'a>,
     n: usize,
@@ -127,11 +129,15 @@ pub struct Inbox<'a> {
 
 /// Backend-specific storage behind an [`Inbox`].
 enum InboxInner<'a> {
-    /// Strided view into a flat slice of message slots.
+    /// Strided view into a flat slice of message slots: column `offset` of
+    /// the dense backend's sender-major matrix with row `offset` of its
+    /// receiver bitmap, or a harness's flat slots (`stride = 1`,
+    /// `offset = 0`, no bitmap).
     Slots {
         slots: &'a [BitString],
         stride: usize,
         offset: usize,
+        recv: Option<&'a [u64]>,
     },
     /// Sealed per-sender rows of the sparse backend.
     Sparse { rows: &'a [SparseRow] },
@@ -149,21 +155,25 @@ impl<'a> Inbox<'a> {
                 slots,
                 stride: 1,
                 offset: 0,
+                recv: None,
             },
             n: slots.len(),
             me,
         }
     }
 
-    /// Build a transposed view into a sender-major `n × n` message matrix:
-    /// the message from `u` to `me` is `matrix[u * n + me]`.
-    pub(crate) fn transposed(matrix: &'a [BitString], n: usize, me: usize) -> Self {
+    /// Build a view of column `me` of a dense sender-major `n × n` message
+    /// matrix (the message from `u` to `me` is `matrix[u * n + me]`), given
+    /// row `me` of its receiver bitmap: bit `u` must be set for every
+    /// non-empty `matrix[u * n + me]`.
+    pub(crate) fn dense(matrix: &'a [BitString], recv: &'a [u64], n: usize, me: usize) -> Self {
         debug_assert_eq!(matrix.len(), n * n);
         Self {
             inner: InboxInner::Slots {
                 slots: matrix,
                 stride: n,
                 offset: me,
+                recv: Some(recv),
             },
             n,
             me,
@@ -188,6 +198,7 @@ impl<'a> Inbox<'a> {
                 slots,
                 stride,
                 offset,
+                ..
             } => {
                 let slots: &'a [BitString] = slots;
                 &slots[from.index() * stride + offset]
@@ -203,14 +214,22 @@ impl<'a> Inbox<'a> {
         }
     }
 
-    /// Iterate over `(sender, message)` for all non-empty messages.
+    /// Iterate over `(sender, message)` for all non-empty messages,
+    /// senders ascending. On the dense backend this visits only the
+    /// senders marked in the receiver bitmap; otherwise every node.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &'a BitString)> + '_ {
-        let me = self.me;
-        (0..self.n)
-            .filter(move |u| *u != me)
-            .map(move |u| (u, self.from(NodeId::from(u))))
+        let senders = match self.inner {
+            InboxInner::Slots {
+                recv: Some(recv), ..
+            } => Nodes::marked(recv),
+            _ => Nodes::all_but(self.n, self.me),
+        };
+        senders
+            .map(move |u| {
+                let id = NodeId::from(u);
+                (id, self.from(id))
+            })
             .filter(|(_, m)| !m.is_empty())
-            .map(|(u, m)| (NodeId::from(u), m))
     }
 
     /// Number of nodes in the clique.
@@ -224,7 +243,9 @@ impl<'a> Inbox<'a> {
 ///
 /// Borrows its slot row (or compacted sparse row) from the engine's send
 /// buffer so that node steps can run in parallel without per-round
-/// allocation.
+/// allocation. On the dense backend it also marks each recipient it writes
+/// in the row's sender bitmap, which is what lets the engine clear, check
+/// and deliver the row by visiting only those slots.
 pub struct Outbox<'a> {
     inner: OutboxInner<'a>,
     n: usize,
@@ -233,8 +254,12 @@ pub struct Outbox<'a> {
 
 /// Backend-specific storage behind an [`Outbox`].
 enum OutboxInner<'a> {
-    /// One flat slot per recipient (dense backend and harnesses).
-    Slots { slots: &'a mut [BitString] },
+    /// One flat slot per recipient, with the row's sender-bitmap words
+    /// (empty for harness outboxes, which keep no bitmap).
+    Slots {
+        slots: &'a mut [BitString],
+        sent: &'a mut [u64],
+    },
     /// The sender's compacted row in the sparse backend.
     Sparse { row: &'a mut SparseRow },
 }
@@ -248,7 +273,22 @@ impl<'a> Outbox<'a> {
     pub fn new(slots: &'a mut [BitString], me: usize) -> Self {
         let n = slots.len();
         Self {
-            inner: OutboxInner::Slots { slots },
+            inner: OutboxInner::Slots {
+                slots,
+                sent: &mut [],
+            },
+            n,
+            me,
+        }
+    }
+
+    /// Build an outbox over a cleared dense-backend row and its
+    /// `⌈n/64⌉` sender-bitmap words.
+    pub(crate) fn dense(slots: &'a mut [BitString], sent: &'a mut [u64], me: usize) -> Self {
+        let n = slots.len();
+        debug_assert_eq!(sent.len(), n.div_ceil(64));
+        Self {
+            inner: OutboxInner::Slots { slots, sent },
             n,
             me,
         }
@@ -267,6 +307,18 @@ impl<'a> Outbox<'a> {
     /// already queued for `to` this round. Sending to oneself or to a node
     /// outside the clique is a programming error.
     pub fn send(&mut self, to: NodeId, msg: BitString) {
+        self.send_with(to, |slot| *slot = msg);
+    }
+
+    /// Queue for `to` the message `write` builds in place, and return what
+    /// `write` returns. `write` gets the slot emptied but with its
+    /// allocation kept, so a program that refills the same slots every
+    /// round — a router shipping stream chunks with
+    /// [`crate::BitReader::read_into`] — allocates nothing in steady
+    /// state. Replaces any message already queued for `to` this round; a
+    /// slot `write` leaves empty sends nothing. The same rules as
+    /// [`Outbox::send`] apply.
+    pub fn send_with<R>(&mut self, to: NodeId, write: impl FnOnce(&mut BitString) -> R) -> R {
         assert_ne!(
             to.index(),
             self.me,
@@ -279,21 +331,33 @@ impl<'a> Outbox<'a> {
             self.me,
             to.index()
         );
-        match &mut self.inner {
-            OutboxInner::Slots { slots } => slots[to.index()] = msg,
-            OutboxInner::Sparse { row } => row.send(to.0, msg),
-        }
+        let slot = match &mut self.inner {
+            OutboxInner::Slots { slots, sent } => {
+                mark(sent, to.index());
+                &mut slots[to.index()]
+            }
+            OutboxInner::Sparse { row } => row.entry(to.0),
+        };
+        slot.clear();
+        write(slot)
     }
 
     /// Send the same message to every other node (the broadcast primitive;
     /// costs the same as n-1 unicasts in this model).
     pub fn broadcast(&mut self, msg: &BitString) {
         match &mut self.inner {
-            OutboxInner::Slots { slots } => {
+            OutboxInner::Slots { slots, sent } => {
                 for (u, slot) in slots.iter_mut().enumerate() {
                     if u != self.me {
                         slot.copy_from(msg);
                     }
+                }
+                for (i, w) in sent.iter_mut().enumerate() {
+                    let bits = (self.n - 64 * i).min(64);
+                    *w = if bits == 64 { !0 } else { (1 << bits) - 1 };
+                }
+                if let Some(w) = sent.get_mut(self.me / 64) {
+                    *w &= !(1 << (self.me % 64));
                 }
             }
             OutboxInner::Sparse { row } => row.set_broadcast(msg),
@@ -303,6 +367,14 @@ impl<'a> Outbox<'a> {
     /// The number of destination slots (= n).
     pub fn n(&self) -> usize {
         self.n
+    }
+}
+
+/// Set bit `u` of a sender-bitmap row; a no-op for a harness outbox,
+/// whose row is empty.
+fn mark(sent: &mut [u64], u: usize) {
+    if let Some(w) = sent.get_mut(u / 64) {
+        *w |= 1 << (u % 64);
     }
 }
 
@@ -390,20 +462,80 @@ mod tests {
     }
 
     #[test]
-    fn transposed_inbox_reads_sender_major_matrix() {
+    fn dense_inbox_walks_the_receiver_bits() {
         // 3×3 sender-major matrix: slot v*n+u = message v → u.
         let n = 3;
         let mut matrix = vec![BitString::new(); n * n];
         matrix[n + 2] = BitString::from_bits([true]); // 1 → 2
         matrix[2] = BitString::from_bits([false, true]); // 0 → 2
         matrix[n] = BitString::from_bits([true, true, true]); // 1 → 0
-        let ib = Inbox::transposed(&matrix, n, 2);
+                                                              // Receiver rows: node 2 hears from 0 and 1; node 0 from 1 and,
+                                                              // stale, from 2 (a set bit over an empty slot is skipped).
+        let recv2 = [0b011u64];
+        let ib = Inbox::dense(&matrix, &recv2, n, 2);
         assert_eq!(ib.from(NodeId(1)).len(), 1);
         assert_eq!(ib.from(NodeId(0)).len(), 2);
         let got: Vec<_> = ib.iter().map(|(u, m)| (u.index(), m.len())).collect();
         assert_eq!(got, vec![(0, 2), (1, 1)]);
         // Node 2 does not see the 1 → 0 message.
-        let ib0 = Inbox::transposed(&matrix, n, 0);
+        let recv0 = [0b110u64];
+        let ib0 = Inbox::dense(&matrix, &recv0, n, 0);
         assert_eq!(ib0.from(NodeId(1)).len(), 3);
+        let got: Vec<_> = ib0.iter().map(|(u, _)| u.index()).collect();
+        assert_eq!(got, vec![1]);
+    }
+
+    #[test]
+    fn dense_outbox_marks_what_it_writes() {
+        let n = 70;
+        let mut slots = vec![BitString::new(); n];
+        let mut sent = vec![0u64; 2];
+        {
+            let mut ob = Outbox::dense(&mut slots, &mut sent, 5);
+            ob.send(NodeId(1), BitString::from_bits([true]));
+            let r = ob.send_with(NodeId(66), |slot| {
+                slot.push_uint(0b101, 3);
+                slot.len()
+            });
+            assert_eq!(r, 3);
+            // An empty overwrite leaves the bit: a cover, not an exact set.
+            ob.send_with(NodeId(2), |_| ());
+        }
+        assert_eq!(sent, vec![0b110, 1 << 2]);
+        assert_eq!(slots[66], BitString::from_bits([true, false, true]));
+        assert!(slots[2].is_empty());
+        {
+            let mut ob = Outbox::dense(&mut slots, &mut sent, 65);
+            ob.broadcast(&BitString::from_bits([false]));
+        }
+        assert_eq!(sent, vec![!0, 0b11_1101], "all of 0..70 but the sender");
+        assert!(slots[65].is_empty() && slots[69].len() == 1);
+    }
+
+    #[test]
+    fn send_with_replaces_in_place() {
+        let mut slots = vec![BitString::new(); 3];
+        let mut ob = Outbox::new(&mut slots, 0);
+        ob.send(NodeId(1), BitString::from_bits([true, true, true]));
+        ob.send_with(NodeId(1), |slot| {
+            assert!(slot.is_empty(), "the closure gets the slot emptied");
+            slot.push(false);
+        });
+        assert_eq!(slots[1], BitString::from_bits([false]));
+        // The sparse row too: a second write to a recipient replaces the
+        // first, and an unwritten recipient still hears the broadcast.
+        let n = 4;
+        let mut rows: Vec<SparseRow> = (0..n).map(|_| SparseRow::default()).collect();
+        {
+            let mut ob = Outbox::sparse(&mut rows[0], n, 0);
+            ob.broadcast(&BitString::from_bits([true]));
+            ob.send_with(NodeId(2), |slot| slot.push_uint(3, 2));
+            ob.send_with(NodeId(2), |slot| slot.push_uint(1, 2));
+        }
+        rows[0].seal();
+        let ib = Inbox::sparse(&rows, n, 2);
+        assert_eq!(ib.from(NodeId(0)), &BitString::from_bits([true, false]));
+        let ib3 = Inbox::sparse(&rows, n, 3);
+        assert_eq!(ib3.from(NodeId(0)), &BitString::from_bits([true]));
     }
 }
