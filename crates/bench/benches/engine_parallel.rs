@@ -1,9 +1,9 @@
-//! Engine ablation: sequential vs pooled node stepping, and dense vs
-//! sparse delivery backends. Outputs, round counts, and all model-level
-//! [`RunStats`] fields are bit-identical by construction (asserted below
-//! over pool shapes the host may not even have cores for, and across both
-//! backends); only wall time and buffer footprint differ, which is what
-//! this harness measures.
+//! Engine ablation: sequential vs pooled node stepping, and a broadcast vs
+//! the same payload sent as `n - 1` unicasts. Outputs, round counts, and
+//! all model-level [`RunStats`] fields are bit-identical by construction
+//! (asserted below over pool shapes the host may not even have cores for,
+//! and between the two ways to send); only wall time and buffer footprint
+//! differ, which is what this harness measures.
 //!
 //! Recorded medians for `apsp_n64_threads4` on the same host, runs
 //! interleaved (per-round-spawn engine vs persistent pool with
@@ -20,13 +20,14 @@
 //! - `BENCH_ENGINE_JSON`: output path for the JSON report
 //!   (default `BENCH_engine.json` in the working directory).
 //! - `BENCH_SMOKE=1`: reduced sizes/repetitions for CI smoke runs.
-//! - `BENCH_ENFORCE_SPARSE=1`: exit non-zero if the sparse backend is
-//!   slower than dense on the broadcast-only workload (the workload it
-//!   exists for).
+//! - `BENCH_ENFORCE_BROADCAST=1`: exit non-zero if broadcast gossip is
+//!   slower than the same gossip sent as `n - 1` unicasts at any size: a
+//!   broadcast is stored once per sender and never expanded, so it must
+//!   never cost more than the copies it stands for.
 
 use cc_bench::SEED;
 use cliquesim::{
-    BitString, DeliveryMode, Engine, Inbox, NodeCtx, NodeProgram, Outbox, RunStats, Session, Status,
+    BitString, Engine, Inbox, NodeCtx, NodeId, NodeProgram, Outbox, RunStats, Session, Status,
 };
 use criterion::{criterion_group, Criterion};
 use std::time::Instant;
@@ -47,11 +48,12 @@ fn apsp_stats(n: usize, threads: usize, exact: bool) -> RunStats {
     s.stats()
 }
 
-/// `rounds` rounds of id gossip under the broadcast-only restriction —
-/// the workload the sparse backend is built for: one payload per sender
-/// per round instead of n-1 materialised copies.
+/// `rounds` rounds of id gossip under the broadcast-only restriction: one
+/// payload per sender per round, stored once — or, with `unicast`, the
+/// same payload written to each of the `n - 1` others in ascending order.
 struct Gossip {
     rounds: usize,
+    unicast: bool,
     acc: u64,
 }
 
@@ -77,25 +79,31 @@ impl NodeProgram for Gossip {
             (ctx.id.0 as u64 + round as u64) & ((1 << ctx.id_width()) - 1),
             ctx.id_width(),
         );
-        outbox.broadcast(&m);
+        if self.unicast {
+            for u in (0..ctx.n).filter(|&u| u != ctx.id.index()) {
+                outbox.send_with(NodeId::from(u), |slot| slot.extend_from(&m));
+            }
+        } else {
+            outbox.broadcast(&m);
+        }
         Status::Continue
     }
 }
 
-/// One timed broadcast-gossip session: `phases` engine runs against a
+/// One timed gossip session: `phases` engine runs against a
 /// single warm arena (steady-state rounds and steady-state *phases*
 /// allocate nothing). Returns (wall seconds, stats, arena footprint).
-fn gossip_run(
-    n: usize,
-    rounds: usize,
-    phases: usize,
-    mode: DeliveryMode,
-) -> (f64, RunStats, usize) {
-    let engine = Engine::new(n).broadcast_only(true).with_delivery(mode);
-    let mut s = Session::new(engine);
+fn gossip_run(n: usize, rounds: usize, phases: usize, unicast: bool) -> (f64, RunStats, usize) {
+    let mut s = Session::new(Engine::new(n).broadcast_only(true));
     let start = Instant::now();
     for _ in 0..phases {
-        let programs = (0..n).map(|_| Gossip { rounds, acc: 0 }).collect();
+        let programs = (0..n)
+            .map(|_| Gossip {
+                rounds,
+                unicast,
+                acc: 0,
+            })
+            .collect();
         s.run(programs).unwrap();
     }
     (
@@ -134,8 +142,8 @@ impl NodeProgram for Idle {
     }
 }
 
-/// One timed idle run on the default (dense, inline) engine: wall
-/// seconds and stats.
+/// One timed idle run on the default (inline) engine: wall seconds and
+/// stats.
 fn idle_run(n: usize, rounds: usize, scan: bool) -> (f64, RunStats) {
     let programs: Vec<Idle> = (0..n)
         .map(|_| Idle {
@@ -195,43 +203,45 @@ fn median_secs(reps: usize, mut f: impl FnMut() -> f64) -> f64 {
 struct SweepRow {
     n: usize,
     rounds: usize,
-    dense_ms: f64,
-    sparse_ms: f64,
-    dense_slots: usize,
-    sparse_slots: usize,
+    broadcast_ms: f64,
+    unicast_ms: f64,
+    broadcast_slots: usize,
+    unicast_slots: usize,
 }
 
-/// Dense-vs-sparse broadcast sweep. Asserts bit-identical stats between
-/// the backends at every size before recording a single number.
+/// Broadcast-vs-unicast gossip sweep. Asserts bit-identical stats between
+/// the two ways to send, and a broadcast footprint of exactly one slot
+/// per sender per buffer, at every size before recording a single number.
 fn broadcast_sweep(sizes: &[usize], rounds: usize, phases: usize, reps: usize) -> Vec<SweepRow> {
     let mut rows = Vec::new();
     for &n in sizes {
-        let (_, dense_stats, dense_slots) = gossip_run(n, rounds, phases, DeliveryMode::Dense);
-        let (_, sparse_stats, sparse_slots) = gossip_run(n, rounds, phases, DeliveryMode::Sparse);
+        let (_, broadcast_stats, broadcast_slots) = gossip_run(n, rounds, phases, false);
+        let (_, unicast_stats, unicast_slots) = gossip_run(n, rounds, phases, true);
         assert_eq!(
-            dense_stats, sparse_stats,
-            "broadcast n={n}: sparse backend changed model-level stats"
+            broadcast_stats, unicast_stats,
+            "gossip n={n}: broadcasting changed model-level stats"
         );
-        let dense_ms = median_secs(reps, || {
-            gossip_run(n, rounds, phases, DeliveryMode::Dense).0
-        }) * 1e3;
-        let sparse_ms = median_secs(reps, || {
-            gossip_run(n, rounds, phases, DeliveryMode::Sparse).0
-        }) * 1e3;
+        assert_eq!(
+            broadcast_slots,
+            2 * n,
+            "gossip n={n}: a broadcast round must park one slot per sender per buffer"
+        );
+        let broadcast_ms = median_secs(reps, || gossip_run(n, rounds, phases, false).0) * 1e3;
+        let unicast_ms = median_secs(reps, || gossip_run(n, rounds, phases, true).0) * 1e3;
         println!(
-            "broadcast n={n:<5} rounds={rounds} phases={phases}: dense {dense_ms:8.2} ms \
-             ({dense_slots:>8} slots) | sparse {sparse_ms:8.2} ms ({sparse_slots:>6} slots) \
+            "gossip n={n:<5} rounds={rounds} phases={phases}: broadcast {broadcast_ms:8.2} ms \
+             ({broadcast_slots:>6} slots) | unicast {unicast_ms:8.2} ms ({unicast_slots:>8} slots) \
              | {:.2}x time, {:.0}x footprint",
-            dense_ms / sparse_ms,
-            dense_slots as f64 / sparse_slots as f64,
+            unicast_ms / broadcast_ms,
+            unicast_slots as f64 / broadcast_slots as f64,
         );
         rows.push(SweepRow {
             n,
             rounds,
-            dense_ms,
-            sparse_ms,
-            dense_slots,
-            sparse_slots,
+            broadcast_ms,
+            unicast_ms,
+            broadcast_slots,
+            unicast_slots,
         });
     }
     rows
@@ -261,14 +271,14 @@ fn write_json(path: &str, smoke: bool, rows: &[SweepRow], idle: &[IdleRow]) {
     out.push_str("  \"broadcast_sweep\": [\n");
     for (i, r) in rows.iter().enumerate() {
         out.push_str(&format!(
-            "    {{\"n\": {}, \"rounds\": {}, \"dense_median_ms\": {:.3}, \
-             \"sparse_median_ms\": {:.3}, \"dense_arena_slots\": {}, \"sparse_arena_slots\": {}}}{}\n",
+            "    {{\"n\": {}, \"rounds\": {}, \"broadcast_median_ms\": {:.3}, \
+             \"unicast_median_ms\": {:.3}, \"broadcast_arena_slots\": {}, \"unicast_arena_slots\": {}}}{}\n",
             r.n,
             r.rounds,
-            r.dense_ms,
-            r.sparse_ms,
-            r.dense_slots,
-            r.sparse_slots,
+            r.broadcast_ms,
+            r.unicast_ms,
+            r.broadcast_slots,
+            r.unicast_slots,
             if i + 1 < rows.len() { "," } else { "" },
         ));
     }
@@ -328,7 +338,7 @@ fn bench(c: &mut Criterion) {
         group.finish();
     }
 
-    // Dense-vs-sparse broadcast sweep, n = 64 … 1024 (reduced under
+    // Broadcast-vs-unicast gossip sweep, n = 64 … 1024 (reduced under
     // BENCH_SMOKE so the CI job stays in seconds).
     let (sizes, rounds, phases, reps): (&[usize], usize, usize, usize) = if smoke {
         (&[64, 256], 4, 2, 3)
@@ -345,18 +355,18 @@ fn bench(c: &mut Criterion) {
         std::env::var("BENCH_ENGINE_JSON").unwrap_or_else(|_| "BENCH_engine.json".to_string());
     write_json(&path, smoke, &rows, &idle);
 
-    if std::env::var("BENCH_ENFORCE_SPARSE").is_ok_and(|v| v == "1") {
+    if std::env::var("BENCH_ENFORCE_BROADCAST").is_ok_and(|v| v == "1") {
         for r in &rows {
             assert!(
-                r.sparse_ms <= r.dense_ms,
-                "sparse backend slower than dense on its target workload: \
-                 broadcast n={} dense {:.2} ms vs sparse {:.2} ms",
+                r.broadcast_ms <= r.unicast_ms,
+                "broadcast gossip slower than the same gossip as n - 1 unicasts: \
+                 n={} broadcast {:.2} ms vs unicast {:.2} ms",
                 r.n,
-                r.dense_ms,
-                r.sparse_ms
+                r.broadcast_ms,
+                r.unicast_ms
             );
         }
-        println!("BENCH_ENFORCE_SPARSE: sparse <= dense at every size");
+        println!("BENCH_ENFORCE_BROADCAST: broadcast <= unicast at every size");
     }
 }
 

@@ -28,8 +28,8 @@
 //! [`mm_sparse_overhead`] is the exact analytic ledger — the full
 //! [`RunStats`] of a sparse run computed from the inputs without
 //! simulating, asserted field-for-field the way `dolev_strong_overhead`
-//! is. [`MmStrategy`] is the density-aware selector mirroring the
-//! `DeliveryMode` precedent, with the crossover pinned at
+//! is. [`MmStrategy`] is the density-aware selector, with the crossover
+//! pinned at
 //! `max(nnz A, nnz B) ≤ n·⌊√n⌋` (the `m ≤ n^{3/2}` regime of the paper).
 
 use cliquesim::{BitString, NodeId, RunStats, Session};
@@ -45,8 +45,8 @@ use crate::distributed::{
 };
 use crate::semiring::Semiring;
 
-/// Which distributed multiplication path to run, mirroring the
-/// `DeliveryMode::{Auto, Dense, Sparse}` precedent in `cliquesim`.
+/// Which distributed multiplication path to run: decided by density, or
+/// forced either way.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum MmStrategy {
     /// Decide by density: run the nonzero-count gossip (which the sparse

@@ -1,7 +1,7 @@
 //! The job model: what one unit of fleet work looks like.
 //!
 //! A [`JobSpec`] pairs an [`EngineSpec`] (pure data: clique size, pool
-//! shape, delivery backend, adversary plans) with a *job function* — a
+//! shape, adversary plans) with a *job function* — a
 //! deterministic closure that drives a [`cliquesim::Session`] built from
 //! that spec and returns its result as bytes. Bytes are the service's
 //! output currency on purpose: the serial oracle and the fleet compare
@@ -13,8 +13,8 @@
 //! The job function must be a pure function of the spec and its
 //! dependency outputs: same `(EngineSpec, dep bytes)` → same output bytes
 //! or same error string. Everything the engine does is already
-//! deterministic across pool shapes and delivery backends (PR 1/PR 6
-//! bit-identity); a job that reaches outside (time, ambient randomness,
+//! deterministic across pool shapes (the engine's bit-identity
+//! contract); a job that reaches outside (time, ambient randomness,
 //! global state) forfeits the differential guarantee — exactly like the
 //! "factory must produce identical programs" rule in `cc-testkit`.
 
@@ -23,7 +23,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
-use cliquesim::{AuthKeyring, ByzantinePlan, DeliveryMode, Engine, FaultPlan, RunStats, Session};
+use cliquesim::{AuthKeyring, ByzantinePlan, Engine, FaultPlan, RunStats, Session};
 
 /// Index of a job within its [`crate::Batch`], assigned by
 /// [`crate::Batch::push`] in submission order.
@@ -60,8 +60,6 @@ pub struct EngineSpec {
     /// `Engine::with_threads_exact`, so a job's stats never depend on the
     /// host the worker runs on.
     pub threads: usize,
-    /// Delivery backend for the run.
-    pub delivery: DeliveryMode,
     /// Restrict to the broadcast congested clique (paper §2).
     pub broadcast_only: bool,
     /// Per-message bandwidth override in bits (`None` = `⌈log₂ n⌉`).
@@ -85,13 +83,11 @@ pub struct EngineSpec {
 }
 
 impl EngineSpec {
-    /// A plain clique spec: sequential stepping, auto delivery, no
-    /// adversary.
+    /// A plain clique spec: sequential stepping, no adversary.
     pub fn new(n: usize) -> Self {
         Self {
             n,
             threads: 1,
-            delivery: DeliveryMode::Auto,
             broadcast_only: false,
             bandwidth: None,
             max_rounds: None,
@@ -106,12 +102,6 @@ impl EngineSpec {
     /// Set the engine pool shape (exact, host-independent).
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
-        self
-    }
-
-    /// Set the delivery backend.
-    pub fn delivery(mut self, mode: DeliveryMode) -> Self {
-        self.delivery = mode;
         self
     }
 
@@ -157,7 +147,6 @@ impl EngineSpec {
     pub fn build(&self, cancel: Option<Arc<AtomicBool>>) -> Engine {
         let mut engine = Engine::new(self.n)
             .with_threads_exact(self.threads)
-            .with_delivery(self.delivery)
             .broadcast_only(self.broadcast_only);
         if let Some(bits) = self.bandwidth {
             engine = engine.with_bandwidth(bits);
@@ -201,7 +190,7 @@ pub type JobFn = Arc<dyn Fn(&mut Session, &DepOutputs) -> Result<Vec<u8>, String
 pub struct JobSpec {
     /// Owning tenant (fairness bucket).
     pub tenant: TenantId,
-    /// Replayable repro label, e.g. `er-medium[n=16, seed=3]@sparse` — the
+    /// Replayable repro label, e.g. `er-medium[n=16, seed=3]@t4` — the
     /// same labelling discipline as `cc-testkit` instance labels.
     pub label: String,
     /// Engine configuration.
@@ -362,12 +351,10 @@ mod tests {
     fn engine_spec_builds_the_configured_engine() {
         let spec = EngineSpec::new(9)
             .threads(4)
-            .delivery(DeliveryMode::Sparse)
             .broadcast_only(true)
             .fault_offset(5);
         let engine = spec.build(None);
         assert_eq!(engine.n(), 9);
-        assert_eq!(engine.resolved_delivery(), DeliveryMode::Sparse);
         assert_eq!(engine.fault_offset(), 5);
     }
 }

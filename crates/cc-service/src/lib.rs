@@ -4,7 +4,7 @@
 //! The engine (PR 1–6) made one simulation fast, deterministic, and
 //! adversary-aware. This crate makes *many* simulations a first-class
 //! workload: a [`Batch`] of seed-addressed jobs — each an
-//! [`EngineSpec`] (clique size, pool shape, delivery backend, optional
+//! [`EngineSpec`] (clique size, pool shape, optional
 //! fault/Byzantine plans) plus a deterministic job function — is resolved
 //! into a dependency DAG and executed across a shared work-stealing
 //! worker pool ([`Service`]), with per-tenant round-robin fairness, warm
@@ -19,8 +19,8 @@
 //! property is that a [`Service`] of *any* width produces outcomes
 //! **byte-identical** to that oracle (same output bytes, same error
 //! strings, same skip witnesses, same [`cliquesim::RunStats`]). This is
-//! the same differential discipline `cc-testkit` applies to pool shapes
-//! and delivery backends, lifted to fleet scheduling.
+//! the same differential discipline `cc-testkit` applies to pool shapes,
+//! lifted to fleet scheduling.
 //!
 //! # Quickstart
 //!

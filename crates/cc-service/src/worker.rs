@@ -58,27 +58,36 @@ impl ArenaPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cliquesim::{DeliveryMode, Engine, Session};
+    use cliquesim::{BitString, Engine, NodeId, Session};
 
-    struct Quiet;
-    impl cliquesim::NodeProgram for Quiet {
+    /// Sends one bit to its ring successor, and halts, in round 0.
+    struct RingOnce;
+    impl cliquesim::NodeProgram for RingOnce {
         type Output = ();
         fn step(
             &mut self,
-            _ctx: &cliquesim::NodeCtx,
+            ctx: &cliquesim::NodeCtx,
             _round: usize,
             _inbox: &cliquesim::Inbox<'_>,
-            _outbox: &mut cliquesim::Outbox<'_>,
+            outbox: &mut cliquesim::Outbox<'_>,
         ) -> cliquesim::Status<()> {
+            let next = NodeId::from((ctx.id.index() + 1) % ctx.n);
+            outbox.send(next, BitString::from_bits([true]));
             cliquesim::Status::Halt(())
         }
     }
 
     fn run_once(pool: &mut ArenaPool, n: usize) {
-        let engine = Engine::new(n).with_delivery(DeliveryMode::Dense);
-        let mut session = Session::with_arena(engine, pool.checkout(n));
-        session.run((0..n).map(|_| Quiet).collect()).unwrap();
+        let mut session = Session::with_arena(Engine::new(n), pool.checkout(n));
+        session.run((0..n).map(|_| RingOnce).collect()).unwrap();
         pool.checkin(n, session.into_arena());
+    }
+
+    /// An arena after a ring round: a broadcast slot per sender row in
+    /// each of its two buffers, plus the one entry each row of the written
+    /// buffer held.
+    fn parked(n: usize) -> usize {
+        2 * n + n
     }
 
     #[test]
@@ -88,10 +97,10 @@ mod tests {
             run_once(&mut pool, 4);
         }
         assert_eq!(pool.shapes(), 1);
-        assert_eq!(pool.retained_slots(), 2 * 4 * 4, "dense pair for n=4");
+        assert_eq!(pool.retained_slots(), parked(4), "one pair for n=4");
         run_once(&mut pool, 6);
         assert_eq!(pool.shapes(), 2);
-        assert_eq!(pool.retained_slots(), 2 * 4 * 4 + 2 * 6 * 6);
+        assert_eq!(pool.retained_slots(), parked(4) + parked(6));
         // Another hundred n=4 jobs change nothing.
         let before = pool.retained_slots();
         for _ in 0..100 {

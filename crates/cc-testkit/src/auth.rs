@@ -3,9 +3,7 @@
 //! beneath it. A tag is a pure function of `(key, round, sender,
 //! payload)`, so a run with a keyring attached — even one where traitors
 //! forge tags — must be byte-identical across every pool shape in
-//! [`crate::POOL_SHAPES`] and every delivery backend in
-//! [`crate::BACKENDS`]. This
-//! module mirrors [`crate::byzantine`] for the top tier of the adversary
+//! [`crate::POOL_SHAPES`]. This module mirrors [`crate::byzantine`] for the top tier of the adversary
 //! ladder: [`differential_authenticated`] replays the same
 //! `(keyring, plan)` pair over the whole grid, and [`AuthCase`] gives the
 //! acceptance sweep seed-addressed honest-majority adversaries with
@@ -95,7 +93,7 @@ pub fn auth_corpus() -> Vec<AuthCase> {
 }
 
 /// Run node programs under `plan` with `keyring` attached, over every
-/// `(backend, pool shape)` cell, asserting byte-identical outputs,
+/// pool shape, asserting byte-identical outputs,
 /// stats, transcripts, fault reports, and Byzantine reports — the same
 /// contract as [`differential_byzantine`], one tier up. Returns the
 /// reference run for further auditing (its `RunStats` carry the

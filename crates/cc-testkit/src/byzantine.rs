@@ -2,10 +2,8 @@
 //! a pure function of `(seed, round, from, to)`, so a run with traitors is
 //! just as schedule-independent as an honest one. This module mirrors
 //! [`crate::faults`] for the stronger tier: the same plan, replayed under
-//! every pool shape in [`POOL_SHAPES`](crate::differential::POOL_SHAPES)
-//! and every delivery backend in [`BACKENDS`](crate::differential::BACKENDS),
-//! must yield byte-identical outputs, [`RunStats`],
-//! transcripts, the same [`FaultReport`], *and* the same
+//! every pool shape in [`POOL_SHAPES`](crate::differential::POOL_SHAPES),
+//! must yield byte-identical outputs, [`RunStats`], transcripts, the same [`FaultReport`], *and* the same
 //! [`ByzantineReport`] event for event — and an empty plan must change
 //! nothing at all.
 //!

@@ -8,14 +8,14 @@
 //! set for routing waves. Cases print as `churn[n=…, seed=…]` and every
 //! judge panic starts with that label, so a failing conformance run names
 //! the exact churn schedule that reproduces it — bit-identical on any
-//! host, pool shape, or delivery backend.
+//! host or pool shape.
 //!
 //! Two obligations are enforced on top of the generic faulted
 //! differential:
 //!
 //! * **shape independence** — [`differential_churn`] replays the case
-//!   under every pool shape in [`crate::POOL_SHAPES`] and every delivery
-//!   backend in [`crate::BACKENDS`], asserting byte-identical outputs,
+//!   under every pool shape in [`crate::POOL_SHAPES`], asserting
+//!   byte-identical outputs,
 //!   stats, transcripts, and fault reports (rejoin state sync included);
 //! * **ledger closure** — [`judge_churn_accounting`] cross-checks the
 //!   [`FaultReport`] against the [`RunStats`] sync counters and the plan's
@@ -148,8 +148,8 @@ pub fn churn_corpus() -> Vec<ChurnCase> {
     cases
 }
 
-/// Replay the case's plan under every delivery backend and pool shape
-/// with transcripts forced on, asserting byte-identical outputs, stats,
+/// Replay the case's plan under every pool shape with transcripts forced
+/// on, asserting byte-identical outputs, stats,
 /// transcripts, and fault reports. Panic messages carry the replayable
 /// `churn[n=…, seed=…]` label. Returns the reference run for judging.
 pub fn differential_churn<P, M>(

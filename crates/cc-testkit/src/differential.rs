@@ -1,36 +1,22 @@
-//! Differential execution across engine pool shapes, delivery backends,
-//! and topologies.
+//! Differential execution across engine pool shapes and topologies.
 //!
-//! PR 1 made the engine's sequential and pooled paths bit-identical on
+//! The engine's inline and pooled step phases are bit-identical on
 //! synthetic programs; this module turns that into a standing obligation
 //! for every *real* protocol. A differential run executes the same
-//! protocol once per `(backend, pool shape)` pair — backends from
-//! [`BACKENDS`] (dense matrix, sparse edge list, and the auto heuristic),
-//! pool shapes from [`POOL_SHAPES`] (sequential, an even 4-worker split,
-//! and a 7-worker pool that divides nothing evenly) — and asserts outputs,
-//! accumulated [`RunStats`], and — for raw program runs — full transcripts
-//! are identical. Any divergence is a scheduler-nondeterminism or
-//! backend-semantics bug, and the panic names the protocol label, the
-//! backend (`label@sparse`), and the offending thread count, so the exact
-//! failing cell is replayable.
+//! protocol once per pool shape from [`POOL_SHAPES`] (sequential, an even
+//! 4-worker split, and a 7-worker pool that divides nothing evenly) and
+//! asserts outputs, accumulated [`RunStats`], and — for raw program runs —
+//! full transcripts are identical. Any divergence is a
+//! scheduler-nondeterminism bug, and the panic names the protocol label and
+//! the offending thread count, so the exact failing cell is replayable.
 
-use cliquesim::{DeliveryMode, Engine, NodeProgram, RunStats, Session, Transcript};
+use cliquesim::{Engine, NodeProgram, RunStats, Session, Transcript};
 use std::fmt::Debug;
 
 /// Pool shapes every differential run covers: sequential, an even split,
 /// and a worker count that divides typical `n` unevenly. `with_threads_exact`
 /// keeps the pooled path live even on single-core CI hosts.
 pub const POOL_SHAPES: [usize; 3] = [1, 4, 7];
-
-/// Delivery backends every differential run covers. `Dense` first, so the
-/// reference run each grid compares against is the long-standing dense
-/// sequential path; `Auto` last proves the heuristic picks *some* backend
-/// that agrees with both forced ones.
-pub const BACKENDS: [DeliveryMode; 3] = [
-    DeliveryMode::Dense,
-    DeliveryMode::Sparse,
-    DeliveryMode::Auto,
-];
 
 /// Run a session-level protocol under every pool shape on a plain clique
 /// engine and assert identical outputs and stats. Returns the output of
@@ -52,34 +38,30 @@ where
     F: FnMut(&mut Session) -> T,
 {
     let mut reference: Option<(T, RunStats, usize)> = None;
-    for &mode in BACKENDS.iter() {
-        for &threads in POOL_SHAPES.iter() {
-            let tag = format!("{label}@{}", mode.tag());
-            let mut session =
-                Session::new(base.clone().with_threads_exact(threads).with_delivery(mode));
-            let out = protocol(&mut session);
-            let stats = session.stats();
-            let phases = session.phases();
-            match &reference {
-                None => reference = Some((out, stats, phases)),
-                Some((out0, stats0, phases0)) => {
-                    assert!(
-                        *out0 == out,
-                        "{tag}: output diverges at threads={threads}: {out:?} vs {out0:?}"
-                    );
-                    assert!(
-                        *stats0 == stats,
-                        "{tag}: RunStats diverge at threads={threads}: {stats:?} vs {stats0:?}"
-                    );
-                    assert!(
-                        *phases0 == phases,
-                        "{tag}: phase count diverges at threads={threads}"
-                    );
-                }
+    for &threads in POOL_SHAPES.iter() {
+        let mut session = Session::new(base.clone().with_threads_exact(threads));
+        let out = protocol(&mut session);
+        let stats = session.stats();
+        let phases = session.phases();
+        match &reference {
+            None => reference = Some((out, stats, phases)),
+            Some((out0, stats0, phases0)) => {
+                assert!(
+                    *out0 == out,
+                    "{label}: output diverges at threads={threads}: {out:?} vs {out0:?}"
+                );
+                assert!(
+                    *stats0 == stats,
+                    "{label}: RunStats diverge at threads={threads}: {stats:?} vs {stats0:?}"
+                );
+                assert!(
+                    *phases0 == phases,
+                    "{label}: phase count diverges at threads={threads}"
+                );
             }
         }
     }
-    reference.expect("BACKENDS and POOL_SHAPES are non-empty").0
+    reference.expect("POOL_SHAPES is non-empty").0
 }
 
 /// Run a broadcast-capable protocol differentially in the unrestricted
@@ -123,39 +105,35 @@ where
     M: FnMut() -> Vec<P>,
 {
     let mut reference: Option<(Vec<P::Output>, RunStats, Vec<Transcript>)> = None;
-    for &mode in BACKENDS.iter() {
-        for &threads in POOL_SHAPES.iter() {
-            let tag = format!("{label}@{}", mode.tag());
-            let engine = base
-                .clone()
-                .with_transcripts(true)
-                .with_threads_exact(threads)
-                .with_delivery(mode);
-            let out = engine
-                .run(make_programs())
-                .unwrap_or_else(|e| panic!("{tag}: engine error at threads={threads}: {e}"));
-            let transcripts = out.transcripts.expect("transcripts were requested");
-            match &reference {
-                None => reference = Some((out.outputs, out.stats, transcripts)),
-                Some((out0, stats0, tr0)) => {
-                    assert!(
-                        *out0 == out.outputs,
-                        "{tag}: outputs diverge at threads={threads}"
-                    );
-                    assert!(
-                        *stats0 == out.stats,
-                        "{tag}: RunStats diverge at threads={threads}: {:?} vs {stats0:?}",
-                        out.stats
-                    );
-                    assert!(
-                        *tr0 == transcripts,
-                        "{tag}: transcripts diverge at threads={threads}"
-                    );
-                }
+    for &threads in POOL_SHAPES.iter() {
+        let engine = base
+            .clone()
+            .with_transcripts(true)
+            .with_threads_exact(threads);
+        let out = engine
+            .run(make_programs())
+            .unwrap_or_else(|e| panic!("{label}: engine error at threads={threads}: {e}"));
+        let transcripts = out.transcripts.expect("transcripts were requested");
+        match &reference {
+            None => reference = Some((out.outputs, out.stats, transcripts)),
+            Some((out0, stats0, tr0)) => {
+                assert!(
+                    *out0 == out.outputs,
+                    "{label}: outputs diverge at threads={threads}"
+                );
+                assert!(
+                    *stats0 == out.stats,
+                    "{label}: RunStats diverge at threads={threads}: {:?} vs {stats0:?}",
+                    out.stats
+                );
+                assert!(
+                    *tr0 == transcripts,
+                    "{label}: transcripts diverge at threads={threads}"
+                );
             }
         }
     }
-    reference.expect("BACKENDS and POOL_SHAPES are non-empty")
+    reference.expect("POOL_SHAPES is non-empty")
 }
 
 /// Adjacency matrix of the n-cycle, for CONGEST-ring differentials via

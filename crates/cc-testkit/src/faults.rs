@@ -2,7 +2,7 @@
 //! pure function of `(seed, round, from, to)`, so a faulted run is just as
 //! schedule-independent as a fault-free one. This module turns that into a
 //! standing obligation: the same plan, replayed under every pool shape in
-//! [`POOL_SHAPES`] and every delivery backend in [`BACKENDS`], must yield
+//! [`POOL_SHAPES`], must yield
 //! byte-identical outputs, [`RunStats`], transcripts, *and* the same
 //! [`FaultReport`] event for event.
 //!
@@ -15,7 +15,7 @@ use cliquesim::{
 };
 use std::fmt::{Debug, Display};
 
-use crate::differential::{BACKENDS, POOL_SHAPES};
+use crate::differential::POOL_SHAPES;
 
 /// Everything a faulted differential compares: per-node outputs (`None`
 /// for crashed nodes), accumulated stats, full transcripts, and the
@@ -51,7 +51,7 @@ where
     (out.outputs, out.stats, transcripts, out.faults)
 }
 
-/// The backend × pool-shape loop behind [`differential_faulted`] and
+/// The pool-shape loop behind [`differential_faulted`] and
 /// [`crate::differential_byzantine`]: run the programs on `attach(engine)`
 /// for every cell with transcripts forced on, and require byte-identical
 /// outputs, stats, transcripts, fault reports, and Byzantine reports.
@@ -70,51 +70,48 @@ where
     M: FnMut() -> Vec<P>,
 {
     let mut reference: Option<FaultedOutcome<P::Output>> = None;
-    for &mode in BACKENDS.iter() {
-        for &threads in POOL_SHAPES.iter() {
-            let tag = format!("{label}@{} under {plan}", mode.tag());
-            let engine = attach(
-                base.clone()
-                    .with_transcripts(true)
-                    .with_threads_exact(threads)
-                    .with_delivery(mode),
-            );
-            let out = engine
-                .run_faulted(make_programs())
-                .unwrap_or_else(|e| panic!("{tag}: engine error at threads={threads}: {e}"));
-            let Some(r) = &reference else {
-                reference = Some(out);
-                continue;
-            };
-            assert!(
-                r.outputs == out.outputs,
-                "{tag}: outputs diverge at threads={threads}"
-            );
-            assert!(
-                r.stats == out.stats,
-                "{tag}: RunStats diverge at threads={threads}: {:?} vs {:?}",
-                out.stats,
-                r.stats
-            );
-            assert!(
-                r.byzantine == out.byzantine,
-                "{tag}: Byzantine reports diverge at threads={threads}: {:?} vs {:?}",
-                out.byzantine,
-                r.byzantine
-            );
-            assert!(
-                r.faults == out.faults,
-                "{tag}: fault reports diverge at threads={threads}: {:?} vs {:?}",
-                out.faults,
-                r.faults
-            );
-            assert!(
-                r.transcripts == out.transcripts,
-                "{tag}: transcripts diverge at threads={threads}"
-            );
-        }
+    for &threads in POOL_SHAPES.iter() {
+        let tag = format!("{label} under {plan}");
+        let engine = attach(
+            base.clone()
+                .with_transcripts(true)
+                .with_threads_exact(threads),
+        );
+        let out = engine
+            .run_faulted(make_programs())
+            .unwrap_or_else(|e| panic!("{tag}: engine error at threads={threads}: {e}"));
+        let Some(r) = &reference else {
+            reference = Some(out);
+            continue;
+        };
+        assert!(
+            r.outputs == out.outputs,
+            "{tag}: outputs diverge at threads={threads}"
+        );
+        assert!(
+            r.stats == out.stats,
+            "{tag}: RunStats diverge at threads={threads}: {:?} vs {:?}",
+            out.stats,
+            r.stats
+        );
+        assert!(
+            r.byzantine == out.byzantine,
+            "{tag}: Byzantine reports diverge at threads={threads}: {:?} vs {:?}",
+            out.byzantine,
+            r.byzantine
+        );
+        assert!(
+            r.faults == out.faults,
+            "{tag}: fault reports diverge at threads={threads}: {:?} vs {:?}",
+            out.faults,
+            r.faults
+        );
+        assert!(
+            r.transcripts == out.transcripts,
+            "{tag}: transcripts diverge at threads={threads}"
+        );
     }
-    reference.expect("BACKENDS and POOL_SHAPES are non-empty")
+    reference.expect("POOL_SHAPES is non-empty")
 }
 
 /// Assert the engine's transparency guarantee: attaching an *empty*

@@ -2,15 +2,15 @@
 //! change results.
 //!
 //! A [`FleetJob`] is a pure-data job descriptor — a seed-addressed
-//! [`Instance`], a [`Workload`], an engine shape (pool threads × delivery
-//! backend), and an optional seed-addressed adversary — so a whole batch
+//! [`Instance`], a [`Workload`], an engine pool shape, and an optional
+//! seed-addressed adversary — so a whole batch
 //! is reproducible from its printed labels, exactly like the rest of this
 //! crate's corpus. [`assert_fleet_matches_serial`] materialises the batch
 //! once, runs it through [`cc_service::Batch::run_serial`] (the serial
 //! oracle), then through a [`cc_service::Service`] at every requested
 //! width, and requires **byte-identical** outcomes: output bytes, error
 //! strings, skip witnesses, and [`cliquesim::RunStats`]. Any divergence
-//! panics with the job's `family[n=…, seed=…]@backend` label.
+//! panics with the job's `family[n=…, seed=…]@t…` label.
 //!
 //! Dependencies are indices of *earlier* jobs, so every generated fleet
 //! is a DAG by construction — the pathological shapes (cycles, dangling
@@ -22,8 +22,7 @@ use std::sync::Arc;
 
 use cc_service::{Batch, EngineSpec, JobId, JobOutcome, JobSpec, Service, TenantId};
 use cliquesim::{
-    BitString, ByzantinePlan, DeliveryMode, FaultPlan, Inbox, NodeCtx, NodeProgram, Outbox,
-    Session, Status,
+    BitString, ByzantinePlan, FaultPlan, Inbox, NodeCtx, NodeProgram, Outbox, Session, Status,
 };
 
 use crate::instances::Instance;
@@ -82,8 +81,6 @@ pub struct FleetJob {
     pub workload: Workload,
     /// Engine pool shape (threads *inside* the simulation).
     pub threads: usize,
-    /// Delivery backend.
-    pub delivery: DeliveryMode,
     /// Optional seed-addressed adversary.
     pub adversary: Adversary,
     /// Indices of earlier jobs this one depends on.
@@ -98,25 +95,22 @@ impl FleetJob {
             instance,
             workload,
             threads: 1,
-            delivery: DeliveryMode::Auto,
             adversary: Adversary::None,
             deps: Vec::new(),
         }
     }
 
     /// The replayable repro label, e.g.
-    /// `er-medium[n=8, seed=11]@sparse+t4+fault7` — instance label and
-    /// backend first, so a mismatch names the `family[n, seed]@backend`
-    /// cell that reproduces it.
+    /// `er-medium[n=8, seed=11]@t4+fault7` — instance label and pool
+    /// shape first, so a mismatch names the `family[n, seed]@t…` cell
+    /// that reproduces it.
     pub fn label(&self) -> String {
         self.to_string()
     }
 
     /// Materialise the service-side job spec.
     pub fn to_spec(&self) -> JobSpec {
-        let mut engine = EngineSpec::new(self.instance.n)
-            .threads(self.threads)
-            .delivery(self.delivery);
+        let mut engine = EngineSpec::new(self.instance.n).threads(self.threads);
         match self.adversary {
             Adversary::None => {}
             Adversary::Faults { seed } => {
@@ -222,13 +216,7 @@ impl FleetJob {
 
 impl fmt::Display for FleetJob {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}@{}+t{}",
-            self.instance,
-            self.delivery.tag(),
-            self.threads
-        )?;
+        write!(f, "{}@t{}", self.instance, self.threads)?;
         match self.adversary {
             Adversary::None => Ok(()),
             Adversary::Faults { seed } => write!(f, "+fault{seed}"),
@@ -345,8 +333,8 @@ pub mod strategies {
         tenants: u32,
     }
 
-    /// Random fleets: mixed families, workloads, pool shapes, delivery
-    /// backends, adversaries, and backward-only dependency edges.
+    /// Random fleets: mixed families, workloads, pool shapes,
+    /// adversaries, and backward-only dependency edges.
     pub fn arb_fleet(max_jobs: usize, tenants: u32) -> ArbFleet {
         assert!(max_jobs >= 1 && tenants >= 1);
         ArbFleet { max_jobs, tenants }
@@ -394,11 +382,6 @@ pub mod strategies {
                         instance,
                         workload,
                         threads: [1, 2, 4][rng.below(3) as usize],
-                        delivery: [
-                            DeliveryMode::Auto,
-                            DeliveryMode::Dense,
-                            DeliveryMode::Sparse,
-                        ][rng.below(3) as usize],
                         adversary,
                         deps,
                     }
@@ -417,9 +400,8 @@ mod tests {
     fn fleet_labels_carry_the_repro_cell() {
         let mut job = FleetJob::new(2, Instance::new(Family::ErMedium, 8, 11), Workload::MinId);
         job.threads = 4;
-        job.delivery = DeliveryMode::Sparse;
         job.adversary = Adversary::Faults { seed: 7 };
-        assert_eq!(job.label(), "er-medium[n=8, seed=11]@sparse+t4+fault7");
+        assert_eq!(job.label(), "er-medium[n=8, seed=11]@t4+fault7");
     }
 
     #[test]
@@ -451,7 +433,6 @@ mod tests {
             seed: 9,
             traitors: 2,
         };
-        byz.delivery = DeliveryMode::Dense;
         assert_fleet_matches_serial(&[faulted, byz], &[1, 3]);
     }
 }

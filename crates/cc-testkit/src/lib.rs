@@ -29,14 +29,14 @@
 //!   empty plan must change nothing at all.
 //! * [`churn`] — churn-conformance families for the rejoin/state-sync
 //!   tier: seed-addressed [`churn::ChurnCase`]s (Poisson crash/rejoin
-//!   schedules) with replayable `churn[n=…, seed=…]` labels, pool-shape ×
-//!   delivery-backend differentials, and a ledger judge that closes the
+//!   schedules) with replayable `churn[n=…, seed=…]` labels, pool-shape
+//!   differentials, and a ledger judge that closes the
 //!   sync counters against the fault report and the plan's downtime.
 //! * [`auth`] — authenticated-tier conformance: seed-addressed
 //!   [`auth::AuthCase`]s (`auth[n=…, f=…, seed=…]`) pairing a
 //!   [`cliquesim::AuthKeyring`] with an honest-majority `f < n/2` traitor
 //!   plan, and [`differential_authenticated`] replaying each pair over
-//!   every pool shape × delivery backend with byte-identical results.
+//!   every pool shape with byte-identical results.
 //! * [`byzantine`] — the same obligations for the
 //!   [`cliquesim::ByzantinePlan`] traitor tier, plus the
 //!   [`byzantine::equivocation_witness`] checker that exhibits a single
@@ -91,7 +91,7 @@ pub use certificates::{assert_corrupted_certificates_rejected, corrupt_labelling
 pub use churn::{churn_corpus, differential_churn, judge_churn_accounting, ChurnCase};
 pub use differential::{
     differential_broadcast_only, differential_engines, differential_programs, differential_session,
-    ring_topology, BACKENDS, POOL_SHAPES,
+    ring_topology, POOL_SHAPES,
 };
 pub use faults::{assert_empty_plan_transparent, differential_faulted, FaultedRun};
 pub use fleet::{assert_fleet_matches_serial, fleet_batch, Adversary, FleetJob, Workload};

@@ -238,9 +238,8 @@ fn isqrt_floor(n: usize) -> usize {
     r
 }
 
-/// Run one matmul protocol for `case` under every delivery backend and
-/// pool shape ([`crate::BACKENDS`] × [`crate::POOL_SHAPES`]), assert all
-/// grid cells produce identical products and [`cliquesim::RunStats`], then
+/// Run one matmul protocol for `case` under every pool shape
+/// ([`crate::POOL_SHAPES`]), assert all grid cells produce identical products and [`cliquesim::RunStats`], then
 /// judge the product against the independent serial oracle
 /// ([`judge_matmul`] with locally written width-[`MM_WIDTH`] wrapping
 /// arithmetic). Returns the agreed product.

@@ -28,10 +28,9 @@
 //! # Determinism contract
 //!
 //! Tags are pure functions of `(keyring seed, round, sender, payload)` —
-//! no iteration-order, pool-shape, host, or delivery-backend dependence —
+//! no iteration-order, pool-shape, host, or buffer-layout dependence —
 //! so an authenticated run replays bit-identically across pool shapes
-//! {1, 4, 7} and backends {Dense, Sparse}, exactly like the fault and
-//! Byzantine tiers below it. Keyrings print as replayable labels, e.g.
+//! {1, 4, 7}, exactly like the fault and Byzantine tiers below it. Keyrings print as replayable labels, e.g.
 //! `auth[n=9, seed=42]`.
 //!
 //! # Engine integration
@@ -57,7 +56,7 @@
 //! envelope's own work lands in three dedicated counters:
 //! [`crate::RunStats::signed_messages`], [`crate::RunStats::auth_bits`]
 //! (both counted per delivered copy, so a broadcast charges `n − 1`
-//! tags even though the sparse backend stores one), and
+//! tags even though the delivery buffer stores one), and
 //! [`crate::RunStats::rejected_tags`]. Received transcript rounds and
 //! churn replay windows carry the tagged frames — a rejoiner re-enters
 //! with exactly the signed evidence an always-alive node would hold, so
@@ -88,7 +87,7 @@ const KEY_DOMAIN: u64 = 0xA07A_11CE;
 /// **Guarantee:** `sign(from, round, payload)` is a pure function of the
 /// keyring seed and its arguments; two keyrings with equal `(n, seed)`
 /// are interchangeable, and tags replay bit-identically across pool
-/// shapes, delivery backends, and hosts.
+/// shapes and hosts.
 ///
 /// **Assumptions:** the adversary models unforgeability by convention —
 /// it signs only with identities it owns (see the module docs for what
@@ -167,10 +166,10 @@ impl AuthKeyring {
     }
 
     /// Engine signing sweep: append a tag to every non-empty outbound
-    /// payload of round `round`. Runs payload-level so the sparse
-    /// backend's shared broadcast payload is signed once in place (equal
-    /// payloads get equal tags, keeping dense and sparse bit-identical),
-    /// while the ledger still charges one tag per delivered copy.
+    /// payload of round `round`. Runs payload-level so a shared broadcast
+    /// payload is signed once in place (equal payloads get equal tags, so
+    /// signing never splits a broadcast into copies), while the ledger
+    /// still charges one tag per delivered copy.
     pub(crate) fn sign_round(
         &self,
         round: usize,
@@ -344,8 +343,7 @@ mod tests {
     }
 
     #[test]
-    fn engine_envelope_signs_delivers_and_charges_identically_per_backend() {
-        use crate::delivery::DeliveryMode;
+    fn engine_envelope_signs_delivers_and_charges_per_copy() {
         use crate::engine::Engine;
         use crate::node::{Inbox, NodeCtx, NodeProgram, Outbox, Status};
 
@@ -374,32 +372,25 @@ mod tests {
 
         let n = 5;
         let keyring = AuthKeyring::from_seed(n, 11);
-        let run = |mode: DeliveryMode| {
-            Engine::new(n)
-                .with_auth(keyring.clone())
-                .with_delivery(mode)
-                .run((0..n).map(|_| IdBlast).collect())
-                .unwrap()
-        };
-        let dense = run(DeliveryMode::Dense);
-        let sparse = run(DeliveryMode::Sparse);
-        assert_eq!(dense.outputs, sparse.outputs);
-        assert_eq!(dense.stats, sparse.stats);
+        let out = Engine::new(n)
+            .with_auth(keyring)
+            .run((0..n).map(|_| IdBlast).collect())
+            .unwrap();
 
         let id_width = BitString::width_for(n);
         let frame = id_width + TAG_BITS;
         assert_eq!(
-            dense.outputs,
+            out.outputs,
             vec![(n - 1) * frame; n],
             "inboxes hold payload ‖ tag frames"
         );
         let copies = (n * (n - 1)) as u64;
-        assert_eq!(dense.stats.signed_messages, copies);
-        assert_eq!(dense.stats.auth_bits, copies * TAG_BITS as u64);
-        assert_eq!(dense.stats.rejected_tags, 0, "honest traffic never fails");
+        assert_eq!(out.stats.signed_messages, copies);
+        assert_eq!(out.stats.auth_bits, copies * TAG_BITS as u64);
+        assert_eq!(out.stats.rejected_tags, 0, "honest traffic never fails");
         // Honest accounting: `bits` and `max_message_bits` stay pre-tag.
-        assert_eq!(dense.stats.bits, copies * id_width as u64);
-        assert_eq!(dense.stats.max_message_bits, id_width);
+        assert_eq!(out.stats.bits, copies * id_width as u64);
+        assert_eq!(out.stats.max_message_bits, id_width);
     }
 
     #[test]

@@ -22,7 +22,7 @@ pub struct BitString {
 
 /// The empty bit string with a `'static` lifetime, so engine internals can
 /// hand out `&BitString` for "no message" slots that have no physical
-/// storage (the sparse delivery backend's misses and self-slots).
+/// storage (the delivery buffer's misses and self-slots).
 pub(crate) static EMPTY: BitString = BitString {
     len: 0,
     words: Vec::new(),
@@ -233,7 +233,7 @@ impl BitString {
     /// Overwrite `self` with the contents of `other`, retaining `self`'s
     /// allocated word capacity (word-level copy).
     ///
-    /// This is the delivery backends' broadcast fan-out primitive: cloning a
+    /// This is the delivery buffer's broadcast primitive: cloning a
     /// payload into a retained slot must not allocate in steady state, so
     /// `slot.copy_from(msg)` replaces `slot = msg.clone()` on the hot path.
     pub fn copy_from(&mut self, other: &BitString) {
@@ -886,7 +886,7 @@ mod tests {
             v in any::<u64>(),
             w in 0usize..=64,
         ) {
-            // The sparse delivery path's hot loop: truncate a reused slot to
+            // The delivery path's hot loop: truncate a reused slot to
             // an arbitrary length, re-extend it, then append a possibly
             // word-straddling uint. Checked against a plain Vec<bool> model
             // and, for the zero-tail invariant, against a string rebuilt bit

@@ -284,7 +284,7 @@ impl ByzantinePlan {
     /// buffer the nodes read this round, i.e. each traitor's received
     /// history for adaptive replays. Sweep order is sender-major and every
     /// decision is keyed per `(seed, round, from, to)`, so the result is
-    /// independent of pool shape and of delivery backend.
+    /// independent of pool shape and of how the buffer stores the messages.
     pub(crate) fn apply_rewrites(
         &self,
         round: usize,
@@ -623,7 +623,7 @@ impl ByzantineReport {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delivery::MatrixBits;
+    use crate::delivery::SparseBuf;
 
     fn full_matrix(n: usize, bits: usize) -> Vec<BitString> {
         let mut m = vec![BitString::new(); n * n];
@@ -684,12 +684,14 @@ mod tests {
         let prev = vec![BitString::new(); n * n];
         let before = cur.clone();
         let mut report = ByzantineReport::default();
+        let mut buf = SparseBuf::from_matrix(&cur, n);
         plan.apply_rewrites(
             0,
-            &mut MatrixBits::of(&cur, n).view_mut(&mut cur),
-            &MatrixBits::of(&prev, n).view(&prev),
+            &mut buf.view_mut(),
+            &SparseBuf::from_matrix(&prev, n).view(),
             &mut report,
         );
+        cur = buf.to_matrix();
         for v in 0..n {
             for u in 0..n {
                 if u == v {
@@ -716,12 +718,14 @@ mod tests {
         let mut cur = full_matrix(n, 32);
         let prev = vec![BitString::new(); n * n];
         let mut report = ByzantineReport::default();
+        let mut buf = SparseBuf::from_matrix(&cur, n);
         plan.apply_rewrites(
             0,
-            &mut MatrixBits::of(&cur, n).view_mut(&mut cur),
-            &MatrixBits::of(&prev, n).view(&prev),
+            &mut buf.view_mut(),
+            &SparseBuf::from_matrix(&prev, n).view(),
             &mut report,
         );
+        cur = buf.to_matrix();
         let copies: Vec<&BitString> = (1..n).map(|u| &cur[u]).collect();
         let distinct = copies
             .iter()
@@ -742,18 +746,22 @@ mod tests {
         let prev = full_matrix(n, 8);
         let mut ra = ByzantineReport::default();
         let mut rb = ByzantineReport::default();
+        let mut buf = SparseBuf::from_matrix(&a, n);
         plan.apply_rewrites(
             3,
-            &mut MatrixBits::of(&a, n).view_mut(&mut a),
-            &MatrixBits::of(&prev, n).view(&prev),
+            &mut buf.view_mut(),
+            &SparseBuf::from_matrix(&prev, n).view(),
             &mut ra,
         );
+        a = buf.to_matrix();
+        let mut buf = SparseBuf::from_matrix(&b, n);
         plan.apply_rewrites(
             3,
-            &mut MatrixBits::of(&b, n).view_mut(&mut b),
-            &MatrixBits::of(&prev, n).view(&prev),
+            &mut buf.view_mut(),
+            &SparseBuf::from_matrix(&prev, n).view(),
             &mut rb,
         );
+        b = buf.to_matrix();
         assert_eq!(a, b);
         assert_eq!(ra, rb);
         assert!(!ra.is_empty());
@@ -774,12 +782,14 @@ mod tests {
         cur[n] = BitString::from_bits([true, true, true]); // 1 → 0
         let prev = vec![BitString::new(); n * n];
         let mut report = ByzantineReport::default();
+        let mut buf = SparseBuf::from_matrix(&cur, n);
         plan.apply_rewrites(
             1,
-            &mut MatrixBits::of(&cur, n).view_mut(&mut cur),
-            &MatrixBits::of(&prev, n).view(&prev),
+            &mut buf.view_mut(),
+            &SparseBuf::from_matrix(&prev, n).view(),
             &mut report,
         );
+        cur = buf.to_matrix();
         assert_eq!(
             cur[1],
             BitString::from_bits([false, false, true]),
@@ -791,12 +801,14 @@ mod tests {
         let mut c2 = vec![BitString::new(); n * n];
         c2[1] = BitString::from_bits([true]);
         let mut r2 = ByzantineReport::default();
+        let mut buf = SparseBuf::from_matrix(&c2, n);
         plan.apply_rewrites(
             0,
-            &mut MatrixBits::of(&c2, n).view_mut(&mut c2),
-            &MatrixBits::of(&prev, n).view(&prev),
+            &mut buf.view_mut(),
+            &SparseBuf::from_matrix(&prev, n).view(),
             &mut r2,
         );
+        c2 = buf.to_matrix();
         assert!(r2.is_empty());
         assert_eq!(c2[1].len(), 1);
     }
@@ -814,12 +826,14 @@ mod tests {
         // The traitor received exactly one payload this round, from node 2.
         prev[2 * n] = BitString::from_bits([false, true, false, true]); // 2 → 0
         let mut report = ByzantineReport::default();
+        let mut buf = SparseBuf::from_matrix(&cur, n);
         plan.apply_rewrites(
             2,
-            &mut MatrixBits::of(&cur, n).view_mut(&mut cur),
-            &MatrixBits::of(&prev, n).view(&prev),
+            &mut buf.view_mut(),
+            &SparseBuf::from_matrix(&prev, n).view(),
             &mut report,
         );
+        cur = buf.to_matrix();
         assert_eq!(
             cur[1],
             prev[2 * n],
@@ -842,12 +856,14 @@ mod tests {
         c2[1] = BitString::from_bits([true, true]);
         let empty = vec![BitString::new(); n * n];
         let mut r2 = ByzantineReport::default();
+        let mut buf = SparseBuf::from_matrix(&c2, n);
         plan.apply_rewrites(
             2,
-            &mut MatrixBits::of(&c2, n).view_mut(&mut c2),
-            &MatrixBits::of(&empty, n).view(&empty),
+            &mut buf.view_mut(),
+            &SparseBuf::from_matrix(&empty, n).view(),
             &mut r2,
         );
+        c2 = buf.to_matrix();
         assert_eq!(c2[1].len(), 2, "garble fallback preserves length");
         assert!(matches!(r2.events[..], [ByzantineEvent::Garbled { .. }]));
     }

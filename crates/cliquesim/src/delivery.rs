@@ -1,97 +1,50 @@
-//! Pluggable per-round message-delivery backends.
+//! Per-round message delivery.
 //!
 //! The engine's delivery state is a pair of double-buffered sender-major
 //! buffers: nodes write round `r`'s sends into buffer `r % 2` and read round
-//! `r-1`'s sends from the other. Historically both buffers were dense
-//! `n × n` [`BitString`] matrices — quadratic memory even when the traffic
-//! is linear (broadcast-only runs, CONGEST rings, crash-heavy fault plans).
+//! `r-1`'s sends from the other. A buffer holds one compacted edge list per
+//! sender (a `SparseRow`): a shared broadcast payload plus `(recipient,
+//! payload)` override entries, kept as a recipient array and a payload
+//! array that the row allocates on its first entry. A broadcast round
+//! stores **one** payload per sender instead of `n - 1` copies, a ring round
+//! two entries per sender, and an all-to-all round `n - 1`, so the
+//! footprint is `O(n + edges)`.
 //!
-//! This module abstracts the buffer behind the crate-internal `DeliveryBuf`
-//! trait and
-//! provides two implementations the engine picks between per run (see
-//! [`DeliveryMode`]):
+//! Sends append. A node that addresses its recipients in ascending order
+//! (every router does) writes each message in amortised O(1); sealing the
+//! row after the step sorts it only if a send went out of order, and then
+//! the last write to a recipient wins. Rows keep their entries' allocations
+//! across rounds, and never hold more than the `n - 1` recipients they can
+//! address.
 //!
-//! * `DenseBuf` — the original flat `n × n` matrix of slots, plus two
-//!   bitmaps of `n·⌈n/64⌉` words each: a sender-major one whose bit `(v, u)`
-//!   the outbox sets when `v` writes slot `v → u`, and a receiver-major
-//!   transpose rebuilt from it after every step phase. Every walk over a
-//!   row or a column — clearing a row, the per-row model checks, inboxes,
-//!   the wire passes, the bookkeeping scans — visits set bits only, so a
-//!   round costs O(messages), not O(n²). Best when most ordered pairs
-//!   exchange a message most rounds (all-to-all routing).
-//! * `SparseBuf` — one compacted edge list per sender (a `SparseRow`):
-//!   a shared broadcast payload plus sorted `(recipient, payload)` override
-//!   entries. A broadcast round stores **one** payload per sender instead of
-//!   `n - 1` clones, and a ring round stores two entries per sender, so the
-//!   footprint is `O(edges)` rather than `O(n²)`.
-//!
-//! A set bit promises only that the slot *may* hold a message: an empty
-//! send, an empty broadcast, or a wire pass that drops a message leaves
-//! the bit set, so every walk still skips empty slots. What the bitmaps
-//! must never miss is a non-empty slot. Slots become non-empty only through
-//! the outbox, which sets the sender bit; the wire passes only empty or
-//! rewrite slots that are already non-empty; and the receiver bitmap is
-//! rebuilt from the sender bits before the wire passes run.
-//!
-//! Both backends produce bit-identical outputs, transcripts, reports, and
-//! [`crate::RunStats`] — cc-testkit's differential runners check every
-//! conformance family against all backends across pool shapes.
+//! Reads go through a receiver index (`RecvIndex`), rebuilt from the sealed
+//! rows by a counting sort: per recipient, the `(sender, entry)` pairs that
+//! address it, senders ascending, plus one list of the senders that
+//! broadcast. A column walk — an inbox, the undelivered scan, transcripts,
+//! churn windows, crash charging — merges the two, so every walk of a round
+//! together costs O(n + messages), and a broadcast is never expanded. The
+//! index describes what the next round reads: the engine rebuilds it after
+//! the step phase, and again after the wire passes, which can materialise a
+//! damaged broadcast copy as a new entry.
 //!
 //! Buffers are checked out of a [`DeliveryArena`] at the start of a run and
 //! returned at the end, so repeated runs (a [`crate::Session`]'s phases)
-//! reuse the same allocations, bitmaps included.
-
-use std::ops::Range;
+//! reuse the same allocations, the index included.
 
 use crate::bits::{BitString, EMPTY};
-use crate::node::{Inbox, Outbox};
-
-/// Which delivery backend the engine uses for a run.
-///
-/// Attach with [`crate::Engine::with_delivery`]; the default is
-/// [`DeliveryMode::Auto`]. Whatever the choice, results are bit-identical —
-/// only memory footprint and wall-clock differ.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum DeliveryMode {
-    /// Decide per run from the engine's configuration: broadcast-only mode,
-    /// a sparse CONGEST topology (≤ 25% of ordered pairs adjacent), or a
-    /// fault plan that crashes at least half the nodes select
-    /// [`DeliveryMode::Sparse`]; everything else gets
-    /// [`DeliveryMode::Dense`].
-    #[default]
-    Auto,
-    /// Always use the dense `n × n` double-buffered matrices.
-    Dense,
-    /// Always use the compacted per-sender edge lists.
-    Sparse,
-}
-
-impl DeliveryMode {
-    /// Short lowercase name (`"auto"`, `"dense"`, `"sparse"`), used in
-    /// replayable test labels such as `apsp[64, 7]@sparse`.
-    pub fn tag(self) -> &'static str {
-        match self {
-            DeliveryMode::Auto => "auto",
-            DeliveryMode::Dense => "dense",
-            DeliveryMode::Sparse => "sparse",
-        }
-    }
-}
 
 /// Reusable backing storage for the engine's delivery buffers.
 ///
 /// A run checks its buffer pair out at the start and returns it at the end,
-/// so the arena holds at most one dense pair and one sparse pair. A
-/// [`crate::Session`] owns one (and [`crate::Session::with_arena`] threads
-/// one through successive sessions), making every phase after the first
-/// allocation-free in steady state; the plain [`crate::Engine`] entry
-/// points create a fresh arena per run. Statistics are unaffected by
-/// reuse: all accounting is in terms of logical messages, never retained
-/// capacity.
+/// so the arena holds at most one pair. A [`crate::Session`] owns one (and
+/// [`crate::Session::with_arena`] threads one through successive sessions),
+/// making every phase after the first allocation-free in steady state; the
+/// plain [`crate::Engine`] entry points create a fresh arena per run.
+/// Statistics are unaffected by reuse: all accounting is in terms of
+/// logical messages, never retained capacity.
 #[derive(Debug, Default)]
 pub struct DeliveryArena {
-    dense: Option<[DenseBuf; 2]>,
-    sparse: Option<[SparseBuf; 2]>,
+    bufs: Option<[SparseBuf; 2]>,
 }
 
 impl DeliveryArena {
@@ -100,471 +53,269 @@ impl DeliveryArena {
         Self::default()
     }
 
-    /// Total number of retained message slots across both backends and both
-    /// buffers of each pair — the delivery-buffer footprint in units of
-    /// payload slots. A dense pair contributes `2·n²`; a sparse pair
-    /// contributes one broadcast slot plus the override entries per sender
-    /// row, i.e. `O(n + edges)`.
+    /// Total number of retained message slots across both buffers — the
+    /// delivery-buffer footprint in units of payload slots: one broadcast
+    /// slot plus the retained override entries per sender row. That is
+    /// `2·n` after broadcast-only traffic, `O(n + edges)` in general, and
+    /// never more than `2·n²`.
     pub fn slot_footprint(&self) -> usize {
-        let dense = self
-            .dense
-            .as_ref()
-            .map_or(0, |b| b[0].slots.len() + b[1].slots.len());
-        let sparse = self.sparse.as_ref().map_or(0, |b| {
+        self.bufs.as_ref().map_or(0, |b| {
             b.iter()
                 .flat_map(|buf| buf.rows.iter())
-                .map(|r| 1 + r.slots.len())
+                .map(|r| 1 + r.entries.as_ref().map_or(0, |es| es.msgs.len()))
                 .sum()
-        });
-        dense + sparse
-    }
-}
-
-/// Words per bitmap row: one bit per node.
-pub(crate) fn row_words(n: usize) -> usize {
-    n.div_ceil(64)
-}
-
-/// One whole delivery buffer, exclusively borrowed: its slots and, for the
-/// dense backend, its sender and receiver bitmaps (both empty for the
-/// sparse backend).
-pub(crate) struct BufMut<'a, S> {
-    pub(crate) slots: &'a mut [S],
-    pub(crate) sent: &'a mut [u64],
-    pub(crate) recv: &'a mut [u64],
-}
-
-impl<S> BufMut<'_, S> {
-    /// Every sender row, writable: the inline step phase's write view.
-    pub(crate) fn rows(&mut self) -> RowsMut<'_, S> {
-        RowsMut {
-            slots: self.slots,
-            sent: self.sent,
-        }
+        })
     }
 
-    /// The whole buffer, shared.
-    pub(crate) fn as_ref(&self) -> BufRef<'_, S> {
-        BufRef {
-            slots: self.slots,
-            sent: self.sent,
-            recv: self.recv,
-        }
-    }
-}
-
-/// One whole delivery buffer, shared: what a step phase reads.
-pub(crate) struct BufRef<'a, S> {
-    pub(crate) slots: &'a [S],
-    pub(crate) sent: &'a [u64],
-    pub(crate) recv: &'a [u64],
-}
-
-impl<S> Clone for BufRef<'_, S> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<S> Copy for BufRef<'_, S> {}
-
-/// Consecutive sender rows of one buffer, exclusively borrowed: the slots
-/// and sender-bitmap words a step phase writes, indexed relative to the
-/// first row. A row's bitmap words are whole words, so the rows of
-/// different pool workers never share one.
-pub(crate) struct RowsMut<'a, S> {
-    pub(crate) slots: &'a mut [S],
-    pub(crate) sent: &'a mut [u64],
-}
-
-/// A double-buffered delivery backend: everything the engine's round loop
-/// needs, expressed over a flat slice of `Slot`s (plus the dense backend's
-/// bitmap words) so the worker pool can carve disjoint per-worker ranges.
-///
-/// `Slot` granularity differs per backend — a dense buffer has `n²`
-/// [`BitString`] slots (one per ordered pair), a sparse buffer has `n`
-/// [`SparseRow`] slots (one per sender) — which is why carving goes through
-/// [`DeliveryBuf::slot_range`] and [`DeliveryBuf::word_range`], and row
-/// addressing is relative to the carved slice.
-pub(crate) trait DeliveryBuf: Sized + Send {
-    /// Element type of the flat slot slice. Pool workers write their own
-    /// rows (`Send`) and all read the previous round's buffer (`Sync`).
-    type Slot: Send + Sync;
-
-    /// Check a buffer pair out of the arena (reusing a retained pair of the
-    /// right size) and reset it: round 0 reads the previous-round buffer
-    /// without clearing it first, so stale content from an earlier run must
-    /// be gone.
-    fn take(arena: &mut DeliveryArena, n: usize) -> [Self; 2];
-
-    /// Return the pair to the arena for the next run.
-    fn put(arena: &mut DeliveryArena, bufs: [Self; 2]);
-
-    /// The whole buffer, exclusively.
-    fn parts(&mut self) -> BufMut<'_, Self::Slot>;
-
-    /// Slot range owned by a worker stepping nodes `lo..hi`.
-    fn slot_range(n: usize, lo: usize, hi: usize) -> Range<usize>;
-
-    /// Sender-bitmap word range owned by a worker stepping nodes `lo..hi`
-    /// (empty for a backend without bitmaps).
-    fn word_range(n: usize, lo: usize, hi: usize) -> Range<usize>;
-
-    /// Clear sender row `row` (relative to `rows`) in place, retaining
-    /// capacity.
-    fn clear_row(rows: &mut RowsMut<'_, Self::Slot>, n: usize, row: usize);
-
-    /// Finish sender row `row` after its node stepped (the sparse backend
-    /// sorts override entries here so later reads can binary-search).
-    fn seal_row(rows: &mut RowsMut<'_, Self::Slot>, n: usize, row: usize);
-
-    /// Outbox over sender row `row` (relative) for node `me` (absolute).
-    fn outbox<'a>(
-        rows: &'a mut RowsMut<'_, Self::Slot>,
-        n: usize,
-        row: usize,
-        me: usize,
-    ) -> Outbox<'a>;
-
-    /// Inbox for node `me` over a full previous-round buffer.
-    fn inbox<'a>(buf: BufRef<'a, Self::Slot>, n: usize, me: usize) -> Inbox<'a>;
-
-    /// Iterate the non-empty messages of sealed sender row `row` (relative)
-    /// for node `me` (absolute), as `(recipient, payload)` with recipients
-    /// ascending — the order the validation passes and accounting rely on.
-    fn row_iter<'a>(
-        rows: &'a RowsMut<'_, Self::Slot>,
-        n: usize,
-        row: usize,
-        me: usize,
-    ) -> RowIter<'a>;
-
-    /// Index the receivers of a buffer whose senders just finished writing
-    /// it (the dense backend rebuilds its receiver bitmap from the sender
-    /// bits, in O(n + messages); the sparse backend keeps no index).
-    fn index_receivers(buf: &mut BufMut<'_, Self::Slot>, n: usize);
-
-    /// Read-only whole-buffer view for bookkeeping (transcripts, crash
-    /// charging, undelivered scans).
-    fn view<'a>(buf: BufRef<'a, Self::Slot>, n: usize) -> BufView<'a>;
-
-    /// Mutable whole-buffer view for the adversary hooks.
-    fn view_mut<'a>(buf: BufMut<'a, Self::Slot>, n: usize) -> BufViewMut<'a>;
-}
-
-/// The dense backend: a flat sender-major `n × n` matrix of message slots,
-/// `slots[v*n + u]` = payload `v → u`, with its two bitmaps (see the
-/// module docs). Row `v` of either bitmap is words
-/// `v·⌈n/64⌉..(v+1)·⌈n/64⌉`.
-#[derive(Debug)]
-pub(crate) struct DenseBuf {
-    n: usize,
-    slots: Vec<BitString>,
-    /// Sender-major: bit `u` of row `v` is set once `v` wrote slot `v → u`
-    /// since its row was last cleared.
-    sent: Vec<u64>,
-    /// Receiver-major: bit `v` of row `u` is bit `u` of sender row `v`, as
-    /// of the last [`DeliveryBuf::index_receivers`].
-    recv: Vec<u64>,
-}
-
-impl DenseBuf {
-    fn fresh(n: usize) -> Self {
-        Self {
-            n,
-            slots: vec![BitString::new(); n * n],
-            sent: vec![0; n * row_words(n)],
-            recv: vec![0; n * row_words(n)],
-        }
-    }
-}
-
-impl DeliveryBuf for DenseBuf {
-    type Slot = BitString;
-
-    fn take(arena: &mut DeliveryArena, n: usize) -> [Self; 2] {
-        match arena.dense.take() {
-            Some(mut bufs) if bufs[0].n == n => {
+    /// Check the buffer pair out (reusing a retained pair of the right
+    /// size) and reset it: round 0 reads the previous-round buffer without
+    /// clearing it first, so stale content from an earlier run must be gone.
+    pub(crate) fn take(&mut self, n: usize) -> [SparseBuf; 2] {
+        match self.bufs.take() {
+            Some(mut bufs) if bufs[0].rows.len() == n => {
                 for b in &mut bufs {
-                    for m in &mut b.slots {
-                        m.clear();
-                    }
-                    b.sent.fill(0);
-                    b.recv.fill(0);
+                    b.reset();
                 }
                 bufs
             }
-            _ => [Self::fresh(n), Self::fresh(n)],
+            _ => [SparseBuf::fresh(n), SparseBuf::fresh(n)],
         }
     }
 
-    fn put(arena: &mut DeliveryArena, bufs: [Self; 2]) {
-        arena.dense = Some(bufs);
-    }
-
-    fn parts(&mut self) -> BufMut<'_, BitString> {
-        BufMut {
-            slots: &mut self.slots,
-            sent: &mut self.sent,
-            recv: &mut self.recv,
-        }
-    }
-
-    fn slot_range(n: usize, lo: usize, hi: usize) -> Range<usize> {
-        lo * n..hi * n
-    }
-
-    fn word_range(n: usize, lo: usize, hi: usize) -> Range<usize> {
-        lo * row_words(n)..hi * row_words(n)
-    }
-
-    fn clear_row(rows: &mut RowsMut<'_, BitString>, n: usize, row: usize) {
-        let w = row_words(n);
-        let bits = &mut rows.sent[row * w..(row + 1) * w];
-        let slots = &mut rows.slots[row * n..(row + 1) * n];
-        for u in Nodes::marked(bits) {
-            slots[u].clear();
-        }
-        bits.fill(0);
-    }
-
-    fn seal_row(_rows: &mut RowsMut<'_, BitString>, _n: usize, _row: usize) {}
-
-    fn outbox<'a>(
-        rows: &'a mut RowsMut<'_, BitString>,
-        n: usize,
-        row: usize,
-        me: usize,
-    ) -> Outbox<'a> {
-        let w = row_words(n);
-        Outbox::dense(
-            &mut rows.slots[row * n..(row + 1) * n],
-            &mut rows.sent[row * w..(row + 1) * w],
-            me,
-        )
-    }
-
-    fn inbox<'a>(buf: BufRef<'a, BitString>, n: usize, me: usize) -> Inbox<'a> {
-        let w = row_words(n);
-        Inbox::dense(buf.slots, &buf.recv[me * w..(me + 1) * w], n, me)
-    }
-
-    fn row_iter<'a>(
-        rows: &'a RowsMut<'_, BitString>,
-        n: usize,
-        row: usize,
-        _me: usize,
-    ) -> RowIter<'a> {
-        let w = row_words(n);
-        RowIter::Dense {
-            row: &rows.slots[row * n..(row + 1) * n],
-            bits: Nodes::marked(&rows.sent[row * w..(row + 1) * w]),
-        }
-    }
-
-    fn index_receivers(buf: &mut BufMut<'_, BitString>, n: usize) {
-        let w = row_words(n);
-        buf.recv.fill(0);
-        for v in 0..n {
-            let bit = 1u64 << (v % 64);
-            for u in Nodes::marked(&buf.sent[v * w..(v + 1) * w]) {
-                buf.recv[u * w + v / 64] |= bit;
-            }
-        }
-    }
-
-    fn view<'a>(buf: BufRef<'a, BitString>, n: usize) -> BufView<'a> {
-        BufView::Dense {
-            slots: buf.slots,
-            n,
-            sent: buf.sent,
-            recv: buf.recv,
-        }
-    }
-
-    fn view_mut<'a>(buf: BufMut<'a, BitString>, n: usize) -> BufViewMut<'a> {
-        BufViewMut::Dense {
-            slots: buf.slots,
-            n,
-            sent: buf.sent,
-        }
+    /// Return the pair for the next run.
+    pub(crate) fn put(&mut self, bufs: [SparseBuf; 2]) {
+        self.bufs = Some(bufs);
     }
 }
 
-/// The sparse backend: one [`SparseRow`] per sender.
+/// One delivery buffer: a [`SparseRow`] per sender and the receiver index
+/// over them.
 #[derive(Debug)]
 pub(crate) struct SparseBuf {
-    n: usize,
     rows: Vec<SparseRow>,
+    index: RecvIndex,
 }
 
 impl SparseBuf {
     fn fresh(n: usize) -> Self {
-        Self {
-            n,
+        let mut buf = Self {
             rows: (0..n).map(|_| SparseRow::default()).collect(),
+            index: RecvIndex::default(),
+        };
+        buf.index.rebuild(&buf.rows);
+        buf
+    }
+
+    /// Empty every row, retaining allocations, and index the empty rows.
+    fn reset(&mut self) {
+        for r in &mut self.rows {
+            r.clear();
         }
-    }
-}
-
-impl DeliveryBuf for SparseBuf {
-    type Slot = SparseRow;
-
-    fn take(arena: &mut DeliveryArena, n: usize) -> [Self; 2] {
-        match arena.sparse.take() {
-            Some(mut bufs) if bufs[0].n == n => {
-                for b in &mut bufs {
-                    for r in &mut b.rows {
-                        r.clear();
-                    }
-                }
-                bufs
-            }
-            _ => [Self::fresh(n), Self::fresh(n)],
-        }
+        self.index.rebuild(&self.rows);
     }
 
-    fn put(arena: &mut DeliveryArena, bufs: [Self; 2]) {
-        arena.sparse = Some(bufs);
-    }
-
-    fn parts(&mut self) -> BufMut<'_, SparseRow> {
+    /// The whole buffer, exclusively.
+    pub(crate) fn parts(&mut self) -> BufMut<'_> {
         BufMut {
-            slots: &mut self.rows,
-            sent: &mut [],
-            recv: &mut [],
+            rows: &mut self.rows,
+            index: &mut self.index,
         }
-    }
-
-    fn slot_range(_n: usize, lo: usize, hi: usize) -> Range<usize> {
-        lo..hi
-    }
-
-    fn word_range(_n: usize, _lo: usize, _hi: usize) -> Range<usize> {
-        0..0
-    }
-
-    fn clear_row(rows: &mut RowsMut<'_, SparseRow>, _n: usize, row: usize) {
-        rows.slots[row].clear();
-    }
-
-    fn seal_row(rows: &mut RowsMut<'_, SparseRow>, _n: usize, row: usize) {
-        rows.slots[row].seal();
-    }
-
-    fn outbox<'a>(
-        rows: &'a mut RowsMut<'_, SparseRow>,
-        n: usize,
-        row: usize,
-        me: usize,
-    ) -> Outbox<'a> {
-        Outbox::sparse(&mut rows.slots[row], n, me)
-    }
-
-    fn inbox<'a>(buf: BufRef<'a, SparseRow>, n: usize, me: usize) -> Inbox<'a> {
-        Inbox::sparse(buf.slots, n, me)
-    }
-
-    fn row_iter<'a>(
-        rows: &'a RowsMut<'_, SparseRow>,
-        n: usize,
-        row: usize,
-        me: usize,
-    ) -> RowIter<'a> {
-        rows.slots[row].messages(n, me)
-    }
-
-    fn index_receivers(_buf: &mut BufMut<'_, SparseRow>, _n: usize) {}
-
-    fn view<'a>(buf: BufRef<'a, SparseRow>, _n: usize) -> BufView<'a> {
-        BufView::Sparse { rows: buf.slots }
-    }
-
-    fn view_mut<'a>(buf: BufMut<'a, SparseRow>, n: usize) -> BufViewMut<'a> {
-        BufViewMut::Sparse { rows: buf.slots, n }
     }
 }
 
-/// One sender's messages for one round in the sparse backend: an optional
-/// broadcast payload shared by every recipient, plus per-recipient override
-/// entries. An override (even an empty one) beats the broadcast payload for
-/// its recipient, mirroring the dense backend's last-write-wins slots; the
-/// broadcast payload being empty means "no broadcast".
+/// One whole delivery buffer, exclusively borrowed.
+pub(crate) struct BufMut<'a> {
+    pub(crate) rows: &'a mut [SparseRow],
+    pub(crate) index: &'a mut RecvIndex,
+}
+
+impl BufMut<'_> {
+    /// Rebuild the receiver index from the sealed rows, in O(n + entries).
+    pub(crate) fn index_receivers(&mut self) {
+        self.index.rebuild(self.rows);
+    }
+
+    /// Read-only view, through the index as last built.
+    pub(crate) fn view(&self) -> BufView<'_> {
+        BufView {
+            rows: self.rows,
+            index: self.index,
+        }
+    }
+
+    /// Mutable view for the wire passes. They may add entries, so the
+    /// caller rebuilds the index afterwards.
+    pub(crate) fn view_mut(&mut self) -> BufViewMut<'_> {
+        BufViewMut { rows: self.rows }
+    }
+}
+
+/// One sender's messages for one round: an optional broadcast payload
+/// shared by every recipient, plus per-recipient override entries. An
+/// override (even an empty one) beats the broadcast payload for its
+/// recipient; the broadcast payload being empty means "no broadcast".
 #[derive(Debug, Default)]
 pub(crate) struct SparseRow {
     /// Payload sent to every non-overridden recipient (empty = none).
     bcast: BitString,
-    /// Number of live entries at the front of `slots`.
-    live: usize,
-    /// Override entries `(recipient, payload)`. `[..live]` is this round's
-    /// data (sorted by recipient once sealed); the tail is spare capacity
-    /// retained across rounds so steady-state sends allocate nothing.
-    slots: Vec<(u32, BitString)>,
+    /// The override entries, allocated on the row's first one: a row that
+    /// only ever broadcasts is this header and its payload.
+    entries: Option<Box<Entries>>,
 }
+
+/// A row's override entries, recipients and payloads in parallel arrays:
+/// the index build and the searches read the compact recipients, and a
+/// reader touches only the payload it is handed.
+#[derive(Debug, Default)]
+struct Entries {
+    /// This round's recipients, `to[i]` for payload `msgs[i]`; sorted and
+    /// distinct once sealed.
+    to: Vec<u32>,
+    /// Payloads. Past `to.len()` they are spare, their allocations kept
+    /// across rounds so steady-state sends allocate nothing. Never longer
+    /// than `n - 1`.
+    msgs: Vec<Slot>,
+    /// Whether a send went out of recipient order since the row was last
+    /// sealed: the recipients may then be unsorted and repeat.
+    unsorted: bool,
+    /// Scratch for [`SparseRow::seal`]'s reordering.
+    perm: Vec<u32>,
+}
+
+/// A payload, aligned so that no payload header straddles two cache lines.
+#[derive(Clone, Debug, Default)]
+#[repr(align(32))]
+pub(crate) struct Slot(BitString);
 
 impl SparseRow {
     /// Reset for a new round, retaining all payload allocations.
-    fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.bcast.clear();
-        self.live = 0;
+        if let Some(es) = &mut self.entries {
+            es.to.clear();
+            es.unsorted = false;
+        }
     }
 
-    /// The override payload for `to`, creating the entry if this round has
-    /// none yet (the last write to a recipient wins, like a dense slot). A
-    /// new entry reuses a spare entry's payload allocation, stale content
-    /// included: callers overwrite it.
-    pub(crate) fn entry(&mut self, to: u32) -> &mut BitString {
-        let i = match self.slots[..self.live].iter().position(|e| e.0 == to) {
-            Some(i) => i,
-            None => {
-                if self.live == self.slots.len() {
-                    self.slots.push((to, BitString::new()));
-                }
-                self.slots[self.live].0 = to;
-                self.live += 1;
-                self.live - 1
+    /// Number of live override entries.
+    fn live(&self) -> usize {
+        self.entries.as_ref().map_or(0, |es| es.to.len())
+    }
+
+    /// The live recipients and their payloads.
+    fn live_entries(&self) -> (&[u32], &[Slot]) {
+        match &self.entries {
+            Some(es) => (&es.to, &es.msgs[..es.to.len()]),
+            None => (&[], &[]),
+        }
+    }
+
+    /// The override payload for `to` in an `n`-node clique. A send to a
+    /// recipient above the last one appends in O(1); any other send
+    /// appends too and marks the row unsorted, so [`SparseRow::seal`]
+    /// keeps only the last write to each recipient. A new entry reuses a
+    /// spare payload's allocation, stale content included: callers
+    /// overwrite it.
+    pub(crate) fn entry(&mut self, to: u32, n: usize) -> &mut BitString {
+        if self.live() == n - 1 {
+            // Full: compact first, so the row never outgrows the n - 1
+            // recipients it can address. A sorted full row has them all.
+            self.seal();
+            if let Ok(i) = self.find(to) {
+                let es = self.entries.get_or_insert_with(Box::default);
+                return &mut es.msgs[i].0;
             }
-        };
-        &mut self.slots[i].1
+        }
+        let es = self.entries.get_or_insert_with(Box::default);
+        let i = es.to.len();
+        match es.to.last() {
+            Some(&last) if last == to => return &mut es.msgs[i - 1].0,
+            Some(&last) if last > to => es.unsorted = true,
+            _ => {}
+        }
+        es.to.push(to);
+        es.spare(i, n)
     }
 
     /// Record a broadcast: one shared payload, all previous overrides
-    /// discarded (a dense broadcast overwrites every slot).
+    /// discarded.
     pub(crate) fn set_broadcast(&mut self, msg: &BitString) {
+        self.clear();
         self.bcast.copy_from(msg);
-        self.live = 0;
     }
 
-    /// Sort the live entries by recipient so reads can binary-search.
+    /// Finish the row after its node stepped. If a send went out of order,
+    /// sort the live entries by recipient and keep only the last write to
+    /// each; the dropped payloads' allocations join the spare tail. After
+    /// this, reads can binary-search and the index sees each link once.
     pub(crate) fn seal(&mut self) {
-        self.slots[..self.live].sort_unstable_by_key(|e| e.0);
+        let Some(es) = self.entries.as_deref_mut() else {
+            return;
+        };
+        if !es.unsorted {
+            return;
+        }
+        es.unsorted = false;
+        let live = es.to.len();
+        let to = &es.to;
+        let perm = &mut es.perm;
+        // The live indices by (recipient, write order): each recipient's
+        // run ends with its last write.
+        perm.clear();
+        perm.extend(0..live as u32);
+        perm.sort_unstable_by_key(|&i| (to[i as usize], i));
+        // Move each run's last index to the front, in order; the rest,
+        // the overwritten entries, end up behind them.
+        let mut kept = 0;
+        for j in 0..live {
+            if j + 1 == live || to[perm[j + 1] as usize] != to[perm[j] as usize] {
+                perm.swap(kept, j);
+                kept += 1;
+            }
+        }
+        // Put old entry `perm[k]` at position k, one cycle at a time,
+        // marking each position done by pointing it at itself.
+        for start in 0..live {
+            let mut j = start;
+            loop {
+                let k = perm[j] as usize;
+                perm[j] = j as u32;
+                if k == start {
+                    break;
+                }
+                es.to.swap(j, k);
+                es.msgs.swap(j, k);
+                j = k;
+            }
+        }
+        es.to.truncate(kept);
+    }
+
+    /// Binary-search a sealed row's entries for recipient `to`.
+    fn find(&self, to: u32) -> Result<usize, usize> {
+        self.live_entries().0.binary_search(&to)
     }
 
     /// The message to `u` (requires a sealed row; `u` must not be the
     /// sender itself — the engine's views guard the diagonal).
     pub(crate) fn get(&self, u: usize) -> &BitString {
-        match self.slots[..self.live].binary_search_by_key(&(u as u32), |e| e.0) {
-            Ok(i) => &self.slots[i].1,
+        match self.find(u as u32) {
+            Ok(i) => &self.live_entries().1[i].0,
             Err(_) => &self.bcast,
         }
     }
 
-    /// The live (sealed) override entries.
-    fn entries(&self) -> &[(u32, BitString)] {
-        &self.slots[..self.live]
-    }
-
     /// This sealed row's non-empty messages for sender `me`, recipients
     /// ascending.
-    fn messages(&self, n: usize, me: usize) -> RowIter<'_> {
+    pub(crate) fn messages(&self, n: usize, me: usize) -> RowIter<'_> {
+        let (to, msgs) = self.live_entries();
         if self.bcast.is_empty() {
-            RowIter::SparseEntries {
-                entries: self.entries(),
-                i: 0,
-            }
+            RowIter::Entries { to, msgs, i: 0 }
         } else {
-            RowIter::SparseBcast {
-                row: self,
+            RowIter::Merged {
+                to,
+                msgs,
+                bcast: &self.bcast,
                 n,
                 me,
                 u: 0,
@@ -577,48 +328,52 @@ impl SparseRow {
     /// recipient order, mutably. Recipients covered by the shared broadcast
     /// payload get a scratch copy; if the visitor changes it, the changed
     /// copy is materialised as an override entry — the adversary hooks
-    /// damage *copies per link*, never the shared payload.
+    /// damage *copies per link*, never the shared payload. New entries take
+    /// spare payloads and are sorted in, so a row never holds more than
+    /// `n - 1` entries however many copies are damaged over a run.
     fn for_each_msg_mut(&mut self, me: usize, n: usize, mut f: impl FnMut(usize, &mut BitString)) {
         if self.bcast.is_empty() {
-            for e in &mut self.slots[..self.live] {
-                if !e.1.is_empty() {
-                    f(e.0 as usize, &mut e.1);
+            if let Some(es) = &mut self.entries {
+                for (i, &u) in es.to.iter().enumerate() {
+                    let m = &mut es.msgs[i].0;
+                    if !m.is_empty() {
+                        f(u as usize, m);
+                    }
                 }
             }
             return;
         }
-        let mut pending: Vec<(u32, BitString)> = Vec::new();
-        let mut scratch = BitString::new();
-        let mut e = 0usize;
-        for u in 0..n {
-            if u == me {
-                continue;
-            }
-            while e < self.live && (self.slots[e].0 as usize) < u {
-                e += 1;
-            }
-            if e < self.live && self.slots[e].0 as usize == u {
-                let m = &mut self.slots[e].1;
-                if !m.is_empty() {
-                    f(u, m);
+        let live = self.live();
+        let mut copy = BitString::new();
+        let mut e = 0;
+        for u in (0..n).filter(|&u| u != me) {
+            if let Some(es) = self.entries.as_deref_mut() {
+                while e < live && (es.to[e] as usize) < u {
+                    e += 1;
                 }
-            } else {
-                scratch.copy_from(&self.bcast);
-                f(u, &mut scratch);
-                if scratch != self.bcast {
-                    pending.push((u as u32, scratch.clone()));
+                if e < live && es.to[e] as usize == u {
+                    let m = &mut es.msgs[e].0;
+                    if !m.is_empty() {
+                        f(u, m);
+                    }
+                    continue;
                 }
+            }
+            copy.copy_from(&self.bcast);
+            f(u, &mut copy);
+            if copy != self.bcast {
+                let es = self.entries.get_or_insert_with(Box::default);
+                let i = es.to.len();
+                es.to.push(u as u32);
+                std::mem::swap(es.spare(i, n), &mut copy);
             }
         }
-        for (u, payload) in pending {
-            match self.slots[..self.live].binary_search_by_key(&u, |e| e.0) {
-                Ok(_) => unreachable!("pending overrides never duplicate an existing entry"),
-                Err(i) => {
-                    self.slots.insert(i, (u, payload));
-                    self.live += 1;
-                }
-            }
+        // The new entries ascend among themselves but interleave with the
+        // old ones.
+        if let Some(es) = &mut self.entries {
+            es.unsorted |= live > 0 && es.to.len() > live;
         }
+        self.seal();
     }
 
     /// Visit each distinct non-empty *payload* of this sealed row, with
@@ -627,48 +382,64 @@ impl SparseRow {
     /// handed to the visitor **once** (with multiplicity `n − 1 − live`),
     /// in place — for sweeps that rewrite every copy identically (message
     /// signing/verification), mutating the shared storage is both correct
-    /// and preserves the backend's memory sharing. Overrides never target
-    /// the sender ([`crate::node::Outbox::send`] rejects self-sends), so
-    /// the multiplicity arithmetic needs no diagonal adjustment.
+    /// and keeps the broadcast stored once. Overrides never target the
+    /// sender ([`crate::node::Outbox::send`] rejects self-sends), so the
+    /// multiplicity arithmetic needs no diagonal adjustment.
     fn for_each_payload_mut(&mut self, n: usize, mut f: impl FnMut(usize, &mut BitString)) {
+        let live = self.live();
         if !self.bcast.is_empty() {
-            let covered = n - 1 - self.live;
+            let covered = n - 1 - live;
             if covered > 0 {
                 f(covered, &mut self.bcast);
             }
         }
-        for e in &mut self.slots[..self.live] {
-            if !e.1.is_empty() {
-                f(1, &mut e.1);
+        if let Some(es) = &mut self.entries {
+            for m in &mut es.msgs[..live] {
+                if !m.0.is_empty() {
+                    f(1, &mut m.0);
+                }
             }
         }
     }
 }
 
+impl Entries {
+    /// Payload `i`, the one for the recipient just pushed, pushing a new
+    /// one if the spare tail is used up. Growth doubles but stops at
+    /// `n - 1`.
+    fn spare(&mut self, i: usize, n: usize) -> &mut BitString {
+        if i == self.msgs.len() {
+            let len = self.msgs.len();
+            if len == self.msgs.capacity() {
+                self.msgs.reserve_exact(len.max(4).min(n - 1 - len));
+            }
+            self.msgs.push(Slot::default());
+        }
+        &mut self.msgs[i].0
+    }
+}
+
 /// Iterator over the non-empty `(recipient, payload)` messages of one
-/// sealed sender row, recipients ascending. A concrete enum (rather than
-/// `impl Iterator` per backend) so [`DeliveryBuf`] stays object-simple.
+/// sealed sender row, recipients ascending.
 pub(crate) enum RowIter<'a> {
-    /// Dense row slice, walked along its sender bits; empty slots are
-    /// skipped.
-    Dense {
-        /// The sender's `n` slots.
-        row: &'a [BitString],
-        /// The recipients still to inspect.
-        bits: Nodes<'a>,
-    },
-    /// Sparse row with no broadcast payload: walk the sorted entries.
-    SparseEntries {
-        /// The sealed override entries.
-        entries: &'a [(u32, BitString)],
+    /// A row with no broadcast payload: walk the sorted entries.
+    Entries {
+        /// The sealed recipients.
+        to: &'a [u32],
+        /// Their payloads.
+        msgs: &'a [Slot],
         /// Next entry to inspect.
         i: usize,
     },
-    /// Sparse row with a broadcast payload: merge the shared payload with
-    /// the sorted overrides, two-pointer style.
-    SparseBcast {
-        /// The sealed row.
-        row: &'a SparseRow,
+    /// A row with a broadcast payload: merge the shared payload with the
+    /// sorted overrides, two-pointer style.
+    Merged {
+        /// The sealed recipients.
+        to: &'a [u32],
+        /// Their payloads.
+        msgs: &'a [Slot],
+        /// The shared payload.
+        bcast: &'a BitString,
         /// Number of nodes.
         n: usize,
         /// The sender (skipped).
@@ -685,37 +456,40 @@ impl<'a> Iterator for RowIter<'a> {
 
     fn next(&mut self) -> Option<(usize, &'a BitString)> {
         match self {
-            RowIter::Dense { row, bits } => {
-                let row: &'a [BitString] = row;
-                bits.map(|u| (u, &row[u])).find(|(_, m)| !m.is_empty())
-            }
-            RowIter::SparseEntries { entries, i } => {
-                let entries: &'a [(u32, BitString)] = entries;
-                while *i < entries.len() {
+            RowIter::Entries { to, msgs, i } => {
+                let (to, msgs): (&'a [u32], &'a [Slot]) = (to, msgs);
+                while *i < to.len() {
                     let j = *i;
                     *i += 1;
-                    if !entries[j].1.is_empty() {
-                        return Some((entries[j].0 as usize, &entries[j].1));
+                    if !msgs[j].0.is_empty() {
+                        return Some((to[j] as usize, &msgs[j].0));
                     }
                 }
                 None
             }
-            RowIter::SparseBcast { row, n, me, u, e } => {
-                let row: &'a SparseRow = row;
-                let entries = row.entries();
+            RowIter::Merged {
+                to,
+                msgs,
+                bcast,
+                n,
+                me,
+                u,
+                e,
+            } => {
+                let (to, msgs, bcast): (&'a [u32], &'a [Slot], &'a BitString) = (to, msgs, bcast);
                 while *u < *n {
                     let cur = *u;
                     *u += 1;
                     if cur == *me {
                         continue;
                     }
-                    while *e < entries.len() && (entries[*e].0 as usize) < cur {
+                    while *e < to.len() && (to[*e] as usize) < cur {
                         *e += 1;
                     }
-                    let m = if *e < entries.len() && entries[*e].0 as usize == cur {
-                        &entries[*e].1
+                    let m = if *e < to.len() && to[*e] as usize == cur {
+                        &msgs[*e].0
                     } else {
-                        &row.bcast
+                        bcast
                     };
                     if !m.is_empty() {
                         return Some((cur, m));
@@ -727,291 +501,218 @@ impl<'a> Iterator for RowIter<'a> {
     }
 }
 
-/// Node indices, ascending: the set bits of a bitmap row (a dense walk,
-/// a 64-bit word at a time), or every node but one (a scan). One iterator
-/// for both, so a view picks its walk once and the compiler can hoist the
-/// choice out of the caller's loop.
-#[derive(Clone, Debug)]
-pub(crate) struct Nodes<'a> {
-    /// The bitmap row; `None` scans every node of `0..n` but `skip`.
-    bits: Option<&'a [u64]>,
-    n: usize,
-    skip: usize,
-    /// Scan: the next node. Walk: the bit index of bit 0 of `word`.
-    base: usize,
-    /// Walk: index of the next word to load.
-    next: usize,
-    /// Walk: the current word, minus the nodes already yielded.
-    word: u64,
+/// The receiver index of one buffer: which entries address each recipient,
+/// and which senders broadcast. Built by [`RecvIndex::rebuild`] from sealed
+/// rows; its `Vec`s keep their capacity across rounds and runs.
+#[derive(Debug, Default)]
+pub(crate) struct RecvIndex {
+    /// `pairs[start[u]..start[u + 1]]` are the entries addressed to `u`;
+    /// `n + 1` offsets.
+    start: Vec<u32>,
+    /// `(sender, entry)`: entry `entry` of sender row `sender`, senders
+    /// ascending per recipient. Empty entries are listed too: an empty
+    /// override still hides its sender's broadcast.
+    pairs: Vec<(u32, u32)>,
+    /// The senders with a non-empty broadcast payload, ascending.
+    bcast: Vec<u32>,
 }
 
-impl<'a> Nodes<'a> {
-    /// The set bits of bitmap row `bits`.
-    pub(crate) fn marked(bits: &'a [u64]) -> Self {
-        Self {
-            bits: Some(bits),
-            n: 0,
-            skip: 0,
-            base: 0,
-            next: 0,
-            word: 0,
-        }
-    }
-
-    /// Every node of `0..n` but `skip`.
-    pub(crate) fn all_but(n: usize, skip: usize) -> Self {
-        Self {
-            bits: None,
-            n,
-            skip,
-            base: 0,
-            next: 0,
-            word: 0,
-        }
-    }
-}
-
-impl Iterator for Nodes<'_> {
-    type Item = usize;
-
-    #[inline]
-    fn next(&mut self) -> Option<usize> {
-        let Some(bits) = self.bits else {
-            let mut u = self.base;
-            if u == self.skip {
-                u += 1;
+impl RecvIndex {
+    /// Index `rows` by a counting sort over their entries, in O(n + entries).
+    fn rebuild(&mut self, rows: &[SparseRow]) {
+        let n = rows.len();
+        let total: usize = rows.iter().map(SparseRow::live).sum();
+        assert!(
+            total <= u32::MAX as usize,
+            "{total} messages in one round overflow the receiver index"
+        );
+        let start = &mut self.start;
+        start.clear();
+        start.resize(n + 1, 0);
+        self.bcast.clear();
+        for (v, row) in rows.iter().enumerate() {
+            if !row.bcast.is_empty() {
+                self.bcast.push(v as u32);
             }
-            if u >= self.n {
-                return None;
+            for &to in row.live_entries().0 {
+                start[to as usize + 1] += 1;
             }
-            self.base = u + 1;
-            return Some(u);
-        };
-        while self.word == 0 {
-            self.word = *bits.get(self.next)?;
-            self.base = 64 * self.next;
-            self.next += 1;
         }
-        let bit = self.word.trailing_zeros() as usize;
-        self.word &= self.word - 1;
-        Some(self.base + bit)
+        for u in 0..n {
+            start[u + 1] += start[u];
+        }
+        // Every pair below `total` is overwritten next, so the vector only
+        // ever grows: no round pays for zeroing it.
+        if self.pairs.len() < total {
+            self.pairs.resize(total, (0, 0));
+        }
+        // Fill with `start[u]` as recipient u's cursor, which leaves it at
+        // u + 1's first pair; shifting by one restores the offsets.
+        for (v, row) in rows.iter().enumerate() {
+            for (i, &to) in row.live_entries().0.iter().enumerate() {
+                let cursor = &mut start[to as usize];
+                self.pairs[*cursor as usize] = (v as u32, i as u32);
+                *cursor += 1;
+            }
+        }
+        start.copy_within(0..n, 1);
+        start[0] = 0;
     }
 }
 
-/// Read-only view of one whole delivery buffer, backend-erased. Used by the
-/// bookkeeping paths (crash charging, undelivered scans, transcripts) so
-/// they stay a single implementation across backends.
+/// The non-empty messages to one recipient as `(sender, payload)`, senders
+/// ascending: its index pairs merged with the broadcasting senders.
+pub(crate) struct Column<'a> {
+    rows: &'a [SparseRow],
+    /// The recipient's pairs not yet visited.
+    pairs: &'a [(u32, u32)],
+    /// The broadcasting senders not yet visited.
+    bcast: &'a [u32],
+    /// The recipient (its own broadcast is skipped).
+    me: u32,
+}
+
+impl<'a> Iterator for Column<'a> {
+    type Item = (usize, &'a BitString);
+
+    fn next(&mut self) -> Option<(usize, &'a BitString)> {
+        let rows = self.rows;
+        loop {
+            let next_bcast = self.bcast.first().copied();
+            let (v, m) = match self.pairs.split_first() {
+                // An override, even an empty one, beats its sender's
+                // broadcast.
+                Some((&(v, e), rest)) if next_bcast.is_none_or(|b| v <= b) => {
+                    self.pairs = rest;
+                    if next_bcast == Some(v) {
+                        self.bcast = &self.bcast[1..];
+                    }
+                    (v, &rows[v as usize].live_entries().1[e as usize].0)
+                }
+                _ => {
+                    let (&v, rest) = self.bcast.split_first()?;
+                    self.bcast = rest;
+                    if v == self.me {
+                        continue;
+                    }
+                    (v, &rows[v as usize].bcast)
+                }
+            };
+            if !m.is_empty() {
+                return Some((v as usize, m));
+            }
+        }
+    }
+}
+
+/// Read-only view of one whole delivery buffer: what a step phase reads,
+/// and what the bookkeeping (crash charging, undelivered scans,
+/// transcripts) walks.
 #[derive(Clone, Copy)]
-pub(crate) enum BufView<'a> {
-    /// Dense sender-major matrix.
-    Dense {
-        /// The `n²` slots.
-        slots: &'a [BitString],
-        /// Number of nodes.
-        n: usize,
-        /// Sender-major bitmap.
-        sent: &'a [u64],
-        /// Receiver-major bitmap.
-        recv: &'a [u64],
-    },
-    /// Sparse per-sender rows.
-    Sparse {
-        /// The `n` sealed rows.
-        rows: &'a [SparseRow],
-    },
+pub(crate) struct BufView<'a> {
+    pub(crate) rows: &'a [SparseRow],
+    pub(crate) index: &'a RecvIndex,
 }
 
 impl<'a> BufView<'a> {
     /// The message `v → u` (empty if none; the diagonal is always empty).
     pub(crate) fn get(&self, v: usize, u: usize) -> &'a BitString {
-        match self {
-            BufView::Dense { slots, n, .. } => {
-                let slots: &'a [BitString] = slots;
-                &slots[v * *n + u]
-            }
-            BufView::Sparse { rows } => {
-                let rows: &'a [SparseRow] = rows;
-                if u == v {
-                    &EMPTY
-                } else {
-                    rows[v].get(u)
-                }
-            }
+        if u == v {
+            &EMPTY
+        } else {
+            self.rows[v].get(u)
         }
     }
 
     /// Sender `v`'s non-empty messages as `(recipient, payload)`,
     /// recipients ascending.
     pub(crate) fn row(&self, v: usize) -> RowIter<'a> {
-        match *self {
-            BufView::Dense { slots, n, sent, .. } => {
-                let w = row_words(n);
-                RowIter::Dense {
-                    row: &slots[v * n..(v + 1) * n],
-                    bits: Nodes::marked(&sent[v * w..(v + 1) * w]),
-                }
-            }
-            BufView::Sparse { rows } => rows[v].messages(rows.len(), v),
-        }
+        self.rows[v].messages(self.rows.len(), v)
     }
 
     /// The non-empty messages to `u` as `(sender, payload)`, senders
-    /// ascending.
-    pub(crate) fn column(&self, u: usize) -> impl Iterator<Item = (usize, &'a BitString)> + 'a {
-        let senders = match *self {
-            BufView::Dense { n, recv, .. } => {
-                let w = row_words(n);
-                Nodes::marked(&recv[u * w..(u + 1) * w])
-            }
-            BufView::Sparse { rows } => Nodes::all_but(rows.len(), u),
-        };
-        let view = *self;
-        senders
-            .map(move |v| (v, view.get(v, u)))
-            .filter(|(_, m)| !m.is_empty())
-    }
-
-    /// Whether the dense bitmaps cover every message: each non-empty slot
-    /// has its sender bit and its receiver bit set. A full O(n²) scan, for
-    /// debug assertions; trivially true for the sparse backend.
-    pub(crate) fn bits_cover_messages(&self) -> bool {
-        let BufView::Dense {
-            slots,
-            n,
-            sent,
-            recv,
-        } = *self
-        else {
-            return true;
-        };
-        let w = row_words(n);
-        let bit = |map: &[u64], row: usize, i: usize| map[row * w + i / 64] >> (i % 64) & 1 == 1;
-        (0..n).all(|v| {
-            (0..n).all(|u| slots[v * n + u].is_empty() || (bit(sent, v, u) && bit(recv, u, v)))
-        })
+    /// ascending, through the receiver index.
+    pub(crate) fn column(&self, u: usize) -> Column<'a> {
+        let index = self.index;
+        Column {
+            rows: self.rows,
+            pairs: &index.pairs[index.start[u] as usize..index.start[u + 1] as usize],
+            bcast: &index.bcast,
+            me: u as u32,
+        }
     }
 }
 
-/// Mutable view of one whole delivery buffer, backend-erased. The adversary
-/// hooks (link faults, Byzantine rewrites) mutate messages through this so
-/// their sweep order and semantics are backend-independent.
-pub(crate) enum BufViewMut<'a> {
-    /// Dense sender-major matrix.
-    Dense {
-        /// The `n²` slots.
-        slots: &'a mut [BitString],
-        /// Number of nodes.
-        n: usize,
-        /// Sender-major bitmap; the hooks only empty or rewrite non-empty
-        /// slots, so it stays a cover without being written.
-        sent: &'a [u64],
-    },
-    /// Sparse per-sender rows.
-    Sparse {
-        /// The `n` sealed rows.
-        rows: &'a mut [SparseRow],
-        /// Number of nodes.
-        n: usize,
-    },
+/// Mutable view of one whole delivery buffer. The adversary hooks (link
+/// faults, Byzantine rewrites, the authentication envelope) mutate messages
+/// through this.
+pub(crate) struct BufViewMut<'a> {
+    rows: &'a mut [SparseRow],
 }
 
 impl BufViewMut<'_> {
     /// Number of nodes.
     pub(crate) fn n(&self) -> usize {
-        match self {
-            BufViewMut::Dense { n, .. } | BufViewMut::Sparse { n, .. } => *n,
-        }
+        self.rows.len()
     }
 
     /// Visit sender `v`'s non-empty messages in ascending recipient order,
-    /// mutably — the adversary sweep order both backends share.
+    /// mutably, one copy per link (see [`SparseRow::for_each_msg_mut`]).
     pub(crate) fn for_each_msg_mut(&mut self, v: usize, f: impl FnMut(usize, &mut BitString)) {
-        match self {
-            BufViewMut::Dense { slots, n, sent } => dense_row_mut(slots, *n, sent, v, f),
-            BufViewMut::Sparse { rows, n } => rows[v].for_each_msg_mut(v, *n, f),
-        }
+        let n = self.rows.len();
+        self.rows[v].for_each_msg_mut(v, n, f);
     }
 
     /// Visit sender `v`'s distinct non-empty payloads with their recipient
-    /// multiplicities (dense: always 1; sparse: the shared broadcast
-    /// payload once with its coverage, then each override). The sweep for
-    /// per-payload rewrites that must treat every copy identically —
-    /// equal payloads stay equal, so dense and sparse remain
-    /// bit-identical while the sparse backend keeps its sharing.
-    pub(crate) fn for_each_payload_mut(
-        &mut self,
-        v: usize,
-        mut f: impl FnMut(usize, &mut BitString),
-    ) {
-        match self {
-            BufViewMut::Dense { slots, n, sent } => {
-                dense_row_mut(slots, *n, sent, v, |_, m| f(1, m));
-            }
-            BufViewMut::Sparse { rows, n } => rows[v].for_each_payload_mut(*n, f),
-        }
+    /// multiplicities: the shared broadcast payload once with its coverage,
+    /// then each override. The sweep for per-payload rewrites that must
+    /// treat every copy identically — equal payloads stay equal, so a
+    /// broadcast stays stored once.
+    pub(crate) fn for_each_payload_mut(&mut self, v: usize, f: impl FnMut(usize, &mut BitString)) {
+        let n = self.rows.len();
+        self.rows[v].for_each_payload_mut(n, f);
     }
 }
 
-/// Visit dense sender row `v`'s non-empty slots along its sender bits,
-/// recipients ascending.
-fn dense_row_mut(
-    slots: &mut [BitString],
-    n: usize,
-    sent: &[u64],
-    v: usize,
-    mut f: impl FnMut(usize, &mut BitString),
-) {
-    let w = row_words(n);
-    for u in Nodes::marked(&sent[v * w..(v + 1) * w]) {
-        let m = &mut slots[v * n + u];
-        if !m.is_empty() {
-            f(u, m);
-        }
-    }
-}
-
-/// The two bitmaps of a raw sender-major matrix, covering exactly its
-/// non-empty slots: dense views for in-crate tests that drive the
-/// adversary hooks directly.
 #[cfg(test)]
-pub(crate) struct MatrixBits {
-    n: usize,
-    sent: Vec<u64>,
-    recv: Vec<u64>,
-}
-
-#[cfg(test)]
-impl MatrixBits {
-    pub(crate) fn of(slots: &[BitString], n: usize) -> Self {
+impl SparseBuf {
+    /// A sealed, indexed buffer holding the non-empty slots of a
+    /// sender-major `n × n` matrix (`slots[v*n + u]` = message `v → u`) as
+    /// override entries: for in-crate tests that drive the wire passes
+    /// directly.
+    pub(crate) fn from_matrix(slots: &[BitString], n: usize) -> Self {
         assert_eq!(slots.len(), n * n);
-        let w = row_words(n);
-        let mut sent = vec![0; n * w];
-        let mut recv = vec![0; n * w];
-        for v in 0..n {
+        let mut buf = Self::fresh(n);
+        for (v, row) in buf.rows.iter_mut().enumerate() {
             for u in 0..n {
-                if !slots[v * n + u].is_empty() {
-                    sent[v * w + u / 64] |= 1 << (u % 64);
-                    recv[u * w + v / 64] |= 1 << (v % 64);
+                let m = &slots[v * n + u];
+                if !m.is_empty() {
+                    row.entry(u as u32, n).copy_from(m);
                 }
             }
+            row.seal();
         }
-        Self { n, sent, recv }
+        buf.index.rebuild(&buf.rows);
+        buf
     }
 
-    pub(crate) fn view<'a>(&'a self, slots: &'a [BitString]) -> BufView<'a> {
-        BufView::Dense {
-            slots,
-            n: self.n,
-            sent: &self.sent,
-            recv: &self.recv,
+    /// The buffer as a sender-major `n × n` matrix.
+    pub(crate) fn to_matrix(&self) -> Vec<BitString> {
+        let n = self.rows.len();
+        let view = self.view();
+        (0..n * n).map(|i| view.get(i / n, i % n).clone()).collect()
+    }
+
+    pub(crate) fn view(&self) -> BufView<'_> {
+        BufView {
+            rows: &self.rows,
+            index: &self.index,
         }
     }
 
-    pub(crate) fn view_mut<'a>(&'a self, slots: &'a mut [BitString]) -> BufViewMut<'a> {
-        BufViewMut::Dense {
-            slots,
-            n: self.n,
-            sent: &self.sent,
+    pub(crate) fn view_mut(&mut self) -> BufViewMut<'_> {
+        BufViewMut {
+            rows: &mut self.rows,
         }
     }
 }
@@ -1024,13 +725,39 @@ mod tests {
         BitString::from_bits(s.iter().copied())
     }
 
+    fn uint(value: u64, width: usize) -> BitString {
+        let mut m = BitString::new();
+        m.push_uint(value, width);
+        m
+    }
+
+    /// The live entries as `(recipient, payload)`.
+    fn entries(r: &SparseRow) -> Vec<(u32, BitString)> {
+        let (to, msgs) = r.live_entries();
+        to.iter()
+            .copied()
+            .zip(msgs.iter().map(|m| m.0.clone()))
+            .collect()
+    }
+
+    /// Entries the row keeps, live and spare.
+    fn kept(r: &SparseRow) -> usize {
+        r.entries.as_ref().map_or(0, |es| es.msgs.len())
+    }
+
+    fn unsorted(r: &SparseRow) -> bool {
+        r.entries.as_ref().is_some_and(|es| es.unsorted)
+    }
+
     #[test]
     fn sparse_row_send_overrides_and_seals() {
+        let n = 5;
         let mut r = SparseRow::default();
-        *r.entry(3) = bits(&[true]);
-        *r.entry(1) = bits(&[false, true]);
-        *r.entry(3) = bits(&[true, true]); // last write wins
+        *r.entry(3, n) = bits(&[true]);
+        *r.entry(1, n) = bits(&[false, true]);
+        *r.entry(3, n) = bits(&[true, true]); // last write wins
         r.seal();
+        assert_eq!(r.live(), 2, "one entry per recipient once sealed");
         assert_eq!(r.get(1), &bits(&[false, true]));
         assert_eq!(r.get(3), &bits(&[true, true]));
         assert!(r.get(2).is_empty(), "no broadcast, no entry");
@@ -1042,13 +769,60 @@ mod tests {
     }
 
     #[test]
+    fn ascending_sends_append_and_out_of_order_sends_are_sorted_at_seal() {
+        let n = 8;
+        let mut r = SparseRow::default();
+        for to in [1u32, 2, 5] {
+            *r.entry(to, n) = uint(u64::from(to), 3);
+        }
+        assert!(!unsorted(&r), "ascending sends keep the row sorted");
+        *r.entry(5, n) = bits(&[true]); // a repeat of the last recipient overwrites it
+        assert_eq!(r.live(), 3);
+        *r.entry(2, n) = bits(&[false]);
+        *r.entry(7, n) = bits(&[true]);
+        *r.entry(2, n) = bits(&[true]);
+        assert!(unsorted(&r));
+        r.seal();
+        let got = entries(&r);
+        assert_eq!(
+            got,
+            vec![
+                (1, uint(1, 3)),
+                (2, bits(&[true])),
+                (5, bits(&[true])),
+                (7, bits(&[true])),
+            ]
+        );
+        assert!(kept(&r) < n);
+    }
+
+    #[test]
+    fn a_row_never_holds_more_than_n_minus_one_entries() {
+        let n = 6;
+        let mut r = SparseRow::default();
+        // Descending sends, each recipient many times over.
+        for round in 0..10u64 {
+            for to in (1..n as u32).rev() {
+                *r.entry(to, n) = uint(round, 4);
+                assert!(kept(&r) < n, "row grew to {} entries", kept(&r));
+            }
+        }
+        r.seal();
+        for to in 1..n {
+            assert_eq!(r.get(to), &uint(9, 4), "last write to {to}");
+        }
+        let capacity = r.entries.as_ref().map_or(0, |es| es.msgs.capacity());
+        assert!(capacity < n, "capacity {capacity}");
+    }
+
+    #[test]
     fn sparse_row_broadcast_then_override() {
         let n = 5;
         let mut r = SparseRow::default();
-        *r.entry(4) = bits(&[true, true, true]);
+        *r.entry(4, n) = bits(&[true, true, true]);
         r.set_broadcast(&bits(&[true, false])); // discards the earlier send
-        *r.entry(2) = bits(&[false]); // override one copy
-        *r.entry(3) = BitString::new(); // empty override = no message to 3
+        *r.entry(2, n) = bits(&[false]); // override one copy
+        *r.entry(3, n) = BitString::new(); // empty override = no message to 3
         r.seal();
         assert_eq!(r.get(1), &bits(&[true, false]));
         assert_eq!(r.get(2), &bits(&[false]));
@@ -1061,12 +835,13 @@ mod tests {
 
     #[test]
     fn sparse_row_iter_without_broadcast_skips_empties() {
+        let n = 6;
         let mut r = SparseRow::default();
-        *r.entry(2) = bits(&[true]);
-        *r.entry(0) = BitString::new();
-        *r.entry(4) = bits(&[false, false]);
+        *r.entry(2, n) = bits(&[true]);
+        *r.entry(0, n) = BitString::new();
+        *r.entry(4, n) = bits(&[false, false]);
         r.seal();
-        let got: Vec<usize> = r.messages(6, 1).map(|(u, _)| u).collect();
+        let got: Vec<usize> = r.messages(n, 1).map(|(u, _)| u).collect();
         assert_eq!(got, vec![2, 4]);
     }
 
@@ -1093,67 +868,92 @@ mod tests {
     }
 
     #[test]
-    fn views_agree_between_backends() {
-        let n = 3;
-        // Dense: 0 → 1 and 2 → 0.
-        let mut dense = vec![BitString::new(); n * n];
-        dense[1] = bits(&[true]);
-        dense[2 * n] = bits(&[false, true]);
-        // Sparse mirror.
-        let mut rows: Vec<SparseRow> = (0..n).map(|_| SparseRow::default()).collect();
-        *rows[0].entry(1) = bits(&[true]);
-        *rows[2].entry(0) = bits(&[false, true]);
-        for r in &mut rows {
+    fn damaged_broadcast_copies_reuse_spare_entries() {
+        let n = 6;
+        let mut r = SparseRow::default();
+        for round in 0..50 {
+            r.clear();
+            r.set_broadcast(&bits(&[true, false, true]));
+            r.seal();
+            // Drop a different pair of copies every round.
+            let hit = [1 + round % 5, 1 + (round + 2) % 5];
+            r.for_each_msg_mut(0, n, |u, m| {
+                if hit.contains(&u) {
+                    m.clear();
+                }
+            });
+            let heard: Vec<usize> = r.messages(n, 0).map(|(u, _)| u).collect();
+            let expect: Vec<usize> = (1..n).filter(|u| !hit.contains(u)).collect();
+            assert_eq!(heard, expect, "round {round}");
+            assert!(kept(&r) < n, "round {round}: {}", kept(&r));
+        }
+    }
+
+    #[test]
+    fn the_index_walks_each_column_in_sender_order() {
+        let n = 5;
+        let mut buf = SparseBuf::fresh(n);
+        // 0 broadcasts, overriding 2 with an empty message and 3 with 1 bit.
+        buf.rows[0].set_broadcast(&bits(&[true, true]));
+        *buf.rows[0].entry(3, n) = bits(&[false]);
+        *buf.rows[0].entry(2, n) = BitString::new();
+        // 1 unicasts to 4 and 0; 4 broadcasts.
+        *buf.rows[1].entry(4, n) = bits(&[true]);
+        *buf.rows[1].entry(0, n) = bits(&[true, false, true]);
+        buf.rows[4].set_broadcast(&bits(&[false, false, false, false]));
+        for r in &mut buf.rows {
             r.seal();
         }
-        let index = MatrixBits::of(&dense, n);
-        let dv = index.view(&dense);
-        let sv = BufView::Sparse { rows: &rows };
-        for v in 0..n {
-            for u in 0..n {
-                assert_eq!(dv.get(v, u), sv.get(v, u), "({v},{u})");
-            }
-            assert_eq!(dv.row(v).collect::<Vec<_>>(), sv.row(v).collect::<Vec<_>>());
-            assert_eq!(
-                dv.column(v).collect::<Vec<_>>(),
-                sv.column(v).collect::<Vec<_>>()
-            );
+        buf.parts().index_receivers();
+        let view = buf.view();
+        for u in 0..n {
+            let walked: Vec<(usize, BitString)> =
+                view.column(u).map(|(v, m)| (v, m.clone())).collect();
+            let scanned: Vec<(usize, BitString)> = (0..n)
+                .map(|v| (v, view.get(v, u).clone()))
+                .filter(|(_, m)| !m.is_empty())
+                .collect();
+            assert_eq!(walked, scanned, "column {u}");
         }
-        assert!(dv.bits_cover_messages());
+        let senders = |u: usize| view.column(u).map(|(v, _)| v).collect::<Vec<_>>();
+        assert_eq!(senders(0), vec![1, 4]);
+        assert_eq!(
+            senders(2),
+            vec![4],
+            "the empty override hides 0's broadcast"
+        );
+        assert_eq!(senders(4), vec![0, 1], "a broadcaster does not hear itself");
+        // A broadcast is indexed once per sender, not once per copy.
+        assert_eq!(buf.index.pairs.len(), 4);
+        assert_eq!(buf.index.bcast, vec![0, 4]);
     }
 
     #[test]
     fn arena_reuses_and_reports_footprint() {
         let mut arena = DeliveryArena::new();
         assert_eq!(arena.slot_footprint(), 0);
-        let bufs = SparseBuf::take(&mut arena, 4);
-        SparseBuf::put(&mut arena, bufs);
+        let bufs = arena.take(4);
+        arena.put(bufs);
         // 2 buffers × 4 rows × (1 broadcast slot + 0 entries).
         assert_eq!(arena.slot_footprint(), 8);
         // Same n: the pair is reused, cleared.
-        let bufs = SparseBuf::take(&mut arena, 4);
+        let mut bufs = arena.take(4);
         assert_eq!(arena.slot_footprint(), 0, "checked out");
         assert!(bufs[0]
             .rows
             .iter()
-            .all(|r| r.bcast.is_empty() && r.live == 0));
-        SparseBuf::put(&mut arena, bufs);
+            .all(|r| r.bcast.is_empty() && r.live() == 0));
+        *bufs[0].rows[1].entry(2, 4) = bits(&[true]);
+        arena.put(bufs);
+        assert_eq!(arena.slot_footprint(), 9, "entries stay parked");
+        let bufs = arena.take(4);
+        assert_eq!(bufs[0].rows[1].live(), 0);
+        assert!(bufs[0].view().column(2).next().is_none(), "index reset");
+        arena.put(bufs);
         // Different n: a fresh pair replaces the stale one.
-        let bufs = SparseBuf::take(&mut arena, 2);
+        let bufs = arena.take(2);
         assert_eq!(bufs[0].rows.len(), 2);
-        SparseBuf::put(&mut arena, bufs);
+        arena.put(bufs);
         assert_eq!(arena.slot_footprint(), 4);
-
-        let dense = DenseBuf::take(&mut arena, 3);
-        DenseBuf::put(&mut arena, dense);
-        assert_eq!(arena.slot_footprint(), 4 + 2 * 9);
-    }
-
-    #[test]
-    fn delivery_mode_tags() {
-        assert_eq!(DeliveryMode::Auto.tag(), "auto");
-        assert_eq!(DeliveryMode::Dense.tag(), "dense");
-        assert_eq!(DeliveryMode::Sparse.tag(), "sparse");
-        assert_eq!(DeliveryMode::default(), DeliveryMode::Auto);
     }
 }

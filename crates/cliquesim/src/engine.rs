@@ -21,16 +21,13 @@
 //! runs on the calling thread while the workers are parked, which (with
 //! address-keyed adversary coins) makes runs pool-shape independent.
 //!
-//! Message delivery is **double-buffered** behind a pluggable backend (see
-//! [`DeliveryMode`]): the dense backend keeps a sender-major `n × n` matrix
-//! with a sender and a receiver bitmap, the sparse backend a per-sender
-//! edge list with a shared broadcast payload. Either way nodes write sends
-//! into one buffer while reading the previous round's through a
-//! receiver-oriented inbox view, so delivery is a buffer swap (no O(n²)
-//! transpose; slots are cleared in place, retaining capacity, and persist
-//! across runs via [`DeliveryArena`]). On the dense backend every row and
-//! column walk follows the bitmaps, so a round costs O(n + messages), not
-//! O(n²).
+//! Message delivery is **double-buffered** (see [`crate::delivery`]): a
+//! per-sender edge list with a shared broadcast payload, read through a
+//! receiver index. Nodes write sends into one buffer while reading the
+//! previous round's through an inbox view, so delivery is a buffer swap (no
+//! O(n²) transpose; rows are cleared in place, retaining capacity, and
+//! persist across runs via [`DeliveryArena`]). Every row and column walk
+//! visits messages only, so a round costs O(n + messages), not O(n²).
 //!
 //! Inline and pooled execution produce bit-identical outputs, transcripts,
 //! and [`RunStats`] (wall-clock timing excluded).
@@ -45,10 +42,7 @@ use std::time::{Duration, Instant};
 use crate::auth::{AuthKeyring, AuthLedger};
 use crate::bits::BitString;
 use crate::byzantine::{ByzantinePlan, ByzantineReport};
-use crate::delivery::{
-    BufMut, BufRef, BufView, BufViewMut, DeliveryArena, DeliveryBuf, DeliveryMode, DenseBuf,
-    RowsMut, SparseBuf,
-};
+use crate::delivery::{BufMut, BufView, BufViewMut, DeliveryArena, SparseBuf, SparseRow};
 use crate::fault::{FaultEvent, FaultPlan, FaultReport};
 use crate::node::{Inbox, NodeCtx, NodeId, NodeProgram, Outbox, Status};
 use crate::stats::RunStats;
@@ -325,11 +319,6 @@ pub struct Engine {
     broadcast_only: bool,
     /// CONGEST mode: `topology[v*n + u]` = v may send to u. Empty = clique.
     topology: Arc<[bool]>,
-    /// Number of `true` entries in `topology` (0 for the clique); cached so
-    /// [`Engine::resolved_delivery`] can judge link density without a scan.
-    topology_edges: usize,
-    /// Which delivery backend to use; `Auto` decides per run.
-    delivery: DeliveryMode,
     /// Adversary schedule; `None` (and the empty plan) leave runs
     /// byte-identical to the fault-free engine.
     fault_plan: Option<Arc<FaultPlan>>,
@@ -369,8 +358,6 @@ impl Engine {
             cap_threads_to_host: true,
             broadcast_only: false,
             topology: Arc::from(Vec::new().into_boxed_slice()),
-            topology_edges: 0,
-            delivery: DeliveryMode::Auto,
             fault_plan: None,
             fault_offset: 0,
             byzantine_plan: None,
@@ -402,54 +389,8 @@ impl Engine {
             }
             assert!(!adjacent[v * self.n + v], "no self-loops");
         }
-        self.topology_edges = adjacent.iter().filter(|a| **a).count();
         self.topology = Arc::from(adjacent.into_boxed_slice());
         self
-    }
-
-    /// Select the per-round message-delivery backend (see [`DeliveryMode`]).
-    /// The default, [`DeliveryMode::Auto`], picks the sparse backend for
-    /// broadcast-only engines, sparse CONGEST topologies, and crash-heavy
-    /// fault plans, and the dense `n × n` matrices otherwise. Whatever the
-    /// choice, outputs, transcripts, reports, and [`RunStats`] are
-    /// bit-identical — only memory footprint and wall-clock differ.
-    pub fn with_delivery(mut self, mode: DeliveryMode) -> Self {
-        self.delivery = mode;
-        self
-    }
-
-    /// The configured delivery mode (possibly [`DeliveryMode::Auto`]).
-    pub fn delivery(&self) -> DeliveryMode {
-        self.delivery
-    }
-
-    /// The backend a run would use right now: resolves
-    /// [`DeliveryMode::Auto`] against the engine's configuration (never
-    /// returns `Auto`). The heuristic prefers sparse whenever per-sender
-    /// traffic is structurally far below `n - 1` distinct payloads:
-    /// broadcast-only mode (one payload per sender), a CONGEST topology
-    /// with at most 25% of ordered pairs adjacent, or a fault plan that
-    /// leaves at least half the nodes *permanently* dead — net of rejoins
-    /// (`dead_at(usize::MAX)` collapses crash/rejoin pairs), so a high-churn
-    /// plan whose nodes keep coming back does not over-select Sparse.
-    pub fn resolved_delivery(&self) -> DeliveryMode {
-        match self.delivery {
-            DeliveryMode::Dense => DeliveryMode::Dense,
-            DeliveryMode::Sparse => DeliveryMode::Sparse,
-            DeliveryMode::Auto => {
-                let sparse_topology =
-                    !self.topology.is_empty() && self.topology_edges * 4 <= self.n * self.n;
-                let crash_heavy = self
-                    .fault_plan
-                    .as_deref()
-                    .is_some_and(|p| p.dead_at(usize::MAX).len() * 2 >= self.n);
-                if self.broadcast_only || sparse_topology || crash_heavy {
-                    DeliveryMode::Sparse
-                } else {
-                    DeliveryMode::Dense
-                }
-            }
-        }
     }
 
     /// Attach a fault-injection adversary (see [`crate::fault`]). The plan
@@ -657,22 +598,19 @@ impl Engine {
         arena: &mut DeliveryArena,
     ) -> Result<FaultedOutcome<P::Output>, SimError> {
         // Validate before any buffer checkout: rejecting a wrong-sized
-        // program vector must not cost 2·n² message slots.
+        // program vector must not cost 2·n rows and their index.
         if programs.len() != self.n {
             return Err(SimError::WrongProgramCount {
                 expected: self.n,
                 got: programs.len(),
             });
         }
-        match self.resolved_delivery() {
-            DeliveryMode::Sparse => self.run_core::<P, SparseBuf>(programs, arena),
-            _ => self.run_core::<P, DenseBuf>(programs, arena),
-        }
+        self.run_core(programs, arena)
     }
 
     /// Set up one run and drive it through [`Engine::round_loop`] with the
-    /// inline or the pooled step phase, generic over the delivery backend.
-    fn run_core<P: NodeProgram, B: DeliveryBuf>(
+    /// inline or the pooled step phase.
+    fn run_core<P: NodeProgram>(
         &self,
         mut programs: Vec<P>,
         arena: &mut DeliveryArena,
@@ -695,7 +633,7 @@ impl Engine {
         // Delivery is the implicit swap; rows are cleared in place at the
         // start of the round that rewrites them. The pair comes out of the
         // arena, so repeated runs reuse the allocations.
-        let mut bufs = B::take(arena, n);
+        let mut bufs = arena.take(n);
         let mut halted = vec![false; n];
         let mut outputs: Vec<Option<P::Output>> = (0..n).map(|_| None).collect();
         let mut transcripts: Option<Vec<Transcript>> = self
@@ -757,7 +695,7 @@ impl Engine {
         };
         // Return the buffers even on a failed run, so the next run through
         // the same arena still reuses the allocations.
-        B::put(arena, bufs);
+        arena.put(bufs);
         result?;
 
         wire.fault_report.tally_into(&mut stats);
@@ -777,9 +715,9 @@ impl Engine {
     /// step phase, [`RoundBook::close_round`], and — unless that ended the
     /// run — the wire passes and the deadline and cancel checks. Everything
     /// but the step phase runs on the calling thread while no node steps.
-    fn round_loop<P: NodeProgram, B: DeliveryBuf>(
+    fn round_loop<P: NodeProgram>(
         &self,
-        phase: &mut impl StepPhase<P, B>,
+        phase: &mut impl StepPhase<P>,
         ctxs: &[NodeCtx],
         book: &mut RoundBook<'_>,
         wire: &mut Wire<'_>,
@@ -798,7 +736,7 @@ impl Engine {
                 // over its missed window and steps again from this round on.
                 let start = Instant::now();
                 let (_, read) = parity(state.bufs, round);
-                let inbound = B::view(read.as_ref(), n);
+                let inbound = read.view();
                 let report = &mut wire.fault_report;
                 plan.apply_crashes(wire.offset + round, state.halted, &inbound, report);
                 book.process_churn(
@@ -823,11 +761,11 @@ impl Engine {
 
             let state = phase.state();
             let (mut write, read) = parity(state.bufs, round);
-            let verdict = book.close_round::<B>(
+            let verdict = book.close_round(
                 round,
                 acc,
                 &mut write,
-                read.as_ref(),
+                read.view(),
                 state.halted,
                 &active,
                 step_start,
@@ -845,13 +783,14 @@ impl Engine {
                     })
                 }
             }
-            let start = Instant::now();
-            wire.apply(
-                round,
-                &mut B::view_mut(write, n),
-                &B::view(read.as_ref(), n),
-            );
-            book.stats.timing.passes_ns += nanos(start, Instant::now());
+            if wire.is_active() {
+                let start = Instant::now();
+                wire.apply(round, &mut write.view_mut(), &read.view());
+                // The passes may have materialised damaged broadcast copies
+                // as new entries: index what the next round reads.
+                write.index_receivers();
+                book.stats.timing.passes_ns += nanos(start, Instant::now());
+            }
 
             if let Some((start, limit)) = watchdog {
                 if start.elapsed() >= limit {
@@ -884,6 +823,11 @@ struct Wire<'a> {
 }
 
 impl Wire<'_> {
+    /// Whether any wire pass runs.
+    fn is_active(&self) -> bool {
+        self.faults.is_some() || self.byzantine.is_some() || self.auth.is_some()
+    }
+
     /// Apply the wire passes to the round's closed write buffer `sent`, in
     /// their one order: Byzantine rewrites → sign → forged tags → link
     /// faults → verify. Stats and transcripts already record what the
@@ -919,11 +863,11 @@ impl Wire<'_> {
 /// Exclusive access to a run's state between step phases: every node's
 /// program, halt flag and output, and both delivery buffers (see
 /// [`parity`]).
-struct RunState<'a, P: NodeProgram, S> {
+struct RunState<'a, P: NodeProgram> {
     programs: &'a mut [P],
     halted: &'a mut [bool],
     outputs: &'a mut [Option<P::Output>],
-    bufs: [BufMut<'a, S>; 2],
+    bufs: [BufMut<'a>; 2],
 }
 
 /// Round `round`'s `(write, read)` halves of a double buffer: nodes write
@@ -940,13 +884,13 @@ fn parity<T>(pair: [T; 2], round: usize) -> (T, T) {
 
 /// How a round's nodes get stepped: [`Inline`] on the calling thread, or
 /// [`Pool`] on barrier-parked workers. The round loop sees only this.
-trait StepPhase<P: NodeProgram, B: DeliveryBuf> {
+trait StepPhase<P: NodeProgram> {
     /// Step every active node once in `round` and total what they sent. If
     /// the model rejects several nodes, the lowest-indexed one's error wins.
     fn step(&mut self, round: usize) -> Result<ChunkAcc, SimError>;
 
     /// Exclusive access to the run's state until the next step phase.
-    fn state(&mut self) -> RunState<'_, P, B::Slot>;
+    fn state(&mut self) -> RunState<'_, P>;
 }
 
 /// What a node step is checked against; shared read-only by every step
@@ -968,30 +912,28 @@ impl StepRules<'_> {
     /// buffer the previous round wrote. Every row is cleared first, so a
     /// halted node sends nothing.
     #[allow(clippy::too_many_arguments)]
-    fn step_range<P: NodeProgram, B: DeliveryBuf>(
+    fn step_range<P: NodeProgram>(
         &self,
         round: usize,
         nodes: Range<usize>,
         programs: &mut [P],
         halted: &mut [bool],
         outputs: &mut [Option<P::Output>],
-        read: BufRef<'_, B::Slot>,
-        mut write: RowsMut<'_, B::Slot>,
+        read: BufView<'_>,
+        write: &mut [SparseRow],
     ) -> Result<ChunkAcc, SimError> {
-        let n = self.ctxs.len();
         let mut acc = ChunkAcc::default();
         for (row, v) in nodes.enumerate() {
-            B::clear_row(&mut write, n, row);
+            write[row].clear();
             if halted[row] {
                 continue;
             }
-            self.step_one::<P, B>(
+            self.step_one(
                 &mut programs[row],
                 &self.ctxs[v],
                 round,
                 read,
-                &mut write,
-                row,
+                &mut write[row],
                 &mut halted[row],
                 &mut outputs[row],
                 &mut acc,
@@ -1002,26 +944,25 @@ impl StepRules<'_> {
 
     /// Step a single node and validate its outbox against the model.
     /// `read` is the full buffer written last round (the node reads it
-    /// through a receiver-oriented inbox view); `write` is the caller's
-    /// rows, with `row` the node's row index *relative to* them.
+    /// through a receiver-oriented inbox view); `row` is the node's
+    /// cleared row of this round's buffer.
     #[allow(clippy::too_many_arguments)]
-    fn step_one<P: NodeProgram, B: DeliveryBuf>(
+    fn step_one<P: NodeProgram>(
         &self,
         prog: &mut P,
         ctx: &NodeCtx,
         round: usize,
-        read: BufRef<'_, B::Slot>,
-        write: &mut RowsMut<'_, B::Slot>,
-        row: usize,
+        read: BufView<'_>,
+        row: &mut SparseRow,
         halted: &mut bool,
         output: &mut Option<P::Output>,
         acc: &mut ChunkAcc,
     ) -> Result<(), SimError> {
         let n = ctx.n;
         let v = ctx.id.index();
-        let inbox = B::inbox(read, n, v);
+        let inbox = Inbox::new(read, v);
         let status = {
-            let mut outbox = B::outbox(write, n, row, v);
+            let mut outbox = Outbox::row(row, n, v);
             // A panicking program becomes a structured error, not a torn-down
             // pool: the engine (and its caller) must stay usable after a buggy
             // algorithm.
@@ -1041,9 +982,10 @@ impl StepRules<'_> {
                 *output = Some(out);
             }
         }
-        B::seal_row(write, n, row);
+        row.seal();
+        let row: &SparseRow = row;
         if !self.topology.is_empty() {
-            for (u, _m) in B::row_iter(write, n, row, v) {
+            for (u, _m) in row.messages(n, v) {
                 if !self.topology[v * n + u] {
                     return Err(SimError::TopologyViolated {
                         from: ctx.id,
@@ -1058,7 +1000,7 @@ impl StepRules<'_> {
             // either addresses everyone or no one.
             let mut common: Option<&BitString> = None;
             let mut nonempty = 0;
-            for (_u, m) in B::row_iter(write, n, row, v) {
+            for (_u, m) in row.messages(n, v) {
                 nonempty += 1;
                 match common {
                     None => common = Some(m),
@@ -1078,7 +1020,7 @@ impl StepRules<'_> {
                 });
             }
         }
-        for (u, m) in B::row_iter(write, n, row, v) {
+        for (u, m) in row.messages(n, v) {
             if m.len() > self.bandwidth {
                 return Err(SimError::BandwidthExceeded {
                     from: ctx.id,
@@ -1097,30 +1039,30 @@ impl StepRules<'_> {
 }
 
 /// The width-1 step phase: every node steps on the calling thread.
-struct Inline<'a, P: NodeProgram, B> {
+struct Inline<'a, P: NodeProgram> {
     rules: StepRules<'a>,
     programs: &'a mut [P],
     halted: &'a mut [bool],
     outputs: &'a mut [Option<P::Output>],
-    bufs: &'a mut [B; 2],
+    bufs: &'a mut [SparseBuf; 2],
 }
 
-impl<P: NodeProgram, B: DeliveryBuf> StepPhase<P, B> for Inline<'_, P, B> {
+impl<P: NodeProgram> StepPhase<P> for Inline<'_, P> {
     fn step(&mut self, round: usize) -> Result<ChunkAcc, SimError> {
         let [a, b] = &mut *self.bufs;
-        let (mut write, read) = parity([a.parts(), b.parts()], round);
-        self.rules.step_range::<P, B>(
+        let (write, read) = parity([a.parts(), b.parts()], round);
+        self.rules.step_range(
             round,
             0..self.programs.len(),
             self.programs,
             self.halted,
             self.outputs,
-            read.as_ref(),
-            write.rows(),
+            read.view(),
+            write.rows,
         )
     }
 
-    fn state(&mut self) -> RunState<'_, P, B::Slot> {
+    fn state(&mut self) -> RunState<'_, P> {
         let [a, b] = &mut *self.bufs;
         RunState {
             programs: &mut *self.programs,
@@ -1141,6 +1083,7 @@ mod pool {
     use std::thread::Scope;
 
     use super::*;
+    use crate::delivery::RecvIndex;
 
     /// The pooled step phase: workers spawned once per run inside a
     /// `std::thread::scope`, each owning a fixed chunk of nodes.
@@ -1158,44 +1101,37 @@ mod pool {
     /// - `step` publishes the round and passes the round-start barrier. Until
     ///   the round-end barrier each worker touches only its own node range of
     ///   programs, halt flags and outputs, plus the matching sender rows of the
-    ///   write buffer: their slots and their sender-bitmap words, whole words
-    ///   per row, so no two workers share one. No one touches the write
-    ///   buffer's receiver bitmap, and no one writes the read buffer. Each
-    ///   worker publishes its chunk's result in its own slot, then waits at
-    ///   the round-end barrier, after which `step` collects the results.
+    ///   write buffer. No one touches the write buffer's receiver index, and
+    ///   no one writes the read buffer, its index included. Each worker
+    ///   publishes its chunk's result in its own slot, then waits at the
+    ///   round-end barrier, after which `step` collects the results.
+    /// - The calling thread rebuilds (and so may resize) an index only
+    ///   between step phases, while the workers are parked. They share it
+    ///   as one cell holding its `Vec`s, dereferenced afresh each round.
     /// - `Drop` sets the stop flag and passes the round-start barrier once
     ///   more, so the workers exit and the scope can join them — on every
     ///   return path, and while unwinding.
-    pub(super) struct Pool<'a, P: NodeProgram, B: DeliveryBuf> {
+    pub(super) struct Pool<'a, P: NodeProgram> {
         ctrl: Arc<PoolCtrl>,
         programs: &'a [SyncCell<P>],
         halted: &'a [SyncCell<bool>],
         outputs: &'a [SyncCell<Option<P::Output>>],
-        bufs: [Shared<'a, B::Slot>; 2],
+        bufs: [Shared<'a>; 2],
     }
 
-    /// One delivery buffer shared with the workers: a [`BufMut`]'s three
-    /// slices, as cells.
-    struct Shared<'a, S> {
-        slots: &'a [SyncCell<S>],
-        sent: &'a [SyncCell<u64>],
-        recv: &'a [SyncCell<u64>],
+    /// One delivery buffer shared with the workers: a [`BufMut`]'s rows, as
+    /// cells, and its index as a one-cell slice.
+    #[derive(Clone, Copy)]
+    struct Shared<'a> {
+        rows: &'a [SyncCell<SparseRow>],
+        index: &'a [SyncCell<RecvIndex>],
     }
 
-    impl<S> Clone for Shared<'_, S> {
-        fn clone(&self) -> Self {
-            *self
-        }
-    }
-
-    impl<S> Copy for Shared<'_, S> {}
-
-    impl<'a, S> Shared<'a, S> {
-        fn new(buf: BufMut<'a, S>) -> Self {
+    impl<'a> Shared<'a> {
+        fn new(buf: BufMut<'a>) -> Self {
             Self {
-                slots: SyncCell::share(buf.slots),
-                sent: SyncCell::share(buf.sent),
-                recv: SyncCell::share(buf.recv),
+                rows: SyncCell::share(buf.rows),
+                index: SyncCell::share(std::slice::from_mut(buf.index)),
             }
         }
     }
@@ -1222,7 +1158,7 @@ mod pool {
         Panic(Box<dyn std::any::Any + Send>),
     }
 
-    impl<'a, P: NodeProgram, B: DeliveryBuf> Pool<'a, P, B> {
+    impl<'a, P: NodeProgram> Pool<'a, P> {
         /// Spawn about `threads` workers in `scope`, each owning a contiguous
         /// chunk of nodes, parked until the first step phase.
         pub(super) fn spawn<'scope>(
@@ -1232,7 +1168,7 @@ mod pool {
             programs: &'a mut [P],
             halted: &'a mut [bool],
             outputs: &'a mut [Option<P::Output>],
-            bufs: &'a mut [B; 2],
+            bufs: &'a mut [SparseBuf; 2],
         ) -> Self {
             let n = programs.len();
             let chunk = n.div_ceil(threads);
@@ -1263,38 +1199,22 @@ mod pool {
                     let caught = catch_unwind(AssertUnwindSafe(|| {
                         // SAFETY (barrier protocol, see `Pool`): between the
                         // round-start and round-end barriers this worker alone
-                        // touches nodes lo..hi and their sender rows (slots and
-                        // bitmap words) of the write buffer, and no one writes
-                        // the read buffer.
+                        // touches nodes lo..hi and their sender rows of the
+                        // write buffer, and no one writes the read buffer or
+                        // its index.
                         let (programs, halted, outputs, write, read) = unsafe {
                             (
                                 SyncCell::exclusive(&programs[lo..hi]),
                                 SyncCell::exclusive(&halted[lo..hi]),
                                 SyncCell::exclusive(&outputs[lo..hi]),
-                                RowsMut {
-                                    slots: SyncCell::exclusive(
-                                        &write.slots[B::slot_range(n, lo, hi)],
-                                    ),
-                                    sent: SyncCell::exclusive(
-                                        &write.sent[B::word_range(n, lo, hi)],
-                                    ),
-                                },
-                                BufRef {
-                                    slots: SyncCell::shared(read.slots),
-                                    sent: SyncCell::shared(read.sent),
-                                    recv: SyncCell::shared(read.recv),
+                                SyncCell::exclusive(&write.rows[lo..hi]),
+                                BufView {
+                                    rows: SyncCell::shared(read.rows),
+                                    index: &SyncCell::shared(read.index)[0],
                                 },
                             )
                         };
-                        rules.step_range::<P, B>(
-                            round,
-                            lo..hi,
-                            programs,
-                            halted,
-                            outputs,
-                            read,
-                            write,
-                        )
+                        rules.step_range(round, lo..hi, programs, halted, outputs, read, write)
                     }));
                     *lock(&ctrl.results[w]) = match caught {
                         Ok(Ok(acc)) => Ok(acc),
@@ -1314,7 +1234,7 @@ mod pool {
         }
     }
 
-    impl<P: NodeProgram, B: DeliveryBuf> StepPhase<P, B> for Pool<'_, P, B> {
+    impl<P: NodeProgram> StepPhase<P> for Pool<'_, P> {
         fn step(&mut self, round: usize) -> Result<ChunkAcc, SimError> {
             let ctrl = &*self.ctrl;
             ctrl.round.store(round, Ordering::Relaxed);
@@ -1339,7 +1259,7 @@ mod pool {
             }
         }
 
-        fn state(&mut self) -> RunState<'_, P, B::Slot> {
+        fn state(&mut self) -> RunState<'_, P> {
             // SAFETY (barrier protocol, see `Pool`): outside `step` every worker
             // is parked at the round-start barrier, and the views borrow `self`
             // mutably, so they end before the next `step`.
@@ -1349,16 +1269,15 @@ mod pool {
                     halted: SyncCell::exclusive(self.halted),
                     outputs: SyncCell::exclusive(self.outputs),
                     bufs: self.bufs.map(|b| BufMut {
-                        slots: SyncCell::exclusive(b.slots),
-                        sent: SyncCell::exclusive(b.sent),
-                        recv: SyncCell::exclusive(b.recv),
+                        rows: SyncCell::exclusive(b.rows),
+                        index: &mut SyncCell::exclusive(b.index)[0],
                     }),
                 }
             }
         }
     }
 
-    impl<P: NodeProgram, B: DeliveryBuf> Drop for Pool<'_, P, B> {
+    impl<P: NodeProgram> Drop for Pool<'_, P> {
         /// Release the workers parked at the round-start barrier and let them
         /// exit, so the enclosing scope can join them.
         fn drop(&mut self) {
@@ -1619,25 +1538,19 @@ impl<'a> RoundBook<'a> {
     /// they read, `halted` the post-step halt flags, `active` the pre-step
     /// activity mask.
     #[allow(clippy::too_many_arguments)]
-    fn close_round<B: DeliveryBuf>(
+    fn close_round(
         &mut self,
         round: usize,
         acc: ChunkAcc,
-        write: &mut BufMut<'_, B::Slot>,
-        read: BufRef<'_, B::Slot>,
+        write: &mut BufMut<'_>,
+        read: BufView<'_>,
         halted: &[bool],
         active: &[bool],
         step_start: Instant,
         step_end: Instant,
     ) -> Verdict {
-        let n = self.n;
-        B::index_receivers(write, n);
-        let cur = B::view(write.as_ref(), n);
-        let prev = B::view(read, n);
-        debug_assert!(
-            cur.bits_cover_messages(),
-            "round {round}: a non-empty dense slot is missing its sender or receiver bit"
-        );
+        write.index_receivers();
+        let cur = write.view();
         self.stats.messages += acc.messages;
         self.stats.bits += acc.bits;
         self.stats.max_message_bits = self.stats.max_message_bits.max(acc.max_message_bits);
@@ -1649,7 +1562,7 @@ impl<'a> RoundBook<'a> {
         self.prev_round_bits = acc.bits;
 
         if let Some(ts) = self.transcripts.as_deref_mut() {
-            record_round(ts, active, &prev, &cur);
+            record_round(ts, active, &read, &cur);
         }
 
         let mut all_halted = true;
@@ -2174,10 +2087,63 @@ mod tests {
             .collect()
     }
 
-    /// Seeded random sends, `send_with`s, broadcasts and empty overwrites
-    /// each round, halting at `halt_at`. Every step checks the inbox walk
-    /// against a full scan of the inbox, and the output is what the node
-    /// heard and what its row held after each step, by round.
+    /// A splitmix64 stream, seeded per node and round.
+    struct Coin(u64);
+
+    impl Coin {
+        fn below(&mut self, k: u64) -> u64 {
+            self.0 = self.0.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            (z ^ (z >> 31)) % k
+        }
+
+        fn payload(&mut self, bandwidth: usize) -> BitString {
+            let len = 1 + self.below(bandwidth as u64) as usize;
+            (0..len).map(|_| self.below(2) == 1).collect()
+        }
+    }
+
+    /// Write `payload` to `to` one of four ways — an empty `send`, an
+    /// empty `send_with`, a `send_with` that builds it in place, or a
+    /// `send` — and mirror the write in the model row.
+    fn scribble(
+        ob: &mut Outbox<'_>,
+        row: &mut [BitString],
+        to: usize,
+        payload: &BitString,
+        how: u64,
+    ) {
+        let id = NodeId::from(to);
+        row[to] = match how {
+            0 => {
+                ob.send(id, BitString::new());
+                BitString::new()
+            }
+            1 => {
+                ob.send_with(id, |_| ());
+                BitString::new()
+            }
+            2..=4 => {
+                ob.send_with(id, |slot| slot.extend_from(payload));
+                payload.clone()
+            }
+            _ => {
+                ob.send(id, payload.clone());
+                payload.clone()
+            }
+        };
+    }
+
+    /// Seeded writes of every shape, halting at `halt_at`. Each round a
+    /// node picks one plan: random sends and broadcasts; a broadcast
+    /// overridden at a few recipients, some with empty messages; every
+    /// recipient in descending order, then repeats into the full row; or
+    /// an ascending sweep that sometimes writes a recipient twice. Every
+    /// step checks the inbox walk against a lookup of every sender, and
+    /// the output is what the node heard and what its model row held after
+    /// each step, by round.
     struct Scribbler {
         halt_at: usize,
         heard: Vec<Vec<(usize, BitString)>>,
@@ -2211,44 +2177,65 @@ mod tests {
                 );
                 return Status::Halt(out);
             }
-            let mut state = (me as u64) << 32 | round as u64;
-            let mut coin = |k: u64| {
-                // splitmix64
-                state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-                let mut z = state;
-                z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-                (z ^ (z >> 31)) % k
-            };
+            let mut coin = Coin((me as u64) << 32 | round as u64);
+            let bw = ctx.bandwidth;
             let mut row = vec![BitString::new(); n];
-            for _ in 0..1 + coin(12) {
-                let to = (me + 1 + coin(n as u64 - 1) as usize) % n;
-                let len = 1 + coin(ctx.bandwidth as u64) as usize;
-                let payload: BitString = (0..len).map(|_| coin(2) == 1).collect();
-                match coin(10) {
-                    0 => {
-                        ob.broadcast(&payload);
-                        for (u, slot) in row.iter_mut().enumerate() {
-                            if u != me {
-                                *slot = payload.clone();
+            let other = |coin: &mut Coin| (me + 1 + coin.below(n as u64 - 1) as usize) % n;
+            match coin.below(4) {
+                0 => {
+                    for _ in 0..1 + coin.below(12) {
+                        let to = other(&mut coin);
+                        let payload = coin.payload(bw);
+                        if coin.below(10) == 0 {
+                            ob.broadcast(&payload);
+                            for (u, slot) in row.iter_mut().enumerate() {
+                                if u != me {
+                                    *slot = payload.clone();
+                                }
                             }
+                        } else {
+                            let how = coin.below(10);
+                            scribble(ob, &mut row, to, &payload, how);
                         }
                     }
-                    1 => {
-                        ob.send(NodeId::from(to), BitString::new());
-                        row[to] = BitString::new();
+                }
+                1 => {
+                    let payload = coin.payload(bw);
+                    ob.broadcast(&payload);
+                    for (u, slot) in row.iter_mut().enumerate() {
+                        if u != me {
+                            *slot = payload.clone();
+                        }
                     }
-                    2 => {
-                        ob.send_with(NodeId::from(to), |_| ());
-                        row[to] = BitString::new();
+                    for _ in 0..1 + coin.below(6) {
+                        let to = other(&mut coin);
+                        let payload = coin.payload(bw);
+                        let how = coin.below(6);
+                        scribble(ob, &mut row, to, &payload, how);
                     }
-                    3..=5 => {
-                        ob.send_with(NodeId::from(to), |slot| slot.extend_from(&payload));
-                        row[to] = payload;
+                }
+                2 => {
+                    for to in (0..n).rev().filter(|&u| u != me) {
+                        let payload = coin.payload(bw);
+                        scribble(ob, &mut row, to, &payload, 2 + coin.below(8));
                     }
-                    _ => {
-                        ob.send(NodeId::from(to), payload.clone());
-                        row[to] = payload;
+                    for _ in 0..1 + coin.below(8) {
+                        let to = other(&mut coin);
+                        let payload = coin.payload(bw);
+                        let how = coin.below(10);
+                        scribble(ob, &mut row, to, &payload, how);
+                    }
+                }
+                _ => {
+                    for to in (0..n).filter(|&u| u != me) {
+                        if coin.below(3) != 0 {
+                            continue;
+                        }
+                        for _ in 0..1 + (coin.below(4) == 0) as usize {
+                            let payload = coin.payload(bw);
+                            let how = coin.below(10);
+                            scribble(ob, &mut row, to, &payload, how);
+                        }
                     }
                 }
             }
@@ -2263,9 +2250,10 @@ mod tests {
     }
 
     #[test]
-    fn dense_walks_visit_exactly_the_nonempty_slots() {
-        // n = 70: two bitmap words per row, so rows straddle a word
-        // boundary and pool chunks at widths 4 and 7 split mid-word.
+    fn buffer_walks_match_the_model_rows() {
+        use crate::auth::AuthKeyring;
+        use crate::byzantine::ByzantinePlan;
+        // n = 70: pool chunks at widths 4 and 7 are uneven.
         let n = 70;
         let rounds = 12;
         let mk = || {
@@ -2279,39 +2267,47 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        // Link faults empty some slots (drops) and rewrite others in place.
+        // Link faults empty some messages (drops) and rewrite others in
+        // place, traitors garble and silence single copies, broadcast ones
+        // included, and verification clears the frames the wire broke:
+        // every pass that can add an entry after the step phase.
         let plan = FaultPlan::new(77).drop_messages(0.3).corrupt_messages(0.2);
-        let run = |mode: DeliveryMode, threads: usize| {
+        let byz = ByzantinePlan::new(5)
+            .with_random_traitors(n, 6, &[])
+            .garble(0.3)
+            .silence(0.2);
+        let keyring = AuthKeyring::from_seed(n, 9);
+        let run = |threads: usize| {
             Engine::new(n)
                 .with_bandwidth(8)
                 .with_threads_exact(threads)
                 .with_transcripts(true)
                 .with_fault_plan(plan.clone())
-                .with_delivery(mode)
+                .with_byzantine_plan(byz.clone())
+                .with_auth(keyring.clone())
                 .run_faulted(mk())
                 .unwrap()
         };
-        // The sparse backend keeps no bitmaps: its sweeps and scans are
-        // the full-scan reference.
-        let reference = run(DeliveryMode::Sparse, 1);
-        assert!(reference.stats.dropped_messages > 0, "drops fired");
-        assert!(reference.stats.undelivered_messages > 0, "halted row heard");
+        let base = run(1);
+        assert!(base.stats.dropped_messages > 0, "drops fired");
+        assert!(base.stats.forged_messages > 0, "traitors lied");
+        assert!(base.stats.silenced_messages > 0, "traitors went quiet");
+        assert!(base.stats.rejected_tags > 0, "verification rejected frames");
+        assert!(base.stats.undelivered_messages > 0, "halted row heard");
         for threads in [1usize, 4, 7] {
-            let dense = run(DeliveryMode::Dense, threads);
-            assert_eq!(reference.outputs, dense.outputs, "threads={threads}");
-            assert_eq!(reference.stats, dense.stats, "threads={threads}");
-            assert_eq!(reference.faults, dense.faults, "threads={threads}");
-            assert_eq!(
-                reference.transcripts, dense.transcripts,
-                "threads={threads}"
-            );
-            // The row checks count exactly the non-empty slots each row
-            // held, and the transcripts record exactly those, and exactly
-            // what each inbox walk met.
+            let out = run(threads);
+            assert_eq!(base.outputs, out.outputs, "threads={threads}");
+            assert_eq!(base.stats, out.stats, "threads={threads}");
+            assert_eq!(base.faults, out.faults, "threads={threads}");
+            assert_eq!(base.byzantine, out.byzantine, "threads={threads}");
+            assert_eq!(base.transcripts, out.transcripts, "threads={threads}");
+            // The row checks count exactly the non-empty messages each
+            // model row held, and the transcripts record exactly those, and
+            // exactly what each inbox walk met.
             let (mut messages, mut bits) = (0u64, 0u64);
-            let transcripts = dense.transcripts.as_ref().map_or(&[][..], |t| &t[..]);
-            for (v, out) in dense.outputs.iter().enumerate() {
-                let Some((heard, wrote)) = out else {
+            let transcripts = out.transcripts.as_ref().map_or(&[][..], |t| &t[..]);
+            for (v, o) in out.outputs.iter().enumerate() {
+                let Some((heard, wrote)) = o else {
                     panic!("node {v} did not halt");
                 };
                 assert_eq!(transcripts[v].rounds.len(), heard.len());
@@ -2334,8 +2330,8 @@ mod tests {
                     assert_eq!(received, heard[r], "node {v}, round {r}: received");
                 }
             }
-            assert_eq!(dense.stats.messages, messages, "threads={threads}");
-            assert_eq!(dense.stats.bits, bits, "threads={threads}");
+            assert_eq!(out.stats.messages, messages, "threads={threads}");
+            assert_eq!(out.stats.bits, bits, "threads={threads}");
         }
     }
 
@@ -2660,17 +2656,16 @@ mod tests {
             .crash(NodeId(2), 2)
             .rejoin(NodeId(2), 4)
             .expect("crash precedes rejoin");
-        let run = |threads: usize, mode: DeliveryMode| {
+        let run = |threads: usize| {
             Engine::new(n)
                 .with_bandwidth(8)
                 .with_threads_exact(threads)
                 .with_transcripts(true)
-                .with_delivery(mode)
                 .with_fault_plan(plan.clone())
                 .run_faulted(mk())
                 .unwrap()
         };
-        let seq = run(1, DeliveryMode::Dense);
+        let seq = run(1);
         let peers = (n - 1) as u64;
         // The replay re-delivered rounds 2 and 3, so the rejoiner's count
         // matches a node that never crashed; everyone else is short exactly
@@ -2715,18 +2710,13 @@ mod tests {
             assert!(ts[2].rounds[r].sent.is_empty(), "round {r} was a replay");
             assert_eq!(ts[2].rounds[r].received.len(), n - 1, "round {r}");
         }
-        // Bit-identical across pool shapes and delivery backends.
-        for threads in [1usize, 4, 7] {
-            for mode in [DeliveryMode::Dense, DeliveryMode::Sparse] {
-                let got = run(threads, mode);
-                assert_eq!(seq.outputs, got.outputs, "threads={threads} {mode:?}");
-                assert_eq!(seq.stats, got.stats, "threads={threads} {mode:?}");
-                assert_eq!(seq.faults, got.faults, "threads={threads} {mode:?}");
-                assert_eq!(
-                    seq.transcripts, got.transcripts,
-                    "threads={threads} {mode:?}"
-                );
-            }
+        // Bit-identical across pool shapes.
+        for threads in [4usize, 7] {
+            let got = run(threads);
+            assert_eq!(seq.outputs, got.outputs, "threads={threads}");
+            assert_eq!(seq.stats, got.stats, "threads={threads}");
+            assert_eq!(seq.faults, got.faults, "threads={threads}");
+            assert_eq!(seq.transcripts, got.transcripts, "threads={threads}");
         }
     }
 
@@ -3194,147 +3184,38 @@ mod tests {
     }
 
     #[test]
-    fn sparse_and_dense_backends_are_bit_identical() {
-        use crate::byzantine::ByzantinePlan;
-        let n = 15;
-        let mk = || {
-            (0..n)
-                .map(|_| Staggered { received: 0 })
-                .collect::<Vec<_>>()
-        };
-        // Staggered halting + link faults + Byzantine rewrites on the same
-        // run is the adversarial worst case for the sparse override logic.
-        let faults = FaultPlan::new(2024)
-            .crash(NodeId(9), 3)
-            .drop_messages(0.2)
-            .corrupt_messages(0.1)
-            .truncate_messages(0.1);
-        let byz = ByzantinePlan::new(31)
-            .with_random_traitors(n, 3, &[])
-            .garble(0.5)
-            .replay(0.3)
-            .silence(0.2);
-        let run = |mode: DeliveryMode, threads: usize| {
-            Engine::new(n)
-                .with_bandwidth(8)
-                .with_threads_exact(threads)
-                .with_transcripts(true)
-                .with_fault_plan(faults.clone())
-                .with_byzantine_plan(byz.clone())
-                .with_delivery(mode)
-                .run_faulted(mk())
-                .unwrap()
-        };
-        let base = run(DeliveryMode::Dense, 1);
-        assert!(base.stats.dropped_messages > 0, "faults fired");
-        assert!(!base.byzantine.is_empty(), "rewrites fired");
-        for mode in [
-            DeliveryMode::Dense,
-            DeliveryMode::Sparse,
-            DeliveryMode::Auto,
-        ] {
-            for threads in [1usize, 4, 7] {
-                let other = run(mode, threads);
-                let tag = mode.tag();
-                assert_eq!(base.outputs, other.outputs, "{tag}/{threads}");
-                assert_eq!(base.stats, other.stats, "{tag}/{threads}");
-                assert_eq!(base.transcripts, other.transcripts, "{tag}/{threads}");
-                assert_eq!(base.faults, other.faults, "{tag}/{threads}");
-                assert_eq!(base.byzantine, other.byzantine, "{tag}/{threads}");
-            }
-        }
-    }
-
-    #[test]
-    fn auto_delivery_resolution_follows_the_density_heuristic() {
-        let n = 16;
-        // Unrestricted clique: every pair may exchange messages — dense.
-        assert_eq!(Engine::new(n).resolved_delivery(), DeliveryMode::Dense);
-        // Broadcast-only runs carry one payload per sender — sparse.
-        assert_eq!(
-            Engine::new(n).broadcast_only(true).resolved_delivery(),
-            DeliveryMode::Sparse
-        );
-        // A ring keeps 2 of n-1 potential edges per node — sparse.
-        let mut ring = vec![false; n * n];
-        for v in 0..n {
-            ring[v * n + (v + 1) % n] = true;
-            ring[v * n + (v + n - 1) % n] = true;
-        }
-        assert_eq!(
-            Engine::new(n).with_topology(ring).resolved_delivery(),
-            DeliveryMode::Sparse
-        );
-        // A crash-heavy fault plan empties half the rows — sparse.
-        let mut plan = FaultPlan::new(0);
-        for v in 0..n / 2 {
-            plan = plan.crash(NodeId::from(v), 1);
-        }
-        assert_eq!(
-            Engine::new(n)
-                .with_fault_plan(plan.clone())
-                .resolved_delivery(),
-            DeliveryMode::Sparse
-        );
-        // Regression: the same crashes all rejoining leave zero nodes
-        // permanently dead, so the heuristic must count net-dead and stay
-        // dense — high churn is not the same as a half-empty matrix.
-        for v in 0..n / 2 {
-            plan = plan.rejoin(NodeId::from(v), 4).expect("crash precedes");
-        }
-        assert_eq!(
-            Engine::new(n).with_fault_plan(plan).resolved_delivery(),
-            DeliveryMode::Dense
-        );
-        // Explicit modes always win over the heuristic.
-        assert_eq!(
-            Engine::new(n)
-                .broadcast_only(true)
-                .with_delivery(DeliveryMode::Dense)
-                .resolved_delivery(),
-            DeliveryMode::Dense
-        );
-    }
-
-    #[test]
     fn arena_reuse_leaves_run_stats_untouched() {
         // RunStats counts logical messages, so a warm arena (whatever
         // capacity the previous run left behind) must report exactly what a
-        // cold one does — on both backends.
+        // cold one does.
         let n = 9;
         let mk = || {
             (0..n)
                 .map(|_| Staggered { received: 0 })
                 .collect::<Vec<_>>()
         };
-        for mode in [DeliveryMode::Dense, DeliveryMode::Sparse] {
-            let engine = Engine::new(n)
-                .with_bandwidth(8)
-                .with_transcripts(true)
-                .with_delivery(mode);
-            let cold = engine.run(mk()).unwrap();
-            let mut arena = DeliveryArena::new();
-            let first = engine
-                .run_faulted_in(mk(), &mut arena)
-                .and_then(FaultedOutcome::into_complete)
-                .unwrap();
-            assert!(arena.slot_footprint() > 0, "arena retained the buffers");
-            let warm = engine
-                .run_faulted_in(mk(), &mut arena)
-                .and_then(FaultedOutcome::into_complete)
-                .unwrap();
-            let tag = mode.tag();
-            assert_eq!(cold.outputs, warm.outputs, "{tag}");
-            assert_eq!(cold.stats, first.stats, "{tag}");
-            assert_eq!(cold.stats, warm.stats, "{tag}");
-            assert_eq!(cold.transcripts, warm.transcripts, "{tag}");
-        }
+        let engine = Engine::new(n).with_bandwidth(8).with_transcripts(true);
+        let cold = engine.run(mk()).unwrap();
+        let mut arena = DeliveryArena::new();
+        let first = engine
+            .run_faulted_in(mk(), &mut arena)
+            .and_then(FaultedOutcome::into_complete)
+            .unwrap();
+        assert!(arena.slot_footprint() > 0, "arena retained the buffers");
+        let warm = engine
+            .run_faulted_in(mk(), &mut arena)
+            .and_then(FaultedOutcome::into_complete)
+            .unwrap();
+        assert_eq!(cold.outputs, warm.outputs);
+        assert_eq!(cold.stats, first.stats);
+        assert_eq!(cold.stats, warm.stats);
+        assert_eq!(cold.transcripts, warm.transcripts);
     }
 
     #[test]
     fn wrong_program_count_is_rejected_before_buffers_are_allocated() {
-        // n = 2²¹ would need 2·n² ≈ 8.8e12 message slots; this only passes
-        // (quickly, without OOM) because validation precedes the checkout.
+        // n = 2²¹ would need 2·n rows and their index, about 0.3 GB; this
+        // only passes quickly because validation precedes the checkout.
         let n = 1 << 21;
         let err = Engine::new(n).run(vec![Silent, Silent]).unwrap_err();
         assert_eq!(
@@ -3347,55 +3228,48 @@ mod tests {
     }
 
     #[test]
-    fn sparse_backend_still_enforces_the_model() {
-        // Broadcast violations...
-        let err = Engine::new(5)
-            .broadcast_only(true)
-            .with_delivery(DeliveryMode::Sparse)
-            .run((0..5).map(|_| Unicaster).collect::<Vec<_>>())
-            .unwrap_err();
-        assert!(
-            matches!(err, SimError::BroadcastViolated { .. }),
-            "got {err:?}"
-        );
-        // ...bandwidth violations...
-        let err = Engine::new(4)
-            .with_bandwidth(2)
-            .with_delivery(DeliveryMode::Sparse)
-            .run(vec![TooWide, TooWide, TooWide, TooWide])
-            .unwrap_err();
-        assert!(
-            matches!(err, SimError::BandwidthExceeded { .. }),
-            "got {err:?}"
-        );
-        // ...and round limits are all detected behind the sparse buffer.
-        let err = Engine::new(4)
-            .with_max_rounds(3)
-            .with_delivery(DeliveryMode::Sparse)
-            .run(vec![Forever, Forever, Forever, Forever])
-            .unwrap_err();
-        assert_eq!(err, SimError::RoundLimit { limit: 3 });
+    fn sparse_broadcast_footprint_is_linear_in_n() {
+        let n = 256;
+        let mut arena = DeliveryArena::new();
+        Engine::new(n)
+            .run_faulted_in(sum_ids(n), &mut arena)
+            .and_then(FaultedOutcome::into_complete)
+            .unwrap();
+        // One broadcast payload per sender per buffer; no overrides.
+        assert_eq!(arena.slot_footprint(), 2 * n);
     }
 
     #[test]
-    fn sparse_broadcast_footprint_is_linear_in_n() {
-        let n = 256;
-        let run = |mode: DeliveryMode| {
-            let mut arena = DeliveryArena::new();
+    fn damaged_broadcast_copies_keep_the_footprint_bounded() {
+        use crate::session::Session;
+        // Every node broadcasts every round, and the wire drops about one
+        // copy in twenty. Each drop parks an override entry in its row;
+        // rows must reuse those entries round after round instead of
+        // growing by every drop ever made.
+        let n = 64;
+        let rounds = 1000;
+        let mut s = Session::new(
             Engine::new(n)
-                .with_delivery(mode)
-                .run_faulted_in(sum_ids(n), &mut arena)
-                .and_then(FaultedOutcome::into_complete)
-                .unwrap();
-            arena.slot_footprint()
-        };
-        let dense = run(DeliveryMode::Dense);
-        let sparse = run(DeliveryMode::Sparse);
-        assert_eq!(dense, 2 * n * n);
-        // One broadcast payload per sender per buffer; no overrides.
+                .with_bandwidth(8)
+                .broadcast_only(true)
+                .with_fault_plan(FaultPlan::new(11).drop_messages(0.05)),
+        );
+        let out = s
+            .run(
+                (0..n)
+                    .map(|_| Chatter {
+                        received: 0,
+                        halt_round: rounds,
+                    })
+                    .collect(),
+            )
+            .unwrap();
+        assert!(out.stats.dropped_messages > 100 * n as u64, "drops fired");
+        let footprint = s.delivery_footprint();
         assert!(
-            sparse <= 4 * n,
-            "sparse footprint {sparse} should be O(n), not O(n²)"
+            footprint <= 2 * n * n,
+            "footprint {footprint} slots after {rounds} rounds, bound {}",
+            2 * n * n
         );
     }
 }

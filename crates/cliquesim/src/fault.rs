@@ -222,8 +222,7 @@ impl FaultPlan {
     /// rejoining while down with probability `rejoin_per_mille / 1000`,
     /// per round. Each coin is a fresh ChaCha8 stream keyed by
     /// `(plan seed, node, round)`, so the schedule is a pure function of the
-    /// seed — bit-identical across pool shapes, delivery backends, and
-    /// hosts — and valid by construction (strictly alternating crash/rejoin
+    /// seed — bit-identical across pool shapes and hosts — and valid by construction (strictly alternating crash/rejoin
     /// per node, never at round 0).
     pub fn with_random_churn(
         mut self,
@@ -500,7 +499,7 @@ impl FaultPlan {
     /// Apply link faults to the buffer written in `round` (it will be read
     /// next round). Sweep order is sender-major and decisions are keyed per
     /// `(seed, round, from, to)`, so the result is independent of pool
-    /// shape *and* of delivery backend.
+    /// shape *and* of how the buffer stores the messages.
     pub(crate) fn apply_link_faults(
         &self,
         round: usize,
@@ -808,7 +807,7 @@ pub fn sync_overhead(n: usize, plan: &FaultPlan, width: usize) -> SyncOverhead {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::delivery::MatrixBits;
+    use crate::delivery::SparseBuf;
 
     #[test]
     fn empty_plan_is_empty_and_labelled() {
@@ -1071,8 +1070,12 @@ mod tests {
         let mut b = mk_matrix();
         let mut ra = FaultReport::default();
         let mut rb = FaultReport::default();
-        plan.apply_link_faults(3, &mut MatrixBits::of(&a, n).view_mut(&mut a), &mut ra);
-        plan.apply_link_faults(3, &mut MatrixBits::of(&b, n).view_mut(&mut b), &mut rb);
+        let mut buf = SparseBuf::from_matrix(&a, n);
+        plan.apply_link_faults(3, &mut buf.view_mut(), &mut ra);
+        a = buf.to_matrix();
+        let mut buf = SparseBuf::from_matrix(&b, n);
+        plan.apply_link_faults(3, &mut buf.view_mut(), &mut rb);
+        b = buf.to_matrix();
         assert_eq!(a, b);
         assert_eq!(ra, rb);
         // With p = 0.5 over 30 messages, both outcomes occur.
@@ -1092,7 +1095,9 @@ mod tests {
         m[2] = BitString::from_bits([true, true, true]); // 0 → 2
         m[n] = BitString::from_bits([true, true, true]); // 1 → 0
         let mut report = FaultReport::default();
-        plan.apply_link_faults(1, &mut MatrixBits::of(&m, n).view_mut(&mut m), &mut report);
+        let mut buf = SparseBuf::from_matrix(&m, n);
+        plan.apply_link_faults(1, &mut buf.view_mut(), &mut report);
+        m = buf.to_matrix();
         assert_eq!(
             m[1],
             BitString::from_bits([false, true, true]),
@@ -1104,7 +1109,9 @@ mod tests {
         let mut m2 = vec![BitString::new(); n * n];
         m2[1] = BitString::from_bits([true]);
         let mut r2 = FaultReport::default();
-        plan.apply_link_faults(0, &mut MatrixBits::of(&m2, n).view_mut(&mut m2), &mut r2);
+        let mut buf = SparseBuf::from_matrix(&m2, n);
+        plan.apply_link_faults(0, &mut buf.view_mut(), &mut r2);
+        m2 = buf.to_matrix();
         assert!(r2.is_empty());
         assert_eq!(m2[1].len(), 1);
     }
@@ -1120,7 +1127,7 @@ mod tests {
         plan.apply_crashes(
             4,
             &mut halted,
-            &MatrixBits::of(&inbound, n).view(&inbound),
+            &SparseBuf::from_matrix(&inbound, n).view(),
             &mut report,
         );
         assert!(halted[1]);
@@ -1138,7 +1145,7 @@ mod tests {
         plan.apply_crashes(
             4,
             &mut halted,
-            &MatrixBits::of(&inbound, n).view(&inbound),
+            &SparseBuf::from_matrix(&inbound, n).view(),
             &mut r2,
         );
         assert!(r2.is_empty());
@@ -1196,7 +1203,9 @@ mod tests {
         m[1] = BitString::from_bits([true, false, true, false]);
         let before = m[1].clone();
         let mut report = FaultReport::default();
-        plan.apply_link_faults(0, &mut MatrixBits::of(&m, n).view_mut(&mut m), &mut report);
+        let mut buf = SparseBuf::from_matrix(&m, n);
+        plan.apply_link_faults(0, &mut buf.view_mut(), &mut report);
+        m = buf.to_matrix();
         assert_eq!(m[1].len(), before.len());
         assert_ne!(m[1], before, "exactly one bit differs");
         let differing = before
@@ -1210,7 +1219,9 @@ mod tests {
         let mut m = vec![BitString::new(); n * n];
         m[1] = BitString::from_bits([true, false, true, false]);
         let mut report = FaultReport::default();
-        plan.apply_link_faults(0, &mut MatrixBits::of(&m, n).view_mut(&mut m), &mut report);
+        let mut buf = SparseBuf::from_matrix(&m, n);
+        plan.apply_link_faults(0, &mut buf.view_mut(), &mut report);
+        m = buf.to_matrix();
         assert!(m[1].len() < 4, "strict prefix");
     }
 }

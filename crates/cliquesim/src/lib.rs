@@ -71,7 +71,7 @@ pub mod transcript;
 pub use auth::{split_tagged, strip_tag, AuthKeyring, TAG_BITS};
 pub use bits::{BitReader, BitString, DecodeError};
 pub use byzantine::{ByzantineEvent, ByzantinePlan, ByzantineReport, ForcedLie, Lie};
-pub use delivery::{DeliveryArena, DeliveryMode};
+pub use delivery::DeliveryArena;
 pub use engine::{ByzantineOutcome, Engine, FaultedOutcome, RunOutcome, SimError};
 pub use fault::{
     sync_overhead, ChurnError, FaultEvent, FaultKind, FaultPlan, FaultReport, ForcedFault,

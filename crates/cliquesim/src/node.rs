@@ -6,8 +6,11 @@
 //! unlimited local computation, and fills its [`Outbox`] (at most one
 //! bandwidth-bounded message per other node).
 
-use crate::bits::{BitString, EMPTY};
-use crate::delivery::{Nodes, SparseRow};
+use std::iter::Enumerate;
+use std::slice;
+
+use crate::bits::BitString;
+use crate::delivery::{BufView, Column, SparseRow};
 
 /// Identity of a node. The paper numbers nodes `1..=n`; internally we use
 /// `0..n` and expose [`NodeId::display`] for one-based reporting.
@@ -113,34 +116,23 @@ impl<T: NodeProgram + ?Sized> NodeProgram for Box<T> {
 ///
 /// Logically, slot `u` holds the message from node `u`; an empty
 /// [`BitString`] means node `u` sent nothing. Physically the inbox is a view
-/// into whichever delivery backend the engine is running: a
-/// *bitmap-indexed view* of one column of the dense sender-major matrix
-/// (the message from `u` lives at `matrix[u * n + me]`, and row `me` of the
-/// receiver bitmap marks the senders that wrote one), or a lookup into the
-/// sparse backend's compacted per-sender rows. Either way delivery is a
-/// buffer swap, never an O(n²) transpose, and on the dense backend
-/// [`Inbox::iter`] visits only the marked senders. Standalone harnesses
-/// use one flat slot per sender via [`Inbox::from_slots`].
+/// into the engine's previous-round buffer: [`Inbox::from`] looks the
+/// message up in sender `u`'s row, and [`Inbox::iter`] walks the buffer's
+/// receiver index, which lists exactly the entries addressed to this node
+/// plus the senders that broadcast. Delivery is a buffer swap, never an
+/// O(n²) transpose. Standalone harnesses use one flat slot per sender via
+/// [`Inbox::from_slots`].
 pub struct Inbox<'a> {
     inner: InboxInner<'a>,
-    n: usize,
     me: usize,
 }
 
-/// Backend-specific storage behind an [`Inbox`].
+/// The storage behind an [`Inbox`].
 enum InboxInner<'a> {
-    /// Strided view into a flat slice of message slots: column `offset` of
-    /// the dense backend's sender-major matrix with row `offset` of its
-    /// receiver bitmap, or a harness's flat slots (`stride = 1`,
-    /// `offset = 0`, no bitmap).
-    Slots {
-        slots: &'a [BitString],
-        stride: usize,
-        offset: usize,
-        recv: Option<&'a [u64]>,
-    },
-    /// Sealed per-sender rows of the sparse backend.
-    Sparse { rows: &'a [SparseRow] },
+    /// A harness's flat slots: slot `u` is the message from `u`.
+    Slots(&'a [BitString]),
+    /// The engine's previous-round buffer.
+    Buf(BufView<'a>),
 }
 
 impl<'a> Inbox<'a> {
@@ -151,41 +143,15 @@ impl<'a> Inbox<'a> {
     /// transcript replay of Theorem 3's normal form.
     pub fn from_slots(slots: &'a [BitString], me: usize) -> Self {
         Self {
-            inner: InboxInner::Slots {
-                slots,
-                stride: 1,
-                offset: 0,
-                recv: None,
-            },
-            n: slots.len(),
+            inner: InboxInner::Slots(slots),
             me,
         }
     }
 
-    /// Build a view of column `me` of a dense sender-major `n × n` message
-    /// matrix (the message from `u` to `me` is `matrix[u * n + me]`), given
-    /// row `me` of its receiver bitmap: bit `u` must be set for every
-    /// non-empty `matrix[u * n + me]`.
-    pub(crate) fn dense(matrix: &'a [BitString], recv: &'a [u64], n: usize, me: usize) -> Self {
-        debug_assert_eq!(matrix.len(), n * n);
+    /// Node `me`'s view of the engine's previous-round buffer.
+    pub(crate) fn new(buf: BufView<'a>, me: usize) -> Self {
         Self {
-            inner: InboxInner::Slots {
-                slots: matrix,
-                stride: n,
-                offset: me,
-                recv: Some(recv),
-            },
-            n,
-            me,
-        }
-    }
-
-    /// Build a view into the sparse backend's sealed per-sender rows.
-    pub(crate) fn sparse(rows: &'a [SparseRow], n: usize, me: usize) -> Self {
-        debug_assert_eq!(rows.len(), n);
-        Self {
-            inner: InboxInner::Sparse { rows },
-            n,
+            inner: InboxInner::Buf(buf),
             me,
         }
     }
@@ -193,111 +159,92 @@ impl<'a> Inbox<'a> {
     /// The message from node `from` (empty if none). A node never receives
     /// from itself; that slot is always empty.
     pub fn from(&self, from: NodeId) -> &'a BitString {
-        match &self.inner {
-            InboxInner::Slots {
-                slots,
-                stride,
-                offset,
-                ..
-            } => {
-                let slots: &'a [BitString] = slots;
-                &slots[from.index() * stride + offset]
-            }
-            InboxInner::Sparse { rows } => {
-                let rows: &'a [SparseRow] = rows;
-                if from.index() == self.me {
-                    &EMPTY
-                } else {
-                    rows[from.index()].get(self.me)
-                }
-            }
+        match self.inner {
+            InboxInner::Slots(slots) => &slots[from.index()],
+            InboxInner::Buf(buf) => buf.get(from.index(), self.me),
         }
     }
 
     /// Iterate over `(sender, message)` for all non-empty messages,
-    /// senders ascending. On the dense backend this visits only the
-    /// senders marked in the receiver bitmap; otherwise every node.
+    /// senders ascending. Inside the engine the walk visits only the
+    /// entries addressed to this node and the senders that broadcast.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &'a BitString)> + '_ {
         let senders = match self.inner {
-            InboxInner::Slots {
-                recv: Some(recv), ..
-            } => Nodes::marked(recv),
-            _ => Nodes::all_but(self.n, self.me),
+            InboxInner::Slots(slots) => Senders::Slots(slots.iter().enumerate(), self.me),
+            InboxInner::Buf(buf) => Senders::Column(buf.column(self.me)),
         };
-        senders
-            .map(move |u| {
-                let id = NodeId::from(u);
-                (id, self.from(id))
-            })
-            .filter(|(_, m)| !m.is_empty())
+        senders.map(|(u, m)| (NodeId::from(u), m))
     }
 
     /// Number of nodes in the clique.
     pub fn n(&self) -> usize {
-        self.n
+        match self.inner {
+            InboxInner::Slots(slots) => slots.len(),
+            InboxInner::Buf(buf) => buf.rows.len(),
+        }
+    }
+}
+
+/// The non-empty messages of an [`Inbox`] as `(sender, payload)`, senders
+/// ascending.
+enum Senders<'a> {
+    /// Every harness slot but the receiver's own.
+    Slots(Enumerate<slice::Iter<'a, BitString>>, usize),
+    /// A walk of the buffer's receiver index.
+    Column(Column<'a>),
+}
+
+impl<'a> Iterator for Senders<'a> {
+    type Item = (usize, &'a BitString);
+
+    fn next(&mut self) -> Option<(usize, &'a BitString)> {
+        match self {
+            Senders::Slots(slots, me) => slots.find(|(u, m)| u != me && !m.is_empty()),
+            Senders::Column(column) => column.next(),
+        }
     }
 }
 
 /// Messages sent by one node in one round: at most one per other node, each
 /// at most `bandwidth` bits (the engine enforces the bound on delivery).
 ///
-/// Borrows its slot row (or compacted sparse row) from the engine's send
-/// buffer so that node steps can run in parallel without per-round
-/// allocation. On the dense backend it also marks each recipient it writes
-/// in the row's sender bitmap, which is what lets the engine clear, check
-/// and deliver the row by visiting only those slots.
+/// Borrows its sender row from the engine's send buffer so that node steps
+/// can run in parallel without per-round allocation. Sends in ascending
+/// recipient order append in O(1); any order is correct, and the last write
+/// to a recipient wins.
 pub struct Outbox<'a> {
     inner: OutboxInner<'a>,
     n: usize,
     me: usize,
 }
 
-/// Backend-specific storage behind an [`Outbox`].
+/// The storage behind an [`Outbox`].
 enum OutboxInner<'a> {
-    /// One flat slot per recipient, with the row's sender-bitmap words
-    /// (empty for harness outboxes, which keep no bitmap).
-    Slots {
-        slots: &'a mut [BitString],
-        sent: &'a mut [u64],
-    },
-    /// The sender's compacted row in the sparse backend.
-    Sparse { row: &'a mut SparseRow },
+    /// A harness's flat slots: slot `u` is the message to `u`.
+    Slots(&'a mut [BitString]),
+    /// The sender's row in the engine's send buffer.
+    Row(&'a mut SparseRow),
 }
 
 impl<'a> Outbox<'a> {
     /// Build an outbox over raw slots (slot `u` = message to node `u`).
     ///
     /// Public for the same out-of-engine harnesses as
-    /// [`Inbox::from_slots`]; inside the engine the slots are rows of its
-    /// send buffer.
+    /// [`Inbox::from_slots`]; inside the engine the outbox writes a row of
+    /// its send buffer.
     pub fn new(slots: &'a mut [BitString], me: usize) -> Self {
         let n = slots.len();
         Self {
-            inner: OutboxInner::Slots {
-                slots,
-                sent: &mut [],
-            },
+            inner: OutboxInner::Slots(slots),
             n,
             me,
         }
     }
 
-    /// Build an outbox over a cleared dense-backend row and its
-    /// `⌈n/64⌉` sender-bitmap words.
-    pub(crate) fn dense(slots: &'a mut [BitString], sent: &'a mut [u64], me: usize) -> Self {
-        let n = slots.len();
-        debug_assert_eq!(sent.len(), n.div_ceil(64));
+    /// Build an outbox over a cleared row of the engine's send buffer.
+    pub(crate) fn row(row: &'a mut SparseRow, n: usize, me: usize) -> Self {
         Self {
-            inner: OutboxInner::Slots { slots, sent },
-            n,
-            me,
-        }
-    }
-
-    /// Build an outbox over a cleared sparse-backend row.
-    pub(crate) fn sparse(row: &'a mut SparseRow, n: usize, me: usize) -> Self {
-        Self {
-            inner: OutboxInner::Sparse { row },
+            inner: OutboxInner::Row(row),
             n,
             me,
         }
@@ -332,11 +279,8 @@ impl<'a> Outbox<'a> {
             to.index()
         );
         let slot = match &mut self.inner {
-            OutboxInner::Slots { slots, sent } => {
-                mark(sent, to.index());
-                &mut slots[to.index()]
-            }
-            OutboxInner::Sparse { row } => row.entry(to.0),
+            OutboxInner::Slots(slots) => &mut slots[to.index()],
+            OutboxInner::Row(row) => row.entry(to.0, self.n),
         };
         slot.clear();
         write(slot)
@@ -346,21 +290,14 @@ impl<'a> Outbox<'a> {
     /// costs the same as n-1 unicasts in this model).
     pub fn broadcast(&mut self, msg: &BitString) {
         match &mut self.inner {
-            OutboxInner::Slots { slots, sent } => {
+            OutboxInner::Slots(slots) => {
                 for (u, slot) in slots.iter_mut().enumerate() {
                     if u != self.me {
                         slot.copy_from(msg);
                     }
                 }
-                for (i, w) in sent.iter_mut().enumerate() {
-                    let bits = (self.n - 64 * i).min(64);
-                    *w = if bits == 64 { !0 } else { (1 << bits) - 1 };
-                }
-                if let Some(w) = sent.get_mut(self.me / 64) {
-                    *w &= !(1 << (self.me % 64));
-                }
             }
-            OutboxInner::Sparse { row } => row.set_broadcast(msg),
+            OutboxInner::Row(row) => row.set_broadcast(msg),
         }
     }
 
@@ -370,17 +307,10 @@ impl<'a> Outbox<'a> {
     }
 }
 
-/// Set bit `u` of a sender-bitmap row; a no-op for a harness outbox,
-/// whose row is empty.
-fn mark(sent: &mut [u64], u: usize) {
-    if let Some(w) = sent.get_mut(u / 64) {
-        *w |= 1 << (u % 64);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::delivery::SparseBuf;
 
     #[test]
     fn node_id_display_is_one_based() {
@@ -417,23 +347,36 @@ mod tests {
         ob.send(NodeId(7), BitString::new());
     }
 
+    /// A buffer of `n` empty rows, and a way to seal and index it.
+    fn empty_buf(n: usize) -> SparseBuf {
+        SparseBuf::from_matrix(&vec![BitString::new(); n * n], n)
+    }
+
+    fn seal(buf: &mut SparseBuf) {
+        let mut parts = buf.parts();
+        for r in parts.rows.iter_mut() {
+            r.seal();
+        }
+        parts.index_receivers();
+    }
+
     #[test]
-    fn sparse_outbox_and_inbox_round_trip() {
+    fn row_outbox_and_inbox_round_trip() {
         let n = 4;
-        let mut rows: Vec<SparseRow> = (0..n).map(|_| SparseRow::default()).collect();
+        let mut buf = empty_buf(n);
         {
-            let mut ob = Outbox::sparse(&mut rows[1], n, 1);
+            let parts = buf.parts();
+            let mut ob = Outbox::row(&mut parts.rows[1], n, 1);
             assert_eq!(ob.n(), n);
             ob.broadcast(&BitString::from_bits([true, false]));
             ob.send(NodeId(3), BitString::from_bits([false]));
         }
-        for r in &mut rows {
-            r.seal();
-        }
-        let ib = Inbox::sparse(&rows, n, 3);
+        seal(&mut buf);
+        let ib = Inbox::new(buf.view(), 3);
         assert_eq!(ib.from(NodeId(1)), &BitString::from_bits([false]));
         assert!(ib.from(NodeId(3)).is_empty(), "self slot is empty");
-        let ib0 = Inbox::sparse(&rows, n, 0);
+        let ib0 = Inbox::new(buf.view(), 0);
+        assert_eq!(ib0.n(), n);
         assert_eq!(ib0.from(NodeId(1)), &BitString::from_bits([true, false]));
         let got: Vec<_> = ib0.iter().map(|(u, m)| (u.index(), m.len())).collect();
         assert_eq!(got, vec![(1, 2)]);
@@ -462,57 +405,6 @@ mod tests {
     }
 
     #[test]
-    fn dense_inbox_walks_the_receiver_bits() {
-        // 3×3 sender-major matrix: slot v*n+u = message v → u.
-        let n = 3;
-        let mut matrix = vec![BitString::new(); n * n];
-        matrix[n + 2] = BitString::from_bits([true]); // 1 → 2
-        matrix[2] = BitString::from_bits([false, true]); // 0 → 2
-        matrix[n] = BitString::from_bits([true, true, true]); // 1 → 0
-                                                              // Receiver rows: node 2 hears from 0 and 1; node 0 from 1 and,
-                                                              // stale, from 2 (a set bit over an empty slot is skipped).
-        let recv2 = [0b011u64];
-        let ib = Inbox::dense(&matrix, &recv2, n, 2);
-        assert_eq!(ib.from(NodeId(1)).len(), 1);
-        assert_eq!(ib.from(NodeId(0)).len(), 2);
-        let got: Vec<_> = ib.iter().map(|(u, m)| (u.index(), m.len())).collect();
-        assert_eq!(got, vec![(0, 2), (1, 1)]);
-        // Node 2 does not see the 1 → 0 message.
-        let recv0 = [0b110u64];
-        let ib0 = Inbox::dense(&matrix, &recv0, n, 0);
-        assert_eq!(ib0.from(NodeId(1)).len(), 3);
-        let got: Vec<_> = ib0.iter().map(|(u, _)| u.index()).collect();
-        assert_eq!(got, vec![1]);
-    }
-
-    #[test]
-    fn dense_outbox_marks_what_it_writes() {
-        let n = 70;
-        let mut slots = vec![BitString::new(); n];
-        let mut sent = vec![0u64; 2];
-        {
-            let mut ob = Outbox::dense(&mut slots, &mut sent, 5);
-            ob.send(NodeId(1), BitString::from_bits([true]));
-            let r = ob.send_with(NodeId(66), |slot| {
-                slot.push_uint(0b101, 3);
-                slot.len()
-            });
-            assert_eq!(r, 3);
-            // An empty overwrite leaves the bit: a cover, not an exact set.
-            ob.send_with(NodeId(2), |_| ());
-        }
-        assert_eq!(sent, vec![0b110, 1 << 2]);
-        assert_eq!(slots[66], BitString::from_bits([true, false, true]));
-        assert!(slots[2].is_empty());
-        {
-            let mut ob = Outbox::dense(&mut slots, &mut sent, 65);
-            ob.broadcast(&BitString::from_bits([false]));
-        }
-        assert_eq!(sent, vec![!0, 0b11_1101], "all of 0..70 but the sender");
-        assert!(slots[65].is_empty() && slots[69].len() == 1);
-    }
-
-    #[test]
     fn send_with_replaces_in_place() {
         let mut slots = vec![BitString::new(); 3];
         let mut ob = Outbox::new(&mut slots, 0);
@@ -522,20 +414,27 @@ mod tests {
             slot.push(false);
         });
         assert_eq!(slots[1], BitString::from_bits([false]));
-        // The sparse row too: a second write to a recipient replaces the
-        // first, and an unwritten recipient still hears the broadcast.
+        // A buffer row too: a second write to a recipient replaces the
+        // first, in or out of order, and an unwritten recipient still
+        // hears the broadcast.
         let n = 4;
-        let mut rows: Vec<SparseRow> = (0..n).map(|_| SparseRow::default()).collect();
+        let mut buf = empty_buf(n);
         {
-            let mut ob = Outbox::sparse(&mut rows[0], n, 0);
+            let parts = buf.parts();
+            let mut ob = Outbox::row(&mut parts.rows[0], n, 0);
             ob.broadcast(&BitString::from_bits([true]));
             ob.send_with(NodeId(2), |slot| slot.push_uint(3, 2));
             ob.send_with(NodeId(2), |slot| slot.push_uint(1, 2));
+            ob.send_with(NodeId(1), |slot| slot.push_uint(0, 2));
+            ob.send_with(NodeId(1), |slot| slot.push_uint(2, 2));
         }
-        rows[0].seal();
-        let ib = Inbox::sparse(&rows, n, 2);
+        seal(&mut buf);
+        let ib = Inbox::new(buf.view(), 2);
         assert_eq!(ib.from(NodeId(0)), &BitString::from_bits([true, false]));
-        let ib3 = Inbox::sparse(&rows, n, 3);
+        let ib1 = Inbox::new(buf.view(), 1);
+        assert_eq!(ib1.from(NodeId(0)), &BitString::from_bits([false, true]));
+        assert_eq!(ib1.iter().count(), 1, "one entry per link");
+        let ib3 = Inbox::new(buf.view(), 3);
         assert_eq!(ib3.from(NodeId(0)), &BitString::from_bits([true]));
     }
 }

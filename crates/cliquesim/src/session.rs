@@ -141,10 +141,11 @@ impl Session {
     }
 
     /// Total message slots currently parked in the session's delivery
-    /// arena (both double-buffer halves). For the dense backend this is
-    /// `2·n²` regardless of traffic; for the sparse backend it scales with
-    /// the edges actually used, so it doubles as a footprint probe in tests
-    /// and benchmarks.
+    /// arena (both double-buffer halves): one broadcast slot per sender row
+    /// plus the override entries its rows have held, so `2·n` after
+    /// broadcast-only traffic and at most `2·n²`. It scales with the edges
+    /// actually used, so it doubles as a footprint probe in tests and
+    /// benchmarks.
     pub fn delivery_footprint(&self) -> usize {
         self.arena.slot_footprint()
     }
@@ -268,38 +269,32 @@ mod tests {
 
     #[test]
     fn session_parks_delivery_buffers_between_phases() {
-        use crate::delivery::DeliveryMode;
-        // Dense arena: exactly 2·n² slots, stable across phases.
-        let mut s = Session::new(Engine::new(4).with_delivery(DeliveryMode::Dense));
+        // Each buffer parks one row per sender: a broadcast slot plus the
+        // entries the row has held. OneRound's ring round leaves one entry
+        // per row in buffer 0, and its halting round writes nothing.
+        let parked = 2 * 4 + 4;
+        let mut s = Session::new(Engine::new(4));
         assert_eq!(s.delivery_footprint(), 0, "nothing parked before a run");
         s.run((0..4).map(|_| OneRound).collect()).unwrap();
-        assert_eq!(s.delivery_footprint(), 2 * 4 * 4);
+        assert_eq!(s.delivery_footprint(), parked);
         s.run((0..4).map(|_| OneRound).collect()).unwrap();
-        assert_eq!(s.delivery_footprint(), 2 * 4 * 4);
-        // Sparse arena: one row header per sender per buffer plus the
-        // overrides that were actually sent.
-        let mut s = Session::new(Engine::new(4).with_delivery(DeliveryMode::Sparse));
-        s.run((0..4).map(|_| OneRound).collect()).unwrap();
-        let footprint = s.delivery_footprint();
-        assert!(footprint > 0 && footprint < 2 * 4 * 4, "got {footprint}");
-        s.run((0..4).map(|_| OneRound).collect()).unwrap();
-        assert_eq!(s.delivery_footprint(), footprint, "reuse is steady-state");
+        assert_eq!(s.delivery_footprint(), parked, "reuse is steady-state");
     }
 
     #[test]
     fn arena_threads_through_successive_sessions() {
-        use crate::delivery::DeliveryMode;
-        // First session allocates the dense pair; the second reuses it,
-        // so the footprint is identical before and after its run.
-        let mut s = Session::new(Engine::new(4).with_delivery(DeliveryMode::Dense));
+        // First session allocates the pair; the second reuses it, so the
+        // footprint is identical before and after its run.
+        let parked = 2 * 4 + 4;
+        let mut s = Session::new(Engine::new(4));
         s.run((0..4).map(|_| OneRound).collect()).unwrap();
         let arena = s.into_arena();
-        assert_eq!(arena.slot_footprint(), 2 * 4 * 4);
-        let mut s = Session::with_arena(Engine::new(4).with_delivery(DeliveryMode::Dense), arena);
-        assert_eq!(s.delivery_footprint(), 2 * 4 * 4, "warm before first run");
+        assert_eq!(arena.slot_footprint(), parked);
+        let mut s = Session::with_arena(Engine::new(4), arena);
+        assert_eq!(s.delivery_footprint(), parked, "warm before first run");
         let out = s.run((0..4).map(|_| OneRound).collect()).unwrap();
         assert_eq!(out.stats.rounds, 1);
-        assert_eq!(s.delivery_footprint(), 2 * 4 * 4);
+        assert_eq!(s.delivery_footprint(), parked);
         assert_eq!(s.phases(), 1, "stats are per-session, not per-arena");
     }
 

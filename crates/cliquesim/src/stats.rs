@@ -20,8 +20,8 @@
 //! particular `peak_live_payload_bytes` tracks payload bits live on the
 //! wire, not slot capacity, so a run on a warm, reused
 //! [`crate::DeliveryArena`] (whatever capacity earlier runs left parked)
-//! reports byte-identical stats to a run on a cold one, on either delivery
-//! backend — pinned by the engine's arena-reuse regression test.
+//! reports byte-identical stats to a run on a cold one — pinned by the
+//! engine's arena-reuse regression test.
 
 /// Totals for one run (or one session of composed runs).
 ///
@@ -87,7 +87,7 @@ pub struct RunStats {
     /// under a Byzantine plan.
     pub traitor_nodes: u64,
     /// Message copies the authenticated envelope signed (one per delivered
-    /// copy — a broadcast charges `n − 1` even where the sparse backend
+    /// copy — a broadcast charges `n − 1` even though the delivery buffer
     /// stores one shared payload). Zero when no keyring is attached.
     pub signed_messages: u64,
     /// Tag bits the authenticated envelope appended, `TAG_BITS` per signed

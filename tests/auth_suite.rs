@@ -9,7 +9,7 @@
 //!   source's value — signatures, and nothing else, move the ceiling;
 //! * Dolev–Strong reaches **honest agreement for every seeded `f < n/2`
 //!   case** in the `auth_corpus()` sweep, bit-identically across
-//!   delivery backends × pool shapes {1, 4, 7}, and for `f < n` via the
+//!   pool shapes {1, 4, 7}, and for `f < n` via the
 //!   classic wrapper;
 //! * **forgery accounting closes**: `rejected_tags` counts exactly the
 //!   adversary's forged tags (and, composed with a link-fault plan, the
@@ -128,7 +128,7 @@ fn dolev_strong_agrees_for_every_seeded_honest_majority_case() {
     // The acceptance sweep: every corpus case (f up to ⌈n/2⌉ − 1,
     // traitors garbling, withholding, and forging tags) must deliver the
     // honest source's value to every honest node, bit-identically across
-    // the backends × pool-shapes grid.
+    // the pool-shapes grid.
     let source = NodeId(0);
     for case in auth_corpus() {
         let plan = case.plan(&[source]);
@@ -297,8 +297,8 @@ proptest! {
         // Transparency, the ladder's standing invariant, for the new
         // tier: no keyring ⇒ no auth counters, no tag bits, frames
         // exactly as long as the program sent them — bit-identically
-        // across the whole backends × pool-shapes grid (which the
-        // differential runner itself asserts).
+        // across the whole pool-shapes grid (which the differential runner
+        // itself asserts).
         let (outputs, stats, transcripts) =
             differential_programs("no-keyring", &Engine::new(n), || gossip(n));
         prop_assert_eq!(stats.signed_messages, 0);

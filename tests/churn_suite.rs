@@ -3,14 +3,14 @@
 //! testkit's churn families, and the routing layer's wave re-planning.
 //!
 //! * every corpus [`ChurnCase`] must replay **bit-identically** across
-//!   pool shapes `{1, 4, 7}` and both delivery backends, with the sync
+//!   pool shapes `{1, 4, 7}`, with the sync
 //!   ledger closed against the fault report and the plan's downtime
 //!   windows ([`judge_churn_accounting`]);
 //! * under **continuous Poisson churn**, wave-structured balanced routing
 //!   (windowed [`CrashSet`]s + the session fault clock) must deliver 100%
 //!   of survivor-pair traffic and account every shortfall as a structured
 //!   `Undeliverable` record — judged by [`judge_routed_delivery`], on
-//!   every pool shape and backend;
+//!   every pool shape;
 //! * the state-sync bill must match [`sync_overhead`]'s analytic price
 //!   exactly on an all-chatter workload, and the rejoiners' backfilled
 //!   transcripts must pass the bandwidth auditor;
@@ -22,7 +22,7 @@
 
 use cc_testkit::{
     assert_transcripts_conform, churn_corpus, differential_churn, judge_churn_accounting,
-    judge_routed_delivery, AuditSpec, ChurnCase, BACKENDS, POOL_SHAPES,
+    judge_routed_delivery, AuditSpec, ChurnCase, POOL_SHAPES,
 };
 use congested_clique::prelude::*;
 use congested_clique::routing::route_balanced_faulted;
@@ -83,7 +83,7 @@ fn routing_waves_deliver_all_survivor_traffic_under_continuous_churn() {
     // spans the whole churn horizon (nodes crash and rejoin *while the
     // wave's megastream is in flight*), wave 2 starts after it, with every
     // recovered node re-admitted as intermediate and endpoint. Identical
-    // outcomes are required on every pool shape and delivery backend.
+    // outcomes are required on every pool shape.
     for &(n, seed) in &[(12usize, 1u64), (15, 2)] {
         let case = ChurnCase::new(n, seed);
         let label = case.to_string();
@@ -95,32 +95,29 @@ fn routing_waves_deliver_all_survivor_traffic_under_continuous_churn() {
             "{label}: wave 2 re-admitted nobody"
         );
         let mut reference = None;
-        for &mode in BACKENDS.iter() {
-            for &threads in POOL_SHAPES.iter() {
-                let tag = format!("{label}@{} threads={threads}", mode.tag());
-                let engine = Engine::new(n)
-                    .with_threads_exact(threads)
-                    .with_delivery(mode)
-                    .with_fault_plan(case.plan());
-                let mut session = Session::new(engine);
-                let out1 = route_balanced_faulted(&mut session, case.demands(), &wave1)
-                    .unwrap_or_else(|e| panic!("{tag}: wave 1 failed: {e}"));
-                judge_routed_delivery(&tag, &case.demands(), &wave1, &out1);
-                // Advance the fault clock to the wave boundary: the churn
-                // horizon is behind us, recovered nodes carry again.
-                session.set_fault_offset(cadence);
-                let out2 = route_balanced_faulted(&mut session, case.demands(), &wave2)
-                    .unwrap_or_else(|e| panic!("{tag}: wave 2 failed: {e}"));
-                judge_routed_delivery(&tag, &case.demands(), &wave2, &out2);
-                let run = (
-                    (out1.delivered, out1.undeliverable, out1.report),
-                    (out2.delivered, out2.undeliverable, out2.report),
-                    session.stats(),
-                );
-                match &reference {
-                    None => reference = Some(run),
-                    Some(r) => assert!(*r == run, "{tag}: waves diverged"),
-                }
+        for &threads in POOL_SHAPES.iter() {
+            let tag = format!("{label} threads={threads}");
+            let engine = Engine::new(n)
+                .with_threads_exact(threads)
+                .with_fault_plan(case.plan());
+            let mut session = Session::new(engine);
+            let out1 = route_balanced_faulted(&mut session, case.demands(), &wave1)
+                .unwrap_or_else(|e| panic!("{tag}: wave 1 failed: {e}"));
+            judge_routed_delivery(&tag, &case.demands(), &wave1, &out1);
+            // Advance the fault clock to the wave boundary: the churn
+            // horizon is behind us, recovered nodes carry again.
+            session.set_fault_offset(cadence);
+            let out2 = route_balanced_faulted(&mut session, case.demands(), &wave2)
+                .unwrap_or_else(|e| panic!("{tag}: wave 2 failed: {e}"));
+            judge_routed_delivery(&tag, &case.demands(), &wave2, &out2);
+            let run = (
+                (out1.delivered, out1.undeliverable, out1.report),
+                (out2.delivered, out2.undeliverable, out2.report),
+                session.stats(),
+            );
+            match &reference {
+                None => reference = Some(run),
+                Some(r) => assert!(*r == run, "{tag}: waves diverged"),
             }
         }
     }
@@ -167,7 +164,7 @@ proptest! {
         // A churn schedule sampled at rate zero adds nothing, and a plan
         // without rejoins must take the exact pre-churn code path: same
         // outputs, stats, transcripts, and fault events across every pool
-        // shape and delivery backend.
+        // shape.
         let plain = FaultPlan::new(seed).with_random_crashes(n, f, 3, &[]);
         let churned = plain.clone().with_random_churn(n, 0, 0, 12, &[]);
         prop_assert_eq!(&plain, &churned, "zero-rate churn changed the plan");

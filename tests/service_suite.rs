@@ -3,10 +3,10 @@
 //! the testkit's fleet differentials.
 //!
 //! * any generated batch — mixed families, workloads, pool shapes,
-//!   delivery backends, seed-addressed adversaries, dependency edges —
+//!   seed-addressed adversaries, dependency edges —
 //!   must yield outcomes **byte-identical** to the serial oracle
 //!   (`Batch::run_serial`) at every scheduler width in `{1, 4, 8}`; a
-//!   mismatch panics with the job's `family[n=…, seed=…]@backend` label;
+//!   mismatch panics with the job's `family[n=…, seed=…]@t…` label;
 //! * a cyclic batch is rejected with a structured
 //!   [`BatchError::DependencyCycle`] naming a witness cycle — never
 //!   accepted, never hung on;
@@ -31,11 +31,10 @@ use cc_testkit::{assert_fleet_matches_serial, fleet_batch, Family, Instance};
 use congested_clique::service::{
     Batch, BatchError, EngineSpec, JobFailure, JobId, JobSpec, JobStatus, Service, TenantId,
 };
-use congested_clique::sim::DeliveryMode;
 use proptest::prelude::*;
 
 /// The deterministic conformance fleet: one cell per interesting regime —
-/// clean/faulted/Byzantine, dense/sparse/auto, engine pool shapes 1/2/4,
+/// clean/faulted/Byzantine, engine pool shapes 1/2/4,
 /// plus a dependency diamond whose leaf hashes its parents' bytes.
 fn conformance_fleet() -> Vec<FleetJob> {
     let mut jobs = Vec::new();
@@ -54,11 +53,6 @@ fn conformance_fleet() -> Vec<FleetJob> {
             Workload::Gossip { rounds: 2 },
         );
         gossip.threads = [1, 2, 4][tenant % 3];
-        gossip.delivery = [
-            DeliveryMode::Auto,
-            DeliveryMode::Dense,
-            DeliveryMode::Sparse,
-        ][tenant % 3];
         jobs.push(gossip);
     }
     let mut faulted = FleetJob::new(
@@ -224,17 +218,16 @@ fn stress_soak_fairness_and_arena_steady_state() {
     const JOBS: usize = 520;
     const WIDTH: usize = 8;
     const N: usize = 4;
-    // All jobs share one dense shape so the arena invariant is exact:
-    // each worker parks either nothing or one dense pair (2·n²), no
-    // matter how many jobs it ran.
+    // All jobs share one shape and broadcast only, so the arena
+    // invariant is exact: each worker parks either nothing or one pair of
+    // n rows holding a broadcast slot each (2·n), no matter how many jobs
+    // it ran.
     let tiny = |i: usize| {
-        let mut job = FleetJob::new(
+        FleetJob::new(
             (i as u32) % TENANTS,
             Instance::new(Family::ErSparse, N, i as u64),
             Workload::Gossip { rounds: 1 },
-        );
-        job.delivery = DeliveryMode::Dense;
-        job
+        )
     };
     let service = Service::new(WIDTH);
     let jobs: Vec<FleetJob> = (0..JOBS).map(tiny).collect();
@@ -281,9 +274,9 @@ fn stress_soak_fairness_and_arena_steady_state() {
         }
     }
 
-    // Arena steady state: each worker retains at most one dense pair for
-    // the single shape it saw — 520 jobs, zero slot growth beyond it.
-    let per_shape = 2 * N * N;
+    // Arena steady state: each worker retains at most one pair for the
+    // single shape it saw — 520 jobs, zero slot growth beyond it.
+    let per_shape = 2 * N;
     let footprints = service.arena_footprint();
     assert_eq!(footprints.len(), WIDTH);
     for (worker, slots) in footprints.iter().enumerate() {
