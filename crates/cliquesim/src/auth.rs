@@ -30,8 +30,10 @@
 //! Tags are pure functions of `(keyring seed, round, sender, payload)` —
 //! no iteration-order, pool-shape, host, or buffer-layout dependence —
 //! so an authenticated run replays bit-identically across pool shapes
-//! {1, 4, 7}, exactly like the fault and Byzantine tiers below it. Keyrings print as replayable labels, e.g.
-//! `auth[n=9, seed=42]`.
+//! {1, 4, 7}, exactly like the fault and Byzantine tiers below it. The
+//! engine's sweeps prime a sender row's tag streams in batches and draw
+//! the same words [`AuthKeyring::sign`] does. Keyrings print as
+//! replayable labels, e.g. `auth[n=9, seed=42]`.
 //!
 //! # Engine integration
 //!
@@ -68,6 +70,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use crate::bits::BitString;
+use crate::coins::Coins;
 use crate::delivery::BufViewMut;
 use crate::fault::mix;
 use crate::node::NodeId;
@@ -128,7 +131,7 @@ impl AuthKeyring {
     /// signatures that must stay valid across rounds (e.g. Dolev–Strong
     /// chain entries) pick a fixed out-of-band context instead.
     pub fn sign(&self, from: NodeId, round: usize, payload: &BitString) -> u64 {
-        self.tag_for(from, round, hash_prefix(payload, payload.len()))
+        self.tag_for(from, round, payload, payload.len())
     }
 
     /// Check a claimed `(from, round, payload, tag)` quadruple.
@@ -136,33 +139,29 @@ impl AuthKeyring {
         self.sign(from, round, payload) == tag
     }
 
-    /// Tag over the first `prefix_len` bits of `frame` — what the engine
-    /// verifies without copying the payload out of a tagged frame.
-    fn tag_over_prefix(&self, from: NodeId, round: usize, frame: &BitString, len: usize) -> u64 {
-        self.tag_for(from, round, hash_prefix(frame, len))
+    /// The address of a tag's coin stream: the signer's key, the round,
+    /// the signer, and the hash of the first `len` bits of `m`.
+    fn address(&self, from: usize, round: usize, m: &BitString, len: usize) -> u64 {
+        mix(
+            self.keys[from],
+            round as u64,
+            from as u64,
+            hash_prefix(m, len),
+        )
     }
 
-    fn tag_for(&self, from: NodeId, round: usize, payload_hash: u64) -> u64 {
-        let key = self.keys[from.index()];
-        let mut rng =
-            ChaCha8Rng::seed_from_u64(mix(key, round as u64, from.index() as u64, payload_hash));
-        rng.gen::<u64>() & ((1 << TAG_BITS) - 1)
+    /// Tag over the first `len` bits of `m`, on the scalar generator.
+    fn tag_for(&self, from: NodeId, round: usize, m: &BitString, len: usize) -> u64 {
+        let address = self.address(from.index(), round, m, len);
+        tag_from(&mut ChaCha8Rng::seed_from_u64(address))
     }
 
     /// Validity of one wire frame (`payload ‖ tag`) as produced by the
     /// engine's signing pass. Frames too short to contain a non-empty
     /// payload plus a tag are invalid by construction.
     pub fn verify_frame(&self, from: NodeId, round: usize, frame: &BitString) -> bool {
-        if frame.len() <= TAG_BITS {
-            return false;
-        }
-        let plen = frame.len() - TAG_BITS;
-        let mut r = frame.reader();
-        let tag = match r.skip(plen).and_then(|()| r.read_uint(TAG_BITS)) {
-            Ok(t) => t,
-            Err(_) => return false,
-        };
-        self.tag_over_prefix(from, round, frame, plen) == tag
+        claimed_tag(frame)
+            .is_some_and(|tag| self.tag_for(from, round, frame, frame.len() - TAG_BITS) == tag)
     }
 
     /// Engine signing sweep: append a tag to every non-empty outbound
@@ -174,12 +173,13 @@ impl AuthKeyring {
         &self,
         round: usize,
         cur: &mut BufViewMut<'_>,
+        coins: &mut Coins,
         ledger: &mut AuthLedger,
     ) {
         for v in 0..cur.n() {
-            cur.for_each_payload_mut(v, |copies, m| {
-                let tag = self.sign(NodeId::from(v), round, m);
-                m.push_uint(tag, TAG_BITS);
+            let key = |m: &BitString| self.address(v, round, m, m.len());
+            coins.for_each_payload_mut(cur, v, key, |copies, m, rng| {
+                m.push_uint(tag_from(rng), TAG_BITS);
                 ledger.signed += copies as u64;
                 ledger.auth_bits += (copies * TAG_BITS) as u64;
             });
@@ -194,18 +194,34 @@ impl AuthKeyring {
         &self,
         round: usize,
         cur: &mut BufViewMut<'_>,
+        coins: &mut Coins,
         ledger: &mut AuthLedger,
     ) {
         for v in 0..cur.n() {
-            let from = NodeId::from(v);
-            cur.for_each_payload_mut(v, |copies, m| {
-                if !self.verify_frame(from, round, m) {
+            // A frame too short to carry a tag gets a stream too, and
+            // fails on its claimed tag.
+            let key = |m: &BitString| self.address(v, round, m, m.len().saturating_sub(TAG_BITS));
+            coins.for_each_payload_mut(cur, v, key, |copies, m, rng| {
+                if claimed_tag(m) != Some(tag_from(rng)) {
                     m.clear();
                     ledger.rejected += copies as u64;
                 }
             });
         }
     }
+}
+
+/// A tag: the first 64-bit draw of its coin stream, cut to [`TAG_BITS`].
+fn tag_from(rng: &mut impl Rng) -> u64 {
+    rng.gen::<u64>() & ((1 << TAG_BITS) - 1)
+}
+
+/// The trailing tag a frame claims, or `None` if the frame is too short to
+/// carry a non-empty payload and a tag.
+fn claimed_tag(frame: &BitString) -> Option<u64> {
+    let plen = frame.len().checked_sub(TAG_BITS).filter(|&p| p > 0)?;
+    let mut r = frame.reader();
+    r.skip(plen).and_then(|()| r.read_uint(TAG_BITS)).ok()
 }
 
 impl fmt::Display for AuthKeyring {

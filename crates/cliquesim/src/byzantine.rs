@@ -16,10 +16,12 @@
 //! A [`ByzantinePlan`] follows the same replayability discipline as
 //! [`crate::fault::FaultPlan`]: every lie is a pure function of
 //! `(plan seed, round, traitor, recipient)` — a fresh ChaCha8 stream is
-//! keyed per message, so decisions do not depend on iteration order, pool
-//! shape, or host. The adaptive [`Lie::Replay`] additionally reads the
-//! traitor's *received* matrix column for the round, which the engine
-//! fixes before any rewrite is applied, so it is equally schedule-free.
+//! keyed per message (its coins, however they are computed: the passes
+//! prime a traitor row's streams in batches), so decisions do not depend
+//! on iteration order, pool shape, or host. The adaptive [`Lie::Replay`]
+//! additionally reads the traitor's *received* matrix column for the
+//! round, which the engine fixes before any rewrite is applied, so it is
+//! equally schedule-free.
 //! Plans print as replayable labels, e.g.
 //! `byz[seed=7, traitors=1, garble=1]`.
 //!
@@ -50,9 +52,9 @@ use std::fmt;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use crate::bits::BitString;
-use crate::delivery::{BufView, BufViewMut};
-use crate::fault::mix;
+use crate::coins::Coins;
+use crate::delivery::{BufView, BufViewMut, MsgMut};
+use crate::fault::{mix, AddressIndex};
 use crate::node::NodeId;
 use crate::stats::RunStats;
 
@@ -245,38 +247,59 @@ impl ByzantinePlan {
         self.to_string()
     }
 
-    /// The forced *payload-stage* lie scheduled for `(round, from, to)`,
-    /// if any (first match wins). [`Lie::ForgeTag`] entries belong to the
-    /// envelope stage and are skipped here.
-    fn forced_for(&self, round: usize, from: usize, to: usize) -> Option<Lie> {
-        self.forced
-            .iter()
-            .find(|l| {
-                l.lie != Lie::ForgeTag
-                    && l.round == round
-                    && l.from.index() == from
-                    && l.to.index() == to
-            })
-            .map(|l| l.lie)
-    }
-
-    /// Whether a forced [`Lie::ForgeTag`] is scheduled for
-    /// `(round, from, to)`.
-    fn forced_forge_for(&self, round: usize, from: usize, to: usize) -> bool {
-        self.forced.iter().any(|l| {
-            l.lie == Lie::ForgeTag
-                && l.round == round
-                && l.from.index() == from
-                && l.to.index() == to
-        })
-    }
-
     /// True if the plan can ever forge a tag (probabilistically or via a
     /// forced entry); lets the engine skip the forgery sweep entirely for
     /// plans below the authenticated tier.
     pub(crate) fn has_tag_forgeries(&self) -> bool {
         !self.traitors.is_empty()
             && (self.forge_p > 0.0 || self.forced.iter().any(|l| l.lie == Lie::ForgeTag))
+    }
+
+    /// The plan with its traitors sorted and its forced lies indexed by
+    /// message address, for one run.
+    pub(crate) fn indexed(&self) -> IndexedByzantinePlan<'_> {
+        let mut traitors: Vec<usize> = self.traitors.iter().map(|t| t.index()).collect();
+        traitors.sort_unstable();
+        IndexedByzantinePlan {
+            plan: self,
+            traitors,
+            forced: AddressIndex::new(
+                self.forced
+                    .iter()
+                    .map(|l| ((l.round, l.from.index(), l.to.index()), l.lie)),
+            ),
+        }
+    }
+}
+
+/// A [`ByzantinePlan`] prepared for a run: its traitors sorted, so the
+/// passes sweep only traitor rows in sender order, and its forced lies
+/// indexed by message address, so they are looked up by binary search
+/// instead of scanning the plan's list.
+#[derive(Debug)]
+pub(crate) struct IndexedByzantinePlan<'a> {
+    pub(crate) plan: &'a ByzantinePlan,
+    /// The traitors' node indices, ascending.
+    traitors: Vec<usize>,
+    forced: AddressIndex<(usize, usize, usize), Lie>,
+}
+
+impl IndexedByzantinePlan<'_> {
+    /// The forced *payload-stage* lie scheduled for `(round, from, to)`,
+    /// if any (first match in insertion order wins). [`Lie::ForgeTag`]
+    /// entries belong to the envelope stage and are skipped here.
+    fn forced_for(&self, round: usize, from: usize, to: usize) -> Option<Lie> {
+        self.forced
+            .at((round, from, to))
+            .find(|&l| l != Lie::ForgeTag)
+    }
+
+    /// Whether a forced [`Lie::ForgeTag`] is scheduled for
+    /// `(round, from, to)`.
+    fn forced_forge_for(&self, round: usize, from: usize, to: usize) -> bool {
+        self.forced
+            .at((round, from, to))
+            .any(|l| l == Lie::ForgeTag)
     }
 
     /// Rewrite the traitor rows of the buffer written in `round` (read
@@ -290,16 +313,15 @@ impl ByzantinePlan {
         round: usize,
         cur: &mut BufViewMut<'_>,
         prev: &BufView<'_>,
+        coins: &mut Coins,
         report: &mut ByzantineReport,
     ) {
-        if self.is_empty() {
-            return;
-        }
-        for v in 0..cur.n() {
-            if !self.is_traitor(NodeId::from(v)) {
-                continue;
-            }
-            cur.for_each_msg_mut(v, |u, m| self.lie_one(round, v, u, m, prev, report));
+        let (seed, n) = (self.plan.seed, cur.n());
+        for &v in self.traitors.iter().take_while(|&&v| v < n) {
+            let key = |u: usize| mix(seed, round as u64, v as u64, u as u64);
+            coins.for_each_msg_mut(cur, v, key, |u, m, rng| {
+                self.lie_one(round, v, u, m, rng, prev, report)
+            });
         }
     }
 
@@ -315,27 +337,18 @@ impl ByzantinePlan {
         &self,
         round: usize,
         cur: &mut BufViewMut<'_>,
+        coins: &mut Coins,
         report: &mut ByzantineReport,
     ) {
         use crate::auth::TAG_BITS;
-        if !self.has_tag_forgeries() {
-            return;
-        }
-        for v in 0..cur.n() {
-            if !self.is_traitor(NodeId::from(v)) {
-                continue;
-            }
-            cur.for_each_msg_mut(v, |u, m| {
+        let (seed, n) = (self.plan.seed ^ FORGE_DOMAIN, cur.n());
+        for &v in self.traitors.iter().take_while(|&&v| v < n) {
+            let key = |u: usize| mix(seed, round as u64, v as u64, u as u64);
+            coins.for_each_msg_mut(cur, v, key, |u, m, rng| {
                 if m.len() <= TAG_BITS {
                     return;
                 }
-                let mut rng = ChaCha8Rng::seed_from_u64(mix(
-                    self.seed ^ FORGE_DOMAIN,
-                    round as u64,
-                    v as u64,
-                    u as u64,
-                ));
-                let fire = rng.gen_bool(self.forge_p) || self.forced_forge_for(round, v, u);
+                let fire = rng.gen_bool(self.plan.forge_p) || self.forced_forge_for(round, v, u);
                 if !fire {
                     return;
                 }
@@ -353,6 +366,7 @@ impl ByzantinePlan {
                 if forged == genuine {
                     forged ^= 1;
                 }
+                let m = m.to_mut();
                 m.truncate(plen);
                 m.push_uint(forged, TAG_BITS);
                 report.events.push(ByzantineEvent::ForgedTag {
@@ -366,25 +380,26 @@ impl ByzantinePlan {
     }
 
     /// Decide and apply the lie (if any) for one non-empty traitor
-    /// message `from → to` in `round`.
+    /// message `from → to` in `round`, drawing from its coin stream `rng`,
+    /// keyed by `(seed, round, link)`. A broadcast copy is written, and so
+    /// copied, only if a lie fires.
+    #[allow(clippy::too_many_arguments)]
     fn lie_one(
         &self,
         round: usize,
         from: usize,
         to: usize,
-        m: &mut BitString,
+        m: &mut MsgMut<'_>,
+        rng: &mut impl Rng,
         prev: &BufView<'_>,
         report: &mut ByzantineReport,
     ) {
+        let plan = self.plan;
         let forced = self.forced_for(round, from, to);
-        // The coin stream is keyed per message: same (seed, round, link) →
-        // same draws, regardless of how many other messages exist.
-        let mut rng =
-            ChaCha8Rng::seed_from_u64(mix(self.seed, round as u64, from as u64, to as u64));
         // Fixed draw order keeps partial plans deterministic.
-        let silence = rng.gen_bool(self.silence_p);
-        let garble = rng.gen_bool(self.garble_p);
-        let replay = rng.gen_bool(self.replay_p);
+        let silence = rng.gen_bool(plan.silence_p);
+        let garble = rng.gen_bool(plan.garble_p);
+        let replay = rng.gen_bool(plan.replay_p);
         let lie = match forced {
             Some(l) => Some(l),
             None if silence => Some(Lie::Silence),
@@ -398,10 +413,12 @@ impl ByzantinePlan {
         // degrades to a garble (still a lie, still deterministic).
         let mut replay_source = None;
         if lie == Lie::Replay {
-            let inbound: Vec<usize> = prev.column(from).map(|(w, _)| w).collect();
-            match inbound.is_empty() {
-                true => lie = Lie::Garble,
-                false => replay_source = Some(inbound[rng.gen_range(0..inbound.len())]),
+            match prev.column(from).count() {
+                0 => lie = Lie::Garble,
+                count => {
+                    let pick = rng.gen_range(0..count);
+                    replay_source = prev.column(from).nth(pick).map(|(w, _)| w);
+                }
             }
         }
         match lie {
@@ -412,10 +429,10 @@ impl ByzantinePlan {
                     round,
                     bits: m.len(),
                 });
-                m.clear();
+                m.to_mut().clear();
             }
             Lie::Invert => {
-                m.invert();
+                m.to_mut().invert();
                 report.events.push(ByzantineEvent::Inverted {
                     from: from_id,
                     to: to_id,
@@ -424,8 +441,16 @@ impl ByzantinePlan {
                 });
             }
             Lie::Garble => {
-                let forged: BitString = (0..m.len()).map(|_| rng.gen::<bool>()).collect();
-                *m = forged;
+                // Rewritten in place, a word at a time: one coin per bit,
+                // first bit first.
+                let m = m.to_mut();
+                let len = m.len();
+                m.clear();
+                for start in (0..len).step_by(64) {
+                    let width = (len - start).min(64);
+                    let word = (0..width).fold(0, |w, j| w | u64::from(rng.gen::<bool>()) << j);
+                    m.push_uint(word, width);
+                }
                 report.events.push(ByzantineEvent::Garbled {
                     from: from_id,
                     to: to_id,
@@ -437,10 +462,10 @@ impl ByzantinePlan {
                 // `replay_source` is always set on this path (see above);
                 // guard instead of unwrap to honour the no-panic lint.
                 let Some(src) = replay_source else { return };
-                let substitute = prev.get(src, from).clone();
+                let substitute = prev.get(src, from);
                 let from_bits = m.len();
                 let to_bits = substitute.len();
-                *m = substitute;
+                m.to_mut().copy_from(substitute);
                 report.events.push(ByzantineEvent::Replayed {
                     from: from_id,
                     to: to_id,
@@ -623,7 +648,9 @@ impl ByzantineReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits::BitString;
     use crate::delivery::SparseBuf;
+    use proptest::prelude::*;
 
     fn full_matrix(n: usize, bits: usize) -> Vec<BitString> {
         let mut m = vec![BitString::new(); n * n];
@@ -685,10 +712,11 @@ mod tests {
         let before = cur.clone();
         let mut report = ByzantineReport::default();
         let mut buf = SparseBuf::from_matrix(&cur, n);
-        plan.apply_rewrites(
+        plan.indexed().apply_rewrites(
             0,
             &mut buf.view_mut(),
             &SparseBuf::from_matrix(&prev, n).view(),
+            &mut Coins::default(),
             &mut report,
         );
         cur = buf.to_matrix();
@@ -719,10 +747,11 @@ mod tests {
         let prev = vec![BitString::new(); n * n];
         let mut report = ByzantineReport::default();
         let mut buf = SparseBuf::from_matrix(&cur, n);
-        plan.apply_rewrites(
+        plan.indexed().apply_rewrites(
             0,
             &mut buf.view_mut(),
             &SparseBuf::from_matrix(&prev, n).view(),
+            &mut Coins::default(),
             &mut report,
         );
         cur = buf.to_matrix();
@@ -747,18 +776,20 @@ mod tests {
         let mut ra = ByzantineReport::default();
         let mut rb = ByzantineReport::default();
         let mut buf = SparseBuf::from_matrix(&a, n);
-        plan.apply_rewrites(
+        plan.indexed().apply_rewrites(
             3,
             &mut buf.view_mut(),
             &SparseBuf::from_matrix(&prev, n).view(),
+            &mut Coins::default(),
             &mut ra,
         );
         a = buf.to_matrix();
         let mut buf = SparseBuf::from_matrix(&b, n);
-        plan.apply_rewrites(
+        plan.indexed().apply_rewrites(
             3,
             &mut buf.view_mut(),
             &SparseBuf::from_matrix(&prev, n).view(),
+            &mut Coins::default(),
             &mut rb,
         );
         b = buf.to_matrix();
@@ -783,10 +814,11 @@ mod tests {
         let prev = vec![BitString::new(); n * n];
         let mut report = ByzantineReport::default();
         let mut buf = SparseBuf::from_matrix(&cur, n);
-        plan.apply_rewrites(
+        plan.indexed().apply_rewrites(
             1,
             &mut buf.view_mut(),
             &SparseBuf::from_matrix(&prev, n).view(),
+            &mut Coins::default(),
             &mut report,
         );
         cur = buf.to_matrix();
@@ -802,10 +834,11 @@ mod tests {
         c2[1] = BitString::from_bits([true]);
         let mut r2 = ByzantineReport::default();
         let mut buf = SparseBuf::from_matrix(&c2, n);
-        plan.apply_rewrites(
+        plan.indexed().apply_rewrites(
             0,
             &mut buf.view_mut(),
             &SparseBuf::from_matrix(&prev, n).view(),
+            &mut Coins::default(),
             &mut r2,
         );
         c2 = buf.to_matrix();
@@ -827,10 +860,11 @@ mod tests {
         prev[2 * n] = BitString::from_bits([false, true, false, true]); // 2 → 0
         let mut report = ByzantineReport::default();
         let mut buf = SparseBuf::from_matrix(&cur, n);
-        plan.apply_rewrites(
+        plan.indexed().apply_rewrites(
             2,
             &mut buf.view_mut(),
             &SparseBuf::from_matrix(&prev, n).view(),
+            &mut Coins::default(),
             &mut report,
         );
         cur = buf.to_matrix();
@@ -857,10 +891,11 @@ mod tests {
         let empty = vec![BitString::new(); n * n];
         let mut r2 = ByzantineReport::default();
         let mut buf = SparseBuf::from_matrix(&c2, n);
-        plan.apply_rewrites(
+        plan.indexed().apply_rewrites(
             2,
             &mut buf.view_mut(),
             &SparseBuf::from_matrix(&empty, n).view(),
+            &mut Coins::default(),
             &mut r2,
         );
         c2 = buf.to_matrix();
@@ -901,5 +936,29 @@ mod tests {
         assert_eq!(stats.traitor_nodes, 2);
         assert_eq!(report.liars(), vec![NodeId(1), NodeId(3)]);
         assert_eq!(report.on_link(NodeId(1), NodeId(2)).len(), 1);
+    }
+
+    proptest! {
+        /// The indexed lookups answer exactly what a scan of the forced
+        /// list answers, on lists with repeated addresses and mixed lies:
+        /// [`Lie::ForgeTag`] entries beside payload lies on the same link.
+        #[test]
+        fn prop_indexed_lies_equal_the_linear_scan(
+            forced in proptest::collection::vec((0usize..3, 0usize..3, 0usize..3, 0u8..5), 0..24),
+        ) {
+            let lies = [Lie::Garble, Lie::Invert, Lie::Replay, Lie::Silence, Lie::ForgeTag];
+            let mut plan = ByzantinePlan::new(0);
+            for &(r, from, to, l) in &forced {
+                plan = plan.force(r, NodeId::from(from), NodeId::from(to), lies[l as usize]);
+            }
+            let index = plan.indexed();
+            for (r, from, to) in (0..4).flat_map(|r| (0..3).flat_map(move |f| (0..3).map(move |t| (r, f, t)))) {
+                let at = |l: &&ForcedLie| l.round == r && l.from.index() == from && l.to.index() == to;
+                let payload = plan.forced.iter().filter(at).find(|l| l.lie != Lie::ForgeTag).map(|l| l.lie);
+                let forge = plan.forced.iter().filter(at).any(|l| l.lie == Lie::ForgeTag);
+                prop_assert_eq!(index.forced_for(r, from, to), payload);
+                prop_assert_eq!(index.forced_forge_for(r, from, to), forge);
+            }
+        }
     }
 }

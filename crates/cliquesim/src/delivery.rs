@@ -325,19 +325,22 @@ impl SparseRow {
     }
 
     /// Visit every non-empty message of this sealed row in ascending
-    /// recipient order, mutably. Recipients covered by the shared broadcast
-    /// payload get a scratch copy; if the visitor changes it, the changed
-    /// copy is materialised as an override entry — the adversary hooks
-    /// damage *copies per link*, never the shared payload. New entries take
-    /// spare payloads and are sorted in, so a row never holds more than
-    /// `n - 1` entries however many copies are damaged over a run.
-    fn for_each_msg_mut(&mut self, me: usize, n: usize, mut f: impl FnMut(usize, &mut BitString)) {
+    /// recipient order — exactly the messages of [`SparseRow::messages`],
+    /// in its order — mutably. Override entries are edited in place.
+    /// Recipients covered by the shared broadcast payload get a
+    /// copy-on-write handle: the payload is copied only if the visitor
+    /// writes, and a written copy whose content differs is materialised as
+    /// an override entry — the adversary hooks damage *copies per link*,
+    /// never the shared payload. New entries take spare payloads and are
+    /// sorted in, so a row never holds more than `n - 1` entries however
+    /// many copies are damaged over a run.
+    fn for_each_msg_mut(&mut self, me: usize, n: usize, mut f: impl FnMut(usize, &mut MsgMut<'_>)) {
         if self.bcast.is_empty() {
             if let Some(es) = &mut self.entries {
                 for (i, &u) in es.to.iter().enumerate() {
                     let m = &mut es.msgs[i].0;
                     if !m.is_empty() {
-                        f(u as usize, m);
+                        f(u as usize, &mut MsgMut::entry(m));
                     }
                 }
             }
@@ -354,14 +357,20 @@ impl SparseRow {
                 if e < live && es.to[e] as usize == u {
                     let m = &mut es.msgs[e].0;
                     if !m.is_empty() {
-                        f(u, m);
+                        f(u, &mut MsgMut::entry(m));
                     }
                     continue;
                 }
             }
-            copy.copy_from(&self.bcast);
-            f(u, &mut copy);
-            if copy != self.bcast {
+            let written = {
+                let mut m = MsgMut {
+                    shared: Some(&self.bcast),
+                    own: &mut copy,
+                };
+                f(u, &mut m);
+                m.shared.is_none()
+            };
+            if written && copy != self.bcast {
                 let es = self.entries.get_or_insert_with(Box::default);
                 let i = es.to.len();
                 es.to.push(u as u32);
@@ -374,6 +383,17 @@ impl SparseRow {
             es.unsorted |= live > 0 && es.to.len() > live;
         }
         self.seal();
+    }
+
+    /// This sealed row's distinct non-empty payloads, in the order
+    /// [`SparseRow::for_each_payload_mut`] visits them.
+    fn payloads(&self, n: usize) -> impl Iterator<Item = &BitString> {
+        let (_, msgs) = self.live_entries();
+        let covered = n - 1 - msgs.len();
+        let bcast = (covered > 0 && !self.bcast.is_empty()).then_some(&self.bcast);
+        bcast
+            .into_iter()
+            .chain(msgs.iter().map(|m| &m.0).filter(|m| !m.is_empty()))
     }
 
     /// Visit each distinct non-empty *payload* of this sealed row, with
@@ -399,6 +419,41 @@ impl SparseRow {
                     f(1, &mut m.0);
                 }
             }
+        }
+    }
+}
+
+/// One message as a wire pass sees it: an override entry, edited in place,
+/// or a broadcast copy, which shares the row's payload until the pass first
+/// writes to it. It reads as the message through `Deref`.
+pub(crate) struct MsgMut<'a> {
+    /// The shared broadcast payload, while this copy is unwritten.
+    shared: Option<&'a BitString>,
+    /// The entry, or the scratch a broadcast copy is made in.
+    own: &'a mut BitString,
+}
+
+impl<'a> MsgMut<'a> {
+    fn entry(own: &'a mut BitString) -> Self {
+        Self { shared: None, own }
+    }
+
+    /// The message, writable; a broadcast copy is made on the first call.
+    pub(crate) fn to_mut(&mut self) -> &mut BitString {
+        if let Some(shared) = self.shared.take() {
+            self.own.copy_from(shared);
+        }
+        self.own
+    }
+}
+
+impl std::ops::Deref for MsgMut<'_> {
+    type Target = BitString;
+
+    fn deref(&self) -> &BitString {
+        match self.shared {
+            Some(shared) => shared,
+            None => self.own,
         }
     }
 }
@@ -656,11 +711,24 @@ impl BufViewMut<'_> {
         self.rows.len()
     }
 
+    /// Sender `v`'s non-empty messages as `(recipient, payload)`,
+    /// recipients ascending: the messages
+    /// [`BufViewMut::for_each_msg_mut`] visits, in its order.
+    pub(crate) fn row(&self, v: usize) -> RowIter<'_> {
+        self.rows[v].messages(self.rows.len(), v)
+    }
+
     /// Visit sender `v`'s non-empty messages in ascending recipient order,
     /// mutably, one copy per link (see [`SparseRow::for_each_msg_mut`]).
-    pub(crate) fn for_each_msg_mut(&mut self, v: usize, f: impl FnMut(usize, &mut BitString)) {
+    pub(crate) fn for_each_msg_mut(&mut self, v: usize, f: impl FnMut(usize, &mut MsgMut<'_>)) {
         let n = self.rows.len();
         self.rows[v].for_each_msg_mut(v, n, f);
+    }
+
+    /// Sender `v`'s distinct non-empty payloads: the ones
+    /// [`BufViewMut::for_each_payload_mut`] visits, in its order.
+    pub(crate) fn payloads(&self, v: usize) -> impl Iterator<Item = &BitString> {
+        self.rows[v].payloads(self.rows.len())
     }
 
     /// Visit sender `v`'s distinct non-empty payloads with their recipient
@@ -855,7 +923,7 @@ mod tests {
         // Damage only recipient 2's copy.
         r.for_each_msg_mut(me, n, |u, m| {
             if u == 2 {
-                m.set(0, false);
+                m.to_mut().set(0, false);
             }
         });
         assert_eq!(r.get(1), &bits(&[true, true]), "shared payload untouched");
@@ -865,6 +933,53 @@ mod tests {
         let mut seen = Vec::new();
         r.for_each_msg_mut(me, n, |u, m| seen.push((u, m.get(0))));
         assert_eq!(seen, vec![(1, true), (2, false), (3, true)]);
+    }
+
+    #[test]
+    fn broadcast_copies_are_copied_only_when_written() {
+        let n = 5;
+        let mut r = SparseRow::default();
+        r.set_broadcast(&bits(&[true, false]));
+        r.seal();
+        // Reads see the shared payload; a write that leaves the content as
+        // it was materialises nothing.
+        r.for_each_msg_mut(0, n, |u, m| {
+            assert_eq!(**m, bits(&[true, false]), "recipient {u}");
+            if u == 3 {
+                m.to_mut().set(0, true);
+            }
+        });
+        assert_eq!(kept(&r), 0, "no entry was allocated");
+        // A write that changes the content materialises that copy only.
+        r.for_each_msg_mut(0, n, |u, m| {
+            if u == 1 {
+                m.to_mut().set(1, true);
+            }
+        });
+        assert_eq!(entries(&r), vec![(1, bits(&[true, true]))]);
+        assert_eq!(r.get(2), &bits(&[true, false]));
+    }
+
+    #[test]
+    fn payloads_lists_what_for_each_payload_mut_visits() {
+        let n = 5;
+        let mut r = SparseRow::default();
+        r.set_broadcast(&bits(&[true]));
+        *r.entry(2, n) = bits(&[false, true]);
+        *r.entry(3, n) = BitString::new();
+        r.seal();
+        let listed: Vec<BitString> = r.payloads(n).cloned().collect();
+        let mut visited = Vec::new();
+        r.for_each_payload_mut(n, |_, m| visited.push(m.clone()));
+        assert_eq!(listed, visited);
+        assert_eq!(listed, vec![bits(&[true]), bits(&[false, true])]);
+        // Every recipient overridden: the broadcast payload reaches no one.
+        for to in [1, 4] {
+            *r.entry(to, n) = bits(&[true, true, true]);
+        }
+        r.seal();
+        let listed: Vec<BitString> = r.payloads(n).cloned().collect();
+        assert_eq!(listed.len(), 3, "{listed:?}");
     }
 
     #[test]
@@ -879,7 +994,7 @@ mod tests {
             let hit = [1 + round % 5, 1 + (round + 2) % 5];
             r.for_each_msg_mut(0, n, |u, m| {
                 if hit.contains(&u) {
-                    m.clear();
+                    m.to_mut().clear();
                 }
             });
             let heard: Vec<usize> = r.messages(n, 0).map(|(u, _)| u).collect();

@@ -41,11 +41,12 @@ use std::time::{Duration, Instant};
 
 use crate::auth::{AuthKeyring, AuthLedger};
 use crate::bits::BitString;
-use crate::byzantine::{ByzantinePlan, ByzantineReport};
+use crate::byzantine::{ByzantinePlan, ByzantineReport, IndexedByzantinePlan};
+use crate::coins::Coins;
 use crate::delivery::{BufMut, BufView, BufViewMut, DeliveryArena, SparseBuf, SparseRow};
-use crate::fault::{FaultEvent, FaultPlan, FaultReport};
+use crate::fault::{FaultEvent, FaultPlan, FaultReport, IndexedFaultPlan};
 use crate::node::{Inbox, NodeCtx, NodeId, NodeProgram, Outbox, Status};
-use crate::stats::RunStats;
+use crate::stats::{EngineTiming, RunStats};
 use crate::transcript::{RoundTranscript, Transcript};
 
 /// Errors surfaced by a run. Bandwidth violations are *bugs in the algorithm
@@ -643,9 +644,18 @@ impl Engine {
         let mut wire = Wire {
             offset: self.fault_offset,
             // An empty plan must be transparent: skip every hook it drives.
-            faults: self.fault_plan.as_deref().filter(|p| !p.is_empty()),
-            byzantine: self.byzantine_plan.as_deref().filter(|p| !p.is_empty()),
+            faults: self
+                .fault_plan
+                .as_deref()
+                .filter(|p| !p.is_empty())
+                .map(FaultPlan::indexed),
+            byzantine: self
+                .byzantine_plan
+                .as_deref()
+                .filter(|p| !p.is_empty())
+                .map(ByzantinePlan::indexed),
             auth: self.auth.as_deref(),
+            coins: Coins::default(),
             fault_report: FaultReport::default(),
             byz_report: ByzantineReport::default(),
             auth_ledger: AuthLedger::default(),
@@ -655,7 +665,7 @@ impl Engine {
             self.max_rounds,
             &mut stats,
             transcripts.as_mut(),
-            wire.faults,
+            wire.faults.as_ref().map(|f| f.plan),
             self.fault_offset,
         );
         let rules = StepRules {
@@ -728,7 +738,7 @@ impl Engine {
         let mut round = 0usize;
         loop {
             let state = phase.state();
-            if let Some(plan) = wire.faults {
+            if let Some(faults) = &wire.faults {
                 // Crashes fire before the activity snapshot: a node crashing
                 // in round r never steps in it, and the messages it was due
                 // to read this round (written last round) are lost. Rejoins
@@ -738,10 +748,10 @@ impl Engine {
                 let (_, read) = parity(state.bufs, round);
                 let inbound = read.view();
                 let report = &mut wire.fault_report;
-                plan.apply_crashes(wire.offset + round, state.halted, &inbound, report);
+                faults.apply_crashes(wire.offset + round, state.halted, &inbound, report);
                 book.process_churn(
                     round,
-                    plan,
+                    faults.plan,
                     state.programs,
                     ctxs,
                     state.halted,
@@ -785,11 +795,12 @@ impl Engine {
             }
             if wire.is_active() {
                 let start = Instant::now();
-                wire.apply(round, &mut write.view_mut(), &read.view());
+                let timing = &mut book.stats.timing;
+                wire.apply(round, &mut write.view_mut(), &read.view(), timing);
                 // The passes may have materialised damaged broadcast copies
                 // as new entries: index what the next round reads.
                 write.index_receivers();
-                book.stats.timing.passes_ns += nanos(start, Instant::now());
+                timing.passes_ns += nanos(start, Instant::now());
             }
 
             if let Some((start, limit)) = watchdog {
@@ -812,9 +823,11 @@ impl Engine {
 struct Wire<'a> {
     /// Fault-clock offset: local round `r` is plan round `offset + r`.
     offset: usize,
-    faults: Option<&'a FaultPlan>,
-    byzantine: Option<&'a ByzantinePlan>,
+    faults: Option<IndexedFaultPlan<'a>>,
+    byzantine: Option<IndexedByzantinePlan<'a>>,
     auth: Option<&'a AuthKeyring>,
+    /// The primed coin streams of the row a pass is visiting.
+    coins: Coins,
     fault_report: FaultReport,
     byz_report: ByzantineReport,
     /// The round book borrows `stats` for the whole loop, so the envelope
@@ -830,34 +843,64 @@ impl Wire<'_> {
 
     /// Apply the wire passes to the round's closed write buffer `sent`, in
     /// their one order: Byzantine rewrites → sign → forged tags → link
-    /// faults → verify. Stats and transcripts already record what the
-    /// programs sent; next round's inboxes see what survives the wire.
-    /// `read` is the buffer the nodes read this round.
-    fn apply(&mut self, round: usize, sent: &mut BufViewMut<'_>, read: &BufView<'_>) {
-        if let Some(byz) = self.byzantine {
+    /// faults → verify, each timed into its own `timing` total. Stats and
+    /// transcripts already record what the programs sent; next round's
+    /// inboxes see what survives the wire. `read` is the buffer the nodes
+    /// read this round.
+    fn apply(
+        &mut self,
+        round: usize,
+        sent: &mut BufViewMut<'_>,
+        read: &BufView<'_>,
+        timing: &mut EngineTiming,
+    ) {
+        let coins = &mut self.coins;
+        if let Some(byz) = &self.byzantine {
             // Traitors lie first; what they received this round (`read`) is
             // the adaptive-lying input.
-            byz.apply_rewrites(round, sent, read, &mut self.byz_report);
+            timed(&mut timing.rewrite_ns, || {
+                byz.apply_rewrites(round, sent, read, coins, &mut self.byz_report)
+            });
         }
         if let Some(keyring) = self.auth {
             // Signing runs after the payload rewrites: a traitor's lies are
             // validly signed with its own key (it owns it), while everything
             // downstream — forged tags, wire damage — breaks the tag.
-            keyring.sign_round(round, sent, &mut self.auth_ledger);
-            if let Some(byz) = self.byzantine {
-                byz.apply_tag_forgeries(round, sent, &mut self.byz_report);
+            timed(&mut timing.sign_ns, || {
+                keyring.sign_round(round, sent, coins, &mut self.auth_ledger)
+            });
+            if let Some(byz) = self
+                .byzantine
+                .as_ref()
+                .filter(|b| b.plan.has_tag_forgeries())
+            {
+                timed(&mut timing.forge_ns, || {
+                    byz.apply_tag_forgeries(round, sent, coins, &mut self.byz_report)
+                });
             }
         }
-        if let Some(plan) = self.faults {
-            plan.apply_link_faults(self.offset + round, sent, &mut self.fault_report);
+        if let Some(faults) = self.faults.as_ref().filter(|f| f.plan.has_link_faults()) {
+            let report = &mut self.fault_report;
+            timed(&mut timing.faults_ns, || {
+                faults.apply_link_faults(self.offset + round, sent, coins, report)
+            });
         }
         if let Some(keyring) = self.auth {
             // Verification is the last word on the wire: any frame whose
             // tag fails (forged or damaged after signing) is cleared before
             // delivery.
-            keyring.verify_round(round, sent, &mut self.auth_ledger);
+            timed(&mut timing.verify_ns, || {
+                keyring.verify_round(round, sent, coins, &mut self.auth_ledger)
+            });
         }
     }
+}
+
+/// Run `pass`, adding its wall-clock nanoseconds to `total`.
+fn timed(total: &mut u64, pass: impl FnOnce()) {
+    let start = Instant::now();
+    pass();
+    *total += nanos(start, Instant::now());
 }
 
 /// Exclusive access to a run's state between step phases: every node's
@@ -2844,8 +2887,12 @@ mod tests {
         let faults = FaultPlan::new(7)
             .crash(NodeId(2), 2)
             .rejoin(NodeId(2), 4)
-            .expect("crash precedes rejoin");
-        let byz = ByzantinePlan::new(3).traitor(NodeId(5)).garble(0.5);
+            .expect("crash precedes rejoin")
+            .drop_messages(0.1);
+        let byz = ByzantinePlan::new(3)
+            .traitor(NodeId(5))
+            .garble(0.5)
+            .forge(0.5);
         for threads in [1usize, 4] {
             let out = Engine::new(n)
                 .with_bandwidth(8)
@@ -2866,6 +2913,20 @@ mod tests {
             let t = &out.stats.timing;
             assert!(t.churn_ns > 0, "threads={threads}: churn pre-step untimed");
             assert!(t.passes_ns > 0, "threads={threads}: wire passes untimed");
+            // Every pass is active here, and each is timed inside the block
+            // `passes_ns` covers.
+            let split = [
+                t.rewrite_ns,
+                t.sign_ns,
+                t.forge_ns,
+                t.faults_ns,
+                t.verify_ns,
+            ];
+            assert!(split.iter().all(|&ns| ns > 0), "threads={threads}: {t:?}");
+            assert!(
+                split.iter().sum::<u64>() <= t.passes_ns,
+                "threads={threads}: {t:?}"
+            );
             assert_eq!(t.total_ns(), t.step_ns + t.delivery_ns, "threads={threads}");
         }
     }

@@ -11,11 +11,13 @@
 //! # Determinism contract
 //!
 //! Every fault decision is a pure function of `(plan seed, round, sender,
-//! receiver)` — a fresh ChaCha8 stream is keyed per message, so decisions do
-//! not depend on iteration order, pool shape, or host. The same plan against
-//! the same programs replays the same faults, bit for bit; a plan's
-//! [`FaultPlan::label`] (e.g. `plan[seed=7, drop=0.25, crashes=2]`) names
-//! the adversary the way testkit's `family[n, seed]` labels name instances.
+//! receiver)` — a fresh ChaCha8 stream is keyed per message (its coins,
+//! however they are computed: the link-fault pass primes a sender row's
+//! streams in batches), so decisions do not depend on iteration order, pool
+//! shape, or host. The same plan against the same programs replays the
+//! same faults, bit for bit; a plan's [`FaultPlan::label`] (e.g.
+//! `plan[seed=7, drop=0.25, crashes=2]`) names the adversary the way
+//! testkit's `family[n, seed]` labels name instances.
 //!
 //! An **empty plan is transparent**: `FaultPlan::new(seed)` with no faults
 //! configured produces byte-identical outputs, transcripts, and
@@ -65,8 +67,8 @@ use std::fmt;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
-use crate::bits::BitString;
-use crate::delivery::{BufView, BufViewMut};
+use crate::coins::Coins;
+use crate::delivery::{BufView, BufViewMut, MsgMut};
 use crate::node::NodeId;
 use crate::stats::RunStats;
 
@@ -234,14 +236,15 @@ impl FaultPlan {
     ) -> Self {
         assert!(crash_per_mille <= 1000, "crash rate is per mille");
         assert!(rejoin_per_mille <= 1000, "rejoin rate is per mille");
+        let seed = self.seed;
+        let mut coins = Coins::default();
         for v in 0..n {
             if spare.iter().any(|s| s.index() == v) {
                 continue;
             }
             let mut alive = true;
-            for r in 1..=max_round {
-                let mut rng =
-                    ChaCha8Rng::seed_from_u64(mix(self.seed, 0x0C48_5242, v as u64, r as u64));
+            let key = |&r: &usize| mix(seed, 0x0C48_5242, v as u64, r as u64);
+            coins.for_each(1..=max_round, key, |r, rng| {
                 let coin = rng.gen_range(0..1000u32);
                 if alive {
                     if coin < crash_per_mille {
@@ -252,7 +255,7 @@ impl FaultPlan {
                     self.rejoins.push((NodeId::from(v), r));
                     alive = true;
                 }
-            }
+            });
         }
         self
     }
@@ -433,24 +436,9 @@ impl FaultPlan {
         !self.rejoins.is_empty()
     }
 
-    /// True if the plan crashes `node` exactly at `round` (not merely at or
-    /// before it — with rejoins a node can crash more than once).
-    fn crashes_at(&self, node: NodeId, round: usize) -> bool {
-        self.crashes.iter().any(|(v, r)| *v == node && *r == round)
-    }
-
     /// The replayable adversary label, `plan[seed=…, …]`.
     pub fn label(&self) -> String {
         self.to_string()
-    }
-
-    /// The forced fault scheduled for `(round, from, to)`, if any (first
-    /// match wins).
-    fn forced_for(&self, round: usize, from: usize, to: usize) -> Option<FaultKind> {
-        self.forced
-            .iter()
-            .find(|f| f.round == round && f.from.index() == from && f.to.index() == to)
-            .map(|f| f.kind)
     }
 
     /// True if any link fault (probabilistic or forced) can ever fire.
@@ -459,6 +447,39 @@ impl FaultPlan {
             || self.corrupt_p > 0.0
             || self.truncate_p > 0.0
             || !self.forced.is_empty()
+    }
+
+    /// The plan with its per-message and per-node lookups indexed, for one
+    /// run.
+    pub(crate) fn indexed(&self) -> IndexedFaultPlan<'_> {
+        IndexedFaultPlan {
+            plan: self,
+            forced: AddressIndex::new(
+                self.forced
+                    .iter()
+                    .map(|f| ((f.round, f.from.index(), f.to.index()), f.kind)),
+            ),
+            crashes: AddressIndex::new(self.crashes.iter().map(|&(v, r)| ((r, v.index()), ()))),
+        }
+    }
+}
+
+/// A [`FaultPlan`] prepared for a run: its forced faults indexed by
+/// message address and its crashes by round, so the passes look each up by
+/// binary search instead of scanning the plan's lists.
+#[derive(Debug)]
+pub(crate) struct IndexedFaultPlan<'a> {
+    pub(crate) plan: &'a FaultPlan,
+    forced: AddressIndex<(usize, usize, usize), FaultKind>,
+    /// Keyed `(round, node)`.
+    crashes: AddressIndex<(usize, usize), ()>,
+}
+
+impl IndexedFaultPlan<'_> {
+    /// The forced fault scheduled for `(round, from, to)`, if any (first
+    /// match in insertion order wins).
+    fn forced_for(&self, round: usize, from: usize, to: usize) -> Option<FaultKind> {
+        self.forced.at((round, from, to)).next()
     }
 
     /// Apply the crash schedule for `round`: mark scheduled victims halted,
@@ -472,17 +493,15 @@ impl FaultPlan {
         inbound: &BufView<'_>,
         report: &mut FaultReport,
     ) {
-        if self.crashes.is_empty() {
-            return;
-        }
-        for (v, h) in halted.iter_mut().enumerate() {
-            // Exact-round membership, not the earliest crash round: with
-            // rejoins a node can crash, come back, and crash again. A node
-            // already halted (normally or by an earlier crash) is skipped,
-            // which also collapses duplicate crash entries.
-            if *h || !self.crashes_at(NodeId::from(v), round) {
+        // Exact-round entries, nodes ascending: with rejoins a node can
+        // crash, come back, and crash again. A node already halted
+        // (normally or by an earlier crash) is skipped, which also
+        // collapses duplicate crash entries.
+        let due = self.crashes.tail((round, 0));
+        for &((_, v), ()) in due.iter().take_while(|((r, _), _)| *r == round) {
+            let Some(h) = halted.get_mut(v).filter(|h| !**h) else {
                 continue;
-            }
+            };
             *h = true;
             let (lost_messages, lost_bits) = inbound
                 .column(v)
@@ -504,53 +523,61 @@ impl FaultPlan {
         &self,
         round: usize,
         cur: &mut BufViewMut<'_>,
+        coins: &mut Coins,
         report: &mut FaultReport,
     ) {
-        if !self.has_link_faults() {
-            return;
-        }
+        let seed = self.plan.seed;
         for v in 0..cur.n() {
-            cur.for_each_msg_mut(v, |u, m| self.fault_one(round, v, u, m, report));
+            let key = |u: usize| mix(seed, round as u64, v as u64, u as u64);
+            coins.for_each_msg_mut(cur, v, key, |u, m, rng| {
+                self.fault_one(round, v, u, m, rng, report)
+            });
         }
     }
 
-    /// Decide and apply the fault (if any) for one non-empty message.
+    /// Decide and apply the fault (if any) for one non-empty message,
+    /// drawing from its coin stream `rng`, keyed by `(seed, round, link)`.
+    /// A broadcast copy is written, and so copied, only if a fault fires.
     fn fault_one(
         &self,
         round: usize,
         from: usize,
         to: usize,
-        m: &mut BitString,
+        m: &mut MsgMut<'_>,
+        rng: &mut impl Rng,
         report: &mut FaultReport,
     ) {
+        let plan = self.plan;
         let forced = self.forced_for(round, from, to);
-        // The coin stream is keyed per message: same (seed, round, link) →
-        // same draws, regardless of how many other messages exist.
-        let mut rng =
-            ChaCha8Rng::seed_from_u64(mix(self.seed, round as u64, from as u64, to as u64));
-        // Fixed draw order keeps partial plans deterministic.
-        let drop = rng.gen_bool(self.drop_p) || forced == Some(FaultKind::Drop);
-        let corrupt = rng.gen_bool(self.corrupt_p);
-        let corrupt_bit = rng.gen_range(0..m.len());
-        let truncate = rng.gen_bool(self.truncate_p);
-        let truncate_keep = rng.gen_range(0..m.len());
         let (from_id, to_id) = (NodeId::from(from), NodeId::from(to));
-        if drop {
+        // Fixed draw order keeps partial plans deterministic: the drop coin
+        // comes first, then corruption, its bit, truncation, its length.
+        if rng.gen_bool(plan.drop_p) || forced == Some(FaultKind::Drop) {
             report.events.push(FaultEvent::Dropped {
                 from: from_id,
                 to: to_id,
                 round,
                 bits: m.len(),
             });
-            m.clear();
+            m.to_mut().clear();
             return;
         }
+        // With no corruption or truncation rate and nothing forced, the
+        // rest of the stream cannot change the message: leave it undrawn.
+        if plan.corrupt_p == 0.0 && plan.truncate_p == 0.0 && forced.is_none() {
+            return;
+        }
+        let corrupt = rng.gen_bool(plan.corrupt_p);
+        let corrupt_bit = rng.gen_range(0..m.len());
+        let truncate = rng.gen_bool(plan.truncate_p);
+        let truncate_keep = rng.gen_range(0..m.len());
         let flip = match forced {
             Some(FaultKind::Flip { bit }) => Some(bit % m.len()),
             _ if corrupt => Some(corrupt_bit),
             _ => None,
         };
         if let Some(bit) = flip {
+            let m = m.to_mut();
             m.set(bit, !m.get(bit));
             report.events.push(FaultEvent::Corrupted {
                 from: from_id,
@@ -567,7 +594,7 @@ impl FaultPlan {
         if let Some(keep) = keep {
             if keep < m.len() {
                 let from_bits = m.len();
-                m.truncate(keep);
+                m.to_mut().truncate(keep);
                 report.events.push(FaultEvent::Truncated {
                     from: from_id,
                     to: to_id,
@@ -577,6 +604,35 @@ impl FaultPlan {
                 });
             }
         }
+    }
+}
+
+/// Plan entries sorted by key once, so each lookup is a binary search.
+/// The sort is stable: entries under one key keep their insertion order,
+/// so the first one found is the one a scan of the plan's list finds first.
+#[derive(Debug)]
+pub(crate) struct AddressIndex<K, T> {
+    entries: Vec<(K, T)>,
+}
+
+impl<K: Ord + Copy, T: Copy> AddressIndex<K, T> {
+    pub(crate) fn new(entries: impl Iterator<Item = (K, T)>) -> Self {
+        let mut entries: Vec<(K, T)> = entries.collect();
+        entries.sort_by_key(|&(k, _)| k);
+        Self { entries }
+    }
+
+    /// The entries with keys at or above `key`, keys ascending.
+    fn tail(&self, key: K) -> &[(K, T)] {
+        &self.entries[self.entries.partition_point(|&(k, _)| k < key)..]
+    }
+
+    /// The values under `key`, in insertion order.
+    pub(crate) fn at(&self, key: K) -> impl Iterator<Item = T> + '_ {
+        self.tail(key)
+            .iter()
+            .take_while(move |&&(k, _)| k == key)
+            .map(|&(_, t)| t)
     }
 }
 
@@ -807,7 +863,9 @@ pub fn sync_overhead(n: usize, plan: &FaultPlan, width: usize) -> SyncOverhead {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bits::BitString;
     use crate::delivery::SparseBuf;
+    use proptest::prelude::*;
 
     #[test]
     fn empty_plan_is_empty_and_labelled() {
@@ -1071,10 +1129,12 @@ mod tests {
         let mut ra = FaultReport::default();
         let mut rb = FaultReport::default();
         let mut buf = SparseBuf::from_matrix(&a, n);
-        plan.apply_link_faults(3, &mut buf.view_mut(), &mut ra);
+        plan.indexed()
+            .apply_link_faults(3, &mut buf.view_mut(), &mut Coins::default(), &mut ra);
         a = buf.to_matrix();
         let mut buf = SparseBuf::from_matrix(&b, n);
-        plan.apply_link_faults(3, &mut buf.view_mut(), &mut rb);
+        plan.indexed()
+            .apply_link_faults(3, &mut buf.view_mut(), &mut Coins::default(), &mut rb);
         b = buf.to_matrix();
         assert_eq!(a, b);
         assert_eq!(ra, rb);
@@ -1096,7 +1156,12 @@ mod tests {
         m[n] = BitString::from_bits([true, true, true]); // 1 → 0
         let mut report = FaultReport::default();
         let mut buf = SparseBuf::from_matrix(&m, n);
-        plan.apply_link_faults(1, &mut buf.view_mut(), &mut report);
+        plan.indexed().apply_link_faults(
+            1,
+            &mut buf.view_mut(),
+            &mut Coins::default(),
+            &mut report,
+        );
         m = buf.to_matrix();
         assert_eq!(
             m[1],
@@ -1110,7 +1175,8 @@ mod tests {
         m2[1] = BitString::from_bits([true]);
         let mut r2 = FaultReport::default();
         let mut buf = SparseBuf::from_matrix(&m2, n);
-        plan.apply_link_faults(0, &mut buf.view_mut(), &mut r2);
+        plan.indexed()
+            .apply_link_faults(0, &mut buf.view_mut(), &mut Coins::default(), &mut r2);
         m2 = buf.to_matrix();
         assert!(r2.is_empty());
         assert_eq!(m2[1].len(), 1);
@@ -1124,7 +1190,7 @@ mod tests {
         let mut inbound = vec![BitString::new(); n * n];
         inbound[1] = BitString::from_bits([true, true]); // 0 → 1, never read
         let mut report = FaultReport::default();
-        plan.apply_crashes(
+        plan.indexed().apply_crashes(
             4,
             &mut halted,
             &SparseBuf::from_matrix(&inbound, n).view(),
@@ -1142,7 +1208,7 @@ mod tests {
         );
         // Already-halted nodes are not crashed again.
         let mut r2 = FaultReport::default();
-        plan.apply_crashes(
+        plan.indexed().apply_crashes(
             4,
             &mut halted,
             &SparseBuf::from_matrix(&inbound, n).view(),
@@ -1204,7 +1270,12 @@ mod tests {
         let before = m[1].clone();
         let mut report = FaultReport::default();
         let mut buf = SparseBuf::from_matrix(&m, n);
-        plan.apply_link_faults(0, &mut buf.view_mut(), &mut report);
+        plan.indexed().apply_link_faults(
+            0,
+            &mut buf.view_mut(),
+            &mut Coins::default(),
+            &mut report,
+        );
         m = buf.to_matrix();
         assert_eq!(m[1].len(), before.len());
         assert_ne!(m[1], before, "exactly one bit differs");
@@ -1220,8 +1291,63 @@ mod tests {
         m[1] = BitString::from_bits([true, false, true, false]);
         let mut report = FaultReport::default();
         let mut buf = SparseBuf::from_matrix(&m, n);
-        plan.apply_link_faults(0, &mut buf.view_mut(), &mut report);
+        plan.indexed().apply_link_faults(
+            0,
+            &mut buf.view_mut(),
+            &mut Coins::default(),
+            &mut report,
+        );
         m = buf.to_matrix();
         assert!(m[1].len() < 4, "strict prefix");
+    }
+
+    proptest! {
+        /// The indexed lookups answer exactly what a scan of the plan's
+        /// lists answers, first match in insertion order included, on
+        /// lists with repeated addresses and mixed kinds.
+        #[test]
+        fn prop_indexed_lookups_equal_the_linear_scan(
+            forced in proptest::collection::vec((0usize..3, 0usize..3, 0usize..3, 0u8..3, 0usize..4), 0..24),
+            crashes in proptest::collection::vec((0usize..6, 0usize..6), 0..16),
+        ) {
+            let kind = |k: u8, x: usize| match k {
+                0 => FaultKind::Drop,
+                1 => FaultKind::Flip { bit: x },
+                _ => FaultKind::Truncate { keep: x },
+            };
+            let mut plan = FaultPlan::new(0);
+            for &(r, from, to, k, x) in &forced {
+                plan = plan.force(r, NodeId::from(from), NodeId::from(to), kind(k, x));
+            }
+            for &(v, r) in &crashes {
+                plan = plan.crash(NodeId::from(v), r);
+            }
+            let index = plan.indexed();
+            for (r, from, to) in (0..4).flat_map(|r| (0..3).flat_map(move |f| (0..3).map(move |t| (r, f, t)))) {
+                let scanned = plan
+                    .forced
+                    .iter()
+                    .find(|f| f.round == r && f.from.index() == from && f.to.index() == to)
+                    .map(|f| f.kind);
+                prop_assert_eq!(index.forced_for(r, from, to), scanned);
+            }
+            // The crash sweep against a scan of every node, round by round.
+            let n = 5;
+            let (mut halted, mut scan_halted) = (vec![false; n], vec![false; n]);
+            let inbound = SparseBuf::from_matrix(&vec![BitString::new(); n * n], n);
+            for round in 0..7 {
+                let mut report = FaultReport::default();
+                index.apply_crashes(round, &mut halted, &inbound.view(), &mut report);
+                let mut scanned = Vec::new();
+                for (v, h) in scan_halted.iter_mut().enumerate() {
+                    let due = plan.crashes.iter().any(|&(c, r)| c.index() == v && r == round);
+                    if !*h && due {
+                        *h = true;
+                        scanned.push(NodeId::from(v));
+                    }
+                }
+                prop_assert_eq!(report.crashed_nodes(), scanned);
+            }
+        }
     }
 }

@@ -60,6 +60,7 @@
 pub mod auth;
 pub mod bits;
 pub mod byzantine;
+mod coins;
 pub mod delivery;
 pub mod engine;
 pub mod fault;

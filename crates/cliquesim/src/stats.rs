@@ -122,9 +122,25 @@ pub struct EngineTiming {
     /// [`EngineTiming::total_ns`].
     pub churn_ns: u64,
     /// Nanoseconds spent in the wire passes (Byzantine rewrites, signing,
-    /// forged tags, link faults, verification), summed over rounds. Not
-    /// part of [`EngineTiming::total_ns`].
+    /// forged tags, link faults, verification) and the receiver-index
+    /// rebuild after them, summed over rounds. Not part of
+    /// [`EngineTiming::total_ns`]; the five fields below split it by pass.
     pub passes_ns: u64,
+    /// Nanoseconds of [`EngineTiming::passes_ns`] spent in Byzantine
+    /// payload rewrites. Zero without a Byzantine plan.
+    pub rewrite_ns: u64,
+    /// Nanoseconds of [`EngineTiming::passes_ns`] spent signing. Zero
+    /// without a keyring.
+    pub sign_ns: u64,
+    /// Nanoseconds of [`EngineTiming::passes_ns`] spent forging tags. Zero
+    /// unless the Byzantine plan forges.
+    pub forge_ns: u64,
+    /// Nanoseconds of [`EngineTiming::passes_ns`] spent in link faults.
+    /// Zero unless the fault plan has link faults.
+    pub faults_ns: u64,
+    /// Nanoseconds of [`EngineTiming::passes_ns`] spent verifying tags.
+    /// Zero without a keyring.
+    pub verify_ns: u64,
     /// Step phases timed: one per round, plus the step in which every node
     /// halted.
     pub step_phases: u64,
@@ -145,6 +161,11 @@ impl EngineTiming {
         self.delivery_ns += other.delivery_ns;
         self.churn_ns += other.churn_ns;
         self.passes_ns += other.passes_ns;
+        self.rewrite_ns += other.rewrite_ns;
+        self.sign_ns += other.sign_ns;
+        self.forge_ns += other.forge_ns;
+        self.faults_ns += other.faults_ns;
+        self.verify_ns += other.verify_ns;
         self.step_phases += other.step_phases;
     }
 }
@@ -309,20 +330,36 @@ mod tests {
             delivery_ns: 5,
             churn_ns: 4,
             passes_ns: 6,
+            rewrite_ns: 1,
+            faults_ns: 2,
             step_phases: 2,
+            ..EngineTiming::default()
         };
         t.absorb(&EngineTiming {
             step_ns: 1,
             delivery_ns: 2,
             churn_ns: 1,
             passes_ns: 3,
+            sign_ns: 1,
+            forge_ns: 1,
+            faults_ns: 1,
+            verify_ns: 1,
             step_phases: 1,
+            ..EngineTiming::default()
         });
         assert_eq!(t.step_ns, 11);
         assert_eq!(t.delivery_ns, 7);
         assert_eq!(t.churn_ns, 5);
         assert_eq!(t.passes_ns, 9);
+        let split = [
+            t.rewrite_ns,
+            t.sign_ns,
+            t.forge_ns,
+            t.faults_ns,
+            t.verify_ns,
+        ];
+        assert_eq!(split, [1, 1, 1, 3, 1]);
         assert_eq!(t.step_phases, 3);
-        assert_eq!(t.total_ns(), 18);
+        assert_eq!(t.total_ns(), 18, "the passes stay outside the engine total");
     }
 }
