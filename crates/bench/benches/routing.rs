@@ -43,11 +43,12 @@ fn skewed_pattern(n: usize, bits: usize, seed: u64) -> Demands {
 
 fn run_stats(n: usize, d: Demands, balanced: bool) -> cliquesim::RunStats {
     let mut s = Session::new(Engine::new(n));
-    if balanced {
-        cc_routing::route_balanced(&mut s, d).unwrap();
+    let plan = if balanced {
+        cc_routing::RoutePlan::balanced()
     } else {
-        cc_routing::route(&mut s, d).unwrap();
-    }
+        cc_routing::RoutePlan::direct()
+    };
+    plan.run(&mut s, d).unwrap();
     s.stats()
 }
 

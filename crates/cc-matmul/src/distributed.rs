@@ -22,7 +22,7 @@
 
 use cliquesim::{BitString, NodeId, Session};
 
-use cc_routing::{route_balanced, RouteError};
+use cc_routing::{RouteError, RoutePlan};
 
 use crate::semiring::{Matrix, Semiring};
 
@@ -213,7 +213,7 @@ pub fn mm_three_d<S: Semiring>(
             }
         }
     }
-    let delivered = route_balanced(session, demands)?;
+    let delivered = RoutePlan::balanced().run(session, demands)?;
 
     // Each worker assembles its two blocks.
     // a_block[r - band_start][c_idx], rows ordered by sender id.
@@ -292,7 +292,7 @@ pub fn mm_three_d<S: Semiring>(
             }
         }
     }
-    let delivered2 = route_balanced(session, demands2)?;
+    let delivered2 = RoutePlan::balanced().run(session, demands2)?;
 
     // Row owners sum partials.
     let mut c_rows: Vec<Vec<S::Elem>> = Vec::with_capacity(n);

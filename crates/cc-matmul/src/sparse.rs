@@ -6,15 +6,16 @@
 //! dominant part of that result for the workspace's semirings:
 //!
 //! 1. **Nonzero-count agreement via gossip**: every node broadcasts its
-//!    per-band nonzero counts for its rows of `A` and `B` (one
-//!    [`cc_routing::all_to_all_sized`] collective). After the gossip every
+//!    per-band nonzero counts for its rows of `A` and `B` (one sized
+//!    all-to-all collective, [`cc_routing::RoutePlan::all_to_all`]). After
+//!    the gossip every
 //!    payload size below is *global knowledge*, which is exactly the
 //!    legitimacy requirement of the header-free sized routing tier.
 //! 2. **Load-balanced redistribution of nonzero triples**: each row holder
 //!    ships, per 3D block, only its nonzero `(column, value)` pairs —
 //!    `⌈log₂ band⌉ + w` bits per triple instead of `band · w` bits per
 //!    block row — over the balanced megastream
-//!    ([`cc_routing::route_balanced_sized`]).
+//!    ([`cc_routing::RoutePlan::balanced`], [`cc_routing::RoutePlan::sized`]).
 //! 3. **Band-local combine**: workers multiply their sparse blocks locally,
 //!    combining all same-`(row, column)` contributions inside the block,
 //!    then ship dense partial rows (their sizes are functions of `n` alone,
@@ -34,10 +35,7 @@
 
 use cliquesim::{BitString, NodeId, RunStats, Session};
 
-use cc_routing::{
-    all_to_all_sized, all_to_all_sized_cost, route_balanced_sized, route_balanced_sized_cost,
-    DemandSizes,
-};
+use cc_routing::{DemandSizes, RoutePlan};
 
 use crate::distributed::{
     check_shapes, decode_entries, encode_entries, mm_naive_broadcast, mm_three_d, Blocking,
@@ -179,7 +177,7 @@ fn gossip_counts<S: Semiring>(
             bits
         })
         .collect();
-    let views = all_to_all_sized(session, payloads)?;
+    let views = RoutePlan::direct().sized().all_to_all(session, payloads)?;
 
     // Decode the agreed table from node 0's view (all views are equal:
     // delivery is reliable) and cross-check it against the local counts.
@@ -309,7 +307,7 @@ fn mm_sparse_with_counts<S: Semiring>(
             }
         }
     }
-    let delivered = route_balanced_sized(session, demands)?;
+    let delivered = RoutePlan::balanced().sized().run(session, demands)?;
 
     // ---- Local band-local combine ----------------------------------------
     // Worker (i, j, k) multiplies sparse A_ik against sparse B_kj into a
@@ -398,7 +396,7 @@ fn mm_sparse_with_counts<S: Semiring>(
             }
         }
     }
-    let delivered2 = route_balanced_sized(session, demands2)?;
+    let delivered2 = RoutePlan::balanced().sized().run(session, demands2)?;
 
     // Row owners sum partials (identical to the dense path).
     let mut c_rows: Vec<Vec<S::Elem>> = Vec::with_capacity(n);
@@ -473,9 +471,9 @@ pub fn mm_with_strategy<S: Semiring>(
 /// simulating.
 ///
 /// Recomputes every phase's demand-size shape independently (per-band
-/// nonzero counting, the same worker schedule) and prices it with the
-/// routing cost twins; the session combination (rounds add, max fields
-/// max) matches `RunStats::absorb`. Asserted field-for-field against
+/// nonzero counting, the same worker schedule) and prices it with
+/// [`RoutePlan::cost`] for the plan that phase runs; the session
+/// combination (rounds add, max fields max) matches `RunStats::absorb`. Asserted field-for-field against
 /// simulation in the conformance suite, the way `dolev_strong_overhead`
 /// is.
 pub fn mm_sparse_overhead<S: Semiring>(
@@ -493,9 +491,16 @@ pub fn mm_sparse_overhead<S: Semiring>(
     let cnt_a = band_counts(sr, &bl, a_rows);
     let cnt_b = band_counts(sr, &bl, b_rows);
 
-    // Phase 0: gossip of 2t counts per node.
-    let gossip_lens = vec![2 * t * cw; n];
-    let mut stats = all_to_all_sized_cost(n, bandwidth, &gossip_lens);
+    // Phase 0: gossip of 2t counts per node to every other node.
+    let gossip: DemandSizes = (0..n)
+        .map(|u| {
+            (0..n)
+                .filter(|&w| w != u)
+                .map(|w| (w, 2 * t * cw))
+                .collect()
+        })
+        .collect();
+    let mut stats = RoutePlan::direct().sized().cost(&gossip, bandwidth);
 
     // Phase 1: sparse triple redistribution, sizes from the count table.
     let mut sizes1: DemandSizes = vec![Vec::new(); n];
@@ -518,7 +523,7 @@ pub fn mm_sparse_overhead<S: Semiring>(
             }
         }
     }
-    stats.absorb(&route_balanced_sized_cost(n, bandwidth, &sizes1));
+    stats.absorb(&RoutePlan::balanced().sized().cost(&sizes1, bandwidth));
 
     // Phase 2: dense partial rows from every worker to its row owners.
     let mut sizes2: DemandSizes = vec![Vec::new(); n];
@@ -533,7 +538,7 @@ pub fn mm_sparse_overhead<S: Semiring>(
             }
         }
     }
-    stats.absorb(&route_balanced_sized_cost(n, bandwidth, &sizes2));
+    stats.absorb(&RoutePlan::balanced().sized().cost(&sizes2, bandwidth));
     stats
 }
 

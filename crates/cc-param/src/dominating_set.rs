@@ -18,7 +18,7 @@
 //! early exit.
 
 use cc_graph::Graph;
-use cc_routing::{all_to_all_broadcast, route_balanced, RouteError};
+use cc_routing::{all_to_all_broadcast, RouteError, RoutePlan};
 use cc_subgraph::Partition;
 use cliquesim::{BitString, NodeId, Session};
 
@@ -151,7 +151,7 @@ pub fn dominating_set(session: &mut Session, g: &Graph, k: usize) -> Result<DsRe
             }
         }
     }
-    let delivered = route_balanced(session, demands)?;
+    let delivered = RoutePlan::balanced().run(session, demands)?;
 
     // ---- Phase 2: local search over size-k subsets of the union ----------
     let words = n.div_ceil(64);

@@ -19,7 +19,7 @@
 //!   reasons. Phase-composed algorithms (like Theorem 9's, which uses the
 //!   routing substrate) are costed this way.
 
-use cc_routing::{route, RouteError};
+use cc_routing::{RouteError, RoutePlan};
 use cliquesim::{
     BitString, Inbox, NodeCtx, NodeId, NodeProgram, Outbox, RunStats, Session, Status,
 };
@@ -167,7 +167,7 @@ pub fn run_virtual<P: NodeProgram>(
                 }
             }
         }
-        let delivered = route(host, demands)?;
+        let delivered = RoutePlan::direct().run(host, demands)?;
         for per_host in delivered {
             for (_, rec) in per_host {
                 let mut r = rec.reader();

@@ -86,8 +86,8 @@ pub(crate) fn encode(value: u64, width: usize) -> BitString {
 /// Majority vote over raw payload copies: the most frequent bit string
 /// wins, ties broken towards the lexicographically smallest (with a proper
 /// prefix ordered before its extensions). Returns `None` for an empty
-/// slice. This is the per-chunk vote `cc-routing`'s retransmitting
-/// `route_resilient` takes over the `k` copies of each stream chunk, and
+/// slice. This is the per-chunk vote a `cc-routing` plan with `repeats(k)`
+/// takes over the `k` copies of each stream chunk, and
 /// it follows the same deterministic tie-break discipline as the scalar
 /// `majority` vote so all correct nodes agree on the winner.
 pub fn majority_payload(copies: &[BitString]) -> Option<BitString> {

@@ -1,8 +1,8 @@
 //! Two-phase balanced routing for globally known demand patterns.
 //!
-//! The direct schedule of [`crate::route`] pays the *maximum per-link* load.
-//! Lenzen's protocol \[43\] pays only the maximum *per-node* load (divided by
-//! the node's `n−1` links) — the difference matters for patterns like the
+//! The direct schedule pays the *maximum per-link* load. Lenzen's
+//! protocol \[43\] pays only the maximum *per-node* load (divided by the
+//! node's `n−1` links) — the difference matters for patterns like the
 //! matrix-multiplication redistribution, where each node talks to only
 //! `n^{2/3}` of the other nodes.
 //!
@@ -26,6 +26,15 @@
 //! argument. Tests verify both delivery correctness on random patterns and
 //! the round advantage on the patterns that motivated this module.
 //!
+//! [`crate::RoutePlan::balanced`] runs this schedule. Each phase is itself
+//! a direct-schedule pass under the plan's encoding, so a framed plan
+//! frames the segments and blobs too. A plan that avoids a
+//! [`crate::CrashSet`] computes the same layout over the survivor list, so
+//! megastream segments are remapped away from dead intermediates and phase
+//! 2 still reassembles; with an empty crash set the survivor list is all of
+//! `0..n` and every bit on the wire is unchanged. Priced plans walk the
+//! same executor over bit counts.
+//!
 //! # Planning cost
 //!
 //! A *piece* is one non-empty overlap of a sender's megastream segment with
@@ -42,23 +51,11 @@
 //! of each sender's megastream). A receiver that walks the senders in
 //! ascending order therefore meets every blob's pieces in the order they
 //! were written, and one read cursor per intermediate suffices.
-//!
-//! [`route_balanced_faulted`] is the crash-aware rendering: the same plan
-//! computed over the survivor list of a [`crate::CrashSet`], so megastream
-//! segments are remapped away from dead intermediates and phase 2 still
-//! reassembles. With an empty crash set the survivor list is all of
-//! `0..n`, making the faulted plan byte-identical to [`route_balanced`].
-//! The header-free [`crate::route_balanced_sized`] runs the same plan with
-//! raw per-destination streams.
 
-use cliquesim::{BitString, DecodeError, NodeId, Session};
+use cliquesim::NodeId;
 
-use crate::fault::{route_faulted, CrashSet, RoutedOutcome};
-use crate::frames::{parse_frames, LEN_HEADER_BITS};
-use crate::router::{route, Delivered, RouteError};
-
-/// One demand list per node: the shape routed by both phases.
-type DemandMatrix = Vec<Vec<(NodeId, BitString)>>;
+use crate::plan::{Demands, Links, RoutePlan, Stream};
+use crate::router::RouteError;
 
 /// Bit-range bookkeeping: layout of one sender's megastream.
 #[derive(Clone, Debug)]
@@ -138,92 +135,46 @@ pub(crate) fn segment_range(total: usize, m: usize, j: usize) -> (usize, usize) 
     ((j * seg).min(total), ((j + 1) * seg).min(total))
 }
 
-/// How per-destination streams are encoded and split back into payloads.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Encoding {
-    /// Every payload carries a [`LEN_HEADER_BITS`] length header; receivers
-    /// parse the headers.
-    Framed,
-    /// Raw concatenated payloads; receivers split by the globally known
-    /// payload sizes (see [`crate::sized`]).
-    Sized,
-}
-
-/// The shared two-phase plan, parameterised by the live node list. With
-/// `live == 0..n` it is exactly the original balanced schedule; with a
-/// proper survivor list every megastream segment lands on a surviving
-/// intermediate and every layout range involves only surviving endpoints.
-pub(crate) struct BalancedPlan {
+/// The two-phase plan over the live node list: one megastream layout per
+/// sender, over its encoded per-destination streams. With `live == 0..n`
+/// it is the original balanced schedule; with a survivor list every
+/// megastream segment lands on a surviving intermediate and every layout
+/// range involves only surviving endpoints.
+pub(crate) struct TwoPhase<'a> {
     n: usize,
     /// Surviving node indices, ascending; a node's *rank* is its index
     /// here.
-    live: Vec<usize>,
+    live: &'a [usize],
     layouts: Vec<MegaLayout>,
-    megas: Vec<BitString>,
-    /// Sized encoding only: `payload_sizes[u][w]` are the bit lengths of
-    /// `u`'s payloads to `w`, in sending order.
-    payload_sizes: Option<Vec<Vec<Vec<usize>>>>,
 }
 
-impl BalancedPlan {
-    pub(crate) fn new(
-        n: usize,
-        live: Vec<usize>,
-        demands: DemandMatrix,
-        encoding: Encoding,
-    ) -> Self {
-        // Per-destination streams and megastreams, one per node (dead
-        // nodes carry empty demand lists and get empty layouts).
-        let mut payload_sizes = (encoding == Encoding::Sized).then(|| vec![vec![Vec::new(); n]; n]);
-        let mut layouts = Vec::with_capacity(n);
-        let mut megas = Vec::with_capacity(n);
-        for (u, list) in demands.into_iter().enumerate() {
-            let mut streams = vec![BitString::new(); n];
-            for (dst, payload) in list {
-                let w = dst.index();
-                assert_ne!(w, u, "demand from node {u} to itself");
-                match &mut payload_sizes {
-                    Some(sizes) => sizes[u][w].push(payload.len()),
-                    None => streams[w].push_uint(payload.len() as u64, LEN_HEADER_BITS),
-                }
-                streams[w].extend_from(&payload);
-            }
-            layouts.push(MegaLayout::new(streams.iter().map(BitString::len)));
-            let mut mega = BitString::new();
-            for s in &streams {
-                mega.extend_from(s);
-            }
-            megas.push(mega);
-        }
+impl<'a> TwoPhase<'a> {
+    pub(crate) fn new<S: Stream>(live: &'a [usize], links: &Links<S>) -> Self {
         Self {
-            n,
+            n: links.len(),
             live,
-            layouts,
-            megas,
-            payload_sizes,
+            layouts: links
+                .iter()
+                .map(|row| MegaLayout::new(row.iter().map(S::bits)))
+                .collect(),
         }
-    }
-
-    /// Number of live nodes (= number of megastream segments per sender).
-    fn m(&self) -> usize {
-        self.live.len()
     }
 
     /// Phase-1 demands (scatter megastream segments) plus the `held[p][u]`
     /// matrix pre-seeded with the segments each sender keeps locally.
-    fn scatter(&self) -> (DemandMatrix, Vec<Vec<BitString>>) {
-        let m = self.m();
-        let mut phase1: DemandMatrix = vec![Vec::new(); self.n];
-        let mut held: Vec<Vec<BitString>> = vec![vec![BitString::new(); self.n]; self.n];
+    pub(crate) fn scatter<S: Stream>(&self, megas: &[S]) -> (Demands<S>, Links<S>) {
+        let m = self.live.len();
+        let mut phase1: Demands<S> = vec![Vec::new(); self.n];
+        let mut held: Links<S> = vec![vec![S::default(); self.n]; self.n];
         for (ui, &u) in self.live.iter().enumerate() {
             for j in 0..m {
                 let (a, b) = segment_range(self.layouts[u].total, m, j);
                 if a >= b {
                     continue;
                 }
-                let mut r = self.megas[u].reader();
-                r.skip(a).expect("in range");
-                let seg = r.read_bits(b - a).expect("in range");
+                let mut seg = S::default();
+                seg.push_range(&megas[u], a, b - a)
+                    .expect("segments lie inside the megastream");
                 let p = self.live[(j + ui) % m];
                 if p == u {
                     held[p][u] = seg; // kept locally, free
@@ -236,13 +187,16 @@ impl BalancedPlan {
     }
 
     /// Phase-2 demands (slice held segments by destination and forward)
-    /// plus `kept[w]`: the `(intermediate, blob)` pairs node `w` holds for
-    /// itself, in the same ascending-intermediate order the wire delivers.
-    fn slice(&self, held: &[Vec<BitString>]) -> (DemandMatrix, Vec<Vec<(usize, BitString)>>) {
-        let m = self.m();
-        let mut phase2: DemandMatrix = vec![Vec::new(); self.n];
-        let mut kept: Vec<Vec<(usize, BitString)>> = vec![Vec::new(); self.n];
-        let mut blobs = vec![BitString::new(); self.n];
+    /// plus `got[w][p]` pre-seeded with the blob each node `w` keeps for
+    /// itself.
+    pub(crate) fn slice<S: Stream>(
+        &self,
+        held: &Links<S>,
+    ) -> Result<(Demands<S>, Links<S>), RouteError> {
+        let m = self.live.len();
+        let mut phase2: Demands<S> = vec![Vec::new(); self.n];
+        let mut got: Links<S> = vec![vec![S::default(); self.n]; self.n];
+        let mut blobs = vec![S::default(); self.n];
         for (pi, &p) in self.live.iter().enumerate() {
             for (ui, &u) in self.live.iter().enumerate() {
                 // p holds segment j of u's megastream: the j with
@@ -251,182 +205,97 @@ impl BalancedPlan {
                 let sa = segment_range(self.layouts[u].total, m, j).0;
                 for (w, ia, ib) in self.layouts[u].segment_pieces(m, j) {
                     blobs[w]
-                        .extend_from_range(&held[p][u], ia - sa, ib - ia)
-                        .expect("in range");
+                        .push_range(&held[p][u], ia - sa, ib - ia)
+                        .map_err(|e| RouteError::Malformed(NodeId::from(p), e))?;
                 }
             }
             for (w, blob) in blobs.iter_mut().enumerate() {
-                if blob.is_empty() {
+                if blob.bits() == 0 {
                     continue;
                 }
                 let blob = std::mem::take(blob);
                 if p == w {
-                    kept[w].push((p, blob));
+                    got[w][p] = blob;
                 } else {
                     phase2[p].push((NodeId::from(w), blob));
                 }
             }
         }
-        (phase2, kept)
+        Ok((phase2, got))
     }
 
-    /// Reassemble receiver `w`'s delivered payloads from its phase-2
-    /// deliveries plus the blobs it kept for itself, reading each blob in
-    /// the ascending-sender order it was written in.
-    fn reassemble(
-        &self,
-        w: usize,
-        got: Delivered,
-        kept: Vec<(usize, BitString)>,
-    ) -> Result<Delivered, RouteError> {
-        let mut blob_from: Vec<Option<BitString>> = vec![None; self.n];
-        for (src, blob) in got {
-            blob_from[src.index()] = Some(blob);
-        }
-        for (p, blob) in kept {
-            blob_from[p] = Some(blob);
-        }
-        let malformed = |e| RouteError::Malformed(NodeId::from(w), e);
-        let m = self.m();
-        let mut cursors = vec![0usize; self.n];
-        let mut delivered = Vec::new();
-        for (ui, &u) in self.live.iter().enumerate() {
-            let (ra, rb) = self.layouts[u].ranges[w];
-            let mut stream = BitString::with_capacity(rb - ra);
-            for (j, ia, ib) in self.layouts[u].range_pieces(m, w) {
-                let p = self.live[(j + ui) % m];
-                let blob = blob_from[p]
-                    .as_ref()
-                    .ok_or_else(|| malformed(missing_blob(p)))?;
-                stream
-                    .extend_from_range(blob, cursors[p], ib - ia)
-                    .map_err(malformed)?;
-                cursors[p] += ib - ia;
-            }
-            let src = NodeId::from(u);
-            match &self.payload_sizes {
-                None => {
-                    for payload in parse_frames(&stream).map_err(malformed)? {
-                        delivered.push((src, payload));
-                    }
-                }
-                Some(sizes) => {
-                    let mut r = stream.reader();
-                    for &len in &sizes[u][w] {
-                        delivered.push((src, r.read_bits(len).map_err(malformed)?));
-                    }
+    /// Reassemble `collected[w][u]`, the stream each live receiver `w`
+    /// gets from each live sender `u`, from the blobs `got[w][p]`, reading
+    /// each blob in the ascending-sender order it was written in.
+    pub(crate) fn reassemble<S: Stream>(&self, got: &Links<S>) -> Result<Links<S>, RouteError> {
+        let m = self.live.len();
+        let mut collected: Links<S> = vec![vec![S::default(); self.n]; self.n];
+        for &w in self.live {
+            let mut cursors = vec![0usize; self.n];
+            for (ui, &u) in self.live.iter().enumerate() {
+                let stream = &mut collected[w][u];
+                for (j, ia, ib) in self.layouts[u].range_pieces(m, w) {
+                    let p = self.live[(j + ui) % m];
+                    stream
+                        .push_range(&got[w][p], cursors[p], ib - ia)
+                        .map_err(|e| RouteError::Malformed(NodeId::from(w), e))?;
+                    cursors[p] += ib - ia;
                 }
             }
         }
-        Ok(delivered)
-    }
-
-    /// Ship both phases with `ship` (a direct schedule matching the plan's
-    /// encoding) and reassemble every receiver.
-    pub(crate) fn execute(
-        &self,
-        session: &mut Session,
-        ship: fn(&mut Session, DemandMatrix) -> Result<Vec<Delivered>, RouteError>,
-    ) -> Result<Vec<Delivered>, RouteError> {
-        let (phase1, mut held) = self.scatter();
-        for (p, list) in ship(session, phase1)?.into_iter().enumerate() {
-            for (src, seg) in list {
-                held[p][src.index()] = seg;
-            }
-        }
-        let (phase2, kept) = self.slice(&held);
-        drop(held);
-        ship(session, phase2)?
-            .into_iter()
-            .zip(kept)
-            .enumerate()
-            .map(|(w, (got, kept))| self.reassemble(w, got, kept))
-            .collect()
+        Ok(collected)
     }
 }
 
-/// Route a demand set with the two-phase balanced schedule.
-///
-/// Semantics are identical to [`route`]; only the round cost differs. The
-/// demand **sizes** are treated as globally known: every node derives the
-/// same global layout, which is legitimate for the information-oblivious
-/// patterns of the paper's algorithms (the sizes are functions of `n`, `k`).
-pub fn route_balanced(
-    session: &mut Session,
-    demands: Vec<Vec<(NodeId, BitString)>>,
-) -> Result<Vec<Delivered>, RouteError> {
-    let n = session.n();
-    assert_eq!(demands.len(), n);
-    BalancedPlan::new(n, (0..n).collect(), demands, Encoding::Framed).execute(session, route)
-}
-
-/// Crash-aware balanced routing: the two-phase plan computed over the
-/// survivor list of `crash`, run under the engine's fault plan.
-///
-/// Demands to or from dead endpoints are dropped at planning time and
-/// reported in [`RoutedOutcome::undeliverable`]; megastream segments are
-/// remapped away from dead intermediates, so phase 2 still reassembles and
-/// every payload between surviving endpoints is delivered. With an empty
-/// crash set the plan — phase demands, schedule, every bit on the wire —
-/// is identical to [`route_balanced`].
-pub fn route_balanced_faulted(
-    session: &mut Session,
-    demands: Vec<Vec<(NodeId, BitString)>>,
-    crash: &CrashSet,
-) -> Result<RoutedOutcome, RouteError> {
-    let n = session.n();
-    assert_eq!(demands.len(), n);
-    let (live_demands, undeliverable) = crash.partition_demands(demands);
-    let live: Vec<usize> = (0..n)
-        .filter(|&v| !crash.is_dead(NodeId::from(v)))
-        .collect();
-    let plan = BalancedPlan::new(n, live, live_demands, Encoding::Framed);
-
-    let (phase1, mut held) = plan.scatter();
-    let out1 = route_faulted(session, phase1, crash)?;
-    for (p, list) in out1.delivered.into_iter().enumerate() {
-        for (src, seg) in list.into_iter().flatten() {
-            held[p][src.index()] = seg;
-        }
-    }
-
-    let (phase2, kept) = plan.slice(&held);
+/// The one two-phase executor: lay out each sender's encoded streams
+/// `links[u][w]` as a megastream, scatter it over the live intermediates,
+/// slice what they hold by destination and forward it, and reassemble
+/// what each receiver collected from each source. `ship` runs each phase
+/// as one direct-schedule pass (see `RoutePlan::relay`).
+pub(crate) fn two_phase<S: Stream>(
+    plan: &RoutePlan,
+    live: &[usize],
+    links: Links<S>,
+    ship: &mut impl FnMut(Links<S>) -> Result<Links<S>, RouteError>,
+) -> Result<Links<S>, RouteError> {
+    let schedule = TwoPhase::new(live, &links);
+    let megas: Vec<S> = links.into_iter().map(concat).collect();
+    let (phase1, mut held) = schedule.scatter(&megas);
+    drop(megas);
+    fill(&mut held, plan.relay(phase1, ship)?);
+    let (phase2, mut got) = schedule.slice(&held)?;
     drop(held);
-    let out2 = route_faulted(session, phase2, crash)?;
-
-    let mut delivered: Vec<Option<Delivered>> = Vec::with_capacity(n);
-    for (w, (got, kept)) in out2.delivered.into_iter().zip(kept).enumerate() {
-        delivered.push(if crash.is_dead(NodeId::from(w)) {
-            None
-        } else {
-            Some(plan.reassemble(w, got.unwrap_or_default(), kept)?)
-        });
-    }
-
-    let mut stats = out1.stats;
-    stats.absorb(&out2.stats);
-    let mut report = out1.report;
-    report.events.extend(out2.report.events);
-    Ok(RoutedOutcome {
-        delivered,
-        undeliverable,
-        stats,
-        report,
-    })
+    fill(&mut got, plan.relay(phase2, ship)?);
+    schedule.reassemble(&got)
 }
 
-fn missing_blob(p: usize) -> DecodeError {
-    DecodeError {
-        at: p,
-        wanted: 0,
-        len: 0,
+/// One sender's megastream: its per-destination streams in destination
+/// order.
+fn concat<S: Stream>(row: Vec<S>) -> S {
+    let mut mega = S::default();
+    for s in &row {
+        mega.push_range(s, 0, s.bits())
+            .expect("a whole stream is in range");
+    }
+    mega
+}
+
+/// Copy every non-empty `from[v][u]` into `into[v][u]`.
+fn fill<S: Stream>(into: &mut Links<S>, from: Links<S>) {
+    for (row, got) in into.iter_mut().zip(from) {
+        for (slot, s) in row.iter_mut().zip(got) {
+            if s.bits() > 0 {
+                *slot = s;
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cliquesim::Engine;
+    use crate::{CrashSet, Delivered};
+    use cliquesim::{BitString, Engine, Session};
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};
 
@@ -447,9 +316,9 @@ mod tests {
             .collect()
     }
 
-    fn random_demands(n: usize, seed: u64, max_len: usize) -> Vec<Vec<(NodeId, BitString)>> {
+    fn random_demands(n: usize, seed: u64, max_len: usize) -> Demands<BitString> {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-        let mut demands: Vec<Vec<(NodeId, BitString)>> = vec![Vec::new(); n];
+        let mut demands: Demands<BitString> = vec![Vec::new(); n];
         for v in 0..n {
             for _ in 0..rng.gen_range(0..4) {
                 let dst = (v + rng.gen_range(1..n)) % n;
@@ -461,15 +330,23 @@ mod tests {
         demands
     }
 
+    fn direct(s: &mut Session, demands: Demands<BitString>) -> Vec<Delivered> {
+        RoutePlan::direct().run(s, demands).unwrap()
+    }
+
+    fn balanced(s: &mut Session, demands: Demands<BitString>) -> Vec<Delivered> {
+        RoutePlan::balanced().run(s, demands).unwrap()
+    }
+
     #[test]
     fn balanced_matches_direct_on_simple_pattern() {
         let n = 6;
         for seed in 0..8 {
             let mut s1 = session(n);
-            let direct = route(&mut s1, random_demands(n, seed, 30)).unwrap();
+            let want = direct(&mut s1, random_demands(n, seed, 30));
             let mut s2 = session(n);
-            let balanced = route_balanced(&mut s2, random_demands(n, seed, 30)).unwrap();
-            assert_eq!(normalise(direct), normalise(balanced), "seed {seed}");
+            let got = balanced(&mut s2, random_demands(n, seed, 30));
+            assert_eq!(normalise(want), normalise(got), "seed {seed}");
         }
     }
 
@@ -481,14 +358,14 @@ mod tests {
         let n = 16;
         let payload = BitString::from_bits((0..n * 4 * 8).map(|i| i % 5 == 0));
         let mk = || {
-            let mut d: Vec<Vec<(NodeId, BitString)>> = vec![Vec::new(); n];
+            let mut d: Demands<BitString> = vec![Vec::new(); n];
             d[0].push((NodeId(9), payload.clone()));
             d
         };
         let mut s1 = session(n);
-        route(&mut s1, mk()).unwrap();
+        direct(&mut s1, mk());
         let mut s2 = session(n);
-        let got = route_balanced(&mut s2, mk()).unwrap();
+        let got = balanced(&mut s2, mk());
         assert_eq!(got[9].len(), 1);
         assert_eq!(got[9][0].1, payload);
         assert!(
@@ -505,14 +382,14 @@ mod tests {
         // demands still route, and the empty sender costs nothing.
         let n = 5;
         let mut s = session(n);
-        let mut demands: Vec<Vec<(NodeId, BitString)>> = vec![Vec::new(); n];
+        let mut demands: Demands<BitString> = vec![Vec::new(); n];
         demands[1].push((NodeId(3), BitString::from_bits([true, false, true])));
-        let got = route_balanced(&mut s, demands).unwrap();
+        let got = balanced(&mut s, demands);
         assert_eq!(got[3].len(), 1);
         assert_eq!(got[3][0].0, NodeId(1));
         // All-empty demand set: schedule 0, nothing delivered.
         let mut s2 = session(n);
-        let got2 = route_balanced(&mut s2, vec![Vec::new(); n]).unwrap();
+        let got2 = balanced(&mut s2, vec![Vec::new(); n]);
         assert!(got2.iter().all(|d| d.is_empty()));
         assert_eq!(s2.stats().rounds, 0);
     }
@@ -532,7 +409,10 @@ mod tests {
         let mut s = Session::new(Engine::new(n).with_fault_plan(plan.clone()));
         let wave1 = CrashSet::from_plan_window(&plan, 0..40);
         assert!(wave1.is_dead(NodeId(2)));
-        let out1 = route_balanced_faulted(&mut s, random_demands(n, 3, 30), &wave1).unwrap();
+        let out1 = RoutePlan::balanced()
+            .avoiding(&wave1)
+            .run_faulted(&mut s, random_demands(n, 3, 30))
+            .unwrap();
         assert!(out1.delivered[2].is_none(), "down for the whole wave");
         let touching_dead = random_demands(n, 3, 30)
             .iter()
@@ -546,12 +426,15 @@ mod tests {
         s.set_fault_offset(40);
         let wave2 = CrashSet::from_plan_window(&plan, 40..usize::MAX);
         assert!(wave2.is_empty(), "node 2 recovered: {wave2}");
-        let out2 = route_balanced_faulted(&mut s, random_demands(n, 4, 30), &wave2).unwrap();
+        let out2 = RoutePlan::balanced()
+            .avoiding(&wave2)
+            .run_faulted(&mut s, random_demands(n, 4, 30))
+            .unwrap();
         assert!(out2.delivered[2].is_some(), "re-admitted after its rejoin");
         assert!(out2.undeliverable.is_empty());
         // Wave 2 deliveries match the unfaulted balanced route exactly.
         let mut clean = session(n);
-        let want = route_balanced(&mut clean, random_demands(n, 4, 30)).unwrap();
+        let want = balanced(&mut clean, random_demands(n, 4, 30));
         let got: Vec<Delivered> = out2
             .delivered
             .into_iter()
@@ -567,12 +450,12 @@ mod tests {
 
     /// Reference `slice`: for every (p, w), scan every live sender u.
     fn slice_reference(
-        plan: &BalancedPlan,
-        held: &[Vec<BitString>],
-    ) -> (DemandMatrix, Vec<Vec<(usize, BitString)>>) {
-        let m = plan.m();
-        let mut phase2: DemandMatrix = vec![Vec::new(); plan.n];
-        let mut kept: Vec<Vec<(usize, BitString)>> = vec![Vec::new(); plan.n];
+        plan: &TwoPhase,
+        held: &Links<BitString>,
+    ) -> (Demands<BitString>, Links<BitString>) {
+        let m = plan.live.len();
+        let mut phase2: Demands<BitString> = vec![Vec::new(); plan.n];
+        let mut got: Links<BitString> = vec![vec![BitString::new(); plan.n]; plan.n];
         for (pi, &p) in plan.live.iter().enumerate() {
             for w in 0..plan.n {
                 let mut blob = BitString::new();
@@ -592,25 +475,20 @@ mod tests {
                     continue;
                 }
                 if p == w {
-                    kept[w].push((p, blob));
+                    got[w][p] = blob;
                 } else {
                     phase2[p].push((NodeId::from(w), blob));
                 }
             }
         }
-        (phase2, kept)
+        (phase2, got)
     }
 
     /// Reference `reassemble`: scan every (p, u) pair, collect explicit
     /// `(megastream position, bits)` pieces, and stitch them per sender in
-    /// position order before decoding.
-    fn reassemble_reference(
-        plan: &BalancedPlan,
-        w: usize,
-        blob_from: &[Option<BitString>],
-    ) -> Result<Delivered, RouteError> {
-        let m = plan.m();
-        let malformed = |e| RouteError::Malformed(NodeId::from(w), e);
+    /// position order.
+    fn reassemble_reference(plan: &TwoPhase, w: usize, got: &Links<BitString>) -> Vec<BitString> {
+        let m = plan.live.len();
         let mut per_sender: Vec<Vec<(usize, BitString)>> = vec![Vec::new(); plan.n];
         let mut cursors = vec![0usize; plan.n];
         for (pi, &p) in plan.live.iter().enumerate() {
@@ -622,42 +500,26 @@ mod tests {
                 if ia >= ib {
                     continue;
                 }
-                let blob = blob_from[p]
-                    .as_ref()
-                    .ok_or_else(|| malformed(missing_blob(p)))?;
-                let mut r = blob.reader();
-                r.skip(cursors[p]).map_err(malformed)?;
-                per_sender[u].push((ia, r.read_bits(ib - ia).map_err(malformed)?));
+                let mut r = got[w][p].reader();
+                r.skip(cursors[p]).expect("blob covers its pieces");
+                per_sender[u].push((ia, r.read_bits(ib - ia).expect("in range")));
                 cursors[p] += ib - ia;
             }
         }
-        let mut delivered = Vec::new();
-        for u in 0..plan.n {
-            let (ra, rb) = plan.layouts[u].ranges[w];
-            let mut pieces = std::mem::take(&mut per_sender[u]);
-            pieces.sort_by_key(|(pos, _)| *pos);
-            let mut stream = BitString::new();
-            for (pos, bits) in pieces {
-                assert_eq!(pos, ra + stream.len(), "pieces must tile the range");
-                stream.extend_from(&bits);
-            }
-            assert_eq!(stream.len(), rb - ra, "pieces must cover the range");
-            match &plan.payload_sizes {
-                None if ra == rb => {}
-                None => {
-                    for payload in parse_frames(&stream).map_err(malformed)? {
-                        delivered.push((NodeId::from(u), payload));
-                    }
+        (0..plan.n)
+            .map(|u| {
+                let (ra, rb) = plan.layouts[u].ranges[w];
+                let mut pieces = std::mem::take(&mut per_sender[u]);
+                pieces.sort_by_key(|(pos, _)| *pos);
+                let mut stream = BitString::new();
+                for (pos, bits) in pieces {
+                    assert_eq!(pos, ra + stream.len(), "pieces must tile the range");
+                    stream.extend_from(&bits);
                 }
-                Some(sizes) => {
-                    let mut r = stream.reader();
-                    for &len in &sizes[u][w] {
-                        delivered.push((NodeId::from(u), r.read_bits(len).map_err(malformed)?));
-                    }
-                }
-            }
-        }
-        Ok(delivered)
+                assert_eq!(stream.len(), rb - ra, "pieces must cover the range");
+                stream
+            })
+            .collect()
     }
 
     /// Random bits of the given length.
@@ -669,7 +531,7 @@ mod tests {
     /// live endpoints, in one of four shapes: short payloads (megastreams
     /// shorter than `m`, so many segments are empty), medium payloads,
     /// zero-length payloads mixed in, or a single giant stream.
-    fn oracle_case(seed: u64) -> (usize, Vec<usize>, DemandMatrix) {
+    fn oracle_case(seed: u64) -> (usize, Vec<usize>, Demands<BitString>) {
         let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
         let n = rng.gen_range(2..40);
         let dead_frac = [0.0, 0.2, 0.5][rng.gen_range(0..3usize)];
@@ -677,7 +539,7 @@ mod tests {
         if live.is_empty() {
             live.push(rng.gen_range(0..n));
         }
-        let mut demands: DemandMatrix = vec![Vec::new(); n];
+        let mut demands: Demands<BitString> = vec![Vec::new(); n];
         if live.len() < 2 {
             return (n, live, demands);
         }
@@ -707,47 +569,58 @@ mod tests {
         (n, live, demands)
     }
 
-    /// Run one oracle case under one encoding: phase 1 is delivered
+    /// Run one oracle case under one encoding: both phases are delivered
     /// locally (no engine), then the sweep and the reference must agree on
-    /// phase-2 demands, kept blobs and every receiver's deliveries.
+    /// phase-2 demands, kept blobs and every receiver's reassembled
+    /// streams, which must equal what each sender encoded.
     fn check_against_reference(
         seed: u64,
-        encoding: Encoding,
+        plan: RoutePlan,
     ) -> Result<(), proptest::test_runner::TestCaseError> {
-        let (n, live, demands) = oracle_case(seed);
-        let plan = BalancedPlan::new(n, live.clone(), demands, encoding);
-        let (phase1, mut held) = plan.scatter();
+        let (_, live, demands) = oracle_case(seed);
+        let links = plan.encode(demands);
+        let schedule = TwoPhase::new(&live, &links);
+        let megas: Vec<BitString> = links.iter().cloned().map(concat).collect();
+        let (phase1, mut held) = schedule.scatter(&megas);
         for (u, list) in phase1.into_iter().enumerate() {
             for (p, seg) in list {
                 held[p.index()][u] = seg;
             }
         }
-        let (phase2, kept) = plan.slice(&held);
-        let (phase2_ref, kept_ref) = slice_reference(&plan, &held);
+        let (phase2, mut got) = schedule.slice(&held).unwrap();
+        let (phase2_ref, got_ref) = slice_reference(&schedule, &held);
         prop_assert_eq!(
             &phase2,
             &phase2_ref,
             "seed {}: phase-2 demands diverge",
             seed
         );
-        prop_assert_eq!(&kept, &kept_ref, "seed {}: kept blobs diverge", seed);
+        prop_assert_eq!(&got, &got_ref, "seed {}: kept blobs diverge", seed);
+        for (p, list) in phase2.into_iter().enumerate() {
+            for (w, blob) in list {
+                got[w.index()][p] = blob;
+            }
+        }
+        let collected = schedule.reassemble(&got).unwrap();
         for &w in &live {
-            let mut got: Delivered = Vec::new();
-            let mut blob_from: Vec<Option<BitString>> = vec![None; n];
-            for (p, list) in phase2.iter().enumerate() {
-                for (dst, blob) in list {
-                    if dst.index() == w {
-                        got.push((NodeId::from(p), blob.clone()));
-                        blob_from[p] = Some(blob.clone());
-                    }
-                }
+            let want = reassemble_reference(&schedule, w, &got);
+            prop_assert_eq!(
+                &collected[w],
+                &want,
+                "seed {}: streams at {} diverge",
+                seed,
+                w
+            );
+            for &u in &live {
+                prop_assert_eq!(
+                    &collected[w][u],
+                    &links[u][w],
+                    "seed {}: {} -> {}",
+                    seed,
+                    u,
+                    w
+                );
             }
-            for (p, blob) in &kept[w] {
-                blob_from[*p] = Some(blob.clone());
-            }
-            let want = reassemble_reference(&plan, w, &blob_from).unwrap();
-            let got = plan.reassemble(w, got, kept[w].clone()).unwrap();
-            prop_assert_eq!(got, want, "seed {}: deliveries at {} diverge", seed, w);
         }
         Ok(())
     }
@@ -794,25 +667,28 @@ mod tests {
             let n = rng.gen_range(2..8);
             let demands = random_demands(n, seed.wrapping_add(1), 60);
             let mut s1 = session(n);
-            let direct = route(&mut s1, demands.clone()).unwrap();
+            let want = direct(&mut s1, demands.clone());
             let mut s2 = session(n);
-            let balanced = route_balanced(&mut s2, demands).unwrap();
-            prop_assert_eq!(normalise(direct), normalise(balanced));
+            let got = balanced(&mut s2, demands);
+            prop_assert_eq!(normalise(want), normalise(got));
         }
 
         #[test]
         fn prop_empty_crash_set_is_byte_identical(seed in any::<u64>()) {
             // Transparency, mirroring `assert_empty_plan_transparent`: the
-            // crash-aware plan under an empty crash set must reproduce
-            // `route_balanced` exactly — same deliveries, same rounds, same
-            // bits on the wire.
+            // balanced plan avoiding an empty crash set must reproduce the
+            // plain balanced plan exactly — same deliveries, same rounds,
+            // same bits on the wire.
             let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
             let n = rng.gen_range(2..8);
             let demands = random_demands(n, seed.wrapping_add(2), 60);
             let mut s1 = session(n);
-            let plain = route_balanced(&mut s1, demands.clone()).unwrap();
+            let plain = balanced(&mut s1, demands.clone());
             let mut s2 = session(n);
-            let faulted = route_balanced_faulted(&mut s2, demands, &CrashSet::new()).unwrap();
+            let faulted = RoutePlan::balanced()
+                .avoiding(&CrashSet::new())
+                .run_faulted(&mut s2, demands)
+                .unwrap();
             prop_assert!(faulted.undeliverable.is_empty());
             prop_assert!(faulted.report.is_empty());
             let unwrapped: Vec<Delivered> = faulted
@@ -829,12 +705,12 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
         fn prop_sweep_matches_cubic_reference_framed(seed in any::<u64>()) {
-            check_against_reference(seed, Encoding::Framed)?;
+            check_against_reference(seed, RoutePlan::balanced())?;
         }
 
         #[test]
         fn prop_sweep_matches_cubic_reference_sized(seed in any::<u64>()) {
-            check_against_reference(seed, Encoding::Sized)?;
+            check_against_reference(seed, RoutePlan::balanced().sized())?;
         }
     }
 }

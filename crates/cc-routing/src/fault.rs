@@ -1,10 +1,8 @@
-//! Fault-aware routing: plan around crashed nodes, retransmit over lossy
-//! links.
+//! Fault-aware routing: the crash set a plan avoids, and what it reports.
 //!
-//! The static schedules of [`crate::route`] and [`crate::route_balanced`]
-//! assume every link delivers: one crashed node turns received streams into
-//! `Malformed` parse errors. This module is the planning layer that makes
-//! routing *degrade* instead of *error*:
+//! A static schedule assumes every link delivers: one crashed node turns
+//! received streams into `Malformed` parse errors. This module is the
+//! planning layer that makes routing *degrade* instead of *error*:
 //!
 //! * a [`CrashSet`] names the nodes to treat as dead — built statically
 //!   from a [`cliquesim::FaultPlan`]'s full churn schedule
@@ -15,20 +13,17 @@
 //!   again in the very next wave), or from a live
 //!   [`cliquesim::FaultReport`] ([`CrashSet::from_report`]); members carry
 //!   their downtime timelines, queryable via [`CrashSet::alive_at`];
-//! * [`route_faulted`] re-plans an explicit demand set around the crash
-//!   set: demands to or from dead endpoints are dropped at planning time
-//!   and reported as structured [`Undeliverable`] records, while every
-//!   demand between surviving endpoints rides its private link exactly as
-//!   in [`crate::route`] — a crashed third party cannot touch it;
-//! * [`crate::route_balanced_faulted`] does the same for the two-phase
-//!   balanced schedule, remapping megastream segments away from dead
-//!   intermediates so phase 2 still reassembles;
-//! * [`route_resilient`] handles the *lossy-link* tier instead: every
-//!   stream chunk is retransmitted `k` times and receivers take a
-//!   per-chunk majority vote ([`cc_resilient::majority_payload`] — the
-//!   same per-link machinery as `cc-resilient`'s `RepeatBroadcast`), with
-//!   [`resilient_overhead`] pricing the `k×` cost analytically for
-//!   [`cliquesim::Session::charge`].
+//! * [`crate::RoutePlan::avoiding`] re-plans a demand set around it:
+//!   demands to or from dead endpoints are dropped at planning time and
+//!   reported as structured [`Undeliverable`] records in a
+//!   [`RoutedOutcome`], while every demand between surviving endpoints is
+//!   routed as before — on the direct schedule it rides its private link,
+//!   which a crashed third party cannot touch, and the balanced schedule
+//!   remaps megastream segments away from dead intermediates;
+//! * [`crate::RoutePlan::repeats`] handles the *lossy-link* tier instead:
+//!   every stream chunk is retransmitted `k` times and receivers take a
+//!   per-chunk majority vote, at the price [`crate::RoutePlan::cost`]
+//!   gives for [`cliquesim::Session::charge`].
 //!
 //! The planning view is conservative: a node scheduled to crash at *any*
 //! round of the phase is treated as dead for the whole phase. Survivor
@@ -38,16 +33,9 @@
 use std::collections::BTreeSet;
 use std::fmt;
 
-use cc_resilient::majority_payload;
-use cliquesim::{
-    BitString, FaultPlan, FaultReport, Inbox, NodeCtx, NodeId, NodeProgram, Outbox, RunStats,
-    Session, Status,
-};
+use cliquesim::{BitString, FaultPlan, FaultReport, NodeId, RunStats};
 
-use crate::router::{
-    build_streams, check_schedule, make_programs, parse_delivered, schedule_for, Delivered,
-    RouteError,
-};
+use crate::router::Delivered;
 
 /// The set of nodes a routing plan treats as crashed.
 ///
@@ -88,14 +76,7 @@ impl CrashSet {
     /// unbounded horizon — conservative even for nodes that rejoin), each
     /// carrying its downtime timeline for [`CrashSet::alive_at`].
     pub fn from_plan(plan: &FaultPlan) -> Self {
-        let mut set = Self::new();
-        for v in plan.ever_dead_in(0..usize::MAX) {
-            set.dead.insert(v.0);
-            for (s, e) in plan.downtime(v) {
-                set.downtime.push((v.0, s, e));
-            }
-        }
-        set
+        Self::from_plan_window(plan, 0..usize::MAX)
     }
 
     /// The crash set for one *wave* of a churned run: every node whose
@@ -179,39 +160,34 @@ impl CrashSet {
             .collect()
     }
 
-    /// Split a demand set into the surviving part and the
-    /// [`Undeliverable`] records for demands touching a dead endpoint.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn partition_demands(
+    /// Keep the demands between surviving endpoints, handing every other
+    /// one to `dropped` with its reason (a dead source is named first).
+    pub(crate) fn partition_demands<S>(
         &self,
-        demands: Vec<Vec<(NodeId, BitString)>>,
-    ) -> (Vec<Vec<(NodeId, BitString)>>, Vec<Undeliverable>) {
-        let mut live: Vec<Vec<(NodeId, BitString)>> = Vec::with_capacity(demands.len());
-        let mut undeliverable = Vec::new();
+        demands: Vec<Vec<(NodeId, S)>>,
+        mut dropped: impl FnMut(NodeId, NodeId, S, DeliveryFailure),
+    ) -> Vec<Vec<(NodeId, S)>> {
+        let mut live = Vec::with_capacity(demands.len());
         for (v, list) in demands.into_iter().enumerate() {
             let source = NodeId::from(v);
             let mut keep = Vec::new();
             for (destination, payload) in list {
-                let reason = if self.is_dead(source) {
-                    Some(DeliveryFailure::SourceCrashed)
+                if self.is_dead(source) {
+                    dropped(source, destination, payload, DeliveryFailure::SourceCrashed);
                 } else if self.is_dead(destination) {
-                    Some(DeliveryFailure::DestinationCrashed)
-                } else {
-                    None
-                };
-                match reason {
-                    Some(reason) => undeliverable.push(Undeliverable {
+                    dropped(
                         source,
                         destination,
                         payload,
-                        reason,
-                    }),
-                    None => keep.push((destination, payload)),
+                        DeliveryFailure::DestinationCrashed,
+                    );
+                } else {
+                    keep.push((destination, payload));
                 }
             }
             live.push(keep);
         }
-        (live, undeliverable)
+        live
     }
 }
 
@@ -287,198 +263,15 @@ impl RoutedOutcome {
     }
 }
 
-/// Route an explicit demand set around a crash set, under the engine's
-/// fault plan.
-///
-/// Demands touching a dead endpoint are dropped at planning time and
-/// reported in [`RoutedOutcome::undeliverable`]; the rest run the static
-/// direct schedule of [`crate::route`] via
-/// [`cliquesim::Session::run_faulted`]. Because each surviving pair uses
-/// its private link, a planned crash cannot damage survivor traffic: every
-/// demand between surviving endpoints is delivered. Nodes in the crash set
-/// get `None` delivery slots regardless of when (or whether) the engine
-/// actually kills them — the planning view is authoritative.
-///
-/// A node *outside* the crash set that crashes mid-phase yields
-/// [`RouteError::UnplannedCrash`]; probabilistic link damage can still
-/// surface as [`RouteError::Malformed`] — that tier wants
-/// [`route_resilient`].
-pub fn route_faulted(
-    session: &mut Session,
-    demands: Vec<Vec<(NodeId, BitString)>>,
-    crash: &CrashSet,
-) -> Result<RoutedOutcome, RouteError> {
-    let n = session.n();
-    assert_eq!(demands.len(), n, "one demand list per node");
-    let bandwidth = session.bandwidth();
-
-    let (live_demands, undeliverable) = crash.partition_demands(demands);
-    let streams = build_streams(n, live_demands);
-    let schedule = schedule_for(&streams, bandwidth);
-    let programs = make_programs(n, streams, schedule);
-
-    let outcome = session.run_faulted(programs)?;
-    check_schedule(schedule, outcome.stats.rounds)?;
-
-    let mut delivered: Vec<Option<Delivered>> = Vec::with_capacity(n);
-    for (v, slot) in outcome.outputs.into_iter().enumerate() {
-        if crash.is_dead(NodeId::from(v)) {
-            delivered.push(None);
-            continue;
-        }
-        match slot {
-            Some(collected) => delivered.push(Some(parse_delivered(v, collected)?)),
-            None => return Err(RouteError::UnplannedCrash(NodeId::from(v))),
-        }
-    }
-    Ok(RoutedOutcome {
-        delivered,
-        undeliverable,
-        stats: outcome.stats,
-        report: outcome.faults,
-    })
-}
-
-/// The retransmitting router for the lossy-link tier: each stream chunk is
-/// sent `repeats` times over consecutive rounds; receivers majority-vote
-/// the copies of each chunk.
-struct ResilientRouterNode {
-    /// Framed outgoing stream per destination.
-    out_streams: Vec<BitString>,
-    /// `copies[src][chunk]` = the copies of chunk `chunk` received from
-    /// `src` (fewer than `repeats` if the adversary dropped some).
-    copies: Vec<Vec<Vec<BitString>>>,
-    /// Base schedule length in chunks.
-    chunks: usize,
-    repeats: usize,
-}
-
-impl NodeProgram for ResilientRouterNode {
-    type Output = Vec<BitString>;
-
-    fn step(
-        &mut self,
-        ctx: &NodeCtx,
-        round: usize,
-        inbox: &Inbox<'_>,
-        outbox: &mut Outbox<'_>,
-    ) -> Status<Vec<BitString>> {
-        if round > 0 {
-            let chunk = (round - 1) / self.repeats;
-            for (src, msg) in inbox.iter() {
-                self.copies[src.index()][chunk].push(msg.clone());
-            }
-        }
-        if round == self.chunks * self.repeats {
-            // Majority-vote each chunk and concatenate per source.
-            let collected = self
-                .copies
-                .iter()
-                .map(|chunks| {
-                    let mut stream = BitString::new();
-                    for copies in chunks {
-                        if let Some(winner) = majority_payload(copies) {
-                            stream.extend_from(&winner);
-                        }
-                    }
-                    stream
-                })
-                .collect();
-            return Status::Halt(collected);
-        }
-        let chunk = round / self.repeats;
-        for dst in 0..ctx.n {
-            if dst == ctx.id.index() {
-                continue;
-            }
-            let stream = &self.out_streams[dst];
-            let start = chunk * ctx.bandwidth;
-            if start >= stream.len() {
-                continue;
-            }
-            let take = ctx.bandwidth.min(stream.len() - start);
-            let mut r = stream.reader();
-            r.skip(start).expect("chunk start in range");
-            outbox
-                .send_with(NodeId::from(dst), |slot| r.read_into(take, slot))
-                .expect("chunk in range");
-        }
-        Status::Continue
-    }
-}
-
-/// Route an explicit demand set with `repeats`-fold chunk retransmission,
-/// for engines whose fault plan drops or corrupts messages.
-///
-/// Each bandwidth-sized chunk of every stream is sent `repeats` times over
-/// consecutive rounds; the receiver takes a per-chunk majority vote over
-/// the copies that arrive ([`cc_resilient::majority_payload`]). A chunk
-/// survives as long as intact copies outnumber corrupted ones and at least
-/// one copy arrives — the same per-link guarantee as `RepeatBroadcast`, so
-/// the delivery guarantee is probabilistic in the adversary's coin
-/// probabilities. A chunk that loses its vote (or vanishes entirely)
-/// surfaces as [`RouteError::Malformed`] at reassembly.
-///
-/// Costs `repeats ×` the rounds/messages/bits of [`crate::route`] on the
-/// same demands — [`resilient_overhead`] prices it analytically, and the
-/// fault-free run matches that price exactly.
-pub fn route_resilient(
-    session: &mut Session,
-    demands: Vec<Vec<(NodeId, BitString)>>,
-    repeats: usize,
-) -> Result<Vec<Delivered>, RouteError> {
-    let n = session.n();
-    assert_eq!(demands.len(), n, "one demand list per node");
-    assert!(repeats >= 1, "at least one transmission per chunk");
-    let bandwidth = session.bandwidth();
-
-    let streams = build_streams(n, demands);
-    let chunks = schedule_for(&streams, bandwidth);
-    let programs: Vec<ResilientRouterNode> = streams
-        .into_iter()
-        .map(|row| ResilientRouterNode {
-            out_streams: row,
-            copies: vec![vec![Vec::new(); chunks]; n],
-            chunks,
-            repeats,
-        })
-        .collect();
-
-    let outcome = session.run_faulted(programs)?;
-    check_schedule(chunks * repeats, outcome.stats.rounds)?;
-
-    let mut result = Vec::with_capacity(n);
-    for (v, slot) in outcome.outputs.into_iter().enumerate() {
-        match slot {
-            Some(collected) => result.push(parse_delivered(v, collected)?),
-            None => return Err(RouteError::UnplannedCrash(NodeId::from(v))),
-        }
-    }
-    Ok(result)
-}
-
-/// Analytic cost of [`route_resilient`] given the fault-free cost `base`
-/// of [`crate::route`] on the same demands: every round is repeated
-/// `repeats` times, so rounds, messages, and bits all scale by `repeats`
-/// while per-message and peak-buffer sizes are unchanged. Suitable for
-/// [`cliquesim::Session::charge`]; link faults only ever *remove* messages
-/// from this bound.
-pub fn resilient_overhead(base: &RunStats, repeats: usize) -> RunStats {
-    RunStats {
-        rounds: base.rounds * repeats,
-        messages: base.messages * repeats as u64,
-        bits: base.bits * repeats as u64,
-        max_message_bits: base.max_message_bits,
-        peak_live_payload_bytes: base.peak_live_payload_bytes,
-        ..RunStats::default()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::route;
-    use cliquesim::Engine;
+    use crate::RoutePlan;
+    use cliquesim::{Engine, Session};
+
+    fn route(s: &mut Session, demands: Vec<Vec<(NodeId, BitString)>>) -> Vec<Delivered> {
+        RoutePlan::direct().run(s, demands).unwrap()
+    }
 
     fn demands_for(n: usize) -> Vec<Vec<(NodeId, BitString)>> {
         // A deterministic all-pairs-ish pattern with varied payloads.
@@ -555,7 +348,10 @@ mod tests {
         let plan = FaultPlan::new(0).crash(NodeId(1), 1);
         let crash = CrashSet::from_plan(&plan);
         let mut session = Session::new(Engine::new(n).with_fault_plan(plan));
-        let out = route_faulted(&mut session, demands_for(n), &crash).unwrap();
+        let out = RoutePlan::direct()
+            .avoiding(&crash)
+            .run_faulted(&mut session, demands_for(n))
+            .unwrap();
         assert!(out.delivered[1].is_none(), "dead node has no delivery slot");
         for u in out.undeliverable.iter() {
             assert!(u.source == NodeId(1) || u.destination == NodeId(1));
@@ -588,37 +384,16 @@ mod tests {
     fn empty_crash_set_matches_route_exactly() {
         let n = 5;
         let mut s1 = Session::new(Engine::new(n));
-        let plain = route(&mut s1, demands_for(n)).unwrap();
+        let plain = route(&mut s1, demands_for(n));
         let mut s2 = Session::new(Engine::new(n));
-        let faulted = route_faulted(&mut s2, demands_for(n), &CrashSet::new()).unwrap();
+        let faulted = RoutePlan::direct()
+            .avoiding(&CrashSet::new())
+            .run_faulted(&mut s2, demands_for(n))
+            .unwrap();
         assert!(faulted.undeliverable.is_empty());
         let unwrapped: Vec<Delivered> = faulted.delivered.into_iter().map(|d| d.unwrap()).collect();
         assert_eq!(plain, unwrapped);
         assert_eq!(s1.stats(), s2.stats(), "byte-identical wire cost");
-    }
-
-    #[test]
-    fn resilient_overhead_matches_fault_free_run() {
-        let n = 5;
-        let repeats = 3;
-        let mut s1 = Session::new(Engine::new(n));
-        route(&mut s1, demands_for(n)).unwrap();
-        let base = s1.stats().clone();
-        let mut s2 = Session::new(Engine::new(n));
-        let got = route_resilient(&mut s2, demands_for(n), repeats).unwrap();
-        let analytic = resilient_overhead(&base, repeats);
-        let actual = s2.stats();
-        assert_eq!(actual.rounds, analytic.rounds);
-        assert_eq!(actual.messages, analytic.messages);
-        assert_eq!(actual.bits, analytic.bits);
-        assert_eq!(actual.max_message_bits, analytic.max_message_bits);
-        assert_eq!(
-            actual.peak_live_payload_bytes,
-            analytic.peak_live_payload_bytes
-        );
-        // And it delivers what route delivers.
-        let mut s3 = Session::new(Engine::new(n));
-        assert_eq!(got, route(&mut s3, demands_for(n)).unwrap());
     }
 
     #[test]
@@ -629,9 +404,12 @@ mod tests {
         // copies (dropped ≠ corrupted).
         let plan = FaultPlan::new(11).drop_messages(0.2);
         let mut s = Session::new(Engine::new(n).with_fault_plan(plan));
-        let got = route_resilient(&mut s, demands_for(n), 5).unwrap();
+        let got = RoutePlan::direct()
+            .repeats(5)
+            .run(&mut s, demands_for(n))
+            .unwrap();
         let mut clean = Session::new(Engine::new(n));
-        assert_eq!(got, route(&mut clean, demands_for(n)).unwrap());
+        assert_eq!(got, route(&mut clean, demands_for(n)));
         assert!(s.stats().dropped_messages > 0, "the adversary never fired");
     }
 
@@ -642,9 +420,12 @@ mod tests {
         // win every per-chunk majority at this seed.
         let plan = FaultPlan::new(7).corrupt_messages(0.1);
         let mut s = Session::new(Engine::new(n).with_fault_plan(plan));
-        let got = route_resilient(&mut s, demands_for(n), 5).unwrap();
+        let got = RoutePlan::direct()
+            .repeats(5)
+            .run(&mut s, demands_for(n))
+            .unwrap();
         let mut clean = Session::new(Engine::new(n));
-        assert_eq!(got, route(&mut clean, demands_for(n)).unwrap());
+        assert_eq!(got, route(&mut clean, demands_for(n)));
         assert!(
             s.stats().corrupted_messages > 0,
             "the adversary never fired"

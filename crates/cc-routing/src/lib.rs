@@ -4,29 +4,24 @@
 //! protocol (reference \[43\] of Korhonen & Suomela, SPAA 2018), which the
 //! paper's Theorem 9 invokes as a black box.
 //!
-//! Two primitives are provided:
+//! Every routing phase is one [`RoutePlan`]: a schedule fixed by the demand
+//! sizes alone, built as [`RoutePlan::direct`] (every ordered pair ships
+//! its stream over its private link; the phase costs the largest per-link
+//! load) or [`RoutePlan::balanced`] (the two-phase megastream plan of
+//! [`balanced`]; it costs about the largest per-node load), then refined
+//! with [`RoutePlan::sized`] (no frame headers, for payload sizes that are
+//! global knowledge), [`RoutePlan::avoiding`] (re-plan around a
+//! [`CrashSet`], reporting dropped demands as [`Undeliverable`] records)
+//! and [`RoutePlan::repeats`] (retransmit every chunk and majority-vote
+//! the copies, for lossy links).
 //!
-//! * [`route`] — the oblivious **static direct schedule**: every ordered
-//!   pair ships its (length-framed) stream over its private link, all links
-//!   in parallel; the phase costs exactly the maximum per-link load in
-//!   messages. This is optimal for the globally predictable, per-link
-//!   balanced patterns used by every algorithm in this workspace.
-//! * [`relay_broadcast`] / [`all_to_all_broadcast`] — collective operations
-//!   built on `route`, including the classic scatter-then-rebroadcast
-//!   doubling trick for large single-source broadcasts.
-//!
-//! The [`fault`] module is the **fault-aware planning layer**: a
-//! [`CrashSet`] (derived from a `cliquesim::FaultPlan` or a live
-//! `FaultReport`) lets [`route_faulted`] and [`route_balanced_faulted`]
-//! re-plan demands around dead nodes — dropping demands to or from dead
-//! endpoints as structured [`Undeliverable`] records and remapping
-//! balanced-schedule segments away from dead intermediates — while
-//! [`route_resilient`] retransmits chunks over lossy links with a
-//! per-chunk majority vote, priced by [`resilient_overhead`].
-//!
-//! [`lenzen_round_bound`] gives the accounting bound of the full Lenzen
-//! protocol for per-node balanced instances; the substitution rationale is
-//! documented in DESIGN.md.
+//! [`RoutePlan::run_faulted`] ships the plan and returns a
+//! [`RoutedOutcome`]; [`RoutePlan::run`] is its strict reading.
+//! [`RoutePlan::cost`] walks the same schedule over the [`DemandSizes`]
+//! without shipping it and returns the exact [`cliquesim::RunStats`] the
+//! fault-free run records. [`relay_broadcast`] and
+//! [`all_to_all_broadcast`] are collectives built on plans. The
+//! substitution rationale is documented in DESIGN.md.
 
 #![warn(missing_docs)]
 // Index-driven loops over multiple parallel per-node arrays are the
@@ -37,19 +32,10 @@
 pub mod balanced;
 pub mod fault;
 pub mod frames;
+pub mod plan;
 pub mod router;
-pub mod sized;
 
-pub use balanced::{route_balanced, route_balanced_faulted};
-pub use fault::{
-    resilient_overhead, route_faulted, route_resilient, CrashSet, DeliveryFailure, RoutedOutcome,
-    Undeliverable,
-};
+pub use fault::{CrashSet, DeliveryFailure, RoutedOutcome, Undeliverable};
 pub use frames::{frame, frame_all, parse_frames, rounds_for, LEN_HEADER_BITS};
-pub use router::{
-    all_to_all_broadcast, lenzen_round_bound, relay_broadcast, route, Delivered, RouteError,
-};
-pub use sized::{
-    all_to_all_sized, all_to_all_sized_cost, demand_sizes, route_balanced_sized,
-    route_balanced_sized_cost, route_sized, route_sized_cost, DemandSizes,
-};
+pub use plan::{demand_sizes, DemandSizes, RoutePlan};
+pub use router::{all_to_all_broadcast, relay_broadcast, Delivered, RouteError};

@@ -1,4 +1,4 @@
-//! Oblivious static routing.
+//! Oblivious static routing: the router programs and the collectives.
 //!
 //! Lenzen's routing theorem [43 in the paper] delivers any instance where
 //! every node is the source and destination of at most `n` messages in
@@ -9,17 +9,20 @@
 //! trivial direct schedule — pair `(u, w)` uses its own dedicated link for
 //! `⌈bits(u,w)/B⌉` consecutive rounds, all links in parallel — already
 //! matches the asymptotics, because the clique gives every ordered pair a
-//! private link. The sorting machinery in Lenzen's protocol exists to handle
-//! *unbalanced* per-link demands without global knowledge; see
-//! [`lenzen_round_bound`] for the accounting bound we use when an algorithm
-//! is entitled to the stronger guarantee. This substitution is recorded in
-//! DESIGN.md.
+//! private link; the balanced schedule of [`crate::balanced`] covers the
+//! per-node-balanced, per-link-skewed patterns. The sorting machinery in
+//! Lenzen's protocol exists to handle *unbalanced* per-link demands without
+//! global knowledge. This substitution is recorded in DESIGN.md.
+//!
+//! Every [`crate::RoutePlan`] pass runs one of the two programs here:
+//! `RouterNode` ships each chunk once, `ResilientRouterNode` `k` times.
 
+use cc_resilient::majority_payload;
 use cliquesim::{
     BitString, DecodeError, Inbox, NodeCtx, NodeId, NodeProgram, Outbox, Session, SimError, Status,
 };
 
-use crate::frames::{frame_all, parse_frames, rounds_for};
+use crate::plan::RoutePlan;
 
 /// Messages delivered to one node by a routing phase: `(source, payload)`
 /// pairs, sources in increasing order, payloads per source in sending order.
@@ -41,9 +44,11 @@ pub enum RouteError {
         /// Rounds the engine actually ran.
         actual: usize,
     },
-    /// A node outside the declared crash set crashed mid-phase, so its
-    /// streams may have been cut mid-chunk. Re-plan with a crash set that
-    /// covers the fault plan (see `CrashSet::from_plan`).
+    /// A node outside the plan's crash set crashed mid-phase, so its
+    /// streams may have been cut mid-chunk. This holds for every plan,
+    /// including one that avoids nobody, and the session ledger keeps the
+    /// pass that saw the crash. Re-plan with a crash set that covers the
+    /// fault plan (see `CrashSet::from_plan`).
     UnplannedCrash(NodeId),
 }
 
@@ -79,7 +84,7 @@ impl From<SimError> for RouteError {
 /// bandwidth-sized chunk of every outgoing stream; collect incoming chunks;
 /// halt after the globally known schedule length.
 pub(crate) struct RouterNode {
-    /// Framed outgoing stream per destination; round `r` ships bits
+    /// Encoded outgoing stream per destination; round `r` ships bits
     /// `[r·B, (r+1)·B)`, cut on demand (cursor skips are O(1)).
     out_streams: Vec<BitString>,
     /// Destinations whose stream still has bits to ship, ascending: a step
@@ -90,6 +95,21 @@ pub(crate) struct RouterNode {
     /// Schedule length: number of communication rounds (globally known —
     /// in the algorithms of the paper it is a function of `n` and `k`).
     schedule: usize,
+}
+
+impl RouterNode {
+    /// Node `v`'s program shipping `out_streams` in `schedule` rounds.
+    pub(crate) fn new(v: usize, out_streams: Vec<BitString>, schedule: usize) -> Self {
+        let n = out_streams.len();
+        Self {
+            collected: vec![BitString::new(); n],
+            live: (0..n)
+                .filter(|&w| w != v && !out_streams[w].is_empty())
+                .collect(),
+            out_streams,
+            schedule,
+        }
+    }
 }
 
 impl NodeProgram for RouterNode {
@@ -131,151 +151,104 @@ impl NodeProgram for RouterNode {
     }
 }
 
-/// Route an explicit demand set with the static direct schedule.
-///
-/// `demands[v]` lists `(destination, payload)` pairs originating at node
-/// `v`; multiple payloads per destination are allowed and arrive in order.
-/// Returns, per node, the delivered `(source, payload)` pairs. The phase
-/// costs exactly `max_{(u,w)} ⌈(Σ payload + 32·count) / B⌉` rounds, which
-/// the session records.
-pub fn route(
-    session: &mut Session,
-    demands: Vec<Vec<(NodeId, BitString)>>,
-) -> Result<Vec<Delivered>, RouteError> {
-    let n = session.n();
-    assert_eq!(demands.len(), n, "one demand list per node");
-    let bandwidth = session.bandwidth();
-
-    let streams = build_streams(n, demands);
-    let schedule = schedule_for(&streams, bandwidth);
-    let programs = make_programs(n, streams, schedule);
-
-    let outcome = session.run(programs)?;
-    check_schedule(schedule, outcome.stats.rounds)?;
-
-    // Parse each node's per-source streams back into payloads.
-    let mut result = Vec::with_capacity(n);
-    for (v, collected) in outcome.outputs.into_iter().enumerate() {
-        result.push(parse_delivered(v, collected)?);
-    }
-    Ok(result)
+/// The retransmitting router for the lossy-link tier: each stream chunk is
+/// sent `repeats` times over consecutive rounds; receivers majority-vote
+/// the copies of each chunk ([`cc_resilient::majority_payload`], the same
+/// per-link machinery as `cc-resilient`'s `RepeatBroadcast`). A chunk
+/// survives as long as intact copies outnumber corrupted ones and at least
+/// one copy arrives.
+pub(crate) struct ResilientRouterNode {
+    /// Encoded outgoing stream per destination.
+    out_streams: Vec<BitString>,
+    /// `copies[src][chunk]` = the copies of chunk `chunk` received from
+    /// `src` (fewer than `repeats` if the adversary dropped some).
+    copies: Vec<Vec<Vec<BitString>>>,
+    /// Base schedule length in chunks.
+    chunks: usize,
+    repeats: usize,
 }
 
-/// Build the framed per-link stream matrix: `streams[v][w]` is everything
-/// node `v` ships to node `w`, each payload length-framed.
-pub(crate) fn build_streams(
-    n: usize,
-    demands: Vec<Vec<(NodeId, BitString)>>,
-) -> Vec<Vec<BitString>> {
-    let mut streams: Vec<Vec<BitString>> = Vec::with_capacity(n);
-    for (v, list) in demands.into_iter().enumerate() {
-        let mut per_dst: Vec<Vec<&BitString>> = vec![Vec::new(); n];
-        for (dst, payload) in &list {
-            assert_ne!(dst.index(), v, "demand from node {v} to itself");
-            per_dst[dst.index()].push(payload);
+impl ResilientRouterNode {
+    /// A program shipping `out_streams` in `chunks` chunks, each sent
+    /// `repeats` times, on an `n`-node clique.
+    pub(crate) fn new(
+        n: usize,
+        out_streams: Vec<BitString>,
+        chunks: usize,
+        repeats: usize,
+    ) -> Self {
+        Self {
+            out_streams,
+            copies: vec![vec![Vec::new(); chunks]; n],
+            chunks,
+            repeats,
         }
-        streams.push(
-            per_dst
-                .into_iter()
-                .map(|ps| {
-                    if ps.is_empty() {
-                        BitString::new()
-                    } else {
-                        frame_all(ps)
+    }
+}
+
+impl NodeProgram for ResilientRouterNode {
+    type Output = Vec<BitString>;
+
+    fn step(
+        &mut self,
+        ctx: &NodeCtx,
+        round: usize,
+        inbox: &Inbox<'_>,
+        outbox: &mut Outbox<'_>,
+    ) -> Status<Vec<BitString>> {
+        if round > 0 {
+            let chunk = (round - 1) / self.repeats;
+            for (src, msg) in inbox.iter() {
+                self.copies[src.index()][chunk].push(msg.clone());
+            }
+        }
+        if round == self.chunks * self.repeats {
+            // Majority-vote each chunk and concatenate per source.
+            let collected = self
+                .copies
+                .iter()
+                .map(|chunks| {
+                    let mut stream = BitString::new();
+                    for copies in chunks {
+                        if let Some(winner) = majority_payload(copies) {
+                            stream.extend_from(&winner);
+                        }
                     }
+                    stream
                 })
-                .collect(),
-        );
-    }
-    streams
-}
-
-/// The globally known schedule length for a stream matrix: the maximum
-/// per-link round count.
-pub(crate) fn schedule_for(streams: &[Vec<BitString>], bandwidth: usize) -> usize {
-    streams
-        .iter()
-        .flat_map(|row| row.iter())
-        .map(|s| rounds_for(s.len(), bandwidth))
-        .max()
-        .unwrap_or(0)
-}
-
-/// One [`RouterNode`] per node, all sharing the same schedule length.
-pub(crate) fn make_programs(
-    n: usize,
-    streams: Vec<Vec<BitString>>,
-    schedule: usize,
-) -> Vec<RouterNode> {
-    streams
-        .into_iter()
-        .enumerate()
-        .map(|(v, row)| RouterNode {
-            collected: vec![BitString::new(); n],
-            live: (0..n).filter(|&w| w != v && !row[w].is_empty()).collect(),
-            out_streams: row,
-            schedule,
-        })
-        .collect()
-}
-
-/// Reject a schedule/engine disagreement as a structured error (a
-/// `debug_assert` here would vanish in release builds, which is exactly
-/// where the release-mode CI job needs the check).
-pub(crate) fn check_schedule(expected: usize, actual: usize) -> Result<(), RouteError> {
-    if expected != actual {
-        return Err(RouteError::ScheduleMismatch { expected, actual });
-    }
-    Ok(())
-}
-
-/// Parse one node's collected per-source streams back into delivered
-/// `(source, payload)` pairs.
-pub(crate) fn parse_delivered(
-    v: usize,
-    collected: Vec<BitString>,
-) -> Result<Delivered, RouteError> {
-    let mut delivered = Vec::new();
-    for (src, stream) in collected.into_iter().enumerate() {
-        if stream.is_empty() {
-            continue;
+                .collect();
+            return Status::Halt(collected);
         }
-        let payloads =
-            parse_frames(&stream).map_err(|e| RouteError::Malformed(NodeId::from(v), e))?;
-        for p in payloads {
-            delivered.push((NodeId::from(src), p));
+        let chunk = round / self.repeats;
+        for dst in 0..ctx.n {
+            if dst == ctx.id.index() {
+                continue;
+            }
+            let stream = &self.out_streams[dst];
+            let start = chunk * ctx.bandwidth;
+            if start >= stream.len() {
+                continue;
+            }
+            let take = ctx.bandwidth.min(stream.len() - start);
+            let mut r = stream.reader();
+            r.skip(start).expect("chunk start in range");
+            outbox
+                .send_with(NodeId::from(dst), |slot| r.read_into(take, slot))
+                .expect("chunk in range");
         }
+        Status::Continue
     }
-    Ok(delivered)
 }
 
 /// All-to-all broadcast: node `v` sends `payloads[v]` to everyone. Returns
 /// for each node the full vector of payloads (including its own, copied
-/// locally for free).
+/// locally for free). The framed direct plan's
+/// [`RoutePlan::all_to_all`].
 pub fn all_to_all_broadcast(
     session: &mut Session,
     payloads: Vec<BitString>,
 ) -> Result<Vec<Vec<BitString>>, RouteError> {
-    let n = session.n();
-    assert_eq!(payloads.len(), n);
-    let demands: Vec<Vec<(NodeId, BitString)>> = payloads
-        .iter()
-        .enumerate()
-        .map(|(v, p)| {
-            (0..n)
-                .filter(|&u| u != v)
-                .map(|u| (NodeId::from(u), p.clone()))
-                .collect()
-        })
-        .collect();
-    let delivered = route(session, demands)?;
-    let mut views = Vec::with_capacity(n);
-    for (v, mut inbox) in delivered.into_iter().enumerate() {
-        inbox.push((NodeId::from(v), payloads[v].clone()));
-        inbox.sort_by_key(|(src, _)| src.index());
-        views.push(inbox.into_iter().map(|(_, p)| p).collect());
-    }
-    Ok(views)
+    RoutePlan::direct().all_to_all(session, payloads)
 }
 
 /// One node broadcasts a payload of up to ~`n·B` bits to everyone in two
@@ -305,7 +278,7 @@ pub fn relay_broadcast(
             demands[src.index()].push((NodeId::from(i), piece.clone()));
         }
     }
-    let delivered = route(session, demands)?;
+    let delivered = RoutePlan::direct().run(session, demands)?;
 
     // Rebroadcast: node i broadcasts its piece; everyone reassembles.
     let my_piece: Vec<BitString> = (0..n)
@@ -333,15 +306,6 @@ pub fn relay_broadcast(
         .collect())
 }
 
-/// The round bound Lenzen's protocol guarantees for an instance where every
-/// node sends at most `out_bits` and receives at most `in_bits` in total:
-/// `O(⌈max(out,in) / (n·B)⌉)`. Algorithms that only need accounting (rather
-/// than data movement) may charge this against a session.
-pub fn lenzen_round_bound(out_bits: usize, in_bits: usize, n: usize, bandwidth: usize) -> usize {
-    let per_round = (n.saturating_sub(1)).max(1) * bandwidth;
-    out_bits.max(in_bits).div_ceil(per_round).max(1)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -351,6 +315,13 @@ mod tests {
 
     fn session(n: usize) -> Session {
         Session::new(Engine::new(n))
+    }
+
+    fn route(
+        s: &mut Session,
+        demands: Vec<Vec<(NodeId, BitString)>>,
+    ) -> Result<Vec<Delivered>, RouteError> {
+        RoutePlan::direct().run(s, demands)
     }
 
     #[test]
@@ -496,15 +467,6 @@ mod tests {
         let payload = BitString::from_bits((0..20).map(|i| i % 2 == 0));
         let views = relay_broadcast(&mut s, NodeId(0), &payload).unwrap();
         assert_eq!(views, vec![payload.clone(), payload]);
-    }
-
-    #[test]
-    fn lenzen_bound_sane() {
-        // n messages of log n bits each: O(1) rounds.
-        let n = 256;
-        let b = 8;
-        assert_eq!(lenzen_round_bound(n * b, n * b, n, b), 2); // ceil(2048/2040)
-        assert_eq!(lenzen_round_bound(0, 0, n, b), 1);
     }
 
     proptest! {

@@ -2,7 +2,7 @@
 //! (including empty demand patterns and max-size payloads) and
 //! differential execution of the all-to-all broadcast across pool shapes.
 
-use cc_routing::{frame, frame_all, parse_frames, rounds_for, route, LEN_HEADER_BITS};
+use cc_routing::{frame, frame_all, parse_frames, rounds_for, RoutePlan, LEN_HEADER_BITS};
 use cc_testkit::instances::strategies::arb_bitstring;
 use cc_testkit::{differential_session, POOL_SHAPES};
 use cliquesim::{BitString, NodeId};
@@ -36,7 +36,7 @@ fn empty_demand_patterns_cost_zero_rounds() {
         let n = 9;
         let mut s = cliquesim::Session::new(cliquesim::Engine::new(n).with_threads_exact(threads));
         let demands: Vec<Vec<(NodeId, BitString)>> = vec![Vec::new(); n];
-        let delivered = route(&mut s, demands).unwrap();
+        let delivered = RoutePlan::direct().run(&mut s, demands).unwrap();
         assert_eq!(s.stats().rounds, 0, "threads={threads}");
         assert!(delivered.iter().all(|d| d.is_empty()), "threads={threads}");
     }

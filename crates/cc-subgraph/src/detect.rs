@@ -8,7 +8,7 @@
 //! this for triangle / k-IS / size-k subgraph / k-cycle.
 
 use cc_graph::Graph;
-use cc_routing::{all_to_all_broadcast, route_balanced, RouteError};
+use cc_routing::{all_to_all_broadcast, RouteError, RoutePlan};
 use cliquesim::{BitString, NodeId, Session};
 
 use crate::partition::Partition;
@@ -164,7 +164,7 @@ pub fn detect(session: &mut Session, g: &Graph, pattern: &Pattern) -> Result<Wit
             demands[a].push((NodeId::from(v), bits));
         }
     }
-    let delivered = route_balanced(session, demands)?;
+    let delivered = RoutePlan::balanced().run(session, demands)?;
 
     // -------- Phase 2: local search in each detector's union --------------
     let mut local_witness: Vec<Option<Vec<usize>>> = vec![None; n];

@@ -9,7 +9,7 @@
 //! triangle is reported exactly once, by its canonical detector.
 
 use cc_graph::Graph;
-use cc_routing::{route_balanced, RouteError};
+use cc_routing::{RouteError, RoutePlan};
 use cliquesim::{BitString, NodeId, Session};
 
 use crate::partition::Partition;
@@ -112,7 +112,7 @@ fn per_detector_triangles(
             }
         }
     }
-    let delivered = route_balanced(session, demands)?;
+    let delivered = RoutePlan::balanced().run(session, demands)?;
 
     // Phase 2: local canonical listing.
     let mut out: Vec<Vec<[usize; 3]>> = vec![Vec::new(); n];

@@ -98,6 +98,6 @@ pub use fleet::{assert_fleet_matches_serial, fleet_batch, Adversary, FleetJob, W
 pub use instances::{corpus, weighted_corpus, Family, Instance, WeightedFamily, WeightedInstance};
 pub use matmul::{differential_matmul, matmul_corpus, wrap_mm, MmCase, MmFamily, MM_WIDTH};
 pub use routing::{
-    assert_empty_crash_transparent, differential_route_balanced_faulted,
-    differential_route_faulted, judge_routed_delivery, RouteFaultCase, RoutedRun,
+    assert_empty_crash_transparent, differential_route, judge_routed_delivery, RouteFaultCase,
+    RoutedRun,
 };

@@ -15,28 +15,25 @@
 //!   (exactly once, in per-source order), reports *every* dead-endpoint
 //!   demand as a structured [`cc_routing::Undeliverable`] record with the
 //!   right reason, and leaves `None` slots exactly for crashed nodes;
-//! * **pool-shape independence** — [`differential_route_faulted`] and
-//!   [`differential_route_balanced_faulted`] replay the same case under
-//!   every pool shape in [`POOL_SHAPES`], asserting identical deliveries,
-//!   undeliverable records, [`RunStats`], and fault reports;
-//! * **transparency** — [`assert_empty_crash_transparent`] proves an empty
-//!   crash set byte-identical to the unfaulted schedule (outputs *and*
-//!   wire cost) across pool shapes, for both the direct and the balanced
-//!   scheduler.
+//! * **pool-shape independence** — [`differential_route`] replays the
+//!   same case under a [`RoutePlan`] on every pool shape in
+//!   [`POOL_SHAPES`], asserting identical deliveries, undeliverable
+//!   records, [`RunStats`], and fault reports;
+//! * **transparency** — [`assert_empty_crash_transparent`] proves a plan
+//!   avoiding an empty crash set byte-identical to the same plan on a bare
+//!   engine (outputs *and* wire cost) across pool shapes, for the direct
+//!   and the balanced schedule, framed and sized.
 
 use std::fmt;
 
-use cc_routing::{
-    route, route_balanced, route_balanced_faulted, route_faulted, CrashSet, Delivered,
-    DeliveryFailure, RoutedOutcome,
-};
+use cc_routing::{CrashSet, Delivered, DeliveryFailure, RoutePlan, RoutedOutcome};
 use cliquesim::{BitString, Engine, FaultPlan, NodeId, RunStats, Session};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use crate::differential::POOL_SHAPES;
 
-/// One demand list per node: the input shape of `cc_routing::route`.
+/// One demand list per node: the input shape of [`RoutePlan::run`].
 pub type Demands = Vec<Vec<(NodeId, BitString)>>;
 
 /// A seed-addressed crash-routing conformance case: `n` nodes, a
@@ -189,19 +186,29 @@ pub fn judge_routed_delivery(
 /// session-level [`RunStats`] (rounds, bits, fault counters).
 pub type RoutedRun = (RoutedOutcome, RunStats);
 
-fn differential_routed<F>(label: &str, base: &Engine, plan: &FaultPlan, run: F) -> RoutedRun
-where
-    F: Fn(&mut Session) -> RoutedOutcome,
-{
-    let tag = format!("{label} under {plan}");
+/// Run `plan`, avoiding the case's crash set, on the case's demands under
+/// its crash plan on every pool shape, asserting identical deliveries,
+/// undeliverable records, fault reports, and stats. Returns the reference
+/// run for judging.
+pub fn differential_route(
+    label: &str,
+    base: &Engine,
+    case: &RouteFaultCase,
+    plan: &RoutePlan,
+) -> RoutedRun {
+    let fault_plan = case.plan();
+    let plan = plan.clone().avoiding(&case.crash_set());
+    let tag = format!("{label} under {fault_plan} with {plan:?}");
     let mut reference: Option<RoutedRun> = None;
     for &threads in POOL_SHAPES.iter() {
         let engine = base
             .clone()
             .with_threads_exact(threads)
-            .with_fault_plan(plan.clone());
+            .with_fault_plan(fault_plan.clone());
         let mut session = Session::new(engine);
-        let out = run(&mut session);
+        let out = plan
+            .run_faulted(&mut session, case.demands())
+            .unwrap_or_else(|e| panic!("{tag}: routing failed at threads={threads}: {e}"));
         let stats = session.stats().clone();
         match &reference {
             None => reference = Some((out, stats)),
@@ -228,107 +235,60 @@ where
     reference.expect("POOL_SHAPES is non-empty")
 }
 
-/// Run `route_faulted` on a case's demands under its crash plan on every
-/// pool shape, asserting identical deliveries, undeliverable records,
-/// fault reports, and stats. Returns the reference run for judging.
-pub fn differential_route_faulted(label: &str, base: &Engine, case: &RouteFaultCase) -> RoutedRun {
-    let plan = case.plan();
-    let crash = case.crash_set();
-    differential_routed(label, base, &plan, |session| {
-        route_faulted(session, case.demands(), &crash)
-            .unwrap_or_else(|e| panic!("{label} under {plan}: route_faulted failed: {e}"))
-    })
-}
-
-/// The balanced-scheduler twin of [`differential_route_faulted`].
-pub fn differential_route_balanced_faulted(
-    label: &str,
-    base: &Engine,
-    case: &RouteFaultCase,
-) -> RoutedRun {
-    let plan = case.plan();
-    let crash = case.crash_set();
-    differential_routed(label, base, &plan, |session| {
-        route_balanced_faulted(session, case.demands(), &crash)
-            .unwrap_or_else(|e| panic!("{label} under {plan}: route_balanced_faulted failed: {e}"))
-    })
-}
-
 /// Assert the planning layer's transparency guarantee, mirroring
-/// `assert_empty_plan_transparent`: with an empty crash set (and an empty
-/// fault plan), `route_faulted` must be byte-identical to `route`, and
-/// `route_balanced_faulted` to `route_balanced` — same deliveries, same
-/// rounds, same bits — on every pool shape.
+/// `assert_empty_plan_transparent`: every plan — direct and balanced,
+/// framed and sized — avoiding an empty crash set under an empty fault plan
+/// must be byte-identical to the same plan on a bare engine — same
+/// deliveries, same rounds, same bits — on every pool shape.
 pub fn assert_empty_crash_transparent<M>(label: &str, base: &Engine, mut make_demands: M)
 where
     M: FnMut() -> Demands,
 {
     let empty_plan = FaultPlan::new(0);
     let none = CrashSet::new();
+    let plans = [
+        RoutePlan::direct(),
+        RoutePlan::direct().sized(),
+        RoutePlan::balanced(),
+        RoutePlan::balanced().sized(),
+    ];
     for &threads in POOL_SHAPES.iter() {
-        let bare = || Session::new(base.clone().with_threads_exact(threads));
-        let planned = || {
-            Session::new(
+        for plan in &plans {
+            let tag = format!("{label} with {plan:?} at threads={threads}");
+            let mut s1 = Session::new(base.clone().with_threads_exact(threads));
+            let plain = plan
+                .run(&mut s1, make_demands())
+                .unwrap_or_else(|e| panic!("{tag}: plain run failed: {e}"));
+            let mut s2 = Session::new(
                 base.clone()
                     .with_threads_exact(threads)
                     .with_fault_plan(empty_plan.clone()),
-            )
-        };
-
-        // Direct scheduler.
-        let mut s1 = bare();
-        let plain = route(&mut s1, make_demands())
-            .unwrap_or_else(|e| panic!("{label}: route failed at threads={threads}: {e}"));
-        let mut s2 = planned();
-        let faulted = route_faulted(&mut s2, make_demands(), &none)
-            .unwrap_or_else(|e| panic!("{label}: route_faulted failed at threads={threads}: {e}"));
-        assert!(
-            faulted.undeliverable.is_empty() && faulted.report.is_empty(),
-            "{label}: empty crash set produced fault artefacts at threads={threads}"
-        );
-        let unwrapped: Vec<Delivered> = faulted
-            .delivered
-            .into_iter()
-            .map(|d| d.expect("no node is dead"))
-            .collect();
-        assert!(
-            plain == unwrapped,
-            "{label}: empty crash set changed route deliveries at threads={threads}"
-        );
-        assert!(
-            s1.stats() == s2.stats(),
-            "{label}: empty crash set changed route wire cost at threads={threads}: {:?} vs {:?}",
-            s2.stats(),
-            s1.stats()
-        );
-
-        // Balanced scheduler.
-        let mut s3 = bare();
-        let plain = route_balanced(&mut s3, make_demands())
-            .unwrap_or_else(|e| panic!("{label}: route_balanced failed at threads={threads}: {e}"));
-        let mut s4 = planned();
-        let faulted = route_balanced_faulted(&mut s4, make_demands(), &none).unwrap_or_else(|e| {
-            panic!("{label}: route_balanced_faulted failed at threads={threads}: {e}")
-        });
-        assert!(
-            faulted.undeliverable.is_empty() && faulted.report.is_empty(),
-            "{label}: empty crash set produced balanced fault artefacts at threads={threads}"
-        );
-        let unwrapped: Vec<Delivered> = faulted
-            .delivered
-            .into_iter()
-            .map(|d| d.expect("no node is dead"))
-            .collect();
-        assert!(
-            plain == unwrapped,
-            "{label}: empty crash set changed balanced deliveries at threads={threads}"
-        );
-        assert!(
-            s3.stats() == s4.stats(),
-            "{label}: empty crash set changed balanced wire cost at threads={threads}: {:?} vs {:?}",
-            s4.stats(),
-            s3.stats()
-        );
+            );
+            let faulted = plan
+                .clone()
+                .avoiding(&none)
+                .run_faulted(&mut s2, make_demands())
+                .unwrap_or_else(|e| panic!("{tag}: avoiding run failed: {e}"));
+            assert!(
+                faulted.undeliverable.is_empty() && faulted.report.is_empty(),
+                "{tag}: empty crash set produced fault artefacts"
+            );
+            let unwrapped: Vec<Delivered> = faulted
+                .delivered
+                .into_iter()
+                .map(|d| d.expect("no node is dead"))
+                .collect();
+            assert!(
+                plain == unwrapped,
+                "{tag}: empty crash set changed deliveries"
+            );
+            assert!(
+                s1.stats() == s2.stats(),
+                "{tag}: empty crash set changed wire cost: {:?} vs {:?}",
+                s2.stats(),
+                s1.stats()
+            );
+        }
     }
 }
 
@@ -348,7 +308,7 @@ mod tests {
     #[test]
     fn judge_accepts_a_conforming_run() {
         let case = RouteFaultCase::new(9, 2, 3);
-        let (out, _) = differential_route_faulted("routing", &Engine::new(9), &case);
+        let (out, _) = differential_route("routing", &Engine::new(9), &case, &RoutePlan::direct());
         judge_routed_delivery(&case.to_string(), &case.demands(), &case.crash_set(), &out);
     }
 

@@ -812,10 +812,11 @@ impl FaultReport {
     }
 }
 
-/// Analytic price of state sync under an all-chatter workload, mirroring
-/// `cc-routing`'s `resilient_overhead`: predicted totals for the sync
-/// counters of [`crate::RunStats`], asserted against simulated stats in the
-/// churn conformance suite (see docs/THREAT-MODEL.md).
+/// Analytic price of state sync under an all-chatter workload, the way
+/// `cc-routing`'s `RoutePlan::cost` prices a routing phase: predicted
+/// totals for the sync counters of [`crate::RunStats`], asserted against
+/// simulated stats in the churn conformance suite (see
+/// docs/THREAT-MODEL.md).
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SyncOverhead {
     /// Rejoins that fire (finite downtime intervals in the plan).

@@ -151,7 +151,8 @@ impl Session {
     }
 
     /// Add rounds charged by an analytical sub-protocol (used when a phase's
-    /// cost is accounted rather than simulated; see `cc-routing`'s oracle).
+    /// cost is accounted rather than simulated; `cc-routing`'s
+    /// `RoutePlan::cost` prices a routing phase this way).
     pub fn charge(&mut self, stats: &RunStats) {
         self.stats.absorb(stats);
         self.phases += 1;

@@ -10,7 +10,7 @@
 
 use cc_testkit::ChurnCase;
 use congested_clique::prelude::*;
-use congested_clique::routing::route_balanced_faulted;
+use congested_clique::routing::{RoutePlan, RoutedOutcome};
 use congested_clique::sim::sync_overhead;
 
 const SEEDS: [u64; 3] = [1, 2, 3];
@@ -33,15 +33,18 @@ fn main() {
             let demanded = case.demands().iter().map(Vec::len).sum::<usize>();
 
             let mut session = Session::new(Engine::new(n).with_fault_plan(plan.clone()));
-            let out1 = route_balanced_faulted(&mut session, case.demands(), &wave1)
+            let out1 = RoutePlan::balanced()
+                .avoiding(&wave1)
+                .run_faulted(&mut session, case.demands())
                 .unwrap_or_else(|e| panic!("{case}: wave 1 failed: {e}"));
             session.set_fault_offset(cadence);
-            let out2 = route_balanced_faulted(&mut session, case.demands(), &wave2)
+            let out2 = RoutePlan::balanced()
+                .avoiding(&wave2)
+                .run_faulted(&mut session, case.demands())
                 .unwrap_or_else(|e| panic!("{case}: wave 2 failed: {e}"));
 
-            let delivered = |out: &congested_clique::routing::RoutedOutcome| {
-                out.delivered.iter().flatten().map(Vec::len).sum::<usize>()
-            };
+            let delivered =
+                |out: &RoutedOutcome| out.delivered.iter().flatten().map(Vec::len).sum::<usize>();
             let (d1, d2) = (delivered(&out1), delivered(&out2));
             // Every demand is accounted: delivered to a survivor or
             // reported undeliverable against a dead endpoint.

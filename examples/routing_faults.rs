@@ -16,7 +16,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cc_testkit::RouteFaultCase;
-use congested_clique::routing::{route_balanced_faulted, route_faulted, DeliveryFailure};
+use congested_clique::routing::{DeliveryFailure, RoutePlan};
 use congested_clique::service::{Batch, EngineSpec, JobSpec, JobStatus, Service, TenantId};
 
 const SEEDS: [u64; 4] = [1, 2, 3, 4];
@@ -52,12 +52,15 @@ impl Cell {
                 let crash = case.crash_set();
                 let demands = case.demands();
                 let demanded = demands.iter().map(Vec::len).sum::<usize>();
-                let out = if cell.balanced {
-                    route_balanced_faulted(session, demands, &crash)
+                let plan = if cell.balanced {
+                    RoutePlan::balanced()
                 } else {
-                    route_faulted(session, demands, &crash)
-                }
-                .map_err(|e| format!("{case}: routing failed: {e}"))?;
+                    RoutePlan::direct()
+                };
+                let out = plan
+                    .avoiding(&crash)
+                    .run_faulted(session, demands)
+                    .map_err(|e| format!("{case}: routing failed: {e}"))?;
                 let delivered = out.delivered.iter().flatten().map(Vec::len).sum::<usize>();
                 let (mut src_dead, mut dst_dead) = (0usize, 0usize);
                 for u in &out.undeliverable {

@@ -25,7 +25,7 @@ use cc_testkit::{
     judge_routed_delivery, AuditSpec, ChurnCase, POOL_SHAPES,
 };
 use congested_clique::prelude::*;
-use congested_clique::routing::route_balanced_faulted;
+use congested_clique::routing::RoutePlan;
 use congested_clique::sim::{sync_overhead, Inbox, Outbox};
 use proptest::prelude::*;
 
@@ -101,13 +101,17 @@ fn routing_waves_deliver_all_survivor_traffic_under_continuous_churn() {
                 .with_threads_exact(threads)
                 .with_fault_plan(case.plan());
             let mut session = Session::new(engine);
-            let out1 = route_balanced_faulted(&mut session, case.demands(), &wave1)
+            let out1 = RoutePlan::balanced()
+                .avoiding(&wave1)
+                .run_faulted(&mut session, case.demands())
                 .unwrap_or_else(|e| panic!("{tag}: wave 1 failed: {e}"));
             judge_routed_delivery(&tag, &case.demands(), &wave1, &out1);
             // Advance the fault clock to the wave boundary: the churn
             // horizon is behind us, recovered nodes carry again.
             session.set_fault_offset(cadence);
-            let out2 = route_balanced_faulted(&mut session, case.demands(), &wave2)
+            let out2 = RoutePlan::balanced()
+                .avoiding(&wave2)
+                .run_faulted(&mut session, case.demands())
                 .unwrap_or_else(|e| panic!("{tag}: wave 2 failed: {e}"));
             judge_routed_delivery(&tag, &case.demands(), &wave2, &out2);
             let run = (

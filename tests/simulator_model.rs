@@ -46,7 +46,7 @@ fn routing_respects_declared_costs() {
     let payload = cliquesim::BitString::zeros(100);
     let mut demands: Vec<Vec<(NodeId, cliquesim::BitString)>> = vec![Vec::new(); n];
     demands[0].push((NodeId(5), payload));
-    routing::route(&mut s, demands).unwrap();
+    routing::RoutePlan::direct().run(&mut s, demands).unwrap();
     let expected = (100 + routing::LEN_HEADER_BITS).div_ceil(s.bandwidth());
     assert_eq!(s.stats().rounds, expected);
 }
@@ -105,7 +105,7 @@ fn bfs_is_a_broadcast_congested_clique_algorithm() {
     let mut s2 = Session::new(Engine::new(4).broadcast_only(true));
     let mut demands: Vec<Vec<(NodeId, cliquesim::BitString)>> = vec![Vec::new(); 4];
     demands[0].push((NodeId(2), cliquesim::BitString::zeros(3)));
-    assert!(routing::route(&mut s2, demands).is_err());
+    assert!(routing::RoutePlan::direct().run(&mut s2, demands).is_err());
 }
 
 mod thread_count_identity {
