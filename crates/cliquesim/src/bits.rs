@@ -31,6 +31,7 @@ pub(crate) static EMPTY: BitString = BitString {
 impl BitString {
     /// The empty bit string. In the model, sending an empty message is the
     /// same as sending no message at all.
+    #[inline]
     pub fn new() -> Self {
         Self::default()
     }
@@ -58,6 +59,7 @@ impl BitString {
     /// message slots every round; keeping capacity means a slot refilled in
     /// place (a broadcast, [`crate::Outbox::send_with`]) allocates nothing
     /// in steady state.
+    #[inline]
     pub fn clear(&mut self) {
         self.len = 0;
         self.words.clear();
@@ -72,16 +74,19 @@ impl BitString {
     }
 
     /// Number of bits.
+    #[inline]
     pub fn len(&self) -> usize {
         self.len
     }
 
     /// True if the string holds no bits.
+    #[inline]
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
 
     /// Read bit `i`. Panics if out of range.
+    #[inline]
     pub fn get(&self, i: usize) -> bool {
         assert!(
             i < self.len,
@@ -107,6 +112,7 @@ impl BitString {
     }
 
     /// Append a single bit.
+    #[inline]
     pub fn push(&mut self, bit: bool) {
         if self.len.is_multiple_of(64) {
             self.words.push(0);
@@ -125,6 +131,7 @@ impl BitString {
     /// Panics if `width > 64` or if `value` has bits above `width` set; the
     /// latter catches encoding bugs where a field silently overflows its
     /// allotted width (which in a bandwidth-bounded model is data loss).
+    #[inline]
     pub fn push_uint(&mut self, value: u64, width: usize) {
         assert!(width <= 64, "width {width} exceeds u64");
         if width < 64 {
@@ -144,6 +151,7 @@ impl BitString {
     /// Word-level append of the low `width` bits of `value`, `1 ≤ width ≤
     /// 64`. `value` must have no bits at or above `width`, which preserves
     /// the zero-tail invariant.
+    #[inline]
     fn append_word(&mut self, value: u64, width: usize) {
         let shift = self.len % 64;
         if shift == 0 {
@@ -236,6 +244,7 @@ impl BitString {
     /// This is the delivery buffer's broadcast primitive: cloning a
     /// payload into a retained slot must not allocate in steady state, so
     /// `slot.copy_from(msg)` replaces `slot = msg.clone()` on the hot path.
+    #[inline]
     pub fn copy_from(&mut self, other: &BitString) {
         self.len = other.len;
         self.words.clear();
@@ -305,6 +314,7 @@ impl BitString {
     /// The minimum number of bits needed to encode values in `0..domain`,
     /// i.e. `ceil(log2(domain))`, with the convention that a singleton
     /// domain still needs one bit (so a message is never zero-width).
+    #[inline]
     pub fn width_for(domain: usize) -> usize {
         match domain {
             0..=2 => 1,
@@ -314,6 +324,7 @@ impl BitString {
 
     /// Interpret the whole string as a little-endian unsigned integer.
     /// Panics if longer than 64 bits.
+    #[inline]
     pub fn as_uint(&self) -> u64 {
         assert!(
             self.len <= 64,
@@ -325,6 +336,7 @@ impl BitString {
     }
 
     /// A reader positioned at the first bit.
+    #[inline]
     pub fn reader(&self) -> BitReader<'_> {
         BitReader { bits: self, pos: 0 }
     }
@@ -386,16 +398,19 @@ impl std::error::Error for DecodeError {}
 
 impl<'a> BitReader<'a> {
     /// Bits not yet consumed.
+    #[inline]
     pub fn remaining(&self) -> usize {
         self.bits.len() - self.pos
     }
 
     /// Current read position.
+    #[inline]
     pub fn position(&self) -> usize {
         self.pos
     }
 
     /// Read one bit.
+    #[inline]
     pub fn read_bit(&mut self) -> Result<bool, DecodeError> {
         if self.pos >= self.bits.len() {
             return Err(DecodeError {
@@ -410,6 +425,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Read `width` bits as a little-endian unsigned integer.
+    #[inline]
     pub fn read_uint(&mut self, width: usize) -> Result<u64, DecodeError> {
         assert!(width <= 64, "width {width} exceeds u64");
         if self.remaining() < width {
@@ -441,6 +457,7 @@ impl<'a> BitReader<'a> {
     }
 
     /// Advance the cursor by `len` bits without materialising them (O(1)).
+    #[inline]
     pub fn skip(&mut self, len: usize) -> Result<(), DecodeError> {
         if self.remaining() < len {
             return Err(DecodeError {
@@ -455,6 +472,7 @@ impl<'a> BitReader<'a> {
 
     /// Read `len` bits as a fresh [`BitString`] (word-level), for callers
     /// that keep the result; [`BitReader::read_into`] reuses a buffer.
+    #[inline]
     pub fn read_bits(&mut self, len: usize) -> Result<BitString, DecodeError> {
         let mut out = BitString::new();
         self.read_into(len, &mut out)?;
@@ -466,6 +484,7 @@ impl<'a> BitReader<'a> {
     /// filling a reused message slot (see [`crate::Outbox::send_with`]).
     /// An empty `out` gets exactly `⌈len/64⌉` words. On error neither the
     /// cursor nor `out` changes.
+    #[inline]
     pub fn read_into(&mut self, len: usize, out: &mut BitString) -> Result<(), DecodeError> {
         if self.remaining() < len {
             return Err(DecodeError {
@@ -485,6 +504,7 @@ impl<'a> BitReader<'a> {
 
     /// Succeeds only if every bit has been consumed; verifiers use this to
     /// reject certificates with trailing garbage.
+    #[inline]
     pub fn expect_end(&self) -> Result<(), DecodeError> {
         if self.remaining() == 0 {
             Ok(())

@@ -83,7 +83,7 @@ impl Coins {
         mut f: impl FnMut(usize, &mut BitString, &mut PrimedChaCha8<'_>),
     ) {
         let primer = &mut self.primer;
-        primer.prime(cur.payloads(v).map(&key));
+        primer.prime(cur.payloads(v).map(|(_, m)| key(m)));
         let mut i = 0;
         cur.for_each_payload_mut(v, |copies, m| {
             debug_assert_eq!(

@@ -203,6 +203,7 @@ impl SparseRow {
     }
 
     /// The live recipients and their payloads.
+    #[inline]
     fn live_entries(&self) -> (&[u32], &[Slot]) {
         match &self.entries {
             Some(es) => (&es.to, &es.msgs[..es.to.len()]),
@@ -292,12 +293,14 @@ impl SparseRow {
     }
 
     /// Binary-search a sealed row's entries for recipient `to`.
+    #[inline]
     fn find(&self, to: u32) -> Result<usize, usize> {
         self.live_entries().0.binary_search(&to)
     }
 
     /// The message to `u` (requires a sealed row; `u` must not be the
     /// sender itself — the engine's views guard the diagonal).
+    #[inline]
     pub(crate) fn get(&self, u: usize) -> &BitString {
         match self.find(u as u32) {
             Ok(i) => &self.live_entries().1[i].0,
@@ -385,15 +388,22 @@ impl SparseRow {
         self.seal();
     }
 
-    /// This sealed row's distinct non-empty payloads, in the order
-    /// [`SparseRow::for_each_payload_mut`] visits them.
-    fn payloads(&self, n: usize) -> impl Iterator<Item = &BitString> {
+    /// This sealed row's distinct non-empty payloads as `(copies,
+    /// payload)`, in the order [`SparseRow::for_each_payload_mut`] visits
+    /// them: the shared broadcast payload once, with the `n − 1 − live`
+    /// recipients no override hides it from, then each override once. The
+    /// copies add up to the length of [`SparseRow::messages`], so a
+    /// row-wide tally or model check costs O(1 + overrides) however many
+    /// recipients a broadcast reaches.
+    pub(crate) fn payloads(&self, n: usize) -> impl Iterator<Item = (usize, &BitString)> {
         let (_, msgs) = self.live_entries();
         let covered = n - 1 - msgs.len();
-        let bcast = (covered > 0 && !self.bcast.is_empty()).then_some(&self.bcast);
-        bcast
-            .into_iter()
-            .chain(msgs.iter().map(|m| &m.0).filter(|m| !m.is_empty()))
+        let bcast = (covered > 0 && !self.bcast.is_empty()).then_some((covered, &self.bcast));
+        bcast.into_iter().chain(
+            msgs.iter()
+                .map(|m| (1, &m.0))
+                .filter(|(_, m)| !m.is_empty()),
+        )
     }
 
     /// Visit each distinct non-empty *payload* of this sealed row, with
@@ -509,6 +519,7 @@ pub(crate) enum RowIter<'a> {
 impl<'a> Iterator for RowIter<'a> {
     type Item = (usize, &'a BitString);
 
+    #[inline]
     fn next(&mut self) -> Option<(usize, &'a BitString)> {
         match self {
             RowIter::Entries { to, msgs, i } => {
@@ -630,6 +641,7 @@ pub(crate) struct Column<'a> {
 impl<'a> Iterator for Column<'a> {
     type Item = (usize, &'a BitString);
 
+    #[inline]
     fn next(&mut self) -> Option<(usize, &'a BitString)> {
         let rows = self.rows;
         loop {
@@ -671,6 +683,7 @@ pub(crate) struct BufView<'a> {
 
 impl<'a> BufView<'a> {
     /// The message `v → u` (empty if none; the diagonal is always empty).
+    #[inline]
     pub(crate) fn get(&self, v: usize, u: usize) -> &'a BitString {
         if u == v {
             &EMPTY
@@ -687,6 +700,7 @@ impl<'a> BufView<'a> {
 
     /// The non-empty messages to `u` as `(sender, payload)`, senders
     /// ascending, through the receiver index.
+    #[inline]
     pub(crate) fn column(&self, u: usize) -> Column<'a> {
         let index = self.index;
         Column {
@@ -725,9 +739,9 @@ impl BufViewMut<'_> {
         self.rows[v].for_each_msg_mut(v, n, f);
     }
 
-    /// Sender `v`'s distinct non-empty payloads: the ones
-    /// [`BufViewMut::for_each_payload_mut`] visits, in its order.
-    pub(crate) fn payloads(&self, v: usize) -> impl Iterator<Item = &BitString> {
+    /// Sender `v`'s distinct non-empty payloads as `(copies, payload)`: the
+    /// ones [`BufViewMut::for_each_payload_mut`] visits, in its order.
+    pub(crate) fn payloads(&self, v: usize) -> impl Iterator<Item = (usize, &BitString)> {
         self.rows[v].payloads(self.rows.len())
     }
 
@@ -788,6 +802,7 @@ impl SparseBuf {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn bits(s: &[bool]) -> BitString {
         BitString::from_bits(s.iter().copied())
@@ -968,18 +983,80 @@ mod tests {
         *r.entry(2, n) = bits(&[false, true]);
         *r.entry(3, n) = BitString::new();
         r.seal();
-        let listed: Vec<BitString> = r.payloads(n).cloned().collect();
+        let listed: Vec<(usize, BitString)> = r.payloads(n).map(|(c, m)| (c, m.clone())).collect();
         let mut visited = Vec::new();
-        r.for_each_payload_mut(n, |_, m| visited.push(m.clone()));
+        r.for_each_payload_mut(n, |c, m| visited.push((c, m.clone())));
         assert_eq!(listed, visited);
-        assert_eq!(listed, vec![bits(&[true]), bits(&[false, true])]);
+        // The broadcast reaches 1 and 4; the empty override to 3 is no copy.
+        assert_eq!(listed, vec![(2, bits(&[true])), (1, bits(&[false, true]))]);
         // Every recipient overridden: the broadcast payload reaches no one.
         for to in [1, 4] {
             *r.entry(to, n) = bits(&[true, true, true]);
         }
         r.seal();
-        let listed: Vec<BitString> = r.payloads(n).cloned().collect();
-        assert_eq!(listed.len(), 3, "{listed:?}");
+        let listed: Vec<usize> = r.payloads(n).map(|(c, _)| c).collect();
+        assert_eq!(listed, vec![1, 1, 1]);
+    }
+
+    /// `len` bits drawn from `seed`.
+    fn drawn(len: usize, seed: u64) -> BitString {
+        BitString::from_bits((0..len).map(|i| seed.rotate_right(i as u32) & 1 == 1))
+    }
+
+    proptest! {
+        /// The payloads' copies tally the copy walk: over random sealed
+        /// rows — with and without a broadcast; overrides ascending, out of
+        /// order and repeated; empty overrides and overrides equal to the
+        /// broadcast — the copies add up to the number of
+        /// `messages(n, me)`, and the bits and the largest message match
+        /// the walk's.
+        #[test]
+        fn prop_payload_tally_matches_the_copy_walk(
+            shape in (0usize..4, any::<u64>(), any::<bool>()),
+            bcast in (0usize..=130, any::<u64>()),
+            sends in proptest::collection::vec(
+                (any::<u64>(), 0usize..8, any::<u64>()),
+                0..100,
+            ),
+            ascending in any::<bool>(),
+        ) {
+            let (size, me, broadcasts) = shape;
+            let n = [2, 3, 64, 65][size];
+            let me = (me % n as u64) as usize;
+            let bcast = if broadcasts { drawn(bcast.0 + 1, bcast.1) } else { BitString::new() };
+            // Kind 0 is an empty override, 1 a copy of the broadcast.
+            let mut sends: Vec<(u32, BitString)> = sends
+                .iter()
+                .map(|&(to, kind, seed)| {
+                    let to = (me as u64 + 1 + to % (n as u64 - 1)) % n as u64;
+                    let m = match kind {
+                        0 => BitString::new(),
+                        1 => bcast.clone(),
+                        _ => drawn(1 + (seed % 130) as usize, seed),
+                    };
+                    (to as u32, m)
+                })
+                .collect();
+            if ascending {
+                // Stable: repeats of a recipient keep their order.
+                sends.sort_by_key(|&(to, _)| to);
+            }
+            let mut r = SparseRow::default();
+            if broadcasts {
+                r.set_broadcast(&bcast);
+            }
+            for (to, m) in &sends {
+                r.entry(*to, n).copy_from(m);
+            }
+            r.seal();
+            let walk: Vec<usize> = r.messages(n, me).map(|(_, m)| m.len()).collect();
+            let copies: usize = r.payloads(n).map(|(c, _)| c).sum();
+            let bits: usize = r.payloads(n).map(|(c, m)| c * m.len()).sum();
+            let max = r.payloads(n).map(|(_, m)| m.len()).max();
+            prop_assert_eq!(copies, walk.len());
+            prop_assert_eq!(bits, walk.iter().sum::<usize>());
+            prop_assert_eq!(max, walk.iter().copied().max());
+        }
     }
 
     #[test]

@@ -1038,33 +1038,35 @@ impl StepRules<'_> {
                 }
             }
         }
-        if self.broadcast_only {
-            // All non-empty outgoing messages must be identical, and a node
-            // either addresses everyone or no one.
-            let mut common: Option<&BitString> = None;
-            let mut nonempty = 0;
-            for (_u, m) in row.messages(n, v) {
-                nonempty += 1;
-                match common {
-                    None => common = Some(m),
-                    Some(c) if c == m => {}
-                    _ => {
-                        return Err(SimError::BroadcastViolated {
-                            from: ctx.id,
-                            round,
-                        })
-                    }
-                }
+        // One walk over the row's distinct payloads, each with the number
+        // of recipients it reaches: a broadcast is one payload however many
+        // copies it makes, so the checks and the tally cost O(1 +
+        // overrides).
+        let mut tally = ChunkAcc::default();
+        let mut common: Option<&BitString> = None;
+        let mut identical = true;
+        for (copies, m) in row.payloads(n) {
+            if self.broadcast_only {
+                identical &= *common.get_or_insert(m) == m;
             }
-            if nonempty != 0 && nonempty != n - 1 {
-                return Err(SimError::BroadcastViolated {
-                    from: ctx.id,
-                    round,
-                });
-            }
+            tally.messages += copies as u64;
+            tally.bits += copies as u64 * m.len() as u64;
+            tally.max_message_bits = tally.max_message_bits.max(m.len());
         }
-        for (u, m) in row.messages(n, v) {
-            if m.len() > self.bandwidth {
+        // Broadcast-only: all non-empty outgoing messages must be
+        // identical, and a node addresses everyone or no one. The error
+        // names no recipient, so the payloads decide it alone.
+        if self.broadcast_only
+            && (!identical || (tally.messages != 0 && tally.messages != n as u64 - 1))
+        {
+            return Err(SimError::BroadcastViolated {
+                from: ctx.id,
+                round,
+            });
+        }
+        if tally.max_message_bits > self.bandwidth {
+            // The error names the first oversized copy in recipient order.
+            if let Some((u, m)) = row.messages(n, v).find(|(_, m)| m.len() > self.bandwidth) {
                 return Err(SimError::BandwidthExceeded {
                     from: ctx.id,
                     to: NodeId::from(u),
@@ -1073,10 +1075,8 @@ impl StepRules<'_> {
                     limit: self.bandwidth,
                 });
             }
-            acc.messages += 1;
-            acc.bits += m.len() as u64;
-            acc.max_message_bits = acc.max_message_bits.max(m.len());
         }
+        acc.fold(&tally);
         Ok(())
     }
 }
@@ -3122,6 +3122,103 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    #[test]
+    fn mixed_rows_report_the_errors_of_the_copy_walk() {
+        /// Node 3 of 8 sends one row in round 0: an optional broadcast, then
+        /// its overrides in the order given; every node halts.
+        #[derive(Clone)]
+        struct MixedRow {
+            bcast: Option<BitString>,
+            overrides: Vec<(u32, BitString)>,
+        }
+
+        impl NodeProgram for MixedRow {
+            type Output = ();
+            fn step(
+                &mut self,
+                ctx: &NodeCtx,
+                _: usize,
+                _: &Inbox<'_>,
+                ob: &mut Outbox<'_>,
+            ) -> Status<()> {
+                if ctx.id.0 == 3 {
+                    if let Some(b) = &self.bcast {
+                        ob.broadcast(b);
+                    }
+                    for (to, m) in &self.overrides {
+                        ob.send(NodeId(*to), m.clone());
+                    }
+                }
+                Status::Halt(())
+            }
+        }
+
+        fn run_mixed(
+            engine: Engine,
+            bcast: Option<BitString>,
+            overrides: Vec<(u32, BitString)>,
+        ) -> Result<RunOutcome<()>, SimError> {
+            engine.run(vec![MixedRow { bcast, overrides }; 8])
+        }
+
+        let ones = |len: usize| BitString::from_bits((0..len).map(|_| true));
+        let oversized = |to: u32, bits: usize| SimError::BandwidthExceeded {
+            from: NodeId(3),
+            to: NodeId(to),
+            round: 0,
+            bits,
+            limit: 4,
+        };
+        let clique = || Engine::new(8).with_bandwidth(4);
+        // An oversized override below the first broadcast copy names its
+        // own recipient and size, not the larger broadcast's.
+        let err = run_mixed(clique(), Some(ones(6)), vec![(1, ones(5)), (0, ones(2))]).unwrap_err();
+        assert_eq!(err, oversized(1, 5));
+        // An oversized override above it does not: the broadcast copy to 4
+        // comes first (2 is overridden empty, 3 is the sender).
+        let err = run_mixed(
+            clique(),
+            Some(ones(6)),
+            vec![
+                (0, ones(1)),
+                (1, ones(1)),
+                (2, BitString::new()),
+                (5, ones(9)),
+            ],
+        )
+        .unwrap_err();
+        assert_eq!(err, oversized(4, 6));
+        // A legal broadcast with one oversized override.
+        let err = run_mixed(clique(), Some(ones(3)), vec![(6, ones(7))]).unwrap_err();
+        assert_eq!(err, oversized(6, 7));
+
+        let broadcast_only = || Engine::new(8).broadcast_only(true);
+        let violated = SimError::BroadcastViolated {
+            from: NodeId(3),
+            round: 0,
+        };
+        let b = BitString::from_bits([true, false, true]);
+        let differing = BitString::from_bits([true, true, true]);
+        for bad in [differing, BitString::new()] {
+            let err =
+                run_mixed(broadcast_only(), Some(b.clone()), vec![(5, bad.clone())]).unwrap_err();
+            assert_eq!(err, violated, "override {bad:?}");
+        }
+        // An override equal to the broadcast is one more copy of it.
+        let out = run_mixed(broadcast_only(), Some(b.clone()), vec![(5, b.clone())]).unwrap();
+        assert_eq!(out.stats.messages, 7);
+        assert_eq!(out.stats.bits, 21);
+        assert_eq!(out.stats.max_message_bits, 3);
+        // Broadcast-only and oversized: the first copy names the error.
+        let err = run_mixed(
+            broadcast_only().with_bandwidth(4),
+            Some(ones(6)),
+            vec![(0, ones(6))],
+        )
+        .unwrap_err();
+        assert_eq!(err, oversized(0, 6));
     }
 
     #[test]

@@ -19,6 +19,7 @@ pub struct NodeId(pub u32);
 
 impl NodeId {
     /// Index into per-node arrays.
+    #[inline]
     pub fn index(self) -> usize {
         self.0 as usize
     }
@@ -30,6 +31,7 @@ impl NodeId {
 }
 
 impl From<usize> for NodeId {
+    #[inline]
     fn from(i: usize) -> Self {
         match u32::try_from(i) {
             Ok(v) => NodeId(v),
@@ -51,6 +53,7 @@ pub struct NodeCtx {
 
 impl NodeCtx {
     /// Bits needed to name a node, `ceil(log2 n)` (at least 1).
+    #[inline]
     pub fn id_width(&self) -> usize {
         BitString::width_for(self.n)
     }
@@ -158,6 +161,7 @@ impl<'a> Inbox<'a> {
 
     /// The message from node `from` (empty if none). A node never receives
     /// from itself; that slot is always empty.
+    #[inline]
     pub fn from(&self, from: NodeId) -> &'a BitString {
         match self.inner {
             InboxInner::Slots(slots) => &slots[from.index()],
@@ -168,6 +172,7 @@ impl<'a> Inbox<'a> {
     /// Iterate over `(sender, message)` for all non-empty messages,
     /// senders ascending. Inside the engine the walk visits only the
     /// entries addressed to this node and the senders that broadcast.
+    #[inline]
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, &'a BitString)> + '_ {
         let senders = match self.inner {
             InboxInner::Slots(slots) => Senders::Slots(slots.iter().enumerate(), self.me),
@@ -177,6 +182,7 @@ impl<'a> Inbox<'a> {
     }
 
     /// Number of nodes in the clique.
+    #[inline]
     pub fn n(&self) -> usize {
         match self.inner {
             InboxInner::Slots(slots) => slots.len(),
@@ -197,6 +203,7 @@ enum Senders<'a> {
 impl<'a> Iterator for Senders<'a> {
     type Item = (usize, &'a BitString);
 
+    #[inline]
     fn next(&mut self) -> Option<(usize, &'a BitString)> {
         match self {
             Senders::Slots(slots, me) => slots.find(|(u, m)| u != me && !m.is_empty()),
@@ -253,6 +260,7 @@ impl<'a> Outbox<'a> {
     /// Queue `msg` for delivery to `to` next round. Replaces any message
     /// already queued for `to` this round. Sending to oneself or to a node
     /// outside the clique is a programming error.
+    #[inline]
     pub fn send(&mut self, to: NodeId, msg: BitString) {
         self.send_with(to, |slot| *slot = msg);
     }
@@ -265,6 +273,7 @@ impl<'a> Outbox<'a> {
     /// state. Replaces any message already queued for `to` this round; a
     /// slot `write` leaves empty sends nothing. The same rules as
     /// [`Outbox::send`] apply.
+    #[inline]
     pub fn send_with<R>(&mut self, to: NodeId, write: impl FnOnce(&mut BitString) -> R) -> R {
         assert_ne!(
             to.index(),
@@ -288,6 +297,7 @@ impl<'a> Outbox<'a> {
 
     /// Send the same message to every other node (the broadcast primitive;
     /// costs the same as n-1 unicasts in this model).
+    #[inline]
     pub fn broadcast(&mut self, msg: &BitString) {
         match &mut self.inner {
             OutboxInner::Slots(slots) => {
@@ -302,6 +312,7 @@ impl<'a> Outbox<'a> {
     }
 
     /// The number of destination slots (= n).
+    #[inline]
     pub fn n(&self) -> usize {
         self.n
     }

@@ -14,7 +14,7 @@
 //!   skipped with a deterministic witness, unrelated jobs complete, the
 //!   pool survives for the next batch — and the whole story is *still*
 //!   byte-identical to the serial oracle;
-//! * under `SERVICE_STRESS=1` (no `#[ignore]` — the gate is the env
+//! * under `SERVICE_STRESS=1` (never an ignored test — the gate is the env
 //!   var, so CI can flip it per leg): a 520-job, 8-tenant soak checks
 //!   the per-tenant starvation bound and that per-worker arena
 //!   footprints are a function of job *shapes*, never job *count*.
@@ -202,7 +202,7 @@ fn width_any_panicking_job_is_contained_and_oracle_identical() {
 }
 
 /// Stress/soak: enabled by `SERVICE_STRESS=1` (a cheap no-op otherwise,
-/// deliberately not `#[ignore]` so the gate is visible in every run).
+/// deliberately not an ignored test, so the gate is visible in every run).
 fn stress_enabled() -> bool {
     std::env::var("SERVICE_STRESS")
         .map(|v| v == "1")
