@@ -12,24 +12,29 @@
 //! ~182–190 ms). The broadcast sweep below extends the envelope from
 //! n = 64 to n = 1024, the idle probe times a round with nothing on the
 //! wire (n = 216 for 2192 rounds, APSP's shape at that size, with and
-//! without one inbox walk per step), and both write machine-readable
-//! results to `BENCH_engine.json` (see `Cargo.toml`'s bench notes). The
-//! file's `history` rows and its `service_throughput` section are kept.
+//! without one inbox walk per step), the floor probe times a round full of
+//! one-word unicasts (n = 216 for 548 rounds, APSP's message count at
+//! that size: unread, read once, or appended per source as the router
+//! does), and all three write machine-readable results to
+//! `BENCH_engine.json` (see `Cargo.toml`'s bench notes). The file's
+//! `history` rows and its `service_throughput` section are kept.
 //!
 //! Environment knobs (all optional):
-//! - `BENCH_ENGINE_JSON`: output path for the JSON report
-//!   (default `BENCH_engine.json` in the working directory).
+//! - `BENCH_ENGINE_JSON`: output path for the JSON report (default
+//!   `BENCH_engine.json`; a relative path is taken from the workspace
+//!   root).
 //! - `BENCH_SMOKE=1`: reduced sizes/repetitions for CI smoke runs.
 //! - `BENCH_ENFORCE_BROADCAST=1`: exit non-zero if broadcast gossip is
 //!   slower than the same gossip sent as `n - 1` unicasts at any size: a
 //!   broadcast is stored once per sender and never expanded, so it must
 //!   never cost more than the copies it stands for.
 
-use cc_bench::SEED;
+use cc_bench::{engine_json_path, SEED};
 use cliquesim::{
     BitString, Engine, Inbox, NodeCtx, NodeId, NodeProgram, Outbox, RunStats, Session, Status,
 };
 use criterion::{criterion_group, Criterion};
+use std::path::Path;
 use std::time::Instant;
 
 /// Run seeded APSP (n = 64 takes 1044 rounds) and return the session
@@ -191,6 +196,128 @@ fn idle_probe(n: usize, rounds: usize, reps: usize) -> Vec<IdleRow> {
         .collect()
 }
 
+/// What a floor-probe node does with each message it hears.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum Receive {
+    /// Nothing reads the messages.
+    Ignore,
+    /// One inbox walk reads each message's value.
+    Walk,
+    /// The walk appends each message to a per-source string, reserved at
+    /// its final length, as the router collects its streams.
+    Append,
+}
+
+/// Sends one 8-bit message to every other node each round for `rounds`
+/// rounds (`send_with` + `push_uint`) and receives as `receive` says:
+/// APSP's per-message work at its message count, without its local work.
+/// Outputs the sum of the values read, or the bits appended.
+struct Floor {
+    rounds: usize,
+    receive: Receive,
+    sum: u64,
+    collected: Vec<BitString>,
+}
+
+impl NodeProgram for Floor {
+    type Output = u64;
+    fn step(
+        &mut self,
+        ctx: &NodeCtx,
+        round: usize,
+        inbox: &Inbox<'_>,
+        outbox: &mut Outbox<'_>,
+    ) -> Status<u64> {
+        match self.receive {
+            Receive::Ignore => {}
+            Receive::Walk => {
+                for (_, m) in inbox.iter() {
+                    self.sum += m.as_uint();
+                }
+            }
+            Receive::Append => {
+                for (u, m) in inbox.iter() {
+                    self.collected[u.index()].push_uint(m.as_uint(), m.len());
+                }
+            }
+        }
+        if round >= self.rounds {
+            let appended: usize = self.collected.iter().map(BitString::len).sum();
+            return Status::Halt(self.sum + appended as u64);
+        }
+        let value = (ctx.id.0 as u64 + round as u64) & 0xff;
+        for u in (0..ctx.n).filter(|&u| u != ctx.id.index()) {
+            outbox.send_with(NodeId::from(u), |slot| slot.push_uint(value, 8));
+        }
+        Status::Continue
+    }
+}
+
+/// One timed floor run on the default (inline) engine: wall seconds,
+/// stats and outputs. The per-source strings are reserved before the
+/// clock starts.
+fn floor_run(n: usize, rounds: usize, receive: Receive) -> (f64, RunStats, Vec<u64>) {
+    let programs: Vec<Floor> = (0..n)
+        .map(|_| Floor {
+            rounds,
+            receive,
+            sum: 0,
+            collected: match receive {
+                Receive::Append => (0..n)
+                    .map(|_| BitString::with_capacity(8 * rounds))
+                    .collect(),
+                _ => Vec::new(),
+            },
+        })
+        .collect();
+    let start = Instant::now();
+    let out = Engine::new(n).run(programs).unwrap();
+    (start.elapsed().as_secs_f64(), out.stats, out.outputs)
+}
+
+struct FloorRow {
+    n: usize,
+    rounds: usize,
+    receive: Receive,
+    median_ms: f64,
+}
+
+/// The floor probe over the three ways to receive. Asserts identical
+/// stats across them, and outputs that count every message, before
+/// timing: the receiver's work must not change the run.
+fn floor_probe(n: usize, rounds: usize, reps: usize) -> Vec<FloorRow> {
+    let receives = [Receive::Ignore, Receive::Walk, Receive::Append];
+    let runs = receives.map(|receive| floor_run(n, rounds, receive));
+    for (receive, run) in receives.iter().zip(&runs) {
+        assert_eq!(
+            run.1, runs[0].1,
+            "floor {receive:?}: receiving changed the stats"
+        );
+    }
+    let heard = (8 * rounds * (n - 1)) as u64;
+    assert!(
+        runs[2].2.iter().all(|&bits| bits == heard),
+        "a per-source append lost bits"
+    );
+    receives
+        .into_iter()
+        .map(|receive| {
+            let median_ms = median_secs(reps, || floor_run(n, rounds, receive).0) * 1e3;
+            println!(
+                "floor n={n} rounds={rounds} receive={receive:?}: {median_ms:8.2} ms \
+                 ({:.1} ns/message)",
+                median_ms * 1e6 / (rounds * n * (n - 1)) as f64,
+            );
+            FloorRow {
+                n,
+                rounds,
+                receive,
+                median_ms,
+            }
+        })
+        .collect()
+}
+
 /// Median wall seconds of `reps` repetitions of `f` (first call doubles
 /// as warm-up and is kept — the arena makes later phases the steady state
 /// we care about anyway).
@@ -249,11 +376,11 @@ fn broadcast_sweep(sizes: &[usize], rounds: usize, phases: usize, reps: usize) -
 
 /// Hand-rolled JSON (the vendored criterion stand-in has no machine
 /// output; this file is the recorded trajectory CI and EXPERIMENTS.md
-/// consume). Rewrites the `broadcast_sweep` and `idle` sections and keeps
-/// what the target file already holds: its `history` rows, recorded by
-/// hand from before/after runs, and the `service_throughput` section that
-/// bench splices in last.
-fn write_json(path: &str, smoke: bool, rows: &[SweepRow], idle: &[IdleRow]) {
+/// consume). Rewrites the `broadcast_sweep`, `idle` and `floor` sections
+/// and keeps what the target file already holds: its `history` rows,
+/// recorded by hand from before/after runs, and the `service_throughput`
+/// section that bench splices in last.
+fn write_json(path: &Path, smoke: bool, rows: &[SweepRow], idle: &[IdleRow], floor: &[FloorRow]) {
     let existing = std::fs::read_to_string(path).unwrap_or_default();
     // The file is written in this fixed layout: rows are indented four
     // spaces, so the first line-leading `  ]` closes the history.
@@ -294,11 +421,23 @@ fn write_json(path: &str, smoke: bool, rows: &[SweepRow], idle: &[IdleRow]) {
             if i + 1 < idle.len() { "," } else { "" },
         ));
     }
+    out.push_str("  ],\n");
+    out.push_str("  \"floor\": [\n");
+    for (i, r) in floor.iter().enumerate() {
+        out.push_str(&format!(
+            "    {{\"n\": {}, \"rounds\": {}, \"receive\": \"{:?}\", \"median_ms\": {:.3}}}{}\n",
+            r.n,
+            r.rounds,
+            r.receive,
+            r.median_ms,
+            if i + 1 < floor.len() { "," } else { "" },
+        ));
+    }
     out.push_str("  ]");
     out.push_str(service.unwrap_or(""));
     out.push_str("\n}\n");
-    std::fs::write(path, out).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("wrote {path}");
+    std::fs::write(path, out).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+    println!("wrote {}", path.display());
 }
 
 fn bench(c: &mut Criterion) {
@@ -351,9 +490,11 @@ fn bench(c: &mut Criterion) {
     // BENCH_SMOKE).
     let idle = idle_probe(216, if smoke { 200 } else { 2192 }, reps);
 
-    let path =
-        std::env::var("BENCH_ENGINE_JSON").unwrap_or_else(|_| "BENCH_engine.json".to_string());
-    write_json(&path, smoke, &rows, &idle);
+    // The floor probe at APSP's n = 216 message count (fewer rounds under
+    // BENCH_SMOKE; 8-bit messages need n > 128 at the model's bandwidth).
+    let floor = floor_probe(216, if smoke { 20 } else { 548 }, reps);
+
+    write_json(&engine_json_path(), smoke, &rows, &idle, &floor);
 
     if std::env::var("BENCH_ENFORCE_BROADCAST").is_ok_and(|v| v == "1") {
         for r in &rows {

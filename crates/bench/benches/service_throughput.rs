@@ -10,17 +10,20 @@
 //!
 //! Environment knobs (all optional):
 //! - `BENCH_ENGINE_JSON`: path of the shared JSON report (default
-//!   `BENCH_engine.json`); this bench splices a `service_throughput`
-//!   section into it, preserving the `engine_parallel` sections.
+//!   `BENCH_engine.json`; a relative path is taken from the workspace
+//!   root); this bench splices a `service_throughput` section into it,
+//!   preserving the `engine_parallel` sections.
 //! - `BENCH_SMOKE=1`: fewer repetitions and smaller jobs for CI.
 //! - `BENCH_ENFORCE_SERVICE=1`: exit non-zero unless width 8 beats
 //!   width 1 by ≥ 3× — enforced only on hosts with ≥ 4 cores, where the
 //!   scaling is physically possible; single-core hosts record honest
 //!   numbers and skip the gate (CI's 4-vCPU runners carry it).
 
+use std::path::Path;
 use std::sync::Arc;
 use std::time::Instant;
 
+use cc_bench::engine_json_path;
 use cc_service::{Batch, EngineSpec, JobSpec, Service, TenantId};
 use cliquesim::{BitString, Inbox, NodeCtx, NodeProgram, Outbox, Session, Status};
 use criterion::{criterion_group, Criterion};
@@ -96,7 +99,7 @@ struct Row {
 /// Splice the `service_throughput` section into the shared JSON report.
 /// The section is always the last key before the closing brace, so the
 /// merge is: drop any previous section, strip the final `}`, append.
-fn splice_json(path: &str, smoke: bool, jobs: usize, host: usize, serial_ms: f64, rows: &[Row]) {
+fn splice_json(path: &Path, smoke: bool, jobs: usize, host: usize, serial_ms: f64, rows: &[Row]) {
     let existing = std::fs::read_to_string(path)
         .unwrap_or_else(|_| "{\n  \"bench\": \"engine_parallel\"\n}\n".to_string());
     let head = match existing.find(",\n  \"service_throughput\"") {
@@ -123,8 +126,8 @@ fn splice_json(path: &str, smoke: bool, jobs: usize, host: usize, serial_ms: f64
         ));
     }
     out.push_str("    ]\n  }\n}\n");
-    std::fs::write(path, out).unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
-    println!("wrote {path} (service_throughput section)");
+    std::fs::write(path, out).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+    println!("wrote {} (service_throughput section)", path.display());
 }
 
 fn bench(_c: &mut Criterion) {
@@ -185,9 +188,7 @@ fn bench(_c: &mut Criterion) {
         });
     }
 
-    let path =
-        std::env::var("BENCH_ENGINE_JSON").unwrap_or_else(|_| "BENCH_engine.json".to_string());
-    splice_json(&path, smoke, jobs, host, serial_ms, &rows);
+    splice_json(&engine_json_path(), smoke, jobs, host, serial_ms, &rows);
 
     if std::env::var("BENCH_ENFORCE_SERVICE").is_ok_and(|v| v == "1") {
         let speedup = rows[0].median_ms / rows[2].median_ms;

@@ -6,6 +6,8 @@
 //! which are deterministic), then registers Criterion timing groups for
 //! the wall-clock view.
 
+use std::path::{Path, PathBuf};
+
 use cc_core::fit_exponent;
 
 /// Print a titled, aligned table to stdout (captured in bench logs).
@@ -51,9 +53,31 @@ pub fn exponent_summary(samples: &[(usize, usize)], paper_bound: &str) -> String
 /// Standard seeds so the bench workloads are replayable.
 pub const SEED: u64 = 20180705;
 
+/// The shared JSON report the engine benches write: `BENCH_ENGINE_JSON`,
+/// default `BENCH_engine.json`. A relative path is taken from the
+/// workspace root, not the working directory: cargo runs bench binaries
+/// from the package directory, `crates/bench`, wherever it was invoked.
+pub fn engine_json_path() -> PathBuf {
+    let path = std::env::var("BENCH_ENGINE_JSON").unwrap_or_else(|_| "BENCH_engine.json".into());
+    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+        .ancestors()
+        .nth(2)
+        .expect("crates/bench sits two levels below the workspace root");
+    // Joining an absolute path replaces the root.
+    root.join(path)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn engine_json_path_is_taken_from_the_workspace_root() {
+        let path = engine_json_path();
+        assert!(path.is_absolute());
+        let root = path.parent().expect("a file in a directory");
+        assert!(root.join("Cargo.toml").is_file() && root.join("crates/bench").is_dir());
+    }
 
     #[test]
     fn exponent_summary_formats() {

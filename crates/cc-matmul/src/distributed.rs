@@ -24,7 +24,7 @@ use cliquesim::{BitString, NodeId, Session};
 
 use cc_routing::{RouteError, RoutePlan};
 
-use crate::semiring::{Matrix, Semiring};
+use crate::semiring::Semiring;
 
 /// Errors from the distributed multipliers.
 #[derive(Debug)]
@@ -215,9 +215,10 @@ pub fn mm_three_d<S: Semiring>(
     }
     let delivered = RoutePlan::balanced().run(session, demands)?;
 
-    // Each worker assembles its two blocks.
-    // a_block[r - band_start][c_idx], rows ordered by sender id.
-    let mut products: Vec<Option<Matrix<S::Elem>>> = vec![None; n];
+    // Each worker assembles its two blocks, flat: A row-major (rows by
+    // sender id), B transposed, so each product entry walks two contiguous
+    // slices. Its product block is row-major too.
+    let mut products: Vec<Option<Vec<S::Elem>>> = vec![None; n];
     let mut row_ranges: Vec<(usize, usize, usize)> = Vec::new(); // (worker, i, j)
     for w in 0..n {
         let Some((i, j, k)) = bl.triple(w) else {
@@ -236,21 +237,21 @@ pub fn mm_three_d<S: Semiring>(
 
         // A block: one payload from each u ∈ band i (A sent before B, so
         // it is the first payload when both were sent).
-        let mut a_block: Vec<Vec<S::Elem>> = Vec::with_capacity(rows_i.len());
+        let mut a_block: Vec<S::Elem> = Vec::with_capacity(rows_i.len() * cols_k);
         for &u in &rows_i {
-            let row = if u == w {
-                bl.members(k).map(|c| a_rows[u][c]).collect()
+            if u == w {
+                a_block.extend(bl.members(k).map(|c| a_rows[u][c]));
             } else {
                 let payload = from[u]
                     .first()
                     .ok_or_else(|| MatmulError::Shape(format!("worker {w} missing A row {u}")))?;
-                decode_entries(sr, payload, cols_k)?
-            };
-            a_block.push(row);
+                a_block.extend(decode_entries(sr, payload, cols_k)?);
+            }
         }
-        // B block: one payload from each u ∈ band k (the last payload).
-        let mut b_block: Vec<Vec<S::Elem>> = Vec::with_capacity(rows_k.len());
-        for &u in &rows_k {
+        // B block: one payload from each u ∈ band k (the last payload),
+        // stored as column `l` of the transposed block.
+        let mut b_cols: Vec<S::Elem> = vec![sr.zero(); cols_j * cols_k];
+        for (l, &u) in rows_k.iter().enumerate() {
             let row = if u == w {
                 bl.members(j).map(|c| b_rows[u][c]).collect()
             } else {
@@ -259,18 +260,18 @@ pub fn mm_three_d<S: Semiring>(
                     .ok_or_else(|| MatmulError::Shape(format!("worker {w} missing B row {u}")))?;
                 decode_entries(sr, payload, cols_j)?
             };
-            b_block.push(row);
+            for (cj, e) in row.into_iter().enumerate() {
+                b_cols[cj * cols_k + l] = e;
+            }
         }
 
-        // Local block product P = A_ik · B_kj.
-        let mut p = Matrix::filled(rows_i.len().max(cols_j), sr.zero());
-        for (ri, _) in rows_i.iter().enumerate() {
-            for cj in 0..cols_j {
-                let mut acc = sr.zero();
-                for l in 0..cols_k {
-                    acc = sr.add(acc, sr.mul(a_block[ri][l], b_block[l][cj]));
-                }
-                p.set(ri, cj, acc);
+        // Local block product P = A_ik · B_kj, each entry folding its terms
+        // in ascending `l`, the order `mm_local` uses.
+        let mut p = Vec::with_capacity(rows_i.len() * cols_j);
+        for a_row in a_block.chunks_exact(cols_k) {
+            for b_col in b_cols.chunks_exact(cols_k) {
+                let terms = a_row.iter().zip(b_col);
+                p.push(terms.fold(sr.zero(), |acc, (&x, &y)| sr.add(acc, sr.mul(x, y))));
             }
         }
         products[w] = Some(p);
@@ -283,8 +284,8 @@ pub fn mm_three_d<S: Semiring>(
     for &(w, i, j) in &row_ranges {
         let p = products[w].as_ref().expect("worker has product");
         let cols_j = bl.members(j).len();
-        for (ri, r) in bl.members(i).enumerate() {
-            let payload = encode_entries(sr, (0..cols_j).map(|c| p.get(ri, c)));
+        for (row, r) in p.chunks_exact(cols_j).zip(bl.members(i)) {
+            let payload = encode_entries(sr, row.iter().copied());
             if r == w {
                 local_partials[r].push((w, payload));
             } else {
@@ -366,7 +367,9 @@ pub fn mm_naive_broadcast<S: Semiring>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::semiring::{mm_local, BoolSemiring, RingI64, TropicalSemiring, TROPICAL_INF};
+    use crate::semiring::{
+        mm_local, BoolSemiring, Matrix, RingI64, TropicalSemiring, TROPICAL_INF,
+    };
     use cliquesim::Engine;
     use proptest::prelude::*;
     use rand::{Rng, SeedableRng};

@@ -41,14 +41,17 @@ pub struct BoolSemiring;
 impl Semiring for BoolSemiring {
     type Elem = bool;
 
+    #[inline]
     fn zero(&self) -> bool {
         false
     }
 
+    #[inline]
     fn add(&self, a: bool, b: bool) -> bool {
         a || b
     }
 
+    #[inline]
     fn mul(&self, a: bool, b: bool) -> bool {
         a && b
     }
@@ -57,10 +60,12 @@ impl Semiring for BoolSemiring {
         1
     }
 
+    #[inline]
     fn encode(&self, e: bool, out: &mut BitString) {
         out.push(e);
     }
 
+    #[inline]
     fn decode(&self, r: &mut BitReader<'_>) -> Result<bool, DecodeError> {
         r.read_bit()
     }
@@ -102,26 +107,29 @@ impl TropicalSemiring {
 impl Semiring for TropicalSemiring {
     type Elem = u64;
 
+    #[inline]
     fn zero(&self) -> u64 {
         TROPICAL_INF
     }
 
+    #[inline]
     fn add(&self, a: u64, b: u64) -> u64 {
         a.min(b)
     }
 
+    #[inline]
     fn mul(&self, a: u64, b: u64) -> u64 {
-        if a >= TROPICAL_INF || b >= TROPICAL_INF {
-            TROPICAL_INF
-        } else {
-            (a + b).min(TROPICAL_INF)
-        }
+        // Branch-free: each operand is capped at INF < 2⁶² before the add,
+        // so the sum cannot overflow, and a capped operand alone makes it
+        // at least INF.
+        (a.min(TROPICAL_INF) + b.min(TROPICAL_INF)).min(TROPICAL_INF)
     }
 
     fn entry_bits(&self) -> usize {
         self.width
     }
 
+    #[inline]
     fn encode(&self, e: u64, out: &mut BitString) {
         let v = if e >= TROPICAL_INF {
             self.sentinel()
@@ -136,6 +144,7 @@ impl Semiring for TropicalSemiring {
         out.push_uint(v, self.width);
     }
 
+    #[inline]
     fn decode(&self, r: &mut BitReader<'_>) -> Result<u64, DecodeError> {
         let v = r.read_uint(self.width)?;
         Ok(if v == self.sentinel() {
@@ -178,14 +187,17 @@ impl RingI64 {
 impl Semiring for RingI64 {
     type Elem = i64;
 
+    #[inline]
     fn zero(&self) -> i64 {
         0
     }
 
+    #[inline]
     fn add(&self, a: i64, b: i64) -> i64 {
         self.wrap(a.wrapping_add(b))
     }
 
+    #[inline]
     fn mul(&self, a: i64, b: i64) -> i64 {
         self.wrap(a.wrapping_mul(b))
     }
@@ -194,6 +206,7 @@ impl Semiring for RingI64 {
         self.width
     }
 
+    #[inline]
     fn encode(&self, e: i64, out: &mut BitString) {
         let mask = if self.width == 64 {
             u64::MAX
@@ -203,6 +216,7 @@ impl Semiring for RingI64 {
         out.push_uint((e as u64) & mask, self.width);
     }
 
+    #[inline]
     fn decode(&self, r: &mut BitReader<'_>) -> Result<i64, DecodeError> {
         let raw = r.read_uint(self.width)?;
         // Sign-extend.
@@ -326,6 +340,26 @@ mod tests {
         assert_eq!(s.mul(3, TROPICAL_INF), TROPICAL_INF);
         assert_eq!(s.mul(3, 4), 7);
         assert_eq!(s.zero(), TROPICAL_INF);
+    }
+
+    #[test]
+    fn tropical_mul_equals_the_branching_definition() {
+        // The definition `mul` had before it went branch-free.
+        fn branching(a: u64, b: u64) -> u64 {
+            if a >= TROPICAL_INF || b >= TROPICAL_INF {
+                TROPICAL_INF
+            } else {
+                (a + b).min(TROPICAL_INF)
+            }
+        }
+        let s = TropicalSemiring::with_width(8);
+        let inf = TROPICAL_INF;
+        let grid = [0, 1, inf - 2, inf - 1, inf, inf + 1, u64::MAX];
+        for a in grid {
+            for b in grid {
+                assert_eq!(s.mul(a, b), branching(a, b), "mul({a}, {b})");
+            }
+        }
     }
 
     #[test]

@@ -459,10 +459,13 @@ impl RoutePlan {
             .max()
             .unwrap_or(0);
         if self.repeats == 1 {
+            let in_lens: Vec<Vec<usize>> = (0..n)
+                .map(|w| links.iter().map(|row| row[w].len()).collect())
+                .collect();
             let programs = links
                 .into_iter()
                 .enumerate()
-                .map(|(v, row)| RouterNode::new(v, row, chunks))
+                .map(|(v, row)| RouterNode::new(v, row, &in_lens[v], chunks))
                 .collect();
             self.pass(session, programs, chunks, stats, report)
         } else {

@@ -90,7 +90,7 @@ pub(crate) struct RouterNode {
     /// Destinations whose stream still has bits to ship, ascending: a step
     /// visits only these.
     live: Vec<usize>,
-    /// Accumulated raw bits per source.
+    /// Accumulated raw bits per source, reserved at their final lengths.
     collected: Vec<BitString>,
     /// Schedule length: number of communication rounds (globally known —
     /// in the algorithms of the paper it is a function of `n` and `k`).
@@ -98,11 +98,20 @@ pub(crate) struct RouterNode {
 }
 
 impl RouterNode {
-    /// Node `v`'s program shipping `out_streams` in `schedule` rounds.
-    pub(crate) fn new(v: usize, out_streams: Vec<BitString>, schedule: usize) -> Self {
+    /// Node `v`'s program shipping `out_streams` in `schedule` rounds and
+    /// collecting `in_lens[u]` bits from each source `u`.
+    pub(crate) fn new(
+        v: usize,
+        out_streams: Vec<BitString>,
+        in_lens: &[usize],
+        schedule: usize,
+    ) -> Self {
         let n = out_streams.len();
         Self {
-            collected: vec![BitString::new(); n],
+            collected: in_lens
+                .iter()
+                .map(|&len| BitString::with_capacity(len))
+                .collect(),
             live: (0..n)
                 .filter(|&w| w != v && !out_streams[w].is_empty())
                 .collect(),
@@ -122,10 +131,16 @@ impl NodeProgram for RouterNode {
         inbox: &Inbox<'_>,
         outbox: &mut Outbox<'_>,
     ) -> Status<Vec<BitString>> {
-        // Collect chunks that arrived this round.
+        // Collect chunks that arrived this round; a chunk of at most 64
+        // bits moves as one word.
         if round > 0 {
             for (src, msg) in inbox.iter() {
-                self.collected[src.index()].extend_from(msg);
+                let stream = &mut self.collected[src.index()];
+                if msg.len() <= 64 {
+                    stream.push_uint(msg.as_uint(), msg.len());
+                } else {
+                    stream.extend_from(msg);
+                }
             }
         }
         if round == self.schedule {
@@ -142,9 +157,14 @@ impl NodeProgram for RouterNode {
             let mut r = stream.reader();
             r.skip(start)
                 .expect("live streams extend past the round's start");
-            outbox
-                .send_with(NodeId::from(dst), |slot| r.read_into(take, slot))
-                .expect("chunk in range");
+            if take <= 64 {
+                let chunk = r.read_uint(take).expect("chunk in range");
+                outbox.send_with(NodeId::from(dst), |slot| slot.push_uint(chunk, take));
+            } else {
+                outbox
+                    .send_with(NodeId::from(dst), |slot| r.read_into(take, slot))
+                    .expect("chunk in range");
+            }
             start + take < stream.len()
         });
         Status::Continue

@@ -5,19 +5,39 @@
 //! buffers would make it too easy to silently leak a factor of 8, so every
 //! message in the simulator is a [`BitString`] and the engine enforces the
 //! bound at bit granularity.
+//!
+//! Most messages are one `O(log n)`-bit field, so a string of at most 64
+//! bits keeps its one word inline, with no heap allocation: cloning it, or
+//! filling a fresh delivery slot with it, allocates nothing, and reading it
+//! follows no pointer. A string that grows past 64 bits moves to the heap
+//! and stays there, so a reused slot keeps its allocation when cleared.
+//! [`BitReader::read_uint`], [`BitString::as_uint`] and [`BitString::get`]
+//! test the inline case first: one-word payloads are what almost every
+//! per-message loop reads (a broadcast gossip reads nothing else), so the
+//! common case takes the first branch and loads nothing through a pointer.
 
 use std::fmt;
+use std::hash::{Hash, Hasher};
 
 /// A growable, bit-addressed string of bits.
 ///
 /// Bits are stored little-endian within `u64` words: bit `i` lives in word
-/// `i / 64` at position `i % 64`. All append operations keep the unused tail
-/// of the last word zeroed, so equality and hashing of the word vector agree
-/// with logical equality of the bit sequences.
-#[derive(Clone, Default, PartialEq, Eq, Hash)]
+/// `i / 64` at position `i % 64`. A string of at most 64 bits may hold its
+/// word inline (see the module docs). All operations keep the unused tail
+/// of the last word zeroed, so equality and hashing of the words agree
+/// with logical equality of the bit sequences, inline or not.
 pub struct BitString {
     len: usize,
-    words: Vec<u64>,
+    store: Store,
+}
+
+/// Where a string's words live.
+enum Store {
+    /// At most 64 bits, in one word.
+    Inline(u64),
+    /// Exactly `⌈len/64⌉` words, for any length: a string keeps its heap
+    /// words when it shrinks back to 64 bits or fewer.
+    Heap(Vec<u64>),
 }
 
 /// The empty bit string with a `'static` lifetime, so engine internals can
@@ -25,7 +45,7 @@ pub struct BitString {
 /// storage (the delivery buffer's misses and self-slots).
 pub(crate) static EMPTY: BitString = BitString {
     len: 0,
-    words: Vec::new(),
+    store: Store::Inline(0),
 };
 
 impl BitString {
@@ -33,15 +53,18 @@ impl BitString {
     /// same as sending no message at all.
     #[inline]
     pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// An empty bit string with room for `bits` bits pre-allocated.
-    pub fn with_capacity(bits: usize) -> Self {
         Self {
             len: 0,
-            words: Vec::with_capacity(bits.div_ceil(64)),
+            store: Store::Inline(0),
         }
+    }
+
+    /// An empty bit string with room for `bits` bits pre-allocated (none
+    /// for 64 bits or fewer, which fit inline).
+    pub fn with_capacity(bits: usize) -> Self {
+        let mut s = Self::new();
+        s.reserve(bits);
+        s
     }
 
     /// Build from an iterator of booleans, preserving order.
@@ -53,7 +76,7 @@ impl BitString {
         s
     }
 
-    /// Reset to the empty string, retaining the allocated word capacity.
+    /// Reset to the empty string, retaining any heap allocation.
     ///
     /// The engine's double-buffered delivery clears and refills the same
     /// message slots every round; keeping capacity means a slot refilled in
@@ -62,15 +85,20 @@ impl BitString {
     #[inline]
     pub fn clear(&mut self) {
         self.len = 0;
-        self.words.clear();
+        match &mut self.store {
+            Store::Inline(w) => *w = 0,
+            Store::Heap(words) => words.clear(),
+        }
     }
 
     /// A bit string of `len` zero bits.
     pub fn zeros(len: usize) -> Self {
-        Self {
-            len,
-            words: vec![0; len.div_ceil(64)],
-        }
+        let store = if len <= 64 {
+            Store::Inline(0)
+        } else {
+            Store::Heap(vec![0; len.div_ceil(64)])
+        };
+        Self { len, store }
     }
 
     /// Number of bits.
@@ -85,6 +113,71 @@ impl BitString {
         self.len == 0
     }
 
+    /// The `⌈len/64⌉` words holding the bits.
+    #[inline]
+    fn words(&self) -> &[u64] {
+        match &self.store {
+            Store::Inline(w) => &std::slice::from_ref(w)[..self.len.div_ceil(64)],
+            Store::Heap(words) => words,
+        }
+    }
+
+    /// [`BitString::words`], mutably.
+    fn words_mut(&mut self) -> &mut [u64] {
+        let used = self.len.div_ceil(64);
+        match &mut self.store {
+            Store::Inline(w) => &mut std::slice::from_mut(w)[..used],
+            Store::Heap(words) => words,
+        }
+    }
+
+    /// The first word (zero for the empty string).
+    #[inline]
+    fn first_word(&self) -> u64 {
+        match &self.store {
+            Store::Inline(w) => *w,
+            Store::Heap(words) => words.first().copied().unwrap_or(0),
+        }
+    }
+
+    /// The heap words. An inline string moves to the heap first, into
+    /// exactly the words it needs after `extra` more bits.
+    fn spill(&mut self, extra: usize) -> &mut Vec<u64> {
+        if let Store::Inline(w) = self.store {
+            let mut words = Vec::with_capacity((self.len + extra).div_ceil(64));
+            words.extend((self.len > 0).then_some(w));
+            self.store = Store::Heap(words);
+        }
+        match &mut self.store {
+            Store::Heap(words) => words,
+            Store::Inline(_) => unreachable!("moved to the heap above"),
+        }
+    }
+
+    /// Make room for `extra` more bits; a string that stays within 64
+    /// bits needs none.
+    fn reserve(&mut self, extra: usize) {
+        let needed = (self.len + extra).div_ceil(64);
+        if needed > 1 {
+            let words = self.spill(extra);
+            words.reserve(needed - words.len());
+        }
+    }
+
+    /// Zero the bits at and above `len` in the last word.
+    fn mask_tail(&mut self) {
+        let tail = self.len % 64;
+        match &mut self.store {
+            Store::Inline(w) if self.len < 64 => *w &= (1u64 << self.len) - 1,
+            Store::Heap(words) if tail != 0 => {
+                if let Some(last) = words.last_mut() {
+                    *last &= (1u64 << tail) - 1;
+                }
+            }
+            _ => {}
+        }
+    }
+
     /// Read bit `i`. Panics if out of range.
     #[inline]
     pub fn get(&self, i: usize) -> bool {
@@ -93,7 +186,11 @@ impl BitString {
             "bit index {i} out of range (len {})",
             self.len
         );
-        (self.words[i / 64] >> (i % 64)) & 1 == 1
+        let w = match &self.store {
+            Store::Inline(w) => *w,
+            Store::Heap(words) => words[i / 64],
+        };
+        (w >> (i % 64)) & 1 == 1
     }
 
     /// Set bit `i`. Panics if out of range.
@@ -103,7 +200,7 @@ impl BitString {
             "bit index {i} out of range (len {})",
             self.len
         );
-        let w = &mut self.words[i / 64];
+        let w = &mut self.words_mut()[i / 64];
         if value {
             *w |= 1u64 << (i % 64);
         } else {
@@ -114,16 +211,7 @@ impl BitString {
     /// Append a single bit.
     #[inline]
     pub fn push(&mut self, bit: bool) {
-        if self.len.is_multiple_of(64) {
-            self.words.push(0);
-        }
-        if bit {
-            match self.words.last_mut() {
-                Some(w) => *w |= 1u64 << (self.len % 64),
-                None => unreachable!("a word was pushed above"),
-            }
-        }
-        self.len += 1;
+        self.append_word(u64::from(bit), 1);
     }
 
     /// Append the low `width` bits of `value`, least-significant bit first.
@@ -154,15 +242,26 @@ impl BitString {
     #[inline]
     fn append_word(&mut self, value: u64, width: usize) {
         let shift = self.len % 64;
+        // Only the move to the heap calls out: a heap append stays inline
+        // in the caller's crate.
+        let words = match &mut self.store {
+            Store::Inline(w) if self.len + width <= 64 => {
+                *w |= value << shift;
+                self.len += width;
+                return;
+            }
+            Store::Heap(words) => words,
+            Store::Inline(_) => self.spill(width),
+        };
         if shift == 0 {
-            self.words.push(value);
+            words.push(value);
         } else {
-            match self.words.last_mut() {
+            match words.last_mut() {
                 Some(w) => *w |= value << shift,
                 None => unreachable!("shift != 0 implies a non-empty word vector"),
             }
             if shift + width > 64 {
-                self.words.push(value >> (64 - shift));
+                words.push(value >> (64 - shift));
             }
         }
         self.len += width;
@@ -170,42 +269,44 @@ impl BitString {
 
     /// The 64 bits starting at bit `pos`; bits past the end read as zero.
     fn word_at(&self, pos: usize) -> u64 {
+        let words = self.words();
         let (base, off) = (pos / 64, pos % 64);
-        let lo = self.words.get(base).copied().unwrap_or(0) >> off;
+        let lo = words.get(base).copied().unwrap_or(0) >> off;
         if off == 0 {
             lo
         } else {
-            lo | self.words.get(base + 1).copied().unwrap_or(0) << (64 - off)
+            lo | words.get(base + 1).copied().unwrap_or(0) << (64 - off)
         }
     }
 
     /// Append all bits of another string (word-level; hot path for the
     /// routing layer's stream assembly).
     pub fn extend_from(&mut self, other: &BitString) {
-        if other.len == 0 {
+        if other.len <= 64 {
+            if other.len > 0 {
+                self.append_word(other.first_word(), other.len);
+            }
             return;
         }
         let shift = self.len % 64;
-        self.len += other.len;
-        let needed = self.len.div_ceil(64);
-        let src_words = other.len.div_ceil(64);
+        let needed = (self.len + other.len).div_ceil(64);
+        let words = self.spill(other.len);
         if shift == 0 {
             // Word-aligned: plain copy (the old last word was full).
-            self.words.extend_from_slice(&other.words[..src_words]);
-            self.words.truncate(needed);
+            words.extend_from_slice(other.words());
         } else {
-            for &w in &other.words[..src_words] {
+            for &w in other.words() {
                 // Source invariant: bits past `other.len` are zero.
-                match self.words.last_mut() {
+                match words.last_mut() {
                     Some(last) => *last |= w << shift,
                     None => unreachable!("shift != 0 implies a non-empty word vector"),
                 }
-                if self.words.len() < needed {
-                    self.words.push(w >> (64 - shift));
+                if words.len() < needed {
+                    words.push(w >> (64 - shift));
                 }
             }
-            self.words.truncate(needed);
         }
+        self.len += other.len;
     }
 
     /// Append bits `start..start + len` of `src`, a word at a time: the
@@ -225,8 +326,7 @@ impl BitString {
                 len: src.len,
             });
         }
-        self.words
-            .reserve((self.len + len).div_ceil(64) - self.words.len());
+        self.reserve(len);
         let end = start + len;
         let mut pos = start;
         while pos < end {
@@ -239,16 +339,21 @@ impl BitString {
     }
 
     /// Overwrite `self` with the contents of `other`, retaining `self`'s
-    /// allocated word capacity (word-level copy).
+    /// heap allocation if it has one (word-level copy).
     ///
     /// This is the delivery buffer's broadcast primitive: cloning a
     /// payload into a retained slot must not allocate in steady state, so
     /// `slot.copy_from(msg)` replaces `slot = msg.clone()` on the hot path.
     #[inline]
     pub fn copy_from(&mut self, other: &BitString) {
-        self.len = other.len;
-        self.words.clear();
-        self.words.extend_from_slice(&other.words);
+        match &mut self.store {
+            Store::Heap(words) => {
+                words.clear();
+                words.extend_from_slice(other.words());
+                self.len = other.len;
+            }
+            Store::Inline(_) => *self = other.clone(),
+        }
     }
 
     /// XOR another string of the same length into `self`, one word at a time.
@@ -262,7 +367,7 @@ impl BitString {
             "xor_words requires equal lengths ({} vs {})",
             self.len, other.len
         );
-        for (w, o) in self.words.iter_mut().zip(&other.words) {
+        for (w, o) in self.words_mut().iter_mut().zip(other.words()) {
             *w ^= *o;
         }
     }
@@ -270,15 +375,10 @@ impl BitString {
     /// Flip every bit in place (word-level), masking the tail word to keep
     /// the zero-tail invariant.
     pub fn invert(&mut self) {
-        for w in &mut self.words {
+        for w in self.words_mut() {
             *w = !*w;
         }
-        let tail = self.len % 64;
-        if tail != 0 {
-            if let Some(last) = self.words.last_mut() {
-                *last &= (1u64 << tail) - 1;
-            }
-        }
+        self.mask_tail();
     }
 
     /// Shorten to the first `len` bits; a no-op if already that short.
@@ -291,13 +391,10 @@ impl BitString {
             return;
         }
         self.len = len;
-        self.words.truncate(len.div_ceil(64));
-        let tail = len % 64;
-        if tail != 0 {
-            if let Some(last) = self.words.last_mut() {
-                *last &= (1u64 << tail) - 1;
-            }
+        if let Store::Heap(words) = &mut self.store {
+            words.truncate(len.div_ceil(64));
         }
+        self.mask_tail();
     }
 
     /// Concatenation convenience.
@@ -332,13 +429,51 @@ impl BitString {
             self.len
         );
         // Bits past `len` are zero by invariant, so the first word is exact.
-        self.words.first().copied().unwrap_or(0)
+        self.first_word()
     }
 
     /// A reader positioned at the first bit.
     #[inline]
     pub fn reader(&self) -> BitReader<'_> {
         BitReader { bits: self, pos: 0 }
+    }
+}
+
+impl Default for BitString {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
+/// A string of at most 64 bits clones inline, allocating nothing.
+impl Clone for BitString {
+    #[inline]
+    fn clone(&self) -> Self {
+        let store = match &self.store {
+            Store::Heap(words) if self.len > 64 => Store::Heap(words.clone()),
+            _ => Store::Inline(self.first_word()),
+        };
+        Self {
+            len: self.len,
+            store,
+        }
+    }
+}
+
+/// Equal bits are equal strings, whether their words are inline or not.
+impl PartialEq for BitString {
+    fn eq(&self, other: &Self) -> bool {
+        self.len == other.len && self.words() == other.words()
+    }
+}
+
+impl Eq for BitString {}
+
+/// Hashes the length, then the words, so equal strings hash alike.
+impl Hash for BitString {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        self.len.hash(state);
+        self.words().hash(state);
     }
 }
 
@@ -438,16 +573,27 @@ impl<'a> BitReader<'a> {
         if width == 0 {
             return Ok(0);
         }
-        // Word-level read across at most two words.
-        let off = self.pos % 64;
-        let base = self.pos / 64;
-        let lo = self.bits.words[base] >> off;
-        let hi = if off == 0 {
-            0
-        } else {
-            self.bits.words.get(base + 1).copied().unwrap_or(0) << (64 - off)
+        let v = match &self.bits.store {
+            // `pos + width ≤ len ≤ 64` with `width ≥ 1`. Shifting the field
+            // to the top and back clears the bits above it without the
+            // heap arm's mask, so the arms share no tail and the one-word
+            // read compiles to straight-line code, with no extra jump.
+            Store::Inline(w) => {
+                let v = (w << (64 - self.pos - width)) >> (64 - width);
+                self.pos += width;
+                return Ok(v);
+            }
+            // Word-level read across at most two words.
+            Store::Heap(words) => {
+                let (base, off) = (self.pos / 64, self.pos % 64);
+                let lo = words[base] >> off;
+                if off == 0 {
+                    lo
+                } else {
+                    lo | words.get(base + 1).copied().unwrap_or(0) << (64 - off)
+                }
+            }
         };
-        let v = lo | hi;
         self.pos += width;
         Ok(if width == 64 {
             v
@@ -482,8 +628,9 @@ impl<'a> BitReader<'a> {
     /// Read `len` bits into `out`, replacing its contents but keeping its
     /// allocation: the in-place form of [`BitReader::read_bits`], for
     /// filling a reused message slot (see [`crate::Outbox::send_with`]).
-    /// An empty `out` gets exactly `⌈len/64⌉` words. On error neither the
-    /// cursor nor `out` changes.
+    /// An inline `out` allocates nothing for at most 64 bits and exactly
+    /// `⌈len/64⌉` words for more. On error neither the cursor nor `out`
+    /// changes.
     #[inline]
     pub fn read_into(&mut self, len: usize, out: &mut BitString) -> Result<(), DecodeError> {
         if self.remaining() < len {
@@ -494,9 +641,6 @@ impl<'a> BitReader<'a> {
             });
         }
         out.clear();
-        // Exact, so a fresh slot holds one word for a one-word chunk, not
-        // the four a first `push` would reserve.
-        out.words.reserve_exact(len.div_ceil(64));
         out.extend_from_range(self.bits, self.pos, len)?;
         self.pos += len;
         Ok(())
@@ -522,6 +666,155 @@ impl<'a> BitReader<'a> {
 mod tests {
     use super::*;
     use proptest::prelude::*;
+
+    /// The heap words' capacity, or `None` for an inline string.
+    fn heap_capacity(s: &BitString) -> Option<usize> {
+        match &s.store {
+            Store::Inline(_) => None,
+            Store::Heap(words) => Some(words.capacity()),
+        }
+    }
+
+    fn hash_of(s: &BitString) -> u64 {
+        use std::collections::hash_map::DefaultHasher;
+        let mut h = DefaultHasher::new();
+        s.hash(&mut h);
+        h.finish()
+    }
+
+    /// `len` bits of a fixed pattern that sets the first and the last bit.
+    fn pattern(len: usize) -> Vec<bool> {
+        (0..len).map(|i| i + 1 == len || i % 3 == 0).collect()
+    }
+
+    #[test]
+    fn bit_string_stays_32_bytes() {
+        // The delivery `Slot` is a 32-byte-aligned `BitString`.
+        assert_eq!(std::mem::size_of::<BitString>(), 32);
+    }
+
+    #[test]
+    fn lengths_63_64_65_sit_either_side_of_the_inline_limit() {
+        for len in [63, 64, 65] {
+            let bits = pattern(len);
+            let s = BitString::from_bits(bits.iter().copied());
+            assert_eq!(heap_capacity(&s).is_none(), len <= 64, "len {len}");
+            assert_eq!(s.iter().collect::<Vec<_>>(), bits, "len {len}");
+            let mut r = s.reader();
+            let head = r.read_uint(len.min(64)).unwrap();
+            assert_eq!(
+                r.read_uint(len - len.min(64)).unwrap(),
+                u64::from(len == 65)
+            );
+            r.expect_end().unwrap();
+            if len <= 64 {
+                assert_eq!(s.as_uint(), head, "len {len}");
+            }
+            let mut z = BitString::zeros(len);
+            assert_eq!(heap_capacity(&z).is_none(), len <= 64, "len {len}");
+            z.invert();
+            assert_eq!(z, BitString::from_bits(vec![true; len]), "len {len}");
+        }
+    }
+
+    #[test]
+    fn every_append_grows_across_64_bits() {
+        // Start inline at 60 bits and append 10 by each word-level path.
+        let head = pattern(60);
+        let tail = pattern(10);
+        let src = BitString::from_bits(tail.iter().copied());
+        let model: Vec<bool> = head.iter().chain(&tail).copied().collect();
+        type Append = fn(&mut BitString, &BitString);
+        let appends: [(&str, Append); 5] = [
+            ("push", |s, src| src.iter().for_each(|b| s.push(b))),
+            ("push_uint", |s, src| s.push_uint(src.as_uint(), src.len())),
+            ("extend_from", |s, src| s.extend_from(src)),
+            ("extend_from_range", |s, src| {
+                s.extend_from_range(src, 0, src.len()).unwrap()
+            }),
+            ("read_into", |s, src| {
+                let mut joined = s.clone();
+                joined.extend_from(src);
+                joined.reader().read_into(joined.len(), s).unwrap();
+            }),
+        ];
+        for (name, append) in appends {
+            let mut s = BitString::from_bits(head.iter().copied());
+            assert_eq!(heap_capacity(&s), None, "{name}");
+            append(&mut s, &src);
+            assert!(heap_capacity(&s).is_some(), "{name}");
+            assert_eq!(s.iter().collect::<Vec<_>>(), model, "{name}");
+            assert_eq!(s, BitString::from_bits(model.iter().copied()), "{name}");
+            assert_eq!(s.words().len(), 2, "{name}");
+        }
+    }
+
+    #[test]
+    fn shrinking_keeps_the_heap_and_regrowing_stays_exact() {
+        let long = BitString::from_bits(pattern(150));
+        let shrinks: [fn(&mut BitString); 3] =
+            [|s| s.truncate(10), |s| s.truncate(64), |s| s.clear()];
+        for shrink in shrinks {
+            let mut s = long.clone();
+            let cap = heap_capacity(&s).expect("150 bits live on the heap");
+            shrink(&mut s);
+            assert_eq!(heap_capacity(&s), Some(cap), "shrinking keeps the words");
+            let kept = s.iter().collect::<Vec<_>>();
+            assert_eq!(s, BitString::from_bits(kept.iter().copied()));
+            // Grow again, below and then past 64 bits.
+            s.push_uint(0b1011, 4);
+            let mut model: Vec<bool> = kept
+                .iter()
+                .copied()
+                .chain([true, true, false, true])
+                .collect();
+            assert_eq!(s, BitString::from_bits(model.iter().copied()));
+            s.extend_from(&long);
+            model.extend(long.iter());
+            assert_eq!(s.iter().collect::<Vec<_>>(), model);
+            assert_eq!(s, BitString::from_bits(model.iter().copied()));
+        }
+    }
+
+    #[test]
+    fn clones_of_at_most_64_bits_are_inline() {
+        let mut grown = BitString::from_bits(pattern(100));
+        let long = grown.clone();
+        assert_eq!(heap_capacity(&long), Some(2));
+        assert_eq!(long, grown);
+        for len in [0, 1, 8, 63, 64] {
+            grown.clear();
+            grown.extend_from(&BitString::from_bits(pattern(len)));
+            assert!(heap_capacity(&grown).is_some());
+            let copy = grown.clone();
+            assert_eq!(heap_capacity(&copy), None, "len {len}");
+            assert_eq!(copy, grown, "len {len}");
+        }
+    }
+
+    #[test]
+    fn equal_bits_are_equal_and_hash_alike_inline_or_heap() {
+        // Grown past 64 bits, cleared and refilled with 8: heap words,
+        // the same bits as a fresh inline 8-bit string.
+        let mut heap = BitString::from_bits(pattern(100));
+        heap.clear();
+        heap.push_uint(0xA5, 8);
+        let mut inline = BitString::new();
+        inline.push_uint(0xA5, 8);
+        assert!(heap_capacity(&heap).is_some());
+        assert_eq!(heap_capacity(&inline), None);
+        assert_eq!(heap, inline);
+        assert_eq!(hash_of(&heap), hash_of(&inline));
+        assert_eq!(heap.as_uint(), inline.as_uint());
+        assert_eq!(heap.reader().read_uint(8), inline.reader().read_uint(8));
+        // Different bits of the same length still differ.
+        inline.set(0, false);
+        assert_ne!(heap, inline);
+        // The empty string, inline or heap.
+        heap.clear();
+        assert_eq!(heap, BitString::new());
+        assert_eq!(hash_of(&heap), hash_of(&BitString::new()));
+    }
 
     #[test]
     fn empty_string_basics() {
@@ -635,23 +928,17 @@ mod tests {
         a.push(true);
         let b = BitString::from_bits([true]);
         assert_eq!(a, b);
-        use std::collections::hash_map::DefaultHasher;
-        use std::hash::{Hash, Hasher};
-        let mut ha = DefaultHasher::new();
-        let mut hb = DefaultHasher::new();
-        a.hash(&mut ha);
-        b.hash(&mut hb);
-        assert_eq!(ha.finish(), hb.finish());
+        assert_eq!(hash_of(&a), hash_of(&b));
     }
 
     #[test]
     fn clear_empties_but_keeps_capacity() {
         let mut s = BitString::from_bits((0..200).map(|i| i % 3 == 0));
-        let cap = s.words.capacity();
+        let cap = heap_capacity(&s);
         s.clear();
         assert!(s.is_empty());
         assert_eq!(s.len(), 0);
-        assert_eq!(s.words.capacity(), cap);
+        assert_eq!(heap_capacity(&s), cap);
         assert_eq!(s, BitString::new());
         // Reusable after clearing.
         s.push(true);
@@ -774,8 +1061,8 @@ mod tests {
 
     #[test]
     fn read_into_a_fresh_string_allocates_exactly_the_words_it_needs() {
-        // A first `push` would reserve four words; message slots filled by
-        // `read_into` must hold only what the chunk needs.
+        // A chunk of at most 64 bits stays inline; a longer one gets
+        // exactly its words, not the four a first `Vec::push` reserves.
         let s = BitString::from_bits((0..300).map(|i| i % 5 < 2));
         for (start, len) in [
             (0, 0),
@@ -792,8 +1079,8 @@ mod tests {
             let mut out = BitString::new();
             r.read_into(len, &mut out).unwrap();
             assert_eq!(
-                out.words.capacity(),
-                len.div_ceil(64),
+                heap_capacity(&out),
+                (len > 64).then(|| len.div_ceil(64)),
                 "start {start}, len {len}"
             );
         }
@@ -930,7 +1217,7 @@ mod tests {
             prop_assert_eq!(s.len(), model.len());
             prop_assert_eq!(s.iter().collect::<Vec<_>>(), model.clone());
             prop_assert_eq!(&s, &BitString::from_bits(model.iter().copied()));
-            prop_assert_eq!(s.words.len(), s.len().div_ceil(64));
+            prop_assert_eq!(s.words().len(), s.len().div_ceil(64));
         }
 
         #[test]
@@ -980,7 +1267,7 @@ mod tests {
             prop_assert_eq!(&reused, &fresh);
             prop_assert_eq!(a.position(), b.position());
             prop_assert_eq!(reused.iter().collect::<Vec<_>>(), bits[start..start + len].to_vec());
-            prop_assert_eq!(reused.words.len(), len.div_ceil(64));
+            prop_assert_eq!(reused.words().len(), len.div_ceil(64));
         }
 
         #[test]
@@ -1003,10 +1290,41 @@ mod tests {
             prop_assert_eq!(&got, &expect);
             let model: Vec<bool> = head.iter().chain(&src[start..start + len]).copied().collect();
             prop_assert_eq!(got.iter().collect::<Vec<_>>(), model);
-            prop_assert_eq!(got.words.len(), got.len().div_ceil(64));
+            prop_assert_eq!(got.words().len(), got.len().div_ceil(64));
             let before = got.clone();
             prop_assert!(got.extend_from_range(&s, start, src.len() - start + 1).is_err());
             prop_assert_eq!(&got, &before);
+        }
+
+        #[test]
+        fn prop_inline_and_heap_strings_agree(
+            bits in proptest::collection::vec(any::<bool>(), 0..=130),
+            probe in 0usize..130,
+        ) {
+            // The same bits built fresh (inline up to 64 bits) and in a
+            // string that grew past 64 bits and was cleared (heap).
+            let fresh = BitString::from_bits(bits.iter().copied());
+            let mut reused = BitString::from_bits(pattern(130));
+            reused.clear();
+            reused.extend_from(&fresh);
+            prop_assert!(heap_capacity(&reused).is_some());
+            prop_assert_eq!(heap_capacity(&fresh).is_none(), bits.len() <= 64);
+            prop_assert_eq!(&reused, &fresh);
+            prop_assert_eq!(hash_of(&reused), hash_of(&fresh));
+            prop_assert_eq!(&reused.clone(), &fresh.clone());
+            if bits.len() <= 64 {
+                prop_assert_eq!(reused.as_uint(), fresh.as_uint());
+            }
+            if !bits.is_empty() {
+                let i = probe % bits.len();
+                prop_assert_eq!(reused.get(i), bits[i]);
+                prop_assert_eq!(fresh.get(i), bits[i]);
+                let width = (bits.len() - i).min(64);
+                let (mut a, mut b) = (reused.reader(), fresh.reader());
+                a.skip(i).unwrap();
+                b.skip(i).unwrap();
+                prop_assert_eq!(a.read_uint(width).unwrap(), b.read_uint(width).unwrap());
+            }
         }
 
         #[test]
