@@ -237,7 +237,7 @@ impl NodeProgram for Floor {
             }
             Receive::Append => {
                 for (u, m) in inbox.iter() {
-                    self.collected[u.index()].push_uint(m.as_uint(), m.len());
+                    self.collected[u.index()].extend_from(m);
                 }
             }
         }

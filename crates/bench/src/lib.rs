@@ -58,7 +58,11 @@ pub const SEED: u64 = 20180705;
 /// workspace root, not the working directory: cargo runs bench binaries
 /// from the package directory, `crates/bench`, wherever it was invoked.
 pub fn engine_json_path() -> PathBuf {
-    let path = std::env::var("BENCH_ENGINE_JSON").unwrap_or_else(|_| "BENCH_engine.json".into());
+    resolve(&std::env::var("BENCH_ENGINE_JSON").unwrap_or_else(|_| "BENCH_engine.json".into()))
+}
+
+/// `path` taken from the workspace root; an absolute path is kept as is.
+fn resolve(path: &str) -> PathBuf {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .ancestors()
         .nth(2)
@@ -72,11 +76,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn engine_json_path_is_taken_from_the_workspace_root() {
-        let path = engine_json_path();
+    fn report_paths_are_taken_from_the_workspace_root() {
+        let path = resolve("BENCH_engine.json");
         assert!(path.is_absolute());
         let root = path.parent().expect("a file in a directory");
         assert!(root.join("Cargo.toml").is_file() && root.join("crates/bench").is_dir());
+        assert_eq!(resolve("out/x.json"), root.join("out").join("x.json"));
+        let absolute = root.join("crates").join("x.json");
+        assert_eq!(resolve(absolute.to_str().unwrap()), absolute);
     }
 
     #[test]

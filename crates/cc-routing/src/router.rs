@@ -131,16 +131,10 @@ impl NodeProgram for RouterNode {
         inbox: &Inbox<'_>,
         outbox: &mut Outbox<'_>,
     ) -> Status<Vec<BitString>> {
-        // Collect chunks that arrived this round; a chunk of at most 64
-        // bits moves as one word.
+        // Collect chunks that arrived this round.
         if round > 0 {
             for (src, msg) in inbox.iter() {
-                let stream = &mut self.collected[src.index()];
-                if msg.len() <= 64 {
-                    stream.push_uint(msg.as_uint(), msg.len());
-                } else {
-                    stream.extend_from(msg);
-                }
+                self.collected[src.index()].extend_from(msg);
             }
         }
         if round == self.schedule {
@@ -157,14 +151,9 @@ impl NodeProgram for RouterNode {
             let mut r = stream.reader();
             r.skip(start)
                 .expect("live streams extend past the round's start");
-            if take <= 64 {
-                let chunk = r.read_uint(take).expect("chunk in range");
-                outbox.send_with(NodeId::from(dst), |slot| slot.push_uint(chunk, take));
-            } else {
-                outbox
-                    .send_with(NodeId::from(dst), |slot| r.read_into(take, slot))
-                    .expect("chunk in range");
-            }
+            outbox
+                .send_with(NodeId::from(dst), |slot| r.read_into(take, slot))
+                .expect("chunk in range");
             start + take < stream.len()
         });
         Status::Continue

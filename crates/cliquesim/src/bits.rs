@@ -280,14 +280,21 @@ impl BitString {
     }
 
     /// Append all bits of another string (word-level; hot path for the
-    /// routing layer's stream assembly).
+    /// routing layer's stream assembly). A string of at most 64 bits is
+    /// appended as one word, inline in the caller's crate.
+    #[inline]
     pub fn extend_from(&mut self, other: &BitString) {
         if other.len <= 64 {
             if other.len > 0 {
                 self.append_word(other.first_word(), other.len);
             }
-            return;
+        } else {
+            self.extend_words(other);
         }
+    }
+
+    /// [`BitString::extend_from`] for `other` longer than 64 bits.
+    fn extend_words(&mut self, other: &BitString) {
         let shift = self.len % 64;
         let needed = (self.len + other.len).div_ceil(64);
         let words = self.spill(other.len);
@@ -630,9 +637,24 @@ impl<'a> BitReader<'a> {
     /// filling a reused message slot (see [`crate::Outbox::send_with`]).
     /// An inline `out` allocates nothing for at most 64 bits and exactly
     /// `⌈len/64⌉` words for more. On error neither the cursor nor `out`
-    /// changes.
+    /// changes. A read of at most 64 bits is one [`BitReader::read_uint`]
+    /// and one word append, inline in the caller's crate.
     #[inline]
     pub fn read_into(&mut self, len: usize, out: &mut BitString) -> Result<(), DecodeError> {
+        if len <= 64 {
+            let v = self.read_uint(len)?;
+            out.clear();
+            if len > 0 {
+                out.append_word(v, len);
+            }
+            Ok(())
+        } else {
+            self.read_words_into(len, out)
+        }
+    }
+
+    /// [`BitReader::read_into`] for `len` past 64 bits.
+    fn read_words_into(&mut self, len: usize, out: &mut BitString) -> Result<(), DecodeError> {
         if self.remaining() < len {
             return Err(DecodeError {
                 at: self.pos,

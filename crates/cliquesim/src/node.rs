@@ -269,8 +269,8 @@ impl<'a> Outbox<'a> {
     /// `write` returns. `write` gets the slot emptied but with its
     /// allocation kept, so a program that refills the same slots every
     /// round — a router shipping stream chunks with
-    /// [`BitString::push_uint`] or [`crate::BitReader::read_into`] —
-    /// allocates nothing in steady state. Replaces any message already queued for `to` this round; a
+    /// [`crate::BitReader::read_into`] — allocates nothing in steady
+    /// state. Replaces any message already queued for `to` this round; a
     /// slot `write` leaves empty sends nothing. The same rules as
     /// [`Outbox::send`] apply.
     #[inline]
