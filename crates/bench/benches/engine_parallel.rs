@@ -1,18 +1,15 @@
-//! Engine ablation: sequential vs pooled node stepping, and a broadcast vs
-//! the same payload sent as `n - 1` unicasts. Outputs, round counts, and
-//! all model-level [`RunStats`] fields are bit-identical by construction
-//! (asserted below over pool shapes the host may not even have cores for,
-//! and between the two ways to send); only wall time and buffer footprint
-//! differ, which is what this harness measures.
+//! Engine timings: APSP at n = 64 (`apsp_n64_threads1`, the id the
+//! `history` rows of `BENCH_engine.json` track), and a broadcast vs the
+//! same payload sent as `n - 1` unicasts. Outputs, round counts, and all
+//! model-level [`RunStats`] fields of the two ways to send are
+//! bit-identical (asserted below); only wall time and buffer footprint
+//! differ, which is what this harness measures. The engine steps every
+//! node on the calling thread, so there is no width to sweep.
 //!
-//! Recorded medians for `apsp_n64_threads4` on the same host, runs
-//! interleaved (per-round-spawn engine vs persistent pool with
-//! double-buffered delivery): 457.4 ms → 169.9 ms and 405.0 ms →
-//! 169.2 ms, i.e. a 2.4–2.7× improvement (threads1: ~292–331 ms →
-//! ~182–190 ms). The broadcast sweep below extends the envelope from
-//! n = 64 to n = 1024, the idle probe times a round with nothing on the
-//! wire (n = 216 for 2192 rounds, APSP's shape at that size, with and
-//! without one inbox walk per step), the floor probe times a round full of
+//! The broadcast sweep below extends the envelope from n = 64 to
+//! n = 1024, the idle probe times a round with nothing on the wire
+//! (n = 216 for 2192 rounds, APSP's shape at that size, with and without
+//! one inbox walk per step), the floor probe times a round full of
 //! one-word unicasts (n = 216 for 548 rounds, APSP's message count at
 //! that size: unread, read once, or appended per source as the router
 //! does), and all three write machine-readable results to
@@ -38,17 +35,10 @@ use std::path::Path;
 use std::time::Instant;
 
 /// Run seeded APSP (n = 64 takes 1044 rounds) and return the session
-/// stats. `exact` pins the pool shape regardless of host cores (used for
-/// the bit-identity assertions); the timed benchmarks use the default
-/// host-capped pool, which is what callers get.
-fn apsp_stats(n: usize, threads: usize, exact: bool) -> RunStats {
+/// stats.
+fn apsp_stats(n: usize) -> RunStats {
     let wg = cc_graph::gen::gnp_weighted(n, 0.2, 20, SEED);
-    let engine = match (threads, exact) {
-        (1, _) => Engine::new(n),
-        (t, true) => Engine::new(n).with_threads_exact(t),
-        (t, false) => Engine::new(n).with_threads(t),
-    };
-    let mut s = Session::new(engine);
+    let mut s = Session::new(Engine::new(n));
     cc_paths::apsp_exact(&mut s, &wg).unwrap();
     s.stats()
 }
@@ -442,21 +432,11 @@ fn write_json(path: &Path, smoke: bool, rows: &[SweepRow], idle: &[IdleRow], flo
 
 fn bench(c: &mut Criterion) {
     let smoke = std::env::var("BENCH_SMOKE").is_ok_and(|v| v == "1");
-    // Determinism check first: the full model-level stats (rounds,
-    // messages, bits, undelivered accounting, peak buffer residency —
-    // everything except wall clock) must not depend on the pool shape.
     let n = if smoke { 16 } else { 64 };
-    let seq = apsp_stats(n, 1, true);
-    for threads in [2usize, 3, 4, 7] {
-        let par = apsp_stats(n, threads, true);
-        assert_eq!(
-            seq, par,
-            "pooled stepping with {threads} workers changed model-level stats"
-        );
-    }
+    let seq = apsp_stats(n);
     println!(
         "\n=== engine ablation: APSP n={n} | rounds={} messages={} bits={} \
-         undelivered={} peak_live={}B | seq step={:.1}ms delivery={:.1}ms ===",
+         undelivered={} peak_live={}B | step={:.1}ms delivery={:.1}ms ===",
         seq.rounds,
         seq.messages,
         seq.bits,
@@ -469,11 +449,9 @@ fn bench(c: &mut Criterion) {
     if !smoke {
         let mut group = c.benchmark_group("engine");
         group.sample_size(10);
-        for threads in [1usize, 2, 4] {
-            group.bench_function(format!("apsp_n64_threads{threads}"), |b| {
-                b.iter(|| apsp_stats(64, threads, false).rounds);
-            });
-        }
+        group.bench_function("apsp_n64_threads1", |b| {
+            b.iter(|| apsp_stats(64).rounds);
+        });
         group.finish();
     }
 

@@ -6,6 +6,8 @@
 //! which are deterministic), then registers Criterion timing groups for
 //! the wall-clock view.
 
+#![forbid(unsafe_code)]
+
 use std::path::{Path, PathBuf};
 
 use cc_core::fit_exponent;

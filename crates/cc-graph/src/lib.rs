@@ -16,6 +16,7 @@
 //! nodes; [`Graph::input_row`] and [`Graph::private_input`] implement the
 //! paper's two input encodings exactly.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Index-driven loops over multiple parallel per-node arrays are the
 // dominant shape in this codebase; the iterator rewrites clippy suggests

@@ -1,6 +1,5 @@
 //! Testkit conformance: Borůvka's forest is re-judged by an independent
-//! Kruskal oracle (existence, weights, acyclicity, spanning, minimality)
-//! and must be identical across engine pool shapes.
+//! Kruskal oracle (existence, weights, acyclicity, spanning, minimality).
 
 use cc_mst::boruvka_mst;
 use cc_testkit::instances::strategies::arb_weighted_instance;

@@ -15,6 +15,7 @@
 //! whose exponents depend on `k` — mirroring the centralised
 //! FPT vs W\[1\]/W\[2\] divide the paper discusses.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Index-driven loops over multiple parallel per-node arrays are the
 // dominant shape in this codebase; the iterator rewrites clippy suggests

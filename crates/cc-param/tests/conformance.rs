@@ -14,8 +14,7 @@ fn vertex_cover_conforms_and_respects_the_theorem_bounds() {
     for inst in corpus(&[9, 12], &[1]) {
         let g = inst.graph();
         // The kernel protocol only ever broadcasts, so it must behave
-        // identically under the broadcast-only restriction — and across
-        // every pool shape in both models.
+        // identically under the broadcast-only restriction.
         let got =
             differential_broadcast_only(&inst.label(), g.n(), |s| vertex_cover(s, &g, k).unwrap());
         oracle::judge_vertex_cover(&inst.label(), &g, k, &got);

@@ -1,6 +1,6 @@
 //! Testkit conformance: shortest-path outputs are re-judged against
-//! Floyd–Warshall / Dijkstra / reference BFS, differentially across
-//! engine pool shapes, with every failure naming the reproducing seed.
+//! Floyd–Warshall / Dijkstra / reference BFS, with every failure naming
+//! the reproducing seed.
 
 use cc_graph::WeightedGraph;
 use cc_paths::{apsp_exact, apsp_unweighted, bellman_ford, bfs, transitive_closure};

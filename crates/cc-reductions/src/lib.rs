@@ -13,6 +13,7 @@
 //! * [`dhz`] — Boolean MM through (2−ε)-approximate APSP \[17\];
 //! * [`atlas`] — Figure 1 itself as validated, renderable data.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Index-driven loops over multiple parallel per-node arrays are the
 // dominant shape in this codebase; the iterator rewrites clippy suggests

@@ -63,7 +63,7 @@ fn dhz_boolean_mm_matches_the_oracle_product() {
 }
 
 #[test]
-fn gadget_construction_is_deterministic_across_pool_shapes() {
+fn gadget_construction_is_deterministic() {
     // The host-side part of Theorem 10 that *does* run in a session —
     // re-derived here through the public pipeline on identical inputs —
     // must not depend on scheduling. The pipeline itself is deterministic
@@ -80,7 +80,7 @@ fn gadget_construction_is_deterministic_across_pool_shapes() {
         );
         assert_eq!(first.virtual_stats, again.virtual_stats, "{inst}");
     }
-    // Cross-check against a directly session-run detector on pool shapes.
+    // Cross-check against a directly session-run detector.
     let direct = differential_session(&inst.label(), g.n(), |s| {
         cc_subgraph::detect_independent_set(s, &g, 2).unwrap()
     });

@@ -40,8 +40,7 @@
 //!
 //! **Guarantee:** all honest nodes halt with the same `Option<u64>`; if
 //! the source is honest, that output is `Some(its value)`. Checked over
-//! seeded adversary plans across the full pool-shapes grid
-//! (`tests/auth_suite.rs`), for every `f < n/2` via
+//! seeded adversary plans (`tests/auth_suite.rs`), for every `f < n/2` via
 //! [`dolev_strong_broadcast`] and all `f < n` via
 //! [`dolev_strong_broadcast_classic`] — not claimed as a mechanised
 //! proof.

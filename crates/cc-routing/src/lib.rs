@@ -23,6 +23,7 @@
 //! [`all_to_all_broadcast`] are collectives built on plans. The
 //! substitution rationale is documented in DESIGN.md.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Index-driven loops over multiple parallel per-node arrays are the
 // dominant shape in this codebase; the iterator rewrites clippy suggests

@@ -1,7 +1,7 @@
 //! The job model: what one unit of fleet work looks like.
 //!
-//! A [`JobSpec`] pairs an [`EngineSpec`] (pure data: clique size, pool
-//! shape, adversary plans) with a *job function* — a
+//! A [`JobSpec`] pairs an [`EngineSpec`] (pure data: clique size, model
+//! restrictions, adversary plans) with a *job function* — a
 //! deterministic closure that drives a [`cliquesim::Session`] built from
 //! that spec and returns its result as bytes. Bytes are the service's
 //! output currency on purpose: the serial oracle and the fleet compare
@@ -13,8 +13,9 @@
 //! The job function must be a pure function of the spec and its
 //! dependency outputs: same `(EngineSpec, dep bytes)` → same output bytes
 //! or same error string. Everything the engine does is already
-//! deterministic across pool shapes (the engine's bit-identity
-//! contract); a job that reaches outside (time, ambient randomness,
+//! deterministic (a run steps every node on the worker thread that runs
+//! the job, and replays bit for bit); a job that reaches outside (time,
+//! ambient randomness,
 //! global state) forfeits the differential guarantee — exactly like the
 //! "factory must produce identical programs" rule in `cc-testkit`.
 
@@ -55,11 +56,6 @@ impl fmt::Display for TenantId {
 pub struct EngineSpec {
     /// Number of nodes in the clique.
     pub n: usize,
-    /// Engine pool shape (node-stepping threads *within* the simulation;
-    /// independent of the service's worker width). Pinned exactly, like
-    /// `Engine::with_threads_exact`, so a job's stats never depend on the
-    /// host the worker runs on.
-    pub threads: usize,
     /// Restrict to the broadcast congested clique (paper §2).
     pub broadcast_only: bool,
     /// Per-message bandwidth override in bits (`None` = `⌈log₂ n⌉`).
@@ -83,11 +79,10 @@ pub struct EngineSpec {
 }
 
 impl EngineSpec {
-    /// A plain clique spec: sequential stepping, no adversary.
+    /// A plain clique spec: no restriction, no adversary.
     pub fn new(n: usize) -> Self {
         Self {
             n,
-            threads: 1,
             broadcast_only: false,
             bandwidth: None,
             max_rounds: None,
@@ -97,12 +92,6 @@ impl EngineSpec {
             byzantine: None,
             auth_seed: None,
         }
-    }
-
-    /// Set the engine pool shape (exact, host-independent).
-    pub fn threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
-        self
     }
 
     /// Restrict to the broadcast-only model.
@@ -145,9 +134,7 @@ impl EngineSpec {
     /// so an in-flight job aborts at its next round boundary when the
     /// batch is cancelled.
     pub fn build(&self, cancel: Option<Arc<AtomicBool>>) -> Engine {
-        let mut engine = Engine::new(self.n)
-            .with_threads_exact(self.threads)
-            .broadcast_only(self.broadcast_only);
+        let mut engine = Engine::new(self.n).broadcast_only(self.broadcast_only);
         if let Some(bits) = self.bandwidth {
             engine = engine.with_bandwidth(bits);
         }
@@ -349,10 +336,7 @@ mod tests {
 
     #[test]
     fn engine_spec_builds_the_configured_engine() {
-        let spec = EngineSpec::new(9)
-            .threads(4)
-            .broadcast_only(true)
-            .fault_offset(5);
+        let spec = EngineSpec::new(9).broadcast_only(true).fault_offset(5);
         let engine = spec.build(None);
         assert_eq!(engine.n(), 9);
         assert_eq!(engine.fault_offset(), 5);

@@ -4,10 +4,10 @@
 //! The engine (PR 1–6) made one simulation fast, deterministic, and
 //! adversary-aware. This crate makes *many* simulations a first-class
 //! workload: a [`Batch`] of seed-addressed jobs — each an
-//! [`EngineSpec`] (clique size, pool shape, optional
-//! fault/Byzantine plans) plus a deterministic job function — is resolved
-//! into a dependency DAG and executed across a shared work-stealing
-//! worker pool ([`Service`]), with per-tenant round-robin fairness, warm
+//! [`EngineSpec`] (clique size, optional fault/Byzantine plans) plus a
+//! deterministic job function — is resolved into a dependency DAG and
+//! executed across a shared work-stealing worker pool ([`Service`]), with
+//! per-tenant round-robin fairness, warm
 //! per-worker delivery arenas, cooperative cancellation, and a bounded
 //! outcome window streaming [`JobOutcome`]s back as they finish.
 //!
@@ -18,9 +18,11 @@
 //! the deterministic topological order — and the test suite's central
 //! property is that a [`Service`] of *any* width produces outcomes
 //! **byte-identical** to that oracle (same output bytes, same error
-//! strings, same skip witnesses, same [`cliquesim::RunStats`]). This is
-//! the same differential discipline `cc-testkit` applies to pool shapes,
-//! lifted to fleet scheduling.
+//! strings, same skip witnesses, same [`cliquesim::RunStats`]).
+//!
+//! The fleet is the workspace's parallelism layer: a job's runs step on
+//! the one worker thread that runs the job, and jobs run side by side, so
+//! the engine spends no threads of its own.
 //!
 //! # Quickstart
 //!

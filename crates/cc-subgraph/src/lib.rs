@@ -10,6 +10,7 @@
 //!   multiplication (\[10\]), the ablation partner of the combinatorial
 //!   detector.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod detect;

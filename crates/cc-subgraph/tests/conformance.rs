@@ -1,5 +1,5 @@
 //! Testkit conformance: subgraph detection witnesses and counts are
-//! re-judged by brute-force oracles, differentially across pool shapes.
+//! re-judged by brute-force oracles.
 //! Planted families guarantee the positive branches are exercised.
 
 use cc_subgraph::{

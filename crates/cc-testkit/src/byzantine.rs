@@ -1,11 +1,10 @@
-//! Byzantine-conformance runners: the [`ByzantinePlan`] adversary must be
-//! a pure function of `(seed, round, from, to)`, so a run with traitors is
-//! just as schedule-independent as an honest one. This module mirrors
-//! [`crate::faults`] for the stronger tier: the same plan, replayed under
-//! every pool shape in [`POOL_SHAPES`](crate::differential::POOL_SHAPES),
-//! must yield byte-identical outputs, [`RunStats`], transcripts, the same [`FaultReport`], *and* the same
-//! [`ByzantineReport`] event for event — and an empty plan must change
-//! nothing at all.
+//! Byzantine-conformance runners: the [`ByzantinePlan`] adversary is a
+//! pure function of `(seed, round, from, to)`, so a run with traitors
+//! replays bit for bit just like an honest one. This module mirrors
+//! [`crate::faults`] for the stronger tier: [`differential_byzantine`]
+//! hands back outputs, [`RunStats`], transcripts, the [`FaultReport`]
+//! *and* the [`ByzantineReport`] — and an empty plan must change nothing
+//! at all.
 //!
 //! It also carries the tier's *negative* obligation:
 //! [`equivocation_witness`] searches an all-to-all exchange's outputs for
@@ -24,7 +23,7 @@ use std::fmt::Debug;
 
 use crate::faults::{assert_transparent, differential_adversary};
 
-/// Everything a Byzantine differential compares: per-node outputs (`None`
+/// Everything a Byzantine run hands back: per-node outputs (`None`
 /// for crashed nodes), accumulated stats, full transcripts, the link-fault
 /// event log, and the Byzantine rewrite log.
 pub type ByzantineRun<T> = (
@@ -35,14 +34,9 @@ pub type ByzantineRun<T> = (
     ByzantineReport,
 );
 
-/// Run node programs under `plan` on every pool shape with transcripts
-/// forced on, asserting byte-identical outputs, stats, transcripts, fault
-/// reports, and Byzantine reports. Returns the sequential run for further
-/// auditing.
-///
-/// The factory is called once per shape and must produce identical
-/// programs each time (pass a fixed seed in, like
-/// [`crate::differential_programs`]).
+/// Run node programs under `plan` with transcripts forced on. Returns the
+/// run for further auditing; an engine error panics with the protocol and
+/// plan labels.
 pub fn differential_byzantine<P, M>(
     label: &str,
     base: &Engine,
@@ -74,7 +68,7 @@ where
 /// Assert the engine's transparency guarantee for the Byzantine tier:
 /// attaching an *empty* [`ByzantinePlan`] changes nothing. Runs the
 /// programs once with no plan and once with `ByzantinePlan::new(seed)` (no
-/// traitors, no lies) on every pool shape, and requires byte-identical
+/// traitors, no lies), and requires byte-identical
 /// outputs, stats, and transcripts — plus an empty rewrite log and zeroed
 /// Byzantine counters.
 pub fn assert_empty_byzantine_transparent<P, M>(label: &str, base: &Engine, make_programs: M)
@@ -208,8 +202,7 @@ mod tests {
     }
 
     #[test]
-    fn byzantine_differential_is_stable_across_shapes() {
-        // n = 15 ≥ 2·7, so the 7-worker pooled path really engages.
+    fn byzantine_differential_logs_the_lies() {
         let n = 15;
         let plan = ByzantinePlan::new(42)
             .with_random_traitors(n, 4, &[])

@@ -8,15 +8,12 @@
 //! set for routing waves. Cases print as `churn[n=…, seed=…]` and every
 //! judge panic starts with that label, so a failing conformance run names
 //! the exact churn schedule that reproduces it — bit-identical on any
-//! host or pool shape.
+//! host.
 //!
-//! Two obligations are enforced on top of the generic faulted
-//! differential:
+//! [`differential_churn`] runs a case with transcripts on and hands back
+//! outputs, stats, transcripts and the fault report (rejoin state sync
+//! included), and one obligation is enforced on top:
 //!
-//! * **shape independence** — [`differential_churn`] replays the case
-//!   under every pool shape in [`crate::POOL_SHAPES`], asserting
-//!   byte-identical outputs,
-//!   stats, transcripts, and fault reports (rejoin state sync included);
 //! * **ledger closure** — [`judge_churn_accounting`] cross-checks the
 //!   [`FaultReport`] against the [`RunStats`] sync counters and the plan's
 //!   downtime windows: every `Rejoined` event names a scheduled rejoin,
@@ -136,8 +133,7 @@ impl fmt::Display for ChurnCase {
 }
 
 /// The churn sweep CI and the conformance suites iterate: a small corpus
-/// of cases spanning clique sizes (including `n = 15`, large enough for
-/// the widest pool shape to genuinely engage) and seeds.
+/// of cases spanning clique sizes and seeds.
 pub fn churn_corpus() -> Vec<ChurnCase> {
     let mut cases = Vec::new();
     for &n in &[8usize, 12, 15] {
@@ -148,10 +144,9 @@ pub fn churn_corpus() -> Vec<ChurnCase> {
     cases
 }
 
-/// Replay the case's plan under every pool shape with transcripts forced
-/// on, asserting byte-identical outputs, stats,
-/// transcripts, and fault reports. Panic messages carry the replayable
-/// `churn[n=…, seed=…]` label. Returns the reference run for judging.
+/// Run the case's plan with transcripts forced on. An engine error panics
+/// with the replayable `churn[n=…, seed=…]` label. Returns the run for
+/// judging.
 pub fn differential_churn<P, M>(
     case: &ChurnCase,
     base: &Engine,
@@ -287,8 +282,7 @@ mod tests {
     }
 
     #[test]
-    fn churn_differential_is_stable_and_accounted() {
-        // n = 15 ≥ 2·7, so the widest pool shape genuinely engages.
+    fn churn_differential_is_accounted() {
         let case = ChurnCase::new(15, 2);
         let (outputs, stats, _, report) =
             differential_churn(&case, &Engine::new(15), || chatter(15, 14));

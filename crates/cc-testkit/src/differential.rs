@@ -1,26 +1,17 @@
-//! Differential execution across engine pool shapes and topologies.
+//! Differential execution across communication modes and topologies.
 //!
-//! The engine's inline and pooled step phases are bit-identical on
-//! synthetic programs; this module turns that into a standing obligation
-//! for every *real* protocol. A differential run executes the same
-//! protocol once per pool shape from [`POOL_SHAPES`] (sequential, an even
-//! 4-worker split, and a 7-worker pool that divides nothing evenly) and
-//! asserts outputs, accumulated [`RunStats`], and — for raw program runs —
-//! full transcripts are identical. Any divergence is a
-//! scheduler-nondeterminism bug, and the panic names the protocol label and
-//! the offending thread count, so the exact failing cell is replayable.
+//! Every runner here executes one protocol on one engine configuration and
+//! hands back what it produced: [`differential_broadcast_only`] runs a
+//! broadcast-capable protocol in the unrestricted clique *and* in the
+//! broadcast-only model (paper §2) and asserts the two agree, and
+//! [`differential_programs`] records full transcripts for the auditor.
+//! Their panics name the protocol label, so the failing cell is replayable.
 
 use cliquesim::{Engine, NodeProgram, RunStats, Session, Transcript};
 use std::fmt::Debug;
 
-/// Pool shapes every differential run covers: sequential, an even split,
-/// and a worker count that divides typical `n` unevenly. `with_threads_exact`
-/// keeps the pooled path live even on single-core CI hosts.
-pub const POOL_SHAPES: [usize; 3] = [1, 4, 7];
-
-/// Run a session-level protocol under every pool shape on a plain clique
-/// engine and assert identical outputs and stats. Returns the output of
-/// the sequential run.
+/// Run a session-level protocol on a plain clique engine and return its
+/// output.
 pub fn differential_session<T, F>(label: &str, n: usize, protocol: F) -> T
 where
     T: PartialEq + Debug,
@@ -30,55 +21,25 @@ where
 }
 
 /// Like [`differential_session`], but over an arbitrary pre-configured
-/// base engine (topology, bandwidth, broadcast restriction, …). The base
-/// engine's own thread setting is overridden by each pool shape.
-pub fn differential_engines<T, F>(label: &str, base: &Engine, mut protocol: F) -> T
+/// base engine (topology, bandwidth, broadcast restriction, …).
+pub fn differential_engines<T, F>(_label: &str, base: &Engine, mut protocol: F) -> T
 where
     T: PartialEq + Debug,
     F: FnMut(&mut Session) -> T,
 {
-    let mut reference: Option<(T, RunStats, usize)> = None;
-    for &threads in POOL_SHAPES.iter() {
-        let mut session = Session::new(base.clone().with_threads_exact(threads));
-        let out = protocol(&mut session);
-        let stats = session.stats();
-        let phases = session.phases();
-        match &reference {
-            None => reference = Some((out, stats, phases)),
-            Some((out0, stats0, phases0)) => {
-                assert!(
-                    *out0 == out,
-                    "{label}: output diverges at threads={threads}: {out:?} vs {out0:?}"
-                );
-                assert!(
-                    *stats0 == stats,
-                    "{label}: RunStats diverge at threads={threads}: {stats:?} vs {stats0:?}"
-                );
-                assert!(
-                    *phases0 == phases,
-                    "{label}: phase count diverges at threads={threads}"
-                );
-            }
-        }
-    }
-    reference.expect("POOL_SHAPES is non-empty").0
+    protocol(&mut Session::new(base.clone()))
 }
 
-/// Run a broadcast-capable protocol differentially in the unrestricted
-/// clique *and* the broadcast-only model (paper §2), asserting the two
-/// models agree with each other and across pool shapes. Returns the
-/// clique-model output.
+/// Run a broadcast-capable protocol in the unrestricted clique *and* the
+/// broadcast-only model (paper §2), asserting the two models agree.
+/// Returns the clique-model output.
 pub fn differential_broadcast_only<T, F>(label: &str, n: usize, mut protocol: F) -> T
 where
     T: PartialEq + Debug,
     F: FnMut(&mut Session) -> T,
 {
-    let clique = differential_engines(&format!("{label}/clique"), &Engine::new(n), &mut protocol);
-    let bcast = differential_engines(
-        &format!("{label}/broadcast-only"),
-        &Engine::new(n).broadcast_only(true),
-        &mut protocol,
-    );
+    let clique = protocol(&mut Session::new(Engine::new(n)));
+    let bcast = protocol(&mut Session::new(Engine::new(n).broadcast_only(true)));
     assert!(
         clique == bcast,
         "{label}: broadcast-only model diverges from clique: {bcast:?} vs {clique:?}"
@@ -86,14 +47,9 @@ where
     clique
 }
 
-/// Run raw node programs under every pool shape with transcript
-/// recording forced on, asserting byte-identical outputs, stats, and
-/// transcripts. Returns the sequential run's `(outputs, stats,
-/// transcripts)` for further auditing.
-///
-/// The factory is called once per shape and must produce identical
-/// programs each time (deterministic construction is the caller's
-/// responsibility — pass a fixed seed in).
+/// Run raw node programs with transcript recording forced on. Returns
+/// `(outputs, stats, transcripts)` for further auditing; an engine error
+/// panics with `label`.
 pub fn differential_programs<P, M>(
     label: &str,
     base: &Engine,
@@ -104,36 +60,13 @@ where
     P::Output: PartialEq + Debug,
     M: FnMut() -> Vec<P>,
 {
-    let mut reference: Option<(Vec<P::Output>, RunStats, Vec<Transcript>)> = None;
-    for &threads in POOL_SHAPES.iter() {
-        let engine = base
-            .clone()
-            .with_transcripts(true)
-            .with_threads_exact(threads);
-        let out = engine
-            .run(make_programs())
-            .unwrap_or_else(|e| panic!("{label}: engine error at threads={threads}: {e}"));
-        let transcripts = out.transcripts.expect("transcripts were requested");
-        match &reference {
-            None => reference = Some((out.outputs, out.stats, transcripts)),
-            Some((out0, stats0, tr0)) => {
-                assert!(
-                    *out0 == out.outputs,
-                    "{label}: outputs diverge at threads={threads}"
-                );
-                assert!(
-                    *stats0 == out.stats,
-                    "{label}: RunStats diverge at threads={threads}: {:?} vs {stats0:?}",
-                    out.stats
-                );
-                assert!(
-                    *tr0 == transcripts,
-                    "{label}: transcripts diverge at threads={threads}"
-                );
-            }
-        }
-    }
-    reference.expect("POOL_SHAPES is non-empty")
+    let out = base
+        .clone()
+        .with_transcripts(true)
+        .run(make_programs())
+        .unwrap_or_else(|e| panic!("{label}: engine error: {e}"));
+    let transcripts = out.transcripts.expect("transcripts were requested");
+    (out.outputs, out.stats, transcripts)
 }
 
 /// Adjacency matrix of the n-cycle, for CONGEST-ring differentials via
@@ -218,8 +151,7 @@ mod tests {
     }
 
     #[test]
-    fn program_differential_is_stable_across_shapes() {
-        // n = 15 ≥ 2·7, so the 7-worker pooled path really engages.
+    fn program_differential_records_a_transcript_per_node() {
         let n = 15;
         let (outputs, stats, transcripts) =
             differential_programs("minid", &Engine::new(n), || vec![MinId(0); n]);

@@ -1,10 +1,9 @@
-//! Fault-conformance differentials: the [`FaultPlan`] adversary must be a
-//! pure function of `(seed, round, from, to)`, so a faulted run is just as
-//! schedule-independent as a fault-free one. This module turns that into a
-//! standing obligation: the same plan, replayed under every pool shape in
-//! [`POOL_SHAPES`], must yield
-//! byte-identical outputs, [`RunStats`], transcripts, *and* the same
-//! [`FaultReport`] event for event.
+//! Fault-conformance runners: the [`FaultPlan`] adversary is a pure
+//! function of `(seed, round, from, to)`, so a faulted run replays bit for
+//! bit. [`differential_faulted`] runs a plan with transcripts on and hands
+//! back everything the suites judge — outputs, [`RunStats`], transcripts
+//! and the [`FaultReport`] — and [`assert_empty_plan_transparent`] holds
+//! an empty plan to byte identity with no plan at all.
 //!
 //! Every panic message carries the plan's [`FaultPlan::label`] (e.g.
 //! `plan[seed=7, crashes=1, drop=0.25]`) next to the protocol label, so a
@@ -15,20 +14,14 @@ use cliquesim::{
 };
 use std::fmt::{Debug, Display};
 
-use crate::differential::POOL_SHAPES;
-
-/// Everything a faulted differential compares: per-node outputs (`None`
-/// for crashed nodes), accumulated stats, full transcripts, and the
+/// Everything a faulted run hands back: per-node outputs (`None` for
+/// crashed nodes), accumulated stats, full transcripts, and the
 /// adversary's event log.
 pub type FaultedRun<T> = (Vec<Option<T>>, RunStats, Vec<Transcript>, FaultReport);
 
-/// Run node programs under `plan` on every pool shape with transcripts
-/// forced on, asserting byte-identical outputs, stats, transcripts, and
-/// fault reports. Returns the sequential run for further auditing.
-///
-/// The factory is called once per shape and must produce identical
-/// programs each time (pass a fixed seed in, like
-/// [`crate::differential_programs`]).
+/// Run node programs under `plan` with transcripts forced on. Returns the
+/// run for further auditing; an engine error panics with the protocol and
+/// plan labels.
 pub fn differential_faulted<P, M>(
     label: &str,
     base: &Engine,
@@ -51,12 +44,10 @@ where
     (out.outputs, out.stats, transcripts, out.faults)
 }
 
-/// The pool-shape loop behind [`differential_faulted`] and
-/// [`crate::differential_byzantine`]: run the programs on `attach(engine)`
-/// for every cell with transcripts forced on, and require byte-identical
-/// outputs, stats, transcripts, fault reports, and Byzantine reports.
-/// `plan` names the adversary in panic messages. Returns the first cell's
-/// run.
+/// The run behind [`differential_faulted`] and
+/// [`crate::differential_byzantine`]: the programs on `attach(engine)`
+/// with transcripts forced on. `plan` names the adversary in the panic
+/// message of an engine error.
 pub(crate) fn differential_adversary<P, M>(
     label: &str,
     base: &Engine,
@@ -69,56 +60,16 @@ where
     P::Output: PartialEq + Debug,
     M: FnMut() -> Vec<P>,
 {
-    let mut reference: Option<FaultedOutcome<P::Output>> = None;
-    for &threads in POOL_SHAPES.iter() {
-        let tag = format!("{label} under {plan}");
-        let engine = attach(
-            base.clone()
-                .with_transcripts(true)
-                .with_threads_exact(threads),
-        );
-        let out = engine
-            .run_faulted(make_programs())
-            .unwrap_or_else(|e| panic!("{tag}: engine error at threads={threads}: {e}"));
-        let Some(r) = &reference else {
-            reference = Some(out);
-            continue;
-        };
-        assert!(
-            r.outputs == out.outputs,
-            "{tag}: outputs diverge at threads={threads}"
-        );
-        assert!(
-            r.stats == out.stats,
-            "{tag}: RunStats diverge at threads={threads}: {:?} vs {:?}",
-            out.stats,
-            r.stats
-        );
-        assert!(
-            r.byzantine == out.byzantine,
-            "{tag}: Byzantine reports diverge at threads={threads}: {:?} vs {:?}",
-            out.byzantine,
-            r.byzantine
-        );
-        assert!(
-            r.faults == out.faults,
-            "{tag}: fault reports diverge at threads={threads}: {:?} vs {:?}",
-            out.faults,
-            r.faults
-        );
-        assert!(
-            r.transcripts == out.transcripts,
-            "{tag}: transcripts diverge at threads={threads}"
-        );
-    }
-    reference.expect("POOL_SHAPES is non-empty")
+    attach(base.clone().with_transcripts(true))
+        .run_faulted(make_programs())
+        .unwrap_or_else(|e| panic!("{label} under {plan}: engine error: {e}"))
 }
 
 /// Assert the engine's transparency guarantee: attaching an *empty*
 /// [`FaultPlan`] changes nothing. Runs the programs once with no plan and
 /// once with `FaultPlan::new(seed)` (every probability zero, no crashes,
-/// no forced faults) on every pool shape, and requires byte-identical
-/// outputs, stats, and transcripts — plus an empty fault report.
+/// no forced faults), and requires byte-identical outputs, stats, and
+/// transcripts — plus an empty fault report.
 pub fn assert_empty_plan_transparent<P, M>(label: &str, base: &Engine, make_programs: M)
 where
     P: NodeProgram,
@@ -135,7 +86,7 @@ where
     );
 }
 
-/// The pool-shape loop behind [`assert_empty_plan_transparent`] and
+/// The check behind [`assert_empty_plan_transparent`] and
 /// [`crate::assert_empty_byzantine_transparent`]: run the programs once on
 /// the bare engine and once on `attach(engine)`, which must attach an
 /// empty plan, and require byte-identical outputs, stats, and transcripts
@@ -150,45 +101,38 @@ pub(crate) fn assert_transparent<P, M>(
     P::Output: PartialEq + Debug,
     M: FnMut() -> Vec<P>,
 {
-    for &threads in POOL_SHAPES.iter() {
-        let engine = base
-            .clone()
-            .with_transcripts(true)
-            .with_threads_exact(threads);
-        let bare = engine
-            .run(make_programs())
-            .unwrap_or_else(|e| panic!("{label}: bare engine error at threads={threads}: {e}"));
-        let planned = attach(engine)
-            .run_faulted(make_programs())
-            .unwrap_or_else(|e| {
-                panic!("{label}: empty-plan engine error at threads={threads}: {e}")
-            });
-        assert!(
-            planned.faults.is_empty(),
-            "{label}: empty plan produced fault events at threads={threads}"
-        );
-        assert!(
-            planned.byzantine.is_empty(),
-            "{label}: empty plan produced rewrite events at threads={threads}"
-        );
-        assert!(
-            bare.outputs
-                .iter()
-                .map(Some)
-                .eq(planned.outputs.iter().map(Option::as_ref)),
-            "{label}: empty plan changed outputs at threads={threads}"
-        );
-        assert!(
-            bare.stats == planned.stats,
-            "{label}: empty plan changed RunStats at threads={threads}: {:?} vs {:?}",
-            planned.stats,
-            bare.stats
-        );
-        assert!(
-            bare.transcripts == planned.transcripts,
-            "{label}: empty plan changed transcripts at threads={threads}"
-        );
-    }
+    let engine = base.clone().with_transcripts(true);
+    let bare = engine
+        .run(make_programs())
+        .unwrap_or_else(|e| panic!("{label}: bare engine error: {e}"));
+    let planned = attach(engine)
+        .run_faulted(make_programs())
+        .unwrap_or_else(|e| panic!("{label}: empty-plan engine error: {e}"));
+    assert!(
+        planned.faults.is_empty(),
+        "{label}: empty plan produced fault events"
+    );
+    assert!(
+        planned.byzantine.is_empty(),
+        "{label}: empty plan produced rewrite events"
+    );
+    assert!(
+        bare.outputs
+            .iter()
+            .map(Some)
+            .eq(planned.outputs.iter().map(Option::as_ref)),
+        "{label}: empty plan changed outputs"
+    );
+    assert!(
+        bare.stats == planned.stats,
+        "{label}: empty plan changed RunStats: {:?} vs {:?}",
+        planned.stats,
+        bare.stats
+    );
+    assert!(
+        bare.transcripts == planned.transcripts,
+        "{label}: empty plan changed transcripts"
+    );
 }
 
 #[cfg(test)]
@@ -232,8 +176,7 @@ mod tests {
     }
 
     #[test]
-    fn faulted_differential_is_stable_across_shapes() {
-        // n = 15 ≥ 2·7, so the 7-worker pooled path really engages.
+    fn faulted_differential_reports_the_plan() {
         let n = 15;
         let plan = FaultPlan::new(42)
             .crash(NodeId(3), 2)

@@ -2,15 +2,15 @@
 //! change results.
 //!
 //! A [`FleetJob`] is a pure-data job descriptor — a seed-addressed
-//! [`Instance`], a [`Workload`], an engine pool shape, and an optional
-//! seed-addressed adversary — so a whole batch
+//! [`Instance`], a [`Workload`], and an optional seed-addressed
+//! adversary — so a whole batch
 //! is reproducible from its printed labels, exactly like the rest of this
 //! crate's corpus. [`assert_fleet_matches_serial`] materialises the batch
 //! once, runs it through [`cc_service::Batch::run_serial`] (the serial
 //! oracle), then through a [`cc_service::Service`] at every requested
 //! width, and requires **byte-identical** outcomes: output bytes, error
 //! strings, skip witnesses, and [`cliquesim::RunStats`]. Any divergence
-//! panics with the job's `family[n=…, seed=…]@t…` label.
+//! panics with the job's `family[n=…, seed=…]` label.
 //!
 //! Dependencies are indices of *earlier* jobs, so every generated fleet
 //! is a DAG by construction — the pathological shapes (cycles, dangling
@@ -79,8 +79,6 @@ pub struct FleetJob {
     pub instance: Instance,
     /// What to compute.
     pub workload: Workload,
-    /// Engine pool shape (threads *inside* the simulation).
-    pub threads: usize,
     /// Optional seed-addressed adversary.
     pub adversary: Adversary,
     /// Indices of earlier jobs this one depends on.
@@ -94,23 +92,21 @@ impl FleetJob {
             tenant,
             instance,
             workload,
-            threads: 1,
             adversary: Adversary::None,
             deps: Vec::new(),
         }
     }
 
-    /// The replayable repro label, e.g.
-    /// `er-medium[n=8, seed=11]@t4+fault7` — instance label and pool
-    /// shape first, so a mismatch names the `family[n, seed]@t…` cell
-    /// that reproduces it.
+    /// The replayable repro label, e.g. `er-medium[n=8, seed=11]+fault7` —
+    /// instance label first, so a mismatch names the `family[n, seed]`
+    /// cell that reproduces it.
     pub fn label(&self) -> String {
         self.to_string()
     }
 
     /// Materialise the service-side job spec.
     pub fn to_spec(&self) -> JobSpec {
-        let mut engine = EngineSpec::new(self.instance.n).threads(self.threads);
+        let mut engine = EngineSpec::new(self.instance.n);
         match self.adversary {
             Adversary::None => {}
             Adversary::Faults { seed } => {
@@ -216,7 +212,7 @@ impl FleetJob {
 
 impl fmt::Display for FleetJob {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}@t{}", self.instance, self.threads)?;
+        write!(f, "{}", self.instance)?;
         match self.adversary {
             Adversary::None => Ok(()),
             Adversary::Faults { seed } => write!(f, "+fault{seed}"),
@@ -333,8 +329,8 @@ pub mod strategies {
         tenants: u32,
     }
 
-    /// Random fleets: mixed families, workloads, pool shapes,
-    /// adversaries, and backward-only dependency edges.
+    /// Random fleets: mixed families, workloads, adversaries, and
+    /// backward-only dependency edges.
     pub fn arb_fleet(max_jobs: usize, tenants: u32) -> ArbFleet {
         assert!(max_jobs >= 1 && tenants >= 1);
         ArbFleet { max_jobs, tenants }
@@ -381,7 +377,6 @@ pub mod strategies {
                         tenant: rng.below(self.tenants as u64) as u32,
                         instance,
                         workload,
-                        threads: [1, 2, 4][rng.below(3) as usize],
                         adversary,
                         deps,
                     }
@@ -399,9 +394,8 @@ mod tests {
     #[test]
     fn fleet_labels_carry_the_repro_cell() {
         let mut job = FleetJob::new(2, Instance::new(Family::ErMedium, 8, 11), Workload::MinId);
-        job.threads = 4;
         job.adversary = Adversary::Faults { seed: 7 };
-        assert_eq!(job.label(), "er-medium[n=8, seed=11]@t4+fault7");
+        assert_eq!(job.label(), "er-medium[n=8, seed=11]+fault7");
     }
 
     #[test]
@@ -427,7 +421,6 @@ mod tests {
             Workload::Gossip { rounds: 2 },
         );
         faulted.adversary = Adversary::Faults { seed: 42 };
-        faulted.threads = 2;
         let mut byz = FleetJob::new(1, Instance::new(Family::Complete, 7, 1), Workload::MinId);
         byz.adversary = Adversary::Byzantine {
             seed: 9,

@@ -15,43 +15,40 @@
 //! * [`oracle`] — centralized reference implementations (matmul, APSP,
 //!   BFS/SSSP, MST, subgraph counting, covers/dominating sets) that
 //!   re-judge protocol outputs independently of the algorithm crates.
-//! * [`differential`] — runs one protocol under every engine pool shape
-//!   (sequential and pooled) and across communication modes (clique /
-//!   broadcast-only / CONGEST ring where defined), asserting identical
-//!   outputs, [`cliquesim::RunStats`], and transcripts.
+//! * [`differential`] — runs one protocol across communication modes
+//!   (clique / broadcast-only / CONGEST ring where defined), asserting
+//!   the models agree, and records transcripts for the auditor.
 //! * [`audit`] — a transcript replay + bandwidth auditor that re-walks
 //!   recorded [`cliquesim::Transcript`]s and rejects any message over the
 //!   `⌈log₂ n⌉`-bit budget, any send/receive asymmetry, and any run
 //!   exceeding a theorem-declared round bound.
-//! * [`faults`] — fault-conformance runners: the same
-//!   [`cliquesim::FaultPlan`] replayed under every pool shape must yield
-//!   identical outputs, stats, transcripts, and fault reports, and an
-//!   empty plan must change nothing at all.
+//! * [`faults`] — fault-conformance runners: a [`cliquesim::FaultPlan`]
+//!   run hands back outputs, stats, transcripts, and the fault report,
+//!   and an empty plan must change nothing at all.
 //! * [`churn`] — churn-conformance families for the rejoin/state-sync
 //!   tier: seed-addressed [`churn::ChurnCase`]s (Poisson crash/rejoin
-//!   schedules) with replayable `churn[n=…, seed=…]` labels, pool-shape
-//!   differentials, and a ledger judge that closes the
-//!   sync counters against the fault report and the plan's downtime.
+//!   schedules) with replayable `churn[n=…, seed=…]` labels, and a
+//!   ledger judge that closes the sync counters against the fault report
+//!   and the plan's downtime.
 //! * [`auth`] — authenticated-tier conformance: seed-addressed
 //!   [`auth::AuthCase`]s (`auth[n=…, f=…, seed=…]`) pairing a
 //!   [`cliquesim::AuthKeyring`] with an honest-majority `f < n/2` traitor
-//!   plan, and [`differential_authenticated`] replaying each pair over
-//!   every pool shape with byte-identical results.
+//!   plan, and [`differential_authenticated`] running each pair.
 //! * [`byzantine`] — the same obligations for the
 //!   [`cliquesim::ByzantinePlan`] traitor tier, plus the
 //!   [`byzantine::equivocation_witness`] checker that exhibits a single
 //!   traitor forging per-link majorities, and `proptest` strategies for
 //!   `f < n/3` traitor sets.
 //! * [`fleet`] — fleet differentials for `cc-service`: pure-data
-//!   [`fleet::FleetJob`] descriptors (instance × workload × engine shape ×
-//!   seed-addressed adversary × DAG edges), a serial-oracle comparison
+//!   [`fleet::FleetJob`] descriptors (instance × workload × seed-addressed
+//!   adversary × DAG edges), a serial-oracle comparison
 //!   runner ([`assert_fleet_matches_serial`]) requiring byte-identical
 //!   outcomes at every scheduler width, and `proptest` strategies over
 //!   whole fleets.
 //! * [`routing`] — routed-payload oracles for `cc-routing`'s fault-aware
 //!   planning layer: seed-addressed [`routing::RouteFaultCase`]s with
 //!   replayable `route-fault[…]` labels, a survivor-delivery judge, and
-//!   pool-shape differentials plus empty-crash-set transparency checks.
+//!   empty-crash-set transparency checks.
 //! * [`certificates`] — a certificate-corruption harness that bit-flips
 //!   honest NCLIQUE certificates and asserts every verifier rejects the
 //!   mutants (modulo confirmed alternate witnesses), printing replayable
@@ -65,6 +62,7 @@
 //! via [`instances::Family::ALL`]) — generators are pure functions of
 //! `(family, n, seed)`, so the instance is bit-identical on every host.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod audit;
@@ -91,7 +89,7 @@ pub use certificates::{assert_corrupted_certificates_rejected, corrupt_labelling
 pub use churn::{churn_corpus, differential_churn, judge_churn_accounting, ChurnCase};
 pub use differential::{
     differential_broadcast_only, differential_engines, differential_programs, differential_session,
-    ring_topology, POOL_SHAPES,
+    ring_topology,
 };
 pub use faults::{assert_empty_plan_transparent, differential_faulted, FaultedRun};
 pub use fleet::{assert_fleet_matches_serial, fleet_batch, Adversary, FleetJob, Workload};

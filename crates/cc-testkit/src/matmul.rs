@@ -238,11 +238,9 @@ fn isqrt_floor(n: usize) -> usize {
     r
 }
 
-/// Run one matmul protocol for `case` under every pool shape
-/// ([`crate::POOL_SHAPES`]), assert all grid cells produce identical products and [`cliquesim::RunStats`], then
-/// judge the product against the independent serial oracle
-/// ([`judge_matmul`] with locally written width-[`MM_WIDTH`] wrapping
-/// arithmetic). Returns the agreed product.
+/// Run one matmul protocol for `case`, then judge the product against the
+/// independent serial oracle ([`judge_matmul`] with locally written
+/// width-[`MM_WIDTH`] wrapping arithmetic). Returns the product.
 ///
 /// The protocol closure receives the session and both factors; pass a
 /// closure that calls the multiplication entry point under test.

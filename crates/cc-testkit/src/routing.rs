@@ -8,21 +8,18 @@
 //! the case from `(n, f, seed)` reproduces the failure bit for bit on any
 //! host.
 //!
-//! Three obligations are enforced:
+//! Two obligations are enforced, and [`differential_route`] runs a case
+//! for them to judge:
 //!
 //! * **delivery to survivors** — [`judge_routed_delivery`] checks that a
 //!   [`RoutedOutcome`] delivers *every* demand between surviving endpoints
 //!   (exactly once, in per-source order), reports *every* dead-endpoint
 //!   demand as a structured [`cc_routing::Undeliverable`] record with the
 //!   right reason, and leaves `None` slots exactly for crashed nodes;
-//! * **pool-shape independence** — [`differential_route`] replays the
-//!   same case under a [`RoutePlan`] on every pool shape in
-//!   [`POOL_SHAPES`], asserting identical deliveries, undeliverable
-//!   records, [`RunStats`], and fault reports;
 //! * **transparency** — [`assert_empty_crash_transparent`] proves a plan
 //!   avoiding an empty crash set byte-identical to the same plan on a bare
-//!   engine (outputs *and* wire cost) across pool shapes, for the direct
-//!   and the balanced schedule, framed and sized.
+//!   engine (outputs *and* wire cost), for the direct and the balanced
+//!   schedule, framed and sized.
 
 use std::fmt;
 
@@ -30,8 +27,6 @@ use cc_routing::{CrashSet, Delivered, DeliveryFailure, RoutePlan, RoutedOutcome}
 use cliquesim::{BitString, Engine, FaultPlan, NodeId, RunStats, Session};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
-
-use crate::differential::POOL_SHAPES;
 
 /// One demand list per node: the input shape of [`RoutePlan::run`].
 pub type Demands = Vec<Vec<(NodeId, BitString)>>;
@@ -182,14 +177,13 @@ pub fn judge_routed_delivery(
     }
 }
 
-/// What a routing differential compares: the routed outcome plus the
+/// What a routing run hands back: the routed outcome plus the
 /// session-level [`RunStats`] (rounds, bits, fault counters).
 pub type RoutedRun = (RoutedOutcome, RunStats);
 
 /// Run `plan`, avoiding the case's crash set, on the case's demands under
-/// its crash plan on every pool shape, asserting identical deliveries,
-/// undeliverable records, fault reports, and stats. Returns the reference
-/// run for judging.
+/// its crash plan. Returns the run for judging; a routing error panics with
+/// the protocol, fault-plan and route-plan labels.
 pub fn differential_route(
     label: &str,
     base: &Engine,
@@ -198,48 +192,20 @@ pub fn differential_route(
 ) -> RoutedRun {
     let fault_plan = case.plan();
     let plan = plan.clone().avoiding(&case.crash_set());
-    let tag = format!("{label} under {fault_plan} with {plan:?}");
-    let mut reference: Option<RoutedRun> = None;
-    for &threads in POOL_SHAPES.iter() {
-        let engine = base
-            .clone()
-            .with_threads_exact(threads)
-            .with_fault_plan(fault_plan.clone());
-        let mut session = Session::new(engine);
-        let out = plan
-            .run_faulted(&mut session, case.demands())
-            .unwrap_or_else(|e| panic!("{tag}: routing failed at threads={threads}: {e}"));
-        let stats = session.stats().clone();
-        match &reference {
-            None => reference = Some((out, stats)),
-            Some((out0, stats0)) => {
-                assert!(
-                    out0.delivered == out.delivered,
-                    "{tag}: deliveries diverge at threads={threads}"
-                );
-                assert!(
-                    out0.undeliverable == out.undeliverable,
-                    "{tag}: undeliverable records diverge at threads={threads}"
-                );
-                assert!(
-                    out0.report == out.report,
-                    "{tag}: fault reports diverge at threads={threads}"
-                );
-                assert!(
-                    *stats0 == stats,
-                    "{tag}: RunStats diverge at threads={threads}: {stats:?} vs {stats0:?}"
-                );
-            }
-        }
-    }
-    reference.expect("POOL_SHAPES is non-empty")
+    let mut session = Session::new(base.clone().with_fault_plan(fault_plan.clone()));
+    let out = plan
+        .run_faulted(&mut session, case.demands())
+        .unwrap_or_else(|e| {
+            panic!("{label} under {fault_plan} with {plan:?}: routing failed: {e}")
+        });
+    (out, session.stats())
 }
 
 /// Assert the planning layer's transparency guarantee, mirroring
 /// `assert_empty_plan_transparent`: every plan — direct and balanced,
 /// framed and sized — avoiding an empty crash set under an empty fault plan
 /// must be byte-identical to the same plan on a bare engine — same
-/// deliveries, same rounds, same bits — on every pool shape.
+/// deliveries, same rounds, same bits.
 pub fn assert_empty_crash_transparent<M>(label: &str, base: &Engine, mut make_demands: M)
 where
     M: FnMut() -> Demands,
@@ -252,43 +218,37 @@ where
         RoutePlan::balanced(),
         RoutePlan::balanced().sized(),
     ];
-    for &threads in POOL_SHAPES.iter() {
-        for plan in &plans {
-            let tag = format!("{label} with {plan:?} at threads={threads}");
-            let mut s1 = Session::new(base.clone().with_threads_exact(threads));
-            let plain = plan
-                .run(&mut s1, make_demands())
-                .unwrap_or_else(|e| panic!("{tag}: plain run failed: {e}"));
-            let mut s2 = Session::new(
-                base.clone()
-                    .with_threads_exact(threads)
-                    .with_fault_plan(empty_plan.clone()),
-            );
-            let faulted = plan
-                .clone()
-                .avoiding(&none)
-                .run_faulted(&mut s2, make_demands())
-                .unwrap_or_else(|e| panic!("{tag}: avoiding run failed: {e}"));
-            assert!(
-                faulted.undeliverable.is_empty() && faulted.report.is_empty(),
-                "{tag}: empty crash set produced fault artefacts"
-            );
-            let unwrapped: Vec<Delivered> = faulted
-                .delivered
-                .into_iter()
-                .map(|d| d.expect("no node is dead"))
-                .collect();
-            assert!(
-                plain == unwrapped,
-                "{tag}: empty crash set changed deliveries"
-            );
-            assert!(
-                s1.stats() == s2.stats(),
-                "{tag}: empty crash set changed wire cost: {:?} vs {:?}",
-                s2.stats(),
-                s1.stats()
-            );
-        }
+    for plan in &plans {
+        let tag = format!("{label} with {plan:?}");
+        let mut s1 = Session::new(base.clone());
+        let plain = plan
+            .run(&mut s1, make_demands())
+            .unwrap_or_else(|e| panic!("{tag}: plain run failed: {e}"));
+        let mut s2 = Session::new(base.clone().with_fault_plan(empty_plan.clone()));
+        let faulted = plan
+            .clone()
+            .avoiding(&none)
+            .run_faulted(&mut s2, make_demands())
+            .unwrap_or_else(|e| panic!("{tag}: avoiding run failed: {e}"));
+        assert!(
+            faulted.undeliverable.is_empty() && faulted.report.is_empty(),
+            "{tag}: empty crash set produced fault artefacts"
+        );
+        let unwrapped: Vec<Delivered> = faulted
+            .delivered
+            .into_iter()
+            .map(|d| d.expect("no node is dead"))
+            .collect();
+        assert!(
+            plain == unwrapped,
+            "{tag}: empty crash set changed deliveries"
+        );
+        assert!(
+            s1.stats() == s2.stats(),
+            "{tag}: empty crash set changed wire cost: {:?} vs {:?}",
+            s2.stats(),
+            s1.stats()
+        );
     }
 }
 

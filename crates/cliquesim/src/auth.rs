@@ -28,9 +28,9 @@
 //! # Determinism contract
 //!
 //! Tags are pure functions of `(keyring seed, round, sender, payload)` —
-//! no iteration-order, pool-shape, host, or buffer-layout dependence —
-//! so an authenticated run replays bit-identically across pool shapes
-//! {1, 4, 7}, exactly like the fault and Byzantine tiers below it. The
+//! no iteration-order, host, or buffer-layout dependence — so an
+//! authenticated run replays bit-identically, exactly like the fault and
+//! Byzantine tiers below it. The
 //! engine's sweeps prime a sender row's tag streams in batches and draw
 //! the same words [`AuthKeyring::sign`] does. Keyrings print as
 //! replayable labels, e.g. `auth[n=9, seed=42]`.
@@ -89,8 +89,7 @@ const KEY_DOMAIN: u64 = 0xA07A_11CE;
 ///
 /// **Guarantee:** `sign(from, round, payload)` is a pure function of the
 /// keyring seed and its arguments; two keyrings with equal `(n, seed)`
-/// are interchangeable, and tags replay bit-identically across pool
-/// shapes and hosts.
+/// are interchangeable, and tags replay bit-identically across hosts.
 ///
 /// **Assumptions:** the adversary models unforgeability by convention —
 /// it signs only with identities it owns (see the module docs for what

@@ -555,11 +555,7 @@ impl<'a> BitReader<'a> {
     #[inline]
     pub fn read_bit(&mut self) -> Result<bool, DecodeError> {
         if self.pos >= self.bits.len() {
-            return Err(DecodeError {
-                at: self.pos,
-                wanted: 1,
-                len: self.bits.len(),
-            });
+            return Err(self.short(1));
         }
         let b = self.bits.get(self.pos);
         self.pos += 1;
@@ -571,11 +567,7 @@ impl<'a> BitReader<'a> {
     pub fn read_uint(&mut self, width: usize) -> Result<u64, DecodeError> {
         assert!(width <= 64, "width {width} exceeds u64");
         if self.remaining() < width {
-            return Err(DecodeError {
-                at: self.pos,
-                wanted: width,
-                len: self.bits.len(),
-            });
+            return Err(self.short(width));
         }
         if width == 0 {
             return Ok(0);
@@ -613,11 +605,7 @@ impl<'a> BitReader<'a> {
     #[inline]
     pub fn skip(&mut self, len: usize) -> Result<(), DecodeError> {
         if self.remaining() < len {
-            return Err(DecodeError {
-                at: self.pos,
-                wanted: len,
-                len: self.bits.len(),
-            });
+            return Err(self.short(len));
         }
         self.pos += len;
         Ok(())
@@ -656,11 +644,7 @@ impl<'a> BitReader<'a> {
     /// [`BitReader::read_into`] for `len` past 64 bits.
     fn read_words_into(&mut self, len: usize, out: &mut BitString) -> Result<(), DecodeError> {
         if self.remaining() < len {
-            return Err(DecodeError {
-                at: self.pos,
-                wanted: len,
-                len: self.bits.len(),
-            });
+            return Err(self.short(len));
         }
         out.clear();
         out.extend_from_range(self.bits, self.pos, len)?;
@@ -675,11 +659,20 @@ impl<'a> BitReader<'a> {
         if self.remaining() == 0 {
             Ok(())
         } else {
-            Err(DecodeError {
-                at: self.pos,
-                wanted: 0,
-                len: self.bits.len(),
-            })
+            Err(self.short(0))
+        }
+    }
+
+    /// The error for a read of `wanted` bits at the cursor. Out of line
+    /// and cold: kept inline, its fields could route a caller's `Ok`
+    /// value through the stack in a hot decode loop.
+    #[cold]
+    #[inline(never)]
+    fn short(&self, wanted: usize) -> DecodeError {
+        DecodeError {
+            at: self.pos,
+            wanted,
+            len: self.bits.len(),
         }
     }
 }

@@ -18,7 +18,7 @@
 //! `(plan seed, round, traitor, recipient)` — a fresh ChaCha8 stream is
 //! keyed per message (its coins, however they are computed: the passes
 //! prime a traitor row's streams in batches), so decisions do not depend
-//! on iteration order, pool shape, or host. The adaptive [`Lie::Replay`]
+//! on iteration order or host. The adaptive [`Lie::Replay`]
 //! additionally reads the traitor's *received* matrix column for the
 //! round, which the engine fixes before any rewrite is applied, so it is
 //! equally schedule-free.
@@ -40,8 +40,8 @@
 //! inversions keep the payload length, and replays reuse a payload that
 //! already passed the bound.
 //!
-//! Rewrites are applied on the main thread between round barriers, after
-//! the sender-side accounting and transcript recording — a traitor's
+//! Rewrites are applied between rounds, after the sender-side accounting
+//! and transcript recording — a traitor's
 //! transcript records what its (honest) program *sent*, and recipients
 //! see what the adversary *substituted*. Byzantine rewrites strike
 //! **before** link faults when both plans are attached: the sender lies
@@ -307,7 +307,7 @@ impl IndexedByzantinePlan<'_> {
     /// buffer the nodes read this round, i.e. each traitor's received
     /// history for adaptive replays. Sweep order is sender-major and every
     /// decision is keyed per `(seed, round, from, to)`, so the result is
-    /// independent of pool shape and of how the buffer stores the messages.
+    /// independent of how the buffer stores the messages.
     pub(crate) fn apply_rewrites(
         &self,
         round: usize,

@@ -114,39 +114,30 @@ impl SparseBuf {
         self.index.rebuild(&self.rows);
     }
 
-    /// The whole buffer, exclusively.
-    pub(crate) fn parts(&mut self) -> BufMut<'_> {
-        BufMut {
-            rows: &mut self.rows,
-            index: &mut self.index,
-        }
+    /// The sender rows, for the step phase to write.
+    pub(crate) fn rows_mut(&mut self) -> &mut [SparseRow] {
+        &mut self.rows
     }
-}
 
-/// One whole delivery buffer, exclusively borrowed.
-pub(crate) struct BufMut<'a> {
-    pub(crate) rows: &'a mut [SparseRow],
-    pub(crate) index: &'a mut RecvIndex,
-}
-
-impl BufMut<'_> {
     /// Rebuild the receiver index from the sealed rows, in O(n + entries).
     pub(crate) fn index_receivers(&mut self) {
-        self.index.rebuild(self.rows);
+        self.index.rebuild(&self.rows);
     }
 
     /// Read-only view, through the index as last built.
     pub(crate) fn view(&self) -> BufView<'_> {
         BufView {
-            rows: self.rows,
-            index: self.index,
+            rows: &self.rows,
+            index: &self.index,
         }
     }
 
     /// Mutable view for the wire passes. They may add entries, so the
     /// caller rebuilds the index afterwards.
     pub(crate) fn view_mut(&mut self) -> BufViewMut<'_> {
-        BufViewMut { rows: self.rows }
+        BufViewMut {
+            rows: &mut self.rows,
+        }
     }
 }
 
@@ -571,7 +562,7 @@ impl<'a> Iterator for RowIter<'a> {
 /// and which senders broadcast. Built by [`RecvIndex::rebuild`] from sealed
 /// rows; its `Vec`s keep their capacity across rounds and runs.
 #[derive(Debug, Default)]
-pub(crate) struct RecvIndex {
+struct RecvIndex {
     /// `pairs[start[u]..start[u + 1]]` are the entries addressed to `u`;
     /// `n + 1` offsets.
     start: Vec<u32>,
@@ -646,7 +637,7 @@ impl<'a> Iterator for Column<'a> {
         let rows = self.rows;
         loop {
             let next_bcast = self.bcast.first().copied();
-            let (v, m) = match self.pairs.split_first() {
+            match self.pairs.split_first() {
                 // An override, even an empty one, beats its sender's
                 // broadcast.
                 Some((&(v, e), rest)) if next_bcast.is_none_or(|b| v <= b) => {
@@ -654,19 +645,22 @@ impl<'a> Iterator for Column<'a> {
                     if next_bcast == Some(v) {
                         self.bcast = &self.bcast[1..];
                     }
-                    (v, &rows[v as usize].live_entries().1[e as usize].0)
+                    let m = &rows[v as usize].live_entries().1[e as usize].0;
+                    if !m.is_empty() {
+                        return Some((v as usize, m));
+                    }
                 }
                 _ => {
                     let (&v, rest) = self.bcast.split_first()?;
                     self.bcast = rest;
-                    if v == self.me {
-                        continue;
+                    if v != self.me {
+                        // The index lists only non-empty broadcasts, so
+                        // this arm needs no emptiness check.
+                        let m = &rows[v as usize].bcast;
+                        debug_assert!(!m.is_empty(), "index lists an empty broadcast");
+                        return Some((v as usize, m));
                     }
-                    (v, &rows[v as usize].bcast)
                 }
-            };
-            if !m.is_empty() {
-                return Some((v as usize, m));
             }
         }
     }
@@ -677,11 +671,16 @@ impl<'a> Iterator for Column<'a> {
 /// transcripts) walks.
 #[derive(Clone, Copy)]
 pub(crate) struct BufView<'a> {
-    pub(crate) rows: &'a [SparseRow],
-    pub(crate) index: &'a RecvIndex,
+    rows: &'a [SparseRow],
+    index: &'a RecvIndex,
 }
 
 impl<'a> BufView<'a> {
+    /// Number of nodes.
+    pub(crate) fn n(&self) -> usize {
+        self.rows.len()
+    }
+
     /// The message `v → u` (empty if none; the diagonal is always empty).
     #[inline]
     pub(crate) fn get(&self, v: usize, u: usize) -> &'a BitString {
@@ -783,19 +782,6 @@ impl SparseBuf {
         let n = self.rows.len();
         let view = self.view();
         (0..n * n).map(|i| view.get(i / n, i % n).clone()).collect()
-    }
-
-    pub(crate) fn view(&self) -> BufView<'_> {
-        BufView {
-            rows: &self.rows,
-            index: &self.index,
-        }
-    }
-
-    pub(crate) fn view_mut(&mut self) -> BufViewMut<'_> {
-        BufViewMut {
-            rows: &mut self.rows,
-        }
     }
 }
 
@@ -1096,7 +1082,7 @@ mod tests {
         for r in &mut buf.rows {
             r.seal();
         }
-        buf.parts().index_receivers();
+        buf.index_receivers();
         let view = buf.view();
         for u in 0..n {
             let walked: Vec<(usize, BitString)> =

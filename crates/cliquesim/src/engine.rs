@@ -7,19 +7,15 @@
 //!
 //! # Execution strategy
 //!
-//! One round loop drives every run. Each round it applies the fault plan's
-//! crashes and rejoins, snapshots which nodes are active, runs the step
-//! phase, closes the round's books, and — unless the run is over — applies
-//! the wire passes (Byzantine rewrites → signing → forged tags → link faults
-//! → verification) and checks the deadline and the cancel flag.
-//!
-//! Only the step phase depends on the width. At one thread it steps every
-//! node inline on the calling thread. With `threads > 1` a **persistent
-//! worker pool** is created once per run: workers park on a round barrier,
-//! step a fixed chunk of nodes, publish a per-chunk accumulator, and park
-//! again — no per-round thread creation. Everything outside the step phase
-//! runs on the calling thread while the workers are parked, which (with
-//! address-keyed adversary coins) makes runs pool-shape independent.
+//! One round loop drives every run, on the thread that called
+//! [`Engine::run`]. Each round it applies the fault plan's crashes and
+//! rejoins, snapshots which nodes are active, steps every active node in
+//! index order, closes the round's books, and — unless the run is over —
+//! applies the wire passes (Byzantine rewrites → signing → forged tags →
+//! link faults → verification) and checks the deadline and the cancel flag.
+//! The paper prices a run in rounds, with local computation free, so the
+//! engine spends no threads inside a run: parallelism comes from running
+//! many runs at once (`cc-service`).
 //!
 //! Message delivery is **double-buffered** (see [`crate::delivery`]): a
 //! per-sender edge list with a shared broadcast payload, read through a
@@ -28,12 +24,8 @@
 //! O(n²) transpose; rows are cleared in place, retaining capacity, and
 //! persist across runs via [`DeliveryArena`]). Every row and column walk
 //! visits messages only, so a round costs O(n + messages), not O(n²).
-//!
-//! Inline and pooled execution produce bit-identical outputs, transcripts,
-//! and [`RunStats`] (wall-clock timing excluded).
 
 use std::fmt;
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -43,7 +35,7 @@ use crate::auth::{AuthKeyring, AuthLedger};
 use crate::bits::BitString;
 use crate::byzantine::{ByzantinePlan, ByzantineReport, IndexedByzantinePlan};
 use crate::coins::Coins;
-use crate::delivery::{BufMut, BufView, BufViewMut, DeliveryArena, SparseBuf, SparseRow};
+use crate::delivery::{BufView, BufViewMut, DeliveryArena, SparseBuf, SparseRow};
 use crate::fault::{FaultEvent, FaultPlan, FaultReport, IndexedFaultPlan};
 use crate::node::{Inbox, NodeCtx, NodeId, NodeProgram, Outbox, Status};
 use crate::stats::{EngineTiming, RunStats};
@@ -95,9 +87,10 @@ pub enum SimError {
         /// Number of programs supplied.
         got: usize,
     },
-    /// A node program panicked during its step. The engine converts the
-    /// panic into this structured error on both execution paths, so a buggy
-    /// program cannot poison the worker pool — the engine stays reusable.
+    /// A node program panicked during its step (a rejoin replay's included).
+    /// The engine catches the panic and returns this structured error, so a
+    /// buggy program cannot take its caller down — the engine stays
+    /// reusable.
     NodeProgramPanicked {
         /// The panicking node.
         node: NodeId,
@@ -315,8 +308,6 @@ pub struct Engine {
     bandwidth: usize,
     max_rounds: usize,
     record_transcripts: bool,
-    threads: usize,
-    cap_threads_to_host: bool,
     broadcast_only: bool,
     /// CONGEST mode: `topology[v*n + u]` = v may send to u. Empty = clique.
     topology: Arc<[bool]>,
@@ -355,8 +346,6 @@ impl Engine {
             bandwidth: BitString::width_for(n),
             max_rounds: DEFAULT_MAX_ROUNDS,
             record_transcripts: false,
-            threads: 1,
-            cap_threads_to_host: true,
             broadcast_only: false,
             topology: Arc::from(Vec::new().into_boxed_slice()),
             fault_plan: None,
@@ -394,11 +383,11 @@ impl Engine {
         self
     }
 
-    /// Attach a fault-injection adversary (see [`crate::fault`]). The plan
-    /// is applied identically at every pool shape; an empty plan is
-    /// guaranteed byte-identical to no plan at all. Runs whose plan crashes
-    /// nodes should use [`Engine::run_faulted`] to observe partial outputs
-    /// — [`Engine::run`] turns a crash into [`SimError::NodeCrashed`].
+    /// Attach a fault-injection adversary (see [`crate::fault`]). An empty
+    /// plan is guaranteed byte-identical to no plan at all. Runs whose plan
+    /// crashes nodes should use [`Engine::run_faulted`] to observe partial
+    /// outputs — [`Engine::run`] turns a crash into
+    /// [`SimError::NodeCrashed`].
     pub fn with_fault_plan(mut self, plan: FaultPlan) -> Self {
         self.fault_plan = Some(Arc::new(plan));
         self
@@ -424,11 +413,10 @@ impl Engine {
 
     /// Attach a Byzantine sender adversary (see [`crate::byzantine`]): the
     /// plan's traitor nodes get their outbound messages rewritten per
-    /// recipient. Applied identically at every pool shape; an empty plan
-    /// is guaranteed byte-identical to no plan at all. Composes with
-    /// [`Engine::with_fault_plan`]: each round, traitors lie first, then
-    /// link faults damage what was actually transmitted. Use
-    /// [`Engine::run_faulted`] to observe the per-event rewrite log
+    /// recipient. An empty plan is guaranteed byte-identical to no plan at
+    /// all. Composes with [`Engine::with_fault_plan`]: each round, traitors
+    /// lie first, then link faults damage what was actually transmitted.
+    /// Use [`Engine::run_faulted`] to observe the per-event rewrite log
     /// ([`FaultedOutcome::byzantine`]).
     pub fn with_byzantine_plan(mut self, plan: ByzantinePlan) -> Self {
         self.byzantine_plan = Some(Arc::new(plan));
@@ -531,32 +519,6 @@ impl Engine {
         self
     }
 
-    /// Step nodes on up to `threads` OS threads via a per-run persistent
-    /// worker pool. Results are identical to the inline engine; only
-    /// wall-clock changes.
-    ///
-    /// The pool is capped at the host's available parallelism: workers
-    /// beyond the core count cannot execute concurrently and would only add
-    /// barrier latency. Use [`Engine::with_threads_exact`] when a test or
-    /// benchmark must exercise a specific pool shape regardless of host.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        assert!(threads >= 1);
-        self.threads = threads;
-        self.cap_threads_to_host = true;
-        self
-    }
-
-    /// Like [`Engine::with_threads`] but without the host-parallelism cap:
-    /// exactly this many workers are spawned (pool-shape determinism for
-    /// tests and benchmarks; on an undersized host this only costs
-    /// wall-clock, never correctness).
-    pub fn with_threads_exact(mut self, threads: usize) -> Self {
-        assert!(threads >= 1);
-        self.threads = threads;
-        self.cap_threads_to_host = false;
-        self
-    }
-
     /// Number of nodes.
     pub fn n(&self) -> usize {
         self.n
@@ -609,8 +571,7 @@ impl Engine {
         self.run_core(programs, arena)
     }
 
-    /// Set up one run and drive it through [`Engine::round_loop`] with the
-    /// inline or the pooled step phase.
+    /// Set up one run and drive it through [`Engine::round_loop`].
     fn run_core<P: NodeProgram>(
         &self,
         mut programs: Vec<P>,
@@ -668,41 +629,15 @@ impl Engine {
             wire.faults.as_ref().map(|f| f.plan),
             self.fault_offset,
         );
-        let rules = StepRules {
-            ctxs: &ctxs,
-            bandwidth: self.bandwidth,
-            broadcast_only: self.broadcast_only,
-            topology: &self.topology,
-        };
-        let threads = if self.cap_threads_to_host {
-            let host = std::thread::available_parallelism().map_or(1, |p| p.get());
-            self.threads.min(host)
-        } else {
-            self.threads
-        };
-        let result = if threads > 1 && n >= 2 * threads {
-            std::thread::scope(|s| {
-                let mut pool = pool::Pool::spawn(
-                    s,
-                    threads,
-                    rules,
-                    &mut programs,
-                    &mut halted,
-                    &mut outputs,
-                    &mut bufs,
-                );
-                self.round_loop(&mut pool, &ctxs, &mut book, &mut wire)
-            })
-        } else {
-            let mut inline = Inline {
-                rules,
-                programs: &mut programs,
-                halted: &mut halted,
-                outputs: &mut outputs,
-                bufs: &mut bufs,
-            };
-            self.round_loop(&mut inline, &ctxs, &mut book, &mut wire)
-        };
+        let result = self.round_loop(
+            &ctxs,
+            &mut programs,
+            &mut halted,
+            &mut outputs,
+            &mut bufs,
+            &mut book,
+            &mut wire,
+        );
         // Return the buffers even on a failed run, so the next run through
         // the same arena still reuses the allocations.
         arena.put(bufs);
@@ -720,15 +655,19 @@ impl Engine {
         })
     }
 
-    /// The round loop, written once for both step phases. Each round runs,
-    /// in order: the crash and churn pre-step, the activity snapshot, the
-    /// step phase, [`RoundBook::close_round`], and — unless that ended the
-    /// run — the wire passes and the deadline and cancel checks. Everything
-    /// but the step phase runs on the calling thread while no node steps.
+    /// The round loop. Each round runs, in order: the crash and churn
+    /// pre-step, the activity snapshot, the step phase (every active node
+    /// in index order, so the lowest-indexed model violation is the one
+    /// reported), [`RoundBook::close_round`], and — unless that ended the
+    /// run — the wire passes and the deadline and cancel checks.
+    #[allow(clippy::too_many_arguments)]
     fn round_loop<P: NodeProgram>(
         &self,
-        phase: &mut impl StepPhase<P>,
         ctxs: &[NodeCtx],
+        programs: &mut [P],
+        halted: &mut [bool],
+        outputs: &mut [Option<P::Output>],
+        bufs: &mut [SparseBuf; 2],
         book: &mut RoundBook<'_>,
         wire: &mut Wire<'_>,
     ) -> Result<(), SimError> {
@@ -737,7 +676,9 @@ impl Engine {
         let mut active = vec![true; n];
         let mut round = 0usize;
         loop {
-            let state = phase.state();
+            let [a, b] = &mut *bufs;
+            let (write, read) = parity([a, b], round);
+            let inbound = read.view();
             if let Some(faults) = &wire.faults {
                 // Crashes fire before the activity snapshot: a node crashing
                 // in round r never steps in it, and the messages it was due
@@ -745,41 +686,44 @@ impl Engine {
                 // fire right after: a node due back this round is replayed
                 // over its missed window and steps again from this round on.
                 let start = Instant::now();
-                let (_, read) = parity(state.bufs, round);
-                let inbound = read.view();
                 let report = &mut wire.fault_report;
-                faults.apply_crashes(wire.offset + round, state.halted, &inbound, report);
+                faults.apply_crashes(wire.offset + round, halted, &inbound, report);
                 book.process_churn(
                     round,
                     faults.plan,
-                    state.programs,
+                    programs,
                     ctxs,
-                    state.halted,
-                    state.outputs,
+                    halted,
+                    outputs,
                     &inbound,
                     report,
                 )?;
                 book.stats.timing.churn_ns += nanos(start, Instant::now());
             }
-            for (a, h) in active.iter_mut().zip(state.halted.iter()) {
+            for (a, h) in active.iter_mut().zip(halted.iter()) {
                 *a = !*h;
             }
 
+            // Every row is cleared first, so a halted node sends nothing.
             let step_start = Instant::now();
-            let acc = phase.step(round)?;
+            let mut sent = Tally::default();
+            for (v, row) in write.rows_mut().iter_mut().enumerate() {
+                row.clear();
+                if halted[v] {
+                    continue;
+                }
+                let (status, tally) =
+                    self.step_node(&mut programs[v], &ctxs[v], round, inbound, row)?;
+                sent.fold(&tally);
+                if let Status::Halt(out) = status {
+                    halted[v] = true;
+                    outputs[v] = Some(out);
+                }
+            }
             let step_end = Instant::now();
 
-            let state = phase.state();
-            let (mut write, read) = parity(state.bufs, round);
             let verdict = book.close_round(
-                round,
-                acc,
-                &mut write,
-                read.view(),
-                state.halted,
-                &active,
-                step_start,
-                step_end,
+                round, sent, write, inbound, halted, &active, step_start, step_end,
             );
             match verdict {
                 Verdict::Continue => {}
@@ -796,7 +740,7 @@ impl Engine {
             if wire.is_active() {
                 let start = Instant::now();
                 let timing = &mut book.stats.timing;
-                wire.apply(round, &mut write.view_mut(), &read.view(), timing);
+                wire.apply(round, &mut write.view_mut(), &inbound, timing);
                 // The passes may have materialised damaged broadcast copies
                 // as new entries: index what the next round reads.
                 write.index_receivers();
@@ -815,6 +759,88 @@ impl Engine {
             }
             round += 1;
         }
+    }
+
+    /// Step one node and check its sealed row against the model. `read` is
+    /// the buffer written last round (the node reads it through an inbox
+    /// view), `row` the node's cleared row of this round's buffer. Returns
+    /// the node's status and what its row sends.
+    fn step_node<P: NodeProgram>(
+        &self,
+        prog: &mut P,
+        ctx: &NodeCtx,
+        round: usize,
+        read: BufView<'_>,
+        row: &mut SparseRow,
+    ) -> Result<(Status<P::Output>, Tally), SimError> {
+        let n = ctx.n;
+        let v = ctx.id.index();
+        let inbox = Inbox::new(read, v);
+        let status = {
+            let mut outbox = Outbox::row(row, n, v);
+            // A panicking program becomes a structured error: the engine
+            // (and its caller) must stay usable after a buggy algorithm.
+            catch_unwind(AssertUnwindSafe(|| {
+                prog.step(ctx, round, &inbox, &mut outbox)
+            }))
+            .map_err(|payload| SimError::NodeProgramPanicked {
+                node: ctx.id,
+                round,
+                message: panic_message(payload),
+            })?
+        };
+        row.seal();
+        let row: &SparseRow = row;
+        if !self.topology.is_empty() {
+            for (u, _m) in row.messages(n, v) {
+                if !self.topology[v * n + u] {
+                    return Err(SimError::TopologyViolated {
+                        from: ctx.id,
+                        to: NodeId::from(u),
+                        round,
+                    });
+                }
+            }
+        }
+        // One walk over the row's distinct payloads, each with the number
+        // of recipients it reaches: a broadcast is one payload however many
+        // copies it makes, so the checks and the tally cost O(1 +
+        // overrides).
+        let mut tally = Tally::default();
+        let mut common: Option<&BitString> = None;
+        let mut identical = true;
+        for (copies, m) in row.payloads(n) {
+            if self.broadcast_only {
+                identical &= *common.get_or_insert(m) == m;
+            }
+            tally.messages += copies as u64;
+            tally.bits += copies as u64 * m.len() as u64;
+            tally.max_message_bits = tally.max_message_bits.max(m.len());
+        }
+        // Broadcast-only: all non-empty outgoing messages must be
+        // identical, and a node addresses everyone or no one. The error
+        // names no recipient, so the payloads decide it alone.
+        if self.broadcast_only
+            && (!identical || (tally.messages != 0 && tally.messages != n as u64 - 1))
+        {
+            return Err(SimError::BroadcastViolated {
+                from: ctx.id,
+                round,
+            });
+        }
+        if tally.max_message_bits > self.bandwidth {
+            // The error names the first oversized copy in recipient order.
+            if let Some((u, m)) = row.messages(n, v).find(|(_, m)| m.len() > self.bandwidth) {
+                return Err(SimError::BandwidthExceeded {
+                    from: ctx.id,
+                    to: NodeId::from(u),
+                    round,
+                    bits: m.len(),
+                    limit: self.bandwidth,
+                });
+            }
+        }
+        Ok((status, tally))
     }
 }
 
@@ -903,16 +929,6 @@ fn timed(total: &mut u64, pass: impl FnOnce()) {
     *total += nanos(start, Instant::now());
 }
 
-/// Exclusive access to a run's state between step phases: every node's
-/// program, halt flag and output, and both delivery buffers (see
-/// [`parity`]).
-struct RunState<'a, P: NodeProgram> {
-    programs: &'a mut [P],
-    halted: &'a mut [bool],
-    outputs: &'a mut [Option<P::Output>],
-    bufs: [BufMut<'a>; 2],
-}
-
 /// Round `round`'s `(write, read)` halves of a double buffer: nodes write
 /// `pair[round % 2]` and read the other half, which the previous round
 /// wrote.
@@ -925,473 +941,17 @@ fn parity<T>(pair: [T; 2], round: usize) -> (T, T) {
     }
 }
 
-/// How a round's nodes get stepped: [`Inline`] on the calling thread, or
-/// [`Pool`] on barrier-parked workers. The round loop sees only this.
-trait StepPhase<P: NodeProgram> {
-    /// Step every active node once in `round` and total what they sent. If
-    /// the model rejects several nodes, the lowest-indexed one's error wins.
-    fn step(&mut self, round: usize) -> Result<ChunkAcc, SimError>;
-
-    /// Exclusive access to the run's state until the next step phase.
-    fn state(&mut self) -> RunState<'_, P>;
-}
-
-/// What a node step is checked against; shared read-only by every step
-/// phase.
-#[derive(Clone, Copy)]
-struct StepRules<'a> {
-    ctxs: &'a [NodeCtx],
-    bandwidth: usize,
-    broadcast_only: bool,
-    /// CONGEST mode: `topology[v*n + u]` = v may send to u. Empty = clique.
-    topology: &'a [bool],
-}
-
-impl StepRules<'_> {
-    /// The per-node loop, written once for both step phases: step nodes
-    /// `nodes` in `round`. `programs`, `halted` and `outputs` hold exactly
-    /// those nodes, and `write` exactly their sender rows of this round's
-    /// buffer, all indexed relative to `nodes.start`; `read` is the whole
-    /// buffer the previous round wrote. Every row is cleared first, so a
-    /// halted node sends nothing.
-    #[allow(clippy::too_many_arguments)]
-    fn step_range<P: NodeProgram>(
-        &self,
-        round: usize,
-        nodes: Range<usize>,
-        programs: &mut [P],
-        halted: &mut [bool],
-        outputs: &mut [Option<P::Output>],
-        read: BufView<'_>,
-        write: &mut [SparseRow],
-    ) -> Result<ChunkAcc, SimError> {
-        let mut acc = ChunkAcc::default();
-        for (row, v) in nodes.enumerate() {
-            write[row].clear();
-            if halted[row] {
-                continue;
-            }
-            self.step_one(
-                &mut programs[row],
-                &self.ctxs[v],
-                round,
-                read,
-                &mut write[row],
-                &mut halted[row],
-                &mut outputs[row],
-                &mut acc,
-            )?;
-        }
-        Ok(acc)
-    }
-
-    /// Step a single node and validate its outbox against the model.
-    /// `read` is the full buffer written last round (the node reads it
-    /// through a receiver-oriented inbox view); `row` is the node's
-    /// cleared row of this round's buffer.
-    #[allow(clippy::too_many_arguments)]
-    fn step_one<P: NodeProgram>(
-        &self,
-        prog: &mut P,
-        ctx: &NodeCtx,
-        round: usize,
-        read: BufView<'_>,
-        row: &mut SparseRow,
-        halted: &mut bool,
-        output: &mut Option<P::Output>,
-        acc: &mut ChunkAcc,
-    ) -> Result<(), SimError> {
-        let n = ctx.n;
-        let v = ctx.id.index();
-        let inbox = Inbox::new(read, v);
-        let status = {
-            let mut outbox = Outbox::row(row, n, v);
-            // A panicking program becomes a structured error, not a torn-down
-            // pool: the engine (and its caller) must stay usable after a buggy
-            // algorithm.
-            catch_unwind(AssertUnwindSafe(|| {
-                prog.step(ctx, round, &inbox, &mut outbox)
-            }))
-            .map_err(|payload| SimError::NodeProgramPanicked {
-                node: ctx.id,
-                round,
-                message: panic_message(payload),
-            })?
-        };
-        match status {
-            Status::Continue => {}
-            Status::Halt(out) => {
-                *halted = true;
-                *output = Some(out);
-            }
-        }
-        row.seal();
-        let row: &SparseRow = row;
-        if !self.topology.is_empty() {
-            for (u, _m) in row.messages(n, v) {
-                if !self.topology[v * n + u] {
-                    return Err(SimError::TopologyViolated {
-                        from: ctx.id,
-                        to: NodeId::from(u),
-                        round,
-                    });
-                }
-            }
-        }
-        // One walk over the row's distinct payloads, each with the number
-        // of recipients it reaches: a broadcast is one payload however many
-        // copies it makes, so the checks and the tally cost O(1 +
-        // overrides).
-        let mut tally = ChunkAcc::default();
-        let mut common: Option<&BitString> = None;
-        let mut identical = true;
-        for (copies, m) in row.payloads(n) {
-            if self.broadcast_only {
-                identical &= *common.get_or_insert(m) == m;
-            }
-            tally.messages += copies as u64;
-            tally.bits += copies as u64 * m.len() as u64;
-            tally.max_message_bits = tally.max_message_bits.max(m.len());
-        }
-        // Broadcast-only: all non-empty outgoing messages must be
-        // identical, and a node addresses everyone or no one. The error
-        // names no recipient, so the payloads decide it alone.
-        if self.broadcast_only
-            && (!identical || (tally.messages != 0 && tally.messages != n as u64 - 1))
-        {
-            return Err(SimError::BroadcastViolated {
-                from: ctx.id,
-                round,
-            });
-        }
-        if tally.max_message_bits > self.bandwidth {
-            // The error names the first oversized copy in recipient order.
-            if let Some((u, m)) = row.messages(n, v).find(|(_, m)| m.len() > self.bandwidth) {
-                return Err(SimError::BandwidthExceeded {
-                    from: ctx.id,
-                    to: NodeId::from(u),
-                    round,
-                    bits: m.len(),
-                    limit: self.bandwidth,
-                });
-            }
-        }
-        acc.fold(&tally);
-        Ok(())
-    }
-}
-
-/// The width-1 step phase: every node steps on the calling thread.
-struct Inline<'a, P: NodeProgram> {
-    rules: StepRules<'a>,
-    programs: &'a mut [P],
-    halted: &'a mut [bool],
-    outputs: &'a mut [Option<P::Output>],
-    bufs: &'a mut [SparseBuf; 2],
-}
-
-impl<P: NodeProgram> StepPhase<P> for Inline<'_, P> {
-    fn step(&mut self, round: usize) -> Result<ChunkAcc, SimError> {
-        let [a, b] = &mut *self.bufs;
-        let (write, read) = parity([a.parts(), b.parts()], round);
-        self.rules.step_range(
-            round,
-            0..self.programs.len(),
-            self.programs,
-            self.halted,
-            self.outputs,
-            read.view(),
-            write.rows,
-        )
-    }
-
-    fn state(&mut self) -> RunState<'_, P> {
-        let [a, b] = &mut *self.bufs;
-        RunState {
-            programs: &mut *self.programs,
-            halted: &mut *self.halted,
-            outputs: &mut *self.outputs,
-            bufs: [a.parts(), b.parts()],
-        }
-    }
-}
-
-/// The pooled step phase, in a module of its own: nothing else in the
-/// engine can reach the run state it shares with its workers, and every
-/// `unsafe` block of the engine is in here.
-mod pool {
-    use std::panic::resume_unwind;
-    use std::sync::atomic::AtomicUsize;
-    use std::sync::{Barrier, Mutex, MutexGuard, PoisonError};
-    use std::thread::Scope;
-
-    use super::*;
-    use crate::delivery::RecvIndex;
-
-    /// The pooled step phase: workers spawned once per run inside a
-    /// `std::thread::scope`, each owning a fixed chunk of nodes.
-    ///
-    /// # Barrier protocol
-    ///
-    /// The run state — programs, halt flags, outputs and both delivery buffers
-    /// — is shared with the workers through [`SyncCell`]s, and one barrier of
-    /// `workers + 1` parties hands it back and forth:
-    ///
-    /// - Outside [`Pool::step`] every worker is parked at the round-start
-    ///   barrier and the calling thread owns all of the state. Its one way in
-    ///   is [`Pool::state`], which borrows the pool mutably, so the compiler
-    ///   rejects any view held across the next step phase.
-    /// - `step` publishes the round and passes the round-start barrier. Until
-    ///   the round-end barrier each worker touches only its own node range of
-    ///   programs, halt flags and outputs, plus the matching sender rows of the
-    ///   write buffer. No one touches the write buffer's receiver index, and
-    ///   no one writes the read buffer, its index included. Each worker
-    ///   publishes its chunk's result in its own slot, then waits at the
-    ///   round-end barrier, after which `step` collects the results.
-    /// - The calling thread rebuilds (and so may resize) an index only
-    ///   between step phases, while the workers are parked. They share it
-    ///   as one cell holding its `Vec`s, dereferenced afresh each round.
-    /// - `Drop` sets the stop flag and passes the round-start barrier once
-    ///   more, so the workers exit and the scope can join them — on every
-    ///   return path, and while unwinding.
-    pub(super) struct Pool<'a, P: NodeProgram> {
-        ctrl: Arc<PoolCtrl>,
-        programs: &'a [SyncCell<P>],
-        halted: &'a [SyncCell<bool>],
-        outputs: &'a [SyncCell<Option<P::Output>>],
-        bufs: [Shared<'a>; 2],
-    }
-
-    /// One delivery buffer shared with the workers: a [`BufMut`]'s rows, as
-    /// cells, and its index as a one-cell slice.
-    #[derive(Clone, Copy)]
-    struct Shared<'a> {
-        rows: &'a [SyncCell<SparseRow>],
-        index: &'a [SyncCell<RecvIndex>],
-    }
-
-    impl<'a> Shared<'a> {
-        fn new(buf: BufMut<'a>) -> Self {
-            Self {
-                rows: SyncCell::share(buf.rows),
-                index: SyncCell::share(std::slice::from_mut(buf.index)),
-            }
-        }
-    }
-
-    /// Round-synchronisation state shared between the calling thread and the
-    /// workers. `Barrier::wait` is the only synchroniser (it orders all memory
-    /// accesses across the phase boundary); the atomics are plain mailboxes
-    /// written strictly between barriers, hence `Relaxed`.
-    struct PoolCtrl {
-        barrier: Barrier,
-        round: AtomicUsize,
-        stop: AtomicBool,
-        /// One slot per worker: its chunk's totals, or why it stopped.
-        results: Vec<Mutex<Result<ChunkAcc, StepAbort>>>,
-    }
-
-    /// Why a worker's step phase did not produce a [`ChunkAcc`].
-    enum StepAbort {
-        /// The model rejected a node's behaviour.
-        Sim(SimError),
-        /// The step panicked outside a node program (node-program panics are
-        /// already [`SimError::NodeProgramPanicked`]); the payload is re-thrown
-        /// on the calling thread.
-        Panic(Box<dyn std::any::Any + Send>),
-    }
-
-    impl<'a, P: NodeProgram> Pool<'a, P> {
-        /// Spawn about `threads` workers in `scope`, each owning a contiguous
-        /// chunk of nodes, parked until the first step phase.
-        pub(super) fn spawn<'scope>(
-            scope: &'scope Scope<'scope, 'a>,
-            threads: usize,
-            rules: StepRules<'a>,
-            programs: &'a mut [P],
-            halted: &'a mut [bool],
-            outputs: &'a mut [Option<P::Output>],
-            bufs: &'a mut [SparseBuf; 2],
-        ) -> Self {
-            let n = programs.len();
-            let chunk = n.div_ceil(threads);
-            let workers = n.div_ceil(chunk);
-            let ctrl = Arc::new(PoolCtrl {
-                barrier: Barrier::new(workers + 1),
-                round: AtomicUsize::new(0),
-                stop: AtomicBool::new(false),
-                results: (0..workers)
-                    .map(|_| Mutex::new(Ok(ChunkAcc::default())))
-                    .collect(),
-            });
-            let [a, b] = bufs;
-            let programs = SyncCell::share(programs);
-            let halted = SyncCell::share(halted);
-            let outputs = SyncCell::share(outputs);
-            let bufs = [Shared::new(a.parts()), Shared::new(b.parts())];
-            for w in 0..workers {
-                let ctrl = Arc::clone(&ctrl);
-                let (lo, hi) = (w * chunk, n.min((w + 1) * chunk));
-                scope.spawn(move || loop {
-                    ctrl.barrier.wait();
-                    if ctrl.stop.load(Ordering::Relaxed) {
-                        break;
-                    }
-                    let round = ctrl.round.load(Ordering::Relaxed);
-                    let (write, read) = parity(bufs, round);
-                    let caught = catch_unwind(AssertUnwindSafe(|| {
-                        // SAFETY (barrier protocol, see `Pool`): between the
-                        // round-start and round-end barriers this worker alone
-                        // touches nodes lo..hi and their sender rows of the
-                        // write buffer, and no one writes the read buffer or
-                        // its index.
-                        let (programs, halted, outputs, write, read) = unsafe {
-                            (
-                                SyncCell::exclusive(&programs[lo..hi]),
-                                SyncCell::exclusive(&halted[lo..hi]),
-                                SyncCell::exclusive(&outputs[lo..hi]),
-                                SyncCell::exclusive(&write.rows[lo..hi]),
-                                BufView {
-                                    rows: SyncCell::shared(read.rows),
-                                    index: &SyncCell::shared(read.index)[0],
-                                },
-                            )
-                        };
-                        rules.step_range(round, lo..hi, programs, halted, outputs, read, write)
-                    }));
-                    *lock(&ctrl.results[w]) = match caught {
-                        Ok(Ok(acc)) => Ok(acc),
-                        Ok(Err(e)) => Err(StepAbort::Sim(e)),
-                        Err(payload) => Err(StepAbort::Panic(payload)),
-                    };
-                    ctrl.barrier.wait();
-                });
-            }
-            Self {
-                ctrl,
-                programs,
-                halted,
-                outputs,
-                bufs,
-            }
-        }
-    }
-
-    impl<P: NodeProgram> StepPhase<P> for Pool<'_, P> {
-        fn step(&mut self, round: usize) -> Result<ChunkAcc, SimError> {
-            let ctrl = &*self.ctrl;
-            ctrl.round.store(round, Ordering::Relaxed);
-            ctrl.barrier.wait(); // release the step phase
-            ctrl.barrier.wait(); // wait for every chunk to finish
-            let mut acc = ChunkAcc::default();
-            let mut abort = None;
-            for slot in &ctrl.results {
-                match std::mem::replace(&mut *lock(slot), Ok(ChunkAcc::default())) {
-                    Ok(chunk) => acc.fold(&chunk),
-                    // Lowest worker index wins, which is the lowest node index:
-                    // the same error an inline run surfaces.
-                    Err(e) => {
-                        abort.get_or_insert(e);
-                    }
-                }
-            }
-            match abort {
-                None => Ok(acc),
-                Some(StepAbort::Sim(err)) => Err(err),
-                Some(StepAbort::Panic(payload)) => resume_unwind(payload),
-            }
-        }
-
-        fn state(&mut self) -> RunState<'_, P> {
-            // SAFETY (barrier protocol, see `Pool`): outside `step` every worker
-            // is parked at the round-start barrier, and the views borrow `self`
-            // mutably, so they end before the next `step`.
-            unsafe {
-                RunState {
-                    programs: SyncCell::exclusive(self.programs),
-                    halted: SyncCell::exclusive(self.halted),
-                    outputs: SyncCell::exclusive(self.outputs),
-                    bufs: self.bufs.map(|b| BufMut {
-                        rows: SyncCell::exclusive(b.rows),
-                        index: &mut SyncCell::exclusive(b.index)[0],
-                    }),
-                }
-            }
-        }
-    }
-
-    impl<P: NodeProgram> Drop for Pool<'_, P> {
-        /// Release the workers parked at the round-start barrier and let them
-        /// exit, so the enclosing scope can join them.
-        fn drop(&mut self) {
-            self.ctrl.stop.store(true, Ordering::Relaxed);
-            self.ctrl.barrier.wait();
-        }
-    }
-
-    /// Lock a worker's result slot. No thread panics while holding one, so a
-    /// poisoned slot still holds a whole value.
-    fn lock<T>(slot: &Mutex<T>) -> MutexGuard<'_, T> {
-        slot.lock().unwrap_or_else(PoisonError::into_inner)
-    }
-
-    /// Interior-mutability wrapper through which [`Pool`] shares the run state
-    /// with its workers. All access goes through the `unsafe` views below,
-    /// whose soundness rests on the pool's barrier protocol.
-    #[repr(transparent)]
-    struct SyncCell<T>(std::cell::UnsafeCell<T>);
-
-    // SAFETY: references are only handed out through the views below, whose
-    // callers promise disjoint access via the barrier protocol: a `&mut T`
-    // reaches one thread at a time (so `T: Send`), and `shared` demands
-    // `T: Sync` for the views several workers hold at once.
-    unsafe impl<T: Send> Sync for SyncCell<T> {}
-
-    impl<T> SyncCell<T> {
-        /// Wrap an exclusively-borrowed slice for sharing with the pool.
-        fn share(slice: &mut [T]) -> &[SyncCell<T>] {
-            // SAFETY: `repr(transparent)` gives identical layout, and the `&mut`
-            // guarantees no other live borrow for the returned lifetime.
-            unsafe { &*(slice as *mut [T] as *const [SyncCell<T>]) }
-        }
-
-        /// View a cell slice as mutable data.
-        ///
-        /// # Safety
-        /// The caller must hold exclusive access to every element per the
-        /// barrier protocol.
-        #[allow(clippy::mut_from_ref)]
-        unsafe fn exclusive(cells: &[SyncCell<T>]) -> &mut [T] {
-            // `repr(transparent)` lets the cell pointer double as the element
-            // pointer; `raw_get` is the sanctioned `&UnsafeCell → *mut` route.
-            let base = std::cell::UnsafeCell::raw_get(cells.as_ptr().cast());
-            std::slice::from_raw_parts_mut(base, cells.len())
-        }
-
-        /// View a cell slice as shared data, possibly from several threads at
-        /// once (hence `T: Sync`).
-        ///
-        /// # Safety
-        /// The caller must guarantee no concurrent writers per the barrier
-        /// protocol.
-        unsafe fn shared(cells: &[SyncCell<T>]) -> &[T]
-        where
-            T: Sync,
-        {
-            &*(cells as *const [SyncCell<T>] as *const [T])
-        }
-    }
-}
-
+/// What a round's nodes sent: the step phase's contribution to
+/// [`RunStats`].
 #[derive(Default, Clone, Copy)]
-struct ChunkAcc {
+struct Tally {
     messages: u64,
     bits: u64,
     max_message_bits: usize,
 }
 
-impl ChunkAcc {
-    fn fold(&mut self, other: &ChunkAcc) {
+impl Tally {
+    fn fold(&mut self, other: &Tally) {
         self.messages += other.messages;
         self.bits += other.bits;
         self.max_message_bits = self.max_message_bits.max(other.max_message_bits);
@@ -1433,8 +993,7 @@ struct ChurnState {
     pending: Vec<Option<PendingRejoin>>,
 }
 
-/// Per-round bookkeeping of the round loop, on the calling thread while no
-/// node steps.
+/// Per-round bookkeeping of the round loop, between step phases.
 struct RoundBook<'a> {
     n: usize,
     max_rounds: usize,
@@ -1521,8 +1080,7 @@ impl<'a> RoundBook<'a> {
                 });
             }
         }
-        // 2. Rejoins due at this round start, in node order (deterministic
-        // across pool shapes by construction: main thread only).
+        // 2. Rejoins due at this round start, in node order.
         for v in 0..n {
             let due = churn.pending[v]
                 .as_ref()
@@ -1584,8 +1142,8 @@ impl<'a> RoundBook<'a> {
     fn close_round(
         &mut self,
         round: usize,
-        acc: ChunkAcc,
-        write: &mut BufMut<'_>,
+        sent: Tally,
+        write: &mut SparseBuf,
         read: BufView<'_>,
         halted: &[bool],
         active: &[bool],
@@ -1594,15 +1152,15 @@ impl<'a> RoundBook<'a> {
     ) -> Verdict {
         write.index_receivers();
         let cur = write.view();
-        self.stats.messages += acc.messages;
-        self.stats.bits += acc.bits;
-        self.stats.max_message_bits = self.stats.max_message_bits.max(acc.max_message_bits);
-        let live_bits = self.prev_round_bits + acc.bits;
+        self.stats.messages += sent.messages;
+        self.stats.bits += sent.bits;
+        self.stats.max_message_bits = self.stats.max_message_bits.max(sent.max_message_bits);
+        let live_bits = self.prev_round_bits + sent.bits;
         self.stats.peak_live_payload_bytes = self
             .stats
             .peak_live_payload_bytes
             .max((live_bits as usize).div_ceil(8));
-        self.prev_round_bits = acc.bits;
+        self.prev_round_bits = sent.bits;
 
         if let Some(ts) = self.transcripts.as_deref_mut() {
             record_round(ts, active, &read, &cur);
@@ -1619,7 +1177,7 @@ impl<'a> RoundBook<'a> {
         // receiver with a pending rejoin is *not* charged yet: its traffic
         // is diverted into the pending ledger, and the rejoin (or the run's
         // end) settles whether the replay actually delivered it.
-        if self.any_halted && acc.messages > 0 {
+        if self.any_halted && sent.messages > 0 {
             let mut pending = self.churn.as_mut().map(|c| &mut c.pending);
             for (u, h) in halted.iter().enumerate() {
                 if !*h {
@@ -1855,18 +1413,6 @@ mod tests {
         assert_eq!(out.stats.peak_live_payload_bytes, 21);
     }
 
-    #[test]
-    fn parallel_matches_sequential() {
-        let n = 23;
-        let seq = Engine::new(n).run(sum_ids(n)).unwrap();
-        let par = Engine::new(n)
-            .with_threads_exact(4)
-            .run(sum_ids(n))
-            .unwrap();
-        assert_eq!(seq.outputs, par.outputs);
-        assert_eq!(seq.stats, par.stats);
-    }
-
     struct Silent;
     impl NodeProgram for Silent {
         type Output = ();
@@ -1922,18 +1468,6 @@ mod tests {
         }
     }
 
-    #[test]
-    fn parallel_surfaces_the_same_error_as_sequential() {
-        let seq = Engine::new(8)
-            .run((0..8).map(|_| TooWide).collect::<Vec<_>>())
-            .unwrap_err();
-        let par = Engine::new(8)
-            .with_threads_exact(4)
-            .run((0..8).map(|_| TooWide).collect::<Vec<_>>())
-            .unwrap_err();
-        assert_eq!(seq, par);
-    }
-
     struct Forever;
     impl NodeProgram for Forever {
         type Output = ();
@@ -1944,21 +1478,13 @@ mod tests {
 
     #[test]
     fn round_limit_enforced() {
-        let err = Engine::new(2)
-            .with_max_rounds(10)
-            .run(vec![Forever, Forever])
-            .unwrap_err();
-        assert_eq!(err, SimError::RoundLimit { limit: 10 });
-    }
-
-    #[test]
-    fn round_limit_enforced_in_parallel() {
-        let err = Engine::new(8)
-            .with_threads_exact(4)
-            .with_max_rounds(3)
-            .run((0..8).map(|_| Forever).collect::<Vec<_>>())
-            .unwrap_err();
-        assert_eq!(err, SimError::RoundLimit { limit: 3 });
+        for (n, limit) in [(2, 10), (8, 3)] {
+            let err = Engine::new(n)
+                .with_max_rounds(limit)
+                .run((0..n).map(|_| Forever).collect::<Vec<_>>())
+                .unwrap_err();
+            assert_eq!(err, SimError::RoundLimit { limit });
+        }
     }
 
     #[test]
@@ -2296,7 +1822,6 @@ mod tests {
     fn buffer_walks_match_the_model_rows() {
         use crate::auth::AuthKeyring;
         use crate::byzantine::ByzantinePlan;
-        // n = 70: pool chunks at widths 4 and 7 are uneven.
         let n = 70;
         let rounds = 12;
         let mk = || {
@@ -2320,89 +1845,61 @@ mod tests {
             .garble(0.3)
             .silence(0.2);
         let keyring = AuthKeyring::from_seed(n, 9);
-        let run = |threads: usize| {
-            Engine::new(n)
-                .with_bandwidth(8)
-                .with_threads_exact(threads)
-                .with_transcripts(true)
-                .with_fault_plan(plan.clone())
-                .with_byzantine_plan(byz.clone())
-                .with_auth(keyring.clone())
-                .run_faulted(mk())
-                .unwrap()
-        };
-        let base = run(1);
-        assert!(base.stats.dropped_messages > 0, "drops fired");
-        assert!(base.stats.forged_messages > 0, "traitors lied");
-        assert!(base.stats.silenced_messages > 0, "traitors went quiet");
-        assert!(base.stats.rejected_tags > 0, "verification rejected frames");
-        assert!(base.stats.undelivered_messages > 0, "halted row heard");
-        for threads in [1usize, 4, 7] {
-            let out = run(threads);
-            assert_eq!(base.outputs, out.outputs, "threads={threads}");
-            assert_eq!(base.stats, out.stats, "threads={threads}");
-            assert_eq!(base.faults, out.faults, "threads={threads}");
-            assert_eq!(base.byzantine, out.byzantine, "threads={threads}");
-            assert_eq!(base.transcripts, out.transcripts, "threads={threads}");
-            // The row checks count exactly the non-empty messages each
-            // model row held, and the transcripts record exactly those, and
-            // exactly what each inbox walk met.
-            let (mut messages, mut bits) = (0u64, 0u64);
-            let transcripts = out.transcripts.as_ref().map_or(&[][..], |t| &t[..]);
-            for (v, o) in out.outputs.iter().enumerate() {
-                let Some((heard, wrote)) = o else {
-                    panic!("node {v} did not halt");
-                };
-                assert_eq!(transcripts[v].rounds.len(), heard.len());
-                for (r, rt) in transcripts[v].rounds.iter().enumerate() {
-                    // The halting round writes nothing.
-                    let row = wrote.get(r).map_or(&[][..], |row| &row[..]);
-                    messages += row.len() as u64;
-                    bits += row.iter().map(|(_, m)| m.len() as u64).sum::<u64>();
-                    let sent: Vec<(usize, BitString)> = rt
-                        .sent
-                        .iter()
-                        .map(|(u, m)| (u.index(), m.clone()))
-                        .collect();
-                    assert_eq!(sent, row, "node {v}, round {r}: sent");
-                    let received: Vec<(usize, BitString)> = rt
-                        .received
-                        .iter()
-                        .map(|(u, m)| (u.index(), m.clone()))
-                        .collect();
-                    assert_eq!(received, heard[r], "node {v}, round {r}: received");
-                }
+        let out = Engine::new(n)
+            .with_bandwidth(8)
+            .with_transcripts(true)
+            .with_fault_plan(plan)
+            .with_byzantine_plan(byz)
+            .with_auth(keyring)
+            .run_faulted(mk())
+            .unwrap();
+        assert!(out.stats.dropped_messages > 0, "drops fired");
+        assert!(out.stats.forged_messages > 0, "traitors lied");
+        assert!(out.stats.silenced_messages > 0, "traitors went quiet");
+        assert!(out.stats.rejected_tags > 0, "verification rejected frames");
+        assert!(out.stats.undelivered_messages > 0, "halted row heard");
+        // The row checks count exactly the non-empty messages each model
+        // row held, and the transcripts record exactly those, and exactly
+        // what each inbox walk met.
+        let (mut messages, mut bits) = (0u64, 0u64);
+        let transcripts = out.transcripts.as_ref().map_or(&[][..], |t| &t[..]);
+        for (v, o) in out.outputs.iter().enumerate() {
+            let Some((heard, wrote)) = o else {
+                panic!("node {v} did not halt");
+            };
+            assert_eq!(transcripts[v].rounds.len(), heard.len());
+            for (r, rt) in transcripts[v].rounds.iter().enumerate() {
+                // The halting round writes nothing.
+                let row = wrote.get(r).map_or(&[][..], |row| &row[..]);
+                messages += row.len() as u64;
+                bits += row.iter().map(|(_, m)| m.len() as u64).sum::<u64>();
+                let sent: Vec<(usize, BitString)> = rt
+                    .sent
+                    .iter()
+                    .map(|(u, m)| (u.index(), m.clone()))
+                    .collect();
+                assert_eq!(sent, row, "node {v}, round {r}: sent");
+                let received: Vec<(usize, BitString)> = rt
+                    .received
+                    .iter()
+                    .map(|(u, m)| (u.index(), m.clone()))
+                    .collect();
+                assert_eq!(received, heard[r], "node {v}, round {r}: received");
             }
-            assert_eq!(out.stats.messages, messages, "threads={threads}");
-            assert_eq!(out.stats.bits, bits, "threads={threads}");
         }
+        assert_eq!(out.stats.messages, messages);
+        assert_eq!(out.stats.bits, bits);
     }
 
     #[test]
-    fn staggered_halts_are_bit_identical_across_thread_counts() {
+    fn staggered_halts_neither_lose_nor_ghost_deliveries() {
         let n = 9;
-        let mk = || {
-            (0..n)
-                .map(|_| Staggered { received: 0 })
-                .collect::<Vec<_>>()
-        };
-        let run = |threads: usize| {
-            Engine::new(n)
-                .with_bandwidth(8)
-                .with_threads_exact(threads)
-                .with_transcripts(true)
-                .run(mk())
-                .unwrap()
-        };
-        let seq = run(1);
-        assert_eq!(seq.outputs, staggered_expect(n), "ghost or lost deliveries");
-        assert!(seq.stats.undelivered_messages > 0, "halted receivers exist");
-        for threads in [2, 3, 4] {
-            let par = run(threads);
-            assert_eq!(seq.outputs, par.outputs, "threads={threads}");
-            assert_eq!(seq.stats, par.stats, "threads={threads}");
-            assert_eq!(seq.transcripts, par.transcripts, "threads={threads}");
-        }
+        let out = Engine::new(n)
+            .with_bandwidth(8)
+            .run((0..n).map(|_| Staggered { received: 0 }).collect())
+            .unwrap();
+        assert_eq!(out.outputs, staggered_expect(n), "ghost or lost deliveries");
+        assert!(out.stats.undelivered_messages > 0, "halted receivers exist");
     }
 
     #[test]
@@ -2442,42 +1939,27 @@ mod tests {
     #[test]
     fn node_panic_is_a_structured_error_and_engine_stays_usable() {
         // The same engine value must survive a panicking program: run clean,
-        // panic, then run clean again — sequentially and on the pool (no
-        // poisoned barrier, no stuck parked workers).
-        for threads in [1usize, 4] {
-            let engine = Engine::new(16).with_threads_exact(threads);
-            let n = 16;
-            engine.run(sum_ids(n)).unwrap();
-            let err = engine
-                .run((0..n).map(|_| Bomb).collect::<Vec<_>>())
-                .unwrap_err();
-            match &err {
-                SimError::NodeProgramPanicked {
-                    node,
-                    round,
-                    message,
-                } => {
-                    assert_eq!(*node, NodeId(7), "threads={threads}");
-                    assert_eq!(*round, 1, "threads={threads}");
-                    assert!(message.contains("node exploded"), "got {message:?}");
-                }
-                other => panic!("unexpected error {other:?} (threads={threads})"),
+        // panic, then run clean again.
+        let n = 16;
+        let engine = Engine::new(n);
+        engine.run(sum_ids(n)).unwrap();
+        let err = engine
+            .run((0..n).map(|_| Bomb).collect::<Vec<_>>())
+            .unwrap_err();
+        match &err {
+            SimError::NodeProgramPanicked {
+                node,
+                round,
+                message,
+            } => {
+                assert_eq!(*node, NodeId(7));
+                assert_eq!(*round, 1);
+                assert!(message.contains("node exploded"), "got {message:?}");
             }
-            let out = engine.run(sum_ids(n)).unwrap();
-            assert_eq!(out.outputs, vec![(0..n as u64).sum::<u64>(); n]);
+            other => panic!("unexpected error {other:?}"),
         }
-    }
-
-    #[test]
-    fn panic_error_is_identical_across_pool_shapes() {
-        let seq = Engine::new(16)
-            .run((0..16).map(|_| Bomb).collect::<Vec<_>>())
-            .unwrap_err();
-        let par = Engine::new(16)
-            .with_threads_exact(4)
-            .run((0..16).map(|_| Bomb).collect::<Vec<_>>())
-            .unwrap_err();
-        assert_eq!(seq, par);
+        let out = engine.run(sum_ids(n)).unwrap();
+        assert_eq!(out.outputs, vec![(0..n as u64).sum::<u64>(); n]);
     }
 
     /// Spends real wall-clock every round and never halts.
@@ -2492,19 +1974,12 @@ mod tests {
 
     #[test]
     fn deadline_aborts_runaway_programs() {
-        for threads in [1usize, 4] {
-            let limit = Duration::from_millis(20);
-            let err = Engine::new(8)
-                .with_threads_exact(threads)
-                .with_deadline(limit)
-                .run((0..8).map(|_| Sleeper).collect::<Vec<_>>())
-                .unwrap_err();
-            assert_eq!(
-                err,
-                SimError::DeadlineExceeded { limit },
-                "threads={threads}"
-            );
-        }
+        let limit = Duration::from_millis(20);
+        let err = Engine::new(8)
+            .with_deadline(limit)
+            .run((0..8).map(|_| Sleeper).collect::<Vec<_>>())
+            .unwrap_err();
+        assert_eq!(err, SimError::DeadlineExceeded { limit });
         // A fast run under a generous deadline is unaffected.
         Engine::new(8)
             .with_deadline(Duration::from_secs(60))
@@ -2514,16 +1989,13 @@ mod tests {
 
     #[test]
     fn cancel_flag_aborts_at_the_next_round_boundary() {
-        for threads in [1usize, 4] {
-            // Pre-set flag: the run aborts after its very first round.
-            let flag = Arc::new(AtomicBool::new(true));
-            let err = Engine::new(8)
-                .with_threads_exact(threads)
-                .with_cancel(Arc::clone(&flag))
-                .run((0..8).map(|_| Sleeper).collect::<Vec<_>>())
-                .unwrap_err();
-            assert_eq!(err, SimError::Cancelled { round: 0 }, "threads={threads}");
-        }
+        // Pre-set flag: the run aborts after its very first round.
+        let flag = Arc::new(AtomicBool::new(true));
+        let err = Engine::new(8)
+            .with_cancel(flag)
+            .run((0..8).map(|_| Sleeper).collect::<Vec<_>>())
+            .unwrap_err();
+        assert_eq!(err, SimError::Cancelled { round: 0 });
         // An unset flag is transparent: the run completes normally.
         let flag = Arc::new(AtomicBool::new(false));
         let out = Engine::new(8).with_cancel(flag).run(sum_ids(8)).unwrap();
@@ -2554,21 +2026,16 @@ mod tests {
                 .map(|_| Staggered { received: 0 })
                 .collect::<Vec<_>>()
         };
-        for threads in [1usize, 4] {
-            let base = Engine::new(n)
-                .with_bandwidth(8)
-                .with_threads_exact(threads)
-                .with_transcripts(true);
-            let plain = base.clone().run(mk()).unwrap();
-            let planned = base
-                .with_fault_plan(crate::fault::FaultPlan::new(99))
-                .run(mk())
-                .unwrap();
-            assert_eq!(plain.outputs, planned.outputs, "threads={threads}");
-            assert_eq!(plain.stats, planned.stats, "threads={threads}");
-            assert_eq!(plain.transcripts, planned.transcripts, "threads={threads}");
-            assert!(planned.faults.is_empty());
-        }
+        let base = Engine::new(n).with_bandwidth(8).with_transcripts(true);
+        let plain = base.clone().run(mk()).unwrap();
+        let planned = base
+            .with_fault_plan(crate::fault::FaultPlan::new(99))
+            .run(mk())
+            .unwrap();
+        assert_eq!(plain.outputs, planned.outputs);
+        assert_eq!(plain.stats, planned.stats);
+        assert_eq!(plain.transcripts, planned.transcripts);
+        assert!(planned.faults.is_empty());
     }
 
     #[test]
@@ -2617,41 +2084,24 @@ mod tests {
     }
 
     #[test]
-    fn faulted_runs_are_identical_across_pool_shapes() {
+    fn faulted_run_drops_and_corrupts_under_a_mixed_plan() {
         use crate::fault::FaultPlan;
         let n = 12;
-        let mk = || {
-            (0..n)
-                .map(|_| Staggered { received: 0 })
-                .collect::<Vec<_>>()
-        };
         let plan = FaultPlan::new(2024)
             .crash(NodeId(9), 3)
             .drop_messages(0.2)
             .corrupt_messages(0.1)
             .truncate_messages(0.1);
-        let run = |threads: usize| {
-            Engine::new(n)
-                .with_bandwidth(8)
-                .with_threads_exact(threads)
-                .with_transcripts(true)
-                .with_fault_plan(plan.clone())
-                .run_faulted(mk())
-                .unwrap()
-        };
-        let seq = run(1);
+        let out = Engine::new(n)
+            .with_bandwidth(8)
+            .with_fault_plan(plan)
+            .run_faulted((0..n).map(|_| Staggered { received: 0 }).collect())
+            .unwrap();
         assert!(
-            seq.stats.dropped_messages > 0 && seq.stats.corrupted_messages > 0,
+            out.stats.dropped_messages > 0 && out.stats.corrupted_messages > 0,
             "plan too weak to exercise the sweeps: {:?}",
-            seq.stats
+            out.stats
         );
-        for threads in [4usize, 7] {
-            let par = run(threads);
-            assert_eq!(seq.outputs, par.outputs, "threads={threads}");
-            assert_eq!(seq.stats, par.stats, "threads={threads}");
-            assert_eq!(seq.faults, par.faults, "threads={threads}");
-            assert_eq!(seq.transcripts, par.transcripts, "threads={threads}");
-        }
     }
 
     /// Every node broadcasts an 8-bit payload each round and halts at a
@@ -2699,16 +2149,12 @@ mod tests {
             .crash(NodeId(2), 2)
             .rejoin(NodeId(2), 4)
             .expect("crash precedes rejoin");
-        let run = |threads: usize| {
-            Engine::new(n)
-                .with_bandwidth(8)
-                .with_threads_exact(threads)
-                .with_transcripts(true)
-                .with_fault_plan(plan.clone())
-                .run_faulted(mk())
-                .unwrap()
-        };
-        let seq = run(1);
+        let seq = Engine::new(n)
+            .with_bandwidth(8)
+            .with_transcripts(true)
+            .with_fault_plan(plan)
+            .run_faulted(mk())
+            .unwrap();
         let peers = (n - 1) as u64;
         // The replay re-delivered rounds 2 and 3, so the rejoiner's count
         // matches a node that never crashed; everyone else is short exactly
@@ -2752,14 +2198,6 @@ mod tests {
         for r in [2usize, 3] {
             assert!(ts[2].rounds[r].sent.is_empty(), "round {r} was a replay");
             assert_eq!(ts[2].rounds[r].received.len(), n - 1, "round {r}");
-        }
-        // Bit-identical across pool shapes.
-        for threads in [4usize, 7] {
-            let got = run(threads);
-            assert_eq!(seq.outputs, got.outputs, "threads={threads}");
-            assert_eq!(seq.stats, got.stats, "threads={threads}");
-            assert_eq!(seq.faults, got.faults, "threads={threads}");
-            assert_eq!(seq.transcripts, got.transcripts, "threads={threads}");
         }
     }
 
@@ -2827,12 +2265,12 @@ mod tests {
     }
 
     #[test]
-    fn panic_during_rejoin_replay_is_a_structured_error_at_every_pool_shape() {
+    fn panic_during_rejoin_replay_is_a_structured_error() {
         use crate::fault::FaultPlan;
         // Node 2 is down for rounds 2..5 and panics when stepped in round 3.
         // Only the rejoin replay at round 5 steps it in round 3, so the
         // panic leaves the run from the churn pre-step, not a step phase.
-        let n = 16; // ≥ 2·7 keeps the 7-worker pool engaged
+        let n = 16;
         let plan = FaultPlan::new(5)
             .crash(NodeId(2), 2)
             .rejoin(NodeId(2), 5)
@@ -2848,33 +2286,95 @@ mod tests {
                 })
                 .collect::<Vec<_>>()
         };
-        let mut first: Option<SimError> = None;
-        for threads in [1usize, 4, 7] {
-            let engine = Engine::new(n)
-                .with_bandwidth(8)
-                .with_threads_exact(threads)
-                .with_fault_plan(plan.clone());
-            let err = engine.run_faulted(mk(true)).unwrap_err();
-            match &err {
-                SimError::NodeProgramPanicked {
-                    node,
-                    round,
-                    message,
-                } => {
-                    assert_eq!(*node, NodeId(2), "threads={threads}");
-                    assert_eq!(*round, 3, "threads={threads}");
-                    assert!(
-                        message.contains("replayed round exploded"),
-                        "got {message:?}"
-                    );
-                }
-                other => panic!("unexpected error {other:?} (threads={threads})"),
+        let engine = Engine::new(n).with_bandwidth(8).with_fault_plan(plan);
+        let err = engine.run_faulted(mk(true)).unwrap_err();
+        match &err {
+            SimError::NodeProgramPanicked {
+                node,
+                round,
+                message,
+            } => {
+                assert_eq!(*node, NodeId(2));
+                assert_eq!(*round, 3);
+                assert!(
+                    message.contains("replayed round exploded"),
+                    "got {message:?}"
+                );
             }
-            assert_eq!(first.get_or_insert(err.clone()), &err, "threads={threads}");
-            // The workers were released: the same engine runs clean again.
-            let out = engine.run_faulted(mk(false)).unwrap();
-            assert_eq!(out.stats.rejoined_nodes, 1, "threads={threads}");
-            assert!(out.outputs.iter().all(Option::is_some), "threads={threads}");
+            other => panic!("unexpected error {other:?}"),
+        }
+        // The same engine runs clean again.
+        let out = engine.run_faulted(mk(false)).unwrap();
+        assert_eq!(out.stats.rejoined_nodes, 1);
+        assert!(out.outputs.iter().all(Option::is_some));
+    }
+
+    /// A [`Chatter`] that counts its steps and how many of them ran off
+    /// the `caller` thread.
+    struct OnCaller {
+        chatter: Chatter,
+        caller: std::thread::ThreadId,
+        steps: usize,
+        elsewhere: usize,
+    }
+    impl NodeProgram for OnCaller {
+        type Output = (usize, usize);
+        fn step(
+            &mut self,
+            ctx: &NodeCtx,
+            round: usize,
+            inbox: &Inbox<'_>,
+            ob: &mut Outbox<'_>,
+        ) -> Status<(usize, usize)> {
+            self.steps += 1;
+            if std::thread::current().id() != self.caller {
+                self.elsewhere += 1;
+            }
+            match self.chatter.step(ctx, round, inbox, ob) {
+                Status::Continue => Status::Continue,
+                Status::Halt(_) => Status::Halt((self.steps, self.elsewhere)),
+            }
+        }
+    }
+
+    #[test]
+    fn every_step_and_rejoin_replay_runs_on_the_calling_thread() {
+        use crate::fault::FaultPlan;
+        // A run stays on the thread that called it: cc-service runs one job
+        // per worker thread, on that worker's own delivery arena.
+        let n = 16;
+        let halt_round = 8;
+        let plan = FaultPlan::new(5)
+            .crash(NodeId(2), 2)
+            .rejoin(NodeId(2), 5)
+            .expect("crash precedes rejoin");
+        let caller = std::thread::current().id();
+        let out = Engine::new(n)
+            .with_bandwidth(8)
+            .with_fault_plan(plan)
+            .run_faulted(
+                (0..n)
+                    .map(|_| OnCaller {
+                        chatter: Chatter {
+                            received: 0,
+                            halt_round,
+                        },
+                        caller,
+                        steps: 0,
+                        elsewhere: 0,
+                    })
+                    .collect(),
+            )
+            .unwrap();
+        assert_eq!(out.stats.rejoined_nodes, 1);
+        for (v, o) in out.outputs.iter().enumerate() {
+            let Some((steps, elsewhere)) = o else {
+                panic!("node {v} did not halt");
+            };
+            // Rounds 0..=8 each step every node once; node 2's rounds 2..5
+            // are the replay at its rejoin.
+            assert_eq!(*steps, halt_round + 1, "node {v}");
+            assert_eq!(*elsewhere, 0, "node {v} stepped off the calling thread");
         }
     }
 
@@ -2893,42 +2393,36 @@ mod tests {
             .traitor(NodeId(5))
             .garble(0.5)
             .forge(0.5);
-        for threads in [1usize, 4] {
-            let out = Engine::new(n)
-                .with_bandwidth(8)
-                .with_threads_exact(threads)
-                .with_fault_plan(faults.clone())
-                .with_byzantine_plan(byz.clone())
-                .with_auth(AuthKeyring::from_seed(n, 11))
-                .run_faulted(
-                    (0..n)
-                        .map(|_| Chatter {
-                            received: 0,
-                            halt_round: 6,
-                        })
-                        .collect::<Vec<_>>(),
-                )
-                .unwrap();
-            assert_eq!(out.stats.rejoined_nodes, 1, "threads={threads}");
-            let t = &out.stats.timing;
-            assert!(t.churn_ns > 0, "threads={threads}: churn pre-step untimed");
-            assert!(t.passes_ns > 0, "threads={threads}: wire passes untimed");
-            // Every pass is active here, and each is timed inside the block
-            // `passes_ns` covers.
-            let split = [
-                t.rewrite_ns,
-                t.sign_ns,
-                t.forge_ns,
-                t.faults_ns,
-                t.verify_ns,
-            ];
-            assert!(split.iter().all(|&ns| ns > 0), "threads={threads}: {t:?}");
-            assert!(
-                split.iter().sum::<u64>() <= t.passes_ns,
-                "threads={threads}: {t:?}"
-            );
-            assert_eq!(t.total_ns(), t.step_ns + t.delivery_ns, "threads={threads}");
-        }
+        let out = Engine::new(n)
+            .with_bandwidth(8)
+            .with_fault_plan(faults)
+            .with_byzantine_plan(byz)
+            .with_auth(AuthKeyring::from_seed(n, 11))
+            .run_faulted(
+                (0..n)
+                    .map(|_| Chatter {
+                        received: 0,
+                        halt_round: 6,
+                    })
+                    .collect::<Vec<_>>(),
+            )
+            .unwrap();
+        assert_eq!(out.stats.rejoined_nodes, 1);
+        let t = &out.stats.timing;
+        assert!(t.churn_ns > 0, "churn pre-step untimed");
+        assert!(t.passes_ns > 0, "wire passes untimed");
+        // Every pass is active here, and each is timed inside the block
+        // `passes_ns` covers.
+        let split = [
+            t.rewrite_ns,
+            t.sign_ns,
+            t.forge_ns,
+            t.faults_ns,
+            t.verify_ns,
+        ];
+        assert!(split.iter().all(|&ns| ns > 0), "{t:?}");
+        assert!(split.iter().sum::<u64>() <= t.passes_ns, "{t:?}");
+        assert_eq!(t.total_ns(), t.step_ns + t.delivery_ns);
     }
 
     #[test]
@@ -3297,31 +2791,19 @@ mod tests {
     }
 
     #[test]
-    fn byzantine_rewrites_are_pool_shape_independent() {
+    fn byzantine_rewrites_are_logged_under_a_mixed_plan() {
         use crate::byzantine::ByzantinePlan;
-        let n = 15; // ≥ 2·7 keeps the 7-worker pool genuinely engaged
+        let n = 15;
         let plan = ByzantinePlan::new(31)
             .with_random_traitors(n, 4, &[])
             .garble(0.5)
             .replay(0.3)
             .silence(0.2);
-        let run = |threads: usize| {
-            Engine::new(n)
-                .with_transcripts(true)
-                .with_threads_exact(threads)
-                .with_byzantine_plan(plan.clone())
-                .run_faulted(sum_ids(n))
-                .unwrap()
-        };
-        let base = run(1);
-        assert!(!base.byzantine.is_empty());
-        for threads in [4, 7] {
-            let other = run(threads);
-            assert_eq!(base.outputs, other.outputs, "{threads} workers");
-            assert_eq!(base.stats, other.stats, "{threads} workers");
-            assert_eq!(base.transcripts, other.transcripts, "{threads} workers");
-            assert_eq!(base.byzantine, other.byzantine, "{threads} workers");
-        }
+        let out = Engine::new(n)
+            .with_byzantine_plan(plan)
+            .run_faulted(sum_ids(n))
+            .unwrap();
+        assert!(!out.byzantine.is_empty());
     }
 
     #[test]

@@ -6,15 +6,15 @@
 //! A [`FaultPlan`] is a pure-data, ChaCha-seeded schedule of adversarial
 //! events — crash-stop at a round, per-link message drop, deterministic
 //! bit-flip corruption, and bandwidth truncation — that the engine applies
-//! identically on its sequential and worker-pool paths.
+//! between rounds.
 //!
 //! # Determinism contract
 //!
 //! Every fault decision is a pure function of `(plan seed, round, sender,
 //! receiver)` — a fresh ChaCha8 stream is keyed per message (its coins,
 //! however they are computed: the link-fault pass primes a sender row's
-//! streams in batches), so decisions do not depend on iteration order, pool
-//! shape, or host. The same plan against the same programs replays the
+//! streams in batches), so decisions do not depend on iteration order or
+//! host. The same plan against the same programs replays the
 //! same faults, bit for bit; a plan's [`FaultPlan::label`] (e.g.
 //! `plan[seed=7, drop=0.25, crashes=2]`) names the adversary the way
 //! testkit's `family[n, seed]` labels name instances.
@@ -47,8 +47,8 @@
 //! * **Truncate**: the payload is cut to a strict prefix (possibly empty),
 //!   modelling a link that loses the tail of a frame.
 //!
-//! Faults are applied on the main thread between round barriers, after the
-//! sender-side accounting and transcript recording for the round — so a
+//! Faults are applied between rounds, after the sender-side accounting and
+//! transcript recording for the round — so a
 //! node's transcript records what it *sent* pre-fault and what it
 //! *received* post-fault, exactly the asymmetry a real lossy network shows.
 //!
@@ -224,8 +224,8 @@ impl FaultPlan {
     /// rejoining while down with probability `rejoin_per_mille / 1000`,
     /// per round. Each coin is a fresh ChaCha8 stream keyed by
     /// `(plan seed, node, round)`, so the schedule is a pure function of the
-    /// seed — bit-identical across pool shapes and hosts — and valid by construction (strictly alternating crash/rejoin
-    /// per node, never at round 0).
+    /// seed — bit-identical across hosts — and valid by construction
+    /// (strictly alternating crash/rejoin per node, never at round 0).
     pub fn with_random_churn(
         mut self,
         n: usize,
@@ -517,8 +517,8 @@ impl IndexedFaultPlan<'_> {
 
     /// Apply link faults to the buffer written in `round` (it will be read
     /// next round). Sweep order is sender-major and decisions are keyed per
-    /// `(seed, round, from, to)`, so the result is independent of pool
-    /// shape *and* of how the buffer stores the messages.
+    /// `(seed, round, from, to)`, so the result is independent of how the
+    /// buffer stores the messages.
     pub(crate) fn apply_link_faults(
         &self,
         round: usize,

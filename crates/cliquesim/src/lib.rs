@@ -16,8 +16,9 @@
 //! * round counts, message counts and bit totals are measured, not claimed;
 //! * full per-node communication [`Transcript`]s can be recorded — these are
 //!   exactly the certificates used by the paper's Theorem 3 normal form;
-//! * node steps are independent within a round, so the engine can use
-//!   multiple OS threads with bit-identical results.
+//! * a run steps every node on the thread that called it and is a pure
+//!   function of its programs, engine and plans, so it replays bit for bit
+//!   and many runs can go in parallel, one per thread (`cc-service`).
 //!
 //! ## Quick example
 //!
@@ -52,6 +53,7 @@
 //! assert_eq!(outcome.stats.rounds, 1);
 //! ```
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 // Fault paths must surface `SimError`, not panic: non-test code may not
 // unwrap/expect. Test modules are exempt (asserting via unwrap is idiomatic).

@@ -186,7 +186,7 @@ impl<'a> Inbox<'a> {
     pub fn n(&self) -> usize {
         match self.inner {
             InboxInner::Slots(slots) => slots.len(),
-            InboxInner::Buf(buf) => buf.rows.len(),
+            InboxInner::Buf(buf) => buf.n(),
         }
     }
 }
@@ -364,11 +364,10 @@ mod tests {
     }
 
     fn seal(buf: &mut SparseBuf) {
-        let mut parts = buf.parts();
-        for r in parts.rows.iter_mut() {
+        for r in buf.rows_mut() {
             r.seal();
         }
-        parts.index_receivers();
+        buf.index_receivers();
     }
 
     #[test]
@@ -376,8 +375,7 @@ mod tests {
         let n = 4;
         let mut buf = empty_buf(n);
         {
-            let parts = buf.parts();
-            let mut ob = Outbox::row(&mut parts.rows[1], n, 1);
+            let mut ob = Outbox::row(&mut buf.rows_mut()[1], n, 1);
             assert_eq!(ob.n(), n);
             ob.broadcast(&BitString::from_bits([true, false]));
             ob.send(NodeId(3), BitString::from_bits([false]));
@@ -431,8 +429,7 @@ mod tests {
         let n = 4;
         let mut buf = empty_buf(n);
         {
-            let parts = buf.parts();
-            let mut ob = Outbox::row(&mut parts.rows[0], n, 0);
+            let mut ob = Outbox::row(&mut buf.rows_mut()[0], n, 0);
             ob.broadcast(&BitString::from_bits([true]));
             ob.send_with(NodeId(2), |slot| slot.push_uint(3, 2));
             ob.send_with(NodeId(2), |slot| slot.push_uint(1, 2));

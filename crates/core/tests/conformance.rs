@@ -20,10 +20,8 @@ fn seeded_coins(n: usize, bits: usize, seed: u64) -> Vec<BitString> {
 }
 
 #[test]
-fn randomized_protocol_transcripts_are_byte_identical_across_pool_shapes() {
-    // n = 15 ≥ 2·7, so the 7-worker pooled path genuinely engages; the
-    // verifier under fixed coins must produce byte-identical transcripts
-    // at every shape in {1, 4, 7}.
+fn randomized_protocol_transcripts_pass_the_auditor() {
+    // The verifier under fixed coins, with its transcripts recorded.
     let n = 15;
     let algo = RandomizedColoring { k: 4 };
     let (g, _) = gen::k_colorable(n, 4, 0.4, 11);
@@ -48,7 +46,7 @@ fn randomized_protocol_transcripts_are_byte_identical_across_pool_shapes() {
 fn verifier_accepts_exactly_proper_colorings() {
     // Under planted coins (the known coloring), every node accepts; under
     // a deliberately clashing coloring, some node rejects — both outcomes
-    // judged against the central reference and stable across pool shapes.
+    // judged against the central reference.
     let n = 14;
     let algo = RandomizedColoring { k: 3 };
     let (g, colors) = gen::k_colorable(n, 3, 0.5, 23);

@@ -32,6 +32,8 @@
 //!
 //! See `examples/quickstart.rs` for a guided tour.
 
+#![forbid(unsafe_code)]
+
 pub use cc_core as theory;
 pub use cc_graph as graph;
 pub use cc_matmul as matmul;

@@ -8,8 +8,7 @@
 //!   every honest node at `None` while Dolev–Strong delivers the honest
 //!   source's value — signatures, and nothing else, move the ceiling;
 //! * Dolev–Strong reaches **honest agreement for every seeded `f < n/2`
-//!   case** in the `auth_corpus()` sweep, bit-identically across
-//!   pool shapes {1, 4, 7}, and for `f < n` via the
+//!   case** in the `auth_corpus()` sweep, and for `f < n` via the
 //!   classic wrapper;
 //! * **forgery accounting closes**: `rejected_tags` counts exactly the
 //!   adversary's forged tags (and, composed with a link-fault plan, the
@@ -127,8 +126,7 @@ fn dolev_strong_succeeds_on_the_byte_identical_boundary_plan() {
 fn dolev_strong_agrees_for_every_seeded_honest_majority_case() {
     // The acceptance sweep: every corpus case (f up to ⌈n/2⌉ − 1,
     // traitors garbling, withholding, and forging tags) must deliver the
-    // honest source's value to every honest node, bit-identically across
-    // the pool-shapes grid.
+    // honest source's value to every honest node.
     let source = NodeId(0);
     for case in auth_corpus() {
         let plan = case.plan(&[source]);
@@ -296,9 +294,7 @@ proptest! {
     ) {
         // Transparency, the ladder's standing invariant, for the new
         // tier: no keyring ⇒ no auth counters, no tag bits, frames
-        // exactly as long as the program sent them — bit-identically
-        // across the whole pool-shapes grid (which the differential runner
-        // itself asserts).
+        // exactly as long as the program sent them.
         let (outputs, stats, transcripts) =
             differential_programs("no-keyring", &Engine::new(n), || gossip(n));
         prop_assert_eq!(stats.signed_messages, 0);

@@ -2,15 +2,15 @@
 //! Byzantine sender tier, exercised end to end through the facade crate,
 //! the testkit runners, and the resilient wrappers.
 //!
-//! * an **empty** [`ByzantinePlan`] is byte-identical to no plan at all,
-//!   on every pool shape (mirror of the fault suite's transparency test);
+//! * an **empty** [`ByzantinePlan`] is byte-identical to no plan at all
+//!   (mirror of the fault suite's transparency test);
 //! * a **single equivocating traitor** forges `RepeatBroadcast`'s per-link
 //!   majority — two honest nodes end up with different, locally
 //!   majority-backed values for the traitor (the negative result that
 //!   motivates the quorum layer);
 //! * Bracha-style reliable broadcast reaches **honest-node agreement** for
-//!   every seeded `f < n/3` plan, bit-identically across pool shapes
-//!   {1, 4, 7}, with an honest source's value delivered intact;
+//!   every seeded `f < n/3` plan, with an honest source's value delivered
+//!   intact;
 //! * Bracha composes with a **concurrent crash** [`FaultPlan`]: crashed
 //!   nodes report `None` slots while surviving honest nodes stay unanimous,
 //!   and both adversaries' counters land in the same ledger.
@@ -51,8 +51,7 @@ fn one_equivocating_traitor_forges_repeat_broadcast() {
     // traitor garbling per recipient sends each peer a *consistent* lie
     // (well, three independent ones here, but each link still votes), so
     // honest nodes end up with majority-backed values for the traitor that
-    // disagree with each other. That is the forgery this test pins down,
-    // and it survives every pool shape bit-identically.
+    // disagree with each other. That is the forgery this test pins down.
     let n = 9;
     let plan = ByzantinePlan::new(1009).traitor(NodeId(4)).garble(1.0);
     let (outputs, stats, _, _, byz) = differential_byzantine(
@@ -91,7 +90,6 @@ fn one_equivocating_traitor_forges_repeat_broadcast() {
 
 #[test]
 fn bracha_agrees_for_every_traitor_count_below_a_third() {
-    // n = 15 ≥ 2·7 keeps the 7-worker pooled path genuinely engaged, and
     // n/3 = 5 gives the sweep f ∈ {0, 1, 4} = {0, 1, n/3 - 1}.
     let n = 15;
     let source = NodeId(0);
@@ -131,8 +129,8 @@ fn bracha_agrees_for_every_traitor_count_below_a_third() {
 #[test]
 fn bracha_agrees_even_when_the_source_is_the_traitor() {
     // The hardest single-traitor case: the source itself equivocates its
-    // INIT. Honest nodes must not split — whatever each pool shape
-    // computes, all honest nodes compute the same Option.
+    // INIT. Honest nodes must not split: all honest nodes compute the
+    // same Option.
     let n = 15;
     let source = NodeId(3);
     let plan = ByzantinePlan::new(5151).traitor(source).garble(1.0);
@@ -162,7 +160,7 @@ fn forced_lie_ready_drip_cannot_split_honest_nodes() {
     // the rest. Under `f + 4` one honest node crossed `2f + 1` READY votes
     // on the final round and delivered while the rest sat at `f + 1` with
     // no rounds left to join. The `2f + 6` window gives the late READY
-    // quorum time to amplify to every honest node, on every pool shape.
+    // quorum time to amplify to every honest node.
     let n = 7;
     let source = NodeId(0);
     let mut plan = ByzantinePlan::new(0).traitor(source);

@@ -2,15 +2,13 @@
 //! crash/rejoin tier, exercised end to end through the facade crate, the
 //! testkit's churn families, and the routing layer's wave re-planning.
 //!
-//! * every corpus [`ChurnCase`] must replay **bit-identically** across
-//!   pool shapes `{1, 4, 7}`, with the sync
-//!   ledger closed against the fault report and the plan's downtime
-//!   windows ([`judge_churn_accounting`]);
+//! * every corpus [`ChurnCase`] must replay **bit-identically** run after
+//!   run, with the sync ledger closed against the fault report and the
+//!   plan's downtime windows ([`judge_churn_accounting`]);
 //! * under **continuous Poisson churn**, wave-structured balanced routing
 //!   (windowed [`CrashSet`]s + the session fault clock) must deliver 100%
 //!   of survivor-pair traffic and account every shortfall as a structured
-//!   `Undeliverable` record — judged by [`judge_routed_delivery`], on
-//!   every pool shape;
+//!   `Undeliverable` record — judged by [`judge_routed_delivery`];
 //! * the state-sync bill must match [`sync_overhead`]'s analytic price
 //!   exactly on an all-chatter workload, and the rejoiners' backfilled
 //!   transcripts must pass the bandwidth auditor;
@@ -22,7 +20,7 @@
 
 use cc_testkit::{
     assert_transcripts_conform, churn_corpus, differential_churn, judge_churn_accounting,
-    judge_routed_delivery, AuditSpec, ChurnCase, POOL_SHAPES,
+    judge_routed_delivery, AuditSpec, ChurnCase,
 };
 use congested_clique::prelude::*;
 use congested_clique::routing::RoutePlan;
@@ -68,8 +66,10 @@ fn churn_corpus_replays_bit_identically_with_a_closed_ledger() {
     let mut any_rejoined = false;
     for case in churn_corpus() {
         let horizon = case.max_round + 2;
-        let (outputs, stats, _, report) =
-            differential_churn(&case, &Engine::new(case.n), || chatter(case.n, horizon));
+        let run = || differential_churn(&case, &Engine::new(case.n), || chatter(case.n, horizon));
+        let first = run();
+        assert!(first == run(), "{case}: a replay diverged");
+        let (outputs, stats, _, report) = first;
         judge_churn_accounting(&case.to_string(), &case.plan(), &stats, &report);
         assert!(outputs[0].is_some(), "{case}: spared node 0 must finish");
         any_rejoined |= stats.rejoined_nodes > 0;
@@ -82,8 +82,7 @@ fn routing_waves_deliver_all_survivor_traffic_under_continuous_churn() {
     // Two fixed-cadence waves over one absolute churn timeline: wave 1
     // spans the whole churn horizon (nodes crash and rejoin *while the
     // wave's megastream is in flight*), wave 2 starts after it, with every
-    // recovered node re-admitted as intermediate and endpoint. Identical
-    // outcomes are required on every pool shape.
+    // recovered node re-admitted as intermediate and endpoint.
     for &(n, seed) in &[(12usize, 1u64), (15, 2)] {
         let case = ChurnCase::new(n, seed);
         let label = case.to_string();
@@ -94,36 +93,20 @@ fn routing_waves_deliver_all_survivor_traffic_under_continuous_churn() {
             wave2.len() < wave1.len(),
             "{label}: wave 2 re-admitted nobody"
         );
-        let mut reference = None;
-        for &threads in POOL_SHAPES.iter() {
-            let tag = format!("{label} threads={threads}");
-            let engine = Engine::new(n)
-                .with_threads_exact(threads)
-                .with_fault_plan(case.plan());
-            let mut session = Session::new(engine);
-            let out1 = RoutePlan::balanced()
-                .avoiding(&wave1)
-                .run_faulted(&mut session, case.demands())
-                .unwrap_or_else(|e| panic!("{tag}: wave 1 failed: {e}"));
-            judge_routed_delivery(&tag, &case.demands(), &wave1, &out1);
-            // Advance the fault clock to the wave boundary: the churn
-            // horizon is behind us, recovered nodes carry again.
-            session.set_fault_offset(cadence);
-            let out2 = RoutePlan::balanced()
-                .avoiding(&wave2)
-                .run_faulted(&mut session, case.demands())
-                .unwrap_or_else(|e| panic!("{tag}: wave 2 failed: {e}"));
-            judge_routed_delivery(&tag, &case.demands(), &wave2, &out2);
-            let run = (
-                (out1.delivered, out1.undeliverable, out1.report),
-                (out2.delivered, out2.undeliverable, out2.report),
-                session.stats(),
-            );
-            match &reference {
-                None => reference = Some(run),
-                Some(r) => assert!(*r == run, "{tag}: waves diverged"),
-            }
-        }
+        let mut session = Session::new(Engine::new(n).with_fault_plan(case.plan()));
+        let out1 = RoutePlan::balanced()
+            .avoiding(&wave1)
+            .run_faulted(&mut session, case.demands())
+            .unwrap_or_else(|e| panic!("{label}: wave 1 failed: {e}"));
+        judge_routed_delivery(&label, &case.demands(), &wave1, &out1);
+        // Advance the fault clock to the wave boundary: the churn horizon
+        // is behind us, recovered nodes carry again.
+        session.set_fault_offset(cadence);
+        let out2 = RoutePlan::balanced()
+            .avoiding(&wave2)
+            .run_faulted(&mut session, case.demands())
+            .unwrap_or_else(|e| panic!("{label}: wave 2 failed: {e}"));
+        judge_routed_delivery(&label, &case.demands(), &wave2, &out2);
     }
 }
 
@@ -167,8 +150,7 @@ proptest! {
     ) {
         // A churn schedule sampled at rate zero adds nothing, and a plan
         // without rejoins must take the exact pre-churn code path: same
-        // outputs, stats, transcripts, and fault events across every pool
-        // shape.
+        // outputs, stats, transcripts, and fault events.
         let plain = FaultPlan::new(seed).with_random_crashes(n, f, 3, &[]);
         let churned = plain.clone().with_random_churn(n, 0, 0, 12, &[]);
         prop_assert_eq!(&plain, &churned, "zero-rate churn changed the plan");

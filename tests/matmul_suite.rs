@@ -4,7 +4,7 @@
 //!   the sparse path's measured `RunStats.rounds` strictly beats the dense
 //!   3D schedule, with bit-identical outputs.
 //! * Every strategy agrees bit-for-bit with the independent serial oracle
-//!   across the full differential grid (every pool shape).
+//!   on every family of the corpus.
 //! * The analytic ledger `mm_sparse_overhead` equals the simulated
 //!   `RunStats` field-for-field.
 //! * Degenerate shapes (n = 1, all-zero, single nonzero, density pinned
@@ -76,8 +76,8 @@ fn auto_picks_the_winning_path_on_sparse_instances() {
     );
 }
 
-/// Full differential grid: every family × strategy on every pool shape,
-/// judged against the independent serial oracle.
+/// Full differential grid: every family × strategy, judged against the
+/// independent serial oracle.
 #[test]
 fn strategy_grid_is_bit_identical_across_backends_and_shapes() {
     let sr = ring();
@@ -97,7 +97,7 @@ fn strategy_grid_is_bit_identical_across_backends_and_shapes() {
     }
 }
 
-/// One larger grid cell so the pooled paths see a nontrivial blocking
+/// One larger grid cell, so the 3D schedule sees a nontrivial blocking
 /// (t = 4) at least once per run.
 #[test]
 fn large_sparse_cell_survives_the_grid() {

@@ -6,14 +6,13 @@
 //!   balanced [`RoutePlan`], avoiding the plan's crash set, delivering
 //!   **all** payloads between surviving endpoints, with dead-endpoint
 //!   demands reported as structured `Undeliverable` records — judged by
-//!   [`cc_testkit::judge_routed_delivery`], bit-identically across pool
-//!   shapes `{1, 4, 7}`;
+//!   [`cc_testkit::judge_routed_delivery`];
 //! * an **empty** crash set must be byte-identical to a plan that avoids
-//!   nobody (outputs and wire cost) on every pool shape, for the direct
-//!   and balanced schedules, framed and sized;
-//! * a plan with `repeats(k)` must survive seeded per-link message drops,
-//!   on every pool shape, in exactly the rounds and at exactly the
-//!   message width [`RoutePlan::cost`] gives;
+//!   nobody (outputs and wire cost), for the direct and balanced
+//!   schedules, framed and sized;
+//! * a plan with `repeats(k)` must survive seeded per-link message drops
+//!   in exactly the rounds and at exactly the message width
+//!   [`RoutePlan::cost`] gives;
 //! * the **broadcast-only** and **CONGEST ring** modes must reject the
 //!   inherently-unicast routing layer *structurally* — a
 //!   [`RouteError::Sim`] topology violation, not a wrong answer.
@@ -25,7 +24,7 @@
 
 use cc_testkit::{
     assert_empty_crash_transparent, differential_route, judge_routed_delivery, ring_topology,
-    RouteFaultCase, POOL_SHAPES,
+    RouteFaultCase,
 };
 use congested_clique::prelude::*;
 use congested_clique::routing::{demand_sizes, RouteError, RoutePlan};
@@ -81,13 +80,13 @@ fn clique_balanced_scheduler_delivers_to_survivors_under_seeded_crashes() {
 }
 
 #[test]
-fn clique_empty_crash_set_is_transparent_across_pool_shapes() {
+fn clique_empty_crash_set_is_transparent() {
     let n = 9;
     assert_empty_crash_transparent("routing-fault-suite", &Engine::new(n), || demands_for(n));
 }
 
 #[test]
-fn clique_resilient_routing_survives_seeded_drops_on_every_pool_shape() {
+fn clique_resilient_routing_survives_seeded_drops() {
     let n = 8;
     let repeats = 5;
     let plan = FaultPlan::new(0xD0_05).drop_messages(0.2);
@@ -101,29 +100,21 @@ fn clique_resilient_routing_survives_seeded_drops_on_every_pool_shape() {
     let routing = RoutePlan::direct().repeats(repeats);
     let price = routing.cost(&demand_sizes(&demands_for(n)), clean.bandwidth());
 
-    for &threads in POOL_SHAPES.iter() {
-        let engine = Engine::new(n)
-            .with_threads_exact(threads)
-            .with_fault_plan(plan.clone());
-        let mut session = Session::new(engine);
-        let got = routing
-            .run(&mut session, demands_for(n))
-            .expect("resilient routing under drops");
-        assert_eq!(got, expect, "lossy delivery diverged at threads={threads}");
-        let stats = session.stats();
-        assert_eq!(
-            stats.rounds, price.rounds,
-            "round price at threads={threads}"
-        );
-        assert_eq!(
-            stats.max_message_bits, price.max_message_bits,
-            "bandwidth ceiling at threads={threads}"
-        );
-        assert!(
-            stats.dropped_messages > 0,
-            "the plan must actually drop copies at threads={threads}"
-        );
-    }
+    let mut session = Session::new(Engine::new(n).with_fault_plan(plan));
+    let got = routing
+        .run(&mut session, demands_for(n))
+        .expect("resilient routing under drops");
+    assert_eq!(got, expect, "lossy delivery diverged");
+    let stats = session.stats();
+    assert_eq!(stats.rounds, price.rounds, "round price");
+    assert_eq!(
+        stats.max_message_bits, price.max_message_bits,
+        "bandwidth ceiling"
+    );
+    assert!(
+        stats.dropped_messages > 0,
+        "the plan must actually drop copies"
+    );
 }
 
 #[test]

@@ -2,11 +2,11 @@
 //! for `cc-service`, exercised end to end through the facade crate and
 //! the testkit's fleet differentials.
 //!
-//! * any generated batch — mixed families, workloads, pool shapes,
-//!   seed-addressed adversaries, dependency edges —
-//!   must yield outcomes **byte-identical** to the serial oracle
-//!   (`Batch::run_serial`) at every scheduler width in `{1, 4, 8}`; a
-//!   mismatch panics with the job's `family[n=…, seed=…]@t…` label;
+//! * any generated batch — mixed families, workloads, seed-addressed
+//!   adversaries, dependency edges — must yield outcomes
+//!   **byte-identical** to the serial oracle (`Batch::run_serial`) at
+//!   every scheduler width in `{1, 4, 8}`; a mismatch panics with the
+//!   job's `family[n=…, seed=…]` label;
 //! * a cyclic batch is rejected with a structured
 //!   [`BatchError::DependencyCycle`] naming a witness cycle — never
 //!   accepted, never hung on;
@@ -34,8 +34,8 @@ use congested_clique::service::{
 use proptest::prelude::*;
 
 /// The deterministic conformance fleet: one cell per interesting regime —
-/// clean/faulted/Byzantine, engine pool shapes 1/2/4,
-/// plus a dependency diamond whose leaf hashes its parents' bytes.
+/// clean/faulted/Byzantine, plus a dependency diamond whose leaf hashes
+/// its parents' bytes.
 fn conformance_fleet() -> Vec<FleetJob> {
     let mut jobs = Vec::new();
     for (tenant, (family, n, seed)) in [
@@ -47,13 +47,11 @@ fn conformance_fleet() -> Vec<FleetJob> {
     .into_iter()
     .enumerate()
     {
-        let mut gossip = FleetJob::new(
+        jobs.push(FleetJob::new(
             tenant as u32,
             Instance::new(family, n, seed),
             Workload::Gossip { rounds: 2 },
-        );
-        gossip.threads = [1, 2, 4][tenant % 3];
-        jobs.push(gossip);
+        ));
     }
     let mut faulted = FleetJob::new(
         0,
@@ -61,7 +59,6 @@ fn conformance_fleet() -> Vec<FleetJob> {
         Workload::DegreeSum,
     );
     faulted.adversary = Adversary::Faults { seed: 42 };
-    faulted.threads = 2;
     jobs.push(faulted);
     let mut byz = FleetJob::new(2, Instance::new(Family::Complete, 7, 5), Workload::MinId);
     byz.adversary = Adversary::Byzantine {

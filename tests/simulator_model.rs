@@ -1,6 +1,6 @@
 //! Model-level invariants of the simulator, exercised through real
 //! algorithms (not synthetic programs): bandwidth accounting, input
-//! encodings, deterministic parallelism, phase composition.
+//! encodings, determinism under concurrent runs, phase composition.
 
 use congested_clique::prelude::*;
 use congested_clique::{graph, paths, routing};
@@ -23,18 +23,24 @@ fn bandwidth_is_never_exceeded_by_any_algorithm() {
 
 #[test]
 fn parallel_engine_is_bit_identical_on_real_algorithms() {
-    // Round counts and outputs are independent of host-thread count.
+    // Round counts and outputs are independent of how many host threads
+    // run engines at once: BFS on the calling thread, then four copies
+    // side by side on threads of their own, the way a cc-service fleet
+    // runs jobs.
     let n = 20;
     let g = graph::gen::gnp(n, 0.25, 77);
-    // BFS through a sequential engine...
-    let mut s1 = Session::new(Engine::new(n));
-    let d1 = paths::bfs(&mut s1, &g, 3).unwrap();
-    // ...and a 4-worker pool (exact: not capped by host cores, so the
-    // pooled path is exercised even on single-core CI).
-    let mut s2 = Session::new(Engine::new(n).with_threads_exact(4));
-    let d2 = paths::bfs(&mut s2, &g, 3).unwrap();
-    assert_eq!(d1, d2);
-    assert_eq!(s1.stats(), s2.stats());
+    let bfs = || {
+        let mut s = Session::new(Engine::new(n));
+        let dist = paths::bfs(&mut s, &g, 3).unwrap();
+        (dist, s.stats())
+    };
+    let alone = bfs();
+    std::thread::scope(|scope| {
+        let runs: Vec<_> = (0..4).map(|_| scope.spawn(bfs)).collect();
+        for run in runs {
+            assert_eq!(run.join().unwrap(), alone);
+        }
+    });
 }
 
 #[test]
@@ -108,11 +114,11 @@ fn bfs_is_a_broadcast_congested_clique_algorithm() {
     assert!(routing::RoutePlan::direct().run(&mut s2, demands).is_err());
 }
 
-mod thread_count_identity {
-    //! Property: the engine's outputs, transcripts, and every model-level
-    //! stat are independent of the pool shape — across thread counts that
-    //! divide `n` unevenly, in broadcast-only mode, and under a CONGEST
-    //! ring topology.
+mod mixer_model {
+    //! Property: staggered mixers run clean in the clique, in
+    //! broadcast-only mode, and under a CONGEST ring topology, for at
+    //! least their `k` rounds, and their transcripts record exactly the
+    //! messages the stats count.
 
     use cliquesim::{
         BitString, Engine, Inbox, NodeCtx, NodeId, NodeProgram, Outbox, RunStats, Status,
@@ -191,18 +197,13 @@ mod thread_count_identity {
         adj
     }
 
-    fn run(n: usize, mode: u8, k: usize, threads: usize) -> (Vec<u64>, RunStats, Vec<Transcript>) {
+    fn run(n: usize, mode: u8, k: usize) -> (RunStats, Vec<Transcript>) {
         let mut engine = Engine::new(n).with_transcripts(true);
         engine = match mode {
             1 => engine.broadcast_only(true),
             2 => engine.with_topology(ring(n)),
             _ => engine,
         };
-        if threads > 1 {
-            // Exact: the pooled path must run even when the host has
-            // fewer cores than workers (single-core CI included).
-            engine = engine.with_threads_exact(threads);
-        }
         let programs = (0..n)
             .map(|v| Mixer {
                 mode,
@@ -211,30 +212,26 @@ mod thread_count_identity {
             })
             .collect();
         let out = engine.run(programs).expect("mixer must run clean");
-        (
-            out.outputs,
-            out.stats,
-            out.transcripts.expect("recording on"),
-        )
+        (out.stats, out.transcripts.expect("recording on"))
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(16))]
 
         #[test]
-        fn engine_is_bit_identical_across_thread_counts(
-            n in 5usize..24,       // includes primes: no thread count divides evenly
+        fn mixers_run_clean_in_every_mode(
+            n in 5usize..24,
             mode in 0u8..3,
             k in 1usize..5,
         ) {
-            let (out0, stats0, tr0) = run(n, mode, k, 1);
-            prop_assert!(stats0.rounds >= k, "mixers run at least k rounds");
-            for threads in [2usize, 3, 4, 7] {
-                let (out, stats, tr) = run(n, mode, k, threads);
-                prop_assert_eq!(&out0, &out, "outputs differ at {} threads", threads);
-                prop_assert_eq!(&stats0, &stats, "stats differ at {} threads", threads);
-                prop_assert_eq!(&tr0, &tr, "transcripts differ at {} threads", threads);
-            }
+            let (stats, transcripts) = run(n, mode, k);
+            prop_assert!(stats.rounds >= k, "mixers run at least k rounds");
+            let sent: usize = transcripts
+                .iter()
+                .flat_map(|t| &t.rounds)
+                .map(|r| r.sent.len())
+                .sum();
+            prop_assert_eq!(sent as u64, stats.messages, "transcripts vs stats");
         }
     }
 }
