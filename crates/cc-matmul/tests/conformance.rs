@@ -4,7 +4,8 @@
 
 use cc_matmul::{mm_naive_broadcast, mm_three_d, BoolSemiring, TropicalSemiring, TROPICAL_INF};
 use cc_testkit::instances::strategies::arb_instance;
-use cc_testkit::{corpus, differential_session, oracle};
+use cc_testkit::{corpus, oracle};
+use cliquesim::{Engine, Session};
 use proptest::prelude::*;
 
 fn adjacency(g: &cc_graph::Graph) -> Vec<Vec<bool>> {
@@ -38,9 +39,8 @@ fn boolean_squaring_conforms_across_corpus() {
     for inst in corpus(&[9, 16], &[1]) {
         let g = inst.graph();
         let a = adjacency(&g);
-        let got = differential_session(&inst.label(), g.n(), |s| {
-            mm_three_d(s, &BoolSemiring, &a, &a).unwrap()
-        });
+        let got = mm_three_d(&mut Session::new(Engine::new(g.n())), &BoolSemiring, &a, &a)
+            .unwrap_or_else(|e| panic!("{inst}: {e}"));
         oracle::judge_matmul(
             &inst.label(),
             &a,
@@ -59,9 +59,8 @@ fn tropical_naive_broadcast_conforms() {
         let g = inst.graph();
         let sr = TropicalSemiring::for_max_value(2);
         let d = tropical_rows(&g);
-        let got = differential_session(&inst.label(), g.n(), |s| {
-            mm_naive_broadcast(s, &sr, &d, &d).unwrap()
-        });
+        let got = mm_naive_broadcast(&mut Session::new(Engine::new(g.n())), &sr, &d, &d)
+            .unwrap_or_else(|e| panic!("{inst}: {e}"));
         oracle::judge_matmul(
             &inst.label(),
             &d,
@@ -81,9 +80,8 @@ proptest! {
     fn random_instances_square_correctly(inst in arb_instance(5, 14)) {
         let g = inst.graph();
         let a = adjacency(&g);
-        let got = differential_session(&inst.label(), g.n(), |s| {
-            mm_three_d(s, &BoolSemiring, &a, &a).unwrap()
-        });
+        let got = mm_three_d(&mut Session::new(Engine::new(g.n())), &BoolSemiring, &a, &a)
+            .unwrap_or_else(|e| panic!("{inst}: {e}"));
         oracle::judge_matmul(
             &inst.label(),
             &a,

@@ -4,15 +4,15 @@
 
 use cc_graph::WeightedGraph;
 use cc_paths::{apsp_exact, apsp_unweighted, bellman_ford, bfs, transitive_closure};
-use cc_testkit::{
-    corpus, differential_broadcast_only, differential_session, oracle, weighted_corpus,
-};
+use cc_testkit::{corpus, differential_broadcast_only, oracle, weighted_corpus};
+use cliquesim::{Engine, Session};
 
 #[test]
 fn apsp_exact_conforms_across_weighted_corpus() {
     for inst in weighted_corpus(&[9, 16], &[1]) {
         let wg = inst.graph();
-        let got = differential_session(&inst.label(), wg.n(), |s| apsp_exact(s, &wg).unwrap());
+        let got = apsp_exact(&mut Session::new(Engine::new(wg.n())), &wg)
+            .unwrap_or_else(|e| panic!("{inst}: {e}"));
         oracle::judge_apsp(&inst.label(), &wg, &got);
     }
 }
@@ -21,7 +21,8 @@ fn apsp_exact_conforms_across_weighted_corpus() {
 fn apsp_unweighted_agrees_with_unit_weights() {
     for inst in corpus(&[9, 14], &[3]) {
         let g = inst.graph();
-        let got = differential_session(&inst.label(), g.n(), |s| apsp_unweighted(s, &g).unwrap());
+        let got = apsp_unweighted(&mut Session::new(Engine::new(g.n())), &g)
+            .unwrap_or_else(|e| panic!("{inst}: {e}"));
         oracle::judge_apsp(&inst.label(), &WeightedGraph::from_graph(&g), &got);
     }
 }
@@ -41,7 +42,8 @@ fn bfs_conforms_and_is_broadcast_only() {
 fn bellman_ford_matches_dijkstra() {
     for inst in weighted_corpus(&[9, 12], &[2]) {
         let wg = inst.graph();
-        let got = differential_session(&inst.label(), wg.n(), |s| bellman_ford(s, &wg, 0).unwrap());
+        let got = bellman_ford(&mut Session::new(Engine::new(wg.n())), &wg, 0)
+            .unwrap_or_else(|e| panic!("{inst}: {e}"));
         oracle::judge_sssp(&inst.label(), &wg, 0, &got);
     }
 }
@@ -50,8 +52,8 @@ fn bellman_ford_matches_dijkstra() {
 fn transitive_closure_matches_component_structure() {
     for inst in corpus(&[9, 12], &[5]) {
         let g = inst.graph();
-        let got =
-            differential_session(&inst.label(), g.n(), |s| transitive_closure(s, &g).unwrap());
+        let got = transitive_closure(&mut Session::new(Engine::new(g.n())), &g)
+            .unwrap_or_else(|e| panic!("{inst}: {e}"));
         oracle::judge_reachability(&inst.label(), &g, &got);
     }
 }

@@ -6,7 +6,8 @@
 //! stats.
 
 use cc_reductions::{boolean_mm_via_approx_apsp, independent_set_via_dominating_set};
-use cc_testkit::{differential_session, oracle, Family, Instance};
+use cc_testkit::{oracle, Family, Instance};
+use cliquesim::{Engine, Session};
 
 #[test]
 fn thm10_pipeline_is_sound_and_complete_across_families() {
@@ -81,9 +82,8 @@ fn gadget_construction_is_deterministic() {
         assert_eq!(first.virtual_stats, again.virtual_stats, "{inst}");
     }
     // Cross-check against a directly session-run detector.
-    let direct = differential_session(&inst.label(), g.n(), |s| {
-        cc_subgraph::detect_independent_set(s, &g, 2).unwrap()
-    });
+    let direct = cc_subgraph::detect_independent_set(&mut Session::new(Engine::new(g.n())), &g, 2)
+        .unwrap_or_else(|e| panic!("{inst}: {e}"));
     assert_eq!(
         first.independent_set.is_some(),
         direct.is_some(),

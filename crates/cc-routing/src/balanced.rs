@@ -675,7 +675,7 @@ mod tests {
 
         #[test]
         fn prop_empty_crash_set_is_byte_identical(seed in any::<u64>()) {
-            // Transparency, mirroring `assert_empty_plan_transparent`: the
+            // Transparency, mirroring `assert_empty_plans_transparent`: the
             // balanced plan avoiding an empty crash set must reproduce the
             // plain balanced plan exactly — same deliveries, same rounds,
             // same bits on the wire.

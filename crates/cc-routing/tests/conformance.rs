@@ -3,9 +3,8 @@
 //! all-to-all broadcast judged against its payloads.
 
 use cc_routing::{frame, frame_all, parse_frames, rounds_for, RoutePlan, LEN_HEADER_BITS};
-use cc_testkit::differential_session;
 use cc_testkit::instances::strategies::arb_bitstring;
-use cliquesim::{BitString, NodeId};
+use cliquesim::{BitString, Engine, NodeId, Session};
 use proptest::prelude::*;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -17,9 +16,10 @@ fn all_to_all_broadcast_delivers_every_payload() {
     let payloads: Vec<BitString> = (0..n)
         .map(|v| (0..(v * 13) % 47).map(|_| rng.gen_bool(0.5)).collect())
         .collect();
-    let views = differential_session("all-to-all[n=15, seed=42]", n, |s| {
-        cc_routing::all_to_all_broadcast(s, payloads.clone()).unwrap()
-    });
+    let label = "all-to-all[n=15, seed=42]";
+    let views =
+        cc_routing::all_to_all_broadcast(&mut Session::new(Engine::new(n)), payloads.clone())
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
     // Oracle: every node sees every payload verbatim.
     for (v, view) in views.iter().enumerate() {
         assert_eq!(view.len(), n, "node {v} view size");

@@ -5,13 +5,15 @@
 use cc_subgraph::{
     count_triangles_distributed, detect_clique, detect_independent_set, detect_triangle,
 };
-use cc_testkit::{corpus, differential_session, oracle, Family, Instance};
+use cc_testkit::{corpus, oracle, Family, Instance};
+use cliquesim::{Engine, Session};
 
 #[test]
 fn triangle_detection_conforms() {
     for inst in corpus(&[9, 12], &[1]) {
         let g = inst.graph();
-        let got = differential_session(&inst.label(), g.n(), |s| detect_triangle(s, &g).unwrap());
+        let got = detect_triangle(&mut Session::new(Engine::new(g.n())), &g)
+            .unwrap_or_else(|e| panic!("{inst}: {e}"));
         oracle::judge_clique_witness(&inst.label(), &g, 3, &got);
     }
 }
@@ -20,9 +22,8 @@ fn triangle_detection_conforms() {
 fn triangle_counting_conforms() {
     for inst in corpus(&[9, 13], &[2]) {
         let g = inst.graph();
-        let got = differential_session(&inst.label(), g.n(), |s| {
-            count_triangles_distributed(s, &g).unwrap()
-        });
+        let got = count_triangles_distributed(&mut Session::new(Engine::new(g.n())), &g)
+            .unwrap_or_else(|e| panic!("{inst}: {e}"));
         oracle::judge_triangle_count(&inst.label(), &g, got);
     }
 }
@@ -33,7 +34,8 @@ fn clique_detection_finds_planted_cliques() {
         let inst = Instance::new(Family::PlantedClique, 12, seed);
         let g = inst.graph();
         let k = 4; // planted size for n = 12
-        let got = differential_session(&inst.label(), g.n(), |s| detect_clique(s, &g, k).unwrap());
+        let got = detect_clique(&mut Session::new(Engine::new(g.n())), &g, k)
+            .unwrap_or_else(|e| panic!("{inst}: {e}"));
         oracle::judge_clique_witness(&inst.label(), &g, k, &got);
         assert!(got.is_some(), "{}: planted 4-clique must be found", inst);
     }
@@ -49,9 +51,8 @@ fn independent_set_detection_conforms() {
         for seed in [1u64, 5] {
             let inst = Instance::new(family, 10, seed);
             let g = inst.graph();
-            let got = differential_session(&inst.label(), g.n(), |s| {
-                detect_independent_set(s, &g, 3).unwrap()
-            });
+            let got = detect_independent_set(&mut Session::new(Engine::new(g.n())), &g, 3)
+                .unwrap_or_else(|e| panic!("{inst}: {e}"));
             oracle::judge_independent_set_witness(&inst.label(), &g, 3, &got);
         }
     }

@@ -10,9 +10,9 @@
 //! the exact churn schedule that reproduces it — bit-identical on any
 //! host.
 //!
-//! [`differential_churn`] runs a case with transcripts on and hands back
-//! outputs, stats, transcripts and the fault report (rejoin state sync
-//! included), and one obligation is enforced on top:
+//! Suites attach [`ChurnCase::plan`] to the engine and run it with
+//! [`crate::run_recorded`] (rejoin state sync included), and one
+//! obligation is enforced on top:
 //!
 //! * **ledger closure** — [`judge_churn_accounting`] cross-checks the
 //!   [`FaultReport`] against the [`RunStats`] sync counters and the plan's
@@ -21,18 +21,12 @@
 //!   stats counters equal the event sums (nothing double- or un-counted).
 
 use std::fmt;
-use std::fmt::Debug;
 use std::ops::Range;
 
 use cc_routing::CrashSet;
-use cliquesim::{
-    BitString, Engine, FaultEvent, FaultPlan, FaultReport, NodeId, NodeProgram, RunStats,
-};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
+use cliquesim::{FaultEvent, FaultPlan, FaultReport, NodeId, RunStats};
 
-use crate::faults::{differential_faulted, FaultedRun};
-use crate::routing::Demands;
+use crate::routing::{seeded_demands, Demands};
 
 /// A seed-addressed churn conformance case: `n` nodes under a Poisson
 /// crash/rejoin schedule derived from `seed`. Prints as `churn[n=…,
@@ -44,51 +38,31 @@ pub struct ChurnCase {
     pub n: usize,
     /// Seed driving the churn chain and the demand generator.
     pub seed: u64,
-    /// Per-round crash probability for live nodes, in per mille.
-    pub crash_per_mille: u32,
-    /// Per-round rejoin probability for down nodes, in per mille.
-    pub rejoin_per_mille: u32,
-    /// Last round the churn chain is sampled at (crashes and rejoins all
-    /// land in `1..=max_round`).
-    pub max_round: usize,
 }
 
 impl ChurnCase {
-    /// Build a case with the suite's default rates: 80‰ crash, 400‰
-    /// rejoin, sampled over the first twelve rounds. Node 0 is spared so
-    /// every case keeps at least one always-alive node (a broadcast source
-    /// or routing anchor).
+    /// Per-round crash probability for live nodes, in per mille.
+    pub const CRASH_PER_MILLE: u32 = 80;
+    /// Per-round rejoin probability for down nodes, in per mille.
+    pub const REJOIN_PER_MILLE: u32 = 400;
+    /// Last round the churn chain is sampled at (crashes and rejoins all
+    /// land in `1..=MAX_ROUND`).
+    pub const MAX_ROUND: usize = 12;
+
+    /// Build a case. Node 0 is spared so every case keeps at least one
+    /// always-alive node (a broadcast source or routing anchor).
     pub fn new(n: usize, seed: u64) -> Self {
         assert!(n >= 2, "a clique needs at least two nodes (n={n})");
-        Self {
-            n,
-            seed,
-            crash_per_mille: 80,
-            rejoin_per_mille: 400,
-            max_round: 12,
-        }
-    }
-
-    /// Override the churn chain's rates and horizon.
-    pub fn with_rates(
-        mut self,
-        crash_per_mille: u32,
-        rejoin_per_mille: u32,
-        max_round: usize,
-    ) -> Self {
-        self.crash_per_mille = crash_per_mille;
-        self.rejoin_per_mille = rejoin_per_mille;
-        self.max_round = max_round;
-        self
+        Self { n, seed }
     }
 
     /// The case's churn plan: a pure function of the seed, sparing node 0.
     pub fn plan(&self) -> FaultPlan {
         FaultPlan::new(self.seed).with_random_churn(
             self.n,
-            self.crash_per_mille,
-            self.rejoin_per_mille,
-            self.max_round,
+            Self::CRASH_PER_MILLE,
+            Self::REJOIN_PER_MILLE,
+            Self::MAX_ROUND,
             &[NodeId(0)],
         )
     }
@@ -107,22 +81,11 @@ impl ChurnCase {
     }
 
     /// The case's deterministic demand set, in the same shape as
-    /// [`crate::RouteFaultCase::demands`]: every node sends 0–3 payloads
-    /// of 0–40 bits to seeded destinations. Dead endpoints are included on
-    /// purpose — the router must report them, not require pre-filtering.
+    /// [`crate::RouteFaultCase::demands`] but from its own seed stream.
+    /// Dead endpoints are included on purpose — the router must report
+    /// them, not require pre-filtering.
     pub fn demands(&self) -> Demands {
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ 0x6368_7572_u64);
-        let n = self.n;
-        let mut demands: Demands = vec![Vec::new(); n];
-        for (v, list) in demands.iter_mut().enumerate() {
-            for _ in 0..rng.gen_range(0..4) {
-                let dst = (v + rng.gen_range(1..n)) % n;
-                let len = rng.gen_range(0..40);
-                let payload: BitString = (0..len).map(|_| rng.gen_bool(0.5)).collect();
-                list.push((NodeId::from(dst), payload));
-            }
-        }
-        demands
+        seeded_demands(self.n, self.seed ^ 0x6368_7572_u64)
     }
 }
 
@@ -142,22 +105,6 @@ pub fn churn_corpus() -> Vec<ChurnCase> {
         }
     }
     cases
-}
-
-/// Run the case's plan with transcripts forced on. An engine error panics
-/// with the replayable `churn[n=…, seed=…]` label. Returns the run for
-/// judging.
-pub fn differential_churn<P, M>(
-    case: &ChurnCase,
-    base: &Engine,
-    make_programs: M,
-) -> FaultedRun<P::Output>
-where
-    P: NodeProgram,
-    P::Output: PartialEq + Debug,
-    M: FnMut() -> Vec<P>,
-{
-    differential_faulted(&case.to_string(), base, &case.plan(), make_programs)
 }
 
 /// Close the churn ledger: every `Rejoined` event in `report` must name a
@@ -225,7 +172,10 @@ pub fn judge_churn_accounting(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use cliquesim::{sync_overhead, Inbox, NodeCtx, Outbox, Status};
+    use crate::run_recorded;
+    use cliquesim::{
+        sync_overhead, BitString, Engine, Inbox, NodeCtx, NodeProgram, Outbox, Status,
+    };
 
     /// Broadcast-until-`horizon` chatter: every live node broadcasts a
     /// one-bit beacon each round and counts what it hears, so churn shows
@@ -282,17 +232,18 @@ mod tests {
     }
 
     #[test]
-    fn churn_differential_is_accounted() {
+    fn churn_run_is_accounted() {
         let case = ChurnCase::new(15, 2);
-        let (outputs, stats, _, report) =
-            differential_churn(&case, &Engine::new(15), || chatter(15, 14));
-        judge_churn_accounting(&case.to_string(), &case.plan(), &stats, &report);
-        assert!(stats.rejoined_nodes > 0, "{case}: nothing rejoined");
+        let plan = case.plan();
+        let engine = Engine::new(15).with_fault_plan(plan.clone());
+        let out = run_recorded(&format!("{case} under {plan}"), &engine, chatter(15, 14));
+        judge_churn_accounting(&case.to_string(), &plan, &out.stats, &out.faults);
+        assert!(out.stats.rejoined_nodes > 0, "{case}: nothing rejoined");
         assert!(
-            stats.sync_messages > 0,
+            out.stats.sync_messages > 0,
             "{case}: state sync carried nothing"
         );
-        assert!(outputs[0].is_some(), "spared node 0 must survive");
+        assert!(out.outputs[0].is_some(), "spared node 0 must survive");
     }
 
     #[test]
@@ -302,13 +253,13 @@ mod tests {
         let case = ChurnCase::new(12, 1);
         let plan = case.plan();
         let whole = case.crash_set();
-        let late = case.crash_set_for(case.max_round + 1..usize::MAX);
+        let late = case.crash_set_for(ChurnCase::MAX_ROUND + 1..usize::MAX);
         assert!(late.len() < whole.len(), "{case}: no node was re-admitted");
         for v in 0..case.n {
             let node = NodeId::from(v);
             assert_eq!(
                 late.is_dead(node),
-                !plan.alive_at(node, case.max_round + 1),
+                !plan.alive_at(node, ChurnCase::MAX_ROUND + 1),
                 "{case}: wave membership disagrees with the plan for node {v}"
             );
         }

@@ -1,33 +1,35 @@
-//! Differential execution across communication modes and topologies.
+//! The conformance runner and the checks that compare two real paths.
 //!
-//! Every runner here executes one protocol on one engine configuration and
-//! hands back what it produced: [`differential_broadcast_only`] runs a
-//! broadcast-capable protocol in the unrestricted clique *and* in the
-//! broadcast-only model (paper §2) and asserts the two agree, and
-//! [`differential_programs`] records full transcripts for the auditor.
-//! Their panics name the protocol label, so the failing cell is replayable.
+//! [`run_recorded`] runs node programs once on the engine the caller
+//! built — topology, bandwidth, a [`FaultPlan`], a [`ByzantinePlan`], a
+//! keyring, or none of them — with transcripts recorded, and hands back
+//! the engine's own [`FaultedOutcome`]. Both adversaries are pure
+//! functions of `(seed, round, from, to)`, so a run replays bit for bit,
+//! and an engine error panics with the caller's label: name the case and
+//! every attached adversary in it (e.g. `gossip under plan[seed=7, …]`)
+//! and the failing cell is replayable.
+//!
+//! [`differential_broadcast_only`] runs a broadcast-capable protocol in the
+//! unrestricted clique *and* in the broadcast-only model (paper §2) and
+//! asserts the two agree; [`assert_empty_plans_transparent`] holds empty
+//! adversary plans byte-identical to no plan at all.
 
-use cliquesim::{Engine, NodeProgram, RunStats, Session, Transcript};
+use cliquesim::{ByzantinePlan, Engine, FaultPlan, FaultedOutcome, NodeProgram, Session};
 use std::fmt::Debug;
 
-/// Run a session-level protocol on a plain clique engine and return its
-/// output.
-pub fn differential_session<T, F>(label: &str, n: usize, protocol: F) -> T
-where
-    T: PartialEq + Debug,
-    F: FnMut(&mut Session) -> T,
-{
-    differential_engines(label, &Engine::new(n), protocol)
-}
-
-/// Like [`differential_session`], but over an arbitrary pre-configured
-/// base engine (topology, bandwidth, broadcast restriction, …).
-pub fn differential_engines<T, F>(_label: &str, base: &Engine, mut protocol: F) -> T
-where
-    T: PartialEq + Debug,
-    F: FnMut(&mut Session) -> T,
-{
-    protocol(&mut Session::new(base.clone()))
+/// Run `programs` on `engine` with transcript recording forced on. Crashed
+/// nodes' outputs are `None`, and both adversaries' event logs ride along;
+/// an engine error panics with `label`.
+pub fn run_recorded<P: NodeProgram>(
+    label: &str,
+    engine: &Engine,
+    programs: Vec<P>,
+) -> FaultedOutcome<P::Output> {
+    engine
+        .clone()
+        .with_transcripts(true)
+        .run_faulted(programs)
+        .unwrap_or_else(|e| panic!("{label}: engine error: {e}"))
 }
 
 /// Run a broadcast-capable protocol in the unrestricted clique *and* the
@@ -47,29 +49,56 @@ where
     clique
 }
 
-/// Run raw node programs with transcript recording forced on. Returns
-/// `(outputs, stats, transcripts)` for further auditing; an engine error
-/// panics with `label`.
-pub fn differential_programs<P, M>(
-    label: &str,
-    base: &Engine,
-    mut make_programs: M,
-) -> (Vec<P::Output>, RunStats, Vec<Transcript>)
+/// Assert the engine's transparency guarantee: attaching an *empty*
+/// [`FaultPlan`], an empty [`ByzantinePlan`], or both at once changes
+/// nothing. Each planned run must match the bare engine's byte for byte —
+/// outputs, stats and transcripts — and log no fault or rewrite event.
+pub fn assert_empty_plans_transparent<P, M>(label: &str, base: &Engine, mut make_programs: M)
 where
     P: NodeProgram,
     P::Output: PartialEq + Debug,
     M: FnMut() -> Vec<P>,
 {
-    let out = base
-        .clone()
-        .with_transcripts(true)
-        .run(make_programs())
-        .unwrap_or_else(|e| panic!("{label}: engine error: {e}"));
-    let transcripts = out.transcripts.expect("transcripts were requested");
-    (out.outputs, out.stats, transcripts)
+    let (faults, byzantine) = (FaultPlan::new(0), ByzantinePlan::new(0));
+    assert!(
+        faults.is_empty() && byzantine.is_empty(),
+        "new plans start empty"
+    );
+    let with_faults = |e: Engine| e.with_fault_plan(faults.clone());
+    let with_byzantine = |e: Engine| e.with_byzantine_plan(byzantine.clone());
+    let bare = run_recorded(&format!("{label} bare"), base, make_programs());
+    assert!(
+        bare.outputs.iter().all(Option::is_some),
+        "{label}: a node of the bare engine has no output"
+    );
+    let planned = [
+        ("an empty fault plan", with_faults(base.clone())),
+        ("an empty Byzantine plan", with_byzantine(base.clone())),
+        (
+            "both empty plans",
+            with_byzantine(with_faults(base.clone())),
+        ),
+    ];
+    for (plans, engine) in planned {
+        let tag = format!("{label} under {plans}");
+        let run = run_recorded(&tag, &engine, make_programs());
+        assert!(run.faults.is_empty(), "{tag}: fault events logged");
+        assert!(run.byzantine.is_empty(), "{tag}: rewrite events logged");
+        assert!(run.outputs == bare.outputs, "{tag}: outputs changed");
+        assert!(
+            run.stats == bare.stats,
+            "{tag}: RunStats changed: {:?} vs {:?}",
+            run.stats,
+            bare.stats
+        );
+        assert!(
+            run.transcripts == bare.transcripts,
+            "{tag}: transcripts changed"
+        );
+    }
 }
 
-/// Adjacency matrix of the n-cycle, for CONGEST-ring differentials via
+/// Adjacency matrix of the n-cycle, for CONGEST-ring runs via
 /// `Engine::with_topology`.
 pub fn ring_topology(n: usize) -> Vec<bool> {
     let mut adj = vec![false; n * n];
@@ -84,9 +113,46 @@ pub fn ring_topology(n: usize) -> Vec<bool> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use cliquesim::{BitString, Inbox, NodeCtx, NodeId, Outbox, Status};
+
+    /// Three rounds of id gossip: every node tracks the ids it has heard,
+    /// sender-tagged (order-sensitive enough to notice any
+    /// nondeterminism). Programs read the payload prefix and ignore any
+    /// trailing tag, so the fixture also runs with a keyring attached.
+    #[derive(Clone)]
+    pub(crate) struct Gossip {
+        heard: Vec<u64>,
+    }
+
+    impl NodeProgram for Gossip {
+        type Output = Vec<u64>;
+        fn step(
+            &mut self,
+            ctx: &NodeCtx,
+            round: usize,
+            inbox: &Inbox<'_>,
+            outbox: &mut Outbox<'_>,
+        ) -> Status<Vec<u64>> {
+            for (u, m) in inbox.iter() {
+                if let Ok(v) = m.reader().read_uint(ctx.id_width()) {
+                    self.heard.push(u.0 as u64 * 1000 + v);
+                }
+            }
+            if round < 3 {
+                let mut m = BitString::new();
+                m.push_uint(ctx.id.0 as u64, ctx.id_width());
+                outbox.broadcast(&m);
+                return Status::Continue;
+            }
+            Status::Halt(self.heard.clone())
+        }
+    }
+
+    pub(crate) fn gossip(n: usize) -> Vec<Gossip> {
+        (0..n).map(|_| Gossip { heard: Vec::new() }).collect()
+    }
 
     /// One broadcast round: every node learns the minimum id.
     #[derive(Clone)]
@@ -151,22 +217,55 @@ mod tests {
     }
 
     #[test]
-    fn program_differential_records_a_transcript_per_node() {
+    fn run_recorded_records_a_transcript_per_node() {
         let n = 15;
-        let (outputs, stats, transcripts) =
-            differential_programs("minid", &Engine::new(n), || vec![MinId(0); n]);
-        assert_eq!(outputs, vec![0; n]);
-        assert_eq!(stats.rounds, 1);
-        assert_eq!(transcripts.len(), n);
+        let out = run_recorded("minid", &Engine::new(n), vec![MinId(0); n]);
+        assert_eq!(out.outputs, vec![Some(0); n]);
+        assert_eq!(out.stats.rounds, 1);
+        assert_eq!(out.transcripts.map(|t| t.len()), Some(n));
+    }
+
+    #[test]
+    #[should_panic(expected = "minid[n=5] under plan[seed=3]: engine error")]
+    fn run_recorded_names_the_case_on_an_engine_error() {
+        // Four programs for a five-node clique: the engine rejects the
+        // vector, and the panic must lead with the caller's label.
+        let engine = Engine::new(5).with_fault_plan(FaultPlan::new(3));
+        run_recorded("minid[n=5] under plan[seed=3]", &engine, vec![MinId(0); 4]);
+    }
+
+    #[test]
+    fn faulted_run_reports_the_plan() {
+        let n = 15;
+        let plan = FaultPlan::new(42)
+            .crash(NodeId(3), 2)
+            .drop_messages(0.2)
+            .corrupt_messages(0.1)
+            .truncate_messages(0.05);
+        let engine = Engine::new(n).with_fault_plan(plan.clone());
+        let out = run_recorded(&format!("gossip under {plan}"), &engine, gossip(n));
+        assert!(out.outputs[3].is_none(), "crashed node has no output");
+        assert_eq!(out.stats.dead_nodes, 1);
+        assert!(
+            out.stats.dropped_messages > 0,
+            "seed 42 must drop something"
+        );
+        assert!(!out.faults.is_empty());
+        assert_eq!(out.transcripts.map(|t| t.len()), Some(n));
+    }
+
+    #[test]
+    fn empty_plans_are_transparent_for_gossip() {
+        let n = 10;
+        assert_empty_plans_transparent("gossip", &Engine::new(n), || gossip(n));
     }
 
     #[test]
     fn ring_topology_runs_under_congest_restriction() {
         let n = 6;
         let engine = Engine::new(n).with_topology(ring_topology(n));
-        let (outputs, _, _) =
-            differential_programs("ringhop", &engine, || vec![RingHop::default(); n]);
-        assert!(outputs.iter().all(|&ok| ok));
+        let out = run_recorded("ringhop", &engine, vec![RingHop::default(); n]);
+        assert!(out.outputs.iter().all(|&ok| ok == Some(true)));
     }
 
     #[test]
@@ -180,77 +279,5 @@ mod tests {
             .run((0..n).map(|_| MinId(0)).collect())
             .map(|_| ())
             .unwrap();
-    }
-
-    #[test]
-    fn session_differential_composes_phases() {
-        let g = crate::instances::Instance::new(crate::instances::Family::ErMedium, 14, 5).graph();
-        let out = differential_session("two-phase", 14, |s| {
-            let a = cc_graph_bfs(s, &g, 0);
-            let b = cc_graph_bfs(s, &g, 1);
-            (a, b)
-        });
-        assert_eq!(out.0.len(), 14);
-    }
-
-    /// Minimal BFS flood (testkit-local, so this module's self-test does
-    /// not depend on `cc-paths`): distances from `src` by 1-bit waves.
-    fn cc_graph_bfs(s: &mut Session, g: &cc_graph::Graph, src: usize) -> Vec<u64> {
-        #[derive(Clone)]
-        struct Flood {
-            row: BitString,
-            src: usize,
-            dist: Option<u64>,
-            frontier: bool,
-        }
-        impl NodeProgram for Flood {
-            type Output = u64;
-            fn step(
-                &mut self,
-                ctx: &NodeCtx,
-                round: usize,
-                inbox: &Inbox<'_>,
-                outbox: &mut Outbox<'_>,
-            ) -> Status<u64> {
-                let me = ctx.id.index();
-                if round == 0 {
-                    if me == self.src {
-                        self.dist = Some(0);
-                        self.frontier = true;
-                    }
-                } else {
-                    let mut newly = false;
-                    for (u, _) in inbox.iter() {
-                        let slot = if u.index() < me {
-                            u.index()
-                        } else {
-                            u.index() - 1
-                        };
-                        if self.row.get(slot) && self.dist.is_none() {
-                            self.dist = Some(round as u64);
-                            newly = true;
-                        }
-                    }
-                    self.frontier = newly;
-                }
-                if round >= ctx.n {
-                    return Status::Halt(self.dist.unwrap_or(u64::MAX));
-                }
-                if self.frontier {
-                    outbox.broadcast(&BitString::from_bits([true]));
-                }
-                Status::Continue
-            }
-        }
-        let n = g.n();
-        let programs = (0..n)
-            .map(|v| Flood {
-                row: g.input_row(NodeId::from(v)),
-                src,
-                dist: None,
-                frontier: false,
-            })
-            .collect();
-        s.run(programs).unwrap().outputs
     }
 }

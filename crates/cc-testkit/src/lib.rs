@@ -15,16 +15,17 @@
 //! * [`oracle`] — centralized reference implementations (matmul, APSP,
 //!   BFS/SSSP, MST, subgraph counting, covers/dominating sets) that
 //!   re-judge protocol outputs independently of the algorithm crates.
-//! * [`differential`] — runs one protocol across communication modes
-//!   (clique / broadcast-only / CONGEST ring where defined), asserting
-//!   the models agree, and records transcripts for the auditor.
+//! * [`differential`] — the one conformance runner, [`run_recorded`]: it
+//!   runs node programs on the engine the caller built (bandwidth,
+//!   topology, any adversary), records transcripts for the auditor, and
+//!   hands back the engine's own [`cliquesim::FaultedOutcome`]; an engine
+//!   error panics with the caller's label. Beside it sit the checks that
+//!   compare two real paths: the clique vs the broadcast-only model, and
+//!   empty adversary plans vs no plan at all.
 //! * [`audit`] — a transcript replay + bandwidth auditor that re-walks
 //!   recorded [`cliquesim::Transcript`]s and rejects any message over the
 //!   `⌈log₂ n⌉`-bit budget, any send/receive asymmetry, and any run
 //!   exceeding a theorem-declared round bound.
-//! * [`faults`] — fault-conformance runners: a [`cliquesim::FaultPlan`]
-//!   run hands back outputs, stats, transcripts, and the fault report,
-//!   and an empty plan must change nothing at all.
 //! * [`churn`] — churn-conformance families for the rejoin/state-sync
 //!   tier: seed-addressed [`churn::ChurnCase`]s (Poisson crash/rejoin
 //!   schedules) with replayable `churn[n=…, seed=…]` labels, and a
@@ -33,18 +34,16 @@
 //! * [`auth`] — authenticated-tier conformance: seed-addressed
 //!   [`auth::AuthCase`]s (`auth[n=…, f=…, seed=…]`) pairing a
 //!   [`cliquesim::AuthKeyring`] with an honest-majority `f < n/2` traitor
-//!   plan, and [`differential_authenticated`] running each pair.
-//! * [`byzantine`] — the same obligations for the
-//!   [`cliquesim::ByzantinePlan`] traitor tier, plus the
-//!   [`byzantine::equivocation_witness`] checker that exhibits a single
-//!   traitor forging per-link majorities, and `proptest` strategies for
-//!   `f < n/3` traitor sets.
+//!   plan.
+//! * [`byzantine`] — the [`cliquesim::ByzantinePlan`] traitor tier's
+//!   [`byzantine::equivocation_witness`] checker, which exhibits a single
+//!   traitor forging per-link majorities.
 //! * [`fleet`] — fleet differentials for `cc-service`: pure-data
 //!   [`fleet::FleetJob`] descriptors (instance × workload × seed-addressed
 //!   adversary × DAG edges), a serial-oracle comparison
-//!   runner ([`assert_fleet_matches_serial`]) requiring byte-identical
-//!   outcomes at every scheduler width, and `proptest` strategies over
-//!   whole fleets.
+//!   ([`assert_fleet_matches_serial`]) requiring byte-identical outcomes
+//!   at every scheduler width and timing each run, and `proptest`
+//!   strategies over whole fleets.
 //! * [`routing`] — routed-payload oracles for `cc-routing`'s fault-aware
 //!   planning layer: seed-addressed [`routing::RouteFaultCase`]s with
 //!   replayable `route-fault[…]` labels, a survivor-delivery judge, and
@@ -71,7 +70,6 @@ pub mod byzantine;
 pub mod certificates;
 pub mod churn;
 pub mod differential;
-pub mod faults;
 pub mod fleet;
 pub mod instances;
 pub mod matmul;
@@ -81,18 +79,16 @@ pub mod routing;
 pub use audit::{
     assert_transcripts_conform, audit_transcripts, AuditReport, AuditSpec, AuditViolation,
 };
-pub use auth::{auth_corpus, differential_authenticated, AuthCase};
-pub use byzantine::{
-    assert_empty_byzantine_transparent, differential_byzantine, equivocation_witness, ByzantineRun,
-};
+pub use auth::{auth_corpus, AuthCase};
+pub use byzantine::equivocation_witness;
 pub use certificates::{assert_corrupted_certificates_rejected, corrupt_labelling};
-pub use churn::{churn_corpus, differential_churn, judge_churn_accounting, ChurnCase};
+pub use churn::{churn_corpus, judge_churn_accounting, ChurnCase};
 pub use differential::{
-    differential_broadcast_only, differential_engines, differential_programs, differential_session,
-    ring_topology,
+    assert_empty_plans_transparent, differential_broadcast_only, ring_topology, run_recorded,
 };
-pub use faults::{assert_empty_plan_transparent, differential_faulted, FaultedRun};
-pub use fleet::{assert_fleet_matches_serial, fleet_batch, Adversary, FleetJob, Workload};
+pub use fleet::{
+    assert_fleet_matches_serial, fleet_batch, Adversary, FleetCheck, FleetJob, Workload,
+};
 pub use instances::{corpus, weighted_corpus, Family, Instance, WeightedFamily, WeightedInstance};
 pub use matmul::{differential_matmul, matmul_corpus, wrap_mm, MmCase, MmFamily, MM_WIDTH};
 pub use routing::{

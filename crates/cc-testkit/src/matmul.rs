@@ -17,9 +17,8 @@
 //! closures, preserving the testkit rule that oracles share no code with
 //! the system under test.
 
-use crate::differential::differential_session;
 use crate::oracle::judge_matmul;
-use cliquesim::Session;
+use cliquesim::{Engine, Session};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::fmt;
@@ -244,13 +243,13 @@ fn isqrt_floor(n: usize) -> usize {
 ///
 /// The protocol closure receives the session and both factors; pass a
 /// closure that calls the multiplication entry point under test.
-pub fn differential_matmul<F>(case: &MmCase, mut protocol: F) -> Vec<Vec<i64>>
+pub fn differential_matmul<F>(case: &MmCase, protocol: F) -> Vec<Vec<i64>>
 where
-    F: FnMut(&mut Session, &[Vec<i64>], &[Vec<i64>]) -> Vec<Vec<i64>>,
+    F: FnOnce(&mut Session, &[Vec<i64>], &[Vec<i64>]) -> Vec<Vec<i64>>,
 {
     let (a, b) = case.pair();
     let label = case.label();
-    let got = differential_session(&label, case.n, |s| protocol(s, &a, &b));
+    let got = protocol(&mut Session::new(Engine::new(case.n)), &a, &b);
     judge_matmul(
         &label,
         &a,

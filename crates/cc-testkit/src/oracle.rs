@@ -6,7 +6,7 @@
 //! outputs are judged, never trusted: even a `None`/"no witness" answer
 //! is checked against brute force where feasible.
 
-use cc_graph::{reference, DistMatrix, Graph, WeightedGraph, INF};
+use cc_graph::{reference, DistMatrix, Graph, WeightedGraph};
 use cliquesim::RunStats;
 use std::fmt::Debug;
 
@@ -260,14 +260,6 @@ pub fn judge_dominating_set(label: &str, g: &Graph, k: usize, got: &Option<Vec<u
     }
 }
 
-/// Judge a boolean decision against a brute-force verdict.
-pub fn judge_decision(label: &str, what: &str, got: bool, want: bool) {
-    assert!(
-        got == want,
-        "{label}: {what} decided {got}, oracle says {want}"
-    );
-}
-
 /// Assert a theorem-declared round bound on accumulated stats.
 pub fn assert_round_bound(label: &str, stats: &RunStats, bound: usize) {
     assert!(
@@ -284,11 +276,6 @@ pub fn assert_bandwidth(label: &str, stats: &RunStats, budget_bits: usize) {
         "{label}: a {}-bit message exceeds the {budget_bits}-bit budget",
         stats.max_message_bits
     );
-}
-
-/// `INF` distances must round-trip unchanged; helper for path oracles.
-pub fn is_unreachable(d: u64) -> bool {
-    d >= INF
 }
 
 #[cfg(test)]

@@ -66,19 +66,26 @@ impl RouteFaultCase {
     /// of 0–40 bits to seeded destinations (dead endpoints included — the
     /// router must *report* those, not require the caller to pre-filter).
     pub fn demands(&self) -> Demands {
-        let mut rng = ChaCha8Rng::seed_from_u64(self.seed ^ 0x7075_7465_u64);
-        let n = self.n;
-        let mut demands: Demands = vec![Vec::new(); n];
-        for (v, list) in demands.iter_mut().enumerate() {
-            for _ in 0..rng.gen_range(0..4) {
-                let dst = (v + rng.gen_range(1..n)) % n;
-                let len = rng.gen_range(0..40);
-                let payload: BitString = (0..len).map(|_| rng.gen_bool(0.5)).collect();
-                list.push((NodeId::from(dst), payload));
-            }
-        }
-        demands
+        seeded_demands(self.n, self.seed ^ 0x7075_7465_u64)
     }
+}
+
+/// The demand generator behind [`RouteFaultCase::demands`] and
+/// [`crate::ChurnCase::demands`]: every node sends 0–3 payloads of 0–40
+/// bits to ChaCha-drawn destinations. Each case mixes its own constant
+/// into `seed`, so the two streams differ.
+pub(crate) fn seeded_demands(n: usize, seed: u64) -> Demands {
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let mut demands: Demands = vec![Vec::new(); n];
+    for (v, list) in demands.iter_mut().enumerate() {
+        for _ in 0..rng.gen_range(0..4) {
+            let dst = (v + rng.gen_range(1..n)) % n;
+            let len = rng.gen_range(0..40);
+            let payload: BitString = (0..len).map(|_| rng.gen_bool(0.5)).collect();
+            list.push((NodeId::from(dst), payload));
+        }
+    }
+    demands
 }
 
 impl fmt::Display for RouteFaultCase {
@@ -202,10 +209,10 @@ pub fn differential_route(
 }
 
 /// Assert the planning layer's transparency guarantee, mirroring
-/// `assert_empty_plan_transparent`: every plan — direct and balanced,
-/// framed and sized — avoiding an empty crash set under an empty fault plan
-/// must be byte-identical to the same plan on a bare engine — same
-/// deliveries, same rounds, same bits.
+/// [`crate::assert_empty_plans_transparent`]: every plan — direct and
+/// balanced, framed and sized — avoiding an empty crash set under an empty
+/// fault plan must be byte-identical to the same plan on a bare engine —
+/// same deliveries, same rounds, same bits.
 pub fn assert_empty_crash_transparent<M>(label: &str, base: &Engine, mut make_demands: M)
 where
     M: FnMut() -> Demands,

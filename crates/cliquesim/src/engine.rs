@@ -210,7 +210,7 @@ impl<T: PartialEq> RunOutcome<T> {
 /// the adversary rewrote — so agreement claims about Byzantine-tolerant
 /// protocols should be stated over the honest nodes only: see
 /// [`FaultedOutcome::honest_unanimous`].
-#[derive(Debug)]
+#[derive(Debug, PartialEq)]
 pub struct FaultedOutcome<T> {
     /// Local output of each node, indexed by node; `None` for nodes the
     /// fault plan crash-stopped before they halted.

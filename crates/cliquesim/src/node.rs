@@ -215,8 +215,8 @@ impl<'a> Iterator for Senders<'a> {
 /// Messages sent by one node in one round: at most one per other node, each
 /// at most `bandwidth` bits (the engine enforces the bound on delivery).
 ///
-/// Borrows its sender row from the engine's send buffer so that node steps
-/// can run in parallel without per-round allocation. Sends in ascending
+/// Borrows its sender row from the engine's send buffer, so a node step
+/// allocates nothing per round. Sends in ascending
 /// recipient order append in O(1); any order is correct, and the last write
 /// to a recipient wins.
 pub struct Outbox<'a> {

@@ -27,7 +27,7 @@
 ///
 /// Equality deliberately ignores [`RunStats::timing`]: wall-clock is
 /// nondeterministic, while every other field is part of the engine's
-/// bit-identity contract between sequential and parallel execution.
+/// bit-identity contract: the same run always yields the same stats.
 #[derive(Clone, Debug, Default)]
 pub struct RunStats {
     /// Synchronous communication rounds. An algorithm that halts before any
@@ -105,12 +105,12 @@ pub struct RunStats {
 /// Wall-clock measurements for one run.
 ///
 /// Timing is inherently nondeterministic, so it lives outside the
-/// [`RunStats`] equality relation: asserting `seq.stats == par.stats` checks
+/// [`RunStats`] equality relation: asserting `a.stats == b.stats` checks
 /// the model-level fields only.
 #[derive(Clone, Debug, Default)]
 pub struct EngineTiming {
-    /// Nanoseconds spent stepping nodes, summed over rounds. In parallel
-    /// runs this is the wall-clock of the step phases, not CPU time.
+    /// Nanoseconds spent stepping nodes, summed over rounds: the
+    /// wall-clock of the step phases on the thread that ran them.
     pub step_ns: u64,
     /// Nanoseconds spent in delivery bookkeeping between step phases
     /// (transcript recording, undelivered accounting, halt detection),

@@ -5,7 +5,7 @@
 
 use cc_core::randomized::{OneSidedMonteCarlo, RandomizedColoring};
 use cc_graph::gen;
-use cc_testkit::{assert_transcripts_conform, differential_programs, AuditSpec};
+use cc_testkit::{assert_transcripts_conform, run_recorded, AuditSpec};
 use cliquesim::{BitString, Engine, NodeId};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -28,12 +28,19 @@ fn randomized_protocol_transcripts_pass_the_auditor() {
     let coins = seeded_coins(n, algo.coin_bits(n), 0xC01_FFEE);
 
     let label = "randomized-coloring[n=15, seed=0xC01FFEE]";
-    let (outputs, stats, transcripts) = differential_programs(label, &Engine::new(n), || {
-        (0..n)
-            .map(|v| algo.node(n, NodeId::from(v), &g.input_row(NodeId::from(v)), &coins[v]))
-            .collect()
-    });
-    assert_eq!(outputs.len(), n);
+    let programs = (0..n)
+        .map(|v| algo.node(n, NodeId::from(v), &g.input_row(NodeId::from(v)), &coins[v]))
+        .collect();
+    let out = run_recorded(label, &Engine::new(n), programs);
+    assert_eq!(out.outputs.len(), n);
+    assert!(
+        out.outputs.iter().all(Option::is_some),
+        "{label}: a node has no output"
+    );
+    let (stats, transcripts) = (
+        out.stats,
+        out.transcripts.expect("transcripts are recorded"),
+    );
 
     // Audit the recorded transcripts against the model's strict
     // ⌈log₂ n⌉ budget and the algorithm's declared time bound.
@@ -59,24 +66,23 @@ fn verifier_accepts_exactly_proper_colorings() {
 
     let proper: Vec<BitString> = colors.iter().map(|&c| encode(c)).collect();
     let label = "coloring-verifier[n=14, seed=23]";
-    let (outputs, _, _) = differential_programs(label, &Engine::new(n), || {
-        (0..n)
-            .map(|v| {
-                algo.node(
-                    n,
-                    NodeId::from(v),
-                    &g.input_row(NodeId::from(v)),
-                    &proper[v],
-                )
-            })
-            .collect()
-    });
+    let programs = (0..n)
+        .map(|v| {
+            algo.node(
+                n,
+                NodeId::from(v),
+                &g.input_row(NodeId::from(v)),
+                &proper[v],
+            )
+        })
+        .collect();
+    let outputs = run_recorded(label, &Engine::new(n), programs).outputs;
     assert!(
         cc_graph::reference::is_proper_coloring(&g, &colors),
         "{label}: planted coloring must be proper"
     );
     assert!(
-        outputs.iter().all(|&b| b),
+        outputs.iter().all(|&b| b == Some(true)),
         "{label}: verifier rejected a proper coloring"
     );
 
@@ -88,13 +94,16 @@ fn verifier_accepts_exactly_proper_colorings() {
     if let Some((u, v)) = first_edge {
         let mut bad = proper.clone();
         bad[v] = bad[u].clone();
-        let (outputs, _, _) = differential_programs(label, &Engine::new(n), || {
-            (0..n)
-                .map(|x| algo.node(n, NodeId::from(x), &g.input_row(NodeId::from(x)), &bad[x]))
-                .collect()
-        });
+        let programs = (0..n)
+            .map(|x| algo.node(n, NodeId::from(x), &g.input_row(NodeId::from(x)), &bad[x]))
+            .collect();
+        let outputs = run_recorded(label, &Engine::new(n), programs).outputs;
         assert!(
-            !outputs.iter().all(|&b| b),
+            outputs.iter().all(Option::is_some),
+            "{label}: a node has no output"
+        );
+        assert!(
+            !outputs.iter().all(|&b| b == Some(true)),
             "{label}: verifier accepted a clashing coloring ({u},{v})"
         );
     }

@@ -4,20 +4,21 @@
 //! EXPERIMENTS.md §"Byzantine broadcast"; the adversary ladder itself is
 //! documented in docs/THREAT-MODEL.md.
 //!
-//! Since PR 8 the sweep is a `cc-service` fleet, the same shape as
-//! `routing_faults`: each `(n, f, seed)` cell is one job (each clique size
-//! is a tenant sharing the pool), the grid is submitted as a single batch,
-//! and the fleet outcomes are asserted byte-identical to the serial oracle
-//! (`Batch::run_serial`) before the table is printed from them. The footer
-//! reports both wall times — the serial-vs-fleet row in EXPERIMENTS.md
-//! §"Session service" comes from here.
+//! The sweep is a `cc-service` fleet, the same shape as `routing_faults`:
+//! each `(n, f, seed)` cell is one job (each clique size is a tenant
+//! sharing the pool), the grid is one batch, and
+//! `cc_testkit::assert_fleet_matches_serial` asserts the fleet outcomes
+//! byte-identical to the serial oracle (`Batch::run_serial`) before the
+//! table is printed from them. The footer reports both wall times — the
+//! serial-vs-fleet row in EXPERIMENTS.md §"Session service" comes from
+//! here.
 
 use std::sync::Arc;
-use std::time::Instant;
 
+use cc_testkit::assert_fleet_matches_serial;
 use congested_clique::prelude::*;
 use congested_clique::resilient::{bracha_broadcast, bracha_overhead};
-use congested_clique::service::{Batch, EngineSpec, JobSpec, JobStatus, Service, TenantId};
+use congested_clique::service::{Batch, EngineSpec, JobSpec, JobStatus, TenantId};
 
 const WIDTH: usize = 8;
 const VALUE: u64 = 0xB7;
@@ -103,29 +104,15 @@ fn decode(bytes: &[u8]) -> [u64; 5] {
 
 fn main() {
     let cells = cells();
-    let batch = || {
-        let mut b = Batch::new();
-        for cell in &cells {
-            b.push(cell.job());
-        }
-        b
-    };
+    let mut batch = Batch::new();
+    for cell in &cells {
+        batch.push(cell.job());
+    }
 
     // Serial oracle first, then the fleet — and the fleet must agree byte
     // for byte before any number is printed.
-    let start = Instant::now();
-    let serial = batch().run_serial().expect("sweep batch is a valid DAG");
-    let serial_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    let width = 4;
-    let service = Service::new(width);
-    let start = Instant::now();
-    let fleet = service
-        .submit(batch())
-        .expect("sweep batch is a valid DAG")
-        .join();
-    let fleet_ms = start.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(fleet, serial, "fleet sweep diverged from the serial oracle");
+    let check = assert_fleet_matches_serial(&batch, &[4]);
+    let serial = &check.outcomes;
 
     println!("Bracha broadcast vs Byzantine senders (honest source, width = {WIDTH} bits)");
     println!("plans: garble 1.0, replay 0.4, silence 0.2, traitors random sparing the source\n");
@@ -172,10 +159,5 @@ fn main() {
          summed over seeds {SEEDS:?}; overhead is rounds vs a 1-round bare\n\
          broadcast; forged averages lies per run across the seeds."
     );
-    println!(
-        "{} jobs: serial oracle {serial_ms:.1} ms | width-{width} fleet {fleet_ms:.1} ms \
-         (byte-identical outcomes) on a {}-core host",
-        cells.len(),
-        std::thread::available_parallelism().map_or(1, |p| p.get()),
-    );
+    println!("{check}");
 }

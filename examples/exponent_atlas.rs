@@ -3,23 +3,24 @@
 //! to the paper's bounds. (The full sweep lives in `cargo bench --bench
 //! fig1_exponents`; this example is the quick look.)
 //!
-//! Since PR 10 the sweep runs as a `cc-service` fleet, the same shape as
+//! The sweep runs as a `cc-service` fleet, the same shape as
 //! `byzantine_broadcast`: each `(problem, n)` measurement cell is one job
-//! (each clique size is a tenant sharing the pool), the grid is submitted
-//! as a single batch, and the fleet outcomes are asserted byte-identical
-//! to the serial oracle (`Batch::run_serial`) before any exponent is
-//! fitted. The footer reports both wall times — the serial-vs-fleet row in
-//! EXPERIMENTS.md §"Session service" comes from here. The table also
+//! (each clique size is a tenant sharing the pool), the grid is one batch,
+//! and `cc_testkit::assert_fleet_matches_serial` asserts the fleet
+//! outcomes byte-identical to the serial oracle (`Batch::run_serial`)
+//! before any exponent is fitted. The footer reports both wall times — the
+//! serial-vs-fleet row in EXPERIMENTS.md §"Session service" comes from
+//! here. The table also
 //! carries the sparse-multiplication rows next to their dense-3D baseline
 //! (EXPERIMENTS.md §"Exponent atlas").
 //!
 //! Run with: `cargo run --release --example exponent_atlas`
 
 use std::sync::Arc;
-use std::time::Instant;
 
+use cc_testkit::assert_fleet_matches_serial;
 use congested_clique::prelude::*;
-use congested_clique::service::{Batch, EngineSpec, JobSpec, JobStatus, Service, TenantId};
+use congested_clique::service::{Batch, EngineSpec, JobSpec, JobStatus, TenantId};
 use congested_clique::{graph, matmul, param, paths, reductions, subgraph, theory};
 
 /// The atlas problems, in table order.
@@ -169,29 +170,15 @@ fn main() {
         .iter()
         .flat_map(|&p| p.ns().iter().map(move |&n| (p, n)))
         .collect();
-    let batch = || {
-        let mut b = Batch::new();
-        for &(p, n) in &cells {
-            b.push(p.job(n));
-        }
-        b
-    };
+    let mut batch = Batch::new();
+    for &(p, n) in &cells {
+        batch.push(p.job(n));
+    }
 
     // Serial oracle first, then the fleet — and the fleet must agree byte
     // for byte before any exponent is fitted.
-    let start = Instant::now();
-    let serial = batch().run_serial().expect("atlas batch is a valid DAG");
-    let serial_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    let width = 4;
-    let service = Service::new(width);
-    let start = Instant::now();
-    let fleet = service
-        .submit(batch())
-        .expect("atlas batch is a valid DAG")
-        .join();
-    let fleet_ms = start.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(fleet, serial, "fleet sweep diverged from the serial oracle");
+    let check = assert_fleet_matches_serial(&batch, &[4]);
+    let serial = &check.outcomes;
 
     println!("== measured exponents vs Figure 1 bounds (small-scale) ==\n");
     println!(
@@ -235,12 +222,7 @@ fn main() {
     println!("    instance as its 3D baseline row: the gap is the Le Gall");
     println!("    tier's constant-factor round win in the m ≤ n^1.5 regime.\n");
 
-    println!(
-        "{} jobs: serial oracle {serial_ms:.1} ms | width-{width} fleet {fleet_ms:.1} ms \
-         (byte-identical outcomes) on a {}-core host",
-        cells.len(),
-        std::thread::available_parallelism().map_or(1, |p| p.get()),
-    );
+    println!("{check}");
 
     println!(
         "\nFigure 1 arrow-closure validation: {:?}",

@@ -27,7 +27,7 @@ fn main() {
         for seed in SEEDS {
             let case = ChurnCase::new(n, seed);
             let plan = case.plan();
-            let cadence = case.max_round + 1;
+            let cadence = ChurnCase::MAX_ROUND + 1;
             let wave1 = case.crash_set_for(0..cadence);
             let wave2 = case.crash_set_for(cadence..usize::MAX);
             let demanded = case.demands().iter().map(Vec::len).sum::<usize>();

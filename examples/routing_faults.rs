@@ -4,20 +4,20 @@
 //! EXPERIMENTS.md §"Routing under faults" and README §"Routing survives
 //! crashes". Every row is replayable from its `route-fault[…]` label.
 //!
-//! Since PR 7 the sweep itself is a `cc-service` fleet: each
+//! The sweep itself is a `cc-service` fleet: each
 //! `(n, f, scheduler, seed)` cell is one job (the two schedulers are two
-//! tenants sharing the pool), the whole grid is submitted as a single
-//! batch, and the fleet outcomes are asserted byte-identical to the
-//! serial oracle (`Batch::run_serial`) before the table is printed from
-//! them. The footer reports both wall times — the serial-vs-fleet row in
-//! EXPERIMENTS.md §"Session service" comes from here.
+//! tenants sharing the pool), the whole grid is one batch, and
+//! `cc_testkit::assert_fleet_matches_serial` asserts the fleet outcomes
+//! byte-identical to the serial oracle (`Batch::run_serial`) before the
+//! table is printed from them. The footer reports both wall times — the
+//! serial-vs-fleet row in EXPERIMENTS.md §"Session service" comes from
+//! here.
 
 use std::sync::Arc;
-use std::time::Instant;
 
-use cc_testkit::RouteFaultCase;
+use cc_testkit::{assert_fleet_matches_serial, RouteFaultCase};
 use congested_clique::routing::{DeliveryFailure, RoutePlan};
-use congested_clique::service::{Batch, EngineSpec, JobSpec, JobStatus, Service, TenantId};
+use congested_clique::service::{Batch, EngineSpec, JobSpec, JobStatus, TenantId};
 
 const SEEDS: [u64; 4] = [1, 2, 3, 4];
 
@@ -109,29 +109,15 @@ fn decode(bytes: &[u8]) -> [u64; 5] {
 
 fn main() {
     let cells = cells();
-    let batch = || {
-        let mut b = Batch::new();
-        for cell in &cells {
-            b.push(cell.job());
-        }
-        b
-    };
+    let mut batch = Batch::new();
+    for cell in &cells {
+        batch.push(cell.job());
+    }
 
     // Serial oracle first, then the fleet — and the fleet must agree byte
     // for byte before any number is printed.
-    let start = Instant::now();
-    let serial = batch().run_serial().expect("sweep batch is a valid DAG");
-    let serial_ms = start.elapsed().as_secs_f64() * 1e3;
-
-    let width = 4;
-    let service = Service::new(width);
-    let start = Instant::now();
-    let fleet = service
-        .submit(batch())
-        .expect("sweep batch is a valid DAG")
-        .join();
-    let fleet_ms = start.elapsed().as_secs_f64() * 1e3;
-    assert_eq!(fleet, serial, "fleet sweep diverged from the serial oracle");
+    let check = assert_fleet_matches_serial(&batch, &[4]);
+    let serial = &check.outcomes;
 
     println!("Fault-aware routing vs seeded crash plans (crashes in rounds 0-2)");
     println!("delivery = survivor-pair payloads delivered / all demanded payloads;");
@@ -183,10 +169,5 @@ fn main() {
             rounds
         );
     }
-    println!(
-        "\n{} jobs: serial oracle {serial_ms:.1} ms | width-{width} fleet {fleet_ms:.1} ms \
-         (byte-identical outcomes) on a {}-core host",
-        cells.len(),
-        std::thread::available_parallelism().map_or(1, |p| p.get()),
-    );
+    println!("\n{check}");
 }

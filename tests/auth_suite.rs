@@ -1,7 +1,7 @@
 //! Workspace-level authenticated-tier conformance: the acceptance
 //! criteria for the top rung of the adversary ladder
 //! (docs/THREAT-MODEL.md), exercised end to end through the facade
-//! crate, the testkit runners, and the resilient wrappers.
+//! crate, the testkit runner, and the resilient wrappers.
 //!
 //! * the **`f = ⌈n/3⌉` boundary is pinned by a paired test**: on a
 //!   byte-identical adversary plan, Bracha sized at `f = ⌈n/3⌉` strands
@@ -20,7 +20,7 @@
 //! * [`dolev_strong_overhead`]'s analytic `RunStats` equals the
 //!   simulated ledger outright.
 
-use cc_testkit::{auth_corpus, differential_authenticated, differential_programs, AuthCase};
+use cc_testkit::{auth_corpus, run_recorded, AuthCase};
 use congested_clique::prelude::*;
 use congested_clique::resilient::{
     dolev_strong_broadcast, dolev_strong_overhead, equivocation_accusation, BrachaBroadcast,
@@ -65,21 +65,23 @@ fn bracha_fails_on_the_boundary_plan_at_f_equals_ceil_n_over_3() {
     let source = NodeId(0);
     let f = n.div_ceil(3);
     let plan = boundary_plan(n, source);
-    let (outputs, _, _, _, byz) = cc_testkit::differential_byzantine(
-        "bracha-at-the-boundary",
-        &Engine::new(n).with_bandwidth(WIDTH + 2),
-        &plan,
-        || {
-            (0..n)
-                .map(|_| BrachaBroadcast::new(source, VALUE, WIDTH, f))
-                .collect::<Vec<_>>()
-        },
+    let out = run_recorded(
+        &format!("bracha-at-the-boundary under {plan}"),
+        &Engine::new(n)
+            .with_bandwidth(WIDTH + 2)
+            .with_byzantine_plan(plan.clone()),
+        (0..n)
+            .map(|_| BrachaBroadcast::new(source, VALUE, WIDTH, f))
+            .collect(),
     );
-    assert!(!byz.is_empty(), "{plan}: the traitors never withheld");
-    for (v, out) in outputs.iter().enumerate() {
+    assert!(
+        !out.byzantine.is_empty(),
+        "{plan}: the traitors never withheld"
+    );
+    for (v, got) in out.outputs.iter().enumerate() {
         if !plan.is_traitor(NodeId::from(v)) {
             assert_eq!(
-                *out,
+                *got,
                 Some(None),
                 "{plan}: node {v} delivered without a quorum?!"
             );
@@ -102,24 +104,26 @@ fn dolev_strong_succeeds_on_the_byte_identical_boundary_plan() {
         boundary_plan(n, source),
         "the boundary plan must be reproducible for the pairing to mean anything"
     );
-    let (outputs, stats, _, _, _) = differential_authenticated(
-        "dolev-strong-at-the-boundary",
-        &Engine::new(n).with_bandwidth(ds_bandwidth(n, case.f)),
-        &case.keyring(),
-        &plan,
-        || ds_programs(&case, source),
+    let keyring = case.keyring();
+    let out = run_recorded(
+        &format!("dolev-strong-at-the-boundary {keyring} under {plan}"),
+        &Engine::new(n)
+            .with_bandwidth(ds_bandwidth(n, case.f))
+            .with_auth(keyring)
+            .with_byzantine_plan(plan.clone()),
+        ds_programs(&case, source),
     );
-    for (v, out) in outputs.iter().enumerate() {
+    for (v, got) in out.outputs.iter().enumerate() {
         if !plan.is_traitor(NodeId::from(v)) {
             assert_eq!(
-                *out,
+                *got,
                 Some(Some(VALUE)),
                 "{plan}: honest node {v} missed the signed value"
             );
         }
     }
-    assert_eq!(stats.rounds, case.f + 1, "fixed f + 1 round schedule");
-    assert_eq!(stats.rejected_tags, 0, "withholding forges nothing");
+    assert_eq!(out.stats.rounds, case.f + 1, "fixed f + 1 round schedule");
+    assert_eq!(out.stats.rejected_tags, 0, "withholding forges nothing");
 }
 
 #[test]
@@ -130,26 +134,28 @@ fn dolev_strong_agrees_for_every_seeded_honest_majority_case() {
     let source = NodeId(0);
     for case in auth_corpus() {
         let plan = case.plan(&[source]);
-        let (outputs, stats, _, _, byz) = differential_authenticated(
-            "dolev-strong-sweep",
-            &Engine::new(case.n).with_bandwidth(ds_bandwidth(case.n, case.f)),
-            &case.keyring(),
-            &plan,
-            || ds_programs(&case, source),
+        let keyring = case.keyring();
+        let out = run_recorded(
+            &format!("dolev-strong-sweep {keyring} under {plan}"),
+            &Engine::new(case.n)
+                .with_bandwidth(ds_bandwidth(case.n, case.f))
+                .with_auth(keyring)
+                .with_byzantine_plan(plan.clone()),
+            ds_programs(&case, source),
         );
         if case.f > 0 {
-            assert!(!byz.is_empty(), "{case}: traitors never lied");
+            assert!(!out.byzantine.is_empty(), "{case}: traitors never lied");
         }
-        for (v, out) in outputs.iter().enumerate() {
+        for (v, got) in out.outputs.iter().enumerate() {
             if !plan.is_traitor(NodeId::from(v)) {
                 assert_eq!(
-                    *out,
+                    *got,
                     Some(Some(VALUE)),
                     "{case}: honest node {v} broke agreement"
                 );
             }
         }
-        assert_eq!(stats.rounds, case.f + 1, "{case}: schedule drifted");
+        assert_eq!(out.stats.rounds, case.f + 1, "{case}: schedule drifted");
     }
 }
 
@@ -227,28 +233,34 @@ fn rejected_tags_counts_every_forgery_and_no_honest_traffic() {
     let n = 8;
     let keyring = AuthKeyring::from_seed(n, 17);
     let plan = ByzantinePlan::new(17).traitor(NodeId(2)).forge(1.0);
-    let (_, stats, _, _, byz) =
-        differential_authenticated("forge-accounting", &Engine::new(n), &keyring, &plan, || {
-            gossip(n)
-        });
-    let forged = byz
+    let out = run_recorded(
+        &format!("forge-accounting {keyring} under {plan}"),
+        &Engine::new(n)
+            .with_auth(keyring.clone())
+            .with_byzantine_plan(plan.clone()),
+        gossip(n),
+    );
+    let forged = out
+        .byzantine
         .events
         .iter()
         .filter(|e| matches!(e, ByzantineEvent::ForgedTag { .. }))
         .count() as u64;
     assert_eq!(forged, 3 * (n as u64 - 1), "{plan}: forgery schedule");
     assert_eq!(
-        stats.rejected_tags, forged,
+        out.stats.rejected_tags, forged,
         "{plan}: every forgery rejected, zero false rejections"
     );
-    assert_eq!(stats.forged_messages, forged);
-    assert_eq!(stats.signed_messages, 3 * (n as u64) * (n as u64 - 1));
+    assert_eq!(out.stats.forged_messages, forged);
+    assert_eq!(out.stats.signed_messages, 3 * (n as u64) * (n as u64 - 1));
 
     // The honest control: same keyring, no adversary — nothing rejected.
-    let (_, honest_stats, _) =
-        differential_programs("honest-control", &Engine::new(n).with_auth(keyring), || {
-            gossip(n)
-        });
+    let honest_stats = run_recorded(
+        &format!("honest-control {keyring}"),
+        &Engine::new(n).with_auth(keyring),
+        gossip(n),
+    )
+    .stats;
     assert!(honest_stats.signed_messages > 0);
     assert_eq!(honest_stats.rejected_tags, 0, "honest traffic rejected?!");
 }
@@ -295,14 +307,14 @@ proptest! {
         // Transparency, the ladder's standing invariant, for the new
         // tier: no keyring ⇒ no auth counters, no tag bits, frames
         // exactly as long as the program sent them.
-        let (outputs, stats, transcripts) =
-            differential_programs("no-keyring", &Engine::new(n), || gossip(n));
-        prop_assert_eq!(stats.signed_messages, 0);
-        prop_assert_eq!(stats.auth_bits, 0);
-        prop_assert_eq!(stats.rejected_tags, 0);
-        prop_assert_eq!(outputs.len(), n);
+        let out = run_recorded("no-keyring", &Engine::new(n), gossip(n));
+        prop_assert_eq!(out.stats.signed_messages, 0);
+        prop_assert_eq!(out.stats.auth_bits, 0);
+        prop_assert_eq!(out.stats.rejected_tags, 0);
+        prop_assert_eq!(out.outputs.len(), n);
+        prop_assert!(out.outputs.iter().all(Option::is_some), "a node has no output");
         // Every recorded frame is the bare id — no trailing tag.
-        for t in &transcripts {
+        for t in &out.transcripts.expect("run_recorded records transcripts") {
             for round in &t.rounds {
                 for (_, m) in round.sent.iter().filter(|(_, m)| !m.is_empty()) {
                     prop_assert_eq!(m.len(), BitString::width_for(n));
@@ -351,15 +363,19 @@ fn an_equivocation_witness_upgrades_into_a_transferable_proof() {
     let suspect = NodeId(3);
     let keyring = AuthKeyring::from_seed(n, 41);
     let plan = ByzantinePlan::new(41).traitor(suspect).garble(1.0);
-    let (outputs, _, _, _, _) =
-        differential_authenticated("accusation", &Engine::new(n), &keyring, &plan, || {
-            (0..n)
-                .map(|_| FrameTap {
-                    suspect,
-                    frame: BitString::new(),
-                })
-                .collect::<Vec<_>>()
-        });
+    let outputs = run_recorded(
+        &format!("accusation {keyring} under {plan}"),
+        &Engine::new(n)
+            .with_auth(keyring.clone())
+            .with_byzantine_plan(plan.clone()),
+        (0..n)
+            .map(|_| FrameTap {
+                suspect,
+                frame: BitString::new(),
+            })
+            .collect(),
+    )
+    .outputs;
     let claims: Vec<SignedClaim> = (0..n)
         .filter(|&v| v != suspect.index())
         .filter_map(|v| SignedClaim::from_frame(suspect, 0, outputs[v].as_ref().unwrap()))

@@ -1,6 +1,6 @@
 //! Workspace-level Byzantine conformance: the acceptance criteria for the
 //! Byzantine sender tier, exercised end to end through the facade crate,
-//! the testkit runners, and the resilient wrappers.
+//! the testkit runner, and the resilient wrappers.
 //!
 //! * an **empty** [`ByzantinePlan`] is byte-identical to no plan at all
 //!   (mirror of the fault suite's transparency test);
@@ -15,9 +15,7 @@
 //!   nodes report `None` slots while surviving honest nodes stay unanimous,
 //!   and both adversaries' counters land in the same ledger.
 
-use cc_testkit::{
-    assert_empty_byzantine_transparent, differential_byzantine, equivocation_witness,
-};
+use cc_testkit::{assert_empty_plans_transparent, equivocation_witness, run_recorded};
 use congested_clique::prelude::*;
 use congested_clique::resilient::{bracha_broadcast, BrachaBroadcast, RepeatBroadcast};
 use congested_clique::sim::Lie;
@@ -37,7 +35,7 @@ fn bracha_programs(n: usize, source: NodeId, value: u64, f: usize) -> Vec<Bracha
 #[test]
 fn empty_byzantine_plan_is_transparent_for_a_real_protocol() {
     let n = 9;
-    assert_empty_byzantine_transparent(
+    assert_empty_plans_transparent(
         "repeat-broadcast",
         &Engine::new(n).with_bandwidth(8),
         || exchange_programs(n),
@@ -54,15 +52,20 @@ fn one_equivocating_traitor_forges_repeat_broadcast() {
     // disagree with each other. That is the forgery this test pins down.
     let n = 9;
     let plan = ByzantinePlan::new(1009).traitor(NodeId(4)).garble(1.0);
-    let (outputs, stats, _, _, byz) = differential_byzantine(
-        "repeat-broadcast",
-        &Engine::new(n).with_bandwidth(8),
-        &plan,
-        || exchange_programs(n),
+    let out = run_recorded(
+        &format!("repeat-broadcast under {plan}"),
+        &Engine::new(n)
+            .with_bandwidth(8)
+            .with_byzantine_plan(plan.clone()),
+        exchange_programs(n),
     );
-    assert!(stats.forged_messages > 0, "{plan}: the traitor never lied");
-    assert_eq!(stats.traitor_nodes, 1);
-    assert_eq!(byz.liars(), vec![NodeId(4)]);
+    let outputs = out.outputs;
+    assert!(
+        out.stats.forged_messages > 0,
+        "{plan}: the traitor never lied"
+    );
+    assert_eq!(out.stats.traitor_nodes, 1);
+    assert_eq!(out.byzantine.liars(), vec![NodeId(4)]);
     let (a, b, t) = equivocation_witness(&outputs, &plan)
         .unwrap_or_else(|| panic!("{plan}: no equivocation witness — per-link majority held?!"));
     assert_eq!(t, NodeId(4));
@@ -100,20 +103,21 @@ fn bracha_agrees_for_every_traitor_count_below_a_third() {
             .garble(1.0)
             .replay(0.4)
             .silence(0.2);
-        let (outputs, stats, _, _, byz) = differential_byzantine(
-            "bracha-broadcast",
-            &Engine::new(n).with_bandwidth(10),
-            &plan,
-            || bracha_programs(n, source, value, 4),
+        let out = run_recorded(
+            &format!("bracha-broadcast under {plan}"),
+            &Engine::new(n)
+                .with_bandwidth(10)
+                .with_byzantine_plan(plan.clone()),
+            bracha_programs(n, source, value, 4),
         );
         if f > 0 {
-            assert!(!byz.is_empty(), "{plan}: traitors never lied");
-            assert!(stats.forged_messages + stats.silenced_messages > 0);
+            assert!(!out.byzantine.is_empty(), "{plan}: traitors never lied");
+            assert!(out.stats.forged_messages + out.stats.silenced_messages > 0);
         }
         // Honest-node agreement on the honest source's exact value.
         let honest: Vec<&Option<Option<u64>>> = (0..n)
             .filter(|v| !plan.is_traitor(NodeId::from(*v)))
-            .map(|v| &outputs[v])
+            .map(|v| &out.outputs[v])
             .collect();
         for o in &honest {
             assert_eq!(
@@ -122,7 +126,7 @@ fn bracha_agrees_for_every_traitor_count_below_a_third() {
                 "{plan}: an honest node missed the honest source's value"
             );
         }
-        assert_eq!(stats.rounds, 2 * 4 + 6, "fixed 2f + 6 round schedule");
+        assert_eq!(out.stats.rounds, 2 * 4 + 6, "fixed 2f + 6 round schedule");
     }
 }
 
@@ -134,16 +138,17 @@ fn bracha_agrees_even_when_the_source_is_the_traitor() {
     let n = 15;
     let source = NodeId(3);
     let plan = ByzantinePlan::new(5151).traitor(source).garble(1.0);
-    let (outputs, _, _, _, byz) = differential_byzantine(
-        "bracha-traitor-source",
-        &Engine::new(n).with_bandwidth(10),
-        &plan,
-        || bracha_programs(n, source, 0x2A, 4),
+    let out = run_recorded(
+        &format!("bracha-traitor-source under {plan}"),
+        &Engine::new(n)
+            .with_bandwidth(10)
+            .with_byzantine_plan(plan.clone()),
+        bracha_programs(n, source, 0x2A, 4),
     );
-    assert!(!byz.is_empty());
+    assert!(!out.byzantine.is_empty());
     let honest: Vec<&Option<Option<u64>>> = (0..n)
         .filter(|v| !plan.is_traitor(NodeId::from(*v)))
-        .map(|v| &outputs[v])
+        .map(|v| &out.outputs[v])
         .collect();
     assert!(
         honest.windows(2).all(|w| w[0] == w[1]),
@@ -173,17 +178,19 @@ fn forced_lie_ready_drip_cannot_split_honest_nodes() {
     for u in 3..n {
         plan = plan.force(2, source, NodeId(u as u32), Lie::Silence);
     }
-    let (outputs, _, _, _, byz) = differential_byzantine(
-        "bracha-forced-lie-drip",
-        &Engine::new(n).with_bandwidth(10),
-        &plan,
-        || bracha_programs(n, source, 0x5A, 1),
+    let out = run_recorded(
+        &format!("bracha-forced-lie-drip under {plan}"),
+        &Engine::new(n)
+            .with_bandwidth(10)
+            .with_byzantine_plan(plan.clone()),
+        bracha_programs(n, source, 0x5A, 1),
     );
-    assert!(!byz.is_empty(), "{plan}: the traitor never lied");
-    let honest: Vec<&Option<Option<u64>>> = (1..n).map(|v| &outputs[v]).collect();
+    assert!(!out.byzantine.is_empty(), "{plan}: the traitor never lied");
+    let honest: Vec<&Option<Option<u64>>> = (1..n).map(|v| &out.outputs[v]).collect();
     assert!(
         honest.windows(2).all(|w| w[0] == w[1]),
-        "{plan}: honest nodes split: {outputs:?}"
+        "{plan}: honest nodes split: {:?}",
+        out.outputs
     );
 }
 

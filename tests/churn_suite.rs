@@ -19,8 +19,8 @@
 //! Every panic carries a replayable `churn[n=…, seed=…]` label.
 
 use cc_testkit::{
-    assert_transcripts_conform, churn_corpus, differential_churn, judge_churn_accounting,
-    judge_routed_delivery, AuditSpec, ChurnCase,
+    assert_transcripts_conform, churn_corpus, judge_churn_accounting, judge_routed_delivery,
+    run_recorded, AuditSpec, ChurnCase,
 };
 use congested_clique::prelude::*;
 use congested_clique::routing::RoutePlan;
@@ -65,14 +65,18 @@ fn chatter(n: usize, horizon: usize) -> Vec<Chatter> {
 fn churn_corpus_replays_bit_identically_with_a_closed_ledger() {
     let mut any_rejoined = false;
     for case in churn_corpus() {
-        let horizon = case.max_round + 2;
-        let run = || differential_churn(&case, &Engine::new(case.n), || chatter(case.n, horizon));
+        let plan = case.plan();
+        let label = format!("{case} under {plan}");
+        let engine = Engine::new(case.n).with_fault_plan(plan.clone());
+        let run = || run_recorded(&label, &engine, chatter(case.n, ChurnCase::MAX_ROUND + 2));
         let first = run();
         assert!(first == run(), "{case}: a replay diverged");
-        let (outputs, stats, _, report) = first;
-        judge_churn_accounting(&case.to_string(), &case.plan(), &stats, &report);
-        assert!(outputs[0].is_some(), "{case}: spared node 0 must finish");
-        any_rejoined |= stats.rejoined_nodes > 0;
+        judge_churn_accounting(&case.to_string(), &plan, &first.stats, &first.faults);
+        assert!(
+            first.outputs[0].is_some(),
+            "{case}: spared node 0 must finish"
+        );
+        any_rejoined |= first.stats.rejoined_nodes > 0;
     }
     assert!(any_rejoined, "corpus never exercised a rejoin");
 }
@@ -86,7 +90,7 @@ fn routing_waves_deliver_all_survivor_traffic_under_continuous_churn() {
     for &(n, seed) in &[(12usize, 1u64), (15, 2)] {
         let case = ChurnCase::new(n, seed);
         let label = case.to_string();
-        let cadence = case.max_round + 1;
+        let cadence = ChurnCase::MAX_ROUND + 1;
         let wave1 = case.crash_set_for(0..cadence);
         let wave2 = case.crash_set_for(cadence..usize::MAX);
         assert!(
@@ -121,12 +125,11 @@ fn state_sync_price_matches_the_analytic_model_and_passes_the_auditor() {
     let plan = case.plan();
     let predicted = sync_overhead(case.n, &plan, 1);
     assert!(predicted.rejoins > 0, "{case}: no rejoin fires");
-    let horizon = case.max_round + 1;
-    let out = Engine::new(case.n)
-        .with_transcripts(true)
-        .with_fault_plan(plan.clone())
-        .run_faulted(chatter(case.n, horizon))
-        .unwrap_or_else(|e| panic!("{case}: engine error: {e}"));
+    let out = run_recorded(
+        &format!("{case} under {plan}"),
+        &Engine::new(case.n).with_fault_plan(plan.clone()),
+        chatter(case.n, ChurnCase::MAX_ROUND + 1),
+    );
     assert_eq!(out.stats.rejoined_nodes, predicted.rejoins, "{case}");
     assert_eq!(out.stats.sync_rounds, predicted.sync_rounds, "{case}");
     assert_eq!(out.stats.sync_messages, predicted.sync_messages, "{case}");
@@ -154,12 +157,16 @@ proptest! {
         let plain = FaultPlan::new(seed).with_random_crashes(n, f, 3, &[]);
         let churned = plain.clone().with_random_churn(n, 0, 0, 12, &[]);
         prop_assert_eq!(&plain, &churned, "zero-rate churn changed the plan");
-        let a = cc_testkit::differential_faulted("plain", &Engine::new(n), &plain, || {
-            chatter(n, 4)
-        });
-        let b = cc_testkit::differential_faulted("churned", &Engine::new(n), &churned, || {
-            chatter(n, 4)
-        });
+        let a = run_recorded(
+            &format!("plain under {plain}"),
+            &Engine::new(n).with_fault_plan(plain.clone()),
+            chatter(n, 4),
+        );
+        let b = run_recorded(
+            &format!("churned under {churned}"),
+            &Engine::new(n).with_fault_plan(churned.clone()),
+            chatter(n, 4),
+        );
         prop_assert_eq!(&a, &b, "zero-rate churn changed a crash-only run");
     }
 }

@@ -4,7 +4,7 @@
 //! Per-crate depth lives in each crate's own `tests/conformance.rs`;
 //! this suite pins down the cross-crate contracts.
 
-use cc_testkit::{corpus, differential_session, oracle, weighted_corpus, Family, Instance};
+use cc_testkit::{corpus, oracle, weighted_corpus, Family, Instance};
 use congested_clique::prelude::*;
 use congested_clique::{graph, mst, param, paths, subgraph};
 
@@ -40,10 +40,12 @@ fn weighted_pipeline_is_internally_consistent() {
         let n = wg.n();
         let label = inst.label();
 
-        let apsp = differential_session(&label, n, |s| paths::apsp_exact(s, &wg).unwrap());
+        let apsp = paths::apsp_exact(&mut Session::new(Engine::new(n)), &wg)
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
         oracle::judge_apsp(&label, &wg, &apsp);
 
-        let sssp = differential_session(&label, n, |s| paths::bellman_ford(s, &wg, 0).unwrap());
+        let sssp = paths::bellman_ford(&mut Session::new(Engine::new(n)), &wg, 0)
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
         oracle::judge_sssp(&label, &wg, 0, &sssp);
         for (v, &d) in sssp.iter().enumerate() {
             assert_eq!(
@@ -53,11 +55,9 @@ fn weighted_pipeline_is_internally_consistent() {
             );
         }
 
-        let forest = differential_session(&label, n, |s| {
-            let mut f = mst::boruvka_mst(s, &wg).unwrap();
-            f.sort_unstable();
-            f
-        });
+        let mut forest = mst::boruvka_mst(&mut Session::new(Engine::new(n)), &wg)
+            .unwrap_or_else(|e| panic!("{label}: {e}"));
+        forest.sort_unstable();
         oracle::judge_spanning_forest(&label, &wg, &forest);
     }
 }
@@ -67,7 +67,8 @@ fn unweighted_apsp_agrees_with_bfs_from_every_source() {
     let inst = Instance::new(Family::ErMedium, 13, 21);
     let g = inst.graph();
     let label = inst.label();
-    let apsp = differential_session(&label, g.n(), |s| paths::apsp_unweighted(s, &g).unwrap());
+    let apsp = paths::apsp_unweighted(&mut Session::new(Engine::new(g.n())), &g)
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
     for src in 0..g.n() {
         let bfs = graph::reference::bfs_distances(&g, src);
         for (v, &d) in bfs.iter().enumerate() {

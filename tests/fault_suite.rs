@@ -11,7 +11,7 @@
 //! * the resilient wrappers degrade as documented under drop and
 //!   corruption plans.
 
-use cc_testkit::{assert_empty_plan_transparent, differential_faulted};
+use cc_testkit::{assert_empty_plans_transparent, run_recorded};
 use congested_clique::prelude::*;
 use congested_clique::resilient::{echo_broadcast, max_gossip, RepeatBroadcast};
 use congested_clique::sim::FaultedOutcome;
@@ -25,7 +25,7 @@ fn exchange_programs(n: usize) -> Vec<RepeatBroadcast> {
 #[test]
 fn empty_plan_is_transparent_for_a_real_protocol() {
     let n = 9;
-    assert_empty_plan_transparent(
+    assert_empty_plans_transparent(
         "repeat-broadcast",
         &Engine::new(n).with_bandwidth(8),
         || exchange_programs(n),
@@ -40,16 +40,17 @@ fn a_seeded_fault_plan_fires_its_crashes_and_drops() {
         .drop_messages(0.15)
         .corrupt_messages(0.1)
         .truncate_messages(0.05);
-    let (outputs, stats, _, faults) = differential_faulted(
-        "repeat-broadcast",
-        &Engine::new(n).with_bandwidth(8),
-        &plan,
-        || exchange_programs(n),
+    let out = run_recorded(
+        &format!("repeat-broadcast under {plan}"),
+        &Engine::new(n)
+            .with_bandwidth(8)
+            .with_fault_plan(plan.clone()),
+        exchange_programs(n),
     );
-    assert_eq!(stats.dead_nodes, 3, "all three scheduled crashes fired");
-    assert_eq!(outputs.iter().filter(|o| o.is_none()).count(), 3);
-    assert!(stats.dropped_messages > 0, "{plan}: nothing dropped");
-    assert!(!faults.is_empty());
+    assert_eq!(out.stats.dead_nodes, 3, "all three scheduled crashes fired");
+    assert_eq!(out.outputs.iter().filter(|o| o.is_none()).count(), 3);
+    assert!(out.stats.dropped_messages > 0, "{plan}: nothing dropped");
+    assert!(!out.faults.is_empty());
 }
 
 #[test]

@@ -84,18 +84,18 @@ fn conformance_fleet() -> Vec<FleetJob> {
 
 #[test]
 fn width1_fleet_matches_serial_oracle() {
-    let outcomes = assert_fleet_matches_serial(&conformance_fleet(), &[1]);
-    assert!(outcomes.iter().all(|o| o.status.is_success()));
+    let check = assert_fleet_matches_serial(&fleet_batch(&conformance_fleet()), &[1]);
+    assert!(check.outcomes.iter().all(|o| o.status.is_success()));
 }
 
 #[test]
 fn width4_fleet_matches_serial_oracle() {
-    assert_fleet_matches_serial(&conformance_fleet(), &[4]);
+    assert_fleet_matches_serial(&fleet_batch(&conformance_fleet()), &[4]);
 }
 
 #[test]
 fn width8_fleet_matches_serial_oracle() {
-    assert_fleet_matches_serial(&conformance_fleet(), &[8]);
+    assert_fleet_matches_serial(&fleet_batch(&conformance_fleet()), &[8]);
 }
 
 proptest! {
@@ -105,7 +105,7 @@ proptest! {
     /// serial in-order execution, at every width in the acceptance set.
     #[test]
     fn width_any_random_fleets_match_serial(jobs in arb_fleet(8, 4)) {
-        assert_fleet_matches_serial(&jobs, &[1, 4, 8]);
+        assert_fleet_matches_serial(&fleet_batch(&jobs), &[1, 4, 8]);
     }
 }
 
