@@ -242,14 +242,17 @@ fn isqrt_floor(n: usize) -> usize {
 /// width-[`MM_WIDTH`] wrapping arithmetic). Returns the product.
 ///
 /// The protocol closure receives the session and both factors; pass a
-/// closure that calls the multiplication entry point under test.
-pub fn differential_matmul<F>(case: &MmCase, protocol: F) -> Vec<Vec<i64>>
+/// closure that calls the multiplication entry point under test and
+/// returns its `Result`. An error panics with the case's label.
+pub fn differential_matmul<F, E>(case: &MmCase, protocol: F) -> Vec<Vec<i64>>
 where
-    F: FnOnce(&mut Session, &[Vec<i64>], &[Vec<i64>]) -> Vec<Vec<i64>>,
+    F: FnOnce(&mut Session, &[Vec<i64>], &[Vec<i64>]) -> Result<Vec<Vec<i64>>, E>,
+    E: fmt::Display,
 {
     let (a, b) = case.pair();
     let label = case.label();
-    let got = protocol(&mut Session::new(Engine::new(case.n)), &a, &b);
+    let got = protocol(&mut Session::new(Engine::new(case.n)), &a, &b)
+        .unwrap_or_else(|e| panic!("{label}: {e}"));
     judge_matmul(
         &label,
         &a,
@@ -320,15 +323,25 @@ mod tests {
         let case = MmCase::new(MmFamily::Sparse, 8, 10, 2);
         differential_matmul(&case, |_s, a, b| {
             let n = a.len();
-            (0..n)
-                .map(|i| {
-                    (0..n)
-                        .map(|j| {
-                            (0..n).fold(0i64, |acc, k| wrap_mm(acc + wrap_mm(a[i][k] * b[k][j])))
-                        })
-                        .collect()
-                })
-                .collect()
+            Ok::<_, String>(
+                (0..n)
+                    .map(|i| {
+                        (0..n)
+                            .map(|j| {
+                                (0..n)
+                                    .fold(0i64, |acc, k| wrap_mm(acc + wrap_mm(a[i][k] * b[k][j])))
+                            })
+                            .collect()
+                    })
+                    .collect(),
+            )
         });
+    }
+
+    #[test]
+    #[should_panic(expected = "mm-dense[n=4, m=0, seed=5]: the protocol failed")]
+    fn differential_matmul_names_the_case_on_an_error() {
+        let case = MmCase::new(MmFamily::Dense, 4, 0, 5);
+        differential_matmul(&case, |_s, _a, _b| Err("the protocol failed"));
     }
 }

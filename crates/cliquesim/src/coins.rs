@@ -7,13 +7,18 @@
 //! stream's words, however they are computed. The wire passes compute
 //! them a sender row at a time: a read-only walk collects the addresses
 //! of the messages the pass will visit, [`rand_chacha::ChaCha8Primer`]
-//! computes their first blocks four per lane call, and the visit then
-//! reads each message's stream through a [`PrimedChaCha8`], which
-//! continues past the first block for long draws (garbled payloads).
+//! computes their first blocks eight per block function call (AVX2 when
+//! the CPU has it, else SSE2, else scalar; a lone stream runs scalar),
+//! and the visit then reads each message's stream through a
+//! [`PrimedChaCha8`], which continues past the first block for long draws
+//! (garbled payloads).
 //!
 //! The priming walk and the visit are the same walk over the same sealed
 //! row, so the stream handed to a message is the one primed for its
 //! address by construction; a `debug_assert` checks it on every visit.
+//! A caller that decides on one coin per stream (the link-fault pass's
+//! drop batch) skips the visit: [`Coins::first_u64s`] hands out each
+//! stream's first 64-bit draw, in the order its keys came.
 
 use rand_chacha::{ChaCha8Primer, PrimedChaCha8};
 
@@ -44,6 +49,16 @@ impl Coins {
             );
             f(t, &mut self.primer.stream(i));
         }
+    }
+
+    /// Prime the streams keyed by `keys` and return the first 64-bit draw
+    /// (`next_u64`) of each, in the same order.
+    pub(crate) fn first_u64s(
+        &mut self,
+        keys: impl Iterator<Item = u64>,
+    ) -> impl Iterator<Item = u64> + '_ {
+        self.primer.prime(keys);
+        self.primer.first_u64s()
     }
 
     /// Visit sender `v`'s non-empty messages as
@@ -106,12 +121,15 @@ mod tests {
 
     proptest! {
         /// Primed streams are the generator's streams, word for word, past
-        /// the first block and the first four-block refill, for every
-        /// batch length a row can end on.
+        /// the first block and the second eight-block continuation, for
+        /// every batch length a row can end on: one seed in the last batch
+        /// (scalar), two to eight (vector), one to three batches. The
+        /// first draws handed out alone are the generator's first
+        /// `next_u64`s.
         #[test]
         fn prop_primed_streams_equal_seeded_streams(
-            seeds in proptest::collection::vec(any::<u64>(), 1..=9),
-            words in 48usize..=100,
+            seeds in proptest::collection::vec(any::<u64>(), 1..=17),
+            words in 145usize..=400,
         ) {
             let mut coins = Coins::default();
             let mut seen = 0;
@@ -123,6 +141,12 @@ mod tests {
                 seen += 1;
             });
             prop_assert_eq!(seen, seeds.len());
+            let first: Vec<u64> = coins.first_u64s(seeds.iter().copied()).collect();
+            let want: Vec<u64> = seeds
+                .iter()
+                .map(|&s| ChaCha8Rng::seed_from_u64(s).next_u64())
+                .collect();
+            prop_assert_eq!(first, want);
         }
     }
 }

@@ -738,6 +738,28 @@ impl BufViewMut<'_> {
         self.rows[v].for_each_msg_mut(v, n, f);
     }
 
+    /// Sender `v`'s shared payload if its row only broadcasts: a non-empty
+    /// broadcast payload and no overrides, so its messages are `n − 1`
+    /// equal copies.
+    pub(crate) fn pure_broadcast(&self, v: usize) -> Option<&BitString> {
+        let row = &self.rows[v];
+        (!row.bcast.is_empty() && row.live() == 0).then_some(&row.bcast)
+    }
+
+    /// Empty sender `v`'s copies to `recipients`, ascending: each becomes
+    /// an empty override, the entry [`BufViewMut::for_each_msg_mut`] leaves
+    /// when its visitor clears a broadcast copy. The row is sealed once at
+    /// the end.
+    pub(crate) fn clear_copies(&mut self, v: usize, recipients: impl Iterator<Item = usize>) {
+        let n = self.rows.len();
+        let row = &mut self.rows[v];
+        for u in recipients {
+            debug_assert_ne!(u, v, "a sender has no copy to itself");
+            row.entry(u as u32, n).clear();
+        }
+        row.seal();
+    }
+
     /// Sender `v`'s distinct non-empty payloads as `(copies, payload)`: the
     /// ones [`BufViewMut::for_each_payload_mut`] visits, in its order.
     pub(crate) fn payloads(&self, v: usize) -> impl Iterator<Item = (usize, &BitString)> {

@@ -67,6 +67,7 @@ use std::fmt;
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
+use crate::bits::BitString;
 use crate::coins::Coins;
 use crate::delivery::{BufView, BufViewMut, MsgMut};
 use crate::node::NodeId;
@@ -519,6 +520,12 @@ impl IndexedFaultPlan<'_> {
     /// next round). Sweep order is sender-major and decisions are keyed per
     /// `(seed, round, from, to)`, so the result is independent of how the
     /// buffer stores the messages.
+    ///
+    /// Under a plan whose only rate is the drop rate, a row that only
+    /// broadcasts and has no fault forced on it is decided in one batch
+    /// ([`IndexedFaultPlan::drop_copies`]); every other row visits its
+    /// messages one by one ([`IndexedFaultPlan::fault_one`]). Both read the
+    /// same coins and apply the same faults.
     pub(crate) fn apply_link_faults(
         &self,
         round: usize,
@@ -526,13 +533,64 @@ impl IndexedFaultPlan<'_> {
         coins: &mut Coins,
         report: &mut FaultReport,
     ) {
-        let seed = self.plan.seed;
+        let drops_only = self.plan.corrupt_p == 0.0 && self.plan.truncate_p == 0.0;
         for v in 0..cur.n() {
-            let key = |u: usize| mix(seed, round as u64, v as u64, u as u64);
+            if drops_only && !self.forced_from(round, v) {
+                if let Some(bits) = cur.pure_broadcast(v).map(BitString::len) {
+                    self.drop_copies(round, v, bits, cur, coins, report);
+                    continue;
+                }
+            }
+            let key = |u| self.link_key(round, v, u);
             coins.for_each_msg_mut(cur, v, key, |u, m, rng| {
                 self.fault_one(round, v, u, m, rng, report)
             });
         }
+    }
+
+    /// The coin stream key of the message `from → to` sent in `round`.
+    fn link_key(&self, round: usize, from: usize, to: usize) -> u64 {
+        mix(self.plan.seed, round as u64, from as u64, to as u64)
+    }
+
+    /// Whether a fault is forced on any message `from` sends in `round`.
+    fn forced_from(&self, round: usize, from: usize) -> bool {
+        self.forced
+            .tail((round, from, 0))
+            .first()
+            .is_some_and(|&((r, f, _), _)| (r, f) == (round, from))
+    }
+
+    /// Decide the `n − 1` copies of sender `v`'s pure broadcast row, each
+    /// `bits` long, in one batch. With only a drop rate and nothing forced,
+    /// a copy's one deciding coin is its stream's first draw, compared as
+    /// `gen_bool(drop_p)` compares it; the dropped copies become empty
+    /// overrides in one buffer call. The events and messages are those
+    /// [`IndexedFaultPlan::fault_one`] gives on every copy.
+    fn drop_copies(
+        &self,
+        round: usize,
+        v: usize,
+        bits: usize,
+        cur: &mut BufViewMut<'_>,
+        coins: &mut Coins,
+        report: &mut FaultReport,
+    ) {
+        let recipients = (0..cur.n()).filter(move |&u| u != v);
+        let draws = coins.first_u64s(recipients.clone().map(|u| self.link_key(round, v, u)));
+        let dropped = recipients
+            .zip(draws)
+            .filter(|&(_, w)| unit_f64(w) < self.plan.drop_p)
+            .map(|(u, _)| {
+                report.events.push(FaultEvent::Dropped {
+                    from: NodeId::from(v),
+                    to: NodeId::from(u),
+                    round,
+                    bits,
+                });
+                u
+            });
+        cur.clear_copies(v, dropped);
     }
 
     /// Decide and apply the fault (if any) for one non-empty message,
@@ -605,6 +663,12 @@ impl IndexedFaultPlan<'_> {
             }
         }
     }
+}
+
+/// The fraction in `[0, 1)` that `gen_bool` compares with its
+/// probability when its draw is `w`: the 53 high bits over 2⁵³.
+fn unit_f64(w: u64) -> f64 {
+    (w >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
 }
 
 /// Plan entries sorted by key once, so each lookup is a binary search.
@@ -1302,7 +1366,108 @@ mod tests {
         assert!(m[1].len() < 4, "strict prefix");
     }
 
+    /// A sealed, indexed buffer whose row `v` takes the shape
+    /// `shapes[v].0` — 0 silent, 1 a pure broadcast, 2 a broadcast with
+    /// overrides (empty ones and copies of the broadcast among them), 3
+    /// unicast only (empty entries among them) — with payloads and
+    /// recipients drawn from `shapes[v].1`. Every row's spare payloads
+    /// hold stale messages, as they do in a buffer reused across rounds.
+    fn shaped_buf(n: usize, shapes: &[(u8, u64)]) -> SparseBuf {
+        let mut buf = SparseBuf::from_matrix(&vec![BitString::new(); n * n], n);
+        for (v, (row, &(shape, seed))) in buf.rows_mut().iter_mut().zip(shapes).enumerate() {
+            let drawn = |salt: usize| {
+                let bits = mix(seed, salt as u64, 1, 2);
+                BitString::from_bits(
+                    (0..1 + bits as usize % 90).map(|i| (bits >> (i % 64)) & 1 == 1),
+                )
+            };
+            for u in (0..n).filter(|&u| u != v) {
+                row.entry(u as u32, n).copy_from(&drawn(n + 1 + u));
+            }
+            row.clear();
+            let bcast = drawn(n);
+            if shape == 1 || shape == 2 {
+                row.set_broadcast(&bcast);
+            }
+            if shape >= 2 {
+                for u in (0..n).filter(|&u| u != v) {
+                    let m = match mix(seed, u as u64, 3, 4) % 4 {
+                        0 => drawn(u),
+                        1 => BitString::new(),
+                        2 if shape == 2 => bcast.clone(),
+                        _ => continue,
+                    };
+                    row.entry(u as u32, n).copy_from(&m);
+                }
+            }
+            row.seal();
+        }
+        buf.index_receivers();
+        buf
+    }
+
     proptest! {
+        /// The drop batch is the per-copy path. Over random sealed rows
+        /// (pure broadcasts, broadcasts with overrides, unicast only,
+        /// silent) at n ∈ {2, 3, 9, 17, 64, 65}, drop rates 0, 0.01, 0.5, 1
+        /// and random, with and without a fault forced in the round, and
+        /// with and without corruption and truncation rates (either sends
+        /// every row to `fault_one`), `apply_link_faults` leaves the
+        /// messages, the receiver columns and the report that `fault_one`
+        /// on every message leaves.
+        #[test]
+        fn prop_drop_batch_matches_fault_one(
+            plan in (0usize..6, 0usize..5, any::<u64>(), 0u8..4, any::<u64>()),
+            forced in (any::<bool>(), 0usize..65, 0usize..65, 0u8..3),
+            shapes in proptest::collection::vec((0u8..4, any::<u64>()), 65),
+        ) {
+            let (size, rate, draw, damage, seed) = plan;
+            let n = [2, 3, 9, 17, 64, 65][size];
+            let drop_p = [0.0, 0.01, 0.5, 1.0, unit_f64(draw)][rate];
+            let round = 4;
+            let mut plan = FaultPlan::new(seed).drop_messages(drop_p);
+            if damage & 1 == 1 {
+                plan = plan.corrupt_messages(0.1);
+            }
+            if damage & 2 == 2 {
+                plan = plan.truncate_messages(0.1);
+            }
+            let (force, from, to, kind) = forced;
+            if force {
+                let kinds = [
+                    FaultKind::Drop,
+                    FaultKind::Flip { bit: to },
+                    FaultKind::Truncate { keep: from },
+                ];
+                let (from, to) = (NodeId::from(from % n), NodeId::from(to % n));
+                plan = plan.force(round, from, to, kinds[kind as usize]);
+            }
+            let index = plan.indexed();
+            let (mut batched, mut per_copy) = (shaped_buf(n, &shapes), shaped_buf(n, &shapes));
+            let mut batched_report = FaultReport::default();
+            let mut per_copy_report = FaultReport::default();
+            let mut coins = Coins::default();
+            let mut cur = batched.view_mut();
+            index.apply_link_faults(round, &mut cur, &mut coins, &mut batched_report);
+            let mut cur = per_copy.view_mut();
+            for v in 0..n {
+                let key = |u| index.link_key(round, v, u);
+                coins.for_each_msg_mut(&mut cur, v, key, |u, m, rng| {
+                    index.fault_one(round, v, u, m, rng, &mut per_copy_report)
+                });
+            }
+            batched.index_receivers();
+            per_copy.index_receivers();
+            prop_assert_eq!(batched.to_matrix(), per_copy.to_matrix());
+            let column = |buf: &SparseBuf, u| {
+                buf.view().column(u).map(|(v, m)| (v, m.clone())).collect::<Vec<_>>()
+            };
+            for u in 0..n {
+                prop_assert_eq!(column(&batched, u), column(&per_copy, u));
+            }
+            prop_assert_eq!(batched_report, per_copy_report);
+        }
+
         /// The indexed lookups answer exactly what a scan of the plan's
         /// lists answers, first match in insertion order included, on
         /// lists with repeated addresses and mixed kinds.

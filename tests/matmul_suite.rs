@@ -86,7 +86,7 @@ fn strategy_grid_is_bit_identical_across_strategies() {
         let mut products = Vec::new();
         for strategy in strategies {
             let got = differential_matmul(&case, |s, a, b| {
-                mm_with_strategy(s, &sr, strategy, a, b).unwrap().rows
+                mm_with_strategy(s, &sr, strategy, a, b).map(|run| run.rows)
             });
             products.push(got);
         }
@@ -102,9 +102,7 @@ fn large_sparse_cell_survives_the_grid() {
     let sr = ring();
     let case = MmCase::new(MmFamily::Sparse, 64, 200, 3);
     differential_matmul(&case, |s, a, b| {
-        mm_with_strategy(s, &sr, MmStrategy::Auto, a, b)
-            .unwrap()
-            .rows
+        mm_with_strategy(s, &sr, MmStrategy::Auto, a, b).map(|run| run.rows)
     });
 }
 
@@ -137,7 +135,7 @@ fn degenerate_shapes_run_the_full_grid() {
         let mut products = Vec::new();
         for strategy in [MmStrategy::Dense3D, MmStrategy::Sparse, MmStrategy::Auto] {
             products.push(differential_matmul(&case, |s, a, b| {
-                mm_with_strategy(s, &sr, strategy, a, b).unwrap().rows
+                mm_with_strategy(s, &sr, strategy, a, b).map(|run| run.rows)
             }));
         }
         assert_eq!(products[0], products[1], "{case}");
@@ -173,9 +171,7 @@ fn auto_crossover_is_pinned_and_both_sides_agree() {
         assert_eq!(run.rows, forced.rows, "{case}: crossover sides diverge");
         // And to the serial oracle, across the whole grid.
         differential_matmul(&case, |s, a, b| {
-            mm_with_strategy(s, &sr, MmStrategy::Auto, a, b)
-                .unwrap()
-                .rows
+            mm_with_strategy(s, &sr, MmStrategy::Auto, a, b).map(|run| run.rows)
         });
     }
 }
