@@ -12,7 +12,10 @@
 //! one inbox walk per step), the floor probe times a round full of
 //! one-word unicasts (n = 216 for 548 rounds, APSP's message count at
 //! that size: unread, read once, or appended per source as the router
-//! does), and all three write machine-readable results to
+//! does), the route probe times one balanced routing of the 3D
+//! multiplication's phase-1 demand set at n = 216 (the redistribution
+//! APSP runs twice per squaring), split into the time outside the engine
+//! and the engine's, and all four write machine-readable results to
 //! `BENCH_engine.json` (see `Cargo.toml`'s bench notes). The file's
 //! `history` rows and its `service_throughput` section are kept.
 //!
@@ -27,6 +30,8 @@
 //!   never cost more than the copies it stands for.
 
 use cc_bench::{engine_json_path, SEED};
+use cc_matmul::{Blocking, Semiring, TropicalSemiring};
+use cc_routing::{demand_sizes, RoutePlan};
 use cliquesim::{
     BitString, Engine, Inbox, NodeCtx, NodeId, NodeProgram, Outbox, RunStats, Session, Status,
 };
@@ -308,11 +313,100 @@ fn floor_probe(n: usize, rounds: usize, reps: usize) -> Vec<FloorRow> {
         .collect()
 }
 
+type Demands = Vec<Vec<(NodeId, BitString)>>;
+
+/// `mm_three_d`'s phase-1 demand set at `n`, over the tropical semiring
+/// APSP uses on `gnp_weighted(n, 0.2, 20, _)`: node `u` sends its A-row
+/// chunk over band `k` to every worker `(band(u), j, k)`, then its B-row
+/// chunk over band `j` to every worker `(i, j, band(u))`, never to itself.
+/// Entries are a fixed pattern: routing time depends on sizes, not values.
+fn mm_phase1_demands(n: usize) -> Demands {
+    let bl = Blocking::for_n(n);
+    let sr = TropicalSemiring::for_max_value(20 * (n as u64 - 1));
+    let chunk = |u: usize, cols: std::ops::Range<usize>| {
+        let mut bits = BitString::new();
+        for c in cols {
+            sr.encode(((u * 31 + c * 17) % 4001) as u64, &mut bits);
+        }
+        bits
+    };
+    (0..n)
+        .map(|u| {
+            let bu = bl.band(u);
+            let t = bl.t;
+            let a =
+                (0..t * t).map(|jk| (bl.worker(bu, jk / t, jk % t), chunk(u, bl.members(jk % t))));
+            let b =
+                (0..t * t).map(|ij| (bl.worker(ij / t, ij % t, bu), chunk(u, bl.members(ij % t))));
+            a.chain(b)
+                .filter(|&(w, _)| w != u)
+                .map(|(w, payload)| (NodeId::from(w), payload))
+                .collect()
+        })
+        .collect()
+}
+
+/// One timed balanced routing of `demands`: wall seconds and stats.
+fn route_run(demands: Demands) -> (f64, RunStats) {
+    let mut s = Session::new(Engine::new(demands.len()));
+    let start = Instant::now();
+    RoutePlan::balanced().run(&mut s, demands).unwrap();
+    (start.elapsed().as_secs_f64(), s.stats())
+}
+
+struct RouteRow {
+    n: usize,
+    rounds: usize,
+    messages: u64,
+    outside_ms: f64,
+    engine_ms: f64,
+}
+
+/// The route probe: `RoutePlan::balanced()` on the phase-1 demand set at
+/// `n`, `reps` times. Asserts the run's stats equal the plan's price
+/// before timing, then reports the median time outside the engine
+/// (encoding, scatter, slice, reassembly, decoding, the router programs'
+/// set-up) and the median engine time apart.
+fn route_probe(n: usize, reps: usize) -> RouteRow {
+    let demands = mm_phase1_demands(n);
+    let (_, stats) = route_run(demands.clone());
+    let price = RoutePlan::balanced().cost(&demand_sizes(&demands), BitString::width_for(n));
+    assert_eq!(
+        stats, price,
+        "route n={n}: the run's stats differ from its price"
+    );
+    let mut outside = Vec::with_capacity(reps);
+    let mut engine = Vec::with_capacity(reps);
+    for _ in 0..reps {
+        let (secs, stats) = route_run(demands.clone());
+        let engine_s = stats.timing.total_ns() as f64 / 1e9;
+        outside.push(secs - engine_s);
+        engine.push(engine_s);
+    }
+    let (outside_ms, engine_ms) = (median(outside) * 1e3, median(engine) * 1e3);
+    println!(
+        "route n={n} balanced mm phase 1: rounds={} messages={} | outside the engine {outside_ms:8.2} ms, \
+         engine {engine_ms:8.2} ms",
+        stats.rounds, stats.messages,
+    );
+    RouteRow {
+        n,
+        rounds: stats.rounds,
+        messages: stats.messages,
+        outside_ms,
+        engine_ms,
+    }
+}
+
 /// Median wall seconds of `reps` repetitions of `f` (first call doubles
 /// as warm-up and is kept — the arena makes later phases the steady state
 /// we care about anyway).
 fn median_secs(reps: usize, mut f: impl FnMut() -> f64) -> f64 {
-    let mut samples: Vec<f64> = (0..reps).map(|_| f()).collect();
+    median((0..reps).map(|_| f()).collect())
+}
+
+/// The median of `samples` (the upper one of an even count).
+fn median(mut samples: Vec<f64>) -> f64 {
     samples.sort_by(|a, b| a.total_cmp(b));
     samples[samples.len() / 2]
 }
@@ -366,11 +460,18 @@ fn broadcast_sweep(sizes: &[usize], rounds: usize, phases: usize, reps: usize) -
 
 /// Hand-rolled JSON (the vendored criterion stand-in has no machine
 /// output; this file is the recorded trajectory CI and EXPERIMENTS.md
-/// consume). Rewrites the `broadcast_sweep`, `idle` and `floor` sections
-/// and keeps what the target file already holds: its `history` rows,
-/// recorded by hand from before/after runs, and the `service_throughput`
-/// section that bench splices in last.
-fn write_json(path: &Path, smoke: bool, rows: &[SweepRow], idle: &[IdleRow], floor: &[FloorRow]) {
+/// consume). Rewrites the `broadcast_sweep`, `idle`, `floor` and `route`
+/// sections and keeps what the target file already holds: its `history`
+/// rows, recorded by hand from before/after runs, and the
+/// `service_throughput` section that bench splices in last.
+fn write_json(
+    path: &Path,
+    smoke: bool,
+    rows: &[SweepRow],
+    idle: &[IdleRow],
+    floor: &[FloorRow],
+    route: &RouteRow,
+) {
     let existing = std::fs::read_to_string(path).unwrap_or_default();
     // The file is written in this fixed layout: rows are indented four
     // spaces, so the first line-leading `  ]` closes the history.
@@ -423,7 +524,12 @@ fn write_json(path: &Path, smoke: bool, rows: &[SweepRow], idle: &[IdleRow], flo
             if i + 1 < floor.len() { "," } else { "" },
         ));
     }
-    out.push_str("  ]");
+    out.push_str("  ],\n");
+    out.push_str(&format!(
+        "  \"route\": [\n    {{\"n\": {}, \"plan\": \"balanced\", \"demands\": \"mm_three_d phase 1\", \
+         \"rounds\": {}, \"messages\": {}, \"outside_engine_median_ms\": {:.3}, \"engine_median_ms\": {:.3}}}\n  ]",
+        route.n, route.rounds, route.messages, route.outside_ms, route.engine_ms,
+    ));
     out.push_str(service.unwrap_or(""));
     out.push_str("\n}\n");
     std::fs::write(path, out).unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
@@ -472,7 +578,11 @@ fn bench(c: &mut Criterion) {
     // BENCH_SMOKE; 8-bit messages need n > 128 at the model's bandwidth).
     let floor = floor_probe(216, if smoke { 20 } else { 548 }, reps);
 
-    write_json(&engine_json_path(), smoke, &rows, &idle, &floor);
+    // One balanced routing of the 3D multiplication's phase-1 demand set
+    // at n = 216 (fewer reps under BENCH_SMOKE).
+    let route = route_probe(216, reps);
+
+    write_json(&engine_json_path(), smoke, &rows, &idle, &floor, &route);
 
     if std::env::var("BENCH_ENFORCE_BROADCAST").is_ok_and(|v| v == "1") {
         for r in &rows {

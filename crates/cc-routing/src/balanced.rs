@@ -10,11 +10,11 @@
 //! this workspace: they depend on `n` and `k`, not on input values), the
 //! rebalancing can be done without Lenzen's sorting machinery:
 //!
-//! 1. every sender concatenates its outgoing streams (ordered by
-//!    destination) into one megastream and scatters it in near-equal
-//!    contiguous segments, one per *live* node, segment `j` going to the
-//!    intermediate of live rank `(j + rank(u)) mod m` — the rotation
-//!    decorrelates different senders;
+//! 1. every sender's encoded row — its outgoing streams back to back in
+//!    destination order — is its megastream, which it scatters in
+//!    near-equal contiguous segments, one per *live* node, segment `j`
+//!    going to the intermediate of live rank `(j + rank(u)) mod m` — the
+//!    rotation decorrelates different senders;
 //! 2. every intermediate, knowing the global layout, slices the segments it
 //!    holds by final destination and forwards them; receivers reassemble by
 //!    megastream position.
@@ -35,15 +35,25 @@
 //! `0..n` and every bit on the wire is unchanged. Priced plans walk the
 //! same executor over bit counts.
 //!
+//! Every stage works on one row per node, never on a stream per link:
+//! scatter and slice write the next pass's rows in place (headers
+//! included), a segment a sender keeps for itself is read straight from
+//! its megastream, what an intermediate holds is read straight from the
+//! row it received, and reassembly writes each receiver's final row, its
+//! sources' streams in source order, which the decoder splits.
+//!
 //! # Planning cost
 //!
 //! A *piece* is one non-empty overlap of a sender's megastream segment with
 //! one of its per-destination ranges. Planning costs `O(n² + pieces)` per
 //! call: slicing walks, for each (intermediate, sender) pair, only the
-//! destination ranges that meet the segment the intermediate holds, and
+//! destination ranges that meet the segment the intermediate holds,
+//! collecting its pieces so it can size every blob before it fills them,
+//! and each sender's walk starts where its previous segment's did (the
+//! segments a sender hands ascending intermediates ascend, wrapping once);
 //! reassembly at `w` walks, for each sender, only the segments that meet
-//! the range headed to `w`. No step scans the `n³` (intermediate, receiver,
-//! sender) triples.
+//! the range headed to `w`. No step scans the `n³` (intermediate,
+//! receiver, sender) triples.
 //!
 //! Reassembly depends on one invariant: the blob intermediate `p` forwards
 //! to `w` is the concatenation of its pieces in ascending live-sender
@@ -52,18 +62,20 @@
 //! ascending order therefore meets every blob's pieces in the order they
 //! were written, and one read cursor per intermediate suffices.
 
-use cliquesim::NodeId;
+use cliquesim::{DecodeError, NodeId};
 
-use crate::plan::{Demands, Links, RoutePlan, Stream};
+use crate::plan::{columns, RoutePlan, Row, Stream};
 use crate::router::RouteError;
 
-/// Bit-range bookkeeping: layout of one sender's megastream.
-#[derive(Clone, Debug)]
+/// Bit-range bookkeeping for one row: for each peer, the range of the row
+/// that holds the stream to (or from) it.
+#[derive(Clone, Debug, Default)]
 pub(crate) struct MegaLayout {
-    /// For each destination `w`, the megastream range `[start, end)` of the
-    /// stream headed to `w` (empty ranges allowed).
+    /// For each peer `w`, the range `[start, end)` of the stream to or
+    /// from `w` (empty ranges allowed). A row that is sent lays its
+    /// ranges back to back in peer order, which makes it a megastream.
     pub(crate) ranges: Vec<(usize, usize)>,
-    /// Total megastream length.
+    /// Length of the row: for a row that is sent, its megastream's.
     pub(crate) total: usize,
 }
 
@@ -80,17 +92,38 @@ impl MegaLayout {
         MegaLayout { ranges, total: pos }
     }
 
+    /// The length of `peer`'s stream.
+    pub(crate) fn len(&self, peer: usize) -> usize {
+        let (a, b) = self.ranges[peer];
+        b - a
+    }
+
+    /// Every peer's stream length, in peer order.
+    pub(crate) fn lens(&self) -> impl Iterator<Item = usize> + '_ {
+        self.ranges.iter().map(|&(a, b)| b - a)
+    }
+
     /// The non-empty overlaps of segment `j` (of `m`) with the destination
     /// ranges, as `(w, start, end)` megastream positions in ascending `w`.
+    /// `first` is where the previous call's scan started: a caller that
+    /// walks the segments in ascending order, wrapping at most once, scans
+    /// each range a bounded number of times.
     pub(crate) fn segment_pieces(
         &self,
         m: usize,
         j: usize,
+        first: &mut usize,
     ) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
         let (sa, sb) = segment_range(self.total, m, j);
         // Range ends ascend, so the ranges ending at or before `sa` are a
-        // prefix.
-        let first = self.ranges.partition_point(|r| r.1 <= sa);
+        // prefix. The hint is in that prefix unless the segments wrapped.
+        if *first > 0 && self.ranges[*first - 1].1 > sa {
+            *first = 0;
+        }
+        while self.ranges.get(*first).is_some_and(|r| r.1 <= sa) {
+            *first += 1;
+        }
+        let first = *first;
         self.ranges[first..]
             .iter()
             .take_while(move |r| r.0 < sb)
@@ -100,26 +133,26 @@ impl MegaLayout {
                 (ia < ib).then_some((w, ia, ib))
             })
     }
+}
 
-    /// The non-empty overlaps of destination `w`'s range with the `m`
-    /// segments, as `(j, start, end)` megastream positions in ascending `j`.
-    pub(crate) fn range_pieces(
-        &self,
-        m: usize,
-        w: usize,
-    ) -> impl Iterator<Item = (usize, usize, usize)> + '_ {
-        let (ra, rb) = self.ranges[w];
-        let seg = segment_len(self.total, m);
-        let segments = if ra < rb {
-            ra / seg..(rb - 1) / seg + 1
-        } else {
-            0..0
-        };
-        segments.map(move |j| {
-            let (sa, sb) = segment_range(self.total, m, j);
-            (j, sa.max(ra), sb.min(rb))
-        })
-    }
+/// The non-empty overlaps of the range `ra..rb` of a megastream of length
+/// `total` with its `m` segments, as `(j, start, end)` megastream positions
+/// in ascending `j`.
+pub(crate) fn range_pieces(
+    total: usize,
+    m: usize,
+    (ra, rb): (usize, usize),
+) -> impl Iterator<Item = (usize, usize, usize)> {
+    let seg = segment_len(total, m);
+    let segments = if ra < rb {
+        ra / seg..(rb - 1) / seg + 1
+    } else {
+        0..0
+    };
+    segments.map(move |j| {
+        let (sa, sb) = segment_range(total, m, j);
+        (j, sa.max(ra), sb.min(rb))
+    })
 }
 
 /// Length of all but the trailing segments when a megastream of length
@@ -135,165 +168,224 @@ pub(crate) fn segment_range(total: usize, m: usize, j: usize) -> (usize, usize) 
     ((j * seg).min(total), ((j + 1) * seg).min(total))
 }
 
-/// The two-phase plan over the live node list: one megastream layout per
-/// sender, over its encoded per-destination streams. With `live == 0..n`
+/// The two-phase plan over the live node list and the senders' encoded
+/// rows, each of which is that sender's megastream. With `live == 0..n`
 /// it is the original balanced schedule; with a survivor list every
 /// megastream segment lands on a surviving intermediate and every layout
 /// range involves only surviving endpoints.
-pub(crate) struct TwoPhase<'a> {
+pub(crate) struct TwoPhase<'a, S> {
     n: usize,
     /// Surviving node indices, ascending; a node's *rank* is its index
     /// here.
     live: &'a [usize],
-    layouts: Vec<MegaLayout>,
+    /// `rank[v]`: `v`'s rank, if it survives.
+    rank: Vec<Option<usize>>,
+    /// Each sender's encoded row: its megastream and that stream's layout.
+    rows: Vec<Row<S>>,
+    /// Frame header bits per forwarded stream (zero when sized).
+    header: usize,
 }
 
-impl<'a> TwoPhase<'a> {
-    pub(crate) fn new<S: Stream>(live: &'a [usize], links: &Links<S>) -> Self {
+impl<'a, S: Stream> TwoPhase<'a, S> {
+    pub(crate) fn new(live: &'a [usize], rows: Vec<Row<S>>, header: usize) -> Self {
+        let n = rows.len();
+        let mut rank = vec![None; n];
+        for (i, &v) in live.iter().enumerate() {
+            rank[v] = Some(i);
+        }
         Self {
-            n: links.len(),
+            n,
             live,
-            layouts: links
-                .iter()
-                .map(|row| MegaLayout::new(row.iter().map(S::bits)))
-                .collect(),
+            rank,
+            rows,
+            header,
         }
     }
 
-    /// Phase-1 demands (scatter megastream segments) plus the `held[p][u]`
-    /// matrix pre-seeded with the segments each sender keeps locally.
-    pub(crate) fn scatter<S: Stream>(&self, megas: &[S]) -> (Demands<S>, Links<S>) {
+    /// The segment of `u`'s megastream (`u` of rank `ui`) that the node of
+    /// rank `pi` holds: the `j` with `live[(j + ui) % m] == live[pi]`.
+    fn segment(&self, pi: usize, ui: usize, u: usize) -> (usize, usize) {
         let m = self.live.len();
-        let mut phase1: Demands<S> = vec![Vec::new(); self.n];
-        let mut held: Links<S> = vec![vec![S::default(); self.n]; self.n];
-        for (ui, &u) in self.live.iter().enumerate() {
-            for j in 0..m {
-                let (a, b) = segment_range(self.layouts[u].total, m, j);
-                if a >= b {
-                    continue;
-                }
-                let mut seg = S::default();
-                seg.push_range(&megas[u], a, b - a)
-                    .expect("segments lie inside the megastream");
-                let p = self.live[(j + ui) % m];
-                if p == u {
-                    held[p][u] = seg; // kept locally, free
-                } else {
-                    phase1[u].push((NodeId::from(p), seg));
-                }
-            }
-        }
-        (phase1, held)
+        segment_range(self.rows[u].layout.total, m, (pi + m - ui) % m)
     }
 
-    /// Phase-2 demands (slice held segments by destination and forward)
-    /// plus `got[w][p]` pre-seeded with the blob each node `w` keeps for
-    /// itself.
-    pub(crate) fn slice<S: Stream>(
-        &self,
-        held: &Links<S>,
-    ) -> Result<(Demands<S>, Links<S>), RouteError> {
+    /// Phase-1 rows: each live sender's row over intermediates, every
+    /// non-empty segment it does not keep (segment 0 stays home) behind a
+    /// header when framed.
+    pub(crate) fn scatter(&self) -> Vec<Row<S>> {
+        (0..self.n)
+            .map(|u| {
+                // The segment `u` ships to `p`, if any.
+                let shipped = |p: usize| {
+                    let (ui, pi) = (self.rank[u]?, self.rank[p]?);
+                    let (a, b) = self.segment(pi, ui, u);
+                    (p != u && a < b).then_some((a, b))
+                };
+                let sizes = (0..self.n).map(|p| shipped(p).map_or(0, |(a, b)| self.header + b - a));
+                let mut row = Row::<S>::presized(sizes);
+                for p in 0..self.n {
+                    let Some((a, b)) = shipped(p) else { continue };
+                    let at = row.layout.ranges[p].0;
+                    if self.header > 0 {
+                        row.bits.write_header(at, b - a);
+                    }
+                    row.bits
+                        .write(at + self.header, &self.rows[u].bits, a, b - a);
+                }
+                row
+            })
+            .collect()
+    }
+
+    /// Phase-2 rows (slice the segments each intermediate holds by
+    /// destination and forward them, each blob behind a header when
+    /// framed) plus the blob each node keeps for itself. Intermediate `p`
+    /// holds each sender's segment in `held[p]`, the row it received in
+    /// phase 1 with every range narrowed to its payload, except its own,
+    /// which it reads from its megastream.
+    pub(crate) fn slice(&self, held: &[Row<S>]) -> Result<(Vec<Row<S>>, Vec<S>), RouteError> {
         let m = self.live.len();
-        let mut phase2: Demands<S> = vec![Vec::new(); self.n];
-        let mut got: Links<S> = vec![vec![S::default(); self.n]; self.n];
-        let mut blobs = vec![S::default(); self.n];
-        for (pi, &p) in self.live.iter().enumerate() {
+        let mut phase2 = Vec::with_capacity(self.n);
+        let mut kept = Vec::with_capacity(self.n);
+        let mut blob = vec![0usize; self.n];
+        let mut cursor = vec![0usize; self.n];
+        // Per sender, where its last segment's scan started: as `p`
+        // ascends, the segment each sender hands `p` ascends too.
+        let mut first = vec![0usize; self.n];
+        // `p`'s pieces in (sender, destination) order: `(w, u, position
+        // in the held stream, length)`.
+        let mut pieces = Vec::new();
+        for p in 0..self.n {
+            let Some(pi) = self.rank[p] else {
+                phase2.push(Row::presized(std::iter::repeat_n(0, self.n)));
+                kept.push(S::default());
+                continue;
+            };
+            blob.fill(0);
+            pieces.clear();
             for (ui, &u) in self.live.iter().enumerate() {
-                // p holds segment j of u's megastream: the j with
-                // live[(j + ui) % m] == p.
                 let j = (pi + m - ui) % m;
-                let sa = segment_range(self.layouts[u].total, m, j).0;
-                for (w, ia, ib) in self.layouts[u].segment_pieces(m, j) {
-                    blobs[w]
-                        .push_range(&held[p][u], ia - sa, ib - ia)
-                        .map_err(|e| RouteError::Malformed(NodeId::from(p), e))?;
-                }
-            }
-            for (w, blob) in blobs.iter_mut().enumerate() {
-                if blob.bits() == 0 {
-                    continue;
-                }
-                let blob = std::mem::take(blob);
-                if p == w {
-                    got[w][p] = blob;
+                let layout = &self.rows[u].layout;
+                let (sa, sb) = segment_range(layout.total, m, j);
+                let (base, len) = if u == p {
+                    (sa, sb - sa)
                 } else {
-                    phase2[p].push((NodeId::from(w), blob));
+                    let (a, b) = held[p].layout.ranges[u];
+                    (a, b - a)
+                };
+                for (w, ia, ib) in layout.segment_pieces(m, j, &mut first[u]) {
+                    let (off, want) = (ia - sa, ib - ia);
+                    if off + want > len {
+                        return Err(malformed(p, off, want, len));
+                    }
+                    blob[w] += want;
+                    pieces.push((w, u, base + off, want));
                 }
             }
+            // Lay the row out by blob size, then fill it.
+            let forwarded = |w: usize| w != p && blob[w] > 0;
+            let mut row = Row::<S>::presized((0..self.n).map(|w| {
+                if forwarded(w) {
+                    self.header + blob[w]
+                } else {
+                    0
+                }
+            }));
+            let mut mine = S::zeros(blob[p]);
+            for (w, &(at, _)) in row.layout.ranges.iter().enumerate() {
+                cursor[w] = at + self.header;
+                if forwarded(w) && self.header > 0 {
+                    row.bits.write_header(at, blob[w]);
+                }
+            }
+            cursor[p] = 0;
+            for &(w, u, at, want) in &pieces {
+                let src = if u == p {
+                    &self.rows[p].bits
+                } else {
+                    &held[p].bits
+                };
+                let dst = if w == p { &mut mine } else { &mut row.bits };
+                dst.write(cursor[w], src, at, want);
+                cursor[w] += want;
+            }
+            phase2.push(row);
+            kept.push(mine);
         }
-        Ok((phase2, got))
+        Ok((phase2, kept))
     }
 
-    /// Reassemble `collected[w][u]`, the stream each live receiver `w`
-    /// gets from each live sender `u`, from the blobs `got[w][p]`, reading
-    /// each blob in the ascending-sender order it was written in.
-    pub(crate) fn reassemble<S: Stream>(&self, got: &Links<S>) -> Result<Links<S>, RouteError> {
+    /// Reassemble each live receiver `w`'s final row — the stream from
+    /// every live sender, in sender order — from the blobs it got: from
+    /// `p`, the range for `p` of `got[w]`, the row it received in phase 2
+    /// with every range narrowed to its payload, or `kept[w]` for itself.
+    /// Each blob is read in the ascending-sender order it was written in.
+    pub(crate) fn reassemble(&self, got: &[Row<S>], kept: &[S]) -> Result<Vec<Row<S>>, RouteError> {
         let m = self.live.len();
-        let mut collected: Links<S> = vec![vec![S::default(); self.n]; self.n];
-        for &w in self.live {
-            let mut cursors = vec![0usize; self.n];
+        let mut cursor = vec![0usize; self.n];
+        let mut received = Vec::with_capacity(self.n);
+        for (w, column) in columns(&self.rows).into_iter().enumerate() {
+            if self.rank[w].is_none() {
+                received.push(Row::default());
+                continue;
+            }
+            let mut row = Row::<S>::presized(column.iter().map(|&(a, b)| b - a));
+            cursor.fill(0);
             for (ui, &u) in self.live.iter().enumerate() {
-                let stream = &mut collected[w][u];
-                for (j, ia, ib) in self.layouts[u].range_pieces(m, w) {
+                let mut at = row.layout.ranges[u].0;
+                for (j, ia, ib) in range_pieces(self.rows[u].layout.total, m, column[u]) {
                     let p = self.live[(j + ui) % m];
-                    stream
-                        .push_range(&got[w][p], cursors[p], ib - ia)
-                        .map_err(|e| RouteError::Malformed(NodeId::from(w), e))?;
-                    cursors[p] += ib - ia;
+                    let (src, base, len) = if p == w {
+                        (&kept[w], 0, kept[w].bits())
+                    } else {
+                        let (a, b) = got[w].layout.ranges[p];
+                        (&got[w].bits, a, b - a)
+                    };
+                    let want = ib - ia;
+                    if cursor[p] + want > len {
+                        return Err(malformed(w, cursor[p], want, len));
+                    }
+                    row.bits.write(at, src, base + cursor[p], want);
+                    at += want;
+                    cursor[p] += want;
                 }
             }
+            received.push(row);
         }
-        Ok(collected)
+        Ok(received)
     }
 }
 
-/// The one two-phase executor: lay out each sender's encoded streams
-/// `links[u][w]` as a megastream, scatter it over the live intermediates,
-/// slice what they hold by destination and forward it, and reassemble
-/// what each receiver collected from each source. `ship` runs each phase
-/// as one direct-schedule pass (see `RoutePlan::relay`).
+/// Node `v` found `wanted` bits missing at `at` of a `len`-bit stream it
+/// received: the error a reader over a copy of that stream reports.
+fn malformed(v: usize, at: usize, wanted: usize, len: usize) -> RouteError {
+    RouteError::Malformed(NodeId::from(v), DecodeError { at, wanted, len })
+}
+
+/// The one two-phase executor: scatter each sender's encoded row, its
+/// megastream, over the live intermediates, slice what they hold by
+/// destination and forward it, and reassemble the row each receiver got
+/// from every source. `ship` runs each phase as one direct-schedule pass
+/// (see `RoutePlan::relay`).
 pub(crate) fn two_phase<S: Stream>(
     plan: &RoutePlan,
     live: &[usize],
-    links: Links<S>,
-    ship: &mut impl FnMut(Links<S>) -> Result<Links<S>, RouteError>,
-) -> Result<Links<S>, RouteError> {
-    let schedule = TwoPhase::new(live, &links);
-    let megas: Vec<S> = links.into_iter().map(concat).collect();
-    let (phase1, mut held) = schedule.scatter(&megas);
-    drop(megas);
-    fill(&mut held, plan.relay(phase1, ship)?);
-    let (phase2, mut got) = schedule.slice(&held)?;
+    rows: Vec<Row<S>>,
+    ship: &mut impl FnMut(Vec<Row<S>>) -> Result<Vec<Row<S>>, RouteError>,
+) -> Result<Vec<Row<S>>, RouteError> {
+    let schedule = TwoPhase::new(live, rows, plan.header_bits());
+    let held = plan.relay(schedule.scatter(), ship)?;
+    let (phase2, kept) = schedule.slice(&held)?;
     drop(held);
-    fill(&mut got, plan.relay(phase2, ship)?);
-    schedule.reassemble(&got)
-}
-
-/// One sender's megastream: its per-destination streams in destination
-/// order.
-fn concat<S: Stream>(row: Vec<S>) -> S {
-    let mut mega = S::default();
-    for s in &row {
-        mega.push_range(s, 0, s.bits())
-            .expect("a whole stream is in range");
-    }
-    mega
-}
-
-/// Copy every non-empty `from[v][u]` into `into[v][u]`.
-fn fill<S: Stream>(into: &mut Links<S>, from: Links<S>) {
-    for (row, got) in into.iter_mut().zip(from) {
-        for (slot, s) in row.iter_mut().zip(got) {
-            if s.bits() > 0 {
-                *slot = s;
-            }
-        }
-    }
+    let got = plan.relay(phase2, ship)?;
+    schedule.reassemble(&got, &kept)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::frames::copy_range;
+    use crate::plan::{transpose, Demands};
     use crate::{CrashSet, Delivered};
     use cliquesim::{BitString, Engine, Session};
     use proptest::prelude::*;
@@ -448,21 +540,34 @@ mod tests {
     // overlap sweeps replaced, kept as reference implementations.
     // -----------------------------------------------------------------
 
+    /// The references' shape: `links[u][w]`, one string per link.
+    type PerLink = Vec<Vec<BitString>>;
+
+    /// Every peer's stream of `row`, as a string of its own.
+    fn streams(row: &Row<BitString>) -> Vec<BitString> {
+        row.layout
+            .ranges
+            .iter()
+            .map(|&range| copy_range(&row.bits, range))
+            .collect()
+    }
+
     /// Reference `slice`: for every (p, w), scan every live sender u.
     fn slice_reference(
-        plan: &TwoPhase,
-        held: &Links<BitString>,
-    ) -> (Demands<BitString>, Links<BitString>) {
+        plan: &TwoPhase<BitString>,
+        held: &PerLink,
+    ) -> (Demands<BitString>, PerLink) {
         let m = plan.live.len();
         let mut phase2: Demands<BitString> = vec![Vec::new(); plan.n];
-        let mut got: Links<BitString> = vec![vec![BitString::new(); plan.n]; plan.n];
+        let mut got: PerLink = vec![vec![BitString::new(); plan.n]; plan.n];
         for (pi, &p) in plan.live.iter().enumerate() {
             for w in 0..plan.n {
                 let mut blob = BitString::new();
                 for (ui, &u) in plan.live.iter().enumerate() {
                     let j = (pi + m - ui) % m;
-                    let (sa, sb) = segment_range(plan.layouts[u].total, m, j);
-                    let (ra, rb) = plan.layouts[u].ranges[w];
+                    let layout = &plan.rows[u].layout;
+                    let (sa, sb) = segment_range(layout.total, m, j);
+                    let (ra, rb) = layout.ranges[w];
                     let (ia, ib) = (sa.max(ra), sb.min(rb));
                     if ia >= ib {
                         continue;
@@ -487,15 +592,16 @@ mod tests {
     /// Reference `reassemble`: scan every (p, u) pair, collect explicit
     /// `(megastream position, bits)` pieces, and stitch them per sender in
     /// position order.
-    fn reassemble_reference(plan: &TwoPhase, w: usize, got: &Links<BitString>) -> Vec<BitString> {
+    fn reassemble_reference(plan: &TwoPhase<BitString>, w: usize, got: &PerLink) -> Vec<BitString> {
         let m = plan.live.len();
         let mut per_sender: Vec<Vec<(usize, BitString)>> = vec![Vec::new(); plan.n];
         let mut cursors = vec![0usize; plan.n];
         for (pi, &p) in plan.live.iter().enumerate() {
             for (ui, &u) in plan.live.iter().enumerate() {
                 let j = (pi + m - ui) % m;
-                let (sa, sb) = segment_range(plan.layouts[u].total, m, j);
-                let (ra, rb) = plan.layouts[u].ranges[w];
+                let layout = &plan.rows[u].layout;
+                let (sa, sb) = segment_range(layout.total, m, j);
+                let (ra, rb) = layout.ranges[w];
                 let (ia, ib) = (sa.max(ra), sb.min(rb));
                 if ia >= ib {
                     continue;
@@ -508,7 +614,7 @@ mod tests {
         }
         (0..plan.n)
             .map(|u| {
-                let (ra, rb) = plan.layouts[u].ranges[w];
+                let (ra, rb) = plan.rows[u].layout.ranges[w];
                 let mut pieces = std::mem::take(&mut per_sender[u]);
                 pieces.sort_by_key(|(pos, _)| *pos);
                 let mut stream = BitString::new();
@@ -571,55 +677,82 @@ mod tests {
 
     /// Run one oracle case under one encoding: both phases are delivered
     /// locally (no engine), then the sweep and the reference must agree on
-    /// phase-2 demands, kept blobs and every receiver's reassembled
-    /// streams, which must equal what each sender encoded.
+    /// phase-2 streams, kept blobs and every receiver's reassembled
+    /// streams, which must equal what each sender encoded. The references
+    /// read the rows as one string per link.
     fn check_against_reference(
         seed: u64,
         plan: RoutePlan,
     ) -> Result<(), proptest::test_runner::TestCaseError> {
-        let (_, live, demands) = oracle_case(seed);
-        let links = plan.encode(demands);
-        let schedule = TwoPhase::new(&live, &links);
-        let megas: Vec<BitString> = links.iter().cloned().map(concat).collect();
-        let (phase1, mut held) = schedule.scatter(&megas);
-        for (u, list) in phase1.into_iter().enumerate() {
-            for (p, seg) in list {
-                held[p.index()][u] = seg;
-            }
-        }
-        let (phase2, mut got) = schedule.slice(&held).unwrap();
-        let (phase2_ref, got_ref) = slice_reference(&schedule, &held);
+        let (n, live, demands) = oracle_case(seed);
+        let header = plan.header_bits();
+        let rows = plan.encode(demands);
+        let links: PerLink = rows.iter().map(streams).collect();
+        let schedule = TwoPhase::new(&live, rows, header);
+        let held = plan
+            .relay(schedule.scatter(), &mut |rows| Ok(transpose(&rows)))
+            .unwrap();
+        // What each intermediate holds from each sender, its own segment
+        // (segment 0, kept home) included.
+        let held_links: PerLink = (0..n)
+            .map(|p| {
+                let mut streams = streams(&held[p]);
+                if let Some(pi) = schedule.rank[p] {
+                    let own = schedule.segment(pi, pi, p);
+                    streams[p] = copy_range(&schedule.rows[p].bits, own);
+                }
+                streams
+            })
+            .collect();
+        let (phase2, kept) = schedule.slice(&held).unwrap();
+        let (phase2_ref, got_ref) = slice_reference(&schedule, &held_links);
+        let phase2_lists: Demands<BitString> = phase2
+            .iter()
+            .map(|row| {
+                let blobs = row.layout.ranges.iter().enumerate();
+                blobs
+                    .filter(|(_, r)| r.1 > r.0)
+                    .map(|(w, &(a, b))| (NodeId::from(w), copy_range(&row.bits, (a + header, b))))
+                    .collect()
+            })
+            .collect();
         prop_assert_eq!(
-            &phase2,
+            &phase2_lists,
             &phase2_ref,
             "seed {}: phase-2 demands diverge",
             seed
         );
-        prop_assert_eq!(&got, &got_ref, "seed {}: kept blobs diverge", seed);
-        for (p, list) in phase2.into_iter().enumerate() {
-            for (w, blob) in list {
-                got[w.index()][p] = blob;
-            }
-        }
-        let collected = schedule.reassemble(&got).unwrap();
+        let kept_ref: PerLink = (0..n)
+            .map(|w| {
+                (0..n)
+                    .map(|p| {
+                        if p == w {
+                            kept[w].clone()
+                        } else {
+                            BitString::new()
+                        }
+                    })
+                    .collect()
+            })
+            .collect();
+        prop_assert_eq!(&kept_ref, &got_ref, "seed {}: kept blobs diverge", seed);
+        let got = plan
+            .relay(phase2, &mut |rows| Ok(transpose(&rows)))
+            .unwrap();
+        let got_links: PerLink = (0..n)
+            .map(|w| {
+                let mut streams = streams(&got[w]);
+                streams[w] = kept[w].clone();
+                streams
+            })
+            .collect();
+        let received = schedule.reassemble(&got, &kept).unwrap();
         for &w in &live {
-            let want = reassemble_reference(&schedule, w, &got);
-            prop_assert_eq!(
-                &collected[w],
-                &want,
-                "seed {}: streams at {} diverge",
-                seed,
-                w
-            );
+            let want = reassemble_reference(&schedule, w, &got_links);
+            let collected = streams(&received[w]);
+            prop_assert_eq!(&collected, &want, "seed {}: streams at {} diverge", seed, w);
             for &u in &live {
-                prop_assert_eq!(
-                    &collected[w][u],
-                    &links[u][w],
-                    "seed {}: {} -> {}",
-                    seed,
-                    u,
-                    w
-                );
+                prop_assert_eq!(&collected[u], &links[u][w], "seed {}: {} -> {}", seed, u, w);
             }
         }
         Ok(())
@@ -631,13 +764,21 @@ mod tests {
         // [0,0) [0,4) [4,4) [4,10) meet the segments [0,3) [3,6) [6,9)
         // [9,10) in five pieces.
         let layout = MegaLayout::new([0, 4, 0, 6]);
-        let by_segment: Vec<_> = (0..4).flat_map(|j| layout.segment_pieces(4, j)).collect();
-        assert_eq!(
-            by_segment,
-            vec![(1, 0, 3), (1, 3, 4), (3, 4, 6), (3, 6, 9), (3, 9, 10)]
-        );
+        let by_segment = vec![(1, 0, 3), (1, 3, 4), (3, 4, 6), (3, 6, 9), (3, 9, 10)];
+        let fresh: Vec<_> = (0..4)
+            .flat_map(|j| layout.segment_pieces(4, j, &mut 0).collect::<Vec<_>>())
+            .collect();
+        assert_eq!(fresh, by_segment);
+        // A hint carried across the segments in rotated order, wrapping
+        // once, finds the same pieces.
+        let mut first = 0;
+        let rotated: Vec<_> = [2, 3, 0, 1]
+            .into_iter()
+            .flat_map(|j| layout.segment_pieces(4, j, &mut first).collect::<Vec<_>>())
+            .collect();
+        assert_eq!(rotated, [&by_segment[3..], &by_segment[..3]].concat());
         let by_range: Vec<_> = (0..4)
-            .flat_map(|w| layout.range_pieces(4, w).map(move |(j, a, b)| (w, j, a, b)))
+            .flat_map(|w| range_pieces(10, 4, layout.ranges[w]).map(move |(j, a, b)| (w, j, a, b)))
             .collect();
         assert_eq!(
             by_range,
@@ -651,10 +792,10 @@ mod tests {
         );
         // Fewer bits than segments: the trailing segments are empty.
         let short = MegaLayout::new([2, 0]);
-        assert_eq!(short.segment_pieces(5, 3).count(), 0);
-        assert_eq!(short.range_pieces(5, 1).count(), 0);
+        assert_eq!(short.segment_pieces(5, 3, &mut 0).count(), 0);
+        assert_eq!(range_pieces(2, 5, short.ranges[1]).count(), 0);
         assert_eq!(
-            short.range_pieces(5, 0).collect::<Vec<_>>(),
+            range_pieces(2, 5, short.ranges[0]).collect::<Vec<_>>(),
             [(0, 0, 1), (1, 1, 2)]
         );
     }
@@ -701,8 +842,8 @@ mod tests {
         }
     }
 
+    // The default config, so `PROPTEST_CASES` deepens the oracle sweep.
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(64))]
         #[test]
         fn prop_sweep_matches_cubic_reference_framed(seed in any::<u64>()) {
             check_against_reference(seed, RoutePlan::balanced())?;

@@ -32,13 +32,79 @@ pub fn frame_all<'a>(payloads: impl IntoIterator<Item = &'a BitString>) -> BitSt
 /// Parse a stream of frames back into payloads. Rejects malformed streams
 /// (truncated header or payload).
 pub fn parse_frames(stream: &BitString) -> Result<Vec<BitString>, DecodeError> {
-    let mut r = stream.reader();
-    let mut out = Vec::new();
-    while r.remaining() > 0 {
-        let len = r.read_uint(LEN_HEADER_BITS)? as usize;
-        out.push(r.read_bits(len)?);
+    frame_ranges(stream, (0, stream.len()))
+        .map(|payload| payload.map(|range| copy_range(stream, range)))
+        .collect()
+}
+
+/// The payload ranges of the frames that fill bits `a..b` of `bits`, in
+/// order. A malformed frame ends the walk with its error, positioned
+/// within the region as [`parse_frames`] reports it on a copy of the
+/// region.
+pub(crate) fn frame_ranges(
+    bits: &BitString,
+    (a, b): (usize, usize),
+) -> impl Iterator<Item = Result<(usize, usize), DecodeError>> + '_ {
+    let mut pos = Some(a);
+    std::iter::from_fn(move || {
+        let at = pos.filter(|&at| at < b)?;
+        let frame = frame_at(bits, (a, b), at);
+        pos = frame.ok().map(|(_, end)| end);
+        Some(frame)
+    })
+}
+
+/// The payload range of the one frame that fills bits `a..b` of `bits`,
+/// checked as a reader over a copy of the region would check it: a full
+/// header, a payload as long as it announces, and nothing after it.
+pub(crate) fn unframe(
+    bits: &BitString,
+    (a, b): (usize, usize),
+) -> Result<(usize, usize), DecodeError> {
+    let (start, end) = frame_at(bits, (a, b), a)?;
+    if end != b {
+        return Err(short((a, b), end, 0));
     }
-    Ok(out)
+    Ok((start, end))
+}
+
+/// The payload range of the frame whose header sits at `at` in the region
+/// `a..b` of `bits`.
+fn frame_at(
+    bits: &BitString,
+    (a, b): (usize, usize),
+    at: usize,
+) -> Result<(usize, usize), DecodeError> {
+    if b - at < LEN_HEADER_BITS {
+        return Err(short((a, b), at, LEN_HEADER_BITS));
+    }
+    let mut r = bits.reader();
+    r.skip(at)?;
+    let len = r.read_uint(LEN_HEADER_BITS)? as usize;
+    let start = at + LEN_HEADER_BITS;
+    if b - start < len {
+        return Err(short((a, b), start, len));
+    }
+    Ok((start, start + len))
+}
+
+/// The error for `wanted` bits missing at `at` in the region `a..b`,
+/// positioned within the region, as a reader over a copy of the region
+/// reports it.
+pub(crate) fn short((a, b): (usize, usize), at: usize, wanted: usize) -> DecodeError {
+    DecodeError {
+        at: at - a,
+        wanted,
+        len: b - a,
+    }
+}
+
+/// Bits `a..b` of `bits` as a string of their own.
+pub(crate) fn copy_range(bits: &BitString, (a, b): (usize, usize)) -> BitString {
+    let mut out = BitString::new();
+    out.extend_from_range(bits, a, b - a)
+        .expect("callers pass ranges inside the string");
+    out
 }
 
 /// Rounds needed to ship `stream_bits` over one link at `bandwidth` bits per

@@ -23,19 +23,25 @@
 //!   ([`cc_resilient::majority_payload`]), for engines whose fault plan
 //!   drops or corrupts messages.
 //!
-//! Every combination runs one path. An encoder turns demands into
-//! per-link streams, the schedule moves them, one direct shipper runs
-//! each engine pass through `Session::run_faulted`, and one decoder splits
-//! what arrived back into payloads. [`RoutePlan::cost`] walks the same
-//! schedule over bit counts instead of bits and prices each pass with the
-//! one analytic mirror of the engine's ledger, so its [`RunStats`] equal
-//! the fault-free run's field for field, by construction.
+//! Every combination runs one path, over one *row* per node: its streams
+//! to (or from) every peer, concatenated in peer order in one string, with
+//! each peer's range kept in a `MegaLayout`. An encoder writes each node's
+//! demands into its row, the schedule moves rows, one direct shipper runs
+//! each engine pass through `Session::run_faulted` and hands back the row
+//! each node received (what arrived from every source, each source's in
+//! its own range, in source order), and one decoder splits each source's
+//! range back into payloads. No stage builds a stream per link, so a
+//! stage allocates one string per node, not `n²`. [`RoutePlan::cost`]
+//! walks the same schedule over rows of bit counts instead of bits and
+//! prices each pass with the one analytic mirror of the engine's ledger,
+//! so its [`RunStats`] equal the fault-free run's field for field, by
+//! construction.
 
 use cliquesim::{BitString, DecodeError, FaultReport, NodeId, NodeProgram, RunStats, Session};
 
-use crate::balanced::two_phase;
+use crate::balanced::{two_phase, MegaLayout};
 use crate::fault::{CrashSet, RoutedOutcome, Undeliverable};
-use crate::frames::{parse_frames, rounds_for, LEN_HEADER_BITS};
+use crate::frames::{copy_range, frame_ranges, rounds_for, short, unframe, LEN_HEADER_BITS};
 use crate::router::{Delivered, ResilientRouterNode, RouteError, RouterNode};
 
 /// Demand **sizes** in the shape of a demand matrix: per sender, the
@@ -59,21 +65,42 @@ pub fn demand_sizes(demands: &[Vec<(NodeId, BitString)>]) -> DemandSizes {
 /// One demand list per node, over bits or bit counts.
 pub(crate) type Demands<S> = Vec<Vec<(NodeId, S)>>;
 
-/// An `n × n` stream matrix: `links[u][w]` as sent, or `collected[w][u]`
-/// as received.
-pub(crate) type Links<S> = Vec<Vec<S>>;
+/// One node's streams to (or from) every peer: `layout.ranges[peer]` is
+/// the range of `bits` that holds the stream to (from) `peer`. Rows that
+/// are sent are laid out back to back in peer order; a received row keeps
+/// each source's range where it arrived.
+#[derive(Debug, Default)]
+pub(crate) struct Row<S> {
+    pub(crate) bits: S,
+    pub(crate) layout: MegaLayout,
+}
+
+impl<S: Stream> Row<S> {
+    /// A row of zeros whose peers' streams have `sizes` bits, back to back
+    /// in peer order: filled by positioned writes, in any order.
+    pub(crate) fn presized(sizes: impl IntoIterator<Item = usize>) -> Self {
+        let layout = MegaLayout::new(sizes);
+        Self {
+            bits: S::zeros(layout.total),
+            layout,
+        }
+    }
+}
 
 /// What a schedule moves: bits when a plan ships, bit counts when it is
 /// priced.
-pub(crate) trait Stream: Clone + Default {
+pub(crate) trait Stream: Default {
     /// Length in bits.
     fn bits(&self) -> usize;
-    /// Append bits `start..start + len` of `src`.
-    fn push_range(&mut self, src: &Self, start: usize, len: usize) -> Result<(), DecodeError>;
-    /// Append a frame header announcing a `len`-bit payload.
-    fn push_header(&mut self, len: usize);
-    /// The payload of a stream that holds exactly one frame.
-    fn unframe(&self) -> Result<Self, DecodeError>;
+    /// `len` zero bits, to be overwritten in place.
+    fn zeros(len: usize) -> Self;
+    /// Overwrite bits `at..at + len` with bits `start..start + len` of
+    /// `src`.
+    fn write(&mut self, at: usize, src: &Self, start: usize, len: usize);
+    /// Write a frame header announcing a `len`-bit payload at `at`.
+    fn write_header(&mut self, at: usize, len: usize);
+    /// The payload range of the one frame that fills bits `a..b`.
+    fn unframe(&self, a: usize, b: usize) -> Result<(usize, usize), DecodeError>;
 }
 
 impl Stream for BitString {
@@ -81,20 +108,23 @@ impl Stream for BitString {
         self.len()
     }
 
-    fn push_range(&mut self, src: &Self, start: usize, len: usize) -> Result<(), DecodeError> {
-        self.extend_from_range(src, start, len)
+    fn zeros(len: usize) -> Self {
+        BitString::zeros(len)
     }
 
-    fn push_header(&mut self, len: usize) {
-        self.push_uint(len as u64, LEN_HEADER_BITS);
+    fn write(&mut self, at: usize, src: &Self, start: usize, len: usize) {
+        self.write_range(at, src, start, len)
+            .expect("callers check the source range");
     }
 
-    fn unframe(&self) -> Result<Self, DecodeError> {
-        let mut r = self.reader();
-        let len = r.read_uint(LEN_HEADER_BITS)? as usize;
-        let payload = r.read_bits(len)?;
-        r.expect_end()?;
-        Ok(payload)
+    fn write_header(&mut self, at: usize, len: usize) {
+        let mut header = BitString::new();
+        header.push_uint(len as u64, LEN_HEADER_BITS);
+        self.write(at, &header, 0, LEN_HEADER_BITS);
+    }
+
+    fn unframe(&self, a: usize, b: usize) -> Result<(usize, usize), DecodeError> {
+        unframe(self, (a, b))
     }
 }
 
@@ -104,17 +134,16 @@ impl Stream for usize {
         *self
     }
 
-    fn push_range(&mut self, _: &Self, _: usize, len: usize) -> Result<(), DecodeError> {
-        *self += len;
-        Ok(())
+    fn zeros(len: usize) -> Self {
+        len
     }
 
-    fn push_header(&mut self, _: usize) {
-        *self += LEN_HEADER_BITS;
-    }
+    fn write(&mut self, _: usize, _: &Self, _: usize, _: usize) {}
 
-    fn unframe(&self) -> Result<Self, DecodeError> {
-        Ok(self - LEN_HEADER_BITS)
+    fn write_header(&mut self, _: usize, _: usize) {}
+
+    fn unframe(&self, a: usize, b: usize) -> Result<(usize, usize), DecodeError> {
+        Ok((a + LEN_HEADER_BITS, b))
     }
 }
 
@@ -245,17 +274,18 @@ impl RoutePlan {
         };
         let mut stats = RunStats::default();
         let mut report = FaultReport::default();
-        let collected = self.walk(demands, &mut |links| {
-            self.ship(session, links, &mut stats, &mut report)
+        let received = self.walk(demands, &mut |rows| {
+            self.ship(session, rows, &mut stats, &mut report)
         })?;
-        let delivered = collected
-            .into_iter()
+        let delivered = received
+            .iter()
             .enumerate()
             .map(|(w, row)| {
                 if self.crash.is_dead(NodeId::from(w)) {
                     Ok(None)
                 } else {
-                    self.decode(w, row, &lens).map(Some)
+                    let lens = lens.get(w).map_or(&[][..], Vec::as_slice);
+                    self.decode(w, row, lens).map(Some)
                 }
             })
             .collect::<Result<_, _>>()?;
@@ -301,9 +331,9 @@ impl RoutePlan {
             .collect();
         let demands = self.crash.partition_demands(demands, |_, _, _, _| {});
         let mut stats = RunStats::default();
-        self.walk(demands, &mut |links: Links<usize>| {
-            stats.absorb(&direct_cost_from_links(bandwidth, &links, self.repeats));
-            Ok(transpose(links))
+        self.walk(demands, &mut |rows: Vec<Row<usize>>| {
+            stats.absorb(&direct_cost(bandwidth, &rows, self.repeats));
+            Ok(transpose(&rows))
         })
         .expect("a priced walk moves counts and cannot fail");
         stats
@@ -344,63 +374,85 @@ impl RoutePlan {
             .collect())
     }
 
+    /// Frame header bits per stream: [`LEN_HEADER_BITS`] when framed, none
+    /// when sized.
+    pub(crate) fn header_bits(&self) -> usize {
+        match self.encoding {
+            Encoding::Framed => LEN_HEADER_BITS,
+            Encoding::Sized => 0,
+        }
+    }
+
     /// Walk the schedule over `demands`, handing each engine pass's
-    /// encoded per-link streams to `ship`, which returns what every node
-    /// collected from every source. [`RoutePlan::run_faulted`] ships bits
-    /// over the session and [`RoutePlan::cost`] prices bit counts, so the
-    /// two share every step but the pass itself. Returns the encoded
-    /// stream each node assembled from each source.
+    /// encoded rows to `ship`, which returns the row every node received.
+    /// [`RoutePlan::run_faulted`] ships bits over the session and
+    /// [`RoutePlan::cost`] prices bit counts, so the two share every step
+    /// but the pass itself. Returns the row each node assembled: what it
+    /// got from every source, in source order.
     fn walk<S: Stream>(
         &self,
         demands: Demands<S>,
-        ship: &mut impl FnMut(Links<S>) -> Result<Links<S>, RouteError>,
-    ) -> Result<Links<S>, RouteError> {
+        ship: &mut impl FnMut(Vec<Row<S>>) -> Result<Vec<Row<S>>, RouteError>,
+    ) -> Result<Vec<Row<S>>, RouteError> {
         let n = demands.len();
-        let links = self.encode(demands);
+        let rows = self.encode(demands);
         match self.schedule {
-            Schedule::Direct => ship(links),
+            Schedule::Direct => ship(rows),
             Schedule::Balanced => {
                 let live: Vec<usize> = self.crash.survivors(n).iter().map(|v| v.index()).collect();
-                two_phase(self, &live, links, ship)
+                two_phase(self, &live, rows, ship)
             }
         }
     }
 
-    /// The one encoder: `links[u][w]` is everything `u` sends `w`, each
-    /// payload behind a length header when framed.
-    pub(crate) fn encode<S: Stream>(&self, demands: Demands<S>) -> Links<S> {
+    /// The one encoder: node `u`'s row holds everything `u` sends each
+    /// peer `w` in `w`'s range, each payload behind a length header when
+    /// framed, several payloads to one peer in sending order.
+    pub(crate) fn encode<S: Stream>(&self, demands: Demands<S>) -> Vec<Row<S>> {
         let n = demands.len();
-        let mut links = vec![vec![S::default(); n]; n];
-        for (u, list) in demands.into_iter().enumerate() {
-            for (dst, payload) in list {
-                let w = dst.index();
-                assert_ne!(w, u, "demand from node {u} to itself");
-                let stream = &mut links[u][w];
-                if self.encoding == Encoding::Framed {
-                    stream.push_header(payload.bits());
+        let header = self.header_bits();
+        let mut sizes = vec![0; n];
+        let mut cursor = Vec::with_capacity(n);
+        demands
+            .into_iter()
+            .enumerate()
+            .map(|(u, list)| {
+                sizes.fill(0);
+                for (dst, payload) in &list {
+                    assert_ne!(dst.index(), u, "demand from node {u} to itself");
+                    sizes[dst.index()] += header + payload.bits();
                 }
-                stream
-                    .push_range(&payload, 0, payload.bits())
-                    .expect("a whole payload is in range");
-            }
-        }
-        links
+                let mut row = Row::<S>::presized(sizes.iter().copied());
+                cursor.clear();
+                cursor.extend(row.layout.ranges.iter().map(|r| r.0));
+                for (dst, payload) in &list {
+                    let at = &mut cursor[dst.index()];
+                    if header > 0 {
+                        row.bits.write_header(*at, payload.bits());
+                    }
+                    row.bits.write(*at + header, payload, 0, payload.bits());
+                    *at += header + payload.bits();
+                }
+                row
+            })
+            .collect()
     }
 
     /// Ship one balanced phase, which sends at most one payload per link,
-    /// and return the payload each node got from each source (empty where
-    /// nothing was sent).
+    /// and return the row each node received with each source's range
+    /// narrowed to its payload: a framed stream's header is checked in
+    /// place, as [`crate::parse_frames`] would check a copy.
     pub(crate) fn relay<S: Stream>(
         &self,
-        phase: Demands<S>,
-        ship: &mut impl FnMut(Links<S>) -> Result<Links<S>, RouteError>,
-    ) -> Result<Links<S>, RouteError> {
-        let mut got = ship(self.encode(phase))?;
+        phase: Vec<Row<S>>,
+        ship: &mut impl FnMut(Vec<Row<S>>) -> Result<Vec<Row<S>>, RouteError>,
+    ) -> Result<Vec<Row<S>>, RouteError> {
+        let mut got = ship(phase)?;
         if self.encoding == Encoding::Framed {
-            for (w, row) in got.iter_mut().enumerate() {
-                for stream in row.iter_mut().filter(|s| s.bits() > 0) {
-                    *stream = stream
-                        .unframe()
+            for (w, Row { bits, layout }) in got.iter_mut().enumerate() {
+                for range in layout.ranges.iter_mut().filter(|r| r.1 > r.0) {
+                    *range = bits
+                        .unframe(range.0, range.1)
                         .map_err(|e| RouteError::Malformed(NodeId::from(w), e))?;
                 }
             }
@@ -408,68 +460,78 @@ impl RoutePlan {
         Ok(got)
     }
 
-    /// The one decoder: split the streams node `w` collected (`collected[u]`
-    /// from source `u`) back into `(source, payload)` pairs — framed streams
-    /// by their headers, sized streams by the known lengths `lens[u][w]`.
+    /// The one decoder: split each source's range of the row node `w`
+    /// received back into `(source, payload)` pairs — framed ranges by
+    /// their headers, sized ranges by the known lengths `lens` (`(source,
+    /// length)` pairs, sources ascending, each source's in sending order).
     fn decode(
         &self,
         w: usize,
-        collected: Vec<BitString>,
-        lens: &[Vec<Vec<usize>>],
+        row: &Row<BitString>,
+        lens: &[(usize, usize)],
     ) -> Result<Delivered, RouteError> {
         let malformed = |e| RouteError::Malformed(NodeId::from(w), e);
         let mut delivered = Vec::new();
-        for (u, stream) in collected.into_iter().enumerate() {
+        let mut lens = lens.iter().peekable();
+        for (u, &(a, b)) in row.layout.ranges.iter().enumerate() {
             let src = NodeId::from(u);
             match self.encoding {
                 Encoding::Framed => {
-                    for payload in parse_frames(&stream).map_err(malformed)? {
-                        delivered.push((src, payload));
+                    for payload in frame_ranges(&row.bits, (a, b)) {
+                        delivered.push((src, copy_range(&row.bits, payload.map_err(malformed)?)));
                     }
                 }
                 Encoding::Sized => {
-                    let mut r = stream.reader();
-                    for &len in &lens[u][w] {
-                        delivered.push((src, r.read_bits(len).map_err(malformed)?));
+                    let mut pos = a;
+                    while let Some(&(_, len)) = lens.next_if(|&&(s, _)| s == u) {
+                        if b - pos < len {
+                            return Err(malformed(short((a, b), pos, len)));
+                        }
+                        delivered.push((src, copy_range(&row.bits, (pos, pos + len))));
+                        pos += len;
                     }
-                    r.expect_end().map_err(malformed)?;
+                    if pos != b {
+                        return Err(malformed(short((a, b), pos, 0)));
+                    }
                 }
             }
         }
         Ok(delivered)
     }
 
-    /// The one direct shipper: run per-link streams `links[u][w]` as the
-    /// static direct schedule on `session`, every chunk sent `repeats`
-    /// times, fold the pass into `stats` and `report`, and return what each
-    /// node collected from each source (`[w][u]`).
+    /// The one direct shipper: run each node's row as the static direct
+    /// schedule on `session`, every chunk sent `repeats` times, fold the
+    /// pass into `stats` and `report`, and return the row each node
+    /// received.
     fn ship(
         &self,
         session: &mut Session,
-        links: Links<BitString>,
+        rows: Vec<Row<BitString>>,
         stats: &mut RunStats,
         report: &mut FaultReport,
-    ) -> Result<Links<BitString>, RouteError> {
-        let n = links.len();
+    ) -> Result<Vec<Row<BitString>>, RouteError> {
+        let n = rows.len();
         let bandwidth = session.bandwidth();
-        let chunks = links
+        let chunks = rows
             .iter()
-            .flatten()
-            .map(|s| rounds_for(s.len(), bandwidth))
+            .flat_map(|row| row.layout.lens())
+            .map(|len| rounds_for(len, bandwidth))
             .max()
             .unwrap_or(0);
         if self.repeats == 1 {
-            let in_lens: Vec<Vec<usize>> = (0..n)
-                .map(|w| links.iter().map(|row| row[w].len()).collect())
+            let inbound: Vec<MegaLayout> = columns(&rows)
+                .iter()
+                .map(|column| MegaLayout::new(column.iter().map(|&(a, b)| b - a)))
                 .collect();
-            let programs = links
+            let programs = rows
                 .into_iter()
+                .zip(inbound)
                 .enumerate()
-                .map(|(v, row)| RouterNode::new(v, row, &in_lens[v], chunks))
+                .map(|(v, (row, inbound))| RouterNode::new(v, row, inbound, chunks))
                 .collect();
             self.pass(session, programs, chunks, stats, report)
         } else {
-            let programs = links
+            let programs = rows
                 .into_iter()
                 .map(|row| ResilientRouterNode::new(n, row, chunks, self.repeats))
                 .collect();
@@ -478,14 +540,14 @@ impl RoutePlan {
     }
 
     /// One engine pass of `ship`, promised to take `schedule` rounds.
-    fn pass<P: NodeProgram<Output = Vec<BitString>>>(
+    fn pass<P: NodeProgram<Output = Row<BitString>>>(
         &self,
         session: &mut Session,
         programs: Vec<P>,
         schedule: usize,
         stats: &mut RunStats,
         report: &mut FaultReport,
-    ) -> Result<Links<BitString>, RouteError> {
+    ) -> Result<Vec<Row<BitString>>, RouteError> {
         let out = session.run_faulted(programs)?;
         // A structured error, not a `debug_assert`: release builds, where
         // the release-mode CI job runs, need the check too.
@@ -500,49 +562,64 @@ impl RoutePlan {
         out.outputs
             .into_iter()
             .enumerate()
-            .map(|(v, collected)| match collected {
-                Some(collected) => Ok(collected),
-                None if self.crash.is_dead(NodeId::from(v)) => Ok(Vec::new()),
+            .map(|(v, received)| match received {
+                Some(received) => Ok(received),
+                None if self.crash.is_dead(NodeId::from(v)) => Ok(Row::default()),
                 None => Err(RouteError::UnplannedCrash(NodeId::from(v))),
             })
             .collect()
     }
 }
 
-/// `lens[u][w]`: the payload lengths `u` sends `w`, in sending order.
-fn payload_lens(demands: &Demands<BitString>) -> Vec<Vec<Vec<usize>>> {
-    let n = demands.len();
-    let mut lens = vec![vec![Vec::new(); n]; n];
+/// `lens[w]`: the `(source, payload length)` pairs headed to `w`, sources
+/// ascending, each source's in sending order.
+fn payload_lens(demands: &Demands<BitString>) -> Vec<Vec<(usize, usize)>> {
+    let mut lens = vec![Vec::new(); demands.len()];
     for (u, list) in demands.iter().enumerate() {
         for (dst, payload) in list {
-            lens[u][dst.index()].push(payload.len());
+            lens[dst.index()].push((u, payload.len()));
         }
     }
     lens
 }
 
-/// What a fault-free pass delivers: `collected[w][u] = links[u][w]`.
-fn transpose<S: Stream>(links: Links<S>) -> Links<S> {
-    let n = links.len();
-    let mut collected = vec![vec![S::default(); n]; n];
-    for (u, row) in links.into_iter().enumerate() {
-        for (w, stream) in row.into_iter().enumerate() {
-            collected[w][u] = stream;
-        }
-    }
-    collected
+/// For every peer `v`, the range of every row that holds its stream to
+/// (or from) `v`: `columns(rows)[v][u] == rows[u].layout.ranges[v]`.
+pub(crate) fn columns<S>(rows: &[Row<S>]) -> Vec<Vec<(usize, usize)>> {
+    (0..rows.len())
+        .map(|v| rows.iter().map(|row| row.layout.ranges[v]).collect())
+        .collect()
 }
 
-/// The engine's ledger for one pass of the direct schedule over per-link
-/// stream lengths `links[u][w]` (bits), every chunk sent `repeats` times
-/// over consecutive rounds: mirrors the router programs' chunking and the
+/// What a fault-free pass delivers: node `w` receives from every `u`
+/// exactly the stream in `rows[u]`'s range for `w`.
+pub(crate) fn transpose<S: Stream>(rows: &[Row<S>]) -> Vec<Row<S>> {
+    columns(rows)
+        .iter()
+        .map(|column| {
+            let mut got = Row::<S>::presized(column.iter().map(|&(a, b)| b - a));
+            for (u, (row, &(a, b))) in rows.iter().zip(column).enumerate() {
+                got.bits.write(got.layout.ranges[u].0, &row.bits, a, b - a);
+            }
+            got
+        })
+        .collect()
+}
+
+/// The engine's ledger for one pass of the direct schedule over rows of
+/// per-link stream lengths (bits), every chunk sent `repeats` times over
+/// consecutive rounds: mirrors the router programs' chunking and the
 /// engine's round-close accounting bit for bit. This is the only analytic
 /// mirror of the engine in the crate.
-fn direct_cost_from_links(bandwidth: usize, links: &[Vec<usize>], repeats: usize) -> RunStats {
+fn direct_cost(bandwidth: usize, rows: &[Row<usize>], repeats: usize) -> RunStats {
     // `per_chunk[c]`: the bits every link's chunk `c` puts on the wire.
     let mut per_chunk: Vec<usize> = Vec::new();
     let mut stats = RunStats::default();
-    for &len in links.iter().flatten().filter(|&&len| len > 0) {
+    for len in rows
+        .iter()
+        .flat_map(|row| row.layout.lens())
+        .filter(|&len| len > 0)
+    {
         let chunks = rounds_for(len, bandwidth);
         if per_chunk.len() < chunks {
             per_chunk.resize(chunks, 0);

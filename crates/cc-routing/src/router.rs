@@ -16,13 +16,22 @@
 //!
 //! Every [`crate::RoutePlan`] pass runs one of the two programs here:
 //! `RouterNode` ships each chunk once, `ResilientRouterNode` `k` times.
+//! Both take the node's encoded row (its streams to every peer, back to
+//! back in peer order) and ship chunk `r` of link `v → w` straight from
+//! `w`'s range of it. `RouterNode` writes each arrival at its source's
+//! fill cursor in one inbound row pre-sized to the schedule, so what it
+//! hands back from a source is exactly the concatenation of what arrived:
+//! shorter when the wire drops or truncates chunks, and longer when a
+//! lying sender swaps in a longer message, which moves the later ranges
+//! up instead of clipping.
 
 use cc_resilient::majority_payload;
 use cliquesim::{
     BitString, DecodeError, Inbox, NodeCtx, NodeId, NodeProgram, Outbox, Session, SimError, Status,
 };
 
-use crate::plan::RoutePlan;
+use crate::balanced::MegaLayout;
+use crate::plan::{RoutePlan, Row};
 
 /// Messages delivered to one node by a routing phase: `(source, payload)`
 /// pairs, sources in increasing order, payloads per source in sending order.
@@ -84,45 +93,70 @@ impl From<SimError> for RouteError {
 /// bandwidth-sized chunk of every outgoing stream; collect incoming chunks;
 /// halt after the globally known schedule length.
 pub(crate) struct RouterNode {
-    /// Encoded outgoing stream per destination; round `r` ships bits
-    /// `[r·B, (r+1)·B)`, cut on demand (cursor skips are O(1)).
-    out_streams: Vec<BitString>,
+    /// This node's streams to every peer, back to back in peer order;
+    /// round `r` ships bits `[a + r·B, a + (r+1)·B)` of each peer's range
+    /// `[a, b)`, cut at `b` (cursor skips are O(1)).
+    out: Row<BitString>,
     /// Destinations whose stream still has bits to ship, ascending: a step
     /// visits only these.
     live: Vec<usize>,
-    /// Accumulated raw bits per source, reserved at their final lengths.
-    collected: Vec<BitString>,
+    /// What arrives, in one row pre-sized to the schedule's streams: each
+    /// source's chunks go to its range, in arrival order.
+    inbound: Row<BitString>,
+    /// Per source, how far its range is filled.
+    fill: Vec<usize>,
     /// Schedule length: number of communication rounds (globally known —
     /// in the algorithms of the paper it is a function of `n` and `k`).
     schedule: usize,
 }
 
 impl RouterNode {
-    /// Node `v`'s program shipping `out_streams` in `schedule` rounds and
-    /// collecting `in_lens[u]` bits from each source `u`.
-    pub(crate) fn new(
-        v: usize,
-        out_streams: Vec<BitString>,
-        in_lens: &[usize],
-        schedule: usize,
-    ) -> Self {
-        let n = out_streams.len();
+    /// Node `v`'s program shipping its row `out` in `schedule` rounds and
+    /// collecting, from each source, the stream `inbound` lays out for it.
+    pub(crate) fn new(v: usize, out: Row<BitString>, inbound: MegaLayout, schedule: usize) -> Self {
         Self {
-            collected: in_lens
-                .iter()
-                .map(|&len| BitString::with_capacity(len))
+            live: (0..out.layout.ranges.len())
+                .filter(|&w| w != v && out.layout.len(w) > 0)
                 .collect(),
-            live: (0..n)
-                .filter(|&w| w != v && !out_streams[w].is_empty())
-                .collect(),
-            out_streams,
+            out,
+            fill: inbound.ranges.iter().map(|r| r.0).collect(),
+            inbound: Row {
+                bits: BitString::zeros(inbound.total),
+                layout: inbound,
+            },
             schedule,
+        }
+    }
+
+    /// Make room for `len` more bits from source `u` than its range has
+    /// left: what the schedule promised can differ from what arrives, as
+    /// when a lying sender swaps in a longer message. The ranges after
+    /// `u` move up, so every range still holds exactly what arrived.
+    #[cold]
+    #[inline(never)]
+    fn grow(&mut self, u: usize, len: usize) {
+        let Row { bits, layout } = &mut self.inbound;
+        let split = layout.ranges[u].1;
+        let extra = self.fill[u] + len - split;
+        let old = std::mem::replace(bits, BitString::zeros(layout.total + extra));
+        bits.write_range(0, &old, 0, split)
+            .expect("the ranges up to `u` are in range");
+        bits.write_range(split + extra, &old, split, old.len() - split)
+            .expect("the ranges after `u` are in range");
+        layout.ranges[u].1 += extra;
+        layout.total += extra;
+        for (range, fill) in layout.ranges[u + 1..]
+            .iter_mut()
+            .zip(&mut self.fill[u + 1..])
+        {
+            *range = (range.0 + extra, range.1 + extra);
+            *fill += extra;
         }
     }
 }
 
 impl NodeProgram for RouterNode {
-    type Output = Vec<BitString>;
+    type Output = Row<BitString>;
 
     fn step(
         &mut self,
@@ -130,31 +164,46 @@ impl NodeProgram for RouterNode {
         round: usize,
         inbox: &Inbox<'_>,
         outbox: &mut Outbox<'_>,
-    ) -> Status<Vec<BitString>> {
-        // Collect chunks that arrived this round.
+    ) -> Status<Row<BitString>> {
+        // Write the chunks that arrived this round at their sources' fill
+        // cursors.
         if round > 0 {
             for (src, msg) in inbox.iter() {
-                self.collected[src.index()].extend_from(msg);
+                let u = src.index();
+                let len = msg.len();
+                if len > self.inbound.layout.ranges[u].1 - self.fill[u] {
+                    self.grow(u, len);
+                }
+                self.inbound
+                    .bits
+                    .write_range(self.fill[u], msg, 0, len)
+                    .expect("a whole message is in range");
+                self.fill[u] += len;
             }
         }
         if round == self.schedule {
-            return Status::Halt(std::mem::take(&mut self.collected));
+            // Each range ends where its source's chunks did.
+            let mut inbound = std::mem::take(&mut self.inbound);
+            for (range, &fill) in inbound.layout.ranges.iter_mut().zip(&self.fill) {
+                range.1 = fill;
+            }
+            return Status::Halt(inbound);
         }
         // Ship this round's chunk of every unfinished stream, in place.
         // Every stream ships a full chunk each round until it runs out, so
-        // round `r`'s chunk of every live stream starts at bit `r·B`.
-        let start = round * ctx.bandwidth;
-        let streams = &self.out_streams;
+        // round `r`'s chunk of every live stream starts `r·B` bits into it.
+        let Row { bits, layout } = &self.out;
         self.live.retain(|&dst| {
-            let stream = &streams[dst];
-            let take = ctx.bandwidth.min(stream.len() - start);
-            let mut r = stream.reader();
+            let (a, b) = layout.ranges[dst];
+            let start = a + round * ctx.bandwidth;
+            let take = ctx.bandwidth.min(b - start);
+            let mut r = bits.reader();
             r.skip(start)
                 .expect("live streams extend past the round's start");
             outbox
                 .send_with(NodeId::from(dst), |slot| r.read_into(take, slot))
                 .expect("chunk in range");
-            start + take < stream.len()
+            start + take < b
         });
         Status::Continue
     }
@@ -167,8 +216,8 @@ impl NodeProgram for RouterNode {
 /// survives as long as intact copies outnumber corrupted ones and at least
 /// one copy arrives.
 pub(crate) struct ResilientRouterNode {
-    /// Encoded outgoing stream per destination.
-    out_streams: Vec<BitString>,
+    /// This node's streams to every peer, back to back in peer order.
+    out: Row<BitString>,
     /// `copies[src][chunk]` = the copies of chunk `chunk` received from
     /// `src` (fewer than `repeats` if the adversary dropped some).
     copies: Vec<Vec<Vec<BitString>>>,
@@ -178,16 +227,11 @@ pub(crate) struct ResilientRouterNode {
 }
 
 impl ResilientRouterNode {
-    /// A program shipping `out_streams` in `chunks` chunks, each sent
+    /// A program shipping its row `out` in `chunks` chunks, each sent
     /// `repeats` times, on an `n`-node clique.
-    pub(crate) fn new(
-        n: usize,
-        out_streams: Vec<BitString>,
-        chunks: usize,
-        repeats: usize,
-    ) -> Self {
+    pub(crate) fn new(n: usize, out: Row<BitString>, chunks: usize, repeats: usize) -> Self {
         Self {
-            out_streams,
+            out,
             copies: vec![vec![Vec::new(); chunks]; n],
             chunks,
             repeats,
@@ -196,7 +240,7 @@ impl ResilientRouterNode {
 }
 
 impl NodeProgram for ResilientRouterNode {
-    type Output = Vec<BitString>;
+    type Output = Row<BitString>;
 
     fn step(
         &mut self,
@@ -204,7 +248,7 @@ impl NodeProgram for ResilientRouterNode {
         round: usize,
         inbox: &Inbox<'_>,
         outbox: &mut Outbox<'_>,
-    ) -> Status<Vec<BitString>> {
+    ) -> Status<Row<BitString>> {
         if round > 0 {
             let chunk = (round - 1) / self.repeats;
             for (src, msg) in inbox.iter() {
@@ -212,34 +256,38 @@ impl NodeProgram for ResilientRouterNode {
             }
         }
         if round == self.chunks * self.repeats {
-            // Majority-vote each chunk and concatenate per source.
-            let collected = self
-                .copies
-                .iter()
-                .map(|chunks| {
-                    let mut stream = BitString::new();
-                    for copies in chunks {
-                        if let Some(winner) = majority_payload(copies) {
-                            stream.extend_from(&winner);
-                        }
+            // Majority-vote each chunk and lay the winners out per source,
+            // in source order.
+            let mut bits = BitString::new();
+            let mut ranges = Vec::with_capacity(self.copies.len());
+            for chunks in &self.copies {
+                let start = bits.len();
+                for copies in chunks {
+                    if let Some(winner) = majority_payload(copies) {
+                        bits.extend_from(&winner);
                     }
-                    stream
-                })
-                .collect();
-            return Status::Halt(collected);
+                }
+                ranges.push((start, bits.len()));
+            }
+            let total = bits.len();
+            return Status::Halt(Row {
+                bits,
+                layout: MegaLayout { ranges, total },
+            });
         }
         let chunk = round / self.repeats;
+        let Row { bits, layout } = &self.out;
         for dst in 0..ctx.n {
             if dst == ctx.id.index() {
                 continue;
             }
-            let stream = &self.out_streams[dst];
-            let start = chunk * ctx.bandwidth;
-            if start >= stream.len() {
+            let (a, b) = layout.ranges[dst];
+            let start = a + chunk * ctx.bandwidth;
+            if start >= b {
                 continue;
             }
-            let take = ctx.bandwidth.min(stream.len() - start);
-            let mut r = stream.reader();
+            let take = ctx.bandwidth.min(b - start);
+            let mut r = bits.reader();
             r.skip(start).expect("chunk start in range");
             outbox
                 .send_with(NodeId::from(dst), |slot| r.read_into(take, slot))

@@ -267,15 +267,24 @@ impl BitString {
         self.len += width;
     }
 
-    /// The 64 bits starting at bit `pos`; bits past the end read as zero.
-    fn word_at(&self, pos: usize) -> u64 {
-        let words = self.words();
-        let (base, off) = (pos / 64, pos % 64);
-        let lo = words.get(base).copied().unwrap_or(0) >> off;
-        if off == 0 {
-            lo
-        } else {
-            lo | words.get(base + 1).copied().unwrap_or(0) << (64 - off)
+    /// The `width` bits at `pos`, `1 ≤ width ≤ 64`, `pos + width ≤ len`.
+    #[inline]
+    fn field(&self, pos: usize, width: usize) -> u64 {
+        match &self.store {
+            // As in `read_uint`: shifting the field to the top and back
+            // clears the bits above it.
+            Store::Inline(w) => (w << (64 - pos - width)) >> (64 - width),
+            Store::Heap(words) => field(words, pos, width),
+        }
+    }
+
+    /// Overwrite the `width` bits at `pos` with `value`, `1 ≤ width ≤ 64`,
+    /// `pos + width ≤ len`, `value` zero above `width`.
+    #[inline]
+    fn put(&mut self, pos: usize, value: u64, width: usize) {
+        match &mut self.store {
+            Store::Inline(w) => *w = (*w & !(low_mask(width) << pos)) | value << pos,
+            Store::Heap(words) => put(words, pos, value, width),
         }
     }
 
@@ -289,37 +298,25 @@ impl BitString {
                 self.append_word(other.first_word(), other.len);
             }
         } else {
-            self.extend_words(other);
+            self.extend_words(other, 0, other.len);
         }
     }
 
-    /// [`BitString::extend_from`] for `other` longer than 64 bits.
-    fn extend_words(&mut self, other: &BitString) {
-        let shift = self.len % 64;
-        let needed = (self.len + other.len).div_ceil(64);
-        let words = self.spill(other.len);
-        if shift == 0 {
-            // Word-aligned: plain copy (the old last word was full).
-            words.extend_from_slice(other.words());
-        } else {
-            for &w in other.words() {
-                // Source invariant: bits past `other.len` are zero.
-                match words.last_mut() {
-                    Some(last) => *last |= w << shift,
-                    None => unreachable!("shift != 0 implies a non-empty word vector"),
-                }
-                if words.len() < needed {
-                    words.push(w >> (64 - shift));
-                }
-            }
-        }
-        self.len += other.len;
+    /// Append bits `start..start + len` of `src`, `len > 64`, in range.
+    fn extend_words(&mut self, src: &BitString, start: usize, len: usize) {
+        let at = self.len;
+        let words = self.spill(len);
+        words.resize((at + len).div_ceil(64), 0);
+        copy_bits(words, at, src.words(), start, len);
+        self.len = at + len;
     }
 
     /// Append bits `start..start + len` of `src`, a word at a time: the
     /// same bits as `extend_from(&read_bits)` at `start`, without the
     /// intermediate string. Fails, leaving `self` unchanged, if the range
-    /// runs past the end of `src`.
+    /// runs past the end of `src`. At most 64 bits are appended as one
+    /// word, inline in the caller's crate.
+    #[inline]
     pub fn extend_from_range(
         &mut self,
         src: &BitString,
@@ -327,22 +324,51 @@ impl BitString {
         len: usize,
     ) -> Result<(), DecodeError> {
         if start > src.len || src.len - start < len {
-            return Err(DecodeError {
-                at: start,
-                wanted: len,
-                len: src.len,
-            });
+            return Err(range_error(src, start, len));
         }
-        self.reserve(len);
-        let end = start + len;
-        let mut pos = start;
-        while pos < end {
-            let width = (end - pos).min(64);
-            let mask = if width == 64 { !0 } else { (1u64 << width) - 1 };
-            self.append_word(src.word_at(pos) & mask, width);
-            pos += width;
+        if len > 64 {
+            self.extend_words(src, start, len);
+        } else if len > 0 {
+            self.append_word(src.field(start, len), len);
         }
         Ok(())
+    }
+
+    /// Overwrite bits `at..at + len` of `self` with bits `start..start +
+    /// len` of `src`, leaving every other bit as it was: the positioned
+    /// write that fills a string pre-sized with [`BitString::zeros`] in
+    /// any order. Fails, leaving `self` unchanged, if the source range
+    /// runs past the end of `src`. At most 64 bits are written as one
+    /// word, inline in the caller's crate.
+    ///
+    /// # Panics
+    /// If `at + len` exceeds `self.len()`: a positioned write never grows
+    /// its target.
+    #[inline(always)]
+    pub fn write_range(
+        &mut self,
+        at: usize,
+        src: &BitString,
+        start: usize,
+        len: usize,
+    ) -> Result<(), DecodeError> {
+        if start > src.len || src.len - start < len {
+            return Err(range_error(src, start, len));
+        }
+        if at > self.len || self.len - at < len {
+            write_overrun(at, len, self.len);
+        }
+        if len > 64 {
+            self.write_words(at, src, start, len);
+        } else if len > 0 {
+            self.put(at, src.field(start, len), len);
+        }
+        Ok(())
+    }
+
+    /// [`BitString::write_range`] for `len` past 64 bits, in range.
+    fn write_words(&mut self, at: usize, src: &BitString, start: usize, len: usize) {
+        copy_bits(self.words_mut(), at, src.words(), start, len);
     }
 
     /// Overwrite `self` with the contents of `other`, retaining `self`'s
@@ -443,6 +469,88 @@ impl BitString {
     #[inline]
     pub fn reader(&self) -> BitReader<'_> {
         BitReader { bits: self, pos: 0 }
+    }
+}
+
+/// The low `width` bits set, `1 ≤ width ≤ 64`.
+#[inline]
+fn low_mask(width: usize) -> u64 {
+    !0 >> (64 - width)
+}
+
+/// The `width` bits of `words` at `pos`, `1 ≤ width ≤ 64`, in range.
+#[inline]
+fn field(words: &[u64], pos: usize, width: usize) -> u64 {
+    let (i, off) = (pos / 64, pos % 64);
+    let mut v = words[i] >> off;
+    if off + width > 64 {
+        v |= words[i + 1] << (64 - off);
+    }
+    v & low_mask(width)
+}
+
+/// Overwrite the `width` bits of `words` at `pos` with `value`, which is
+/// zero above `width`; `1 ≤ width ≤ 64`, in range.
+#[inline]
+fn put(words: &mut [u64], pos: usize, value: u64, width: usize) {
+    let (i, off) = (pos / 64, pos % 64);
+    let mask = low_mask(width);
+    words[i] = (words[i] & !(mask << off)) | value << off;
+    if off + width > 64 {
+        let done = 64 - off;
+        words[i + 1] = (words[i + 1] & !(mask >> done)) | value >> done;
+    }
+}
+
+/// Overwrite bits `at..at + len` of `dst` with bits `start..start + len`
+/// of `src`, a word at a time, leaving every other bit of `dst` as it was.
+/// Both ranges lie inside their slices.
+fn copy_bits(dst: &mut [u64], at: usize, src: &[u64], start: usize, len: usize) {
+    let (d, s, full) = (at / 64, start / 64, len / 64);
+    let (doff, soff) = (at % 64, start % 64);
+    if doff == 0 && soff == 0 {
+        dst[d..d + full].copy_from_slice(&src[s..s + full]);
+    } else {
+        for k in 0..full {
+            let lo = src[s + k] >> soff;
+            let v = if soff == 0 {
+                lo
+            } else {
+                lo | src[s + k + 1] << (64 - soff)
+            };
+            if doff == 0 {
+                dst[d + k] = v;
+            } else {
+                let keep = low_mask(doff);
+                dst[d + k] = (dst[d + k] & keep) | v << doff;
+                dst[d + k + 1] = (dst[d + k + 1] & !keep) | v >> (64 - doff);
+            }
+        }
+    }
+    let tail = len % 64;
+    if tail > 0 {
+        let v = field(src, start + 64 * full, tail);
+        put(dst, at + 64 * full, v, tail);
+    }
+}
+
+/// The panic for a positioned write of `len` bits at `at` into a string
+/// of `target` bits: cold and out of line, so the write stays small
+/// enough to inline.
+#[cold]
+#[inline(never)]
+fn write_overrun(at: usize, len: usize, target: usize) -> ! {
+    panic!("write of {len} bits at {at} runs past the end ({target})")
+}
+
+/// The error for a range of `len` bits at `start` that runs past `src`.
+#[cold]
+#[inline(never)]
+fn range_error(src: &BitString, start: usize, len: usize) -> DecodeError {
+    DecodeError {
+        at: start,
+        wanted: len,
+        len: src.len,
     }
 }
 
@@ -700,6 +808,48 @@ mod tests {
     /// `len` bits of a fixed pattern that sets the first and the last bit.
     fn pattern(len: usize) -> Vec<bool> {
         (0..len).map(|i| i + 1 == len || i % 3 == 0).collect()
+    }
+
+    /// The offsets and lengths the range proptests pin: either side of 0,
+    /// 64 and 128 bits.
+    const BOUNDARIES: [usize; 8] = [0, 1, 63, 64, 65, 128, 129, 130];
+
+    /// A drawn value at most `max`: `BOUNDARIES[pick]` when `pick` names
+    /// one that fits, else `raw` reduced into `0..=max`.
+    fn boundary((pick, raw): (usize, usize), max: usize) -> usize {
+        match BOUNDARIES.get(pick) {
+            Some(&b) if b <= max => b,
+            _ => raw % (max + 1),
+        }
+    }
+
+    /// `bits`, padded with a pattern to at least 131 bits when `pick`
+    /// names a boundary, so the boundary values fit.
+    fn boundary_string(mut bits: Vec<bool>, pick: usize) -> Vec<bool> {
+        if pick < BOUNDARIES.len() && bits.len() < 131 {
+            bits.extend(pattern(131 - bits.len()));
+        }
+        bits
+    }
+
+    /// `bits` as a fresh string (inline up to 64 bits) or, with `heap`, in
+    /// a string that grew past 64 bits and was cleared first.
+    fn target(bits: &[bool], heap: bool) -> BitString {
+        let fresh = BitString::from_bits(bits.iter().copied());
+        if !heap {
+            return fresh;
+        }
+        let mut s = BitString::from_bits(pattern(130));
+        s.clear();
+        s.extend_from(&fresh);
+        s
+    }
+
+    #[test]
+    #[should_panic(expected = "runs past the end")]
+    fn write_range_never_grows_its_target() {
+        let src = BitString::from_bits(pattern(10));
+        BitString::zeros(70).write_range(65, &src, 0, 6).unwrap();
     }
 
     #[test]
@@ -1308,6 +1458,77 @@ mod tests {
             prop_assert_eq!(got.words().len(), got.len().div_ceil(64));
             let before = got.clone();
             prop_assert!(got.extend_from_range(&s, start, src.len() - start + 1).is_err());
+            prop_assert_eq!(&got, &before);
+        }
+
+        #[test]
+        fn prop_extend_from_range_at_word_boundaries_matches_a_read_bits_splice(
+            head in proptest::collection::vec(any::<bool>(), 0..200),
+            cut in (0usize..16, any::<usize>()),
+            src in proptest::collection::vec(any::<bool>(), 0..300),
+            start in (0usize..16, any::<usize>()),
+            len in (0usize..16, any::<usize>()),
+            heap in any::<bool>(),
+        ) {
+            // The target inline or on the heap, its length (the append
+            // point), the source offset and the length on either side of
+            // 0, 64 and 128 bits.
+            let head = boundary_string(head, cut.0);
+            let head = &head[..boundary(cut, head.len())];
+            let src = boundary_string(src, start.0.min(len.0));
+            let start = boundary(start, src.len());
+            let len = boundary(len, src.len() - start);
+            let s = BitString::from_bits(src.iter().copied());
+            let mut r = s.reader();
+            r.skip(start).unwrap();
+            let mut want = target(head, heap);
+            want.extend_from(&r.read_bits(len).unwrap());
+            let mut got = target(head, heap);
+            got.extend_from_range(&s, start, len).unwrap();
+            prop_assert_eq!(&got, &want);
+            let model: Vec<bool> = head.iter().chain(&src[start..start + len]).copied().collect();
+            prop_assert_eq!(got.iter().collect::<Vec<_>>(), model);
+            prop_assert_eq!(got.words().len(), got.len().div_ceil(64));
+        }
+
+        #[test]
+        fn prop_write_range_matches_a_read_bits_splice(
+            bits in proptest::collection::vec(any::<bool>(), 0..300),
+            src in proptest::collection::vec(any::<bool>(), 0..300),
+            at in (0usize..16, any::<usize>()),
+            start in (0usize..16, any::<usize>()),
+            len in (0usize..16, any::<usize>()),
+            heap in any::<bool>(),
+        ) {
+            // Overwrite a window of a pre-filled target and check it against
+            // the splice `bits[..at] + src[start..start + len] +
+            // bits[at + len..]` built from `read_bits` and `extend_from`:
+            // the bits either side of the window stay as they were.
+            let bits = boundary_string(bits, at.0.min(len.0));
+            let src = boundary_string(src, start.0.min(len.0));
+            let at = boundary(at, bits.len());
+            let start = boundary(start, src.len());
+            let len = boundary(len, (bits.len() - at).min(src.len() - start));
+            let s = BitString::from_bits(src.iter().copied());
+            let mut got = target(&bits, heap);
+            got.write_range(at, &s, start, len).unwrap();
+            let old = target(&bits, heap);
+            let mut r = old.reader();
+            let mut want = r.read_bits(at).unwrap();
+            let mut sr = s.reader();
+            sr.skip(start).unwrap();
+            want.extend_from(&sr.read_bits(len).unwrap());
+            r.skip(len).unwrap();
+            want.extend_from(&r.read_bits(r.remaining()).unwrap());
+            prop_assert_eq!(&got, &want);
+            let mut model = bits.clone();
+            model[at..at + len].copy_from_slice(&src[start..start + len]);
+            prop_assert_eq!(got.iter().collect::<Vec<_>>(), model);
+            prop_assert_eq!(got.words().len(), got.len().div_ceil(64));
+            // A source range past the end fails and leaves the target as
+            // it was.
+            let before = got.clone();
+            prop_assert!(got.write_range(0, &s, start, s.len() - start + 1).is_err());
             prop_assert_eq!(&got, &before);
         }
 
