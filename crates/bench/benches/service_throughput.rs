@@ -24,8 +24,8 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use cc_bench::engine_json_path;
-use cc_service::{Batch, EngineSpec, JobSpec, Service, TenantId};
-use cliquesim::{BitString, Inbox, NodeCtx, NodeProgram, Outbox, Session, Status};
+use cc_service::{Batch, JobSpec, Service, TenantId};
+use cliquesim::{BitString, Engine, Inbox, NodeCtx, NodeProgram, Outbox, Session, Status};
 use criterion::{criterion_group, Criterion};
 
 /// Same broadcast-gossip workload as `engine_parallel`: per-round id
@@ -71,8 +71,8 @@ fn batch(jobs: usize, n: usize, rounds: usize) -> Batch {
     for i in 0..jobs {
         b.push(JobSpec::new(
             TenantId((i % 4) as u32),
-            format!("gossip[n={n}, job={i}]@auto"),
-            EngineSpec::new(n),
+            format!("gossip[n={n}, job={i}]"),
+            Engine::new(n),
             Arc::new(move |s: &mut Session, _d: &cc_service::DepOutputs| {
                 let out = s
                     .run((0..n).map(|_| Gossip { rounds, acc: 0 }).collect())

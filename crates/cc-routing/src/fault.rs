@@ -10,9 +10,9 @@
 //!   from one *wave* of it ([`CrashSet::from_plan_window`], which
 //!   re-admits nodes whose crash/rejoin pair completed before the window —
 //!   the self-healing rung: a recovered node carries megastream segments
-//!   again in the very next wave), or from a live
-//!   [`cliquesim::FaultReport`] ([`CrashSet::from_report`]); members carry
-//!   their downtime timelines, queryable via [`CrashSet::alive_at`];
+//!   again in the very next wave), or node by node ([`CrashSet::with`]);
+//!   round-addressed liveness stays with the plan
+//!   ([`cliquesim::FaultPlan::alive_at`]);
 //! * [`crate::RoutePlan::avoiding`] re-plans a demand set around it:
 //!   demands to or from dead endpoints are dropped at planning time and
 //!   reported as structured [`Undeliverable`] records in a
@@ -41,27 +41,13 @@ use crate::router::Delivered;
 ///
 /// Planning data, conservative by construction: a node in the set is
 /// avoided for the whole phase the set was built for, whenever it actually
-/// dies within it (see the module docs). Sets built from a
-/// [`FaultPlan`] additionally carry each member's *downtime timeline*, so
-/// [`CrashSet::alive_at`] can answer round-addressed liveness and
-/// [`CrashSet::from_plan_window`] can re-admit a rejoined node for a later
-/// wave — the self-healing half of the churn tier. Equality compares the
-/// dead set only (the planning-relevant payload), never the timelines.
-#[derive(Clone, Debug, Default, Eq)]
+/// dies within it (see the module docs). A set is only its dead nodes;
+/// re-admitting a rejoined node for a later wave is
+/// [`CrashSet::from_plan_window`]'s job — the self-healing half of the
+/// churn tier.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
 pub struct CrashSet {
     dead: BTreeSet<u32>,
-    /// Downtime intervals `(node, start, end)`, end-exclusive with
-    /// `usize::MAX` meaning "never rejoins". Members inserted without a
-    /// schedule (builder form, reports) get `(0, usize::MAX)`.
-    downtime: Vec<(u32, usize, usize)>,
-}
-
-impl PartialEq for CrashSet {
-    fn eq(&self, other: &Self) -> bool {
-        // Timelines are advisory; two plans that avoid the same nodes are
-        // the same plan (pinned by `crash_set_builders_agree`).
-        self.dead == other.dead
-    }
 }
 
 impl CrashSet {
@@ -73,8 +59,7 @@ impl CrashSet {
 
     /// The full crash set a [`FaultPlan`] implies: every node the plan
     /// crash-stops at any round ([`FaultPlan::ever_dead_in`] with an
-    /// unbounded horizon — conservative even for nodes that rejoin), each
-    /// carrying its downtime timeline for [`CrashSet::alive_at`].
+    /// unbounded horizon — conservative even for nodes that rejoin).
     pub fn from_plan(plan: &FaultPlan) -> Self {
         Self::from_plan_window(plan, 0..usize::MAX)
     }
@@ -85,56 +70,25 @@ impl CrashSet {
     /// re-admitted as a routing endpoint and intermediate — while a node
     /// due to be down at any point inside it is avoided throughout, so a
     /// mid-wave crash can only lose traffic the plan already reported
-    /// undeliverable. Timelines are carried for [`CrashSet::alive_at`].
+    /// undeliverable.
     pub fn from_plan_window(plan: &FaultPlan, rounds: std::ops::Range<usize>) -> Self {
-        let mut set = Self::new();
-        for v in plan.ever_dead_in(rounds) {
-            set.dead.insert(v.0);
-            for (s, e) in plan.downtime(v) {
-                set.downtime.push((v.0, s, e));
-            }
-        }
-        set
+        plan.ever_dead_in(rounds).into_iter().collect()
     }
 
-    /// The crash set a live [`FaultReport`] witnessed: every node the
-    /// report says crash-stopped, treated as permanently down (a report is
-    /// a past-tense record; use [`CrashSet::from_plan_window`] when a
-    /// schedule is available to plan re-admission ahead of time).
-    pub fn from_report(report: &FaultReport) -> Self {
-        report.crashed_nodes().into_iter().collect()
-    }
-
-    /// Mark `node` dead (builder form; permanent downtime).
+    /// Mark `node` dead (builder form).
     pub fn with(mut self, node: NodeId) -> Self {
         self.insert(node);
         self
     }
 
-    /// Mark `node` dead, with permanent downtime.
+    /// Mark `node` dead.
     pub fn insert(&mut self, node: NodeId) {
-        if self.dead.insert(node.0) {
-            self.downtime.push((node.0, 0, usize::MAX));
-        }
+        self.dead.insert(node.0);
     }
 
     /// True if `node` is in the crash set.
     pub fn is_dead(&self, node: NodeId) -> bool {
         self.dead.contains(&node.0)
-    }
-
-    /// Round-addressed liveness: false exactly while one of `node`'s
-    /// downtime intervals covers `round`. Nodes outside the crash set are
-    /// always alive; members without a schedule never are. This is the
-    /// planning-side mirror of [`FaultPlan::alive_at`].
-    pub fn alive_at(&self, node: NodeId, round: usize) -> bool {
-        if !self.is_dead(node) {
-            return true;
-        }
-        !self
-            .downtime
-            .iter()
-            .any(|&(v, s, e)| v == node.0 && s <= round && (round < e || e == usize::MAX))
     }
 
     /// True if no node is marked dead.
@@ -298,8 +252,7 @@ mod tests {
         assert_eq!(
             CrashSet::new().with(NodeId(2)).with(NodeId(5)),
             set,
-            "builder and plan-derived sets agree (equality is the dead set \
-             only, never the timelines)"
+            "builder and plan-derived sets agree"
         );
     }
 
@@ -311,19 +264,9 @@ mod tests {
             .expect("crash precedes rejoin")
             .crash(NodeId(5), 8);
         // from_plan is conservative: the rejoiner is still a member (it is
-        // unsafe for work spanning its downtime) but its timeline answers
-        // round-addressed liveness.
+        // unsafe for work spanning its downtime).
         let set = CrashSet::from_plan(&plan);
         assert!(set.is_dead(NodeId(2)) && set.is_dead(NodeId(5)));
-        assert!(set.alive_at(NodeId(2), 2));
-        assert!(!set.alive_at(NodeId(2), 3));
-        assert!(!set.alive_at(NodeId(2), 5));
-        assert!(set.alive_at(NodeId(2), 6), "back at the rejoin round");
-        assert!(!set.alive_at(NodeId(5), usize::MAX), "permanent crash");
-        assert!(set.alive_at(NodeId(0), 0), "non-members are always alive");
-        // Builder members have no schedule: never alive.
-        let built = CrashSet::new().with(NodeId(1));
-        assert!(!built.alive_at(NodeId(1), 0));
         // Windowed sets re-admit completed crash/rejoin pairs: node 2 is
         // avoided while its downtime intersects the wave and re-admitted
         // afterwards; node 5 only joins once its crash is in sight.

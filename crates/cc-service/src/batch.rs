@@ -234,8 +234,8 @@ pub(crate) fn resolve_deps(spec: &JobSpec, statuses: &[Option<JobStatus>]) -> De
     }
 }
 
-/// Run one job to a terminal outcome: build the engine from the spec
-/// (wiring in the cancel flag, if any), check a warm arena out of the
+/// Run one job to a terminal outcome: clone the job's engine (attaching
+/// the batch's cancel flag, if any), check a warm arena out of the
 /// worker's pool, drive the job function under `catch_unwind`, and check
 /// the arena back in — even when the job fails, so a poisoned job cannot
 /// leak its delivery buffers.
@@ -248,13 +248,17 @@ pub(crate) fn execute_job(
     worker: Option<usize>,
 ) -> JobOutcome {
     let start = Instant::now();
-    let engine = spec.engine.build(cancel);
-    let mut session = cliquesim::Session::with_arena(engine, arenas.checkout(spec.engine.n));
+    let n = spec.engine.n();
+    let engine = match cancel {
+        Some(flag) => spec.engine.clone().with_cancel(flag),
+        None => spec.engine.clone(),
+    };
+    let mut session = cliquesim::Session::with_arena(engine, arenas.checkout(n));
     let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         (spec.run)(&mut session, deps)
     }));
     let stats = session.stats();
-    arenas.checkin(spec.engine.n, session.into_arena());
+    arenas.checkin(n, session.into_arena());
     let status = match caught {
         Ok(Ok(bytes)) => JobStatus::Done(Arc::new(bytes)),
         Ok(Err(e)) => match is_cancelled(&e) {
@@ -296,13 +300,14 @@ pub(crate) fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{EngineSpec, TenantId};
+    use crate::job::TenantId;
+    use cliquesim::Engine;
 
     fn noop_job(tenant: u32, label: &str) -> JobSpec {
         JobSpec::new(
             TenantId(tenant),
             label,
-            EngineSpec::new(2),
+            Engine::new(2),
             Arc::new(|_s, _d| Ok(vec![0])),
         )
     }
@@ -374,20 +379,20 @@ mod tests {
         let ok = b.push(JobSpec::new(
             TenantId(0),
             "ok",
-            EngineSpec::new(2),
+            Engine::new(2),
             Arc::new(|_s, _d| Ok(vec![42])),
         ));
         let bad = b.push(JobSpec::new(
             TenantId(0),
             "bad",
-            EngineSpec::new(2),
+            Engine::new(2),
             Arc::new(|_s, _d| Err("boom".to_string())),
         ));
         let child = b.push(
             JobSpec::new(
                 TenantId(1),
                 "child",
-                EngineSpec::new(2),
+                Engine::new(2),
                 Arc::new(|_s, deps: &crate::job::DepOutputs| Ok(deps[0].to_vec())),
             )
             .after(ok)
@@ -409,13 +414,13 @@ mod tests {
         let one = b.push(JobSpec::new(
             TenantId(0),
             "one",
-            EngineSpec::new(2),
+            Engine::new(2),
             Arc::new(|_s, _d| Ok(vec![1])),
         ));
         let two = b.push(JobSpec::new(
             TenantId(0),
             "two",
-            EngineSpec::new(2),
+            Engine::new(2),
             Arc::new(|_s, _d| Ok(vec![2])),
         ));
         // Declared two-then-one: outputs must arrive in that order, not
@@ -424,7 +429,7 @@ mod tests {
             JobSpec::new(
                 TenantId(0),
                 "cat",
-                EngineSpec::new(2),
+                Engine::new(2),
                 Arc::new(|_s, deps: &crate::job::DepOutputs| {
                     Ok(deps.iter().flat_map(|d| d.iter().copied()).collect())
                 }),

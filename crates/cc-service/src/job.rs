@@ -1,17 +1,17 @@
 //! The job model: what one unit of fleet work looks like.
 //!
-//! A [`JobSpec`] pairs an [`EngineSpec`] (pure data: clique size, model
-//! restrictions, adversary plans) with a *job function* — a
-//! deterministic closure that drives a [`cliquesim::Session`] built from
-//! that spec and returns its result as bytes. Bytes are the service's
-//! output currency on purpose: the serial oracle and the fleet compare
-//! outcomes for **byte identity**, so a job's result must not depend on
-//! which worker ran it, when, or what else was in flight.
+//! A [`JobSpec`] pairs an [`Engine`] (clique size, model restrictions,
+//! adversary plans) with a *job function* — a deterministic closure that
+//! drives a [`cliquesim::Session`] built on that engine and returns its
+//! result as bytes. Bytes are the service's output currency on purpose:
+//! the serial oracle and the fleet compare outcomes for **byte
+//! identity**, so a job's result must not depend on which worker ran it,
+//! when, or what else was in flight.
 //!
 //! # Determinism contract
 //!
 //! The job function must be a pure function of the spec and its
-//! dependency outputs: same `(EngineSpec, dep bytes)` → same output bytes
+//! dependency outputs: same `(Engine, dep bytes)` → same output bytes
 //! or same error string. Everything the engine does is already
 //! deterministic (a run steps every node on the worker thread that runs
 //! the job, and replays bit for bit); a job that reaches outside (time,
@@ -20,11 +20,10 @@
 //! "factory must produce identical programs" rule in `cc-testkit`.
 
 use std::fmt;
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
-use cliquesim::{AuthKeyring, ByzantinePlan, Engine, FaultPlan, RunStats, Session};
+use cliquesim::{Engine, RunStats, Session};
 
 /// Index of a job within its [`crate::Batch`], assigned by
 /// [`crate::Batch::push`] in submission order.
@@ -49,119 +48,10 @@ impl fmt::Display for TenantId {
     }
 }
 
-/// Pure-data engine configuration for one job — the request-format half
-/// of a job. Everything here is `Clone + Send`, so a spec can be shipped
-/// to any worker and materialised there with [`EngineSpec::build`].
-#[derive(Clone, Debug)]
-pub struct EngineSpec {
-    /// Number of nodes in the clique.
-    pub n: usize,
-    /// Restrict to the broadcast congested clique (paper §2).
-    pub broadcast_only: bool,
-    /// Per-message bandwidth override in bits (`None` = `⌈log₂ n⌉`).
-    pub bandwidth: Option<usize>,
-    /// Round cap (`None` = engine default).
-    pub max_rounds: Option<usize>,
-    /// Wall-clock watchdog for the job's runs.
-    pub deadline: Option<Duration>,
-    /// Link-fault / crash / churn adversary for the job.
-    pub fault: Option<FaultPlan>,
-    /// Fault-clock offset: the plan (crash, rejoin, and link-fault
-    /// schedules alike) is addressed at `offset + local round`, so one
-    /// absolute churn timeline can be split across wave-structured jobs
-    /// (see `Engine::with_fault_offset`).
-    pub fault_offset: usize,
-    /// Byzantine sender adversary for the job.
-    pub byzantine: Option<ByzantinePlan>,
-    /// Seed for a signed-message keyring (`AuthKeyring::from_seed(n,
-    /// seed)` attached via `Engine::with_auth`); `None` = unauthenticated.
-    pub auth_seed: Option<u64>,
-}
-
-impl EngineSpec {
-    /// A plain clique spec: no restriction, no adversary.
-    pub fn new(n: usize) -> Self {
-        Self {
-            n,
-            broadcast_only: false,
-            bandwidth: None,
-            max_rounds: None,
-            deadline: None,
-            fault: None,
-            fault_offset: 0,
-            byzantine: None,
-            auth_seed: None,
-        }
-    }
-
-    /// Restrict to the broadcast-only model.
-    pub fn broadcast_only(mut self, on: bool) -> Self {
-        self.broadcast_only = on;
-        self
-    }
-
-    /// Override the per-message bit budget.
-    pub fn bandwidth(mut self, bits: usize) -> Self {
-        self.bandwidth = Some(bits);
-        self
-    }
-
-    /// Attach a fault plan.
-    pub fn fault(mut self, plan: FaultPlan) -> Self {
-        self.fault = Some(plan);
-        self
-    }
-
-    /// Address the fault plan at `offset + local round` (churn waves).
-    pub fn fault_offset(mut self, offset: usize) -> Self {
-        self.fault_offset = offset;
-        self
-    }
-
-    /// Attach a Byzantine plan.
-    pub fn byzantine(mut self, plan: ByzantinePlan) -> Self {
-        self.byzantine = Some(plan);
-        self
-    }
-
-    /// Attach a seeded signed-message keyring (authenticated tier).
-    pub fn auth(mut self, seed: u64) -> Self {
-        self.auth_seed = Some(seed);
-        self
-    }
-
-    /// Materialise the engine, wiring in the service's cancellation flag
-    /// so an in-flight job aborts at its next round boundary when the
-    /// batch is cancelled.
-    pub fn build(&self, cancel: Option<Arc<AtomicBool>>) -> Engine {
-        let mut engine = Engine::new(self.n).broadcast_only(self.broadcast_only);
-        if let Some(bits) = self.bandwidth {
-            engine = engine.with_bandwidth(bits);
-        }
-        if let Some(limit) = self.max_rounds {
-            engine = engine.with_max_rounds(limit);
-        }
-        if let Some(limit) = self.deadline {
-            engine = engine.with_deadline(limit);
-        }
-        if let Some(plan) = &self.fault {
-            engine = engine.with_fault_plan(plan.clone());
-        }
-        if self.fault_offset != 0 {
-            engine = engine.with_fault_offset(self.fault_offset);
-        }
-        if let Some(plan) = &self.byzantine {
-            engine = engine.with_byzantine_plan(plan.clone());
-        }
-        if let Some(seed) = self.auth_seed {
-            engine = engine.with_auth(AuthKeyring::from_seed(self.n, seed));
-        }
-        if let Some(flag) = cancel {
-            engine = engine.with_cancel(flag);
-        }
-        engine
-    }
-}
+/// The engine a job's session is built on: the same type as
+/// [`Engine`]. The name is kept because the benchmark's atlas workload
+/// (`ccbench/atlas.rs`) spells it.
+pub type EngineSpec = Engine;
 
 /// Output bytes of completed dependencies, in the order the job declared
 /// them. Shared, not copied: wide fan-outs read one allocation.
@@ -177,11 +67,13 @@ pub type JobFn = Arc<dyn Fn(&mut Session, &DepOutputs) -> Result<Vec<u8>, String
 pub struct JobSpec {
     /// Owning tenant (fairness bucket).
     pub tenant: TenantId,
-    /// Replayable repro label, e.g. `er-medium[n=16, seed=3]@t4` — the
+    /// Replayable repro label, e.g. `er-medium[n=16, seed=3]+fault7` — the
     /// same labelling discipline as `cc-testkit` instance labels.
     pub label: String,
-    /// Engine configuration.
-    pub engine: EngineSpec,
+    /// The engine the job's session runs on. Its plans sit behind `Arc`s,
+    /// so cloning a job shares them; the service attaches the batch's
+    /// cancellation flag when the job starts.
+    pub engine: Engine,
     /// Jobs that must complete *successfully* before this one runs. Their
     /// output bytes are handed to the job function in this order.
     pub deps: Vec<JobId>,
@@ -202,7 +94,7 @@ impl fmt::Debug for JobSpec {
 
 impl JobSpec {
     /// A dependency-free job.
-    pub fn new(tenant: TenantId, label: impl Into<String>, engine: EngineSpec, run: JobFn) -> Self {
+    pub fn new(tenant: TenantId, label: impl Into<String>, engine: Engine, run: JobFn) -> Self {
         Self {
             tenant,
             label: label.into(),
@@ -332,13 +224,5 @@ mod tests {
         let mut c = outcome();
         c.status = JobStatus::Done(Arc::new(vec![1, 2, 4]));
         assert_ne!(a, c, "output bytes are model state");
-    }
-
-    #[test]
-    fn engine_spec_builds_the_configured_engine() {
-        let spec = EngineSpec::new(9).broadcast_only(true).fault_offset(5);
-        let engine = spec.build(None);
-        assert_eq!(engine.n(), 9);
-        assert_eq!(engine.fault_offset(), 5);
     }
 }

@@ -1,15 +1,16 @@
 //! `cc-service`: a multi-tenant session service for congested-clique
 //! simulation fleets.
 //!
-//! The engine (PR 1–6) made one simulation fast, deterministic, and
+//! The engine makes one simulation fast, deterministic, and
 //! adversary-aware. This crate makes *many* simulations a first-class
-//! workload: a [`Batch`] of seed-addressed jobs — each an
-//! [`EngineSpec`] (clique size, optional fault/Byzantine plans) plus a
-//! deterministic job function — is resolved into a dependency DAG and
-//! executed across a shared work-stealing worker pool ([`Service`]), with
-//! per-tenant round-robin fairness, warm
-//! per-worker delivery arenas, cooperative cancellation, and a bounded
-//! outcome window streaming [`JobOutcome`]s back as they finish.
+//! workload: a [`Batch`] of seed-addressed jobs — each a plain
+//! [`cliquesim::Engine`] (clique size, optional fault/Byzantine plans,
+//! keyring) plus a deterministic job function — is resolved into a
+//! dependency DAG and executed by a fixed-width pool of workers
+//! ([`Service`]) that all draw from one ready queue, with per-tenant
+//! round-robin fairness, warm per-worker delivery arenas, cooperative
+//! cancellation, and a bounded outcome window streaming [`JobOutcome`]s
+//! back as they finish.
 //!
 //! # The serial oracle
 //!
@@ -28,13 +29,14 @@
 //!
 //! ```
 //! use std::sync::Arc;
-//! use cc_service::{Batch, EngineSpec, JobSpec, Service, TenantId};
+//! use cc_service::{Batch, JobSpec, Service, TenantId};
+//! use cliquesim::Engine;
 //!
 //! let mut batch = Batch::new();
 //! let probe = batch.push(JobSpec::new(
 //!     TenantId(0),
-//!     "probe[n=4]@auto",
-//!     EngineSpec::new(4),
+//!     "probe[n=4]",
+//!     Engine::new(4),
 //!     Arc::new(|session, _deps| {
 //!         // Drive any cliquesim phases here; return bytes.
 //!         Ok(session.n().to_le_bytes().to_vec())
@@ -45,7 +47,7 @@
 //!     JobSpec::new(
 //!         TenantId(1),
 //!         "echo",
-//!         EngineSpec::new(4),
+//!         Engine::new(4),
 //!         Arc::new(|_session, deps| Ok(deps[0].to_vec())),
 //!     )
 //!     .after(probe),

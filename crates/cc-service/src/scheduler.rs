@@ -1,27 +1,21 @@
-//! The scheduler state machine: which job runs next, and where.
+//! The scheduler state machine: which job runs next.
 //!
 //! All scheduling state lives behind one mutex ([`SchedState`]); workers
 //! take the lock only to *pick* and to *record*, never while a simulation
 //! runs. Jobs are whole simulations (milliseconds to seconds), so a single
-//! lock is nowhere near contention — the interesting policy is in the pick
-//! order:
+//! lock is nowhere near contention.
 //!
-//! 1. **Own local deque, front.** When a job completes, its newly-ready
-//!    dependents land on the completing worker's local deque — that worker
-//!    holds the warm [`crate::ArenaPool`] arena for the family's shape, so
-//!    dependency chains stay allocation-free.
-//! 2. **Global tenant queues, round-robin.** Dependency-free ready jobs sit
-//!    in per-tenant FIFO queues; a rotating cursor serves tenants in
-//!    [`TenantId`] order, so one tenant's 500-job burst cannot starve
-//!    another tenant's two jobs (the stress suite pins a bound on this).
-//! 3. **Steal, back.** An idle worker steals from the *back* of another
-//!    worker's local deque — the coldest entry, leaving the victim its
-//!    warm front.
+//! There is one ready queue, bucketed per tenant: a batch's root jobs and
+//! every dependent a completed job releases join their own tenant's FIFO,
+//! and a rotating cursor serves tenants in [`TenantId`] order, so one
+//! tenant's 500-job burst cannot starve another tenant's two jobs (the
+//! stress suite pins a bound on this). Any idle worker takes the next
+//! job; none is tied to a worker.
 //!
 //! Determinism note: pick order decides *placement and timing* only. Job
 //! outcomes are byte-identical regardless (the `service_suite`
-//! differential), so the policy here is free to chase locality and
-//! fairness without touching the model's determinism contract.
+//! differential), so the policy here is free to chase fairness without
+//! touching the model's determinism contract.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::sync::atomic::AtomicBool;
@@ -69,16 +63,15 @@ pub(crate) struct Dispatch {
 }
 
 /// Everything workers share, guarded by one mutex in the service.
+#[derive(Default)]
 pub(crate) struct SchedState {
     pub batches: HashMap<BatchId, BatchState>,
     pub next_batch: BatchId,
-    /// Dependency-free ready jobs, bucketed per tenant. Emptied entries
-    /// are removed, so the map only holds tenants with waiting work.
+    /// Ready jobs, bucketed per tenant. Emptied entries are removed, so
+    /// the map only holds tenants with waiting work.
     pub ready: BTreeMap<TenantId, VecDeque<GlobalJob>>,
-    /// Last tenant served from the global queues.
+    /// Last tenant served.
     pub cursor: Option<TenantId>,
-    /// Per-worker local deques (dependents of completed jobs).
-    pub local: Vec<VecDeque<GlobalJob>>,
     /// Jobs registered but without a terminal status yet, across batches.
     pub live_jobs: usize,
     /// Set by the service's `Drop`; workers exit once no work remains.
@@ -86,20 +79,8 @@ pub(crate) struct SchedState {
 }
 
 impl SchedState {
-    pub fn new(width: usize) -> Self {
-        Self {
-            batches: HashMap::new(),
-            next_batch: 0,
-            ready: BTreeMap::new(),
-            cursor: None,
-            local: vec![VecDeque::new(); width],
-            live_jobs: 0,
-            shutdown: false,
-        }
-    }
-
     /// Register a validated batch: build the dependency bookkeeping and
-    /// enqueue its root jobs into the tenant queues. Returns the batch id.
+    /// enqueue its root jobs. Returns the batch id.
     pub fn register(
         &mut self,
         jobs: Vec<JobSpec>,
@@ -144,14 +125,27 @@ impl SchedState {
         id
     }
 
-    /// Pick the next job for `worker`: local front, then fair global, then
-    /// steal from another worker's back. Returns a full [`Dispatch`] so
-    /// the caller can drop the lock before running anything.
-    pub fn pick(&mut self, worker: usize) -> Option<Dispatch> {
-        let gj = self.local[worker]
-            .pop_front()
-            .or_else(|| self.pick_global())
-            .or_else(|| self.steal(worker))?;
+    /// Pick the next job: round-robin over tenants with waiting jobs, the
+    /// first tenant strictly after the cursor (wrapping), so interleaved
+    /// submissions share the pool no matter how lopsided the per-tenant
+    /// queue depths are. Returns a full [`Dispatch`] so the caller can
+    /// drop the lock before running anything.
+    pub fn pick(&mut self) -> Option<Dispatch> {
+        let tenant = match self.cursor {
+            Some(c) => self
+                .ready
+                .range((std::ops::Bound::Excluded(c), std::ops::Bound::Unbounded))
+                .map(|(t, _)| *t)
+                .next()
+                .or_else(|| self.ready.keys().next().copied()),
+            None => self.ready.keys().next().copied(),
+        }?;
+        let queue = self.ready.get_mut(&tenant)?;
+        let gj = queue.pop_front()?;
+        if queue.is_empty() {
+            self.ready.remove(&tenant);
+        }
+        self.cursor = Some(tenant);
         let batch = self
             .batches
             .get(&gj.batch)
@@ -169,49 +163,12 @@ impl SchedState {
         })
     }
 
-    /// Round-robin over tenants with waiting jobs: the first tenant
-    /// strictly after the cursor (wrapping), so interleaved submissions
-    /// share the pool no matter how lopsided the per-tenant queue depths
-    /// are.
-    fn pick_global(&mut self) -> Option<GlobalJob> {
-        let tenant = match self.cursor {
-            Some(c) => self
-                .ready
-                .range((std::ops::Bound::Excluded(c), std::ops::Bound::Unbounded))
-                .map(|(t, _)| *t)
-                .next()
-                .or_else(|| self.ready.keys().next().copied()),
-            None => self.ready.keys().next().copied(),
-        }?;
-        let queue = self.ready.get_mut(&tenant)?;
-        let gj = queue.pop_front();
-        if queue.is_empty() {
-            self.ready.remove(&tenant);
-        }
-        self.cursor = Some(tenant);
-        gj
-    }
-
-    /// Steal the coldest entry (back) from the first non-empty victim
-    /// after `worker`, in ring order.
-    fn steal(&mut self, worker: usize) -> Option<GlobalJob> {
-        let width = self.local.len();
-        (1..width)
-            .map(|off| (worker + off) % width)
-            .find_map(|victim| self.local[victim].pop_back())
-    }
-
     /// Record a terminal status for `gj` and release newly-ready
-    /// dependents onto `worker`'s local deque (warm-arena locality).
-    /// Returns the sender to stream the outcome on (outside the lock) —
-    /// and drops the batch's own sender if this was its last job, closing
-    /// the handle's channel once the in-flight send completes.
-    pub fn complete(
-        &mut self,
-        worker: usize,
-        gj: GlobalJob,
-        status: JobStatus,
-    ) -> SyncSender<JobOutcome> {
+    /// dependents into their tenants' queues. Returns the sender to stream
+    /// the outcome on (outside the lock) — and drops the batch's own
+    /// sender if this was its last job, closing the handle's channel once
+    /// the in-flight send completes.
+    pub fn complete(&mut self, gj: GlobalJob, status: JobStatus) -> SyncSender<JobOutcome> {
         let batch = self
             .batches
             .get_mut(&gj.batch)
@@ -220,17 +177,20 @@ impl SchedState {
         batch.statuses[gj.job.0] = Some(status);
         batch.remaining -= 1;
         self.live_jobs -= 1;
-        for d in batch.dependents[gj.job.0].clone() {
+        for &d in &batch.dependents[gj.job.0] {
             batch.indegree[d] -= 1;
             if batch.indegree[d] == 0 {
-                self.local[worker].push_back(GlobalJob {
-                    batch: gj.batch,
-                    job: JobId(d),
-                });
+                self.ready
+                    .entry(batch.jobs[d].tenant)
+                    .or_default()
+                    .push_back(GlobalJob {
+                        batch: gj.batch,
+                        job: JobId(d),
+                    });
             }
         }
-        let tx = self.batches[&gj.batch].tx.clone();
-        if self.batches[&gj.batch].remaining == 0 {
+        let tx = batch.tx.clone();
+        if batch.remaining == 0 {
             self.batches.remove(&gj.batch);
         }
         tx
@@ -240,25 +200,23 @@ impl SchedState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{EngineSpec, JobFailure};
+    use crate::job::JobFailure;
+    use cliquesim::Engine;
     use std::sync::mpsc::sync_channel;
 
     fn job(tenant: u32, deps: &[usize]) -> JobSpec {
         let mut spec = JobSpec::new(
             TenantId(tenant),
             format!("t{tenant}"),
-            EngineSpec::new(2),
+            Engine::new(2),
             Arc::new(|_s, _d| Ok(Vec::new())),
         );
         spec.deps = deps.iter().map(|&d| JobId(d)).collect();
         spec
     }
 
-    fn state_with(
-        width: usize,
-        jobs: Vec<JobSpec>,
-    ) -> (SchedState, std::sync::mpsc::Receiver<JobOutcome>) {
-        let mut st = SchedState::new(width);
+    fn state_with(jobs: Vec<JobSpec>) -> (SchedState, std::sync::mpsc::Receiver<JobOutcome>) {
+        let mut st = SchedState::default();
         let (tx, rx) = sync_channel(64);
         st.register(jobs, tx, Arc::new(AtomicBool::new(false)));
         (st, rx)
@@ -272,50 +230,40 @@ mod tests {
         let mut jobs: Vec<JobSpec> = (0..5).map(|_| job(0, &[])).collect();
         jobs.push(job(1, &[]));
         jobs.push(job(2, &[]));
-        let (mut st, _rx) = state_with(1, jobs);
-        let tenants: Vec<u32> = std::iter::from_fn(|| st.pick(0))
+        let (mut st, _rx) = state_with(jobs);
+        let tenants: Vec<u32> = std::iter::from_fn(|| st.pick())
             .map(|d| d.spec.tenant.0)
             .collect();
         assert_eq!(tenants, vec![0, 1, 2, 0, 0, 0, 0]);
     }
 
     #[test]
-    fn dependents_land_on_the_completing_workers_deque() {
-        // job0 -> job1: worker 3 completes job0, so job1 must appear on
-        // worker 3's local deque and be picked by it before any steal.
-        let (mut st, _rx) = state_with(4, vec![job(0, &[]), job(0, &[0])]);
-        let d0 = st.pick(3).expect("root is ready");
+    fn released_dependents_join_their_own_tenants_queue() {
+        // job0 (tenant 0) releases job1 (tenant 1) while tenant 0's job2
+        // waits. job1 joins tenant 1's queue, so the rotation serves it
+        // next, then comes back to tenant 0.
+        let (mut st, _rx) = state_with(vec![job(0, &[]), job(1, &[0]), job(0, &[])]);
+        let d0 = st.pick().expect("job0 is ready");
         assert_eq!(d0.gj.job, JobId(0));
-        st.complete(3, d0.gj, JobStatus::Done(Arc::new(Vec::new())));
-        assert_eq!(st.local[3].len(), 1, "dependent parked locally");
-        let d1 = st.pick(3).expect("dependent ready locally");
+        st.complete(d0.gj, JobStatus::Done(Arc::new(Vec::new())));
+        let d1 = st.pick().expect("job1 was released");
         assert_eq!(d1.gj.job, JobId(1));
         assert!(d1.deps.is_ok());
-    }
-
-    #[test]
-    fn idle_worker_steals_from_the_back() {
-        let (mut st, _rx) = state_with(2, vec![job(0, &[]), job(0, &[0]), job(0, &[0])]);
-        let d0 = st.pick(0).expect("root");
-        st.complete(0, d0.gj, JobStatus::Done(Arc::new(Vec::new())));
-        assert_eq!(st.local[0].len(), 2);
-        // Worker 1 has nothing local or global: it steals worker 0's
-        // *back* entry (job2), leaving job1 warm at the front.
-        let stolen = st.pick(1).expect("steals");
-        assert_eq!(stolen.gj.job, JobId(2));
-        assert_eq!(st.local[0].front().map(|g| g.job), Some(JobId(1)));
+        let d2 = st.pick().expect("job2 still waits");
+        assert_eq!(d2.gj.job, JobId(2));
+        assert!(st.pick().is_none());
     }
 
     #[test]
     fn failed_dependency_resolves_dependents_to_the_smallest_witness() {
         // job2 depends on job0 (fails) and job1 (succeeds): the dispatch
         // carries Err(job0) however completions interleave.
-        let (mut st, _rx) = state_with(1, vec![job(0, &[]), job(0, &[]), job(0, &[0, 1])]);
-        let d0 = st.pick(0).expect("job0");
-        let d1 = st.pick(0).expect("job1");
-        st.complete(0, d1.gj, JobStatus::Done(Arc::new(Vec::new())));
-        st.complete(0, d0.gj, JobStatus::Failed(JobFailure::Failed("x".into())));
-        let d2 = st.pick(0).expect("job2 ready");
+        let (mut st, _rx) = state_with(vec![job(0, &[]), job(0, &[]), job(0, &[0, 1])]);
+        let d0 = st.pick().expect("job0");
+        let d1 = st.pick().expect("job1");
+        st.complete(d1.gj, JobStatus::Done(Arc::new(Vec::new())));
+        st.complete(d0.gj, JobStatus::Failed(JobFailure::Failed("x".into())));
+        let d2 = st.pick().expect("job2 ready");
         assert_eq!(d2.deps, Err(JobId(0)));
     }
 }

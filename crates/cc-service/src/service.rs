@@ -13,7 +13,7 @@
 //!    [`JobOutcome`] per job — including skipped and cancelled jobs — over
 //!    the handle's channel.
 //! 3. The channel is a `sync_channel` with a bounded window: when the
-//!    consumer lags `window` outcomes behind, the producing worker blocks
+//!    consumer lags `2 × width` outcomes behind, the producing worker blocks
 //!    on the send, so an unread batch cannot pile unbounded results into
 //!    memory. Other workers keep running.
 //!
@@ -52,22 +52,16 @@ struct Inner {
 pub struct Service {
     inner: Arc<Inner>,
     workers: Vec<JoinHandle<()>>,
-    window: usize,
 }
 
 impl Service {
-    /// Spawn a service with `width` workers (clamped to at least 1) and
-    /// the default outcome window of `2 × width`.
+    /// Spawn a service with `width` workers (clamped to at least 1). Each
+    /// batch's outcome window — the number of unconsumed outcomes before
+    /// producers block — is `2 × width`.
     pub fn new(width: usize) -> Self {
-        Self::with_window(width, 2 * width.max(1))
-    }
-
-    /// Spawn a service with an explicit outcome window per batch: the
-    /// maximum number of unconsumed outcomes before producers block.
-    pub fn with_window(width: usize, window: usize) -> Self {
         let width = width.max(1);
         let inner = Arc::new(Inner {
-            state: Mutex::new(SchedState::new(width)),
+            state: Mutex::new(SchedState::default()),
             work: Condvar::new(),
             pools: (0..width).map(|_| Mutex::new(ArenaPool::new())).collect(),
         });
@@ -80,11 +74,7 @@ impl Service {
                     .expect("spawn service worker")
             })
             .collect();
-        Self {
-            inner,
-            workers,
-            window: window.max(1),
-        }
+        Self { inner, workers }
     }
 
     /// Number of workers.
@@ -97,7 +87,7 @@ impl Service {
     pub fn submit(&self, batch: Batch) -> Result<BatchHandle, BatchError> {
         batch.topo_order()?;
         let total = batch.len();
-        let (tx, rx) = sync_channel(self.window);
+        let (tx, rx) = sync_channel(2 * self.width());
         let cancel = Arc::new(AtomicBool::new(false));
         {
             let mut st = self.inner.state.lock().expect("scheduler lock");
@@ -161,12 +151,6 @@ impl BatchHandle {
         self.cancel.store(true, Ordering::Relaxed);
     }
 
-    /// Receive the next outcome, blocking until one is ready or the batch
-    /// is fully drained (`None`).
-    pub fn recv(&self) -> Option<JobOutcome> {
-        self.rx.recv().ok()
-    }
-
     /// Iterate outcomes in completion order.
     pub fn iter(&self) -> std::sync::mpsc::Iter<'_, JobOutcome> {
         self.rx.iter()
@@ -181,14 +165,6 @@ impl BatchHandle {
     }
 }
 
-impl IntoIterator for BatchHandle {
-    type Item = JobOutcome;
-    type IntoIter = std::sync::mpsc::IntoIter<JobOutcome>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.rx.into_iter()
-    }
-}
-
 /// One worker: pick under the lock, simulate outside it, record and
 /// stream. Exits when the service shuts down and no live jobs remain.
 fn worker_loop(inner: &Inner, idx: usize) {
@@ -196,7 +172,7 @@ fn worker_loop(inner: &Inner, idx: usize) {
         let dispatch = {
             let mut st = inner.state.lock().expect("scheduler lock");
             loop {
-                if let Some(d) = st.pick(idx) {
+                if let Some(d) = st.pick() {
                     break Some(d);
                 }
                 if st.shutdown && st.live_jobs == 0 {
@@ -236,7 +212,7 @@ fn worker_loop(inner: &Inner, idx: usize) {
         };
         let tx: SyncSender<JobOutcome> = {
             let mut st = inner.state.lock().expect("scheduler lock");
-            st.complete(idx, gj, outcome.status.clone())
+            st.complete(gj, outcome.status.clone())
         };
         inner.work.notify_all();
         // Stream outside the lock: a full window blocks only this worker.
@@ -270,8 +246,8 @@ fn terminal(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::{DepOutputs, EngineSpec, JobFailure, JobSpec, TenantId};
-    use cliquesim::{Inbox, NodeCtx, NodeProgram, Outbox, Status};
+    use crate::job::{DepOutputs, JobFailure, JobSpec, TenantId};
+    use cliquesim::{Engine, Inbox, NodeCtx, NodeProgram, Outbox, Status};
 
     /// n-node program that spins for `rounds` rounds doing nothing — used
     /// to keep a simulation cancellable mid-flight.
@@ -299,7 +275,7 @@ mod tests {
         JobSpec::new(
             TenantId(tenant),
             label,
-            EngineSpec::new(3),
+            Engine::new(3),
             Arc::new(move |s: &mut cliquesim::Session, _d: &DepOutputs| {
                 let out = s
                     .run((0..3).map(|_| Spin { rounds }).collect())
@@ -330,7 +306,7 @@ mod tests {
         let bomb = batch.push(JobSpec::new(
             TenantId(0),
             "bomb",
-            EngineSpec::new(2),
+            Engine::new(2),
             Arc::new(|_s: &mut cliquesim::Session, _d: &DepOutputs| panic!("kaboom")),
         ));
         let child = batch.push(spin_job(0, "child", 2).after(bomb));
@@ -387,7 +363,10 @@ mod tests {
         for i in 0..40 {
             batch.push(spin_job(i % 4, &format!("j{i}"), 2));
         }
-        let service = Service::with_window(3, 1);
+        // Width 3 gets a window of 6, below the batch's 40 jobs: the
+        // channel cannot hold every outcome, so the batch drains only
+        // because the consumer keeps reading.
+        let service = Service::new(3);
         let handle = service.submit(batch).unwrap();
         assert_eq!(handle.total(), 40);
         let outcomes = handle.join();

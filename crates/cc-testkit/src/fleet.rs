@@ -22,9 +22,10 @@ use std::fmt;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use cc_service::{Batch, EngineSpec, JobId, JobOutcome, JobSpec, Service, TenantId};
+use cc_service::{Batch, JobId, JobOutcome, JobSpec, Service, TenantId};
 use cliquesim::{
-    BitString, ByzantinePlan, FaultPlan, Inbox, NodeCtx, NodeProgram, Outbox, Session, Status,
+    BitString, ByzantinePlan, Engine, FaultPlan, Inbox, NodeCtx, NodeProgram, Outbox, Session,
+    Status,
 };
 
 use crate::instances::Instance;
@@ -108,26 +109,22 @@ impl FleetJob {
 
     /// Materialise the service-side job spec.
     pub fn to_spec(&self) -> JobSpec {
-        let mut engine = EngineSpec::new(self.instance.n);
-        match self.adversary {
-            Adversary::None => {}
-            Adversary::Faults { seed } => {
-                engine = engine.fault(
-                    FaultPlan::new(seed)
-                        .drop_messages(0.15)
-                        .corrupt_messages(0.05)
-                        .truncate_messages(0.05),
-                );
-            }
-            Adversary::Byzantine { seed, traitors } => {
-                engine = engine.byzantine(
-                    ByzantinePlan::new(seed)
-                        .with_random_traitors(self.instance.n, traitors, &[])
-                        .replay(0.2)
-                        .silence(0.2),
-                );
-            }
-        }
+        let engine = Engine::new(self.instance.n);
+        let engine = match self.adversary {
+            Adversary::None => engine,
+            Adversary::Faults { seed } => engine.with_fault_plan(
+                FaultPlan::new(seed)
+                    .drop_messages(0.15)
+                    .corrupt_messages(0.05)
+                    .truncate_messages(0.05),
+            ),
+            Adversary::Byzantine { seed, traitors } => engine.with_byzantine_plan(
+                ByzantinePlan::new(seed)
+                    .with_random_traitors(self.instance.n, traitors, &[])
+                    .replay(0.2)
+                    .silence(0.2),
+            ),
+        };
         let job = self.clone();
         let mut spec = JobSpec::new(
             TenantId(self.tenant),

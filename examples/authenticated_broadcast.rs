@@ -6,9 +6,9 @@
 //! the full adversary ladder is documented in docs/THREAT-MODEL.md.
 //!
 //! Like `byzantine_broadcast`, the sweep is a `cc-service` fleet: each
-//! `(n, f, seed)` cell is one job carrying an `EngineSpec::auth` seeded
-//! keyring (each clique size is a tenant sharing the pool), the grid is
-//! one batch, and `cc_testkit::assert_fleet_matches_serial` asserts the
+//! `(n, f, seed)` cell is one job whose engine carries a seeded
+//! `AuthKeyring` (each clique size is a tenant sharing the pool), the grid
+//! is one batch, and `cc_testkit::assert_fleet_matches_serial` asserts the
 //! fleet outcomes byte-identical to the serial oracle (`Batch::run_serial`)
 //! before the table is printed from them. The footer reports both wall
 //! times — the serial-vs-fleet row in EXPERIMENTS.md §"Session service"
@@ -19,7 +19,7 @@ use std::sync::Arc;
 use cc_testkit::assert_fleet_matches_serial;
 use congested_clique::prelude::*;
 use congested_clique::resilient::{dolev_strong_broadcast, dolev_strong_overhead};
-use congested_clique::service::{Batch, EngineSpec, JobSpec, JobStatus, TenantId};
+use congested_clique::service::{Batch, JobSpec, JobStatus, TenantId};
 use congested_clique::sim::TAG_BITS;
 
 const WIDTH: usize = 8;
@@ -56,10 +56,10 @@ impl Cell {
         JobSpec::new(
             TenantId(self.n as u32),
             format!("auth[n={}, f={}, seed={}]", self.n, self.f, self.seed),
-            EngineSpec::new(self.n)
-                .bandwidth(self.bandwidth())
-                .byzantine(self.plan())
-                .auth(self.seed),
+            Engine::new(self.n)
+                .with_bandwidth(self.bandwidth())
+                .with_byzantine_plan(self.plan())
+                .with_auth(AuthKeyring::from_seed(self.n, self.seed)),
             Arc::new(move |session, _deps| {
                 let plan = cell.plan();
                 let out = dolev_strong_broadcast(session, NodeId(0), VALUE, WIDTH, cell.f)

@@ -18,7 +18,7 @@ use std::sync::Arc;
 use cc_testkit::assert_fleet_matches_serial;
 use congested_clique::prelude::*;
 use congested_clique::resilient::{bracha_broadcast, bracha_overhead};
-use congested_clique::service::{Batch, EngineSpec, JobSpec, JobStatus, TenantId};
+use congested_clique::service::{Batch, JobSpec, JobStatus, TenantId};
 
 const WIDTH: usize = 8;
 const VALUE: u64 = 0xB7;
@@ -49,9 +49,9 @@ impl Cell {
         JobSpec::new(
             TenantId(self.n as u32),
             format!("bracha[n={}, f={}, seed={}]", self.n, self.f, self.seed),
-            EngineSpec::new(self.n)
-                .bandwidth(WIDTH + 2)
-                .byzantine(self.plan()),
+            Engine::new(self.n)
+                .with_bandwidth(WIDTH + 2)
+                .with_byzantine_plan(self.plan()),
             Arc::new(move |session, _deps| {
                 let plan = cell.plan();
                 let out = bracha_broadcast(session, NodeId(0), VALUE, WIDTH, cell.f)

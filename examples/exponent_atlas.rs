@@ -20,7 +20,7 @@ use std::sync::Arc;
 
 use cc_testkit::assert_fleet_matches_serial;
 use congested_clique::prelude::*;
-use congested_clique::service::{Batch, EngineSpec, JobSpec, JobStatus, TenantId};
+use congested_clique::service::{Batch, JobSpec, JobStatus, TenantId};
 use congested_clique::{graph, matmul, param, paths, reductions, subgraph, theory};
 
 /// The atlas problems, in table order.
@@ -158,7 +158,7 @@ impl Problem {
         JobSpec::new(
             TenantId(n as u32),
             format!("atlas[{}, n={}]", self.title(), n),
-            EngineSpec::new(n),
+            Engine::new(n),
             Arc::new(move |session, _deps| self.run(session, n).map(|r| r.to_le_bytes().to_vec())),
         )
     }

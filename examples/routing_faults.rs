@@ -17,7 +17,8 @@ use std::sync::Arc;
 
 use cc_testkit::{assert_fleet_matches_serial, RouteFaultCase};
 use congested_clique::routing::{DeliveryFailure, RoutePlan};
-use congested_clique::service::{Batch, EngineSpec, JobSpec, JobStatus, TenantId};
+use congested_clique::service::{Batch, JobSpec, JobStatus, TenantId};
+use congested_clique::sim::Engine;
 
 const SEEDS: [u64; 4] = [1, 2, 3, 4];
 
@@ -46,7 +47,7 @@ impl Cell {
                 "{case}+{}",
                 if self.balanced { "balanced" } else { "direct" }
             ),
-            EngineSpec::new(self.n).fault(case.plan()),
+            Engine::new(self.n).with_fault_plan(case.plan()),
             Arc::new(move |session, _deps| {
                 let case = cell.case();
                 let crash = case.crash_set();

@@ -26,8 +26,8 @@
 //!   adversaries; see `docs/THREAT-MODEL.md` for the tier-by-tier
 //!   guarantees;
 //! * [`service`] — the multi-tenant session service: DAG-scheduled
-//!   simulation fleets over a shared work-stealing worker pool, with a
-//!   serial oracle (`Batch::run_serial`) the fleet is differentially
+//!   simulation fleets run by a fixed-width worker pool from one
+//!   tenant-fair ready queue, with a serial oracle (`Batch::run_serial`) the fleet is differentially
 //!   tested against.
 //!
 //! See `examples/quickstart.rs` for a guided tour.

@@ -29,8 +29,9 @@ use cc_testkit::fleet::strategies::arb_fleet;
 use cc_testkit::fleet::{Adversary, FleetJob, Workload};
 use cc_testkit::{assert_fleet_matches_serial, fleet_batch, Family, Instance};
 use congested_clique::service::{
-    Batch, BatchError, EngineSpec, JobFailure, JobId, JobSpec, JobStatus, Service, TenantId,
+    Batch, BatchError, JobFailure, JobId, JobSpec, JobStatus, Service, TenantId,
 };
+use congested_clique::sim::Engine;
 use proptest::prelude::*;
 
 /// The deterministic conformance fleet: one cell per interesting regime —
@@ -98,8 +99,18 @@ fn width8_fleet_matches_serial_oracle() {
     assert_fleet_matches_serial(&fleet_batch(&conformance_fleet()), &[8]);
 }
 
+/// Twelve random fleets by default; `PROPTEST_CASES` sets the count, so a
+/// release sweep can run hundreds.
+fn fleet_cases() -> ProptestConfig {
+    let cases = std::env::var("PROPTEST_CASES")
+        .ok()
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(12);
+    ProptestConfig::with_cases(cases)
+}
+
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
+    #![proptest_config(fleet_cases())]
 
     /// The central property: ANY generated batch is byte-identical to its
     /// serial in-order execution, at every width in the acceptance set.
@@ -118,7 +129,7 @@ fn width_any_cyclic_batches_are_rejected_structurally() {
         JobSpec::new(
             TenantId(tenant),
             label,
-            EngineSpec::new(2),
+            Engine::new(2),
             Arc::new(|_s, _d| Ok(Vec::new())),
         )
     };
@@ -159,14 +170,14 @@ fn width_any_panicking_job_is_contained_and_oracle_identical() {
     let bomb = batch.push(JobSpec::new(
         TenantId(0),
         "bomb",
-        EngineSpec::new(3),
+        Engine::new(3),
         Arc::new(|_s, _d| panic!("deliberate test panic")),
     ));
     let ok = |tenant: u32, label: &str| {
         JobSpec::new(
             TenantId(tenant),
             label,
-            EngineSpec::new(3),
+            Engine::new(3),
             Arc::new(|s: &mut congested_clique::sim::Session, _d: &_| {
                 Ok(s.n().to_le_bytes().to_vec())
             }),
